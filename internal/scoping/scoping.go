@@ -8,7 +8,6 @@ package scoping
 
 import (
 	"fmt"
-	"sort"
 
 	"sharqfec/internal/topology"
 )
@@ -26,26 +25,26 @@ type zone struct {
 	level    int // 0 = root
 	leaves   []topology.NodeID
 	members  []topology.NodeID // leaves of this zone and all descendants
+	chain    []ZoneID          // this zone and its ancestors, root last
 }
 
 // Hierarchy is an immutable zone tree built from a topology zone spec.
 type Hierarchy struct {
 	zones    []zone
 	root     ZoneID
-	leafZone map[topology.NodeID]ZoneID
+	leafZone []ZoneID // indexed by NodeID; NoZone for non-members
 }
 
 // Build constructs a Hierarchy from builder zone specs. Exactly one spec
 // must have Parent == -1 (the global zone). Every node may appear in at
-// most one spec's Leaves.
+// most one spec's Leaves, and leaf IDs must be non-negative.
 func Build(specs []topology.ZoneSpec) (*Hierarchy, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("scoping: no zones")
 	}
 	h := &Hierarchy{
-		zones:    make([]zone, len(specs)),
-		root:     NoZone,
-		leafZone: make(map[topology.NodeID]ZoneID),
+		zones: make([]zone, len(specs)),
+		root:  NoZone,
 	}
 	index := make(map[int]ZoneID, len(specs))
 	for i, s := range specs {
@@ -101,23 +100,51 @@ func Build(specs []topology.ZoneSpec) (*Hierarchy, error) {
 			return nil, fmt.Errorf("scoping: zone %d unreachable from root", i)
 		}
 	}
-	// Leaf-zone map and member sets.
+	// Zone chains, carved from one backing array.
+	total := 0
+	for i := range h.zones {
+		total += h.zones[i].level + 1
+	}
+	backing := make([]ZoneID, 0, total)
+	for i := range h.zones {
+		start := len(backing)
+		for cur := ZoneID(i); cur != NoZone; cur = h.zones[cur].parent {
+			backing = append(backing, cur)
+		}
+		h.zones[i].chain = backing[start:len(backing):len(backing)]
+	}
+	// Leaf-zone table and member sets.
+	maxNode := topology.NodeID(-1)
 	for i := range h.zones {
 		for _, n := range h.zones[i].leaves {
-			if _, dup := h.leafZone[n]; dup {
+			if n < 0 {
+				return nil, fmt.Errorf("scoping: negative node id %d", n)
+			}
+			if n > maxNode {
+				maxNode = n
+			}
+		}
+	}
+	h.leafZone = make([]ZoneID, maxNode+1)
+	for n := range h.leafZone {
+		h.leafZone[n] = NoZone
+	}
+	for i := range h.zones {
+		for _, n := range h.zones[i].leaves {
+			if h.leafZone[n] != NoZone {
 				return nil, fmt.Errorf("scoping: node %d has two leaf zones", n)
 			}
 			h.leafZone[n] = ZoneID(i)
 		}
 	}
+	// Ascending node order leaves every member set sorted.
 	for n, z := range h.leafZone {
-		for cur := z; cur != NoZone; cur = h.zones[cur].parent {
-			h.zones[cur].members = append(h.zones[cur].members, n)
+		if z == NoZone {
+			continue
 		}
-	}
-	for i := range h.zones {
-		m := h.zones[i].members
-		sort.Slice(m, func(a, b int) bool { return m[a] < m[b] })
+		for _, cur := range h.zones[z].chain {
+			h.zones[cur].members = append(h.zones[cur].members, topology.NodeID(n))
+		}
 	}
 	return h, nil
 }
@@ -157,8 +184,8 @@ func (h *Hierarchy) Specs() []topology.ZoneSpec {
 // mid-session leaves; pair it with netsim.Network.SetHierarchy so cached
 // delivery sets are invalidated.
 func (h *Hierarchy) WithoutMember(n topology.NodeID) (*Hierarchy, error) {
-	z, ok := h.leafZone[n]
-	if !ok {
+	z := h.LeafZone(n)
+	if z == NoZone {
 		return nil, fmt.Errorf("scoping: node %d is not a session member", n)
 	}
 	specs := h.Specs()
@@ -190,25 +217,21 @@ func (h *Hierarchy) Level(z ZoneID) int { return h.zones[z].level }
 // LeafZone returns the smallest zone containing node n, or NoZone if n is
 // not a session member.
 func (h *Hierarchy) LeafZone(n topology.NodeID) ZoneID {
-	z, ok := h.leafZone[n]
-	if !ok {
+	if n < 0 || int(n) >= len(h.leafZone) {
 		return NoZone
 	}
-	return z
+	return h.leafZone[n]
 }
 
 // ZonesOf returns the chain of zones containing n, smallest first and the
-// root last. It returns nil for non-members.
+// root last. It returns nil for non-members. The returned slice is
+// shared; do not modify it.
 func (h *Hierarchy) ZonesOf(n topology.NodeID) []ZoneID {
-	z, ok := h.leafZone[n]
-	if !ok {
+	z := h.LeafZone(n)
+	if z == NoZone {
 		return nil
 	}
-	var out []ZoneID
-	for cur := z; cur != NoZone; cur = h.zones[cur].parent {
-		out = append(out, cur)
-	}
-	return out
+	return h.zones[z].chain
 }
 
 // Members returns every session member of zone z (nodes whose leaf-zone
@@ -222,8 +245,8 @@ func (h *Hierarchy) Leaves(z ZoneID) []topology.NodeID { return h.zones[z].leave
 
 // Contains reports whether node n is a member of zone z.
 func (h *Hierarchy) Contains(z ZoneID, n topology.NodeID) bool {
-	for cur, ok := h.leafZone[n]; ok && cur != NoZone; cur = h.zones[cur].parent {
-		if cur == z {
+	for _, c := range h.ZonesOf(n) {
+		if c == z {
 			return true
 		}
 	}
@@ -253,17 +276,17 @@ func (h *Hierarchy) Escalate(z ZoneID) ZoneID {
 // CommonZone returns the smallest zone containing both a and b, or NoZone
 // if either is not a member.
 func (h *Hierarchy) CommonZone(a, b topology.NodeID) ZoneID {
-	za := h.ZonesOf(a)
-	zb := h.ZonesOf(b)
-	if za == nil || zb == nil {
-		return NoZone
+	za, zb := h.ZonesOf(a), h.ZonesOf(b)
+	// Both chains end at the root, so a shared zone sits at the same
+	// distance from the end of each: drop the deeper chain's extra head
+	// and walk the two in step.
+	if d := len(za) - len(zb); d > 0 {
+		za = za[d:]
+	} else {
+		zb = zb[-d:]
 	}
-	inB := make(map[ZoneID]bool, len(zb))
-	for _, z := range zb {
-		inB[z] = true
-	}
-	for _, z := range za {
-		if inB[z] {
+	for i, z := range za {
+		if zb[i] == z {
 			return z
 		}
 	}

@@ -175,6 +175,7 @@ func TestBuildErrors(t *testing.T) {
 			{ID: 0, Parent: -1, Leaves: []topology.NodeID{1}},
 			{ID: 1, Parent: 0, Leaves: []topology.NodeID{1}},
 		}},
+		{"negative leaf node", []topology.ZoneSpec{{ID: 0, Parent: -1, Leaves: []topology.NodeID{0, -3}}}},
 	}
 	for _, c := range cases {
 		if _, err := Build(c.specs); err == nil {
@@ -295,6 +296,105 @@ func TestPropertyRandomHierarchies(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: the tables Build precomputes (dense leaf-zone index, shared
+// zone chains, sorted member sets) answer every query exactly as the
+// naive definitions do — a spec lookup and a parent walk — for members,
+// for non-members inside the index range, and for node IDs outside it.
+func TestPropertyPrecomputedTablesMatchParentWalk(t *testing.T) {
+	f := func(seed uint64, zRaw, nRaw uint8) bool {
+		rng := rand.New(rand.NewPCG(seed, 9))
+		zones := int(zRaw%12) + 1
+		specs := []topology.ZoneSpec{{ID: 0, Parent: -1}}
+		for z := 1; z < zones; z++ {
+			specs = append(specs, topology.ZoneSpec{ID: z, Parent: rng.IntN(z)})
+		}
+		leafOf := map[topology.NodeID]ZoneID{}
+		maxID := topology.NodeID(-1)
+		for n := topology.NodeID(0); n < topology.NodeID(nRaw%48); n++ {
+			if rng.IntN(3) == 0 {
+				continue // a router: inside the index range, not a member
+			}
+			z := rng.IntN(zones)
+			specs[z].Leaves = append(specs[z].Leaves, n)
+			leafOf[n], maxID = ZoneID(z), n
+		}
+		h, err := Build(specs)
+		if err != nil {
+			return false
+		}
+		walk := func(n topology.NodeID) []ZoneID {
+			z, ok := leafOf[n]
+			if !ok {
+				return nil
+			}
+			var chain []ZoneID
+			for ; z != NoZone; z = h.Parent(z) {
+				chain = append(chain, z)
+			}
+			return chain
+		}
+		contains := func(chain []ZoneID, z ZoneID) bool {
+			for _, c := range chain {
+				if c == z {
+					return true
+				}
+			}
+			return false
+		}
+		members := make([][]topology.NodeID, zones)
+		for a := topology.NodeID(-2); a <= maxID+3; a++ {
+			wa := walk(a)
+			if z, ok := leafOf[a]; (ok && h.LeafZone(a) != z) || (!ok && h.LeafZone(a) != NoZone) {
+				return false
+			}
+			if got := h.ZonesOf(a); len(got) != len(wa) || (wa == nil) != (got == nil) {
+				return false
+			} else {
+				for i := range wa {
+					if got[i] != wa[i] {
+						return false
+					}
+				}
+			}
+			for z := ZoneID(0); int(z) < zones; z++ {
+				if h.Contains(z, a) != contains(wa, z) {
+					return false
+				}
+				if contains(wa, z) {
+					members[z] = append(members[z], a) // ascending a: sorted
+				}
+			}
+			for b := topology.NodeID(-2); b <= maxID+3; b++ {
+				want, wb := NoZone, walk(b)
+				for _, z := range wa {
+					if contains(wb, z) {
+						want = z
+						break
+					}
+				}
+				if h.CommonZone(a, b) != want {
+					return false
+				}
+			}
+		}
+		for z := range members {
+			got := h.Members(ZoneID(z))
+			if len(got) != len(members[z]) {
+				return false
+			}
+			for i := range got {
+				if got[i] != members[z][i] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

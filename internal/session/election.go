@@ -15,62 +15,68 @@ import (
 
 // startChallengeDuty arms the periodic challenge timer for a zone this
 // node is the ZCR of.
-func (m *Manager) startChallengeDuty(z scoping.ZoneID) {
-	if m.challengeTimer[z] != nil && m.challengeTimer[z].Active() {
+func (m *Manager) startChallengeDuty(zs *zoneState) {
+	if zs.duty != nil && zs.duty.Active() {
 		return
 	}
-	if m.net.Hierarchy().Parent(z) == scoping.NoZone {
+	if m.net.Hierarchy().Parent(zs.id) == scoping.NoZone {
 		return // the root zone has no parent to probe
 	}
+	if zs.onDuty == nil {
+		z := zs.id
+		zs.onDuty = func(now eventq.Time) {
+			if zs := m.zone(z); !m.stopped && zs.zcr == m.node {
+				m.issueChallenge(now, zs)
+				m.startChallengeDuty(zs)
+			}
+		}
+	}
 	d := eventq.Duration(m.rng.Uniform(m.cfg.ChallengeLo, m.cfg.ChallengeHi))
-	m.challengeTimer[z] = m.net.Sched().After(d, func(now eventq.Time) {
-		if m.stopped {
-			return
-		}
-		if m.zcrOf(z) == m.node {
-			m.issueChallenge(now, z)
-			m.startChallengeDuty(z)
-		}
-	})
+	zs.duty = m.net.Sched().After(d, zs.onDuty)
 }
 
-// resetWatchdog re-arms the non-ZCR watchdog for zone z. Its window is
+// resetWatchdog re-arms the non-ZCR watchdog for a zone. Its window is
 // "slightly larger" than the ZCR's challenge window so a healthy ZCR
 // always wins the race.
-func (m *Manager) resetWatchdog(z scoping.ZoneID) {
-	if t := m.watchdog[z]; t != nil {
-		t.Stop()
+func (m *Manager) resetWatchdog(zs *zoneState) {
+	if zs.watchdog != nil {
+		zs.watchdog.Stop()
+	}
+	if zs.onWatchdog == nil {
+		z := zs.id
+		zs.onWatchdog = func(now eventq.Time) {
+			if m.stopped {
+				return
+			}
+			zs := m.zone(z)
+			if zs.zcr != m.node {
+				// The incumbent has been silent for a whole watchdog
+				// window: challenge, and treat its advertised distance as
+				// stale so a takeover is not suppressed by a dead node
+				// (a live incumbent simply reasserts, §5.2).
+				if zs.zcr != topology.NoNode {
+					zs.suspect = true
+				}
+				m.issueChallenge(now, zs)
+			}
+			m.resetWatchdog(zs)
+		}
 	}
 	var window float64
-	if m.zcrOf(z) == topology.NoNode {
+	if zs.zcr == topology.NoNode {
 		// No ZCR yet: probe quickly so the initial election happens
 		// within the session-stabilization window.
 		window = m.rng.Uniform(m.cfg.BootstrapLo, m.cfg.BootstrapHi)
 	} else {
 		window = m.cfg.WatchdogFactor * m.cfg.ChallengeHi * m.rng.Uniform(1.0, 1.5)
 	}
-	m.watchdog[z] = m.net.Sched().After(eventq.Duration(window), func(now eventq.Time) {
-		if m.stopped {
-			return
-		}
-		if m.zcrOf(z) != m.node {
-			// The incumbent has been silent for a whole watchdog
-			// window: challenge, and treat its advertised distance as
-			// stale so a takeover is not suppressed by a dead node
-			// (a live incumbent simply reasserts, §5.2).
-			if m.zcrOf(z) != topology.NoNode {
-				m.suspectZCR[z] = true
-			}
-			m.issueChallenge(now, z)
-		}
-		m.resetWatchdog(z)
-	})
+	zs.watchdog = m.net.Sched().After(eventq.Duration(window), zs.onWatchdog)
 }
 
-// issueChallenge multicasts a ZCR challenge for zone z to the parent
+// issueChallenge multicasts a ZCR challenge for a zone to the parent
 // scope, provided the parent zone has elected a ZCR (top-down ordering).
-func (m *Manager) issueChallenge(now eventq.Time, z scoping.ZoneID) {
-	parent := m.net.Hierarchy().Parent(z)
+func (m *Manager) issueChallenge(now eventq.Time, zs *zoneState) {
+	parent := m.net.Hierarchy().Parent(zs.id)
 	if parent == scoping.NoZone {
 		return
 	}
@@ -78,19 +84,19 @@ func (m *Manager) issueChallenge(now eventq.Time, z scoping.ZoneID) {
 	if pz == topology.NoNode {
 		return // back off until the parent zone has elected
 	}
-	ch := &packet.ZCRChallenge{Origin: m.node, Zone: int16(z), SentAt: now.Seconds()}
-	m.lastChallenge[z] = challengeInfo{challenger: m.node, sentAt: now.Seconds(), recvAt: now}
+	ch := &packet.ZCRChallenge{Origin: m.node, Zone: int16(zs.id), SentAt: now.Seconds()}
+	zs.challenge = challengeInfo{challenger: m.node, sentAt: now.Seconds(), recvAt: now}
 	m.net.Multicast(m.node, parent, ch)
 	if pz == m.node {
 		// Degenerate case: we are also the parent ZCR, so no response
 		// will arrive (no loopback). Answer our own probe so zone
 		// members can still measure, and record a zero distance.
-		m.myParentDist[z] = 0
-		if m.zcrOf(z) == m.node {
-			m.zcrDist[z] = 0
+		zs.myDist, zs.haveMyDist = 0, true
+		if zs.zcr == m.node {
+			zs.zcrDist = 0
 		}
 		m.net.Multicast(m.node, parent, &packet.ZCRResponse{
-			Origin: m.node, Zone: int16(z), Challenger: m.node, ProcDelay: 0,
+			Origin: m.node, Zone: int16(zs.id), Challenger: m.node, ProcDelay: 0,
 		})
 	}
 }
@@ -98,13 +104,14 @@ func (m *Manager) issueChallenge(now eventq.Time, z scoping.ZoneID) {
 // HandleChallenge processes a ZCR challenge heard at the parent scope.
 func (m *Manager) HandleChallenge(now eventq.Time, msg *packet.ZCRChallenge) {
 	z := scoping.ZoneID(msg.Zone)
-	if m.net.Hierarchy().Contains(z, m.node) {
-		m.lastChallenge[z] = challengeInfo{challenger: msg.Origin, sentAt: msg.SentAt, recvAt: now}
+	member := m.net.Hierarchy().Contains(z, m.node)
+	zs := m.zone(z) // non-nil for every zone we are a member of
+	if member {
+		zs.challenge = challengeInfo{challenger: msg.Origin, sentAt: msg.SentAt, recvAt: now}
 	}
-	if msg.Origin == m.zcrOf(z) {
-		m.zcrHeard[z] = now
-		m.suspectZCR[z] = false
-		m.resetWatchdog(z)
+	if zs != nil && msg.Origin == zs.zcr {
+		zs.suspect = false
+		m.resetWatchdog(zs)
 	}
 	parent := m.net.Hierarchy().Parent(z)
 	if parent != scoping.NoZone && m.zcrOf(parent) == m.node && msg.Origin != m.node {
@@ -114,11 +121,11 @@ func (m *Manager) HandleChallenge(now eventq.Time, msg *packet.ZCRChallenge) {
 		m.net.Multicast(m.node, parent, &packet.ZCRResponse{
 			Origin: m.node, Zone: msg.Zone, Challenger: msg.Origin, ProcDelay: 0,
 		})
-		if m.net.Hierarchy().Contains(z, m.node) {
+		if member {
 			// We are also a member of the child zone, at distance zero
 			// from its parent ZCR (ourselves) — contest directly,
 			// since we will never hear our own response.
-			m.considerTakeover(now, z, 0)
+			m.considerTakeover(zs, 0)
 		}
 	}
 }
@@ -128,8 +135,8 @@ func (m *Manager) HandleChallenge(now eventq.Time, msg *packet.ZCRChallenge) {
 // ZCR role if closer (§5.2 formula and takeover rules).
 func (m *Manager) HandleResponse(now eventq.Time, msg *packet.ZCRResponse) {
 	z := scoping.ZoneID(msg.Zone)
-	lc, ok := m.lastChallenge[z]
-	if !ok || lc.challenger != msg.Challenger {
+	zs := m.zone(z)
+	if zs == nil || zs.challenge.challenger == topology.NoNode || zs.challenge.challenger != msg.Challenger {
 		return // stale or unmatched response
 	}
 	if !m.net.Hierarchy().Contains(z, m.node) {
@@ -140,43 +147,39 @@ func (m *Manager) HandleResponse(now eventq.Time, msg *packet.ZCRResponse) {
 	switch {
 	case msg.Challenger == m.node:
 		// We probed: round trip halved, processing delay removed.
-		dist = (now.Seconds() - lc.sentAt - msg.ProcDelay) / 2
-	case msg.Challenger == m.zcrOf(z):
+		dist = (now.Seconds() - zs.challenge.sentAt - msg.ProcDelay) / 2
+	case msg.Challenger == zs.zcr:
 		// Passive measurement with the paper's formula:
 		// dist = d(me→localZCR) + (t_replyRecv − t_challengeRecv)
 		//        − procDelay − d(localZCR→parentZCR).
-		rtt, ok := m.DirectRTT(m.zcrOf(z))
+		rtt, ok := m.DirectRTT(zs.zcr)
 		if !ok {
 			return
 		}
-		if _, known := m.zcr[z]; !known {
-			return
-		}
-		dist = rtt/2 + (now.Sub(lc.recvAt).Seconds() - msg.ProcDelay) - m.zcrDist[z]
+		dist = rtt/2 + (now.Sub(zs.challenge.recvAt).Seconds() - msg.ProcDelay) - zs.zcrDist
 	default:
 		return // challenge came from a usurper; only it can measure
 	}
 	if dist < 0 {
 		dist = 0
 	}
-	m.considerTakeover(now, z, dist)
+	m.considerTakeover(zs, dist)
 }
 
 // considerTakeover schedules a distance-proportional suppressed takeover
 // if this node appears closer to the parent ZCR than the incumbent.
-func (m *Manager) considerTakeover(_ eventq.Time, z scoping.ZoneID, dist float64) {
-	m.myParentDist[z] = dist
-	cur := m.zcrOf(z)
-	if cur == m.node {
+func (m *Manager) considerTakeover(zs *zoneState, dist float64) {
+	zs.myDist, zs.haveMyDist = dist, true
+	if zs.zcr == m.node {
 		// Already the ZCR: refresh the advertised distance.
-		m.zcrDist[z] = dist
+		zs.zcrDist = dist
 		return
 	}
-	if cur != topology.NoNode && !m.suspectZCR[z] && dist+m.cfg.TakeoverEpsilon >= m.zcrDist[z] {
+	if zs.zcr != topology.NoNode && !zs.suspect && dist+m.cfg.TakeoverEpsilon >= zs.zcrDist {
 		return // not meaningfully closer (and the incumbent is alive)
 	}
-	if t := m.pendingTakeover[z]; t != nil && t.Active() {
-		if m.pendingDist[z] <= dist {
+	if t := zs.takeover; t != nil && t.Active() {
+		if zs.pendingDist <= dist {
 			return // an earlier, closer attempt is already pending
 		}
 		t.Stop()
@@ -184,42 +187,41 @@ func (m *Manager) considerTakeover(_ eventq.Time, z scoping.ZoneID, dist float64
 	// Suppression: closer candidates fire earlier, so the closest
 	// receiver in the zone wins the election.
 	delay := eventq.Duration(0.001 + dist*m.rng.Uniform(1.0, 1.3))
-	m.pendingDist[z] = dist
-	m.pendingTakeover[z] = m.net.Sched().After(delay, func(fireAt eventq.Time) {
+	zs.pendingDist = dist
+	z := zs.id
+	zs.takeover = m.net.Sched().After(delay, func(fireAt eventq.Time) {
 		if m.stopped {
 			return
 		}
-		m.sendTakeover(fireAt, z, dist)
+		m.sendTakeover(fireAt, m.zone(z), dist)
 	})
 }
 
-// sendTakeover announces this node as zone z's new ZCR to both the child
+// sendTakeover announces this node as a zone's new ZCR to both the child
 // zone and the parent zone.
-func (m *Manager) sendTakeover(now eventq.Time, z scoping.ZoneID, dist float64) {
-	to := &packet.ZCRTakeover{Origin: m.node, Zone: int16(z), DistToParent: dist}
-	m.net.Multicast(m.node, z, to)
-	if parent := m.net.Hierarchy().Parent(z); parent != scoping.NoZone {
+func (m *Manager) sendTakeover(now eventq.Time, zs *zoneState, dist float64) {
+	to := &packet.ZCRTakeover{Origin: m.node, Zone: int16(zs.id), DistToParent: dist}
+	m.net.Multicast(m.node, zs.id, to)
+	if parent := m.net.Hierarchy().Parent(zs.id); parent != scoping.NoZone {
 		m.net.Multicast(m.node, parent, to)
 	}
-	m.setZCR(now, z, m.node, dist)
+	m.setZCR(now, zs, m.node, dist)
 }
 
 // HandleTakeover processes a ZCR takeover announcement.
 func (m *Manager) HandleTakeover(now eventq.Time, msg *packet.ZCRTakeover) {
-	z := scoping.ZoneID(msg.Zone)
+	zs := m.zoneFor(scoping.ZoneID(msg.Zone))
 	// Suppress our own pending (not-closer) takeover.
-	if t := m.pendingTakeover[z]; t != nil && t.Active() && m.pendingDist[z]+m.cfg.TakeoverEpsilon >= msg.DistToParent {
+	if t := zs.takeover; t != nil && t.Active() && zs.pendingDist+m.cfg.TakeoverEpsilon >= msg.DistToParent {
 		t.Stop()
 	}
-	if m.zcrOf(z) == m.node && msg.Origin != m.node {
-		if d, ok := m.myParentDist[z]; ok && d+m.cfg.TakeoverEpsilon < msg.DistToParent {
-			// The usurper is farther than we are: reassert (§5.2).
-			m.sendTakeover(now, z, d)
-			return
-		}
+	if zs.zcr == m.node && msg.Origin != m.node && zs.haveMyDist && zs.myDist+m.cfg.TakeoverEpsilon < msg.DistToParent {
+		// The usurper is farther than we are: reassert (§5.2).
+		m.sendTakeover(now, zs, zs.myDist)
+		return
 	}
-	m.setZCR(now, z, msg.Origin, msg.DistToParent)
-	m.resetWatchdog(z)
+	m.setZCR(now, zs, msg.Origin, msg.DistToParent)
+	m.resetWatchdog(zs)
 }
 
 // Receive dispatches a session-layer packet to its handler and reports

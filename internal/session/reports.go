@@ -1,10 +1,6 @@
 package session
 
-import (
-	"sharqfec/internal/packet"
-	"sharqfec/internal/scoping"
-	"sharqfec/internal/topology"
-)
+import "sharqfec/internal/scoping"
 
 // Hierarchical receiver-report aggregation — the §7 proposal of using
 // SHARQFEC's session hierarchy to solve the RTCP announcement problem.
@@ -15,12 +11,6 @@ import (
 // summaries bubble one level per ZCR, so the source learns the session's
 // worst reception quality with O(zones) rather than O(receivers)
 // reports.
-
-// rrInfo is one heard subtree summary.
-type rrInfo struct {
-	loss    float64
-	members uint32
-}
 
 // SetLocalLossReport publishes this member's own reception quality: the
 // fraction of original packets it lost in transit (before repair).
@@ -35,18 +25,20 @@ func (m *Manager) SetLocalLossReport(frac float64) {
 	m.rrSet = true
 }
 
-// recordReport stores a heard subtree summary for the scope it arrived
-// on.
-func (m *Manager) recordReport(z scoping.ZoneID, msg *packet.Session) {
-	if msg.RRMembers == 0 {
-		return
+// foldReports folds every summary heard at zs's scope, other than our
+// own, into (loss, members).
+func (m *Manager) foldReports(zs *zoneState, loss float64, members uint32) (float64, uint32) {
+	for i := range zs.heard {
+		h := &zs.heard[i].val
+		if zs.heard[i].id == m.node || h.rrMembers == 0 {
+			continue
+		}
+		if h.rrLoss > loss {
+			loss = h.rrLoss
+		}
+		members += h.rrMembers
 	}
-	per := m.heardRR[z]
-	if per == nil {
-		per = make(map[topology.NodeID]rrInfo)
-		m.heardRR[z] = per
-	}
-	per[msg.Origin] = rrInfo{loss: msg.RRWorstLoss, members: msg.RRMembers}
+	return loss, members
 }
 
 // reportFor computes the summary this member attaches to a message
@@ -56,29 +48,28 @@ func (m *Manager) reportFor(z scoping.ZoneID) (loss float64, members uint32) {
 	if m.rrSet {
 		loss, members = m.rrLocal, 1
 	}
-	for _, c := range m.chain {
-		if c == z || m.zcrOf(c) != m.node {
+	for i, c := range m.chain {
+		if c == z || m.zones[i].zcr != m.node || !m.net.Hierarchy().IsAncestor(z, c) {
 			continue
 		}
-		if !m.net.Hierarchy().IsAncestor(z, c) {
-			continue
-		}
-		for origin, ri := range m.heardRR[c] {
-			if origin == m.node {
-				continue
-			}
-			if ri.loss > loss {
-				loss = ri.loss
-			}
-			members += ri.members
-		}
+		loss, members = m.foldReports(&m.zones[i], loss, members)
 	}
 	return loss, members
 }
 
 // ReportersHeard returns how many distinct origins have contributed a
 // summary at scope z — the announcement load at that level.
-func (m *Manager) ReportersHeard(z scoping.ZoneID) int { return len(m.heardRR[z]) }
+func (m *Manager) ReportersHeard(z scoping.ZoneID) int {
+	n := 0
+	if zs := m.zone(z); zs != nil {
+		for i := range zs.heard {
+			if zs.heard[i].val.rrMembers != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
 
 // AggregatedReport returns this member's view of zone z's reception
 // quality: the worst loss fraction reported by any summarized subtree
@@ -88,14 +79,8 @@ func (m *Manager) AggregatedReport(z scoping.ZoneID) (worstLoss float64, members
 	if m.rrSet && m.net.Hierarchy().Contains(z, m.node) {
 		worstLoss, members = m.rrLocal, 1
 	}
-	for origin, ri := range m.heardRR[z] {
-		if origin == m.node {
-			continue
-		}
-		if ri.loss > worstLoss {
-			worstLoss = ri.loss
-		}
-		members += ri.members
+	if zs := m.zone(z); zs != nil {
+		worstLoss, members = m.foldReports(zs, worstLoss, members)
 	}
 	return worstLoss, members
 }

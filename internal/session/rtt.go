@@ -17,7 +17,7 @@ func (m *Manager) RTTToChainZCR(idx int) (float64, bool) {
 	total := 0.0
 	prev := m.node
 	for i := 0; i <= idx; i++ {
-		z := m.zcrOf(m.chain[i])
+		z := m.zones[i].zcr
 		if z == topology.NoNode {
 			return 0, false
 		}
@@ -38,21 +38,21 @@ func (m *Manager) RTTToChainZCR(idx int) (float64, bool) {
 // from is this node) or the recorded ZCR link tables.
 func (m *Manager) hopRTT(from, to topology.NodeID) (float64, bool) {
 	if from == m.node {
-		if rtt, ok := m.DirectRTT(to); ok {
-			return rtt, true
-		}
-		return 0, false
+		return m.DirectRTT(to)
 	}
-	if links := m.zcrLink[from]; links != nil {
-		if rtt, ok := links[to]; ok {
-			return rtt, true
-		}
+	if rtt, ok := m.linkRTT(from, to); ok {
+		return rtt, true
 	}
 	// Links are announced symmetrically often enough to try the reverse
 	// direction too.
-	if links := m.zcrLink[to]; links != nil {
-		if rtt, ok := links[from]; ok {
-			return rtt, true
+	return m.linkRTT(to, from)
+}
+
+// linkRTT returns the RTT to peer that origin announced, if recorded.
+func (m *Manager) linkRTT(origin, peer topology.NodeID) (float64, bool) {
+	if links := m.linksOf(origin); links != nil {
+		if rtt := links.get(peer); rtt != nil {
+			return *rtt, true
 		}
 	}
 	return 0, false
@@ -64,7 +64,7 @@ func (m *Manager) hopRTT(from, to topology.NodeID) (float64, bool) {
 func (m *Manager) AncestorList() []packet.AncestorRTT {
 	var out []packet.AncestorRTT
 	for i := range m.chain {
-		z := m.zcrOf(m.chain[i])
+		z := m.zones[i].zcr
 		if z == topology.NoNode || z == m.node {
 			continue
 		}
@@ -96,7 +96,7 @@ func (m *Manager) EstimateRTT(sender topology.NodeID, ancestors []packet.Ancesto
 		}
 		// Case 2: the ancestor is one of our own chain ZCRs.
 		for i := range m.chain {
-			if m.zcrOf(m.chain[i]) == a.ZCR {
+			if m.zones[i].zcr == a.ZCR {
 				if mine, ok := m.RTTToChainZCR(i); ok {
 					return mine + a.RTT, true
 				}
@@ -106,7 +106,7 @@ func (m *Manager) EstimateRTT(sender topology.NodeID, ancestors []packet.Ancesto
 		// sender's ancestor (sibling ZCRs heard in a shared parent
 		// zone — receiver 13's path to receiver 8 in Figure 6).
 		for i := range m.chain {
-			z := m.zcrOf(m.chain[i])
+			z := m.zones[i].zcr
 			if z == topology.NoNode {
 				continue
 			}
@@ -145,9 +145,11 @@ func (m *Manager) Dist(peer topology.NodeID, ancestors []packet.AncestorRTT) flo
 // members. ZCRs use 2.5× this value to time their ZLC measurement (§4).
 func (m *Manager) MostDistantRTT(z scoping.ZoneID) float64 {
 	max := 0.0
-	for peer := range m.heardAt[z] {
-		if rtt, ok := m.DirectRTT(peer); ok && rtt > max {
-			max = rtt
+	if zs := m.zone(z); zs != nil {
+		for i := range zs.heard {
+			if rtt, ok := m.DirectRTT(zs.heard[i].id); ok && rtt > max {
+				max = rtt
+			}
 		}
 	}
 	for _, child := range m.net.Hierarchy().Children(z) {
@@ -160,9 +162,11 @@ func (m *Manager) MostDistantRTT(z scoping.ZoneID) float64 {
 			continue
 		}
 		far := 0.0
-		for _, rtt := range m.zcrLink[czcr] {
-			if rtt > far {
-				far = rtt
+		if links := m.linksOf(czcr); links != nil {
+			for _, l := range *links {
+				if l.val > far {
+					far = l.val
+				}
 			}
 		}
 		if base+far > max {

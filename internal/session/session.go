@@ -70,61 +70,79 @@ func DefaultConfig() Config {
 	}
 }
 
-// echoInfo records the last session message heard from a peer at one
-// scope, for the entry we will echo back.
-type echoInfo struct {
-	sentAt  float64     // peer's SentAt timestamp
-	arrival eventq.Time // local arrival time
-}
-
-// peerInfo is the per-peer direct RTT state.
-type peerInfo struct {
-	rtt  float64
-	have bool
+// heardPeer is what a member remembers of one peer at one scope: the last
+// session message heard (for the entry echoed back) and the peer's latest
+// receiver-report summary.
+type heardPeer struct {
+	sentAt    float64     // peer's SentAt timestamp
+	arrival   eventq.Time // local arrival time
+	rrLoss    float64     // reports.go; valid when rrMembers > 0
+	rrMembers uint32
 }
 
 // challengeInfo tracks the last challenge heard per zone so the matching
 // response can be interpreted.
 type challengeInfo struct {
-	challenger topology.NodeID
-	sentAt     float64     // challenger's timestamp
-	recvAt     eventq.Time // when *we* heard the challenge
+	challenger topology.NodeID // NoNode until a challenge is heard
+	sentAt     float64         // challenger's timestamp
+	recvAt     eventq.Time     // when *we* heard the challenge
 }
 
-// Manager is the per-node session-management state machine.
+// zoneState is everything a member tracks about one zone. The fields a
+// session message reads sit together at the front.
+type zoneState struct {
+	id      scoping.ZoneID
+	zcr     topology.NodeID  // believed ZCR, NoNode until one is known
+	heard   table[heardPeer] // peers heard at this scope
+	zcrDist float64          // announced one-way ZCR→parent-ZCR distance
+	suspect bool             // incumbent silent past watchdog
+
+	haveMyDist  bool
+	myDist      float64 // measured when we are (or probe as) ZCR
+	pendingDist float64 // distance the pending takeover was armed with
+	challenge   challengeInfo
+
+	takeover, duty, watchdog fabric.Timer
+	// The duty and watchdog callbacks are built on first arming and
+	// handed to every re-arm, so steady state allocates no closure.
+	onDuty, onWatchdog func(eventq.Time)
+}
+
+// zcrLinks is one ZCR's announced RTTs to its peers — a row of the
+// reduced state table of Figure 5.
+type zcrLinks struct {
+	origin topology.NodeID
+	rtt    table[float64]
+}
+
+// Manager is the per-node session-management state machine. Its state is
+// map-free: a zone is found by scanning the few records in zones, a peer
+// by binary search in a table.
 type Manager struct {
 	node topology.NodeID
 	net  fabric.Network
 	cfg  Config
 	rng  *simrand.Rand
 
-	chain []scoping.ZoneID // zones containing node, smallest first
-	leaf  scoping.ZoneID
+	chain []scoping.ZoneID // zones containing node, smallest first (shared, read-only)
+	// zones holds one record per chain level, in chain order, then the
+	// sibling zones whose elections were overheard at parent scope.
+	// Appending may move the records: zoneFor is called once, on entry
+	// to a handler, and timer callbacks capture a zone's ID, not its
+	// address.
+	zones []zoneState
 
-	direct  map[topology.NodeID]*peerInfo
-	heardAt map[scoping.ZoneID]map[topology.NodeID]*echoInfo
+	direct table[float64] // direct RTT estimate per peer
+	links  []zcrLinks     // one per ZCR that announced its table to us
 
-	zcr          map[scoping.ZoneID]topology.NodeID
-	zcrDist      map[scoping.ZoneID]float64 // announced one-way ZCR→parent-ZCR distance
-	myParentDist map[scoping.ZoneID]float64 // measured when we are (or probe as) ZCR
-	zcrLink      map[topology.NodeID]map[topology.NodeID]float64
-	zcrHeard     map[scoping.ZoneID]eventq.Time
-
-	lastChallenge   map[scoping.ZoneID]challengeInfo
-	suspectZCR      map[scoping.ZoneID]bool // incumbent silent past watchdog
-	pendingTakeover map[scoping.ZoneID]fabric.Timer
-	pendingDist     map[scoping.ZoneID]float64
-	challengeTimer  map[scoping.ZoneID]fabric.Timer
-	watchdog        map[scoping.ZoneID]fabric.Timer
-
-	msgCount int
-	started  bool
-	stopped  bool
+	msgCount  int
+	started   bool
+	stopped   bool
+	onSession func(eventq.Time) // the session-message timer's callback, built once
 
 	// receiver-report aggregation (reports.go)
 	rrLocal float64
 	rrSet   bool
-	heardRR map[scoping.ZoneID]map[topology.NodeID]rrInfo
 
 	// MaxSeq is advertised in session messages (SRM tail-loss
 	// detection); the owning protocol keeps it current.
@@ -137,32 +155,45 @@ type Manager struct {
 // New creates a Manager for node. The node's zone chain comes from the
 // network's scoping hierarchy.
 func New(node topology.NodeID, net fabric.Network, cfg Config, rng *simrand.Rand) *Manager {
-	m := &Manager{
-		node:            node,
-		net:             net,
-		cfg:             cfg,
-		rng:             rng,
-		chain:           net.Hierarchy().ZonesOf(node),
-		direct:          make(map[topology.NodeID]*peerInfo),
-		heardAt:         make(map[scoping.ZoneID]map[topology.NodeID]*echoInfo),
-		zcr:             make(map[scoping.ZoneID]topology.NodeID),
-		zcrDist:         make(map[scoping.ZoneID]float64),
-		myParentDist:    make(map[scoping.ZoneID]float64),
-		zcrLink:         make(map[topology.NodeID]map[topology.NodeID]float64),
-		zcrHeard:        make(map[scoping.ZoneID]eventq.Time),
-		lastChallenge:   make(map[scoping.ZoneID]challengeInfo),
-		suspectZCR:      make(map[scoping.ZoneID]bool),
-		pendingTakeover: make(map[scoping.ZoneID]fabric.Timer),
-		pendingDist:     make(map[scoping.ZoneID]float64),
-		challengeTimer:  make(map[scoping.ZoneID]fabric.Timer),
-		watchdog:        make(map[scoping.ZoneID]fabric.Timer),
-		heardRR:         make(map[scoping.ZoneID]map[topology.NodeID]rrInfo),
-	}
+	h := net.Hierarchy()
+	m := &Manager{node: node, net: net, cfg: cfg, rng: rng, chain: h.ZonesOf(node)}
 	if len(m.chain) == 0 {
 		panic("session: node is not a member of any zone")
 	}
-	m.leaf = m.chain[0]
+	m.zones = make([]zoneState, len(m.chain))
+	m.links = make([]zcrLinks, 0, len(m.chain))
+	for i, z := range m.chain {
+		m.zones[i] = newZoneState(z)
+		// A zone's scope carries its own leaves and one ZCR per child
+		// zone; sizing for them up front makes a settled session's
+		// tables one allocation each.
+		m.zones[i].heard = make(table[heardPeer], 0, len(h.Leaves(z))+len(h.Children(z)))
+	}
+	m.direct = make(table[float64], 0, cap(m.zones[0].heard))
 	return m
+}
+
+func newZoneState(z scoping.ZoneID) zoneState {
+	return zoneState{id: z, zcr: topology.NoNode, challenge: challengeInfo{challenger: topology.NoNode}}
+}
+
+// zone returns z's record, or nil if this member tracks nothing about z.
+func (m *Manager) zone(z scoping.ZoneID) *zoneState {
+	for i := range m.zones {
+		if m.zones[i].id == z {
+			return &m.zones[i]
+		}
+	}
+	return nil
+}
+
+// zoneFor is zone, creating the record on first sight of z.
+func (m *Manager) zoneFor(z scoping.ZoneID) *zoneState {
+	if zs := m.zone(z); zs != nil {
+		return zs
+	}
+	m.zones = append(m.zones, newZoneState(z))
+	return &m.zones[len(m.zones)-1]
 }
 
 // Node returns the owning node's ID.
@@ -179,23 +210,19 @@ func (m *Manager) Start(root bool) {
 		return
 	}
 	m.started = true
-	now := m.net.Sched().Now()
 	if root {
-		rootZone := m.chain[len(m.chain)-1]
-		m.zcr[rootZone] = m.node
-		m.zcrDist[rootZone] = 0
-		m.myParentDist[rootZone] = 0
-		m.zcrHeard[rootZone] = now
+		rz := &m.zones[len(m.chain)-1]
+		rz.zcr, rz.zcrDist = m.node, 0
+		rz.myDist, rz.haveMyDist = 0, true
 	}
 	m.scheduleSession()
 	// Watchdogs for every non-root zone in the chain: if no ZCR makes
 	// itself heard, this node will issue a challenge (election
 	// bootstrap, §5.2).
-	for _, z := range m.chain {
-		if m.net.Hierarchy().Parent(z) == scoping.NoZone {
-			continue
+	for i, z := range m.chain {
+		if m.net.Hierarchy().Parent(z) != scoping.NoZone {
+			m.resetWatchdog(&m.zones[i])
 		}
-		m.resetWatchdog(z)
 	}
 }
 
@@ -211,7 +238,7 @@ func (m *Manager) Start(root bool) {
 // measurement, suppression and takeovers all still operate, so a badly
 // placed designee is corrected the normal way (§5.2).
 func (m *Manager) SeedZCR(z scoping.ZoneID, n topology.NodeID) {
-	m.setZCR(m.net.Sched().Now(), z, n, m.cfg.DefaultDist)
+	m.setZCR(m.net.Sched().Now(), m.zoneFor(z), n, m.cfg.DefaultDist)
 }
 
 // Stop silences the manager: it ceases sending session messages,
@@ -229,14 +256,16 @@ func (m *Manager) scheduleSession() {
 	if m.msgCount < m.cfg.FastCount {
 		lo, hi = m.cfg.FastLo, m.cfg.FastHi
 	}
-	d := eventq.Duration(m.rng.Uniform(lo, hi))
-	m.net.Sched().After(d, func(now eventq.Time) {
-		if m.stopped {
-			return
+	if m.onSession == nil {
+		m.onSession = func(now eventq.Time) {
+			if m.stopped {
+				return
+			}
+			m.sendSessionMessages(now)
+			m.scheduleSession()
 		}
-		m.sendSessionMessages(now)
-		m.scheduleSession()
-	})
+	}
+	m.net.Sched().After(eventq.Duration(m.rng.Uniform(lo, hi)), m.onSession)
 }
 
 // sendSessionMessages emits this node's periodic messages: one scoped to
@@ -246,70 +275,66 @@ func (m *Manager) scheduleSession() {
 // child zone, while the second is sent to the parent zone").
 func (m *Manager) sendSessionMessages(now eventq.Time) {
 	m.msgCount++
-	sent := map[scoping.ZoneID]bool{m.leaf: true}
-	m.sendSessionFor(now, m.leaf)
-	for _, z := range m.chain {
-		if m.zcr[z] != m.node {
+	m.sendSessionFor(now, &m.zones[0])
+	// Sends climb the chain, so "already sent" is one high-water index.
+	sent := 0
+	for i := range m.chain {
+		if m.zones[i].zcr != m.node {
 			continue
 		}
-		if !sent[z] {
-			sent[z] = true
-			m.sendSessionFor(now, z)
+		if i > sent {
+			m.sendSessionFor(now, &m.zones[i])
 		}
-		if p := m.net.Hierarchy().Parent(z); p != scoping.NoZone && !sent[p] {
-			sent[p] = true
-			m.sendSessionFor(now, p)
+		sent = i
+		if i+1 < len(m.chain) {
+			sent = i + 1
+			m.sendSessionFor(now, &m.zones[sent])
 		}
 	}
 }
 
-// sendSessionFor builds and multicasts the session message for zone z.
-func (m *Manager) sendSessionFor(now eventq.Time, z scoping.ZoneID) {
+// sendSessionFor builds and multicasts the session message for a zone,
+// with one entry per peer heard there in ascending NodeID order.
+func (m *Manager) sendSessionFor(now eventq.Time, zs *zoneState) {
 	msg := &packet.Session{
 		Origin: m.node,
-		Zone:   int16(z),
+		Zone:   int16(zs.id),
 		SentAt: now.Seconds(),
-		ZCR:    topology.NoNode,
+		ZCR:    zs.zcr,
 		MaxSeq: m.MaxSeq,
 	}
-	msg.RRWorstLoss, msg.RRMembers = m.reportFor(z)
-	if zcr, ok := m.zcr[z]; ok {
-		msg.ZCR = zcr
-		if zcr == m.node {
-			msg.ZCRParentDist = m.myParentDist[z]
-		} else {
-			msg.ZCRParentDist = m.zcrDist[z]
+	msg.RRWorstLoss, msg.RRMembers = m.reportFor(zs.id)
+	if zs.zcr == m.node {
+		msg.ZCRParentDist = zs.myDist
+	} else {
+		msg.ZCRParentDist = zs.zcrDist
+	}
+	if len(zs.heard) > 0 {
+		msg.Entries = make([]packet.SessionEntry, len(zs.heard))
+	}
+	for i := range zs.heard {
+		h, e := &zs.heard[i], &msg.Entries[i]
+		e.Peer, e.SinceHeard, e.Echo = h.id, now.Sub(h.val.arrival).Seconds(), h.val.sentAt
+		if rtt := m.direct.get(h.id); rtt != nil {
+			e.RTT = *rtt
 		}
 	}
-	for peer, e := range m.heardAt[z] {
-		entry := packet.SessionEntry{
-			Peer:       peer,
-			SinceHeard: now.Sub(e.arrival).Seconds(),
-			Echo:       e.sentAt,
-		}
-		if pi := m.direct[peer]; pi != nil && pi.have {
-			entry.RTT = pi.rtt
-		}
-		msg.Entries = append(msg.Entries, entry)
-	}
-	m.net.Multicast(m.node, z, msg)
+	m.net.Multicast(m.node, zs.id, msg)
 }
 
 // HandleSession processes a received session message.
 func (m *Manager) HandleSession(now eventq.Time, msg *packet.Session) {
-	z := scoping.ZoneID(msg.Zone)
+	zs := m.zoneFor(scoping.ZoneID(msg.Zone))
 	// Record the peer for echoing in our next message at this scope.
-	peers := m.heardAt[z]
-	if peers == nil {
-		peers = make(map[topology.NodeID]*echoInfo)
-		m.heardAt[z] = peers
+	h, _ := zs.heard.put(msg.Origin)
+	h.sentAt, h.arrival = msg.SentAt, now
+	if msg.RRMembers != 0 {
+		h.rrLoss, h.rrMembers = msg.RRWorstLoss, msg.RRMembers
 	}
-	peers[msg.Origin] = &echoInfo{sentAt: msg.SentAt, arrival: now}
-	m.recordReport(z, msg)
 
 	// RTT sample from the echo of our own previous message.
-	for _, e := range msg.Entries {
-		if e.Peer == m.node && e.Echo > 0 {
+	for i := range msg.Entries {
+		if e := &msg.Entries[i]; e.Peer == m.node && e.Echo > 0 {
 			sample := now.Seconds() - e.Echo - e.SinceHeard
 			if sample >= 0 {
 				m.observeRTT(msg.Origin, sample)
@@ -319,39 +344,55 @@ func (m *Manager) HandleSession(now eventq.Time, msg *packet.Session) {
 
 	// Zone bookkeeping from the header.
 	if msg.ZCR != topology.NoNode {
-		if cur, ok := m.zcr[z]; !ok || cur != msg.ZCR {
+		if cur := zs.zcr; cur != msg.ZCR {
 			// Adopt announcements; the challenge protocol corrects
 			// stale claims.
-			if !ok || msg.Origin == msg.ZCR || msg.Origin == cur {
-				m.setZCR(now, z, msg.ZCR, msg.ZCRParentDist)
+			if cur == topology.NoNode || msg.Origin == msg.ZCR || msg.Origin == cur {
+				m.setZCR(now, zs, msg.ZCR, msg.ZCRParentDist)
 			}
 		} else if msg.Origin == msg.ZCR {
-			m.zcrDist[z] = msg.ZCRParentDist
+			zs.zcrDist = msg.ZCRParentDist
 		}
 	}
-	if msg.Origin == m.zcrOf(z) {
-		m.zcrHeard[z] = now
-		m.suspectZCR[z] = false
-		m.resetWatchdog(z)
+	if msg.Origin == zs.zcr {
+		zs.suspect = false
+		m.resetWatchdog(zs)
 	}
 
 	// If the sender is one of our chain ZCRs, record its view of its
 	// peers — the reduced state table of Figure 5.
-	for _, c := range m.chain {
-		if m.zcrOf(c) == msg.Origin {
-			links := m.zcrLink[msg.Origin]
-			if links == nil {
-				links = make(map[topology.NodeID]float64)
-				m.zcrLink[msg.Origin] = links
-			}
-			for _, e := range msg.Entries {
-				if e.RTT > 0 {
-					links[e.Peer] = e.RTT
+	for i := range m.chain {
+		if m.zones[i].zcr == msg.Origin {
+			links := m.linksFor(msg.Origin, len(msg.Entries))
+			for j := range msg.Entries {
+				if e := &msg.Entries[j]; e.RTT > 0 {
+					rtt, _ := links.put(e.Peer)
+					*rtt = e.RTT
 				}
 			}
 			break
 		}
 	}
+}
+
+// linksOf returns the link table origin announced, or nil.
+func (m *Manager) linksOf(origin topology.NodeID) *table[float64] {
+	for i := range m.links {
+		if m.links[i].origin == origin {
+			return &m.links[i].rtt
+		}
+	}
+	return nil
+}
+
+// linksFor is linksOf, creating the table, sized for size rows, on
+// origin's first announcement.
+func (m *Manager) linksFor(origin topology.NodeID, size int) *table[float64] {
+	if l := m.linksOf(origin); l != nil {
+		return l
+	}
+	m.links = append(m.links, zcrLinks{origin: origin, rtt: make(table[float64], 0, size)})
+	return &m.links[len(m.links)-1].rtt
 }
 
 // observeRTT merges a new RTT sample for peer with the EWMA filter.
@@ -363,23 +404,17 @@ func (m *Manager) observeRTT(peer topology.NodeID, sample float64) {
 			A: int64(peer), F: sample,
 		})
 	}
-	pi := m.direct[peer]
-	if pi == nil {
-		pi = &peerInfo{}
-		m.direct[peer] = pi
+	if rtt, fresh := m.direct.put(peer); fresh {
+		*rtt = sample
+	} else {
+		*rtt = (1-m.cfg.RTTAlpha)**rtt + m.cfg.RTTAlpha*sample
 	}
-	if !pi.have {
-		pi.rtt = sample
-		pi.have = true
-		return
-	}
-	pi.rtt = (1-m.cfg.RTTAlpha)*pi.rtt + m.cfg.RTTAlpha*sample
 }
 
 // zcrOf returns the believed ZCR of z, or NoNode.
 func (m *Manager) zcrOf(z scoping.ZoneID) topology.NodeID {
-	if n, ok := m.zcr[z]; ok {
-		return n
+	if zs := m.zone(z); zs != nil {
+		return zs.zcr
 	}
 	return topology.NoNode
 }
@@ -396,8 +431,8 @@ func (m *Manager) IsZCR(z scoping.ZoneID) bool { return m.zcrOf(z) == m.node }
 // maintained per receiver" quantity of Figure 8.
 func (m *Manager) StateSize() int {
 	n := len(m.direct)
-	for _, links := range m.zcrLink {
-		n += len(links)
+	for i := range m.links {
+		n += len(m.links[i].rtt)
 	}
 	return n
 }
@@ -407,19 +442,12 @@ func (m *Manager) StateSize() int {
 // telemetry census. Read-only: it never arms or cancels anything.
 func (m *Manager) CensusTimers() int {
 	n := 0
-	for _, t := range m.pendingTakeover {
-		if t != nil && t.Active() {
-			n++
-		}
-	}
-	for _, t := range m.challengeTimer {
-		if t != nil && t.Active() {
-			n++
-		}
-	}
-	for _, t := range m.watchdog {
-		if t != nil && t.Active() {
-			n++
+	for i := range m.zones {
+		zs := &m.zones[i]
+		for _, t := range [...]fabric.Timer{zs.takeover, zs.duty, zs.watchdog} {
+			if t != nil && t.Active() {
+				n++
+			}
 		}
 	}
 	return n
@@ -427,36 +455,30 @@ func (m *Manager) CensusTimers() int {
 
 // DirectRTT returns the direct RTT estimate to peer, if one exists.
 func (m *Manager) DirectRTT(peer topology.NodeID) (float64, bool) {
-	if pi := m.direct[peer]; pi != nil && pi.have {
-		return pi.rtt, true
+	if rtt := m.direct.get(peer); rtt != nil {
+		return *rtt, true
 	}
 	return 0, false
 }
 
-// setZCR installs a new ZCR belief for z.
-func (m *Manager) setZCR(now eventq.Time, z scoping.ZoneID, n topology.NodeID, dist float64) {
-	prev, had := m.zcr[z]
-	m.zcr[z] = n
-	m.zcrDist[z] = dist
-	m.zcrHeard[z] = now
-	m.suspectZCR[z] = false
-	if had && prev != n {
+// setZCR installs a new ZCR belief for a zone.
+func (m *Manager) setZCR(now eventq.Time, zs *zoneState, n topology.NodeID, dist float64) {
+	prev := zs.zcr
+	zs.zcr, zs.zcrDist, zs.suspect = n, dist, false
+	if prev != topology.NoNode && prev != n {
 		m.Elections++
 	}
-	if m.cfg.Telemetry != nil && (!had || prev != n) {
-		if !had {
-			prev = topology.NoNode
-		}
+	if m.cfg.Telemetry != nil && prev != n {
 		m.cfg.Telemetry.Emit(telemetry.Event{
 			T: now.Seconds(), Kind: telemetry.KindZCRElected,
-			Node: m.node, Zone: z, Group: -1,
+			Node: m.node, Zone: zs.id, Group: -1,
 			A: int64(prev), B: int64(n),
 		})
 	}
 	if n == m.node {
-		m.startChallengeDuty(z)
-	} else if t := m.challengeTimer[z]; t != nil {
-		t.Stop()
-		delete(m.challengeTimer, z)
+		m.startChallengeDuty(zs)
+	} else if zs.duty != nil {
+		zs.duty.Stop()
+		zs.duty = nil
 	}
 }

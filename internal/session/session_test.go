@@ -1,10 +1,16 @@
 package session
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"reflect"
+	"sort"
 	"testing"
 
 	"sharqfec/internal/eventq"
+	"sharqfec/internal/fabric"
 	"sharqfec/internal/netsim"
 	"sharqfec/internal/packet"
 	"sharqfec/internal/scoping"
@@ -105,7 +111,7 @@ func TestChainElection(t *testing.T) {
 	}
 	// The elected ZCR's measured distance to the parent ZCR should be
 	// close to the true 10 ms one-way latency.
-	d := h.mgrs[1].myParentDist[1]
+	d := h.mgrs[1].zone(1).myDist
 	if math.Abs(d-0.010) > 0.004 {
 		t.Fatalf("ZCR distance to parent %v, want ≈0.010", d)
 	}
@@ -283,7 +289,7 @@ func TestZCRReassertsAgainstFartherUsurper(t *testing.T) {
 		forged := &packet.ZCRTakeover{Origin: 3, Zone: 1, DistToParent: 0.5}
 		h.net.Multicast(3, 0, forged)
 		h.net.Multicast(3, 1, forged)
-		h.mgrs[3].setZCR(now, 1, 3, 0.5)
+		h.mgrs[3].setZCR(now, h.mgrs[3].zone(1), 3, 0.5)
 	})
 	h.net.Q.RunUntil(30)
 	for _, n := range spec.Members() {
@@ -404,12 +410,25 @@ func TestSetLocalLossReportClamped(t *testing.T) {
 	}
 }
 
+// announceLinks makes m record origin's link table the way the protocol
+// does: origin is seeded as m's leaf-zone ZCR and announces the RTTs in a
+// session message scoped to that zone.
+func announceLinks(m *Manager, origin topology.NodeID, rtts map[topology.NodeID]float64) {
+	leaf := m.Chain()[0]
+	m.SeedZCR(leaf, origin)
+	msg := &packet.Session{Origin: origin, Zone: int16(leaf), SentAt: 1, ZCR: origin}
+	for peer, rtt := range rtts {
+		msg.Entries = append(msg.Entries, packet.SessionEntry{Peer: peer, RTT: rtt})
+	}
+	m.HandleSession(m.net.Sched().Now(), msg)
+}
+
 func TestHopRTTReverseLookup(t *testing.T) {
 	spec := twoLevelChain()
 	h := newHarness(t, spec, 42)
 	m := h.mgrs[3]
 	// Record a one-directional link table and look it up both ways.
-	m.zcrLink[5] = map[topology.NodeID]float64{7: 0.123}
+	announceLinks(m, 5, map[topology.NodeID]float64{7: 0.123})
 	if rtt, ok := m.hopRTT(5, 7); !ok || rtt != 0.123 {
 		t.Fatalf("forward hop = %v %v", rtt, ok)
 	}
@@ -478,7 +497,7 @@ func TestStateSizeCountsTables(t *testing.T) {
 		t.Fatal("fresh manager has state")
 	}
 	m.observeRTT(1, 0.01)
-	m.zcrLink[1] = map[topology.NodeID]float64{0: 0.02, 5: 0.03}
+	announceLinks(m, 1, map[topology.NodeID]float64{0: 0.02, 5: 0.03})
 	if m.StateSize() != 3 {
 		t.Fatalf("StateSize = %d, want 3", m.StateSize())
 	}
@@ -490,5 +509,312 @@ func TestReportForWithoutLocalReport(t *testing.T) {
 	loss, members := h.mgrs[2].reportFor(1)
 	if loss != 0 || members != 0 {
 		t.Fatalf("empty manager reported %v/%d", loss, members)
+	}
+}
+
+// stubNet is a fabric.Network for driving one Manager by hand: a real
+// event queue for its timers, and every multicast recorded instead of
+// delivered.
+type stubNet struct {
+	q    eventq.Queue
+	h    *scoping.Hierarchy
+	sent []fabric.Delivery // Scope and Pkt of each Multicast, in order
+}
+
+type stubSched struct{ q *eventq.Queue }
+
+func (s stubSched) Now() eventq.Time { return s.q.Now() }
+func (s stubSched) After(d eventq.Duration, fn func(eventq.Time)) fabric.Timer {
+	return s.q.After(d, fn)
+}
+
+func (n *stubNet) Sched() fabric.Scheduler              { return stubSched{&n.q} }
+func (n *stubNet) Hierarchy() *scoping.Hierarchy        { return n.h }
+func (n *stubNet) Attach(topology.NodeID, fabric.Agent) {}
+func (n *stubNet) Multicast(from topology.NodeID, zone scoping.ZoneID, pkt packet.Packet) {
+	n.sent = append(n.sent, fabric.Delivery{From: from, Scope: zone, Pkt: pkt})
+}
+
+// modelZones is the hierarchy of the reference-model and allocation
+// tests: three levels, so a member has chain zones, sibling zones it
+// overhears at each parent scope, and zones it has no business hearing.
+//
+//	Z0 {0} — Z1 {1} — Z3 {3,4}, Z4 {5,6}
+//	        \ Z2 {2} — Z5 {7,8}
+func modelZones() *scoping.Hierarchy {
+	return scoping.MustBuild([]topology.ZoneSpec{
+		{ID: 0, Parent: -1, Leaves: []topology.NodeID{0}},
+		{ID: 1, Parent: 0, Leaves: []topology.NodeID{1}},
+		{ID: 2, Parent: 0, Leaves: []topology.NodeID{2}},
+		{ID: 3, Parent: 1, Leaves: []topology.NodeID{3, 4}},
+		{ID: 4, Parent: 1, Leaves: []topology.NodeID{5, 6}},
+		{ID: 5, Parent: 2, Leaves: []topology.NodeID{7, 8}},
+	})
+}
+
+// sessionModel is what the Manager and the map oracle have in common.
+type sessionModel interface {
+	Start(root bool)
+	SeedZCR(z scoping.ZoneID, n topology.NodeID)
+	SetLocalLossReport(frac float64)
+	Receive(now eventq.Time, pkt packet.Packet) bool
+	ZCR(z scoping.ZoneID) topology.NodeID
+	IsZCR(z scoping.ZoneID) bool
+	DirectRTT(peer topology.NodeID) (float64, bool)
+	EstimateRTT(sender topology.NodeID, ancestors []packet.AncestorRTT) (float64, bool)
+	RTTToChainZCR(idx int) (float64, bool)
+	MostDistantRTT(z scoping.ZoneID) float64
+	AncestorList() []packet.AncestorRTT
+	AggregatedReport(z scoping.ZoneID) (float64, uint32)
+	ReportersHeard(z scoping.ZoneID) int
+	StateSize() int
+	CensusTimers() int
+}
+
+// observe renders every externally visible quantity of a model; %v
+// prints floats shortest-round-trip, so equal strings mean equal bits.
+func observe(m sessionModel, h *scoping.Hierarchy, chainLen int) string {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "state=%d timers=%d anc=%v\n", m.StateSize(), m.CensusTimers(), m.AncestorList())
+	for z := scoping.ZoneID(0); int(z) < h.NumZones(); z++ {
+		loss, members := m.AggregatedReport(z)
+		fmt.Fprintf(&b, "z%d zcr=%d is=%v far=%v rr=%v/%d heard=%d\n",
+			z, m.ZCR(z), m.IsZCR(z), m.MostDistantRTT(z), loss, members, m.ReportersHeard(z))
+	}
+	for i := -1; i <= chainLen; i++ {
+		rtt, ok := m.RTTToChainZCR(i)
+		fmt.Fprintf(&b, "chain%d=%v/%v ", i, rtt, ok)
+	}
+	for peer := topology.NodeID(-1); peer <= 9; peer++ {
+		rtt, ok := m.DirectRTT(peer)
+		est, eok := m.EstimateRTT(peer, []packet.AncestorRTT{{ZCR: (peer + 3) % 9, RTT: 0.01}, {ZCR: (peer + 5) % 9, RTT: 0.02}})
+		fmt.Fprintf(&b, "\np%d direct=%v/%v est=%v/%v", peer, rtt, ok, est, eok)
+	}
+	return b.String()
+}
+
+// TestManagerMatchesMapOracle drives the Manager and the map-based
+// oracle (oracle_test.go) with one seeded stream of session and election
+// packets — for chain zones, overheard sibling zones and zones the
+// member is no part of — on identical clocks and random streams, and
+// requires them to agree after every packet on every accessor and on
+// every packet they sent.
+func TestManagerMatchesMapOracle(t *testing.T) {
+	h := modelZones()
+	for _, subject := range []topology.NodeID{3, 1, 0} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			compareWithOracle(t, h, subject, seed)
+		}
+	}
+}
+
+func compareWithOracle(t *testing.T, h *scoping.Hierarchy, subject topology.NodeID, seed uint64) {
+	t.Helper()
+	realNet, refNet := &stubNet{h: h}, &stubNet{h: h}
+	real := New(subject, realNet, DefaultConfig(), simrand.New(seed).StreamN("session", int(subject)))
+	ref := newOracle(subject, refNet, DefaultConfig(), simrand.New(seed).StreamN("session", int(subject)))
+	models := [2]sessionModel{real, ref}
+	chain := h.ZonesOf(subject)
+
+	rng := rand.New(rand.NewPCG(seed, uint64(subject)))
+	peer := func() topology.NodeID { // any node but the subject; 9 is no member
+		n := topology.NodeID(rng.IntN(9))
+		if n >= subject {
+			n++
+		}
+		return n
+	}
+	zone := func() int16 {
+		if rng.IntN(10) < 7 {
+			return int16(chain[rng.IntN(len(chain))])
+		}
+		return int16(rng.IntN(h.NumZones()))
+	}
+	if seed%2 == 0 { // designated deployment: an incumbent before Start
+		for _, m := range models {
+			m.SeedZCR(chain[0], 4)
+		}
+	}
+	for _, m := range models {
+		m.Start(subject == 0)
+	}
+
+	lastChallenger := map[int16]topology.NodeID{}
+	// answer, when set, is the parent ZCR's prompt response to the
+	// challenge just heard or sent: without it measured distances are
+	// whole seconds and no takeover is ever attempted.
+	var answer *packet.ZCRResponse
+	now := eventq.Time(0)
+	for step := 0; step < 600; step++ {
+		if answer != nil {
+			now += eventq.Time(0.002 + 0.02*rng.Float64())
+		} else {
+			now += eventq.Time(rng.Float64() * 0.25)
+		}
+		realNet.q.RunUntil(now)
+		refNet.q.RunUntil(now)
+
+		var pkt packet.Packet
+		switch k := rng.IntN(20); {
+		case answer != nil:
+			pkt, answer = answer, nil
+		case k < 11:
+			msg := &packet.Session{
+				Origin: peer(), Zone: zone(), SentAt: now.Seconds() - 0.01*rng.Float64(),
+				ZCR: topology.NoNode, ZCRParentDist: 0.05 * rng.Float64(), MaxSeq: uint32(step),
+			}
+			switch rng.IntN(4) {
+			case 0, 1:
+				msg.ZCR = msg.Origin
+			case 2:
+				msg.ZCR = peer()
+			}
+			if rng.IntN(3) == 0 {
+				msg.RRWorstLoss, msg.RRMembers = rng.Float64(), uint32(1+rng.IntN(5))
+			}
+			for n := topology.NodeID(0); n <= 9; n++ {
+				if n == msg.Origin || rng.IntN(2) == 0 {
+					continue
+				}
+				e := packet.SessionEntry{Peer: n, SinceHeard: 0.005 * rng.Float64(), Echo: now.Seconds() - 0.01 - 0.2*rng.Float64()}
+				if rng.IntN(3) > 0 {
+					e.RTT = 0.2 * rng.Float64()
+				}
+				msg.Entries = append(msg.Entries, e)
+			}
+			pkt = msg
+		case k < 14:
+			ch := &packet.ZCRChallenge{Origin: peer(), Zone: zone(), SentAt: now.Seconds() - 0.01*rng.Float64()}
+			if zcr := real.ZCR(scoping.ZoneID(ch.Zone)); zcr != topology.NoNode && zcr != subject && rng.IntN(2) == 0 {
+				ch.Origin = zcr // the incumbent's duty challenge: passive measurement
+				answer = &packet.ZCRResponse{Origin: peer(), Zone: ch.Zone, Challenger: zcr}
+			}
+			lastChallenger[ch.Zone] = ch.Origin
+			pkt = ch
+		case k < 17:
+			rsp := &packet.ZCRResponse{Origin: peer(), Zone: zone(), Challenger: subject, ProcDelay: 0.001 * rng.Float64()}
+			if c, ok := lastChallenger[rsp.Zone]; ok && rng.IntN(3) > 0 {
+				rsp.Challenger = c
+			}
+			pkt = rsp
+		case k < 19:
+			pkt = &packet.ZCRTakeover{Origin: peer(), Zone: zone(), DistToParent: 0.3 * rng.Float64()}
+		default:
+			frac := rng.Float64()
+			for _, m := range models {
+				m.SetLocalLossReport(frac)
+			}
+			continue
+		}
+		for _, m := range models {
+			if !m.Receive(now, pkt) {
+				t.Fatalf("subject %d seed %d step %d: %T not consumed", subject, seed, step, pkt)
+			}
+		}
+
+		if got, want := observe(real, h, len(chain)), observe(ref, h, len(chain)); got != want {
+			t.Fatalf("subject %d seed %d step %d after %+v:\nmanager:\n%s\noracle:\n%s", subject, seed, step, pkt, got, want)
+		}
+		if real.Elections != ref.Elections {
+			t.Fatalf("subject %d seed %d step %d: Elections %d, oracle %d", subject, seed, step, real.Elections, ref.Elections)
+		}
+		if len(realNet.sent) != len(refNet.sent) {
+			t.Fatalf("subject %d seed %d step %d: sent %d packets, oracle %d", subject, seed, step, len(realNet.sent), len(refNet.sent))
+		}
+		for i, want := range refNet.sent {
+			switch p := want.Pkt.(type) {
+			case *packet.Session: // the oracle lists entries in map order
+				sort.Slice(p.Entries, func(a, b int) bool { return p.Entries[a].Peer < p.Entries[b].Peer })
+			case *packet.ZCRChallenge:
+				if rng.IntN(2) == 0 {
+					answer = &packet.ZCRResponse{Origin: peer(), Zone: p.Zone, Challenger: subject}
+				}
+			}
+			if got := realNet.sent[i]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("subject %d seed %d step %d: sent %+v %+v, oracle %+v %+v", subject, seed, step, got, got.Pkt, want, want.Pkt)
+			}
+		}
+		realNet.sent, refNet.sent = realNet.sent[:0], refNet.sent[:0]
+	}
+	if real.StateSize() == 0 || real.Elections == 0 {
+		t.Fatalf("subject %d seed %d: stream exercised nothing (state %d, elections %d)", subject, seed, real.StateSize(), real.Elections)
+	}
+}
+
+// hearPeers feeds m one session message from each of peers, in the order
+// given, at its leaf scope; every message echoes m so it also yields an
+// RTT sample. zcr, if not NoNode, is announced as the zone's ZCR.
+func hearPeers(m *Manager, peers []topology.NodeID, zcr topology.NodeID) {
+	now := m.net.Sched().Now()
+	for _, p := range peers {
+		m.HandleSession(now, &packet.Session{
+			Origin: p, Zone: int16(m.chain[0]), SentAt: now.Seconds(), ZCR: zcr,
+			Entries: []packet.SessionEntry{
+				{Peer: m.node, Echo: now.Seconds() - 0.05, RTT: 0.04},
+				{Peer: p + 100, RTT: 0.03},
+			},
+		})
+	}
+}
+
+// TestSessionEntriesDeterministic: two members that heard the same
+// messages must put the same bytes on the wire — entries ascend by
+// NodeID whatever order the peers were heard in. (Emitting them in map
+// order made every run of a seed marshal differently.)
+func TestSessionEntriesDeterministic(t *testing.T) {
+	peers := []topology.NodeID{17, 4, 250, 9, 3, 88, 41, 5, 120, 6, 77, 12, 8, 30, 2, 64}
+	var wire [2][]byte
+	for i := range wire {
+		net := &stubNet{h: scoping.MustBuild([]topology.ZoneSpec{{ID: 0, Parent: -1, Leaves: append([]topology.NodeID{1}, peers...)}})}
+		m := New(1, net, DefaultConfig(), simrand.New(1).StreamN("session", 1))
+		hearPeers(m, peers, topology.NoNode)
+		m.sendSessionFor(net.q.Now(), &m.zones[0])
+		msg := net.sent[0].Pkt.(*packet.Session)
+		if len(msg.Entries) != len(peers) {
+			t.Fatalf("%d entries for %d peers heard", len(msg.Entries), len(peers))
+		}
+		for j := 1; j < len(msg.Entries); j++ {
+			if msg.Entries[j-1].Peer >= msg.Entries[j].Peer {
+				t.Fatalf("entries not in ascending NodeID order: %v", msg.Entries)
+			}
+		}
+		var err error
+		if wire[i], err = msg.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(wire[0], wire[1]) {
+		t.Fatal("identically driven managers marshalled different session messages")
+	}
+}
+
+// TestSteadyStateAllocations pins the per-message path: once a peer is
+// known, hearing it again allocates nothing; re-arming a watchdog costs
+// at most the timer handle (no closure); building a session message
+// costs the message and its entry slice.
+func TestSteadyStateAllocations(t *testing.T) {
+	net := &stubNet{h: modelZones()}
+	net.q.RunUntil(10) // a clock past zero, so echoes carry valid timestamps
+	m := New(3, net, DefaultConfig(), simrand.New(7).StreamN("session", 3))
+	m.Start(false)
+	hearPeers(m, []topology.NodeID{4, 1, 0}, 4) // 4 becomes the leaf-zone ZCR
+	leaf := &m.zones[0]
+	if leaf.zcr != 4 || m.StateSize() != 3+2 {
+		t.Fatalf("set-up: leaf ZCR %d, state %d; want ZCR 4 and 3 direct + 2 link entries", leaf.zcr, m.StateSize())
+	}
+	for _, c := range []struct {
+		name string
+		max  float64
+		fn   func()
+	}{
+		{"HandleSession from a known peer", 0, func() { hearPeers(m, []topology.NodeID{1, 0}, 4) }},
+		{"HandleSession from the zone's ZCR (watchdog re-arm, link table refresh)", 1, func() { hearPeers(m, []topology.NodeID{4}, 4) }},
+		{"watchdog re-arm", 1, func() { m.resetWatchdog(leaf) }},
+		{"sendSessionFor", 2, func() { net.sent = net.sent[:0]; m.sendSessionFor(net.q.Now(), leaf) }},
+	} {
+		c.fn() // warm: closures built, queue free list filled
+		if got := testing.AllocsPerRun(200, c.fn); got > c.max {
+			t.Errorf("%s: %v allocs per run, want ≤ %v", c.name, got, c.max)
+		}
 	}
 }

@@ -25,6 +25,7 @@
 package census
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -246,13 +247,17 @@ func (e *Engine) BindLinks(g *topology.Graph) {
 	e.boundary = make([][]scoping.ZoneID, g.NumLinks())
 	for li := 0; li < g.NumLinks(); li++ {
 		l := g.Link(li)
-		var crossed []scoping.ZoneID
-		for z := 0; z < e.h.NumZones(); z++ {
-			zone := scoping.ZoneID(z)
-			if e.h.Contains(zone, l.A) != e.h.Contains(zone, l.B) {
-				crossed = append(crossed, zone)
-			}
+		// Both endpoints' zone chains end in their common ancestors;
+		// what precedes that shared tail holds exactly one endpoint.
+		a, b := e.h.ZonesOf(l.A), e.h.ZonesOf(l.B)
+		for len(a) > 0 && len(b) > 0 && a[len(a)-1] == b[len(b)-1] {
+			a, b = a[:len(a)-1], b[:len(b)-1]
 		}
+		if len(a)+len(b) == 0 {
+			continue
+		}
+		crossed := append(append(make([]scoping.ZoneID, 0, len(a)+len(b)), a...), b...)
+		slices.Sort(crossed)
 		e.boundary[li] = crossed
 	}
 }

@@ -1,6 +1,7 @@
 package census
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -89,6 +90,40 @@ func TestObserveHopBoundaryAttribution(t *testing.T) {
 	e.ObserveHop(0, 2, d)
 	if got := e.LinkPkts(ClassData); got != 3 {
 		t.Fatalf("out-of-range hops changed the matrix: %d", got)
+	}
+}
+
+// TestBindLinksMatchesMembershipDefinition checks the chain-difference
+// construction against the definition it replaces: a link crosses zone z
+// when exactly one endpoint is a member of z, zones in ascending order.
+func TestBindLinksMatchesMembershipDefinition(t *testing.T) {
+	for _, spec := range []*topology.Spec{
+		topology.Figure10(topology.Figure10Params{}),
+		topology.National(topology.NationalParams{Regions: 3, Cities: 3, Suburbs: 3, SubscribersPerSuburb: 3}, 10e6, 0.010, 0),
+	} {
+		h, err := scoping.Build(spec.Zones)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New(telemetry.NewRegistry(), h, spec.Graph.NumNodes())
+		e.BindLinks(spec.Graph)
+		crossings := 0
+		for li := 0; li < spec.Graph.NumLinks(); li++ {
+			l := spec.Graph.Link(li)
+			var want []scoping.ZoneID
+			for z := scoping.ZoneID(0); int(z) < h.NumZones(); z++ {
+				if h.Contains(z, l.A) != h.Contains(z, l.B) {
+					want = append(want, z)
+				}
+			}
+			if !slices.Equal(e.boundary[li], want) {
+				t.Fatalf("%s link %d (%d—%d): crossed %v, want %v", spec.Name, li, l.A, l.B, e.boundary[li], want)
+			}
+			crossings += len(want)
+		}
+		if crossings == 0 {
+			t.Fatalf("%s: no link crosses any boundary; the comparison is vacuous", spec.Name)
+		}
 	}
 }
 
