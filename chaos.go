@@ -1,7 +1,6 @@
 package sharqfec
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -10,7 +9,6 @@ import (
 	"sharqfec/internal/faults"
 	"sharqfec/internal/netsim"
 	"sharqfec/internal/scoping"
-	"sharqfec/internal/simrand"
 	"sharqfec/internal/telemetry/health"
 	"sharqfec/internal/topology"
 )
@@ -261,6 +259,9 @@ type ChaosResult struct {
 // reports recovery and localization metrics.
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	cfg.applyDefaults()
+	if err := validateRun(cfg.NumPackets, 0, defaultBinWidth, cfg.JoinAt, cfg.SourceOnAt, cfg.Until); err != nil {
+		return nil, err
+	}
 	if err := cfg.Telemetry.validate(); err != nil {
 		return nil, err
 	}
@@ -273,19 +274,11 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	if !opts.Scoping {
 		spec = globalized(spec)
 	}
-	if !cfg.Faults.Empty() {
-		// The plan mutates link state; never contaminate a shared spec.
-		s := *spec
-		s.Graph = spec.Graph.Clone()
-		spec = &s
-	}
-	h, err := scoping.Build(spec.Zones)
+	spec = cloneForFaults(spec, cfg.Faults)
+	s, err := newSim(spec, cfg.Seed, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	var q eventq.Queue
-	src := simrand.New(cfg.Seed)
-	net := netsim.New(&q, spec.Graph, h, src)
 
 	// Chaos runs always carry telemetry: the result's traffic counters
 	// come from the metrics registry, and the flight recorder preserves
@@ -301,8 +294,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	// always assemble them, so anomalous endings can report which zone
 	// and mechanism each stranded loss died in.
 	tcfg.Spans = true
-	tel := startTelemetry(&tcfg, &q, h, spec.Graph.NumNodes(), cfg.Until)
-	net.SetTelemetry(tel.bus)
+	tel := startTelemetry(&tcfg, s, cfg.Until)
+	s.eachNet(func(n *netsim.Network) { n.SetTelemetry(tel.bus) })
 
 	pcfg := core.DefaultConfig()
 	pcfg.Source = spec.Source
@@ -319,35 +312,23 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	}
 	completed := make(map[nodeGroup]bool)
 	verified := true
-	agents := make(map[topology.NodeID]*core.Agent, len(spec.Receivers)+1)
-	// allAgents keeps every agent ever created (creation order), including
-	// crashed ones a restart replaced in the map: their stranded losses
+	var agents []*core.Agent // by node
+	// spawned keeps every agent ever created (creation order), including
+	// crashed ones a restart replaced in agents: their stranded losses
 	// still need terminal loss_unrecovered events at session end.
-	var allAgents []*core.Agent
-	var sourceAgent *core.Agent
+	var spawned []*core.Agent
 	wire := func(m topology.NodeID, ag *core.Agent) {
+		spawned = append(spawned, ag)
+		if m == spec.Source {
+			return
+		}
 		ag.OnComplete = func(_ eventq.Time, gid uint32, data [][]byte) {
 			completed[nodeGroup{m, gid}] = true
-			want := sourceAgent.SentGroup(gid)
-			for i := range want {
-				if !bytes.Equal(data[i], want[i]) {
-					verified = false
-				}
-			}
+			verified = verified && payloadsMatch(data, agents[spec.Source].SentGroup(gid))
 		}
 	}
-	for _, m := range spec.Members() {
-		ag, err := core.New(m, net, pcfg, src)
-		if err != nil {
-			return nil, err
-		}
-		agents[m] = ag
-		allAgents = append(allAgents, ag)
-		if m == spec.Source {
-			sourceAgent = ag
-			continue
-		}
-		wire(m, ag)
+	if agents, err = coreAgents(s, pcfg, wire); err != nil {
+		return nil, err
 	}
 
 	res := &ChaosResult{
@@ -355,18 +336,17 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		Topology:  spec.Name,
 		Receivers: len(spec.Receivers),
 	}
-	gone := make(map[topology.NodeID]bool) // crashed or departed, not restarted
+	gone := make([]bool, len(agents)) // by node: crashed or departed, not restarted
 
-	eng := faults.NewEngine(net, src, &cfg.Faults.plan)
-	eng.Telemetry = tel.bus
+	eng := s.faultEngine(cfg.Faults, tel.bus)
 	eng.OnCrash = func(now eventq.Time, node topology.NodeID) {
-		ag, ok := agents[node]
-		if !ok {
+		ag := agents[node]
+		if ag == nil {
 			return
 		}
 		ag.Stop()
 		gone[node] = true
-		zone := h.LeafZone(node)
+		zone := s.h.LeafZone(node)
 		rec := Reelection{
 			Crashed: int(node), Zone: int(zone), NewZCR: -1,
 			CrashAt: now.Seconds(), RecoverySeconds: -1,
@@ -380,34 +360,33 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		// surviving members unanimously report a live replacement ZCR.
 		var poll func(eventq.Time)
 		poll = func(pnow eventq.Time) {
-			if zcr, ok := zoneAgreement(h, agents, zone, node); ok {
+			if zcr, ok := zoneAgreement(s.h, agents, zone, node); ok {
 				r := &res.Reelections[idx]
 				r.NewZCR = int(zcr)
 				r.RecoverySeconds = pnow.Seconds() - r.CrashAt
 				return
 			}
 			if pnow.Seconds() < cfg.Until {
-				q.After(0.1, poll)
+				s.at(pnow.Add(defaultBinWidth), poll)
 			}
 		}
-		q.After(0.1, poll)
+		s.at(now.Add(defaultBinWidth), poll)
 	}
 	eng.OnRestart = func(now eventq.Time, node topology.NodeID) {
 		if node == spec.Source {
 			return
 		}
-		ag, err := core.New(node, net, pcfg, src) // re-attaches over the dead agent
+		ag, err := core.New(node, s.netFor(node), pcfg, s.src) // re-attaches over the dead agent
 		if err != nil {
 			return
 		}
 		agents[node] = ag
-		allAgents = append(allAgents, ag)
 		wire(node, ag)
-		delete(gone, node)
+		gone[node] = false
 		ag.JoinLate()
 	}
 	eng.OnLeave = func(now eventq.Time, node topology.NodeID) {
-		if ag, ok := agents[node]; ok {
+		if ag := agents[node]; ag != nil {
 			ag.Stop()
 			gone[node] = true
 		}
@@ -416,13 +395,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		return nil, err
 	}
 
-	q.At(secondsToTime(cfg.JoinAt), func(eventq.Time) {
-		for _, ag := range agents {
-			ag.Join()
-		}
-	})
-	q.At(secondsToTime(cfg.SourceOnAt), func(eventq.Time) { sourceAgent.StartSource() })
-	q.RunUntil(secondsToTime(cfg.Until))
+	stream(s, agents, cfg.JoinAt, cfg.SourceOnAt)
+	s.run(secondsToTime(cfg.Until))
 
 	live := 0
 	liveDone := 0
@@ -441,14 +415,12 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		res.CompletionRate = float64(liveDone) / float64(live*pcfg.NumGroups())
 	}
 	res.Verified = verified
-	for _, a := range eng.Log() {
-		res.FaultLog = append(res.FaultLog, fmt.Sprintf("%s %s", a.At, a.Desc))
-	}
+	res.FaultLog = faultLog(eng)
 
 	// Close the books before the final snapshot: every loss that never
 	// decoded gets its terminal event so no recovery span stays open.
-	for _, ag := range allAgents {
-		ag.EmitUnrecoveredLosses(q.Now())
+	for _, ag := range spawned {
+		ag.EmitUnrecoveredLosses(s.queue().Now())
 	}
 
 	// Traffic counters come straight from the registry — the hand-rolled
@@ -484,21 +456,21 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 }
 
 // zoneAgreement reports the live replacement ZCR the zone's surviving
-// members unanimously see, if any.
-func zoneAgreement(h *scoping.Hierarchy, agents map[topology.NodeID]*core.Agent,
+// members unanimously see, if any. agents is indexed by node.
+func zoneAgreement(h *scoping.Hierarchy, agents []*core.Agent,
 	zone scoping.ZoneID, crashed topology.NodeID) (topology.NodeID, bool) {
 
 	agreed := topology.NodeID(-2)
 	for _, m := range h.Members(zone) {
-		ag, ok := agents[m]
-		if !ok || ag.Stopped() {
+		ag := agents[m]
+		if ag == nil || ag.Stopped() {
 			continue
 		}
 		got := ag.Session().ZCR(zone)
 		if got == topology.NoNode || got == crashed {
 			return topology.NoNode, false
 		}
-		if other, ok := agents[got]; ok && other.Stopped() {
+		if other := agents[got]; other != nil && other.Stopped() {
 			return topology.NoNode, false
 		}
 		if agreed == -2 {

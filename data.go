@@ -9,8 +9,6 @@ import (
 	"sharqfec/internal/eventq"
 	"sharqfec/internal/faults"
 	"sharqfec/internal/netsim"
-	"sharqfec/internal/scoping"
-	"sharqfec/internal/simrand"
 	"sharqfec/internal/srm"
 	"sharqfec/internal/stats"
 	"sharqfec/internal/telemetry/census"
@@ -59,19 +57,25 @@ type DataConfig struct {
 	// static EWMA policy — byte-identical to a build without the seam.
 	// SRM ignores it (no FEC).
 	RateControl *RateControlConfig
-	// Shards selects the zone-sharded parallel engine: the topology is
-	// partitioned by top-level zone onto this many event queues that
-	// advance concurrently under conservative lookahead. 0 (the
-	// default) keeps the sequential engine and its pinned goldens.
-	// Sharded runs form their own deterministic family: results are
-	// byte-identical for the same seed at ANY shard count (1, 2, 4, …)
-	// but differ from the sequential engine's, because loss randomness
-	// is re-keyed per link direction (the sequential engine's single
-	// global loss stream has no order-independent equivalent).
-	// Telemetry, TraceWriter and adaptive rate control are not yet
-	// supported sharded.
+	// Shards selects the engine the one data driver runs on: 0 (the
+	// default) is the sequential engine with its pinned goldens; K > 0
+	// is the zone-sharded parallel engine, the topology partitioned by
+	// top-level zone onto K event queues that advance concurrently
+	// under conservative lookahead. The scenario, the agents and the
+	// payload check are the same code either way; what differs is the
+	// fabric's loss randomness. Sharded runs re-key it per link
+	// direction (the sequential engine's single global loss stream has
+	// no order-independent equivalent), so they form their own
+	// deterministic family: byte-identical for the same seed at ANY
+	// shard count (1, 2, 4, …), identical to the sequential engine's on
+	// a lossless topology, and different from it wherever a loss is
+	// drawn. Telemetry, TraceWriter and adaptive rate control are not
+	// yet supported sharded.
 	Shards int
 }
+
+// defaultBinWidth is the paper's 0.1 s measurement interval.
+const defaultBinWidth = 0.1
 
 func (c *DataConfig) applyDefaults() {
 	if c.Topology == nil {
@@ -81,7 +85,7 @@ func (c *DataConfig) applyDefaults() {
 		c.NumPackets = 1024
 	}
 	if c.BinWidth == 0 {
-		c.BinWidth = 0.1
+		c.BinWidth = defaultBinWidth
 	}
 	if c.JoinAt == 0 {
 		c.JoinAt = 1
@@ -132,61 +136,258 @@ type DataResult struct {
 	Telemetry *TelemetryReport
 }
 
+// validate rejects, after defaulting, what no run can honour: numbers
+// that would panic, hang or silently simulate nothing, bad telemetry
+// or rate-control tuning, and — the one place they live — the features
+// the zone-sharded engine cannot carry yet.
+func (c *DataConfig) validate() error {
+	if err := validateRun(c.NumPackets, c.QueueLimit, c.BinWidth, c.JoinAt, c.SourceOnAt, c.Until); err != nil {
+		return err
+	}
+	if err := c.Telemetry.validate(); err != nil {
+		return err
+	}
+	if err := c.RateControl.validate(); err != nil {
+		return err
+	}
+	switch {
+	case c.Shards == 0:
+	case c.Telemetry != nil:
+		return fmt.Errorf("sharqfec: telemetry is not supported with Shards > 0 (run sharded for speed or instrumented for depth, not both)")
+	case c.TraceWriter != nil:
+		return fmt.Errorf("sharqfec: packet traces are not supported with Shards > 0")
+	case c.RateControl != nil && c.RateControl.Mode == RateControlAdaptive:
+		return fmt.Errorf("sharqfec: adaptive rate control is not supported with Shards > 0")
+	}
+	return nil
+}
+
+// validateRun is the number check RunData and RunChaos share. Times
+// must be finite and non-negative (an infinite horizon never returns:
+// session timers re-arm forever), the bin width finite and positive,
+// the stream non-empty and the queue bound non-negative. Comparisons
+// are written so NaN fails them.
+func validateRun(numPackets, queueLimit int, binWidth, joinAt, sourceOnAt, until float64) error {
+	for _, t := range []struct {
+		name string
+		v    float64
+	}{{"JoinAt", joinAt}, {"SourceOnAt", sourceOnAt}, {"Until", until}} {
+		if !(isFinite64(t.v) && t.v >= 0) {
+			return fmt.Errorf("sharqfec: %s = %v; want a finite time >= 0", t.name, t.v)
+		}
+	}
+	if !(isFinite64(binWidth) && binWidth > 0) {
+		return fmt.Errorf("sharqfec: BinWidth = %v; want finite and > 0", binWidth)
+	}
+	if numPackets <= 0 {
+		return fmt.Errorf("sharqfec: NumPackets = %d; want > 0", numPackets)
+	}
+	if queueLimit < 0 {
+		return fmt.Errorf("sharqfec: QueueLimit = %d; want >= 0", queueLimit)
+	}
+	return nil
+}
+
+// dataAgent is what the data driver asks of a protocol agent.
+type dataAgent interface {
+	Join()
+	Stop()
+	StartSource()
+	EmitUnrecoveredLosses(now eventq.Time)
+}
+
+// dataProtocol is the whole SHARQFEC/SRM difference as the data driver
+// sees it.
+type dataProtocol struct {
+	// spawn builds node's agent on its network view (attaching over a
+	// dead predecessor after a restart).
+	spawn func(node topology.NodeID) (dataAgent, error)
+	// rejoin subscribes a respawned agent mid-session.
+	rejoin func(ag dataAgent)
+	// totals fills the recovery totals, completion rate and payload
+	// verdict from the node-indexed agents once the run is over.
+	totals func(res *DataResult, agents []dataAgent)
+}
+
 // RunData runs one data-delivery experiment and returns its traffic
 // series and totals.
 func RunData(cfg DataConfig) (*DataResult, error) {
 	cfg.applyDefaults()
-	if err := cfg.Telemetry.validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.RateControl.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Shards != 0 {
-		return runDataSharded(cfg)
-	}
-	if cfg.Protocol == SRM {
-		return runSRM(cfg)
-	}
-	opts, ok := cfg.Protocol.options()
-	if !ok {
+	opts, isSHARQFEC := cfg.Protocol.options()
+	if !isSHARQFEC && cfg.Protocol != SRM {
 		return nil, fmt.Errorf("sharqfec: unknown protocol %q", cfg.Protocol)
 	}
-	return runSHARQFEC(cfg, opts)
-}
-
-func runSHARQFEC(cfg DataConfig, opts core.Options) (*DataResult, error) {
 	spec := cfg.Topology.spec
-	if !opts.Scoping {
+	if !opts.Scoping { // SRM included: it has no scoping to run under
 		spec = globalized(spec)
 	}
 	spec = cloneForFaults(spec, cfg.Faults)
-	h, err := scoping.Build(spec.Zones)
+	s, err := newSim(spec, cfg.Seed, cfg.Shards, cfg.Topology.spec.Zones)
 	if err != nil {
 		return nil, err
 	}
-	var q eventq.Queue
-	src := simrand.New(cfg.Seed)
-	net := netsim.New(&q, spec.Graph, h, src)
-	net.QueueLimit = cfg.QueueLimit
-	col := stats.NewCollector(spec.Source, len(spec.Receivers), cfg.BinWidth)
-	net.AddTap(col.Tap())
-	net.AddSendTap(col.SendTap())
+
 	var tracer *stats.Tracer
 	if cfg.TraceWriter != nil {
 		tracer = stats.NewTracer(cfg.TraceWriter)
-		net.AddTap(tracer.Tap())
-		net.AddSendTap(tracer.SendTap())
 	}
-	tel := startTelemetry(cfg.Telemetry, &q, h, spec.Graph.NumNodes(), cfg.Until)
-	net.SetTelemetry(tel.busOf())
+	tel := startTelemetry(cfg.Telemetry, s, cfg.Until)
 	if c := tel.censusOf(); c != nil {
 		c.BindLinks(spec.Graph)
-		net.SetHopTap(c.ObserveHop)
+	}
+	// One collector per network view, each fed from its own shard and
+	// merged after the run.
+	var cols []*stats.Collector
+	s.eachNet(func(n *netsim.Network) {
+		n.QueueLimit = cfg.QueueLimit
+		col := stats.NewCollector(spec.Source, len(spec.Receivers), cfg.BinWidth)
+		cols = append(cols, col)
+		n.AddTap(col.Tap())
+		n.AddSendTap(col.SendTap())
+		if tracer != nil {
+			n.AddTap(tracer.Tap())
+			n.AddSendTap(tracer.SendTap())
+		}
+		n.SetTelemetry(tel.busOf())
+		if c := tel.censusOf(); c != nil {
+			n.SetHopTap(c.ObserveHop)
+		}
+	})
+
+	proto := srmProtocol(&cfg, s, tel)
+	if isSHARQFEC {
+		proto = sharqfecProtocol(&cfg, opts, s, tel)
+	}
+	agents := make([]dataAgent, spec.Graph.NumNodes()) // by node; nil off-session
+	// spawned keeps every agent ever created — including those replaced
+	// by a fault-engine restart — in creation order, so the end-of-run
+	// unrecovered-loss sweep covers crashed agents' stranded losses
+	// deterministically.
+	var spawned []dataAgent
+	spawn := func(node topology.NodeID) (dataAgent, error) {
+		ag, err := proto.spawn(node)
+		if err != nil {
+			return nil, err
+		}
+		agents[node] = ag
+		spawned = append(spawned, ag)
+		return ag, nil
+	}
+	for _, m := range s.members {
+		if _, err := spawn(m); err != nil {
+			return nil, err
+		}
 	}
 
+	var eng *faults.Engine
+	if !cfg.Faults.Empty() {
+		eng = s.faultEngine(cfg.Faults, tel.busOf())
+		stop := func(_ eventq.Time, node topology.NodeID) {
+			if ag := agents[node]; ag != nil {
+				ag.Stop()
+			}
+		}
+		eng.OnCrash, eng.OnLeave = stop, stop
+		eng.OnRestart = func(_ eventq.Time, node topology.NodeID) {
+			if node == spec.Source {
+				return
+			}
+			if ag, err := spawn(node); err == nil {
+				proto.rejoin(ag)
+			}
+		}
+		if err := eng.Start(); err != nil {
+			return nil, err
+		}
+	}
+
+	stream(s, agents, cfg.JoinAt, cfg.SourceOnAt)
+	s.run(secondsToTime(cfg.Until))
+	if tracer != nil {
+		if err := tracer.Flush(); err != nil {
+			return nil, fmt.Errorf("sharqfec: packet trace: %w", err)
+		}
+	}
+	if tel != nil {
+		for _, ag := range spawned {
+			ag.EmitUnrecoveredLosses(s.queue().Now())
+		}
+	}
+
+	res := &DataResult{
+		Protocol:  cfg.Protocol,
+		Topology:  spec.Name,
+		Receivers: len(spec.Receivers),
+	}
+	res.Telemetry, err = tel.finish(cfg.Until)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range cols[1:] {
+		cols[0].Merge(c)
+	}
+	fillSeries(res, cols[0])
+	proto.totals(res, agents)
+	res.FaultDrops = s.faultDrops()
+	res.FaultLog = faultLog(eng)
+	return res, nil
+}
+
+// stream schedules the paper's session script: every member joins at
+// joinAt, in member order, and the source starts sending at sourceOnAt.
+// agents is indexed by node.
+func stream[A interface {
+	Join()
+	StartSource()
+}](s *sim, agents []A, joinAt, sourceOnAt float64) {
+	s.at(secondsToTime(joinAt), func(eventq.Time) {
+		for _, m := range s.members {
+			agents[m].Join()
+		}
+	})
+	s.at(secondsToTime(sourceOnAt), func(eventq.Time) { agents[s.spec.Source].StartSource() })
+}
+
+// coreAgents creates one SHARQFEC agent per member, in member order,
+// each on its node's network view, and returns them indexed by node
+// (nil off-session). wire, when non-nil, sees each agent before the
+// next is built — the place to hook OnComplete.
+func coreAgents(s *sim, pcfg core.Config, wire func(m topology.NodeID, ag *core.Agent)) ([]*core.Agent, error) {
+	agents := make([]*core.Agent, s.spec.Graph.NumNodes())
+	for _, m := range s.members {
+		ag, err := core.New(m, s.netFor(m), pcfg, s.src)
+		if err != nil {
+			return nil, err
+		}
+		if wire != nil {
+			wire(m, ag)
+		}
+		agents[m] = ag
+	}
+	return agents, nil
+}
+
+// payloadsMatch is the one payload check: a completed group's payloads
+// against the source's originals. A group the source never sent, a
+// short group and any differing byte all fail.
+func payloadsMatch(got, want [][]byte) bool {
+	if want == nil || len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sharqfecProtocol(cfg *DataConfig, opts core.Options, s *sim, tel *telemetryRun) dataProtocol {
 	pcfg := core.DefaultConfig()
-	pcfg.Source = spec.Source
+	pcfg.Source = s.spec.Source
 	pcfg.NumPackets = cfg.NumPackets
 	pcfg.Options = opts
 	pcfg.Telemetry = tel.busOf()
@@ -195,263 +396,112 @@ func runSHARQFEC(cfg DataConfig, opts core.Options) (*DataResult, error) {
 	}
 	pcfg.NewController = cfg.RateControl.factory(pcfg)
 
-	agents := make(map[topology.NodeID]*core.Agent, len(spec.Receivers)+1)
-	// allAgents keeps every agent ever created — including those
-	// replaced by a fault-engine restart — in creation order, so the
-	// end-of-run unrecovered-loss sweep covers crashed agents' stranded
-	// losses deterministically.
-	var allAgents []*core.Agent
-	verified := true
-	completions := 0
-	var sourceAgent *core.Agent
-	// probe registers an agent's state census with the engine; a restart
-	// replaces the crashed agent's probe (stopped agents report zero).
-	probe := func(ag *core.Agent) {
-		c := tel.censusOf()
-		if c == nil {
-			return
-		}
-		c.SetProbe(ag.Node(), func() census.State {
-			s := ag.StateCensus()
-			return census.State{
-				Groups:         int64(s.ActiveGroups),
-				Timers:         int64(s.PendingTimers),
-				RepairQueue:    int64(s.RepairQueue),
-				ResidentBytes:  int64(s.ResidentBytes),
-				SessionEntries: int64(s.SessionEntries),
-				MemBytes:       int64(s.MemBytes),
+	// tally is indexed by node and each entry is written only from its
+	// node's completions, so shards never share one; a restarted agent
+	// keeps counting in its predecessor's entry.
+	tally := make([]struct {
+		done int
+		bad  bool
+	}, s.spec.Graph.NumNodes())
+	var source *core.Agent
+	return dataProtocol{
+		spawn: func(node topology.NodeID) (dataAgent, error) {
+			ag, err := core.New(node, s.netFor(node), pcfg, s.src)
+			if err != nil {
+				return nil, err
 			}
-		})
-	}
-	wire := func(ag *core.Agent) {
-		ag.OnComplete = func(_ eventq.Time, gid uint32, data [][]byte) {
-			completions++
-			if cfg.SkipVerify {
-				return
+			probeCensus(tel.censusOf(), ag)
+			if node == s.spec.Source {
+				source = ag
+				return ag, nil
 			}
-			want := sourceAgent.SentGroup(gid)
-			for i := range want {
-				if !bytes.Equal(data[i], want[i]) {
-					verified = false
+			t := &tally[node]
+			ag.OnComplete = func(_ eventq.Time, gid uint32, data [][]byte) {
+				t.done++
+				// The source wrote this group's payloads before its
+				// first packet left, so the read is causally after the
+				// write on either engine (see core.Agent.sendData).
+				if !cfg.SkipVerify && !payloadsMatch(data, source.SentGroup(gid)) {
+					t.bad = true
 				}
 			}
-		}
-	}
-	for _, m := range spec.Members() {
-		ag, err := core.New(m, net, pcfg, src)
-		if err != nil {
-			return nil, err
-		}
-		agents[m] = ag
-		allAgents = append(allAgents, ag)
-		probe(ag)
-		if m == spec.Source {
-			sourceAgent = ag
-			continue
-		}
-		wire(ag)
-	}
-
-	var eng *faults.Engine
-	if !cfg.Faults.Empty() {
-		eng = faults.NewEngine(net, src, &cfg.Faults.plan)
-		eng.Telemetry = tel.busOf()
-		eng.OnCrash = func(_ eventq.Time, node topology.NodeID) {
-			if ag, ok := agents[node]; ok {
-				ag.Stop()
+			return ag, nil
+		},
+		rejoin: func(ag dataAgent) { ag.(*core.Agent).JoinLate() },
+		totals: func(res *DataResult, agents []dataAgent) {
+			completions := 0
+			res.Verified = !cfg.SkipVerify
+			for _, m := range s.members {
+				st := &agents[m].(*core.Agent).Stats
+				res.NACKsSent += st.NACKsSent
+				res.RepairsSent += st.RepairsSent
+				res.RepairsInjected += st.RepairsInjected
+				completions += tally[m].done
+				res.Verified = res.Verified && !tally[m].bad
 			}
-		}
-		eng.OnRestart = func(_ eventq.Time, node topology.NodeID) {
-			if node == spec.Source {
-				return
-			}
-			ag, err := core.New(node, net, pcfg, src) // re-attaches over the dead agent
-			if err != nil {
-				return
-			}
-			agents[node] = ag
-			allAgents = append(allAgents, ag)
-			probe(ag)
-			wire(ag)
-			ag.JoinLate()
-		}
-		eng.OnLeave = func(_ eventq.Time, node topology.NodeID) {
-			if ag, ok := agents[node]; ok {
-				ag.Stop()
-			}
-		}
-		if err := eng.Start(); err != nil {
-			return nil, err
-		}
+			res.CompletionRate = float64(completions) / float64(len(s.spec.Receivers)*pcfg.NumGroups())
+		},
 	}
-
-	q.At(secondsToTime(cfg.JoinAt), func(eventq.Time) {
-		for _, ag := range agents {
-			ag.Join()
-		}
-	})
-	q.At(secondsToTime(cfg.SourceOnAt), func(eventq.Time) { sourceAgent.StartSource() })
-	q.RunUntil(secondsToTime(cfg.Until))
-	if tracer != nil {
-		if err := tracer.Flush(); err != nil {
-			return nil, fmt.Errorf("sharqfec: packet trace: %w", err)
-		}
-	}
-	if tel != nil {
-		for _, ag := range allAgents {
-			ag.EmitUnrecoveredLosses(q.Now())
-		}
-	}
-
-	res := &DataResult{
-		Protocol:  cfg.Protocol,
-		Topology:  spec.Name,
-		Receivers: len(spec.Receivers),
-		Verified:  verified && !cfg.SkipVerify,
-	}
-	rep, err := tel.finish(cfg.Until)
-	if err != nil {
-		return nil, err
-	}
-	res.Telemetry = rep
-	fillSeries(res, col)
-	for _, ag := range agents {
-		res.NACKsSent += ag.Stats.NACKsSent
-		res.RepairsSent += ag.Stats.RepairsSent
-		res.RepairsInjected += ag.Stats.RepairsInjected
-	}
-	expect := len(spec.Receivers) * pcfg.NumGroups()
-	res.CompletionRate = float64(completions) / float64(expect)
-	fillFaults(res, net, eng)
-	return res, nil
 }
 
-func runSRM(cfg DataConfig) (*DataResult, error) {
-	spec := cloneForFaults(globalized(cfg.Topology.spec), cfg.Faults)
-	h, err := scoping.Build(spec.Zones)
-	if err != nil {
-		return nil, err
+// probeCensus registers an agent's state census with the engine (nil:
+// census off); a restart replaces the crashed agent's probe, and
+// stopped agents report zero.
+func probeCensus(c *census.Engine, ag *core.Agent) {
+	if c == nil {
+		return
 	}
-	var q eventq.Queue
-	src := simrand.New(cfg.Seed)
-	net := netsim.New(&q, spec.Graph, h, src)
-	net.QueueLimit = cfg.QueueLimit
-	col := stats.NewCollector(spec.Source, len(spec.Receivers), cfg.BinWidth)
-	net.AddTap(col.Tap())
-	net.AddSendTap(col.SendTap())
-	var tracer *stats.Tracer
-	if cfg.TraceWriter != nil {
-		tracer = stats.NewTracer(cfg.TraceWriter)
-		net.AddTap(tracer.Tap())
-		net.AddSendTap(tracer.SendTap())
-	}
-	tel := startTelemetry(cfg.Telemetry, &q, h, spec.Graph.NumNodes(), cfg.Until)
-	net.SetTelemetry(tel.busOf())
-	if c := tel.censusOf(); c != nil {
-		// SRM agents expose no state probe; the traffic matrices and
-		// scheduler gauges still apply.
-		c.BindLinks(spec.Graph)
-		net.SetHopTap(c.ObserveHop)
-	}
-
-	pcfg := srm.DefaultConfig()
-	pcfg.Source = spec.Source
-	pcfg.NumPackets = cfg.NumPackets
-	pcfg.Telemetry = tel.busOf()
-
-	agents := make(map[topology.NodeID]*srm.Agent, len(spec.Receivers)+1)
-	var allAgents []*srm.Agent // creation order, restarts included (see runSHARQFEC)
-	for _, m := range spec.Members() {
-		ag, err := srm.New(m, net, pcfg, src)
-		if err != nil {
-			return nil, err
-		}
-		agents[m] = ag
-		allAgents = append(allAgents, ag)
-	}
-
-	var eng *faults.Engine
-	if !cfg.Faults.Empty() {
-		eng = faults.NewEngine(net, src, &cfg.Faults.plan)
-		eng.Telemetry = tel.busOf()
-		eng.OnCrash = func(_ eventq.Time, node topology.NodeID) {
-			if ag, ok := agents[node]; ok {
-				ag.Stop()
-			}
-		}
-		eng.OnRestart = func(_ eventq.Time, node topology.NodeID) {
-			if node == spec.Source {
-				return
-			}
-			ag, err := srm.New(node, net, pcfg, src) // re-attaches over the dead agent
-			if err != nil {
-				return
-			}
-			agents[node] = ag
-			allAgents = append(allAgents, ag)
-			ag.Join()
-		}
-		eng.OnLeave = func(_ eventq.Time, node topology.NodeID) {
-			if ag, ok := agents[node]; ok {
-				ag.Stop()
-			}
-		}
-		if err := eng.Start(); err != nil {
-			return nil, err
-		}
-	}
-
-	q.At(secondsToTime(cfg.JoinAt), func(eventq.Time) {
-		for _, ag := range agents {
-			ag.Join()
+	c.SetProbe(ag.Node(), func() census.State {
+		s := ag.StateCensus()
+		return census.State{
+			Groups:         int64(s.ActiveGroups),
+			Timers:         int64(s.PendingTimers),
+			RepairQueue:    int64(s.RepairQueue),
+			ResidentBytes:  int64(s.ResidentBytes),
+			SessionEntries: int64(s.SessionEntries),
+			MemBytes:       int64(s.MemBytes),
 		}
 	})
-	q.At(secondsToTime(cfg.SourceOnAt), func(eventq.Time) { agents[spec.Source].StartSource() })
-	q.RunUntil(secondsToTime(cfg.Until))
-	if tracer != nil {
-		if err := tracer.Flush(); err != nil {
-			return nil, fmt.Errorf("sharqfec: packet trace: %w", err)
-		}
-	}
-	if tel != nil {
-		for _, ag := range allAgents {
-			ag.EmitUnrecoveredLosses(q.Now())
-		}
-	}
+}
 
-	res := &DataResult{
-		Protocol:  cfg.Protocol,
-		Topology:  cfg.Topology.spec.Name,
-		Receivers: len(spec.Receivers),
-	}
-	rep, err := tel.finish(cfg.Until)
-	if err != nil {
-		return nil, err
-	}
-	res.Telemetry = rep
-	fillSeries(res, col)
-	held, verified := 0, true
-	srcAgent := agents[spec.Source]
-	for _, m := range spec.Receivers {
-		ag := agents[m]
-		res.NACKsSent += ag.Stats.RequestsSent
-		res.RepairsSent += ag.Stats.RepairsSent
-		held += ag.Held()
-		if !cfg.SkipVerify {
-			for seq := uint32(0); seq < uint32(cfg.NumPackets); seq += 13 {
-				got, ok := ag.Payload(seq)
-				want, _ := srcAgent.Payload(seq)
-				if ok && !bytes.Equal(got, want) {
-					verified = false
+// srmProtocol runs the SRM baseline. Its agents expose no state probe
+// (the census's traffic matrices and scheduler gauges still apply) and
+// no completion hook: totals and the sampled payload check read agent
+// state after the run.
+func srmProtocol(cfg *DataConfig, s *sim, tel *telemetryRun) dataProtocol {
+	pcfg := srm.DefaultConfig()
+	pcfg.Source = s.spec.Source
+	pcfg.NumPackets = cfg.NumPackets
+	pcfg.Telemetry = tel.busOf()
+	return dataProtocol{
+		spawn: func(node topology.NodeID) (dataAgent, error) {
+			ag, err := srm.New(node, s.netFor(node), pcfg, s.src)
+			if err != nil {
+				return nil, err
+			}
+			return ag, nil
+		},
+		rejoin: func(ag dataAgent) { ag.Join() },
+		totals: func(res *DataResult, agents []dataAgent) {
+			source := agents[s.spec.Source].(*srm.Agent)
+			held := 0
+			res.Verified = !cfg.SkipVerify
+			for _, m := range s.spec.Receivers {
+				ag := agents[m].(*srm.Agent)
+				res.NACKsSent += ag.Stats.RequestsSent
+				res.RepairsSent += ag.Stats.RepairsSent
+				held += ag.Held()
+				for seq := uint32(0); res.Verified && seq < uint32(cfg.NumPackets); seq += 13 {
+					if got, ok := ag.Payload(seq); ok {
+						want, _ := source.Payload(seq)
+						res.Verified = payloadsMatch([][]byte{got}, [][]byte{want})
+					}
 				}
 			}
-		}
+			res.RepairsSent += source.Stats.RepairsSent
+			res.CompletionRate = float64(held) / float64(len(s.spec.Receivers)*cfg.NumPackets)
+		},
 	}
-	res.RepairsSent += srcAgent.Stats.RepairsSent
-	res.CompletionRate = float64(held) / float64(len(spec.Receivers)*cfg.NumPackets)
-	res.Verified = verified && !cfg.SkipVerify
-	fillFaults(res, net, eng)
-	return res, nil
 }
 
 // cloneForFaults deep-copies a spec's graph when a plan will mutate
@@ -465,14 +515,16 @@ func cloneForFaults(spec *topology.Spec, plan *FaultPlan) *topology.Spec {
 	return &s
 }
 
-func fillFaults(res *DataResult, net *netsim.Network, eng *faults.Engine) {
-	res.FaultDrops = int(net.FaultDrops())
+// faultLog renders the timeline of faults an engine applied (nil: none).
+func faultLog(eng *faults.Engine) []string {
 	if eng == nil {
-		return
+		return nil
 	}
+	var log []string
 	for _, a := range eng.Log() {
-		res.FaultLog = append(res.FaultLog, fmt.Sprintf("%s %s", a.At, a.Desc))
+		log = append(log, fmt.Sprintf("%s %s", a.At, a.Desc))
 	}
+	return log
 }
 
 func fillSeries(res *DataResult, col *stats.Collector) {

@@ -54,8 +54,13 @@ type Agent struct {
 	// default.
 	ctrl Controller
 
-	// sendData holds the source's original payloads by group.
-	sendData map[uint32][][]byte
+	// sendData holds the source's original payloads, one element per
+	// group, sized once in New. An element is written exactly once,
+	// before its group's first packet leaves, and never again — so a
+	// receiver on another shard may read it through SentGroup when it
+	// completes the group: the barrier its delivery crossed orders the
+	// read after the write, and no shared structure is mutated later.
+	sendData [][][]byte
 
 	// OnComplete, if set, fires when a group is fully reconstructed at
 	// this node.
@@ -119,7 +124,7 @@ func New(node topology.NodeID, net fabric.Network, cfg Config, src *simrand.Sour
 		a.chain = []scoping.ZoneID{a.root}
 	}
 	if a.isSource {
-		a.sendData = make(map[uint32][][]byte)
+		a.sendData = make([][][]byte, cfg.NumGroups())
 	}
 	net.Attach(node, a)
 	return a, nil
@@ -145,7 +150,7 @@ func (a *Agent) RawLossFraction() float64 {
 // SentGroup returns the original payloads the source transmitted for a
 // group (nil on receivers or for groups not yet sent).
 func (a *Agent) SentGroup(gid uint32) [][]byte {
-	if a.sendData == nil {
+	if int(gid) >= len(a.sendData) {
 		return nil
 	}
 	return a.sendData[gid]

@@ -194,7 +194,7 @@ func (a *Agent) injectRepairs(now eventq.Time, g *group, z scoping.ZoneID, h int
 // source reads its transmit buffer; receivers their decoded data).
 func (a *Agent) groupData(g *group) [][]byte {
 	if a.isSource {
-		return a.sendData[g.id]
+		return a.SentGroup(g.id)
 	}
 	return g.data
 }

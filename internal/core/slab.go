@@ -90,7 +90,7 @@ func (a *Agent) footprintBytes() int {
 		}
 	}
 	for _, d := range a.sendData {
-		b += mapEntryBytes
+		b += int(unsafe.Sizeof(d)) // the pre-sized slot, sent or not
 		for _, p := range d {
 			b += len(p)
 		}

@@ -2,10 +2,7 @@ package sharqfec
 
 import (
 	"sharqfec/internal/core"
-	"sharqfec/internal/eventq"
-	"sharqfec/internal/netsim"
 	"sharqfec/internal/scoping"
-	"sharqfec/internal/simrand"
 	"sharqfec/internal/telemetry"
 	"sharqfec/internal/topology"
 )
@@ -33,33 +30,20 @@ type ReceiverReportResult struct {
 // every receiver publishing its raw loss fraction, and compares the
 // source's aggregated view against ground truth.
 func RunReceiverReports(seed uint64) (*ReceiverReportResult, error) {
-	spec := topology.Figure10(topology.Figure10Params{})
-	h, err := scoping.Build(spec.Zones)
+	s, err := newSim(topology.Figure10(topology.Figure10Params{}), seed, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	var q eventq.Queue
-	src := simrand.New(seed)
-	net := netsim.New(&q, spec.Graph, h, src)
+	spec, h := s.spec, s.h
 
 	pcfg := core.DefaultConfig()
 	pcfg.NumPackets = 512
-
-	agents := make(map[topology.NodeID]*core.Agent)
-	for _, m := range spec.Members() {
-		ag, err := core.New(m, net, pcfg, src)
-		if err != nil {
-			return nil, err
-		}
-		agents[m] = ag
+	agents, err := coreAgents(s, pcfg, nil)
+	if err != nil {
+		return nil, err
 	}
-	q.At(1, func(eventq.Time) {
-		for _, ag := range agents {
-			ag.Join()
-		}
-	})
-	q.At(6, func(eventq.Time) { agents[spec.Source].StartSource() })
-	q.RunUntil(30)
+	stream(s, agents, 1, 6)
+	s.run(30)
 
 	worst, members := agents[spec.Source].Session().AggregatedReport(h.Root())
 	res := &ReceiverReportResult{

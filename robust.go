@@ -7,8 +7,6 @@ import (
 	"sharqfec/internal/eventq"
 	"sharqfec/internal/netsim"
 	"sharqfec/internal/packet"
-	"sharqfec/internal/scoping"
-	"sharqfec/internal/simrand"
 	"sharqfec/internal/topology"
 )
 
@@ -33,14 +31,11 @@ type FailoverResult struct {
 // session heals: survivors elect a replacement and still recover the
 // stream.
 func RunZCRFailover(seed uint64) (*FailoverResult, error) {
-	spec := topology.Figure10(topology.Figure10Params{})
-	h, err := scoping.Build(spec.Zones)
+	s, err := newSim(topology.Figure10(topology.Figure10Params{}), seed, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	var q eventq.Queue
-	src := simrand.New(seed)
-	net := netsim.New(&q, spec.Graph, h, src)
+	spec, h := s.spec, s.h
 
 	pcfg := core.DefaultConfig()
 	pcfg.NumPackets = 512
@@ -48,25 +43,16 @@ func RunZCRFailover(seed uint64) (*FailoverResult, error) {
 	failed := topology.NodeID(8) // first tree child: leaf-zone ZCR
 	zone := h.LeafZone(failed)
 
-	agents := make(map[topology.NodeID]*core.Agent)
-	completed := make(map[topology.NodeID]int)
-	for _, m := range spec.Members() {
-		ag, err := core.New(m, net, pcfg, src)
-		if err != nil {
-			return nil, err
-		}
-		node := m
-		ag.OnComplete = func(eventq.Time, uint32, [][]byte) { completed[node]++ }
-		agents[m] = ag
-	}
-	q.At(1, func(eventq.Time) {
-		for _, ag := range agents {
-			ag.Join()
-		}
+	completed := make([]int, spec.Graph.NumNodes()) // by node
+	agents, err := coreAgents(s, pcfg, func(m topology.NodeID, ag *core.Agent) {
+		ag.OnComplete = func(eventq.Time, uint32, [][]byte) { completed[m]++ }
 	})
-	q.At(6, func(eventq.Time) { agents[spec.Source].StartSource() })
-	q.At(9, func(eventq.Time) { agents[failed].Stop() }) // mid-stream
-	q.RunUntil(90)
+	if err != nil {
+		return nil, err
+	}
+	stream(s, agents, 1, 6)
+	s.at(9, func(eventq.Time) { agents[failed].Stop() }) // mid-stream
+	s.run(90)
 
 	res := &FailoverResult{FailedNode: int(failed), Zone: int(zone)}
 	groups := pcfg.NumGroups()
@@ -120,37 +106,31 @@ func RunLateJoin(seed uint64, joinAt float64) (*LateJoinResult, error) {
 	if joinAt == 0 {
 		joinAt = 9.6
 	}
-	spec := topology.Figure10(topology.Figure10Params{})
-	h, err := scoping.Build(spec.Zones)
+	s, err := newSim(topology.Figure10(topology.Figure10Params{}), seed, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	var q eventq.Queue
-	src := simrand.New(seed)
-	net := netsim.New(&q, spec.Graph, h, src)
+	h := s.h
 
 	pcfg := core.DefaultConfig()
 	pcfg.NumPackets = 256
 
 	late := topology.NodeID(12)
-	agents := make(map[topology.NodeID]*core.Agent)
 	var lastDone eventq.Time
 	completed := 0
-	for _, m := range spec.Members() {
-		ag, err := core.New(m, net, pcfg, src)
-		if err != nil {
-			return nil, err
-		}
+	agents, err := coreAgents(s, pcfg, func(m topology.NodeID, ag *core.Agent) {
 		if m == late {
 			ag.OnComplete = func(now eventq.Time, _ uint32, _ [][]byte) {
 				completed++
 				lastDone = now
 			}
 		}
-		agents[m] = ag
+	})
+	if err != nil {
+		return nil, err
 	}
 	localRepairs, globalRepairs := 0, 0
-	net.AddTap(func(now eventq.Time, at topology.NodeID, d netsim.Delivery) {
+	s.netFor(late).AddTap(func(now eventq.Time, at topology.NodeID, d netsim.Delivery) {
 		if _, ok := d.Pkt.(*packet.Repair); ok && at == late && now.Seconds() > joinAt {
 			if h.Level(d.Scope) > 0 {
 				localRepairs++
@@ -159,16 +139,16 @@ func RunLateJoin(seed uint64, joinAt float64) (*LateJoinResult, error) {
 			}
 		}
 	})
-	q.At(1, func(eventq.Time) {
-		for m, ag := range agents {
+	s.at(1, func(eventq.Time) {
+		for _, m := range s.members {
 			if m != late {
-				ag.Join()
+				agents[m].Join()
 			}
 		}
 	})
-	q.At(6, func(eventq.Time) { agents[spec.Source].StartSource() })
-	q.At(secondsToTime(joinAt), func(eventq.Time) { agents[late].JoinLate() })
-	q.RunUntil(120)
+	s.at(6, func(eventq.Time) { agents[s.spec.Source].StartSource() })
+	s.at(secondsToTime(joinAt), func(eventq.Time) { agents[late].JoinLate() })
+	s.run(120)
 
 	res := &LateJoinResult{
 		Joiner:     int(late),

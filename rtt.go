@@ -7,9 +7,7 @@ import (
 	"sharqfec/internal/eventq"
 	"sharqfec/internal/netsim"
 	"sharqfec/internal/packet"
-	"sharqfec/internal/scoping"
 	"sharqfec/internal/session"
-	"sharqfec/internal/simrand"
 	"sharqfec/internal/topology"
 )
 
@@ -121,10 +119,6 @@ func RunRTT(cfg RTTConfig) (*RTTResult, error) {
 	cfg.applyDefaults()
 	spec := cfg.Topology.spec
 	sender := topology.NodeID(cfg.Sender)
-	h, err := scoping.Build(spec.Zones)
-	if err != nil {
-		return nil, err
-	}
 	found := false
 	for _, m := range spec.Members() {
 		if m == sender {
@@ -135,9 +129,10 @@ func RunRTT(cfg RTTConfig) (*RTTResult, error) {
 		return nil, fmt.Errorf("sharqfec: probe sender %d is not a session member", cfg.Sender)
 	}
 
-	var q eventq.Queue
-	src := simrand.New(cfg.Seed)
-	net := netsim.New(&q, spec.Graph, h, src)
+	s, err := newSim(spec, cfg.Seed, 0, nil)
+	if err != nil {
+		return nil, err
+	}
 
 	res := &RTTResult{Sender: cfg.Sender, Receivers: len(spec.Members()) - 1}
 	probe := -1
@@ -151,27 +146,18 @@ func RunRTT(cfg RTTConfig) (*RTTResult, error) {
 		}
 	}
 
-	mgrs := make(map[topology.NodeID]*session.Manager)
-	for _, m := range spec.Members() {
-		mgr := session.New(m, net, session.DefaultConfig(), src.StreamN("session", int(m)))
-		mgrs[m] = mgr
-		net.Attach(m, &rttProbeAgent{m: mgr, node: m, sender: sender, net: net, sink: sink})
-	}
-
-	q.At(1, func(eventq.Time) {
-		for _, m := range spec.Members() {
-			mgrs[m].Start(m == spec.Source)
-		}
-	})
+	mgrs := sessionOnly(s, func(m topology.NodeID, mgr *session.Manager) netsim.Agent {
+		return &rttProbeAgent{m: mgr, node: m, sender: sender, net: s.netFor(m), sink: sink}
+	}, nil)
 	for p := 0; p < cfg.Probes; p++ {
 		p := p
 		at := cfg.StabilizeUntil + float64(p)*cfg.ProbeInterval
 		res.Ratios = append(res.Ratios, nil)
 		res.Able = append(res.Able, 0)
-		q.At(secondsToTime(at), func(now eventq.Time) {
+		s.at(secondsToTime(at), func(now eventq.Time) {
 			probe = p
-			root := h.Root()
-			net.Multicast(sender, root, &packet.NACK{
+			root := s.h.Root()
+			s.netFor(sender).Multicast(sender, root, &packet.NACK{
 				Origin:    sender,
 				Group:     uint32(1000 + p),
 				Zone:      int16(root),
@@ -179,6 +165,6 @@ func RunRTT(cfg RTTConfig) (*RTTResult, error) {
 			})
 		})
 	}
-	q.RunUntil(secondsToTime(cfg.StabilizeUntil + float64(cfg.Probes)*cfg.ProbeInterval + 2))
+	s.run(secondsToTime(cfg.StabilizeUntil + float64(cfg.Probes)*cfg.ProbeInterval + 2))
 	return res, nil
 }

@@ -8,7 +8,6 @@ import (
 	"sharqfec/internal/netsim"
 	"sharqfec/internal/scoping"
 	"sharqfec/internal/session"
-	"sharqfec/internal/simrand"
 	"sharqfec/internal/telemetry"
 	"sharqfec/internal/telemetry/census"
 	"sharqfec/internal/topology"
@@ -95,13 +94,6 @@ func RunScalingSweep(cfg ScalingSweepConfig) (*analysis.ScalingReport, error) {
 		cfg.FlatCutoff = 4096
 	}
 
-	measure := func(spec *topology.Spec, acct, part []topology.ZoneSpec) (scalingMeasure, error) {
-		if cfg.Shards > 0 {
-			return runSessionCensusSharded(spec, acct, part, cfg.Seed, cfg.Seconds, cfg.Shards, cfg.DesignateZCRs)
-		}
-		return runSessionCensus(spec, acct, cfg.Seed, cfg.Seconds, cfg.DesignateZCRs)
-	}
-
 	points := make([]analysis.ScalingPoint, len(cfg.Subscribers))
 	errs := make([]error, len(cfg.Subscribers))
 	runIndexed(len(cfg.Subscribers), func(i int) {
@@ -110,12 +102,12 @@ func RunScalingSweep(cfg ScalingSweepConfig) (*analysis.ScalingReport, error) {
 			Suburbs: cfg.Suburbs, SubscribersPerSuburb: cfg.Subscribers[i],
 		}
 		top := NationalTopology(cfg.Regions, cfg.Cities, cfg.Suburbs, cfg.Subscribers[i])
-		// Both runs account against the scoped zone geometry — the
-		// census is passive, so the flat protocol run can be measured
-		// against the boundaries scoping would have enforced. The
-		// partition (sharded runs) always uses the native zones too:
-		// flattening changes scoping, not physical locality.
-		scoped, err := measure(top.spec, top.spec.Zones, top.spec.Zones)
+		// The scoped and the flat run share the native zone geometry
+		// (see runSessionCensus) and differ only in the zones they run.
+		measure := func(spec *topology.Spec) (scalingMeasure, error) {
+			return runSessionCensus(spec, top.spec.Zones, cfg.Seed, cfg.Seconds, cfg.Shards, cfg.DesignateZCRs)
+		}
+		scoped, err := measure(top.spec)
 		if err != nil {
 			errs[i] = err
 			return
@@ -123,7 +115,7 @@ func RunScalingSweep(cfg ScalingSweepConfig) (*analysis.ScalingReport, error) {
 		var flat scalingMeasure
 		flatMeasured := p.TotalReceivers() <= cfg.FlatCutoff
 		if flatMeasured {
-			flat, err = measure(globalized(top.spec), top.spec.Zones, top.spec.Zones)
+			flat, err = measure(globalized(top.spec))
 			if err != nil {
 				errs[i] = err
 				return
@@ -183,50 +175,48 @@ func RunScalingSweep(cfg ScalingSweepConfig) (*analysis.ScalingReport, error) {
 // runSessionCensus runs the session layer alone on spec with the
 // census engine armed: link matrices bound, per-member state probes
 // registered, epoch snapshots every virtual second. The protocol runs
-// against spec.Zones while the census accounts against acctZones, so a
-// flat run can be measured against the scoped zone geometry. It
+// against spec.Zones while the census accounts against — and the
+// sharded engine partitions by — the topology's native zones: the
+// census is passive, so a flat run can be measured against the
+// boundaries scoping would have enforced, and flattening changes
+// scoping, not physical locality. Every network view feeds the one
+// census hop tap (ObserveHop is atomic), and member starts plus epoch
+// snapshots run with the simulation quiescent, so they see a globally
+// consistent virtual time; the national sweeps are lossless, so every
+// shard count measures exactly what the sequential engine does. It
 // returns the census-measured state peak and control-traffic matrix
 // entries.
-func runSessionCensus(spec *topology.Spec, acctZones []topology.ZoneSpec, seed uint64, seconds float64, designate bool) (scalingMeasure, error) {
-	h, err := scoping.Build(spec.Zones)
+func runSessionCensus(spec *topology.Spec, native []topology.ZoneSpec, seed uint64, seconds float64, shards int, designate bool) (scalingMeasure, error) {
+	s, err := newSim(spec, seed, shards, native)
 	if err != nil {
 		return scalingMeasure{}, err
 	}
-	hAcct, err := scoping.Build(acctZones)
+	hAcct, err := scoping.Build(native)
 	if err != nil {
 		return scalingMeasure{}, err
 	}
 	var designated map[scoping.ZoneID]topology.NodeID
 	if designate {
-		designated = designatedZCRs(h, spec.Source)
+		designated = designatedZCRs(s.h, spec.Source)
 	}
-	var q eventq.Queue
-	src := simrand.New(seed)
-	net := netsim.New(&q, spec.Graph, h, src)
 	cen := census.New(telemetry.NewRegistry(), hAcct, spec.Graph.NumNodes())
 	cen.BindLinks(spec.Graph)
-	cen.BindQueue(&q)
-	net.SetHopTap(cen.ObserveHop)
-	for _, m := range spec.Members() {
-		mgr := session.New(m, net, session.DefaultConfig(), src.StreamN("session", int(m)))
-		net.Attach(m, sessionOnlyAgent{mgr})
+	cen.BindQueue(s.queue())
+	s.eachNet(func(n *netsim.Network) { n.SetHopTap(cen.ObserveHop) })
+	mgrs := sessionOnly(s, nil, designated)
+	for _, m := range s.members {
+		mgr := mgrs[m]
 		cen.SetProbe(m, func() census.State {
 			return census.State{
 				Timers:         int64(mgr.CensusTimers()),
 				SessionEntries: int64(mgr.StateSize()),
 			}
 		})
-		isSource := m == spec.Source
-		q.At(1, func(eventq.Time) {
-			seedDesignated(mgr, designated)
-			mgr.Start(isSource)
-		})
 	}
 	for t := 2.0; t <= 1+seconds; t++ {
-		at := t
-		q.At(eventq.Time(at), func(now eventq.Time) { cen.Snapshot(float64(now)) })
+		s.at(eventq.Time(t), func(now eventq.Time) { cen.Snapshot(float64(now)) })
 	}
-	q.RunUntil(secondsToTime(1 + seconds))
+	s.run(secondsToTime(1 + seconds))
 	cen.Snapshot(1 + seconds)
 
 	return scalingMeasure{
@@ -236,74 +226,6 @@ func runSessionCensus(spec *topology.Spec, acctZones []topology.ZoneSpec, seed u
 		// traffic crossing it has escaped the region scoping should
 		// have confined it to.
 		escape: cen.BoundaryPktsAtLevel(1, census.ClassControl),
-	}, nil
-}
-
-// runSessionCensusSharded is runSessionCensus on the zone-sharded
-// parallel engine: partZones drives the physical partition (always the
-// native zone geometry, even when the protocol runs globalized), every
-// shard view feeds the one census hop tap (ObserveHop is atomic), and
-// member starts plus epoch snapshots run at Sync barriers so they see
-// a globally consistent virtual time. The national sweeps are
-// lossless, so this measures exactly what the sequential engine would.
-func runSessionCensusSharded(spec *topology.Spec, acctZones, partZones []topology.ZoneSpec, seed uint64, seconds float64, shards int, designate bool) (scalingMeasure, error) {
-	h, err := scoping.Build(spec.Zones)
-	if err != nil {
-		return scalingMeasure{}, err
-	}
-	hAcct, err := scoping.Build(acctZones)
-	if err != nil {
-		return scalingMeasure{}, err
-	}
-	var designated map[scoping.ZoneID]topology.NodeID
-	if designate {
-		designated = designatedZCRs(h, spec.Source)
-	}
-	owner, lookahead := topology.PartitionByZone(spec.Graph, partZones, shards)
-	if lookahead <= 0 {
-		return scalingMeasure{}, fmt.Errorf("sharded census: partition yields no positive lookahead")
-	}
-	src := simrand.New(seed)
-	grp := eventq.NewShardGroup(shards, lookahead)
-	cluster, err := netsim.NewCluster(grp, spec.Graph, h, src, owner)
-	if err != nil {
-		return scalingMeasure{}, err
-	}
-	cen := census.New(telemetry.NewRegistry(), hAcct, spec.Graph.NumNodes())
-	cen.BindLinks(spec.Graph)
-	cen.BindQueue(grp.Queue(0))
-	for i := 0; i < cluster.NumShards(); i++ {
-		cluster.Shard(i).SetHopTap(cen.ObserveHop)
-	}
-	members := spec.Members()
-	mgrs := make([]*session.Manager, len(members))
-	for i, m := range members {
-		mgr := session.New(m, cluster.NetFor(m), session.DefaultConfig(), src.StreamN("session", int(m)))
-		cluster.NetFor(m).Attach(m, sessionOnlyAgent{mgr})
-		mgrs[i] = mgr
-		cen.SetProbe(m, func() census.State {
-			return census.State{
-				Timers:         int64(mgr.CensusTimers()),
-				SessionEntries: int64(mgr.StateSize()),
-			}
-		})
-	}
-	grp.Sync(1, func(eventq.Time) {
-		for i, m := range members {
-			seedDesignated(mgrs[i], designated)
-			mgrs[i].Start(m == spec.Source)
-		}
-	})
-	for t := 2.0; t <= 1+seconds; t++ {
-		grp.Sync(eventq.Time(t), func(now eventq.Time) { cen.Snapshot(float64(now)) })
-	}
-	grp.Run(secondsToTime(1 + seconds))
-	cen.Snapshot(1 + seconds)
-
-	return scalingMeasure{
-		peakState: cen.PeakSessionEntries(),
-		ctrlLink:  cen.LinkPkts(census.ClassControl),
-		escape:    cen.BoundaryPktsAtLevel(1, census.ClassControl),
 	}, nil
 }
 

@@ -54,13 +54,7 @@ func TestDesignatedCensusShardInvariance(t *testing.T) {
 	top := NationalTopology(3, 3, 3, 2)
 	measure := func(shards int, designate bool) scalingMeasure {
 		t.Helper()
-		var m scalingMeasure
-		var err error
-		if shards == 0 {
-			m, err = runSessionCensus(top.spec, top.spec.Zones, 7, 5, designate)
-		} else {
-			m, err = runSessionCensusSharded(top.spec, top.spec.Zones, top.spec.Zones, 7, 5, shards, designate)
-		}
+		m, err := runSessionCensus(top.spec, top.spec.Zones, 7, 5, shards, designate)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,8 +11,10 @@ package sharqfec
 // with recorded large-N experiments.
 
 import (
+	"bytes"
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
 )
 
@@ -80,6 +82,44 @@ func TestShardCountInvarianceMatrix(t *testing.T) {
 	}
 }
 
+// TestShardsMatchSequentialOnLosslessTopologies is the cross-engine
+// differential: the two deterministic families differ only in how the
+// fabrics key loss randomness, so where no loss is ever drawn the one
+// data driver must report the same DataResult — every series bin, every
+// total — on the sequential engine and at any shard count, for both
+// protocols. This is what keeps the two fabrics one simulator.
+func TestShardsMatchSequentialOnLosslessTopologies(t *testing.T) {
+	tops := []*Topology{
+		ChainTopology(6, 0),
+		TreeTopology([]int{3, 3}, 0),
+		StarTopology(8, 0),
+	}
+	for _, top := range tops {
+		for _, proto := range []Protocol{SHARQFEC, SRM} {
+			t.Run(fmt.Sprintf("%s/%s", top.Name(), proto), func(t *testing.T) {
+				var ref *DataResult
+				for _, k := range []int{0, 1, 2} {
+					res, err := RunData(DataConfig{
+						Protocol: proto, Topology: top, Seed: 9, NumPackets: 128, Shards: k,
+					})
+					if err != nil {
+						t.Fatalf("shards=%d: %v", k, err)
+					}
+					if !res.Verified || res.CompletionRate != 1 {
+						t.Errorf("shards=%d: verified=%v completion=%v on a lossless topology",
+							k, res.Verified, res.CompletionRate)
+					}
+					if ref == nil {
+						ref = res
+					} else if !reflect.DeepEqual(ref, res) {
+						t.Errorf("shards=%d diverged from the sequential engine:\n seq %+v\n got %+v", k, ref, res)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestShardedRejectsUnsupportedConfigs pins the error surface: the
 // combinations the sharded engine cannot yet honor must fail loudly,
 // never silently fall back to sequential.
@@ -89,6 +129,7 @@ func TestShardedRejectsUnsupportedConfigs(t *testing.T) {
 		cfg  DataConfig
 	}{
 		{"telemetry", DataConfig{Protocol: SHARQFEC, Shards: 2, Telemetry: &TelemetryConfig{}}},
+		{"packet-trace", DataConfig{Protocol: SHARQFEC, Shards: 2, TraceWriter: &bytes.Buffer{}}},
 		{"adaptive-ratecontrol", DataConfig{Protocol: SHARQFEC, Shards: 2,
 			RateControl: &RateControlConfig{Mode: RateControlAdaptive}}},
 		{"negative-shards", DataConfig{Protocol: SHARQFEC, Shards: -3}},

@@ -3,9 +3,6 @@ package sharqfec
 import (
 	"sharqfec/internal/core"
 	"sharqfec/internal/eventq"
-	"sharqfec/internal/netsim"
-	"sharqfec/internal/scoping"
-	"sharqfec/internal/simrand"
 	"sharqfec/internal/topology"
 )
 
@@ -61,14 +58,10 @@ func RunTimerSweep(seed uint64, multipliers []float64) ([]TimerSweepPoint, error
 }
 
 func runTimerPoint(seed uint64, mult float64) (*TimerSweepPoint, error) {
-	spec := topology.Figure10(topology.Figure10Params{})
-	h, err := scoping.Build(spec.Zones)
+	s, err := newSim(topology.Figure10(topology.Figure10Params{}), seed, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	var q eventq.Queue
-	src := simrand.New(seed)
-	net := netsim.New(&q, spec.Graph, h, src)
 
 	pcfg := core.DefaultConfig()
 	pcfg.NumPackets = 256
@@ -83,47 +76,41 @@ func runTimerPoint(seed uint64, mult float64) (*TimerSweepPoint, error) {
 		return 6 + float64(int(gid+1)*k)*ipt
 	}
 
-	agents := make(map[topology.NodeID]*core.Agent)
 	completions := 0
 	var recoverySum float64
 	var recoveries int
-	for _, m := range spec.Members() {
-		ag, err := core.New(m, net, pcfg, src)
-		if err != nil {
-			return nil, err
+	agents, err := coreAgents(s, pcfg, func(m topology.NodeID, ag *core.Agent) {
+		if m == s.spec.Source {
+			return
 		}
-		if m != spec.Source {
-			ag.OnComplete = func(now eventq.Time, gid uint32, _ [][]byte) {
-				completions++
-				if delay := now.Seconds() - groupEnd(gid); delay > 0 {
-					recoverySum += delay
-					recoveries++
-				}
+		ag.OnComplete = func(now eventq.Time, gid uint32, _ [][]byte) {
+			completions++
+			if delay := now.Seconds() - groupEnd(gid); delay > 0 {
+				recoverySum += delay
+				recoveries++
 			}
 		}
-		agents[m] = ag
-	}
-	q.At(1, func(eventq.Time) {
-		for _, ag := range agents {
-			ag.Join()
-		}
 	})
-	q.At(6, func(eventq.Time) { agents[spec.Source].StartSource() })
-	q.RunUntil(60)
+	if err != nil {
+		return nil, err
+	}
+	stream(s, agents, 1, 6)
+	s.run(60)
 
 	pt := &TimerSweepPoint{
 		Multiplier: mult,
 		C1:         pcfg.C1, C2: pcfg.C2,
 		D1: pcfg.D1, D2: pcfg.D2,
 	}
-	for _, ag := range agents {
-		pt.NACKs += ag.Stats.NACKsSent
-		pt.Repairs += ag.Stats.RepairsSent + ag.Stats.RepairsInjected
-		pt.DupShares += ag.Stats.DupShares
+	for _, m := range s.members {
+		st := &agents[m].Stats
+		pt.NACKs += st.NACKsSent
+		pt.Repairs += st.RepairsSent + st.RepairsInjected
+		pt.DupShares += st.DupShares
 	}
 	if recoveries > 0 {
 		pt.MeanRecovery = recoverySum / float64(recoveries)
 	}
-	pt.Completion = float64(completions) / float64(len(spec.Receivers)*pcfg.NumGroups())
+	pt.Completion = float64(completions) / float64(len(s.spec.Receivers)*pcfg.NumGroups())
 	return pt, nil
 }

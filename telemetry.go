@@ -370,19 +370,18 @@ func (t *telemetryRun) busOf() *telemetry.Bus {
 // run. A nil cfg returns nil and schedules nothing, so disabled runs
 // stay byte-identical. Snapshot events only read atomic counters, so
 // inserting them cannot perturb protocol-event ordering.
-func startTelemetry(cfg *TelemetryConfig, q *eventq.Queue, h *scoping.Hierarchy,
-	numNodes int, until float64) *telemetryRun {
-
+func startTelemetry(cfg *TelemetryConfig, s *sim, until float64) *telemetryRun {
 	if cfg == nil {
 		return nil
 	}
+	h, numNodes := s.h, s.spec.Graph.NumNodes()
 	t := &telemetryRun{bus: telemetry.NewBus()}
 	t.metrics = telemetry.NewMetrics(nil, h, numNodes)
 	t.bus.Attach(t.metrics.Sink())
 	t.sampler = telemetry.NewSampler(t.metrics)
 	if cfg.Census {
 		t.census = census.New(t.metrics.Reg, h, numNodes)
-		t.census.BindQueue(q)
+		t.census.BindQueue(s.queue())
 		t.bus.Attach(t.census.Sink())
 		t.sampler.Census = t.census
 	}
@@ -448,7 +447,7 @@ func startTelemetry(cfg *TelemetryConfig, q *eventq.Queue, h *scoping.Hierarchy,
 	}
 	for k := 1; float64(k)*iv < until; k++ {
 		at := float64(k) * iv
-		q.At(eventq.Time(at), func(eventq.Time) { t.snapshot(at) })
+		s.at(eventq.Time(at), func(eventq.Time) { t.snapshot(at) })
 	}
 	return t
 }

@@ -7,7 +7,6 @@ import (
 	"sharqfec/internal/packet"
 	"sharqfec/internal/scoping"
 	"sharqfec/internal/session"
-	"sharqfec/internal/simrand"
 	"sharqfec/internal/topology"
 )
 
@@ -45,26 +44,13 @@ func RunZCRElection(top *Topology, seed uint64, until float64) (*ZCRResult, erro
 	if until == 0 {
 		until = 30
 	}
-	spec := top.spec
-	h, err := scoping.Build(spec.Zones)
+	s, err := newSim(top.spec, seed, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	var q eventq.Queue
-	src := simrand.New(seed)
-	net := netsim.New(&q, spec.Graph, h, src)
-	mgrs := make(map[topology.NodeID]*session.Manager)
-	for _, m := range spec.Members() {
-		mgr := session.New(m, net, session.DefaultConfig(), src.StreamN("session", int(m)))
-		mgrs[m] = mgr
-		net.Attach(m, sessionOnlyAgent{mgr})
-	}
-	q.At(1, func(eventq.Time) {
-		for _, m := range spec.Members() {
-			mgrs[m].Start(m == spec.Source)
-		}
-	})
-	q.RunUntil(secondsToTime(until))
+	spec, h := s.spec, s.h
+	mgrs := sessionOnly(s, nil, nil)
+	s.run(secondsToTime(until))
 
 	res := &ZCRResult{Topology: spec.Name, PerZone: map[int]ZoneElection{}, Correct: true}
 	tree := spec.Graph.SPFTree(spec.Source)
@@ -103,7 +89,7 @@ func RunZCRElection(top *Topology, seed uint64, until float64) (*ZCRResult, erro
 			res.Correct = false
 		}
 	}
-	for _, m := range spec.Members() {
+	for _, m := range s.members {
 		res.Takeovers += mgrs[m].Elections
 	}
 	return res, nil
@@ -112,6 +98,33 @@ func RunZCRElection(top *Topology, seed uint64, until float64) (*ZCRResult, erro
 type sessionOnlyAgent struct{ m *session.Manager }
 
 func (a sessionOnlyAgent) Receive(now eventq.Time, d netsim.Delivery) { a.m.Receive(now, d.Pkt) }
+
+// sessionOnly runs the session layer alone: one bare manager per
+// member on its node's network view, attached through wrap (nil: the
+// manager receives every packet itself), all started together at
+// t = 1 s once any designated ZCRs are seeded (nil: elect them). The
+// managers come back indexed by node.
+func sessionOnly(s *sim, wrap func(topology.NodeID, *session.Manager) netsim.Agent,
+	designated map[scoping.ZoneID]topology.NodeID) []*session.Manager {
+
+	mgrs := make([]*session.Manager, s.spec.Graph.NumNodes())
+	for _, m := range s.members {
+		mgr := session.New(m, s.netFor(m), session.DefaultConfig(), s.src.StreamN("session", int(m)))
+		mgrs[m] = mgr
+		var ag netsim.Agent = sessionOnlyAgent{mgr}
+		if wrap != nil {
+			ag = wrap(m, mgr)
+		}
+		s.netFor(m).Attach(m, ag)
+	}
+	s.at(1, func(eventq.Time) {
+		for _, m := range s.members {
+			seedDesignated(mgrs[m], designated)
+			mgrs[m].Start(m == s.spec.Source)
+		}
+	})
+	return mgrs
+}
 
 // SessionScalingResult compares scoped SHARQFEC session traffic with the
 // flat all-pairs equivalent on the same topology (experiment E13; the
@@ -137,35 +150,24 @@ func RunSessionScaling(top *Topology, seed uint64, seconds float64) (*SessionSca
 		seconds = 10
 	}
 	run := func(spec *topology.Spec) (int, int, error) {
-		h, err := scoping.Build(spec.Zones)
+		s, err := newSim(spec, seed, 0, nil)
 		if err != nil {
 			return 0, 0, err
 		}
-		var q eventq.Queue
-		src := simrand.New(seed)
-		net := netsim.New(&q, spec.Graph, h, src)
 		deliveries := 0
-		net.AddTap(func(_ eventq.Time, _ topology.NodeID, d netsim.Delivery) {
-			if d.Pkt.Kind() == packet.TypeSession {
-				deliveries++
-			}
+		s.eachNet(func(n *netsim.Network) {
+			n.AddTap(func(_ eventq.Time, _ topology.NodeID, d netsim.Delivery) {
+				if d.Pkt.Kind() == packet.TypeSession {
+					deliveries++
+				}
+			})
 		})
-		mgrs := make([]*session.Manager, 0, len(spec.Members()))
-		for _, m := range spec.Members() {
-			mgr := session.New(m, net, session.DefaultConfig(), src.StreamN("session", int(m)))
-			mgrs = append(mgrs, mgr)
-			net.Attach(m, sessionOnlyAgent{mgr})
-		}
-		q.At(1, func(eventq.Time) {
-			for i, m := range spec.Members() {
-				mgrs[i].Start(m == spec.Source)
-			}
-		})
-		q.RunUntil(secondsToTime(1 + seconds))
+		mgrs := sessionOnly(s, nil, nil)
+		s.run(secondsToTime(1 + seconds))
 		maxState := 0
-		for _, m := range mgrs {
-			if s := m.StateSize(); s > maxState {
-				maxState = s
+		for _, m := range s.members {
+			if n := mgrs[m].StateSize(); n > maxState {
+				maxState = n
 			}
 		}
 		return deliveries, maxState, nil
