@@ -396,13 +396,14 @@ func sharqfecProtocol(cfg *DataConfig, opts core.Options, s *sim, tel *telemetry
 	}
 	pcfg.NewController = cfg.RateControl.factory(pcfg)
 
-	// tally is indexed by node and each entry is written only from its
-	// node's completions, so shards never share one; a restarted agent
-	// keeps counting in its predecessor's entry.
-	tally := make([]struct {
-		done int
-		bad  bool
-	}, s.spec.Graph.NumNodes())
+	// done[node*groups+gid] marks a (receiver, group) pair complete and
+	// bad[node] a payload mismatch; both are written only from their
+	// node's completions, so shards never share an entry. done is a set,
+	// not a count: a restarted agent re-completes, as a late joiner,
+	// groups its predecessor already finished, and each pair counts once.
+	groups := pcfg.NumGroups()
+	done := make([]bool, s.spec.Graph.NumNodes()*groups)
+	bad := make([]bool, s.spec.Graph.NumNodes())
 	var source *core.Agent
 	return dataProtocol{
 		spawn: func(node topology.NodeID) (dataAgent, error) {
@@ -415,14 +416,14 @@ func sharqfecProtocol(cfg *DataConfig, opts core.Options, s *sim, tel *telemetry
 				source = ag
 				return ag, nil
 			}
-			t := &tally[node]
+			mine := done[int(node)*groups:][:groups]
 			ag.OnComplete = func(_ eventq.Time, gid uint32, data [][]byte) {
-				t.done++
+				mine[gid] = true
 				// The source wrote this group's payloads before its
 				// first packet left, so the read is causally after the
 				// write on either engine (see core.Agent.sendData).
 				if !cfg.SkipVerify && !payloadsMatch(data, source.SentGroup(gid)) {
-					t.bad = true
+					bad[node] = true
 				}
 			}
 			return ag, nil
@@ -436,10 +437,14 @@ func sharqfecProtocol(cfg *DataConfig, opts core.Options, s *sim, tel *telemetry
 				res.NACKsSent += st.NACKsSent
 				res.RepairsSent += st.RepairsSent
 				res.RepairsInjected += st.RepairsInjected
-				completions += tally[m].done
-				res.Verified = res.Verified && !tally[m].bad
+				res.Verified = res.Verified && !bad[m]
 			}
-			res.CompletionRate = float64(completions) / float64(len(s.spec.Receivers)*pcfg.NumGroups())
+			for _, d := range done {
+				if d {
+					completions++
+				}
+			}
+			res.CompletionRate = float64(completions) / float64(len(s.spec.Receivers)*groups)
 		},
 	}
 }

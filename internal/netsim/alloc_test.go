@@ -1,0 +1,93 @@
+package netsim
+
+import (
+	"testing"
+
+	"sharqfec/internal/eventq"
+	"sharqfec/internal/scoping"
+	"sharqfec/internal/simrand"
+	"sharqfec/internal/topology"
+)
+
+// sink is an agent that takes deliveries and does nothing.
+type sink struct{}
+
+func (sink) Receive(eventq.Time, Delivery) {}
+
+// TestMulticastAllocatesNothingWhenWarm pins the steady-state claim
+// beside the code: once the span is cached and the hop pool has grown,
+// a multicast and all its same-shard hops allocate nothing — on a New
+// view and on a cluster view, over a shared zone span (tree) and over a
+// per-source span (mesh).
+func TestMulticastAllocatesNothingWhenWarm(t *testing.T) {
+	specs := map[string]*topology.Spec{
+		"tree": topology.BalancedTree([]int{3, 3}, 1e6, 0.010, 0.05),
+		"mesh": topology.Figure10(topology.Figure10Params{}),
+	}
+	for name, spec := range specs {
+		h, err := scoping.Build(spec.Zones)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var q eventq.Queue
+		c, err := NewCluster(eventq.NewShardGroup(1, 0.001), spec.Graph, h, simrand.New(3), make([]int32, spec.Graph.NumNodes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		views := map[string]*Network{
+			"New":        New(&q, spec.Graph, h, simrand.New(3)),
+			"NewCluster": c.Shard(0),
+		}
+		for engine, n := range views {
+			for _, m := range spec.Members() {
+				n.Attach(m, sink{})
+			}
+			if shared := n.cluster.intactTree(); shared != (name == "tree") {
+				t.Fatalf("%s: shared spans = %v", name, shared)
+			}
+			pkt := dataPkt(512)
+			send := func() {
+				n.Multicast(spec.Source, h.Root(), pkt)
+				n.Q.Run()
+			}
+			send()
+			if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
+				t.Errorf("%s on %s: %v allocations per warm multicast, want 0", name, engine, allocs)
+			}
+			if _, delivered, dropped := n.Stats(); delivered == 0 || dropped == 0 {
+				t.Errorf("%s on %s: %d delivered, %d lost; the run exercised too little", name, engine, delivered, dropped)
+			}
+		}
+	}
+}
+
+// TestSpanBuildAllocationIsConstant pins the span builder's cost: from a
+// cached routing tree, with the view's scratch grown, a per-source span
+// is the span itself plus its two arrays, whether the zone has 16
+// members or 1,025.
+func TestSpanBuildAllocationIsConstant(t *testing.T) {
+	spec := topology.BalancedTree([]int{64, 15}, 1e6, 0.010, 0)
+	spec.Graph.AddLink(1, 2, 1e6, 0.010, 0) // a cycle: no shared spans, Dijkstra routes
+	h := scoping.MustBuild(spec.Zones)
+	var q eventq.Queue
+	n := New(&q, spec.Graph, h, simrand.New(3))
+	if n.cluster.intactTree() {
+		t.Fatal("the graph still counts as a tree")
+	}
+	const src = 70 // a leaf of zone 1
+	tree := n.Tree(src)
+	build := func(zone scoping.ZoneID, members int) float64 {
+		if got := len(h.Members(zone)); got != members {
+			t.Fatalf("zone %d has %d members, want %d", zone, got, members)
+		}
+		key := spanKey{src, zone}
+		if sp := n.buildSpan(tree, key); len(sp.nodes) < members {
+			t.Fatalf("zone %d: span of %d nodes for %d members", zone, len(sp.nodes), members)
+		}
+		return testing.AllocsPerRun(20, func() { n.buildSpan(tree, key) })
+	}
+	large, small := build(h.Root(), 1025), build(1, 16)
+	if small != large || small > 3 {
+		t.Errorf("span build allocates %v objects for 16 members and %v for 1,025; want the same, at most 3", small, large)
+	}
+}

@@ -1,76 +1,78 @@
-// Zone-sharded parallel execution. A Cluster splits one simulated
-// network across an eventq.ShardGroup: every node belongs to exactly
-// one shard (topology.PartitionByZone keeps each top-level zone's
-// subtree together), each shard advances its own event queue, and a
-// packet crossing a shard boundary becomes a cross-shard post delivered
-// at the next barrier epoch — which conservative lookahead guarantees
-// is always soon enough.
+// The multicast fabric: the state every view of one simulated network
+// shares, and the fan-out structure packets follow through it.
 //
-// The sharded data path deliberately re-keys loss randomness: instead
-// of the sequential simulator's single "netsim/loss" stream (whose
-// draws are consumed in global dispatch order — an ordering that cannot
-// exist under parallel execution), every link direction draws from its
+// A fabric has one view (Network) per event queue. New makes one over
+// the caller's queue. NewCluster splits the network across an
+// eventq.ShardGroup: every node belongs to exactly one shard
+// (topology.PartitionByZone keeps each top-level zone's subtree
+// together), each shard advances its own queue, and a packet crossing a
+// shard boundary becomes a cross-shard post delivered at the next
+// barrier epoch — which conservative lookahead guarantees is always
+// soon enough.
+//
+// The two constructors give two deterministic families that differ in
+// data only — which stream a link direction draws its loss from. New
+// resolves every direction to the single "netsim/loss" stream, whose
+// draws are consumed in global dispatch order: an ordering that cannot
+// exist under parallel execution. NewCluster gives every direction its
 // own "netsim/loss"-derived stream keyed (link, dir). Per-direction
 // draw order is owner-shard-local and fixed by the deterministic event
 // order, so results are byte-identical across shard counts — the
-// property the root package's shard digest matrix pins. The trade-off
-// is that sharded runs are a distinct deterministic family from the
-// legacy sequential path (Shards=0), whose goldens remain untouched.
+// property the root package's shard digest matrix pins — and where no
+// draw is ever taken the two families coincide.
 //
 // Shared mutable state obeys a strict ownership discipline:
 //
 //   - linkFree[li][dir] and the per-direction loss streams are written
 //     only by the shard owning the direction's upstream node;
-//   - fan plans and route trees are immutable once built, cached under
-//     an RWMutex (concurrent builders produce identical values);
-//   - loss models, link state and hierarchy swaps mutate only inside
-//     ShardGroup.Sync barriers, where every shard is quiescent.
+//   - spans and route trees are immutable once built, cached under an
+//     RWMutex (concurrent builders produce identical values);
+//   - loss models, link state and hierarchy swaps mutate only with
+//     every view quiescent (ShardGroup.Sync barriers when sharded).
 package netsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"sharqfec/internal/eventq"
-	"sharqfec/internal/packet"
 	"sharqfec/internal/scoping"
 	"sharqfec/internal/simrand"
 	"sharqfec/internal/topology"
 )
 
-// Cluster is one simulated network sharded across parallel event
-// queues. Use NewCluster, attach agents through the per-shard views
-// (Shard), and drive time through the group.
+// Cluster is one simulated network's multicast fabric. Use NewCluster,
+// attach agents through the per-shard views (Shard, NetFor), and drive
+// time through the group.
 type Cluster struct {
-	group *eventq.ShardGroup
+	group *eventq.ShardGroup // nil under New: one view, nothing to post to
 	G     *topology.Graph
-	H     *scoping.Hierarchy
 	owner []int32
 
 	nets []*Network
 	src  *simrand.Source
 
-	// lossStreams[li][dir] is the direction's private Bernoulli stream,
-	// created on first use by the (unique) shard owning the upstream
-	// node. lossModels overrides it per direction; it is mutated only
-	// at sync barriers.
+	// lossStreams[li][dir] is the stream the direction's Bernoulli draws
+	// come from: its own, created on first use by the (unique) shard
+	// owning the upstream node, unless New pointed them all at one.
+	// lossModels overrides it per direction; it is mutated only with
+	// the fabric quiescent.
 	lossStreams [][2]*simrand.Rand
 	lossModels  [][2]LossModel
 	// linkFree[li][dir]: when the direction's current transmission
-	// ends. Written only by the upstream owner shard.
+	// ends; dir 0 = A→B, 1 = B→A. Written only by the upstream owner.
 	linkFree [][2]eventq.Time
 
 	mu    sync.RWMutex
-	plans map[prunedKey]*fanPlan
-	spans map[scoping.ZoneID]*zoneSpan
+	spans map[spanKey]*span
 	trees map[topology.NodeID]*topology.Tree
 	// isTree marks graphs where shortest paths are unique by
-	// construction, letting fan plans build by parent-pointer climbing
+	// construction, letting spans build by parent-pointer climbing
 	// (O(Steiner size)) instead of per-source Dijkstra — the difference
 	// between megabytes and terabytes of routing state at 10⁵ nodes.
 	isTree bool
-	base   *topology.Tree // base orientation for the climbing builder
 }
 
 // NewCluster shards the network over the group. owner maps every node
@@ -88,52 +90,48 @@ func NewCluster(group *eventq.ShardGroup, g *topology.Graph, h *scoping.Hierarch
 			return nil, fmt.Errorf("netsim: node %d assigned to shard %d of %d", v, s, group.NumShards())
 		}
 	}
+	qs := make([]*eventq.Queue, group.NumShards())
+	for i := range qs {
+		qs[i] = group.Queue(i)
+	}
+	return newFabric(group, qs, g, h, src, owner), nil
+}
+
+// newFabric builds the shared state and one view per queue.
+func newFabric(group *eventq.ShardGroup, qs []*eventq.Queue, g *topology.Graph,
+	h *scoping.Hierarchy, src *simrand.Source, owner []int32) *Cluster {
+
 	c := &Cluster{
 		group:       group,
 		G:           g,
-		H:           h,
 		owner:       owner,
 		src:         src,
 		lossStreams: make([][2]*simrand.Rand, g.NumLinks()),
+		lossModels:  make([][2]LossModel, g.NumLinks()),
 		linkFree:    make([][2]eventq.Time, g.NumLinks()),
-		plans:       make(map[prunedKey]*fanPlan),
-		spans:       make(map[scoping.ZoneID]*zoneSpan),
+		spans:       make(map[spanKey]*span),
 		trees:       make(map[topology.NodeID]*topology.Tree),
 		isTree:      g.NumLinks() == g.NumNodes()-1,
+		nets:        make([]*Network, len(qs)),
 	}
-	c.nets = make([]*Network, group.NumShards())
-	for i := range c.nets {
-		n := New(group.Queue(i), g, h, src)
-		n.cluster = c
-		n.shard = int32(i)
-		c.nets[i] = n
+	for i, q := range qs {
+		c.nets[i] = &Network{
+			Q: q, G: g, H: h, agents: make([]Agent, g.NumNodes()),
+			cluster: c, shard: int32(i),
+		}
 	}
-	return c, nil
+	return c
 }
 
 // Shard returns shard i's network view. Agents attach to the view of
-// the shard owning their node; attaching elsewhere panics on delivery.
+// the shard owning their node.
 func (c *Cluster) Shard(i int) *Network { return c.nets[i] }
-
-// NumShards returns the shard count.
-func (c *Cluster) NumShards() int { return len(c.nets) }
 
 // Owner returns the shard owning node v.
 func (c *Cluster) Owner(v topology.NodeID) int { return int(c.owner[v]) }
 
 // NetFor returns the network view that node v's agent must attach to.
 func (c *Cluster) NetFor(v topology.NodeID) *Network { return c.nets[c.owner[v]] }
-
-// Group returns the shard runner driving the cluster's virtual time.
-func (c *Cluster) Group() *eventq.ShardGroup { return c.group }
-
-// SetQueueLimit sets the per-link-direction transmit backlog bound on
-// every shard view.
-func (c *Cluster) SetQueueLimit(limit int) {
-	for _, n := range c.nets {
-		n.QueueLimit = limit
-	}
-}
 
 // Stats sums the per-shard counters.
 func (c *Cluster) Stats() (sent, delivered, dropped uint64) {
@@ -146,702 +144,12 @@ func (c *Cluster) Stats() (sent, delivered, dropped uint64) {
 	return
 }
 
-// FaultDrops sums fault-discarded packets across shards.
-func (c *Cluster) FaultDrops() uint64 {
-	var n uint64
-	for _, net := range c.nets {
-		n += net.faultdrops
-	}
-	return n
-}
-
-// TailDrops sums congestion-discarded packets across shards.
-func (c *Cluster) TailDrops() uint64 {
-	var n uint64
-	for _, net := range c.nets {
-		n += net.taildrops
-	}
-	return n
-}
-
-// SetLinkUp changes link state cluster-wide. Only call inside a sync
-// barrier (the fault engine's scheduling seam guarantees this).
-func (c *Cluster) SetLinkUp(link int, up bool) {
-	if c.G.LinkUp(link) == up {
-		return
-	}
-	c.G.SetLinkUp(link, up)
-	c.invalidateRoutes()
-}
-
-// SetHierarchy swaps the scoping hierarchy cluster-wide (membership
-// change). Only call inside a sync barrier.
-func (c *Cluster) SetHierarchy(h *scoping.Hierarchy) {
-	c.H = h
-	for _, n := range c.nets {
-		n.H = h
-	}
-	c.mu.Lock()
-	c.plans = make(map[prunedKey]*fanPlan)
-	c.spans = make(map[scoping.ZoneID]*zoneSpan)
-	c.mu.Unlock()
-}
-
-// SetLossModel installs a per-direction loss override cluster-wide.
-// Only call inside a sync barrier.
-func (c *Cluster) SetLossModel(link, dir int, m LossModel) {
-	if link < 0 || link >= c.G.NumLinks() || dir < 0 || dir > 1 {
-		panic(fmt.Sprintf("netsim: SetLossModel(%d, %d) out of range", link, dir))
-	}
-	if c.lossModels == nil {
-		if m == nil {
-			return
-		}
-		c.lossModels = make([][2]LossModel, c.G.NumLinks())
-	}
-	c.lossModels[link][dir] = m
-}
-
-func (c *Cluster) invalidateRoutes() {
-	c.mu.Lock()
-	c.plans = make(map[prunedKey]*fanPlan)
-	c.spans = make(map[scoping.ZoneID]*zoneSpan)
-	c.trees = make(map[topology.NodeID]*topology.Tree)
-	c.base = nil
-	c.mu.Unlock()
-}
-
-// fanPlan is the compact multicast fan-out for one (source, zone) pair:
-// the Steiner subtree of the source-rooted shortest-path tree spanning
-// the zone's members, laid out in BFS order with contiguous child
-// ranges. Unlike the sequential path's per-source Tree cache (O(nodes)
-// each), a plan costs O(subtree), which is what lets 10⁵ multicast
-// sources coexist.
-type fanPlan struct {
-	root  topology.NodeID
-	nodes []fanNode // nodes[0] is the root
-}
-
-type fanNode struct {
-	v            topology.NodeID
-	link         int32 // link from plan parent; -1 at the root
-	kidLo, kidHi int32 // children range in fanPlan.nodes
-	dir          uint8 // link direction parent→v (0 = A→B)
-	member       bool  // deliver here
-	loss         float64
-}
-
-// plan returns (building and caching if needed) the fan plan for src
-// multicasting to zone. Concurrent builders race benignly: plans are
-// pure functions of immutable routing state, so the losing builder's
-// identical plan is simply discarded.
-func (c *Cluster) plan(src topology.NodeID, zone scoping.ZoneID) *fanPlan {
-	key := prunedKey{src, zone}
-	c.mu.RLock()
-	p := c.plans[key]
-	c.mu.RUnlock()
-	if p != nil {
-		return p
-	}
-	p = c.buildPlan(src, zone)
-	c.mu.Lock()
-	if q, ok := c.plans[key]; ok {
-		p = q
-	} else {
-		c.plans[key] = p
-	}
-	c.mu.Unlock()
-	return p
-}
-
-// zoneSpan is the shared multicast fan-out for one zone on tree
-// topologies: the Steiner subtree spanning the zone's members, as
-// compact adjacency lists. Paths in a tree are unique, so this subtree
-// is the same no matter which member transmits — a source floods the
-// span from its own position, forwarding to span neighbours in node-ID
-// order minus the inbound edge, which reproduces exactly the child sets
-// and ordering of a source-rooted fanPlan (the shard digest matrix pins
-// this equivalence). One span per zone replaces one plan per
-// (source, zone): with 10⁵ members multicasting into the root zone,
-// that is the difference between megabytes and hundreds of gigabytes
-// of routing state.
-type zoneSpan struct {
-	index map[topology.NodeID]int32
-	nodes []spanNode
-	edges []spanEdge
-}
-
-type spanNode struct {
-	v      topology.NodeID
-	member bool  // deliver here
-	lo, hi int32 // adjacency range in zoneSpan.edges, neighbour-ID order
-}
-
-type spanEdge struct {
-	to   int32 // span index of the receiving neighbour
-	link int32
-	dir  uint8 // link direction transmitter→neighbour (0 = A→B)
-	loss float64
-}
-
-// span returns (building and caching if needed) zone's shared fan-out
-// span. Like plans, concurrent builders race benignly.
-func (c *Cluster) span(zone scoping.ZoneID) *zoneSpan {
-	c.mu.RLock()
-	sp := c.spans[zone]
-	c.mu.RUnlock()
-	if sp != nil {
-		return sp
-	}
-	sp = c.buildSpan(zone)
-	c.mu.Lock()
-	if q, ok := c.spans[zone]; ok {
-		sp = q
-	} else {
-		c.spans[zone] = sp
-	}
-	c.mu.Unlock()
-	return sp
-}
-
-func (c *Cluster) buildSpan(zone scoping.ZoneID) *zoneSpan {
-	members := c.H.Members(zone)
-	base := c.baseTree()
-
-	// keep = union of member→base-root paths; then trim the memberless
-	// chain above the members' lowest common ancestor, leaving exactly
-	// the Steiner subtree (what a member-rooted plan would span).
-	keep := make(map[topology.NodeID]bool, len(members)*2)
-	for _, m := range members {
-		for v := m; !keep[v]; {
-			keep[v] = true
-			if v == base.Root || base.Parent[v] < 0 {
-				break
-			}
-			v = base.Parent[v]
-		}
-	}
-	kids := make(map[topology.NodeID][]topology.NodeID, len(keep))
-	for v := range keep {
-		if v == base.Root || base.Parent[v] < 0 {
-			continue
-		}
-		if p := base.Parent[v]; keep[p] {
-			kids[p] = append(kids[p], v)
-		}
-	}
-	for r := base.Root; keep[r] && !c.H.Contains(zone, r) && len(kids[r]) == 1; {
-		next := kids[r][0]
-		delete(keep, r)
-		r = next
-	}
-
-	// Compact layout: nodes in ID order, adjacency in neighbour-ID
-	// order (node-ID sorting is what fanPlan's child lists used, so the
-	// flood visits neighbours in the identical sequence).
-	list := make([]topology.NodeID, 0, len(keep))
-	for v := range keep {
-		list = append(list, v)
-	}
-	sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-	sp := &zoneSpan{
-		index: make(map[topology.NodeID]int32, len(list)),
-		nodes: make([]spanNode, len(list)),
-	}
-	for i, v := range list {
-		sp.index[v] = int32(i)
-	}
-	nbrs := make([]topology.NodeID, 0, 32)
-	for i, v := range list {
-		nbrs = nbrs[:0]
-		if p := base.Parent[v]; v != base.Root && p >= 0 && keep[p] {
-			nbrs = append(nbrs, p)
-		}
-		nbrs = append(nbrs, kids[v]...)
-		sort.Slice(nbrs, func(a, b int) bool { return nbrs[a] < nbrs[b] })
-		sp.nodes[i] = spanNode{
-			v: v, member: c.H.Contains(zone, v),
-			lo: int32(len(sp.edges)),
-		}
-		for _, u := range nbrs {
-			li := c.linkBetween(v, u)
-			link := c.G.Link(li)
-			dir := uint8(0)
-			loss := link.LossAB
-			if v == link.B {
-				dir = 1
-				loss = link.LossBA
-			}
-			sp.edges = append(sp.edges, spanEdge{
-				to: sp.index[u], link: int32(li), dir: dir, loss: loss,
-			})
-		}
-		sp.nodes[i].hi = int32(len(sp.edges))
-	}
-	return sp
-}
-
-// planParentsTree computes each relevant node's parent toward src by
-// climbing the base orientation — valid because tree graphs have
-// unique paths. Returns the parent map restricted to the union of
-// src→member paths. O(Steiner subtree), not O(nodes): the key to
-// holding 10⁵ concurrent multicast sources.
-func (c *Cluster) planParentsTree(src topology.NodeID, members []topology.NodeID) map[topology.NodeID]topology.NodeID {
-	base := c.baseTree()
-	parent := make(map[topology.NodeID]topology.NodeID, len(members)*2)
-	parent[src] = src
-	// Mark src's chain to the base root so every member climb
-	// terminates; the pruning pass below drops the memberless prefix.
-	for v := src; v != base.Root && base.Parent[v] >= 0; {
-		up := base.Parent[v]
-		if _, ok := parent[up]; ok {
-			break
-		}
-		parent[up] = v
-		v = up
-	}
-	chain := make([]topology.NodeID, 0, 64)
-	for _, m := range members {
-		// Climb from the member toward the base root until hitting a
-		// node already oriented; that node is where this member's path
-		// joins the plan.
-		chain = chain[:0]
-		v := m
-		reach := true
-		for {
-			if _, ok := parent[v]; ok {
-				break
-			}
-			chain = append(chain, v)
-			if base.Parent[v] < 0 {
-				reach = false // severed by a downed link: m is unreachable
-				break
-			}
-			if v == base.Root {
-				break
-			}
-			v = base.Parent[v]
-		}
-		if !reach {
-			continue
-		}
-		// chain runs member→...→child-of-junction v; orient it from
-		// src: each chain node's parent is the next node up.
-		for i := 0; i < len(chain); i++ {
-			up := v
-			if i+1 < len(chain) {
-				up = chain[i+1]
-			}
-			parent[chain[i]] = up
-		}
-	}
-	return parent
-}
-
-// planParentsSPF computes plan parents from the source-rooted Dijkstra
-// tree — the general-graph path (meshes), where per-source trees are
-// cached cluster-wide exactly like the sequential simulator does.
-func (c *Cluster) planParentsSPF(src topology.NodeID, members []topology.NodeID) map[topology.NodeID]topology.NodeID {
-	tree := c.tree(src)
-	parent := make(map[topology.NodeID]topology.NodeID, len(members)*2)
-	parent[src] = src
-	for _, m := range members {
-		v := m
-		for {
-			if _, ok := parent[v]; ok {
-				break
-			}
-			up := tree.Parent[v]
-			if up < 0 {
-				break // unreachable member: no path into the plan
-			}
-			parent[v] = up
-			v = up
-		}
-	}
-	return parent
-}
-
-func (c *Cluster) buildPlan(src topology.NodeID, zone scoping.ZoneID) *fanPlan {
-	members := c.H.Members(zone)
-	var parent map[topology.NodeID]topology.NodeID
-	if c.isTree && c.G.AllLinksUp() {
-		// Unique paths and full connectivity: climb parent pointers.
-		// During fault windows (a link down partitions a tree) fall
-		// back to per-source Dijkstra, which still routes correctly
-		// inside the source's component.
-		parent = c.planParentsTree(src, members)
-	} else {
-		parent = c.planParentsSPF(src, members)
-	}
-
-	// Prune to nodes on a src→member path: walk up from each member,
-	// stopping at the first node already kept.
-	keep := make(map[topology.NodeID]bool, len(parent))
-	keep[src] = true
-	for _, m := range members {
-		if _, ok := parent[m]; !ok {
-			continue
-		}
-		for v := m; !keep[v]; v = parent[v] {
-			keep[v] = true
-		}
-	}
-
-	// Children lists restricted to kept nodes, sorted by node ID for a
-	// deterministic layout.
-	kids := make(map[topology.NodeID][]topology.NodeID, len(keep))
-	for v := range keep {
-		if v == src {
-			continue
-		}
-		kids[parent[v]] = append(kids[parent[v]], v)
-	}
-	for _, k := range kids {
-		sort.Slice(k, func(i, j int) bool { return k[i] < k[j] })
-	}
-
-	p := &fanPlan{root: src, nodes: make([]fanNode, 0, len(keep))}
-	p.nodes = append(p.nodes, fanNode{v: src, link: -1})
-	for i := 0; i < len(p.nodes); i++ {
-		u := p.nodes[i].v
-		children := kids[u]
-		p.nodes[i].kidLo = int32(len(p.nodes))
-		for _, v := range children {
-			li := c.linkBetween(u, v)
-			link := c.G.Link(li)
-			dir := uint8(0)
-			loss := link.LossAB
-			if u == link.B {
-				dir = 1
-				loss = link.LossBA
-			}
-			p.nodes = append(p.nodes, fanNode{
-				v: v, link: int32(li), dir: dir, loss: loss,
-				member: c.H.Contains(zone, v),
-			})
-		}
-		p.nodes[i].kidHi = int32(len(p.nodes))
-	}
-	return p
-}
-
-// linkBetween returns the index of the (unique) link joining adjacent
-// plan nodes u and v.
-func (c *Cluster) linkBetween(u, v topology.NodeID) int {
-	li := c.G.LinkBetween(u, v)
-	if li < 0 {
-		panic(fmt.Sprintf("netsim: no link between adjacent plan nodes %d and %d", u, v))
-	}
-	return li
-}
-
-// baseTree returns (building once) the orientation tree for the
-// climbing plan builder.
-func (c *Cluster) baseTree() *topology.Tree {
-	c.mu.RLock()
-	b := c.base
-	c.mu.RUnlock()
-	if b != nil {
-		return b
-	}
-	t := c.G.SPFTree(0)
-	c.mu.Lock()
-	if c.base == nil {
-		c.base = t
-	}
-	b = c.base
-	c.mu.Unlock()
-	return b
-}
-
-// tree returns (building and caching) the Dijkstra tree rooted at src —
-// mesh graphs only; tree graphs use the climbing builder instead.
-func (c *Cluster) tree(src topology.NodeID) *topology.Tree {
-	c.mu.RLock()
-	t := c.trees[src]
-	c.mu.RUnlock()
-	if t != nil {
-		return t
-	}
-	t = c.G.SPFTree(src)
-	c.mu.Lock()
-	if u, ok := c.trees[src]; ok {
-		t = u
-	} else {
-		c.trees[src] = t
-	}
-	c.mu.Unlock()
-	return t
-}
-
-// multicast is the cluster forwarding entry, called from the per-shard
-// Network views. The sending shard walks the plan; hops that leave the
-// shard become cross posts.
-func (c *Cluster) multicast(n *Network, from topology.NodeID, zone scoping.ZoneID, pkt packet.Packet) error {
-	if from < 0 || int(from) >= c.G.NumNodes() {
-		return fmt.Errorf("netsim: multicast from node %d: %w", from, ErrUnknownNode)
-	}
-	if zone < 0 || int(zone) >= c.H.NumZones() {
-		return fmt.Errorf("netsim: multicast to zone %d: %w", zone, ErrUnknownZone)
-	}
-	if c.owner[from] != n.shard {
-		panic(fmt.Sprintf("netsim: node %d multicast on shard %d, owned by shard %d", from, n.shard, c.owner[from]))
-	}
-	n.sent++
-	now := n.Q.Now()
-	for _, tap := range n.sendTaps {
-		tap(now, from, zone, pkt)
-	}
-	if c.isTree && c.G.AllLinksUp() {
-		sp := c.span(zone)
-		if si, ok := sp.index[from]; ok {
-			nd := &sp.nodes[si]
-			for e := nd.lo; e < nd.hi; e++ {
-				c.forwardSpan(n, sp, si, e, from, now, zone, pkt)
-			}
-			return nil
-		}
-		// Source outside the span (e.g. a parent-zone repairer sending
-		// into a child zone): fall through to the per-source plan,
-		// whose entry path handles the descent into the span.
-	}
-	p := c.plan(from, zone)
-	root := &p.nodes[0]
-	for k := root.kidLo; k < root.kidHi; k++ {
-		c.forward(n, p, k, now, zone, pkt)
-	}
-	return nil
-}
-
-// transmit pushes pkt onto link li in direction dir at time t: it
-// serializes on the link, applies tail-drop and loss, and returns the
-// far-end arrival time, or ok=false when the packet died on the hop.
-// Shared by the plan and span forwarding paths so both charge links and
-// draw loss identically.
-func (c *Cluster) transmit(n *Network, li, dir int, loss float64, t eventq.Time, pkt packet.Packet) (eventq.Time, bool) {
-	if !c.G.LinkUp(li) {
-		n.faultdrops++
-		return 0, false
-	}
-	link := c.G.Link(li)
-	start := t
-	if c.linkFree[li][dir] > start {
-		start = c.linkFree[li][dir]
-	}
-	txTime := eventq.Duration(float64(pkt.WireSize()*8) / link.Bandwidth)
-	if n.QueueLimit > 0 {
-		backlog := float64(start.Sub(t)) / float64(txTime)
-		if backlog > float64(n.QueueLimit) {
-			n.taildrops++
-			return 0, false
-		}
-	}
-	txDone := start.Add(txTime)
-	c.linkFree[li][dir] = txDone
-	arrive := txDone.Add(link.Latency)
-	if n.hopTap != nil {
-		n.hopTap(li, dir, pkt)
-	}
-
-	if pkt.Lossy() {
-		if m := c.lossModelAt(li, dir); m != nil {
-			if m.Drop() {
-				n.dropped++
-				return 0, false
-			}
-		} else if loss > 0 {
-			if c.lossStream(li, dir).Bernoulli(loss) {
-				n.dropped++
-				return 0, false
-			}
-		}
-	}
-	return arrive, true
-}
-
-// forward transmits pkt across the link into plan node idx at time t —
-// the sharded counterpart of Network.forward, with per-direction loss
-// streams and cross-shard hand-off.
-func (c *Cluster) forward(n *Network, p *fanPlan, idx int32, t eventq.Time, zone scoping.ZoneID, pkt packet.Packet) {
-	nd := &p.nodes[idx]
-	arrive, ok := c.transmit(n, int(nd.link), int(nd.dir), nd.loss, t, pkt)
-	if !ok {
-		return
-	}
-	dst := c.owner[nd.v]
-	if dst == n.shard {
-		h := n.acquirePlanHop()
-		h.plan, h.idx, h.zone, h.pkt = p, idx, zone, pkt
-		n.Q.At(arrive, h.fn)
-		return
-	}
-	// Leaving the shard: the arrival is at least one boundary-link
-	// latency away, i.e. at or past the next barrier — the lookahead
-	// contract Post asserts.
-	dn := c.nets[dst]
-	c.group.Post(int(n.shard), int(dst), arrive, func(now eventq.Time) {
-		c.arrive(dn, p, idx, now, zone, pkt)
-	})
-}
-
-// arrive lands pkt at plan node idx: deliver if it is a member, then
-// forward to its plan children.
-func (c *Cluster) arrive(n *Network, p *fanPlan, idx int32, now eventq.Time, zone scoping.ZoneID, pkt packet.Packet) {
-	nd := &p.nodes[idx]
-	if nd.member {
-		n.deliverPlan(now, nd.v, Delivery{From: p.root, Scope: zone, Pkt: pkt})
-	}
-	for k := nd.kidLo; k < nd.kidHi; k++ {
-		c.forward(n, p, k, now, zone, pkt)
-	}
-}
-
-// forwardSpan transmits pkt across span edge e (whose transmitter is
-// span node at) and schedules the arrival at the far end.
-func (c *Cluster) forwardSpan(n *Network, sp *zoneSpan, at, e int32, src topology.NodeID,
-	t eventq.Time, zone scoping.ZoneID, pkt packet.Packet) {
-
-	ed := &sp.edges[e]
-	arrive, ok := c.transmit(n, int(ed.link), int(ed.dir), ed.loss, t, pkt)
-	if !ok {
-		return
-	}
-	to := ed.to
-	dst := c.owner[sp.nodes[to].v]
-	if dst == n.shard {
-		h := n.acquireSpanHop()
-		h.span, h.at, h.from, h.src, h.zone, h.pkt = sp, to, at, src, zone, pkt
-		n.Q.At(arrive, h.fn)
-		return
-	}
-	dn := c.nets[dst]
-	c.group.Post(int(n.shard), int(dst), arrive, func(now eventq.Time) {
-		c.arriveSpan(dn, sp, to, at, src, now, zone, pkt)
-	})
-}
-
-// arriveSpan lands pkt at span node at: deliver if it is a member, then
-// continue the flood to every span neighbour except the inbound one —
-// exactly the child set (and node-ID order) a src-rooted plan would
-// forward to.
-func (c *Cluster) arriveSpan(n *Network, sp *zoneSpan, at, from int32, src topology.NodeID,
-	now eventq.Time, zone scoping.ZoneID, pkt packet.Packet) {
-
-	nd := &sp.nodes[at]
-	if nd.member {
-		n.deliverPlan(now, nd.v, Delivery{From: src, Scope: zone, Pkt: pkt})
-	}
-	for e := nd.lo; e < nd.hi; e++ {
-		if sp.edges[e].to == from {
-			continue
-		}
-		c.forwardSpan(n, sp, at, e, src, now, zone, pkt)
-	}
-}
-
-// spanHop is a packet in flight toward one span node — the span path's
-// pooled counterpart of planHop, carrying the inbound edge (so the
-// flood does not turn back) and the originating source (for Delivery).
-type spanHop struct {
-	c        *Cluster
-	n        *Network
-	span     *zoneSpan
-	at, from int32
-	src      topology.NodeID
-	zone     scoping.ZoneID
-	pkt      packet.Packet
-	fn       eventq.Handler
-}
-
-func (h *spanHop) run(now eventq.Time) {
-	c, n, sp, at, from, src, zone, pkt := h.c, h.n, h.span, h.at, h.from, h.src, h.zone, h.pkt
-	n.releaseSpanHop(h)
-	c.arriveSpan(n, sp, at, from, src, now, zone, pkt)
-}
-
-func (n *Network) acquireSpanHop() *spanHop {
-	if l := len(n.spanHopFree); l > 0 {
-		h := n.spanHopFree[l-1]
-		n.spanHopFree[l-1] = nil
-		n.spanHopFree = n.spanHopFree[:l-1]
-		return h
-	}
-	h := &spanHop{c: n.cluster, n: n}
-	h.fn = h.run
-	return h
-}
-
-func (n *Network) releaseSpanHop(h *spanHop) {
-	h.span, h.pkt = nil, nil
-	n.spanHopFree = append(n.spanHopFree, h)
-}
-
-// planHop is a packet in flight toward one plan node on the sharded
-// path — the pooled counterpart of pendingHop. The agent taking
-// delivery must live on this view's shard (the forwarding step routed
-// cross-shard hops through the barrier already).
-type planHop struct {
-	c    *Cluster
-	n    *Network
-	plan *fanPlan
-	idx  int32
-	zone scoping.ZoneID
-	pkt  packet.Packet
-	fn   eventq.Handler
-}
-
-func (h *planHop) run(now eventq.Time) {
-	c, n, p, idx, zone, pkt := h.c, h.n, h.plan, h.idx, h.zone, h.pkt
-	n.releasePlanHop(h)
-	c.arrive(n, p, idx, now, zone, pkt)
-}
-
-func (n *Network) acquirePlanHop() *planHop {
-	if l := len(n.planHopFree); l > 0 {
-		h := n.planHopFree[l-1]
-		n.planHopFree[l-1] = nil
-		n.planHopFree = n.planHopFree[:l-1]
-		return h
-	}
-	h := &planHop{c: n.cluster, n: n}
-	h.fn = h.run
-	return h
-}
-
-func (n *Network) releasePlanHop(h *planHop) {
-	h.plan, h.pkt = nil, nil
-	n.planHopFree = append(n.planHopFree, h)
-}
-
-// deliverPlan hands an arrived packet to the member node's agent and
-// taps. Sharded runs carry no telemetry bus (the facade rejects the
-// combination), so unlike the sequential deliver there is no event
-// emission here.
-func (n *Network) deliverPlan(now eventq.Time, at topology.NodeID, d Delivery) {
-	n.delivered++
-	for _, tap := range n.taps {
-		tap(now, at, d)
-	}
-	if a := n.agents[at]; a != nil {
-		a.Receive(now, d)
-	}
-}
-
-// lossModelAt returns the per-direction override, if any. The models
-// array only changes at sync barriers.
-func (c *Cluster) lossModelAt(link, dir int) LossModel {
-	if c.lossModels == nil {
-		return nil
-	}
-	return c.lossModels[link][dir]
-}
-
-// lossStream returns the direction's private Bernoulli stream, creating
-// it on first use. Only the upstream owner shard ever touches a given
-// direction, so creation and draws are single-threaded per stream, and
-// the (seed, link, dir) keying makes draw sequences independent of both
-// shard count and the traffic on every other link.
+// lossStream returns the stream a direction's Bernoulli draws come from,
+// creating its private one on first use. Only the upstream owner shard
+// ever touches a given direction, so creation and draws are
+// single-threaded per stream, and the (seed, link, dir) keying makes
+// draw sequences independent of both shard count and the traffic on
+// every other link.
 func (c *Cluster) lossStream(link, dir int) *simrand.Rand {
 	r := c.lossStreams[link][dir]
 	if r == nil {
@@ -849,4 +157,226 @@ func (c *Cluster) lossStream(link, dir int) *simrand.Rand {
 		c.lossStreams[link][dir] = r
 	}
 	return r
+}
+
+// cached returns m[key], building and caching it on a miss. Concurrent
+// builders race benignly: values are pure functions of immutable routing
+// state, so the losing builder's identical value is simply discarded.
+func cached[K comparable, V any](mu *sync.RWMutex, m map[K]*V, key K, build func() *V) *V {
+	mu.RLock()
+	v := m[key]
+	mu.RUnlock()
+	if v != nil {
+		return v
+	}
+	v = build()
+	mu.Lock()
+	if w, ok := m[key]; ok {
+		v = w
+	} else {
+		m[key] = v
+	}
+	mu.Unlock()
+	return v
+}
+
+// tree returns (building and caching) the Dijkstra tree rooted at src.
+func (c *Cluster) tree(src topology.NodeID) *topology.Tree {
+	return cached(&c.mu, c.trees, src, func() *topology.Tree { return c.G.SPFTree(src) })
+}
+
+// span is a multicast fan-out: the Steiner subtree of a routing tree
+// spanning a zone's members (and, for a per-source span, the sender),
+// as compact adjacency lists — nodes in ID order, each node's
+// neighbours in ID order. A sender floods the span from its own
+// position, forwarding to neighbours minus the inbound edge, which
+// visits exactly the child sets, in the order, of the sender-rooted
+// shortest-path tree pruned to the zone (oracle_test.go holds that
+// walk). On an intact tree graph paths are unique, so the subtree is
+// the same no matter which member transmits and one span per zone
+// replaces one per (source, zone): with 10⁵ members multicasting into
+// the root zone, that is the difference between megabytes and hundreds
+// of gigabytes of routing state.
+type span struct {
+	nodes []spanNode
+	edges []spanEdge
+}
+
+type spanNode struct {
+	v      topology.NodeID
+	member bool  // deliver here
+	lo, hi int32 // adjacency range in span.edges
+}
+
+type spanEdge struct {
+	to   int32 // span index of the receiving neighbour
+	link int32
+	dir  uint8 // link direction transmitter→neighbour (0 = A→B)
+}
+
+// spanKey names a cached span: the zone's shared one when src is
+// topology.NoNode, else the one for src sending into zone.
+type spanKey struct {
+	src  topology.NodeID
+	zone scoping.ZoneID
+}
+
+// find returns v's index in the span, if it is on it.
+func (sp *span) find(v topology.NodeID) (int32, bool) {
+	i, ok := slices.BinarySearchFunc(sp.nodes, v, func(nd spanNode, v topology.NodeID) int {
+		return cmp.Compare(nd.v, v)
+	})
+	return int32(i), ok
+}
+
+// intactTree reports whether every Steiner tree is a subtree of one
+// orientation of the graph, so spans can be shared and found by
+// climbing. A downed link partitions a tree graph; during such fault
+// windows routing falls back to per-source Dijkstra, which still routes
+// correctly inside the source's component.
+func (c *Cluster) intactTree() bool { return c.isTree && c.G.AllLinksUp() }
+
+// fanout returns the span a multicast from `from` into zone follows and
+// from's index on it. On an intact tree graph every span is a subtree
+// of the tree rooted at node 0, found in O(subtree): the zone's shared
+// span when from is on it, else — a sender outside it, such as a
+// parent-zone repairer sending into a child zone — the (from, zone)
+// one. On a mesh or in a fault window it is the (from, zone) span of
+// the sender's own shortest-path tree, O(nodes) per sender.
+func (n *Network) fanout(from topology.NodeID, zone scoping.ZoneID) (*span, int32) {
+	root := from
+	if n.cluster.intactTree() {
+		root = 0
+		sp := n.span(spanKey{topology.NoNode, zone}, root)
+		if at, ok := sp.find(from); ok {
+			return sp, at
+		}
+	}
+	sp := n.span(spanKey{from, zone}, root)
+	at, _ := sp.find(from)
+	return sp, at
+}
+
+// span returns the fabric's cached span for key, building it on a miss
+// from the routing tree rooted at root, with this view's scratch.
+func (n *Network) span(key spanKey, root topology.NodeID) *span {
+	c := n.cluster
+	return cached(&c.mu, c.spans, key, func() *span { return n.buildSpan(c.tree(root), key) })
+}
+
+// spanScratch is a view's working memory for buildSpan: per-node marks
+// valid for one build (gen stamps them, so nothing is cleared between
+// builds) and the list of kept nodes.
+type spanScratch struct {
+	marks []spanMark
+	gen   uint32
+	list  []topology.NodeID
+}
+
+type spanMark struct {
+	gen  uint32          // kept in the build with this stamp
+	kids int32           // kept tree children
+	kid  topology.NodeID // the last of them: the only one when kids == 1
+}
+
+// buildSpan lays out the Steiner subtree of tree spanning key.zone's
+// members and key.src (when there is one). It keeps the union of the
+// terminals' paths to the tree root, trims the terminal-free chain
+// above their lowest common ancestor, and writes what is left as sorted
+// adjacency. Time and allocation are O(subtree) — it never walks a
+// node's full child list — and it uses no map: the only per-node state
+// is the view's stamped scratch, sized once.
+func (n *Network) buildSpan(tree *topology.Tree, key spanKey) *span {
+	s := &n.scratch
+	if s.marks == nil {
+		s.marks = make([]spanMark, n.G.NumNodes())
+	}
+	s.gen++
+	s.list = s.list[:0]
+	kept := func(v topology.NodeID) bool { return s.marks[v].gen == s.gen }
+	keep := func(v topology.NodeID) {
+		s.marks[v] = spanMark{gen: s.gen}
+		s.list = append(s.list, v)
+	}
+	// climb keeps m's path to the root, stopping where it joins a path
+	// already kept. Nodes the tree cannot reach (severed by a downed
+	// link) are skipped.
+	climb := func(m topology.NodeID) {
+		if tree.Parent[m] < 0 || kept(m) {
+			return
+		}
+		keep(m)
+		for v := m; v != tree.Root; {
+			p := tree.Parent[v]
+			joined := kept(p)
+			if !joined {
+				keep(p)
+			}
+			s.marks[p].kids++
+			s.marks[p].kid = v
+			if joined {
+				return
+			}
+			v = p
+		}
+	}
+	if key.src != topology.NoNode {
+		climb(key.src)
+	}
+	for _, m := range n.H.Members(key.zone) {
+		climb(m)
+	}
+	terminal := func(v topology.NodeID) bool { return v == key.src || n.H.Contains(key.zone, v) }
+	for r := tree.Root; kept(r) && s.marks[r].kids == 1 && !terminal(r); r = s.marks[r].kid {
+		s.marks[r].gen = 0
+	}
+	s.list = slices.DeleteFunc(s.list, func(v topology.NodeID) bool { return !kept(v) })
+	slices.Sort(s.list)
+
+	// Every kept node but the top one contributes the edge to its tree
+	// parent, in both directions. Count degrees (in hi), turn them into
+	// adjacency ranges, fill, then order each node's neighbours by ID —
+	// span indices are in ID order, so by index.
+	sp := &span{nodes: make([]spanNode, len(s.list))}
+	for i, v := range s.list {
+		sp.nodes[i] = spanNode{v: v, member: n.H.Contains(key.zone, v)}
+	}
+	up := func(v topology.NodeID) (int32, bool) {
+		if v == tree.Root || !kept(tree.Parent[v]) {
+			return 0, false
+		}
+		return sp.find(tree.Parent[v])
+	}
+	for i, v := range s.list {
+		if pi, ok := up(v); ok {
+			sp.nodes[i].hi++
+			sp.nodes[pi].hi++
+		}
+	}
+	total := int32(0)
+	for i := range sp.nodes {
+		nd := &sp.nodes[i]
+		nd.lo, nd.hi, total = total, total, total+nd.hi
+	}
+	sp.edges = make([]spanEdge, total)
+	put := func(from, to int32, li int) {
+		e := spanEdge{to: to, link: int32(li)}
+		if sp.nodes[from].v == n.G.Link(li).B {
+			e.dir = 1
+		}
+		sp.edges[sp.nodes[from].hi] = e
+		sp.nodes[from].hi++
+	}
+	for i, v := range s.list {
+		if pi, ok := up(v); ok {
+			// The tree's own link, not just any joining the two nodes:
+			// with parallel links only it is on the shortest path.
+			put(int32(i), pi, tree.ParentLink[v])
+			put(pi, int32(i), tree.ParentLink[v])
+		}
+	}
+	for _, nd := range sp.nodes {
+		slices.SortFunc(sp.edges[nd.lo:nd.hi], func(a, b spanEdge) int { return cmp.Compare(a.to, b.to) })
+	}
+	return sp
 }

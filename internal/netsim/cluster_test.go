@@ -57,7 +57,7 @@ func digestRecords(recs []deliveryRecord) string {
 // clusterRun drives a clustered simulation of spec at k shards: the
 // source multicasts npkts data packets to the root zone, and every
 // 17th receiver answers packet 3 with a multicast into its leaf zone
-// (exercising receiver-rooted plans and cross-shard replies). Returns
+// (exercising receiver-rooted fan-outs and cross-shard replies). Returns
 // the sorted delivery digest plus summed counters.
 func clusterRun(t *testing.T, spec *topology.Spec, k, npkts int, seed uint64) (string, uint64, uint64) {
 	t.Helper()
@@ -118,8 +118,9 @@ func clusterRun(t *testing.T, spec *topology.Spec, k, npkts int, seed uint64) (s
 
 // TestClusterShardCountInvariance is the heart of the sharded netsim
 // contract: the same seed must yield byte-identical delivery traces at
-// every shard count, on both a power-law tree (climb-built plans) and
-// the Figure-10 mesh (SPF-built plans).
+// every shard count, on both a power-law tree (shared zone spans, found
+// by climbing) and the Figure-10 mesh (per-source spans, from Dijkstra
+// trees).
 func TestClusterShardCountInvariance(t *testing.T) {
 	specs := []*topology.Spec{
 		topology.PowerLawISP(topology.PowerLawParams{PoPs: 6, Subscribers: 120, Seed: 3, Loss: 0.08}),
@@ -149,7 +150,7 @@ func TestClusterShardCountInvariance(t *testing.T) {
 
 // losslessMesh builds a zero-loss non-tree graph: a flat fan-out with
 // lateral router↔router links added, so NumLinks > NumNodes-1 and the
-// cluster takes the per-source-Dijkstra plan path.
+// fabric routes on per-source Dijkstra trees.
 func losslessMesh() *topology.Spec {
 	spec := topology.FlatFanout(topology.FlatParams{Routers: 6, ReceiversPerRouter: 20})
 	for r := 0; r < 3; r++ {
@@ -161,11 +162,11 @@ func losslessMesh() *topology.Spec {
 	return spec
 }
 
-// TestClusterMatchesSequentialWithoutLoss checks the fan plans against
-// the sequential forwarding ground truth: with loss disabled neither
-// path draws randomness, so every delivery (time, node, origin, seq)
-// must agree exactly — on both the tree-climb and the Dijkstra plan
-// builders.
+// TestClusterMatchesSequentialWithoutLoss checks a 3-shard cluster
+// against the single-view fabric under back-to-back traffic (links
+// queue, unlike in the oracle test): with loss disabled neither draws
+// randomness, so every delivery (time, node, origin, seq) must agree
+// exactly — on a tree and on a mesh.
 func TestClusterMatchesSequentialWithoutLoss(t *testing.T) {
 	specs := []*topology.Spec{
 		topology.PowerLawISP(topology.PowerLawParams{PoPs: 5, Subscribers: 80, Seed: 9}),

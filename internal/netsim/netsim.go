@@ -2,14 +2,24 @@
 // run on — the reproduction's substitute for the UCB/LBNL ns simulator
 // the paper used (§6).
 //
-// A Network joins a topology.Graph, a scoping.Hierarchy and an
-// eventq.Queue. Protocol agents attach to nodes and exchange packets by
-// multicasting to a scope zone: the packet travels the sender-rooted
-// shortest-path tree, pruned to the branches that lead to members of the
-// zone (administrative scoping), experiencing per-link store-and-forward
-// transmission delay, FIFO queueing, propagation latency, and — for
-// loss-eligible packets — independent Bernoulli loss per link, exactly the
-// loss model the paper assumes.
+// One multicast fabric (Cluster, cluster.go) joins a topology.Graph and
+// a scoping.Hierarchy and holds everything packets share: link
+// occupancy, loss streams and models, and the cached routes and
+// fan-outs. A Network is a view of that fabric over one eventq.Queue —
+// the agents attached to the nodes that queue runs, its taps, counters
+// and hop pool. New builds a fabric with a single view over the
+// caller's queue; NewCluster builds one view per shard of an
+// eventq.ShardGroup. Protocol agents attach to nodes and exchange
+// packets by multicasting to a scope zone: the packet travels the
+// sender-rooted shortest-path tree, pruned to the branches that lead to
+// members of the zone (administrative scoping), experiencing per-link
+// store-and-forward transmission delay, FIFO queueing, propagation
+// latency, and — for loss-eligible packets — independent Bernoulli loss
+// per link, exactly the loss model the paper assumes.
+//
+// Both constructors run the same forwarding code. They differ in one
+// piece of data: which random stream a link direction draws its loss
+// from (see Cluster).
 package netsim
 
 import (
@@ -59,14 +69,17 @@ type LossModel interface {
 	Drop() bool
 }
 
-// Network simulates scoped multicast over a graph.
+// Network is one event queue's view of a multicast fabric: the whole
+// network when built by New, one shard of it when built by NewCluster.
+// Agents attach to the view whose queue runs their node, and send and
+// receive through it; link state, loss models and the hierarchy are the
+// fabric's, so the mutators below act network-wide from any view.
 type Network struct {
 	Q *eventq.Queue
 	G *topology.Graph
 	H *scoping.Hierarchy
 
 	agents   []Agent
-	lossRNG  *simrand.Rand
 	taps     []Tap
 	sendTaps []SendTap
 	// tel, when non-nil, receives a transport event per transmission,
@@ -78,47 +91,25 @@ type Network struct {
 	// packets never transmitted and are not. nil keeps the path free.
 	hopTap HopTap
 
-	// lossModels[link][dir], when non-nil, overrides the Bernoulli draw
-	// for that link direction. nil until the first SetLossModel, so the
-	// paper's static runs take the unchanged default path.
-	lossModels [][2]LossModel
-
-	trees     map[topology.NodeID]*topology.Tree
-	memberSet map[scoping.ZoneID][]bool
-	// pruned[{src, zone}][v] lists v's tree children whose subtrees
-	// contain at least one member of zone.
-	pruned map[prunedKey][][]topology.NodeID
-	// linkFree[link][dir] is when the link direction finishes its
-	// current transmission; dir 0 = A→B, 1 = B→A.
-	linkFree [][2]eventq.Time
-
-	// hopFree recycles pendingHop structs (and their pre-bound handler
-	// closures) across the multicast fan-out path, so a delivery hop
-	// costs no allocation in steady state. Single-goroutine by design —
-	// the simulation runs on one event loop — so a plain free list
-	// suffices and stays deterministic.
-	hopFree []*pendingHop
-	// needScratch is the reusable membership-marking buffer for
-	// prunedChildren cache builds.
-	needScratch []bool
-
 	// QueueLimit bounds each link direction's transmit backlog in
 	// packets; beyond it, packets are tail-dropped (congestion loss).
 	// Zero means unbounded (the paper's model: loss is Bernoulli only).
 	QueueLimit int
 
-	// cluster, when non-nil, marks this Network as one shard's view of
-	// a zone-sharded parallel simulation (see cluster.go): multicasts
-	// route through the cluster's fan plans and shared link state, and
-	// topology mutations delegate cluster-wide. shard is this view's
-	// shard index. Both stay zero on ordinary sequential networks.
+	// cluster is the fabric this view belongs to and shard its index
+	// there (the value Cluster.Owner reports for the nodes it runs).
 	cluster *Cluster
 	shard   int32
-	// planHopFree recycles the sharded path's in-flight hop structs,
-	// one pool per shard view (each view's queue runs its events on a
-	// single goroutine per epoch, so no locking is needed).
-	planHopFree []*planHop
-	spanHopFree []*spanHop
+
+	// hopFree recycles hop structs (and their pre-bound handler
+	// closures), so a same-shard hop costs no allocation in steady
+	// state. A view's queue runs its events on one goroutine, so a
+	// plain free list suffices and stays deterministic.
+	hopFree []*hop
+	// scratch is the span builder's working memory. It lives on the
+	// view, never on the fabric: builders run concurrently on shard
+	// goroutines.
+	scratch spanScratch
 
 	// Counters for coarse validation and benchmarks.
 	sent       uint64
@@ -128,24 +119,17 @@ type Network struct {
 	faultdrops uint64
 }
 
-type prunedKey struct {
-	src  topology.NodeID
-	zone scoping.ZoneID
-}
-
-// New creates a network over g and h, drawing loss randomness from src.
+// New creates a network over g and h with a single view on q — the
+// sequential engine. Every link direction draws loss from the one
+// "netsim/loss" stream of src, consumed in global dispatch order: the
+// deterministic family the sequential goldens pin.
 func New(q *eventq.Queue, g *topology.Graph, h *scoping.Hierarchy, src *simrand.Source) *Network {
-	return &Network{
-		Q:         q,
-		G:         g,
-		H:         h,
-		agents:    make([]Agent, g.NumNodes()),
-		lossRNG:   src.Stream("netsim/loss"),
-		trees:     make(map[topology.NodeID]*topology.Tree),
-		memberSet: make(map[scoping.ZoneID][]bool),
-		pruned:    make(map[prunedKey][][]topology.NodeID),
-		linkFree:  make([][2]eventq.Time, g.NumLinks()),
+	c := newFabric(nil, []*eventq.Queue{q}, g, h, src, make([]int32, g.NumNodes()))
+	loss := src.Stream("netsim/loss")
+	for li := range c.lossStreams {
+		c.lossStreams[li] = [2]*simrand.Rand{loss, loss}
 	}
+	return c.nets[0]
 }
 
 // Attach binds an agent to a node (joining the session). Passing nil
@@ -194,7 +178,7 @@ type HopTap func(li, dir int, pkt packet.Packet)
 func (n *Network) SetHopTap(t HopTap) { n.hopTap = t }
 
 // Stats returns (multicasts sent, packets delivered to members, packets
-// dropped by link loss).
+// dropped by link loss) as counted on this view.
 func (n *Network) Stats() (sent, delivered, dropped uint64) {
 	return n.sent, n.delivered, n.dropped
 }
@@ -207,127 +191,58 @@ func (n *Network) TailDrops() uint64 { return n.taildrops }
 // link was administratively down (only possible after SetLinkUp).
 func (n *Network) FaultDrops() uint64 { return n.faultdrops }
 
-// InvalidateRoutes discards every cached routing tree and pruned
-// delivery set. Call after any change that affects shortest paths.
-func (n *Network) InvalidateRoutes() {
-	if n.cluster != nil {
-		n.cluster.invalidateRoutes()
-		return
-	}
-	n.trees = make(map[topology.NodeID]*topology.Tree)
-	n.pruned = make(map[prunedKey][][]topology.NodeID)
-}
-
-// invalidateMembership discards the cached zone member bitmaps and
-// pruned delivery sets (routing trees stay valid).
-func (n *Network) invalidateMembership() {
-	n.memberSet = make(map[scoping.ZoneID][]bool)
-	n.pruned = make(map[prunedKey][][]topology.NodeID)
-}
-
-// SetLinkUp enables or disables a link mid-simulation, recomputing the
-// routing state that depended on it. Packets already in flight past the
-// link still arrive (they were on the wire); packets reaching a downed
-// link are discarded and counted by FaultDrops.
+// SetLinkUp enables or disables a link mid-simulation, discarding the
+// routes and fan-outs that depended on it. Packets already in flight
+// keep the fan-out they started on: those past the link still arrive
+// (they were on the wire), those reaching a downed link are discarded
+// and counted by FaultDrops. Like every mutator here it must run with
+// the whole fabric quiescent — an ordinary event under New, a
+// ShardGroup.Sync barrier under NewCluster.
 func (n *Network) SetLinkUp(link int, up bool) {
-	if n.cluster != nil {
-		n.cluster.SetLinkUp(link, up)
+	c := n.cluster
+	if c.G.LinkUp(link) == up {
 		return
 	}
-	if n.G.LinkUp(link) == up {
-		return
-	}
-	n.G.SetLinkUp(link, up)
-	n.InvalidateRoutes()
+	c.G.SetLinkUp(link, up)
+	c.mu.Lock()
+	clear(c.spans)
+	clear(c.trees)
+	c.mu.Unlock()
 }
 
 // SetHierarchy swaps the scoping hierarchy mid-simulation (membership
-// change: a member left or rejoined), invalidating the delivery-set
-// caches derived from it. The new hierarchy must use the same ZoneID
+// change: a member left or rejoined) on every view, discarding the
+// fan-outs derived from it. The new hierarchy must use the same ZoneID
 // numbering as the old one (scoping.WithoutMember guarantees this).
 func (n *Network) SetHierarchy(h *scoping.Hierarchy) {
-	if n.cluster != nil {
-		n.cluster.SetHierarchy(h)
-		return
+	c := n.cluster
+	for _, v := range c.nets {
+		v.H = h
 	}
-	n.H = h
-	n.invalidateMembership()
+	c.mu.Lock()
+	clear(c.spans)
+	c.mu.Unlock()
 }
 
 // SetLossModel installs (or, with nil, removes) a loss-model override
 // for one direction of a link (dir 0 = A→B, 1 = B→A). Links without a
 // model keep the default Bernoulli draw from the graph's loss rates.
 func (n *Network) SetLossModel(link, dir int, m LossModel) {
-	if n.cluster != nil {
-		n.cluster.SetLossModel(link, dir, m)
-		return
-	}
 	if link < 0 || link >= n.G.NumLinks() || dir < 0 || dir > 1 {
 		panic(fmt.Sprintf("netsim: SetLossModel(%d, %d) out of range", link, dir))
 	}
-	if n.lossModels == nil {
-		if m == nil {
-			return
-		}
-		n.lossModels = make([][2]LossModel, n.G.NumLinks())
-	}
-	n.lossModels[link][dir] = m
+	n.cluster.lossModels[link][dir] = m
 }
 
 // Tree returns (building if necessary) the shortest-path tree rooted at
 // src that all multicasts from src follow.
-func (n *Network) Tree(src topology.NodeID) *topology.Tree {
-	t, ok := n.trees[src]
-	if !ok {
-		t = n.G.SPFTree(src)
-		n.trees[src] = t
-	}
-	return t
-}
+func (n *Network) Tree(src topology.NodeID) *topology.Tree { return n.cluster.tree(src) }
 
-// prunedChildren returns, for each node, its tree children worth
-// forwarding to when src multicasts to zone.
-func (n *Network) prunedChildren(src topology.NodeID, zone scoping.ZoneID) [][]topology.NodeID {
-	key := prunedKey{src, zone}
-	if p, ok := n.pruned[key]; ok {
-		return p
-	}
-	tree := n.Tree(src)
-	if len(n.needScratch) < n.G.NumNodes() {
-		n.needScratch = make([]bool, n.G.NumNodes())
-	}
-	needed := n.needScratch[:n.G.NumNodes()]
-	clear(needed)
-	for _, m := range n.H.Members(zone) {
-		needed[m] = true
-	}
-	// Post-order accumulate: a child is forwarded to if its subtree
-	// contains any member.
-	var mark func(v topology.NodeID) bool
-	mark = func(v topology.NodeID) bool {
-		any := needed[v]
-		for _, c := range tree.Children[v] {
-			if mark(c) {
-				any = true
-			}
-		}
-		needed[v] = any
-		return any
-	}
-	mark(src)
-	out := make([][]topology.NodeID, n.G.NumNodes())
-	var collect func(v topology.NodeID)
-	collect = func(v topology.NodeID) {
-		for _, c := range tree.Children[v] {
-			if needed[c] {
-				out[v] = append(out[v], c)
-				collect(c)
-			}
-		}
-	}
-	collect(src)
-	n.pruned[key] = out
-	return out
+// OneWayDelay returns the pure propagation latency from a to b along the
+// routing tree (no queueing or transmission time) — the ground truth the
+// RTT-estimation experiments (Figures 11–13) compare against.
+func (n *Network) OneWayDelay(a, b topology.NodeID) eventq.Duration {
+	return n.Tree(a).Dist[b]
 }
 
 // Multicast sends pkt from node `from` to every member of `zone` (other
@@ -343,16 +258,17 @@ func (n *Network) Multicast(from topology.NodeID, zone scoping.ZoneID, pkt packe
 // ErrUnknownNode / ErrUnknownZone instead of panicking on input that a
 // public-API caller (custom topologies, scripted fault plans) can get
 // wrong. A valid multicast to a zone with no other members is not an
-// error; the packet simply reaches nobody.
+// error; the packet simply reaches nobody. Sending from a node another
+// view runs is a wiring bug and panics.
 func (n *Network) MulticastE(from topology.NodeID, zone scoping.ZoneID, pkt packet.Packet) error {
-	if n.cluster != nil {
-		return n.cluster.multicast(n, from, zone, pkt)
-	}
 	if from < 0 || int(from) >= n.G.NumNodes() {
 		return fmt.Errorf("netsim: multicast from node %d: %w", from, ErrUnknownNode)
 	}
 	if zone < 0 || int(zone) >= n.H.NumZones() {
 		return fmt.Errorf("netsim: multicast to zone %d: %w", zone, ErrUnknownZone)
+	}
+	if owner := n.cluster.owner[from]; owner != n.shard {
+		panic(fmt.Sprintf("netsim: node %d multicast on shard %d, owned by shard %d", from, n.shard, owner))
 	}
 	n.sent++
 	now := n.Q.Now()
@@ -366,182 +282,116 @@ func (n *Network) MulticastE(from topology.NodeID, zone scoping.ZoneID, pkt pack
 			Group: group, A: int64(pkt.Kind()), B: int64(pkt.WireSize()),
 		})
 	}
-	children := n.prunedChildren(from, zone)
-	isMember := n.members(zone)
-	tree := n.Tree(from)
-	for _, c := range children[from] {
-		n.forward(now, tree, children, isMember, from, c, zone, pkt)
-	}
+	sp, at := n.fanout(from, zone)
+	n.flood(now, sp, at, -1, 0, from, zone, pkt)
 	return nil
 }
 
-// members returns (caching) the zone's membership as a dense bitmap.
-func (n *Network) members(zone scoping.ZoneID) []bool {
-	if m, ok := n.memberSet[zone]; ok {
-		return m
+// flood lands pkt at span node at, hops links away from its sender src:
+// it delivers there if the node is a member, then forwards to every span
+// neighbour except the inbound one (from; -1 at the sender itself, which
+// takes no delivery) — the child set, in node-ID order, of the
+// src-rooted tree. Hops that stay on this view's shard are scheduled on
+// its queue; hops that leave it become cross-shard posts.
+func (n *Network) flood(now eventq.Time, sp *span, at, from, hops int32,
+	src topology.NodeID, zone scoping.ZoneID, pkt packet.Packet) {
+
+	c := n.cluster
+	nd := &sp.nodes[at]
+	if from >= 0 && nd.member {
+		n.deliver(now, nd.v, hops, Delivery{From: src, Scope: zone, Pkt: pkt})
 	}
-	m := make([]bool, n.G.NumNodes())
-	for _, v := range n.H.Members(zone) {
-		m[v] = true
+	for e := nd.lo; e < nd.hi; e++ {
+		ed := &sp.edges[e]
+		if ed.to == from {
+			continue
+		}
+		to, v := ed.to, sp.nodes[ed.to].v
+		arrive, ok := n.transmit(now, ed, v, zone, pkt)
+		if !ok {
+			continue // the whole subtree beyond the link misses the packet
+		}
+		if dst := c.owner[v]; dst != n.shard {
+			// Leaving the shard: the arrival is at least one
+			// boundary-link latency away, i.e. at or past the next
+			// barrier — the lookahead contract Post asserts.
+			dn := c.nets[dst]
+			c.group.Post(int(n.shard), int(dst), arrive, func(now eventq.Time) {
+				dn.flood(now, sp, to, at, hops+1, src, zone, pkt)
+			})
+			continue
+		}
+		h := n.acquireHop()
+		h.sp, h.at, h.from, h.hops = sp, to, at, hops+1
+		h.src, h.zone, h.pkt = src, zone, pkt
+		n.Q.At(arrive, h.fn)
 	}
-	n.memberSet[zone] = m
-	return m
 }
 
-// forward transmits pkt across the link from u to v at time t, then — on
-// successful arrival — delivers to v (if a member) and recurses to v's
-// pruned children.
-func (n *Network) forward(t eventq.Time, tree *topology.Tree, children [][]topology.NodeID,
-	isMember []bool, u, v topology.NodeID, zone scoping.ZoneID, pkt packet.Packet) {
+// transmit pushes pkt onto span edge ed toward node `to` at time t: it
+// serializes on the link direction (FIFO store-and-forward at line
+// rate), applies tail-drop and loss, and returns the far-end arrival
+// time, or ok=false when the packet died on the hop. Link occupancy and
+// the direction's loss stream are written only here, by the view that
+// runs the transmitting node.
+func (n *Network) transmit(t eventq.Time, ed *spanEdge, to topology.NodeID,
+	zone scoping.ZoneID, pkt packet.Packet) (arrive eventq.Time, ok bool) {
 
-	li := tree.ParentLink[v]
-	if !n.G.LinkUp(li) {
-		// The routing tree predates a link failure (multicasts in
-		// flight keep their tree): the packet dies at the broken link.
+	c := n.cluster
+	li, dir := int(ed.link), int(ed.dir)
+	if !c.G.LinkUp(li) {
+		// The fan-out predates a link failure (multicasts in flight keep
+		// theirs): the packet dies at the broken link.
 		n.faultdrops++
-		n.emitDrop(t, telemetry.KindFaultDrop, v, zone, pkt)
-		return
+		n.emitDrop(t, telemetry.KindFaultDrop, to, zone, pkt)
+		return 0, false
 	}
-	link := n.G.Link(li)
-	dir := 0
-	if u == link.B {
-		dir = 1
-	}
-	// FIFO store-and-forward: wait for the link direction to free up,
-	// transmit at line rate, then propagate.
-	start := t
-	if n.linkFree[li][dir] > start {
-		start = n.linkFree[li][dir]
-	}
+	link := c.G.Link(li)
+	start := max(t, c.linkFree[li][dir])
 	txTime := eventq.Duration(float64(pkt.WireSize()*8) / link.Bandwidth)
-	if n.QueueLimit > 0 {
-		backlog := float64(start.Sub(t)) / float64(txTime)
-		if backlog > float64(n.QueueLimit) {
-			n.taildrops++
-			n.emitDrop(t, telemetry.KindTailDrop, v, zone, pkt)
-			return // congestion: the queue is full, the subtree misses it
-		}
+	if n.QueueLimit > 0 && float64(start.Sub(t))/float64(txTime) > float64(n.QueueLimit) {
+		n.taildrops++ // congestion: the transmit queue is full
+		n.emitDrop(t, telemetry.KindTailDrop, to, zone, pkt)
+		return 0, false
 	}
 	txDone := start.Add(txTime)
-	n.linkFree[li][dir] = txDone
-	arrive := txDone.Add(link.Latency)
+	c.linkFree[li][dir] = txDone
 	if n.hopTap != nil {
 		n.hopTap(li, dir, pkt)
 	}
-
 	if pkt.Lossy() {
-		if m := n.lossModel(li, dir); m != nil {
-			if m.Drop() {
-				n.dropped++
-				n.emitDrop(t, telemetry.KindPacketLost, v, zone, pkt)
-				return // whole subtree below v misses the packet
-			}
-		} else if n.lossRNG.Bernoulli(n.G.LossFrom(li, u)) {
+		loss, lost := link.LossAB, false
+		if dir == 1 {
+			loss = link.LossBA
+		}
+		if m := c.lossModels[li][dir]; m != nil {
+			lost = m.Drop()
+		} else if loss > 0 {
+			lost = c.lossStream(li, dir).Bernoulli(loss)
+		}
+		if lost {
 			n.dropped++
-			n.emitDrop(t, telemetry.KindPacketLost, v, zone, pkt)
-			return // whole subtree below v misses the packet
+			n.emitDrop(t, telemetry.KindPacketLost, to, zone, pkt)
+			return 0, false
 		}
 	}
-
-	h := n.acquireHop()
-	h.tree, h.children, h.isMember = tree, children, isMember
-	h.v, h.zone, h.pkt = v, zone, pkt
-	n.Q.At(arrive, h.fn)
+	return txDone.Add(link.Latency), true
 }
 
-// pendingHop is a packet in flight toward node v: the forwarding state
-// its arrival handler needs, pooled on the Network so the per-hop
-// closure and its captures are recycled instead of reallocated.
-type pendingHop struct {
-	n        *Network
-	tree     *topology.Tree
-	children [][]topology.NodeID
-	isMember []bool
-	v        topology.NodeID
-	zone     scoping.ZoneID
-	pkt      packet.Packet
-	// fn is the handler bound once to this struct; reusing it across
-	// recycles keeps steady-state hops allocation-free.
-	fn eventq.Handler
-}
-
-// run delivers the arrived packet (if v is a member), forwards to v's
-// pruned children, and returns the hop to the pool.
-func (h *pendingHop) run(now eventq.Time) {
-	n, tree, children, isMember := h.n, h.tree, h.children, h.isMember
-	v, zone, pkt := h.v, h.zone, h.pkt
-	n.releaseHop(h)
-	if isMember[v] {
-		n.deliver(now, tree, v, Delivery{From: tree.Root, Scope: zone, Pkt: pkt})
-	}
-	for _, c := range children[v] {
-		n.forward(now, tree, children, isMember, v, c, zone, pkt)
-	}
-}
-
-// acquireHop takes a hop from the free list (or allocates the first
-// time), with its handler closure already bound.
-func (n *Network) acquireHop() *pendingHop {
-	if l := len(n.hopFree); l > 0 {
-		h := n.hopFree[l-1]
-		n.hopFree[l-1] = nil
-		n.hopFree = n.hopFree[:l-1]
-		return h
-	}
-	h := &pendingHop{n: n}
-	h.fn = h.run
-	return h
-}
-
-// releaseHop clears the hop's references (so recycled entries never pin
-// packets or routing trees) and returns it to the pool.
-func (n *Network) releaseHop(h *pendingHop) {
-	h.tree, h.children, h.isMember, h.pkt = nil, nil, nil, nil
-	n.hopFree = append(n.hopFree, h)
-}
-
-// pktCorrelation extracts the span-correlation fields from a packet:
-// the originating node and the FEC group it concerns (SRM mirrors the
-// sequence number into Group). Session packets — and anything else
-// without a group — return (NoNode, -1), the Event sentinels.
-func pktCorrelation(pkt packet.Packet) (origin topology.NodeID, group int64) {
-	switch p := pkt.(type) {
-	case *packet.Data:
-		return p.Origin, int64(p.Group)
-	case *packet.Repair:
-		return p.Origin, int64(p.Group)
-	case *packet.NACK:
-		return p.Origin, int64(p.Group)
-	}
-	return topology.NoNode, -1
-}
-
-// lossModel returns the override for a link direction, or nil.
-func (n *Network) lossModel(link, dir int) LossModel {
-	if n.lossModels == nil {
-		return nil
-	}
-	return n.lossModels[link][dir]
-}
-
-func (n *Network) deliver(now eventq.Time, tree *topology.Tree, at topology.NodeID, d Delivery) {
+// deliver hands an arrived packet to the member node's taps and agent.
+// hops is the number of links it crossed on the fan-out it actually
+// travelled (which may predate a re-route).
+func (n *Network) deliver(now eventq.Time, at topology.NodeID, hops int32, d Delivery) {
 	n.delivered++
 	for _, tap := range n.taps {
 		tap(now, at, d)
 	}
 	if n.tel.On() {
 		origin, group := pktCorrelation(d.Pkt)
-		// Hop distance on the tree the packet actually travelled (the
-		// in-flight tree, which may predate a re-route): walk from the
-		// receiver back to the multicast root.
-		hops := int64(0)
-		for u := at; u != tree.Root && u != topology.NoNode; u = tree.Parent[u] {
-			hops++
-		}
 		n.tel.Emit(telemetry.Event{
 			T: now.Seconds(), Kind: telemetry.KindPacketDelivered, Node: at, Zone: d.Scope,
 			Group: group, A: int64(d.Pkt.Kind()), B: int64(d.Pkt.WireSize()),
-			Origin: origin, Hops: hops,
+			Origin: origin, Hops: int64(hops),
 		})
 	}
 	if a := n.agents[at]; a != nil {
@@ -565,9 +415,59 @@ func (n *Network) emitDrop(t eventq.Time, kind telemetry.Kind, v topology.NodeID
 	})
 }
 
-// OneWayDelay returns the pure propagation latency from a to b along the
-// routing tree (no queueing or transmission time) — the ground truth the
-// RTT-estimation experiments (Figures 11–13) compare against.
-func (n *Network) OneWayDelay(a, b topology.NodeID) eventq.Duration {
-	return n.Tree(a).Dist[b]
+// pktCorrelation extracts the span-correlation fields from a packet:
+// the originating node and the FEC group it concerns (SRM mirrors the
+// sequence number into Group). Session packets — and anything else
+// without a group — return (NoNode, -1), the Event sentinels.
+func pktCorrelation(pkt packet.Packet) (origin topology.NodeID, group int64) {
+	switch p := pkt.(type) {
+	case *packet.Data:
+		return p.Origin, int64(p.Group)
+	case *packet.Repair:
+		return p.Origin, int64(p.Group)
+	case *packet.NACK:
+		return p.Origin, int64(p.Group)
+	}
+	return topology.NoNode, -1
+}
+
+// hop is a packet in flight toward span node at over the edge from span
+// node from: what flood needs on arrival, pooled on the view so the
+// per-hop handler closure and its captures are recycled instead of
+// reallocated. The agent taking delivery lives on this view's shard
+// (hops that change shard go through the barrier instead).
+type hop struct {
+	n        *Network
+	sp       *span
+	at, from int32
+	hops     int32 // links crossed from src, the one in flight included
+	src      topology.NodeID
+	zone     scoping.ZoneID
+	pkt      packet.Packet
+	// fn is the handler bound once to this struct; reusing it across
+	// recycles keeps steady-state hops allocation-free.
+	fn eventq.Handler
+}
+
+// run lands the hop's packet, then returns the hop to the pool —
+// cleared, so recycled entries never pin packets or fan-outs.
+func (h *hop) run(now eventq.Time) {
+	n := h.n
+	n.flood(now, h.sp, h.at, h.from, h.hops, h.src, h.zone, h.pkt)
+	h.sp, h.pkt = nil, nil
+	n.hopFree = append(n.hopFree, h)
+}
+
+// acquireHop takes a hop from the free list (or allocates the first
+// time), with its handler closure already bound.
+func (n *Network) acquireHop() *hop {
+	if l := len(n.hopFree); l > 0 {
+		h := n.hopFree[l-1]
+		n.hopFree[l-1] = nil
+		n.hopFree = n.hopFree[:l-1]
+		return h
+	}
+	h := &hop{n: n}
+	h.fn = h.run
+	return h
 }

@@ -98,7 +98,8 @@ func (g *Graph) AddLinkAsym(a, b NodeID, bandwidth float64, latency eventq.Durat
 
 // SetLinkUp enables or disables link i. Disabled links are skipped by
 // SPFTree, so routing recomputes around them; callers that cache trees
-// must invalidate after a change (netsim.Network.SetLinkUp does).
+// must discard them after a change. A simulation changes link state
+// through netsim.Network.SetLinkUp, which calls this and does so.
 func (g *Graph) SetLinkUp(i int, up bool) {
 	if i < 0 || i >= len(g.links) {
 		panic(fmt.Sprintf("topology: SetLinkUp on unknown link %d", i))
@@ -124,8 +125,8 @@ func (g *Graph) SetLinkUp(i int, up bool) {
 func (g *Graph) LinkUp(i int) bool { return g.down == nil || !g.down[i] }
 
 // AllLinksUp reports whether no link is currently disabled — the guard
-// for fast paths (like tree-climbing multicast plans) that assume the
-// graph's static connectivity.
+// for fast paths (like netsim's shared zone spans on tree graphs) that
+// assume the graph's static connectivity.
 func (g *Graph) AllLinksUp() bool { return g.ndown == 0 }
 
 // Clone returns a deep copy of the graph, so fault-injection runs can

@@ -83,37 +83,58 @@ func TestShardCountInvarianceMatrix(t *testing.T) {
 }
 
 // TestShardsMatchSequentialOnLosslessTopologies is the cross-engine
-// differential: the two deterministic families differ only in how the
-// fabrics key loss randomness, so where no loss is ever drawn the one
-// data driver must report the same DataResult — every series bin, every
-// total — on the sequential engine and at any shard count, for both
-// protocols. This is what keeps the two fabrics one simulator.
+// differential: the two deterministic families differ only in which
+// stream a link direction draws its Bernoulli loss from, so where no
+// such draw is ever taken the one data driver must report the same
+// DataResult — every series bin, every total — on the sequential engine
+// and at any shard count, for both protocols. The faulted input keeps
+// link loss at zero (Gilbert models own their randomness) while
+// exercising rerouting around a downed link, loss models, a crash, the
+// hierarchy swap and a late-joining restart.
 func TestShardsMatchSequentialOnLosslessTopologies(t *testing.T) {
 	tops := []*Topology{
 		ChainTopology(6, 0),
 		TreeTopology([]int{3, 3}, 0),
 		StarTopology(8, 0),
 	}
+	inputs := []struct {
+		name    string
+		packets int
+		until   float64
+		plan    func() *FaultPlan
+	}{
+		{"clean", 128, 0, func() *FaultPlan { return nil }},
+		{"faulted", 256, 40, func() *FaultPlan {
+			return NewFaultPlan().GilbertAll(0, 0.05, 4).LinkDown(7, 2).LinkUp(7.6, 2).Crash(8, 3).Restart(9, 3)
+		}},
+	}
 	for _, top := range tops {
 		for _, proto := range []Protocol{SHARQFEC, SRM} {
 			t.Run(fmt.Sprintf("%s/%s", top.Name(), proto), func(t *testing.T) {
-				var ref *DataResult
-				for _, k := range []int{0, 1, 2} {
-					res, err := RunData(DataConfig{
-						Protocol: proto, Topology: top, Seed: 9, NumPackets: 128, Shards: k,
+				for _, in := range inputs {
+					t.Run(in.name, func(t *testing.T) {
+						var ref *DataResult
+						for _, k := range []int{0, 1, 2} {
+							plan := in.plan()
+							res, err := RunData(DataConfig{
+								Protocol: proto, Topology: top, Seed: 9, NumPackets: in.packets,
+								Until: in.until, Faults: plan, Shards: k,
+							})
+							if err != nil {
+								t.Fatalf("shards=%d: %v", k, err)
+							}
+							// A restart must not count a (receiver, group)
+							// pair twice; without faults nothing is missed.
+							if !res.Verified || res.CompletionRate > 1 || (plan == nil && res.CompletionRate != 1) {
+								t.Errorf("shards=%d: verified=%v completion=%v", k, res.Verified, res.CompletionRate)
+							}
+							if ref == nil {
+								ref = res
+							} else if !reflect.DeepEqual(ref, res) {
+								t.Errorf("shards=%d diverged from the sequential engine:\n seq %+v\n got %+v", k, ref, res)
+							}
+						}
 					})
-					if err != nil {
-						t.Fatalf("shards=%d: %v", k, err)
-					}
-					if !res.Verified || res.CompletionRate != 1 {
-						t.Errorf("shards=%d: verified=%v completion=%v on a lossless topology",
-							k, res.Verified, res.CompletionRate)
-					}
-					if ref == nil {
-						ref = res
-					} else if !reflect.DeepEqual(ref, res) {
-						t.Errorf("shards=%d diverged from the sequential engine:\n seq %+v\n got %+v", k, ref, res)
-					}
 				}
 			})
 		}

@@ -13,11 +13,12 @@ import (
 )
 
 // sim is the scenario harness every Run* entry point builds on: the
-// zone hierarchy, the seeded random source and one of the two engines —
-// a single eventq.Queue under a netsim.Network, or a ShardGroup under a
-// netsim.Cluster with the topology partitioned by top-level zone. A
-// scenario reaches the engine only through the methods below, so the
-// same scenario code runs on either.
+// zone hierarchy, the seeded random source and the netsim fabric under
+// one of the two engines — a single eventq.Queue with the fabric's one
+// netsim.Network view, or a ShardGroup with one view per shard and the
+// topology partitioned by top-level zone. A scenario reaches the engine
+// only through the methods below, so the same scenario code runs on
+// either.
 //
 // The contract a scenario keeps: attach each agent to netFor(its node)
 // and touch it only from handlers on that node or inside at() tasks;
