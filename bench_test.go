@@ -219,11 +219,11 @@ func BenchmarkSessionScaling(b *testing.B) {
 // BenchmarkShardedFig17 runs the paper scenario (full SHARQFEC, seed
 // 24) on the zone-sharded engine at 1, 2 and 4 shards. Results are
 // byte-identical at every width (TestShardCountInvarianceMatrix pins
-// the digests), so the sub-benchmarks measure pure engine wall clock;
-// benchreport derives the shards=K speedups from the summary. The ≥2×
-// target at shards=4 applies on a multicore runner (GOMAXPROCS ≥ 4) —
-// on fewer cores the worker budget collapses extra shards onto the
-// calling goroutine by design and the widths converge.
+// the digests), so the sub-benchmarks measure pure engine wall clock
+// and shards=1 ÷ shards=K is the speedup. The ≥2× target at shards=4
+// applies on a multicore runner (GOMAXPROCS ≥ 4) — on fewer cores the
+// worker budget collapses extra shards onto the calling goroutine by
+// design and the widths converge.
 func BenchmarkShardedFig17(b *testing.B) {
 	for _, k := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {

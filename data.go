@@ -69,8 +69,9 @@ type DataConfig struct {
 	// deterministic family: byte-identical for the same seed at ANY
 	// shard count (1, 2, 4, …), identical to the sequential engine's on
 	// a lossless topology, and different from it wherever a loss is
-	// drawn. Telemetry, TraceWriter and adaptive rate control are not
-	// yet supported sharded.
+	// drawn. Telemetry and TraceWriter are not yet supported sharded;
+	// rate control is (each agent owns its controller, so the adaptive
+	// policy is as shard-count-invariant as the static one).
 	Shards int
 }
 
@@ -156,8 +157,6 @@ func (c *DataConfig) validate() error {
 		return fmt.Errorf("sharqfec: telemetry is not supported with Shards > 0 (run sharded for speed or instrumented for depth, not both)")
 	case c.TraceWriter != nil:
 		return fmt.Errorf("sharqfec: packet traces are not supported with Shards > 0")
-	case c.RateControl != nil && c.RateControl.Mode == RateControlAdaptive:
-		return fmt.Errorf("sharqfec: adaptive rate control is not supported with Shards > 0")
 	}
 	return nil
 }

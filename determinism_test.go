@@ -1,7 +1,7 @@
 package sharqfec
 
 // Determinism gate for the fast-path overhaul: the optimized GF(256)
-// kernels, decode-matrix/codec caches, specialized event queue, and
+// kernels, the memoized codec, the specialized event queue, and
 // pooled netsim fan-out must not change a single simulated outcome.
 // These digests were captured from the pre-optimization scalar/heap
 // implementation; any behavioural drift in the hot paths fails here

@@ -25,6 +25,9 @@ type Stats struct {
 	RepairsReceived  int
 	DupShares        int
 	ScopeEscalations int
+	// BadShares counts data and repair packets refused at admission:
+	// wrong group size, payload length or share index for their type.
+	BadShares int
 }
 
 // Agent is one SHARQFEC session member (sender or receiver).

@@ -14,8 +14,12 @@ type group struct {
 	id uint32
 	k  int
 
-	// shares maps share index → payload for every distinct share held.
-	shares map[int][]byte
+	// shares holds the payload of every distinct share held, indexed by
+	// share index (nil = not held) — the form the codec reconstructs in
+	// place — and held counts them. admit is the only writer. Completion
+	// releases the store; held keeps its final count.
+	shares [][]byte
+	held   int
 	// data holds the decoded original payloads once complete.
 	data [][]byte
 	// sl/bits back the seen/counted/lossed index bitsets, packed as
@@ -62,7 +66,6 @@ func newGroup(id uint32, k int, sl *groupSlab) *group {
 	return &group{
 		id:         id,
 		k:          k,
-		shares:     make(map[int][]byte),
 		sl:         sl,
 		bits:       sl.alloc(k),
 		zlc:        make(map[scoping.ZoneID]int),
@@ -85,11 +88,45 @@ func (g *group) markLossed(i int)   { g.sl.set(g.bits, laneLossed, i) }
 
 // needed returns how many more distinct shares complete the group.
 func (g *group) needed() int {
-	n := g.k - len(g.shares)
-	if n < 0 {
-		return 0
+	return maxInt(0, g.k-g.held)
+}
+
+// admit is the one door by which a share off the wire enters a group.
+// Every field it checks can arrive in a datagram: the share must belong
+// to this session's code (GroupK), carry the configured payload length
+// (the codec needs equal lengths, and one odd share among the lowest
+// indices would block every decode), and index the part of the field its
+// packet type owns — data shares the first k indices, repairs the rest
+// below fec.MaxShares. A share failing any of these is counted in
+// BadShares and touches nothing: admit returns a nil group. Otherwise it
+// returns the share's group and whether the payload was stored, which it
+// is unless the group is complete or already holds that index (the first
+// copy wins).
+func (a *Agent) admit(gid uint32, index, groupK uint8, repair bool, payload []byte) (g *group, stored bool) {
+	k, idx := a.cfg.GroupK, int(index)
+	if int(groupK) != k || len(payload) != a.cfg.PayloadSize || repair != (idx >= k) || idx >= fec.MaxShares {
+		a.Stats.BadShares++
+		return nil, false
 	}
-	return n
+	g = a.ensureGroup(gid)
+	if g.complete {
+		return g, false
+	}
+	if g.shares == nil {
+		// Room for k repairs: their indices are handed out consecutively
+		// from k, so only a group that has been sent more repairs than it
+		// has data shares outgrows this.
+		g.shares = make([][]byte, k, 2*k)
+	}
+	if idx >= len(g.shares) {
+		g.shares = append(g.shares, make([][]byte, idx+1-len(g.shares))...)
+	}
+	if g.shares[idx] != nil {
+		return g, false
+	}
+	g.shares[idx] = payload
+	g.held++
+	return g, true
 }
 
 // handleData processes an original data packet.
@@ -97,13 +134,16 @@ func (a *Agent) handleData(now eventq.Time, p *packet.Data) {
 	if a.isSource {
 		return // routing artifact: the source ignores its own stream
 	}
+	g, _ := a.admit(p.Group, p.Index, p.GroupK, false, p.Payload)
+	if g == nil {
+		return
+	}
 	a.Stats.DataReceived++
 	a.updateIPT(now)
 	if a.lateJoiner && a.joinSeq < 0 {
 		a.observeStreamPosition(now, int64(p.Seq))
 	}
 
-	g := a.ensureGroup(p.Group)
 	if g.firstSeen == 0 {
 		g.firstSeen = now
 		g.scopeIdx = a.nackScope()
@@ -112,9 +152,6 @@ func (a *Agent) handleData(now eventq.Time, p *packet.Data) {
 	idx := int(p.Index)
 	if !g.seen(idx) {
 		g.markSeen(idx)
-		if _, dup := g.shares[idx]; !dup && !g.complete {
-			g.shares[idx] = p.Payload
-		}
 		if g.counted(idx) {
 			// The packet was presumed lost (a peer's high-water mark
 			// raced ahead of it) but was merely in flight: un-count.
@@ -419,8 +456,11 @@ func (a *Agent) memberOf(z scoping.ZoneID) bool {
 
 // handleRepair processes an FEC repair share.
 func (a *Agent) handleRepair(now eventq.Time, p *packet.Repair) {
+	g, stored := a.admit(p.Group, p.Index, p.GroupK, true, p.Payload)
+	if g == nil {
+		return
+	}
 	a.Stats.RepairsReceived++
-	g := a.ensureGroup(p.Group)
 	scope := scoping.ZoneID(p.Zone)
 
 	// The announced burst end ("what will be the new highest packet
@@ -440,17 +480,10 @@ func (a *Agent) handleRepair(now eventq.Time, p *packet.Repair) {
 		credit = 1
 	}
 
-	if !g.complete {
-		if _, dup := g.shares[int(p.Index)]; dup {
-			a.Stats.DupShares++
-		} else {
-			g.shares[int(p.Index)] = p.Payload
-			if int(p.Index) >= g.k {
-				g.repairsHeard++
-			}
-		}
-	} else if int(p.Index) >= g.k {
+	if stored || g.complete {
 		g.repairsHeard++
+	} else {
+		a.Stats.DupShares++
 	}
 
 	// A repair resets the request backoff (§4) and counts against both
@@ -488,23 +521,23 @@ func (a *Agent) totalPending(g *group) int {
 // maybeComplete reconstructs the group once K distinct shares are held,
 // fires the completion callback, and turns the node into a repairer.
 func (a *Agent) maybeComplete(now eventq.Time, g *group) {
-	if g.complete || len(g.shares) < g.k {
+	if g.complete || g.held < g.k {
 		return
 	}
-	shares := make([]fec.Share, 0, len(g.shares))
-	for idx, payload := range g.shares {
-		shares = append(shares, fec.Share{Index: idx, Data: payload})
-	}
-	data, err := a.codec.Decode(shares)
-	if err != nil {
-		// Cannot happen with k distinct valid shares; treat as still
+	if err := a.codec.Reconstruct(g.shares); err != nil {
+		// Cannot happen with k distinct admitted shares; treat as still
 		// incomplete so the protocol keeps requesting.
 		return
 	}
+	// An exact-k copy: handing over shares[:k] would keep the store's
+	// spare capacity, and every repair payload in it, alive as long as
+	// the data is.
+	data := make([][]byte, g.k)
+	copy(data, g.shares)
+	g.shares = nil
 	g.complete = true
 	g.doneAt = now
 	g.data = data
-	g.shares = nil // release share buffers; data holds the originals
 	a.Stats.GroupsCompleted++
 	lat := 0.0
 	if g.firstSeen > 0 {

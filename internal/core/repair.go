@@ -2,6 +2,7 @@ package core
 
 import (
 	"sharqfec/internal/eventq"
+	"sharqfec/internal/fec"
 	"sharqfec/internal/packet"
 	"sharqfec/internal/scoping"
 	"sharqfec/internal/telemetry"
@@ -131,8 +132,8 @@ func (a *Agent) serveQueuedRepairs(now eventq.Time, g *group) {
 // what is sent.
 func (a *Agent) sendRepairBurst(now eventq.Time, g *group, z scoping.ZoneID, n int, preempt bool) {
 	first, last := g.maxShare+1, g.maxShare+n
-	if last >= a.codecMaxShare() {
-		last = a.codecMaxShare() - 1
+	if last >= fec.MaxShares {
+		last = fec.MaxShares - 1
 	}
 	if first > last {
 		return
@@ -198,9 +199,6 @@ func (a *Agent) groupData(g *group) [][]byte {
 	}
 	return g.data
 }
-
-// codecMaxShare returns the exclusive upper bound on share indices.
-func (a *Agent) codecMaxShare() int { return 255 }
 
 // scheduleZLCSample arms the predicted-ZLC measurement for zone z: the
 // true ZLC is known 2.5 RTTs (to the most distant member) after the

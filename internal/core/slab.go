@@ -72,16 +72,17 @@ func (s *groupSlab) bytes() int { return cap(s.words) * 8 }
 const mapEntryBytes = 48
 
 // footprintBytes estimates the agent's total resident protocol memory:
-// the bitset arena, the group structs and their map entries, payload
-// bytes held in share/data buffers and the source's transmit store.
-// Purely observational — reading it mutates nothing.
+// the bitset arena, the group structs, their map entries and share
+// slices (capacity, like the arena), payload bytes held in share/data
+// buffers and the source's transmit store. Purely observational —
+// reading it mutates nothing.
 func (a *Agent) footprintBytes() int {
 	b := a.slab.bytes()
 	b += len(a.groups) * (int(unsafe.Sizeof(group{})) + mapEntryBytes)
 	for _, g := range a.groups {
-		entries := len(g.shares) + len(g.zlc) + len(g.pending) +
-			len(g.zlcSampled) + len(g.injected)
+		entries := len(g.zlc) + len(g.pending) + len(g.zlcSampled) + len(g.injected)
 		b += entries * mapEntryBytes
+		b += cap(g.shares) * int(unsafe.Sizeof(g.shares[0]))
 		for _, p := range g.shares {
 			b += len(p)
 		}

@@ -69,9 +69,15 @@ func TestFootprintBytesGrows(t *testing.T) {
 	a := &Agent{groups: map[uint32]*group{}}
 	empty := a.footprintBytes()
 	g := newGroup(0, 16, &a.slab)
+	g.shares = make([][]byte, 16, 32)
 	g.shares[3] = make([]byte, 512)
 	a.groups[0] = g
-	if grown := a.footprintBytes(); grown <= empty+512 {
-		t.Fatalf("footprint %d after a group with a 512B share; empty was %d", grown, empty)
+	grown := a.footprintBytes()
+	if grown <= empty+512+32*24 {
+		t.Fatalf("footprint %d after a group with a 512B share in 32 slots; empty was %d", grown, empty)
+	}
+	g.shares = nil
+	if freed := a.footprintBytes(); freed != grown-512-32*24 {
+		t.Fatalf("footprint %d after releasing the store, want %d", freed, grown-512-32*24)
 	}
 }

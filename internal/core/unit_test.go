@@ -64,7 +64,7 @@ func TestBurstCreditClearsQueues(t *testing.T) {
 	// whole burst (16..20 = 5 shares) at once.
 	a.handleRepair(1.0, &packet.Repair{
 		Origin: 0, Group: 0, Index: 16, GroupK: 16,
-		NewMaxSeq: 20, Zone: int16(a.root), Payload: []byte{1},
+		NewMaxSeq: 20, Zone: int16(a.root), Payload: make([]byte, cfg.PayloadSize),
 	})
 	if g.outstanding != 0 {
 		t.Fatalf("outstanding = %d after burst announcement, want 0", g.outstanding)
@@ -87,7 +87,7 @@ func TestRepairWithoutAnnouncementCreditsOne(t *testing.T) {
 	g.outstanding = 3
 	a.handleRepair(1.0, &packet.Repair{
 		Origin: 0, Group: 0, Index: 16, GroupK: 16,
-		NewMaxSeq: 16, Zone: int16(a.root), Payload: []byte{1},
+		NewMaxSeq: 16, Zone: int16(a.root), Payload: make([]byte, cfg.PayloadSize),
 	})
 	if g.outstanding != 2 {
 		t.Fatalf("outstanding = %d, want 2", g.outstanding)
@@ -104,7 +104,7 @@ func TestRepairResetsBackoffExponent(t *testing.T) {
 	g.reqExp = 5
 	a.handleRepair(1.0, &packet.Repair{
 		Origin: 0, Group: 0, Index: 16, GroupK: 16, NewMaxSeq: 16,
-		Zone: int16(a.root), Payload: []byte{1},
+		Zone: int16(a.root), Payload: make([]byte, cfg.PayloadSize),
 	})
 	if g.reqExp != 1 {
 		t.Fatalf("reqExp = %d after repair, want 1 (§4)", g.reqExp)
@@ -208,9 +208,7 @@ func TestGroupNeededClamps(t *testing.T) {
 	if g.needed() != 4 {
 		t.Fatalf("needed = %d", g.needed())
 	}
-	for i := 0; i < 6; i++ {
-		g.shares[i] = []byte{1}
-	}
+	g.held = 6
 	if g.needed() != 0 {
 		t.Fatalf("needed = %d with surplus shares", g.needed())
 	}
@@ -224,10 +222,10 @@ func TestRepairForUnknownGroupCreatesState(t *testing.T) {
 	a.joined = true
 	a.handleRepair(1.0, &packet.Repair{
 		Origin: 0, Group: 99, Index: 17, GroupK: 16, NewMaxSeq: 17,
-		Zone: int16(a.root), Payload: []byte{1, 2},
+		Zone: int16(a.root), Payload: make([]byte, cfg.PayloadSize),
 	})
 	g := a.groups[99]
-	if g == nil || len(g.shares) != 1 {
+	if g == nil || g.held != 1 || g.shares[17] == nil {
 		t.Fatal("repair for unknown group not recorded")
 	}
 }

@@ -416,3 +416,32 @@ func TestStopReleasesClosure(t *testing.T) {
 		t.Fatal("fired event still holds its handler closure")
 	}
 }
+
+// TestSteadyStateAllocatesNothing pins the 0 allocations the free list
+// and the inline heap exist for: once the queue has grown to its working
+// depth, scheduling and firing events, and scheduling and stopping
+// timers, allocate nothing.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	var q Queue
+	fn := func(Time) {}
+	const depth = 1000
+	cycle := func() {
+		for i := 0; i < depth; i++ {
+			q.After(Duration(i%97), fn)
+		}
+		q.Run()
+	}
+	cycle() // grow the heap and the free list
+	if got := testing.AllocsPerRun(10, cycle); got != 0 {
+		t.Errorf("schedule + fire: %v allocations per %d events, want 0", got, depth)
+	}
+	if got := testing.AllocsPerRun(10, func() {
+		for i := 0; i < depth; i++ {
+			q.After(Duration(1+i%97), fn).Stop()
+		}
+		q.After(0, fn)
+		q.Run()
+	}); got != 0 {
+		t.Errorf("schedule + Stop: %v allocations per %d timers, want 0", got, depth)
+	}
+}

@@ -3,6 +3,7 @@ package fec
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -13,30 +14,19 @@ const MaxShares = 255
 // Codec is a systematic Reed–Solomon erasure codec for groups of K data
 // shares. Share indices 0..K-1 are the data shares verbatim; indices
 // K..MaxShares-1 are repair shares. Any K shares with distinct indices
-// reconstruct the group. Codec is safe for concurrent use: encode paths
-// only read the generator matrix, and the decode-matrix cache is guarded
-// by its own lock.
+// reconstruct the group. A Codec is immutable once NewCodec returns —
+// every method only reads the generator — so one instance is shared by
+// all agents, shards and ensemble workers without synchronization.
 type Codec struct {
 	k   int
 	gen *matrix // MaxShares × k systematic generator: top k rows = identity
-
-	// Decode-matrix cache, keyed by the erasure pattern (the sorted
-	// share indices actually used to decode). Under stationary loss the
-	// same patterns recur across groups — and across every agent sharing
-	// this codec — so the Gauss–Jordan inversion amortizes to ~zero.
-	decMu    sync.RWMutex
-	decCache map[string]*matrix
 }
 
-// maxDecodeCache bounds the per-codec decode-matrix cache. Each entry is
-// a k×k matrix (k²+O(k) bytes); when the bound is hit the cache resets
-// rather than evicting — recurring patterns repopulate it immediately.
-const maxDecodeCache = 2048
-
-// codecCache memoizes NewCodec per k: codecs are immutable after
-// construction (the decode cache is internally synchronized), and the
-// Vandermonde build plus systematic transform is O(MaxShares·k²) — far
-// too expensive to repeat for every agent in a large topology.
+// codecCache memoizes NewCodec per k: the Vandermonde build plus
+// systematic transform is O(MaxShares·k²) — far too expensive to repeat
+// for every agent in a large topology. The generator is the only thing
+// memoized; decode matrices are derived from the erasures on every call
+// (see Reconstruct).
 var codecCache struct {
 	mu  sync.Mutex
 	byK [MaxShares + 1]*Codec
@@ -44,8 +34,7 @@ var codecCache struct {
 
 // NewCodec returns the codec for groups of k data shares
 // (1 <= k <= MaxShares). Codecs are memoized per k and shared: the
-// returned value may be the same instance across calls (and goroutines),
-// which is safe because all methods are concurrency-safe.
+// returned value may be the same instance across calls (and goroutines).
 func NewCodec(k int) (*Codec, error) {
 	if k < 1 || k > MaxShares {
 		return nil, fmt.Errorf("fec: k must be in [1, %d], got %d", MaxShares, k)
@@ -55,25 +44,19 @@ func NewCodec(k int) (*Codec, error) {
 	if c := codecCache.byK[k]; c != nil {
 		return c, nil
 	}
-	c, err := newCodecUncached(k)
-	if err != nil {
-		return nil, err
-	}
-	codecCache.byK[k] = c
-	return c, nil
-}
-
-// newCodecUncached builds a fresh codec, bypassing the memo (the
-// cache-correctness tests compare cached and fresh instances).
-func newCodecUncached(k int) (*Codec, error) {
+	// Systematic transform: V × (top k rows of V)⁻¹ has the identity on
+	// top, so data shares are sent verbatim.
 	v := vandermonde(MaxShares, k)
-	top, err := v.subMatrixRows(seq(k)).invert()
-	if err != nil {
+	top := matrix{rows: k, cols: k, data: slices.Clone(v.data[:k*k])}
+	inv := newMatrix(k, k)
+	if !top.invertInto(inv) {
 		// Cannot happen: the top k rows of a Vandermonde matrix with
 		// distinct points are always invertible.
-		return nil, err
+		return nil, fmt.Errorf("fec: singular Vandermonde block for k=%d", k)
 	}
-	return &Codec{k: k, gen: v.mul(top)}, nil
+	c := &Codec{k: k, gen: v.mul(inv)}
+	codecCache.byK[k] = c
+	return c, nil
 }
 
 // K returns the number of data shares per group.
@@ -131,121 +114,133 @@ func (c *Codec) Repairs(data [][]byte, h int) ([]Share, error) {
 	return shares, nil
 }
 
-// ErrInsufficientShares is returned by Decode when fewer than K distinct
-// shares are supplied.
+// ErrInsufficientShares is returned by Reconstruct and Decode when fewer
+// than K distinct shares are supplied.
 var ErrInsufficientShares = errors.New("fec: insufficient shares to decode")
 
-// Decode reconstructs the K data shares from any K (or more) shares with
-// distinct indices. Extra shares beyond K are ignored. The returned slice
-// has length K with data[i] the i'th original data share. Data shares
-// present in the input are returned by reference (not copied); treat
-// share buffers as immutable.
-func (c *Codec) Decode(shares []Share) ([][]byte, error) {
-	// Select k distinct shares by index, first occurrence winning, via a
-	// dense presence table (no per-call map).
-	var pick [MaxShares]int32
-	for i := range pick {
-		pick[i] = -1
+// stackMissing is the largest number of missing data shares Reconstruct
+// solves on stack scratch. The paper's groups are k = 16, so every decode
+// the protocol makes fits; a larger system takes one heap scratch.
+const stackMissing = 16
+
+// Reconstruct fills in the missing data shares of a group in place. held
+// is indexed by share index: held[i] is share i's payload, nil when it is
+// not held (a zero-length share is a non-nil empty slice). On success
+// held[0:K] are the original data shares: those that were present are
+// left as they were (by reference, not copied — treat share buffers as
+// immutable), the missing ones are carved from one new allocation, and
+// repair entries are untouched. A slice shorter than K, or holding fewer
+// than K shares, is ErrInsufficientShares; on any error held is unchanged.
+//
+// The shares decoded from are the K lowest-indexed ones held — every held
+// data share, then as many repairs as data shares are missing — so the
+// result never depends on the order shares arrived in, and surplus shares
+// are ignored. The work follows the erasures, not the code dimension:
+// with m data shares missing only the m×m system relating them to the m
+// repairs is inverted, and nothing is when m = 0.
+func (c *Codec) Reconstruct(held [][]byte) error {
+	k := c.k
+	if len(held) > MaxShares {
+		return fmt.Errorf("fec: %d share slots, only %d indices exist", len(held), MaxShares)
 	}
-	distinct := 0
-	for i, s := range shares {
+	var src, miss [MaxShares]uint8 // indices decoded from / to, ascending
+	n, m := 0, 0
+	for i := 0; i < len(held) && n < k; i++ {
+		switch {
+		case held[i] != nil:
+			src[n] = uint8(i)
+			n++
+		case i < k:
+			miss[m] = uint8(i)
+			m++
+		}
+	}
+	if n < k {
+		return fmt.Errorf("%w: have %d distinct, need %d", ErrInsufficientShares, n, k)
+	}
+	size := len(held[src[0]])
+	for _, i := range src[1:k] {
+		if len(held[i]) != size {
+			return fmt.Errorf("fec: share %d has length %d, want %d", i, len(held[i]), size)
+		}
+	}
+	if m == 0 {
+		return nil
+	}
+
+	// With D the missing data shares and R the repairs used,
+	// R = A·D + B·(held data), where A and B are the repairs' generator
+	// columns at the missing and the held positions. So
+	// D = A⁻¹·R + (A⁻¹·B)·(held data): invert the m×m block, fold it into
+	// the held-data coefficients one generator row at a time, then
+	// accumulate each missing share over its k sources.
+	rep := src[k-m : k]
+	var stack [2 * stackMissing * stackMissing]byte
+	scratch := stack[:]
+	if 2*m*m > len(scratch) {
+		scratch = make([]byte, 2*m*m)
+	}
+	a := matrix{rows: m, cols: m, data: scratch[:m*m]}
+	inv := matrix{rows: m, cols: m, data: scratch[m*m : 2*m*m]}
+	for j, r := range rep {
+		row := c.gen.row(int(r))
+		for t, lost := range miss[:m] {
+			a.set(j, t, row[lost])
+		}
+	}
+	if !a.invertInto(&inv) {
+		// Cannot happen: any k distinct rows of the systematic
+		// Vandermonde generator are linearly independent.
+		return fmt.Errorf("fec: singular decode system for %d missing shares", m)
+	}
+	slab := make([]byte, m*size)
+	var coef [MaxShares]byte
+	for t, lost := range miss[:m] {
+		w := inv.row(t)
+		clear(coef[:k])
+		for j, r := range rep {
+			addMulSlice(coef[:k], c.gen.row(int(r)), w[j])
+		}
+		buf := slab[t*size : (t+1)*size : (t+1)*size]
+		for _, i := range src[:k-m] {
+			addMulSlice(buf, held[i], coef[i])
+		}
+		for j, r := range rep {
+			addMulSlice(buf, held[r], w[j])
+		}
+		held[lost] = buf
+	}
+	return nil
+}
+
+// Decode is the list form of Reconstruct, for callers that hold shares as
+// (index, payload) pairs: it reconstructs the K data shares from any K
+// (or more) shares with distinct indices. Of shares repeating an index
+// the first wins; a nil Data is a zero-length share. The returned slice
+// has length K with data[i] the i'th original data share, present ones by
+// reference.
+func (c *Codec) Decode(shares []Share) ([][]byte, error) {
+	n := c.k
+	for _, s := range shares {
 		if s.Index < 0 || s.Index >= MaxShares {
 			return nil, fmt.Errorf("fec: share index %d out of range", s.Index)
 		}
-		if pick[s.Index] < 0 {
-			pick[s.Index] = int32(i)
-			distinct++
-		}
+		n = max(n, s.Index+1)
 	}
-	if distinct < c.k {
-		return nil, fmt.Errorf("%w: have %d distinct, need %d", ErrInsufficientShares, distinct, c.k)
-	}
-	// Deterministic selection: data shares first, then lowest repair
-	// indices (lower indices make the decode matrix better conditioned in
-	// terms of work, and determinism keeps simulations reproducible).
-	var size = -1
-	sel := make([]Share, 0, c.k)
-	for idx := 0; idx < MaxShares && len(sel) < c.k; idx++ {
-		if i := pick[idx]; i >= 0 {
-			s := shares[i]
-			if size < 0 {
-				size = len(s.Data)
-			} else if len(s.Data) != size {
-				return nil, fmt.Errorf("fec: share %d has length %d, want %d", idx, len(s.Data), size)
-			}
-			sel = append(sel, s)
-		}
-	}
-
-	out := make([][]byte, c.k)
-	nmissing := 0
-	for _, s := range sel {
-		if s.Index < c.k {
-			out[s.Index] = s.Data
-		} else {
-			nmissing++
-		}
-	}
-	if nmissing == 0 {
-		// All data shares present: nothing to invert.
-		return out, nil
-	}
-
-	dec, err := c.decodeMatrix(sel)
-	if err != nil {
-		// Cannot happen: any k distinct rows of the systematic
-		// Vandermonde generator are linearly independent.
-		return nil, err
-	}
-	slab := make([]byte, nmissing*size)
-	next := 0
-	for i := 0; i < c.k; i++ {
-		if out[i] != nil {
+	held := make([][]byte, n)
+	for _, s := range shares {
+		if held[s.Index] != nil {
 			continue
 		}
-		buf := slab[next*size : (next+1)*size : (next+1)*size]
-		next++
-		row := dec.row(i)
-		for j, coeff := range row {
-			addMulSlice(buf, sel[j].Data, coeff)
+		held[s.Index] = s.Data
+		if s.Data == nil {
+			held[s.Index] = []byte{}
 		}
-		out[i] = buf
 	}
-	return out, nil
-}
-
-// decodeMatrix returns (computing and caching on miss) the inverse of the
-// generator rows selected by sel. sel is sorted by index and has exactly
-// k entries, so the index bytes form a canonical cache key.
-func (c *Codec) decodeMatrix(sel []Share) (*matrix, error) {
-	var keyBuf [MaxShares]byte
-	for i, s := range sel {
-		keyBuf[i] = byte(s.Index)
-	}
-	key := string(keyBuf[:len(sel)])
-
-	c.decMu.RLock()
-	dec, ok := c.decCache[key]
-	c.decMu.RUnlock()
-	if ok {
-		return dec, nil
-	}
-
-	rows := make([]int, len(sel))
-	for i, s := range sel {
-		rows[i] = s.Index
-	}
-	dec, err := c.gen.subMatrixRows(rows).invert()
-	if err != nil {
+	if err := c.Reconstruct(held); err != nil {
 		return nil, err
 	}
-	c.decMu.Lock()
-	if c.decCache == nil || len(c.decCache) >= maxDecodeCache {
-		c.decCache = make(map[string]*matrix)
-	}
-	c.decCache[key] = dec
-	c.decMu.Unlock()
-	return dec, nil
+	return held[:c.k:c.k], nil
 }
 
 func (c *Codec) checkData(data [][]byte) error {
@@ -258,12 +253,4 @@ func (c *Codec) checkData(data [][]byte) error {
 		}
 	}
 	return nil
-}
-
-func seq(n int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = i
-	}
-	return s
 }

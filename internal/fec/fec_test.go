@@ -144,11 +144,21 @@ func TestAddMulSliceAgainstScalar(t *testing.T) {
 
 // --- matrices ---
 
+// invertCopy inverts m on a scratch copy, leaving m intact.
+func invertCopy(m *matrix) (*matrix, bool) {
+	a := &matrix{rows: m.rows, cols: m.cols, data: bytes.Clone(m.data)}
+	inv := newMatrix(m.rows, m.cols)
+	return inv, a.invertInto(inv)
+}
+
 func TestMatrixInvertIdentity(t *testing.T) {
-	id := identity(5)
-	inv, err := id.invert()
-	if err != nil {
-		t.Fatal(err)
+	id := newMatrix(5, 5)
+	for i := 0; i < 5; i++ {
+		id.set(i, i, 1)
+	}
+	inv, ok := invertCopy(id)
+	if !ok {
+		t.Fatal("identity reported singular")
 	}
 	if !bytes.Equal(inv.data, id.data) {
 		t.Fatal("inverse of identity is not identity")
@@ -157,20 +167,36 @@ func TestMatrixInvertIdentity(t *testing.T) {
 
 func TestMatrixInvertRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 8))
-	for trial := 0; trial < 20; trial++ {
+	inverted := 0
+	for trial := 0; trial < 40; trial++ {
 		n := 1 + r.IntN(8)
 		m := newMatrix(n, n)
 		for i := range m.data {
 			m.data[i] = byte(r.IntN(256))
 		}
-		inv, err := m.invert()
-		if err != nil {
+		if trial%4 == 0 {
+			m.set(0, 0, 0) // force the zero-pivot path
+		}
+		inv, ok := invertCopy(m)
+		if !ok {
 			continue // singular random matrix; skip
 		}
-		prod := m.mul(inv)
-		if !bytes.Equal(prod.data, identity(n).data) {
-			t.Fatalf("m * m^-1 != I for n=%d", n)
+		inverted++
+		left, right := inv.mul(m), m.mul(inv)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				want := byte(0)
+				if i == j {
+					want = 1
+				}
+				if left.at(i, j) != want || right.at(i, j) != want {
+					t.Fatalf("m * m^-1 != I for n=%d", n)
+				}
+			}
 		}
+	}
+	if inverted < 20 {
+		t.Fatalf("only %d of 40 random matrices inverted", inverted)
 	}
 }
 
@@ -180,8 +206,11 @@ func TestMatrixSingularDetected(t *testing.T) {
 	m.set(0, 1, 5)
 	m.set(1, 0, 3)
 	m.set(1, 1, 5)
-	if _, err := m.invert(); err == nil {
+	if _, ok := invertCopy(m); ok {
 		t.Fatal("singular matrix inverted without error")
+	}
+	if _, ok := invertCopy(newMatrix(3, 3)); ok {
+		t.Fatal("zero matrix inverted without error")
 	}
 }
 
@@ -191,8 +220,12 @@ func TestVandermondeAnyKRowsInvertible(t *testing.T) {
 	r := rand.New(rand.NewPCG(9, 10))
 	for trial := 0; trial < 50; trial++ {
 		rows := r.Perm(40)[:k]
-		if _, err := v.subMatrixRows(rows).invert(); err != nil {
-			t.Fatalf("vandermonde rows %v singular: %v", rows, err)
+		sub := newMatrix(k, k)
+		for i, row := range rows {
+			copy(sub.row(i), v.row(row))
+		}
+		if !sub.invertInto(newMatrix(k, k)) {
+			t.Fatalf("vandermonde rows %v singular", rows)
 		}
 	}
 }

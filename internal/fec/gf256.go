@@ -8,6 +8,14 @@
 // original k. SHARQFEC exploits the "any k of n" property so that repairs
 // injected independently by different zones never duplicate information as
 // long as their indices differ.
+//
+// A group's shares have one shape from the receiver's store to the
+// decoder: a slice indexed by share index, nil where a share is not held,
+// which Codec.Reconstruct completes in place (Decode adapts an
+// (index, payload) list to it). A Codec is immutable: the generator is
+// built once per k and the decode system is derived from the erasures of
+// each call, sized by how many data shares are missing rather than by k,
+// so there is no decode state to cache, lock or bound.
 package fec
 
 import "encoding/binary"

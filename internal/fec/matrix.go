@@ -15,33 +15,11 @@ func newMatrix(rows, cols int) *matrix {
 func (m *matrix) at(r, c int) byte     { return m.data[r*m.cols+c] }
 func (m *matrix) set(r, c int, v byte) { m.data[r*m.cols+c] = v }
 func (m *matrix) row(r int) []byte     { return m.data[r*m.cols : (r+1)*m.cols] }
-func (m *matrix) swapRows(i, j int) {
-	ri, rj := m.row(i), m.row(j)
-	for k := range ri {
-		ri[k], rj[k] = rj[k], ri[k]
-	}
-}
-
-// clone returns a deep copy.
-func (m *matrix) clone() *matrix {
-	c := newMatrix(m.rows, m.cols)
-	copy(c.data, m.data)
-	return c
-}
-
-// identity returns the n×n identity matrix.
-func identity(n int) *matrix {
-	m := newMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.set(i, i, 1)
-	}
-	return m
-}
 
 // vandermonde returns the n×k matrix with entry (i, j) = x_i^j where the
 // evaluation points x_i = i are distinct, so every k×k submatrix built
 // from distinct rows is invertible (standard Vandermonde property after
-// the systematic transform below).
+// the systematic transform in NewCodec).
 func vandermonde(n, k int) *matrix {
 	m := newMatrix(n, k)
 	for i := 0; i < n; i++ {
@@ -70,35 +48,38 @@ func (m *matrix) mul(o *matrix) *matrix {
 	return out
 }
 
-// invert returns m⁻¹ via Gauss–Jordan elimination, or an error if m is
-// singular. m must be square; it is not modified.
-func (m *matrix) invert() (*matrix, error) {
-	if m.rows != m.cols {
-		panic("fec: invert on non-square matrix")
-	}
+// invertInto overwrites inv with m⁻¹ by Gauss–Jordan elimination and
+// reports whether m was invertible. Both are n×n on storage the caller
+// owns and nothing is allocated, so a decode can run it on stack scratch;
+// m is consumed (reduced to the identity on success).
+func (m *matrix) invertInto(inv *matrix) bool {
 	n := m.rows
-	a := m.clone()
-	inv := identity(n)
+	if m.cols != n || inv.rows != n || inv.cols != n {
+		panic("fec: invertInto wants two square matrices of one size")
+	}
+	clear(inv.data)
+	for i := 0; i < n; i++ {
+		inv.set(i, i, 1)
+	}
 	for col := 0; col < n; col++ {
-		// Find a pivot.
-		pivot := -1
-		for r := col; r < n; r++ {
-			if a.at(r, col) != 0 {
-				pivot = r
-				break
+		if m.at(col, col) == 0 {
+			// Adding a lower row that has this column set makes the pivot
+			// nonzero — an elementary operation like a swap, without
+			// needing one.
+			r := col + 1
+			for r < n && m.at(r, col) == 0 {
+				r++
 			}
+			if r == n {
+				return false
+			}
+			xorSlice(m.row(col), m.row(r))
+			xorSlice(inv.row(col), inv.row(r))
 		}
-		if pivot < 0 {
-			return nil, fmt.Errorf("fec: singular matrix at column %d", col)
-		}
-		if pivot != col {
-			a.swapRows(pivot, col)
-			inv.swapRows(pivot, col)
-		}
-		// Scale pivot row to make the pivot 1.
-		if p := a.at(col, col); p != 1 {
+		// Scale the pivot row to make the pivot 1.
+		if p := m.at(col, col); p != 1 {
 			ip := gfInv(p)
-			mulSlice(a.row(col), a.row(col), ip)
+			mulSlice(m.row(col), m.row(col), ip)
 			mulSlice(inv.row(col), inv.row(col), ip)
 		}
 		// Eliminate the column from every other row.
@@ -106,20 +87,11 @@ func (m *matrix) invert() (*matrix, error) {
 			if r == col {
 				continue
 			}
-			if c := a.at(r, col); c != 0 {
-				addMulSlice(a.row(r), a.row(col), c)
+			if c := m.at(r, col); c != 0 {
+				addMulSlice(m.row(r), m.row(col), c)
 				addMulSlice(inv.row(r), inv.row(col), c)
 			}
 		}
 	}
-	return inv, nil
-}
-
-// subMatrixRows returns a new matrix formed from the given rows of m.
-func (m *matrix) subMatrixRows(rows []int) *matrix {
-	out := newMatrix(len(rows), m.cols)
-	for i, r := range rows {
-		copy(out.row(i), m.row(r))
-	}
-	return out
+	return true
 }

@@ -6,7 +6,8 @@ package sharqfec
 // suite's coverage — plain SHARQFEC, SRM, ECSRM under Gilbert bursts,
 // a ZCR crash plan and a backbone flap plan (the chaos seeds are
 // expressed as RunData+FaultPlan here; RunChaos hard-wires telemetry,
-// which sharded runs reject). The K=1 digests are pinned: a drift
+// which sharded runs reject) — plus adaptive rate control under burst
+// loss. The K=1 digests are pinned: a drift
 // means the sharded family's results changed, breaking comparability
 // with recorded large-N experiments.
 
@@ -54,6 +55,17 @@ var shardMatrixCases = []struct {
 		},
 		golden: "6ab8c14e33968d4f275732a98d51bcc88513fe5186a1b6de6336e5a23dc3445a",
 	},
+	{
+		// Adaptive rate control keeps all its state per agent, so it is
+		// as shard-count-invariant as the static policy.
+		name: "sharqfec-adaptive-burst-seed77",
+		cfg: DataConfig{
+			Protocol: SHARQFEC, Seed: 77, NumPackets: 512,
+			Faults:      BurstLossPlan(4),
+			RateControl: &RateControlConfig{Mode: RateControlAdaptive},
+		},
+		golden: "a51f0790d3be7f073d3aff03ee5f74390fed7970873d7655c5308613006b102b",
+	},
 }
 
 // TestShardCountInvarianceMatrix runs every case at 1, 2 and 4 shards
@@ -90,7 +102,9 @@ func TestShardCountInvarianceMatrix(t *testing.T) {
 // and at any shard count, for both protocols. The faulted input keeps
 // link loss at zero (Gilbert models own their randomness) while
 // exercising rerouting around a downed link, loss models, a crash, the
-// hierarchy swap and a late-joining restart.
+// hierarchy swap and a late-joining restart; the adaptive input sizes
+// injection with the burst-fitting controller under Gilbert loss (SRM
+// has no FEC and ignores it).
 func TestShardsMatchSequentialOnLosslessTopologies(t *testing.T) {
 	tops := []*Topology{
 		ChainTopology(6, 0),
@@ -102,11 +116,14 @@ func TestShardsMatchSequentialOnLosslessTopologies(t *testing.T) {
 		packets int
 		until   float64
 		plan    func() *FaultPlan
+		rc      *RateControlConfig
 	}{
-		{"clean", 128, 0, func() *FaultPlan { return nil }},
+		{"clean", 128, 0, func() *FaultPlan { return nil }, nil},
 		{"faulted", 256, 40, func() *FaultPlan {
 			return NewFaultPlan().GilbertAll(0, 0.05, 4).LinkDown(7, 2).LinkUp(7.6, 2).Crash(8, 3).Restart(9, 3)
-		}},
+		}, nil},
+		{"adaptive-burst", 256, 40, func() *FaultPlan { return NewFaultPlan().GilbertAll(0, 0.05, 4) },
+			&RateControlConfig{Mode: RateControlAdaptive}},
 	}
 	for _, top := range tops {
 		for _, proto := range []Protocol{SHARQFEC, SRM} {
@@ -118,7 +135,7 @@ func TestShardsMatchSequentialOnLosslessTopologies(t *testing.T) {
 							plan := in.plan()
 							res, err := RunData(DataConfig{
 								Protocol: proto, Topology: top, Seed: 9, NumPackets: in.packets,
-								Until: in.until, Faults: plan, Shards: k,
+								Until: in.until, Faults: plan, RateControl: in.rc, Shards: k,
 							})
 							if err != nil {
 								t.Fatalf("shards=%d: %v", k, err)
@@ -151,8 +168,6 @@ func TestShardedRejectsUnsupportedConfigs(t *testing.T) {
 	}{
 		{"telemetry", DataConfig{Protocol: SHARQFEC, Shards: 2, Telemetry: &TelemetryConfig{}}},
 		{"packet-trace", DataConfig{Protocol: SHARQFEC, Shards: 2, TraceWriter: &bytes.Buffer{}}},
-		{"adaptive-ratecontrol", DataConfig{Protocol: SHARQFEC, Shards: 2,
-			RateControl: &RateControlConfig{Mode: RateControlAdaptive}}},
 		{"negative-shards", DataConfig{Protocol: SHARQFEC, Shards: -3}},
 	}
 	for _, tc := range cases {
