@@ -26,8 +26,13 @@ type Stats struct {
 	DupShares        int
 	ScopeEscalations int
 	// BadShares counts data and repair packets refused at admission:
-	// wrong group size, payload length or share index for their type.
+	// wrong group size, payload length or share index for their type, a
+	// group the session does not have, or a data sequence number that is
+	// not the share's place in the stream.
 	BadShares int
+	// BadNACKs counts requests refused the same way: for a group the
+	// session does not have, or scoped to a zone the member is not in.
+	BadNACKs int
 }
 
 // Agent is one SHARQFEC session member (sender or receiver).
@@ -44,7 +49,14 @@ type Agent struct {
 	root     scoping.ZoneID
 	chain    []scoping.ZoneID // scope chain used for NACKs (collapsed when !Scoping)
 
-	groups   map[uint32]*group
+	// groups is indexed by group id, nil until the group is opened, and
+	// grows on demand up to NumGroups. ensureGroup cuts records from the
+	// blocks groupFree and levelFree: carved groups' worth so far.
+	groups    []*group
+	groupFree []group
+	levelFree []level
+	carved    int
+
 	slab     groupSlab // arena backing every group's index bitsets
 	maxSeq   int64     // highest original data seq seen; -1 before any
 	ipt      float64
@@ -76,7 +88,7 @@ type Agent struct {
 	lateJoiner    bool
 	joinSeq       int64 // first seq of the group current at join; -1 until known
 	catchUpQueue  []uint32
-	catchUpActive map[uint32]bool
+	catchUpActive int // groups with group.catchUp set and not yet complete
 
 	// receiver-report tallies (original packets observed lost / total)
 	rrLost, rrTotal int
@@ -98,20 +110,18 @@ func New(node topology.NodeID, net fabric.Network, cfg Config, src *simrand.Sour
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	a := &Agent{
-		node:          node,
-		net:           net,
-		cfg:           cfg,
-		rng:           src.StreamN("core", int(node)),
-		codec:         codec,
-		isSource:      node == cfg.Source,
-		root:          net.Hierarchy().Root(),
-		groups:        make(map[uint32]*group),
-		maxSeq:        -1,
-		catchUpActive: make(map[uint32]bool),
-		c1:            cfg.C1,
-		c2:            cfg.C2,
-		ipt:           cfg.InterPacket(), // advertised rate bootstraps the estimate
-		tel:           cfg.Telemetry,
+		node:     node,
+		net:      net,
+		cfg:      cfg,
+		rng:      src.StreamN("core", int(node)),
+		codec:    codec,
+		isSource: node == cfg.Source,
+		root:     net.Hierarchy().Root(),
+		maxSeq:   -1,
+		c1:       cfg.C1,
+		c2:       cfg.C2,
+		ipt:      cfg.InterPacket(), // advertised rate bootstraps the estimate
+		tel:      cfg.Telemetry,
 	}
 	if cfg.NewController != nil {
 		a.ctrl = cfg.NewController(node)
@@ -261,7 +271,7 @@ func (a *Agent) senderGroupEnd(now eventq.Time, gid uint32) {
 	// transmitting the first of any queued repairs in the largest
 	// scope zone").
 	a.serveQueuedRepairs(now, g)
-	a.scheduleZLCSample(now, g, a.root)
+	a.scheduleZLCSample(g, len(a.chain)-1) // the root, with or without scoping
 }
 
 // Receive implements fabric.Agent: session packets go to the session
@@ -276,7 +286,7 @@ func (a *Agent) Receive(now eventq.Time, d fabric.Delivery) {
 		// stream (no later data packet opens the gap). A late joiner
 		// instead learns the stream position from it and starts the
 		// paced catch-up queue.
-		hw := int64(sp.MaxSeq) - 1
+		hw := a.clampSeq(int64(sp.MaxSeq) - 1)
 		if a.lateJoiner && a.joinSeq < 0 && hw >= 0 {
 			a.observeStreamPosition(now, hw)
 		}
@@ -302,23 +312,8 @@ func (a *Agent) Receive(now eventq.Time, d fabric.Delivery) {
 	}
 }
 
-// ensureGroup returns (creating if needed) the state for group gid.
-func (a *Agent) ensureGroup(gid uint32) *group {
-	g := a.groups[gid]
-	if g == nil {
-		g = newGroup(gid, a.cfg.GroupK, &a.slab)
-		a.groups[gid] = g
-	}
-	return g
-}
-
 // scopeZone maps a scope index (into the agent's chain) to a zone.
-func (a *Agent) scopeZone(idx int) scoping.ZoneID {
-	if idx >= len(a.chain) {
-		idx = len(a.chain) - 1
-	}
-	return a.chain[idx]
-}
+func (a *Agent) scopeZone(idx int) scoping.ZoneID { return a.chain[idx] }
 
 // nackScope returns the initial NACK scope per §4: the smallest zone,
 // unless the source is a member of it, in which case the largest scope

@@ -21,10 +21,10 @@ type StateCensus struct {
 	// "RTTs maintained per receiver" state quantity of Figure 8.
 	SessionEntries int
 	// MemBytes is the agent's estimated total protocol memory
-	// footprint: the slab arena backing the group bitsets, group
-	// bookkeeping structures and map entries, plus every payload byte
-	// counted by ResidentBytes. It feeds the census bytes-per-receiver
-	// gauge.
+	// footprint: the slab arena backing the group bitsets, the group
+	// table, the blocks of group and per-level records, plus every
+	// payload byte counted by ResidentBytes. It feeds the census
+	// bytes-per-receiver gauge.
 	MemBytes int
 }
 
@@ -36,6 +36,9 @@ func (a *Agent) StateCensus() StateCensus {
 		return s
 	}
 	for _, g := range a.groups {
+		if g == nil {
+			continue
+		}
 		resident := 0
 		for _, p := range g.shares {
 			resident += len(p)
@@ -46,13 +49,13 @@ func (a *Agent) StateCensus() StateCensus {
 		if !g.complete || resident > 0 {
 			s.ActiveGroups++
 		}
-		if g.reqTimer != nil && g.reqTimer.Active() {
+		if g.reqTimer.Active() {
 			s.PendingTimers++
 		}
-		if g.replyTimer != nil && g.replyTimer.Active() {
+		if g.replyTimer.Active() {
 			s.PendingTimers++
 		}
-		if g.ldpTimer != nil && g.ldpTimer.Active() {
+		if g.ldpTimer.Active() {
 			s.PendingTimers++
 		}
 		s.RepairQueue += a.totalPending(g)

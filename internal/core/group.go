@@ -33,8 +33,11 @@ type group struct {
 	sl   *groupSlab
 	bits int32
 
+	// lv is the group's state per level of the member's scope chain:
+	// lv[i] belongs to zone Agent.chain[i], and no other zone has a slot.
+	lv []level
+
 	llc          int
-	zlc          map[scoping.ZoneID]int
 	maxShare     int // highest share index known used anywhere
 	complete     bool
 	inRepair     bool // repair phase entered (LDP over)
@@ -48,33 +51,91 @@ type group struct {
 	outstanding int // repairs requested by zone peers, minus repairs heard
 
 	// reply side (repairer)
-	pending    map[scoping.ZoneID]int // speculative repairs owed per zone
 	replyTimer fabric.Timer
 	sendBusy   bool         // a repair burst is being paced out
 	lastNACK   *packet.NACK // most recent request heard, for reply timing
 
-	ldpTimer   fabric.Timer
-	zlcSampled map[scoping.ZoneID]bool
-	injected   map[scoping.ZoneID]bool
-	firstSeen  eventq.Time
-	doneAt     eventq.Time
-	catchUp    bool // late-join recovery group (never counts as loss)
-	dupNACKs   int  // NACKs heard that failed to raise the ZLC
+	ldpTimer  fabric.Timer
+	firstSeen eventq.Time
+	doneAt    eventq.Time
+	catchUp   bool // late-join recovery group (never counts as loss)
+	dupNACKs  int  // NACKs heard that failed to raise the ZLC
 }
 
-func newGroup(id uint32, k int, sl *groupSlab) *group {
-	return &group{
-		id:         id,
-		k:          k,
-		sl:         sl,
-		bits:       sl.alloc(k),
-		zlc:        make(map[scoping.ZoneID]int),
-		maxShare:   k - 1,
-		reqExp:     1,
-		pending:    make(map[scoping.ZoneID]int),
-		zlcSampled: make(map[scoping.ZoneID]bool),
-		injected:   make(map[scoping.ZoneID]bool),
+// level is what a group tracks about one zone of the scope chain.
+type level struct {
+	zlc      int  // zone loss count: the highest LLC a NACK at this scope reported
+	pending  int  // speculative repairs owed to the zone (repairer side)
+	sampled  bool // the zone's ZLC measurement is armed or taken
+	injected bool // this ZCR sent the zone its preemptive redundancy
+}
+
+// groupBlock is how many groups' records one allocation holds.
+const groupBlock = 8
+
+// group returns the state for group gid, or nil if none was opened.
+func (a *Agent) group(gid uint32) *group {
+	if int(gid) >= len(a.groups) {
+		return nil
 	}
+	return a.groups[gid]
+}
+
+// ensureGroup returns (opening if needed) the state for group gid, which
+// every caller has checked or clamped below NumGroups.
+func (a *Agent) ensureGroup(gid uint32) *group {
+	if g := a.group(gid); g != nil {
+		return g
+	}
+	for int(gid) >= len(a.groups) {
+		a.groups = append(a.groups, nil)
+	}
+	// Records and their per-level state are cut from blocks of groupBlock
+	// groups — never more than the session has left to open — so opening
+	// a group allocates a quarter of an object on average. A block never
+	// moves (a group lives as long as the run): timers hold *group.
+	n := len(a.chain)
+	if len(a.groupFree) == 0 {
+		b := min(groupBlock, a.cfg.NumGroups()-a.carved)
+		a.groupFree = make([]group, b)
+		a.levelFree = make([]level, b*n)
+		a.carved += b
+	}
+	g := &a.groupFree[0]
+	a.groupFree = a.groupFree[1:]
+	*g = group{
+		id:       gid,
+		k:        a.cfg.GroupK,
+		sl:       &a.slab,
+		bits:     a.slab.alloc(a.cfg.GroupK),
+		lv:       a.levelFree[:n:n],
+		maxShare: a.cfg.GroupK - 1,
+		reqExp:   1,
+	}
+	a.levelFree = a.levelFree[n:]
+	a.groups[gid] = g
+	return g
+}
+
+// levelOf returns z's position in the member's scope chain, or -1 when
+// the member is not in z (or, without scoping, z is not the root).
+func (a *Agent) levelOf(z scoping.ZoneID) int {
+	for i, c := range a.chain {
+		if c == z {
+			return i
+		}
+	}
+	return -1
+}
+
+// clampSeq bounds a high-water mark a datagram advertised to the last
+// sequence number the session has, so no packet can make a receiver walk
+// (and open groups for) sequence space the stream will never reach.
+func (a *Agent) clampSeq(hw int64) int64 {
+	if last := int64(a.cfg.NumPackets) - 1; hw > last {
+		return last
+	}
+	return hw
 }
 
 // Bitset accessors over the slab lanes; see the field doc above.
@@ -97,14 +158,15 @@ func (g *group) needed() int {
 // (the codec needs equal lengths, and one odd share among the lowest
 // indices would block every decode), and index the part of the field its
 // packet type owns — data shares the first k indices, repairs the rest
-// below fec.MaxShares. A share failing any of these is counted in
-// BadShares and touches nothing: admit returns a nil group. Otherwise it
-// returns the share's group and whether the payload was stored, which it
-// is unless the group is complete or already holds that index (the first
-// copy wins).
+// below fec.MaxShares — in a group the session has. A share failing any
+// of these is counted in BadShares and touches nothing: admit returns a
+// nil group. Otherwise it returns the share's group and whether the
+// payload was stored, which it is unless the group is complete or already
+// holds that index (the first copy wins).
 func (a *Agent) admit(gid uint32, index, groupK uint8, repair bool, payload []byte) (g *group, stored bool) {
 	k, idx := a.cfg.GroupK, int(index)
-	if int(groupK) != k || len(payload) != a.cfg.PayloadSize || repair != (idx >= k) || idx >= fec.MaxShares {
+	if int(groupK) != k || len(payload) != a.cfg.PayloadSize || repair != (idx >= k) || idx >= fec.MaxShares ||
+		int64(gid) >= int64(a.cfg.NumGroups()) {
 		a.Stats.BadShares++
 		return nil, false
 	}
@@ -133,6 +195,12 @@ func (a *Agent) admit(gid uint32, index, groupK uint8, repair bool, payload []by
 func (a *Agent) handleData(now eventq.Time, p *packet.Data) {
 	if a.isSource {
 		return // routing artifact: the source ignores its own stream
+	}
+	// The sequence number drives loss detection over everything below
+	// it, so it must be the one the share's place in the stream implies.
+	if uint64(p.Seq) != uint64(p.Group)*uint64(a.cfg.GroupK)+uint64(p.Index) {
+		a.Stats.BadShares++
+		return
 	}
 	g, _ := a.admit(p.Group, p.Index, p.GroupK, false, p.Payload)
 	if g == nil {
@@ -220,8 +288,7 @@ func (a *Agent) noteLoss(now eventq.Time, s uint32) {
 	if g.complete {
 		return
 	}
-	scope := a.scopeZone(g.scopeIdx)
-	if g.llc > g.zlc[scope] {
+	if g.llc > g.lv[g.scopeIdx].zlc {
 		a.armRequestTimer(now, g)
 	}
 }
@@ -276,8 +343,7 @@ func (a *Agent) ldpExpired(now eventq.Time, g *group) {
 	}
 	g.inRepair = true
 	if g.needed() > 0 {
-		scope := a.scopeZone(g.scopeIdx)
-		if g.llc > g.zlc[scope] || g.outstanding < g.needed() {
+		if g.llc > g.lv[g.scopeIdx].zlc || g.outstanding < g.needed() {
 			a.armRequestTimer(now, g)
 		}
 	}
@@ -289,7 +355,7 @@ func (a *Agent) armRequestTimer(now eventq.Time, g *group) {
 	if g.complete {
 		return
 	}
-	if g.reqTimer != nil && g.reqTimer.Active() {
+	if g.reqTimer.Active() {
 		return
 	}
 	if g.reqExp > 6 {
@@ -320,8 +386,7 @@ func (a *Agent) requestTimerFired(now eventq.Time, g *group) {
 		// During the loss-detection phase later group packets are
 		// still in flight: request only for detected losses, and only
 		// while our LLC exceeds the zone's (§4 LDP rules).
-		scope := a.scopeZone(g.scopeIdx)
-		if g.llc <= g.zlc[scope] {
+		if g.llc <= g.lv[g.scopeIdx].zlc {
 			return
 		}
 		if n := g.llc - g.repairsHeard; n < needed {
@@ -367,8 +432,8 @@ func (a *Agent) requestTimerFired(now eventq.Time, g *group) {
 	a.Stats.NACKsSent++
 	a.emit(now, telemetry.KindNACKSent, scope, int64(g.id), int64(g.llc), int64(needed), 0)
 	g.attempts++
-	if g.zlc[scope] < g.llc {
-		g.zlc[scope] = g.llc // our own NACK sets the new ZLC
+	if lv := &g.lv[g.scopeIdx]; lv.zlc < g.llc {
+		lv.zlc = g.llc // our own NACK sets the new ZLC
 	}
 	g.outstanding = needed
 	// Re-arm at the current back-off so lost repairs are re-requested;
@@ -376,18 +441,28 @@ func (a *Agent) requestTimerFired(now eventq.Time, g *group) {
 	a.armRequestTimer(now, g)
 }
 
-// handleNACK processes a repair request heard at scope zone(p.Zone).
+// handleNACK processes a repair request heard at scope zone(p.Zone). A
+// request for a group the session does not have, or scoped to a zone this
+// member is not in (scoped delivery never produces one; a socket can), is
+// counted in BadNACKs and touches nothing.
 func (a *Agent) handleNACK(now eventq.Time, p *packet.NACK) {
 	scope := scoping.ZoneID(p.Zone)
+	li := a.levelOf(scope)
+	if li < 0 || int64(p.Group) >= int64(a.cfg.NumGroups()) {
+		a.Stats.BadNACKs++
+		return
+	}
 	g := a.ensureGroup(p.Group)
+	lv := &g.lv[li]
 
+	hw := a.clampSeq(int64(p.MaxSeq) - 1)
 	if a.lateJoiner && a.joinSeq < 0 {
-		a.observeStreamPosition(now, int64(p.MaxSeq)-1)
+		a.observeStreamPosition(now, hw)
 	}
 	// Tail-loss discovery from the NACK's high-water mark (§4: "checks
 	// to see if the NACK's last received packet identifier causes the
 	// detection of any further lost packets").
-	if hw := int64(p.MaxSeq) - 1; hw > a.maxSeq && !a.isSource {
+	if hw > a.maxSeq && !a.isSource {
 		for s := a.maxSeq + 1; s <= hw; s++ {
 			a.noteLoss(now, uint32(s))
 		}
@@ -395,14 +470,12 @@ func (a *Agent) handleNACK(now eventq.Time, p *packet.NACK) {
 	}
 
 	// ZLC bookkeeping and NACK suppression.
-	prevZLC := g.zlc[scope]
-	increased := false
-	if int(p.LLC) > prevZLC {
-		g.zlc[scope] = int(p.LLC)
-		increased = true
+	increased := int(p.LLC) > lv.zlc
+	if increased {
+		lv.zlc = int(p.LLC)
 	}
 	if !g.complete {
-		if g.llc <= g.zlc[scope] && g.reqTimer != nil && g.reqTimer.Active() {
+		if g.llc <= lv.zlc && g.reqTimer.Active() {
 			// Their request covers ours; suppress this round (the
 			// timer re-arms with backoff so lost repairs still get
 			// re-requested).
@@ -430,9 +503,9 @@ func (a *Agent) handleNACK(now eventq.Time, p *packet.NACK) {
 	// repairs this zone needs and schedule a reply. The sender and the
 	// scope's ZCR serve immediately (their repairs are authoritative
 	// for the zone); other repairers wait out a suppression timer.
-	if a.canRepair() && a.memberOf(scope) {
-		if int(p.Needed) > g.pending[scope] {
-			g.pending[scope] = int(p.Needed)
+	if a.canRepair() {
+		if int(p.Needed) > lv.pending {
+			lv.pending = int(p.Needed)
 		}
 		g.lastNACK = p
 		if g.complete {
@@ -444,14 +517,6 @@ func (a *Agent) handleNACK(now eventq.Time, p *packet.NACK) {
 		}
 		// Incomplete repairers serve the queue once they complete.
 	}
-}
-
-// memberOf reports whether this node belongs to zone z.
-func (a *Agent) memberOf(z scoping.ZoneID) bool {
-	if z == a.root {
-		return true
-	}
-	return a.net.Hierarchy().Contains(z, a.node)
 }
 
 // handleRepair processes an FEC repair share.
@@ -494,16 +559,13 @@ func (a *Agent) handleRepair(now eventq.Time, p *packet.Repair) {
 	if g.outstanding < 0 {
 		g.outstanding = 0
 	}
-	for _, z := range a.chain {
-		if g.pending[z] > 0 && a.net.Hierarchy().IsAncestor(scope, z) {
-			g.pending[z] -= credit
-			if g.pending[z] < 0 {
-				g.pending[z] = 0
-			}
+	for i, z := range a.chain {
+		if lv := &g.lv[i]; lv.pending > 0 && a.net.Hierarchy().IsAncestor(scope, z) {
+			lv.pending = maxInt(0, lv.pending-credit)
 		}
 	}
 	// Cancel the reply timer only once the whole repair is covered.
-	if g.replyTimer != nil && g.replyTimer.Active() && a.totalPending(g) == 0 {
+	if g.replyTimer.Active() && a.totalPending(g) == 0 {
 		g.replyTimer.Stop()
 		a.emit(now, telemetry.KindRepairSuppressed, scope, int64(g.id), 0, 0, 0)
 	}
@@ -512,8 +574,8 @@ func (a *Agent) handleRepair(now eventq.Time, p *packet.Repair) {
 
 func (a *Agent) totalPending(g *group) int {
 	t := 0
-	for _, n := range g.pending {
-		t += n
+	for i := range g.lv {
+		t += g.lv[i].pending
 	}
 	return t
 }
@@ -544,16 +606,17 @@ func (a *Agent) maybeComplete(now eventq.Time, g *group) {
 		lat = now.Sub(g.firstSeen).Seconds()
 	}
 	a.emit(now, telemetry.KindGroupDecoded, scoping.NoZone, int64(g.id), int64(g.repairsHeard), int64(g.llc), lat)
-	if g.reqTimer != nil {
-		g.reqTimer.Stop()
-	}
+	g.reqTimer.Stop()
 	// The LDP timer deliberately keeps running: its expiry also samples
 	// the group's arrival quality for the receiver report.
 	if a.OnComplete != nil {
 		a.OnComplete(now, g.id, data)
 	}
 	if g.catchUp {
-		a.catchUpDone(now, g)
+		// Completion happens once, and pumpCatchUp counted this group
+		// when it set the flag: retire it and pull the next one.
+		a.catchUpActive--
+		a.pumpCatchUp(now)
 	}
 	a.scheduleTimerAdaptation(g)
 	a.becomeRepairer(now, g)

@@ -28,12 +28,13 @@ func (a *Agent) JoinLate() {
 
 // IsCatchingUp reports whether late-join recovery is still running.
 func (a *Agent) IsCatchingUp() bool {
-	return a.lateJoiner && (a.joinSeq < 0 || len(a.catchUpQueue) > 0 || len(a.catchUpActive) > 0)
+	return a.lateJoiner && (a.joinSeq < 0 || len(a.catchUpQueue) > 0 || a.catchUpActive > 0)
 }
 
 // observeStreamPosition runs on the first evidence of the stream's
 // high-water mark hw (inclusive); it enqueues all fully-missed groups
-// and pins maxSeq so ordinary gap detection does not flood.
+// and pins maxSeq so ordinary gap detection does not flood. Callers hand
+// it a mark already bounded by the session's length (clampSeq).
 func (a *Agent) observeStreamPosition(now eventq.Time, hw int64) {
 	if !a.lateJoiner || a.joinSeq >= 0 || hw < 0 {
 		return
@@ -60,14 +61,14 @@ func (a *Agent) pumpCatchUp(now eventq.Time) {
 	if window <= 0 {
 		window = 2
 	}
-	for len(a.catchUpActive) < window && len(a.catchUpQueue) > 0 {
+	for a.catchUpActive < window && len(a.catchUpQueue) > 0 {
 		gid := a.catchUpQueue[0]
 		a.catchUpQueue = a.catchUpQueue[1:]
 		g := a.ensureGroup(gid)
 		if g.complete {
 			continue
 		}
-		a.catchUpActive[gid] = true
+		a.catchUpActive++
 		if g.firstSeen == 0 {
 			g.firstSeen = now
 			g.scopeIdx = a.nackScope()
@@ -79,13 +80,4 @@ func (a *Agent) pumpCatchUp(now eventq.Time) {
 		// of the loss counters (it was never "lost" on a link).
 		a.armRequestTimer(now, g)
 	}
-}
-
-// catchUpDone marks a catch-up group complete and pulls the next one.
-func (a *Agent) catchUpDone(now eventq.Time, g *group) {
-	if !a.catchUpActive[g.id] {
-		return
-	}
-	delete(a.catchUpActive, g.id)
-	a.pumpCatchUp(now)
 }

@@ -20,11 +20,11 @@ func (a *Agent) becomeRepairer(now eventq.Time, g *group) {
 		return
 	}
 	if a.cfg.Options.Scoping && a.cfg.Options.Injection {
-		for _, z := range a.chain {
-			if z == a.root || !a.isZCR(z) || g.injected[z] {
+		for i, z := range a.chain {
+			if z == a.root || !a.isZCR(z) || g.lv[i].injected {
 				continue
 			}
-			g.injected[z] = true
+			g.lv[i].injected = true
 			// Inject the predicted zone loss, net of the redundancy
 			// that already flowed into the zone with the group
 			// (repairs heard from upstream injections): "should too
@@ -38,9 +38,9 @@ func (a *Agent) becomeRepairer(now eventq.Time, g *group) {
 		}
 	}
 	if a.cfg.Options.Scoping {
-		for _, z := range a.chain {
+		for i, z := range a.chain {
 			if a.isZCR(z) && z != a.root {
-				a.scheduleZLCSample(now, g, z)
+				a.scheduleZLCSample(g, i)
 			}
 		}
 	}
@@ -77,7 +77,7 @@ func (a *Agent) anyZCRDuty() bool {
 // NACK's sender. Increases to the queue do not reset a pending timer
 // (§4), and there is no reply back-off.
 func (a *Agent) armReplyTimer(now eventq.Time, g *group, nack *packet.NACK) {
-	if g.replyTimer != nil && g.replyTimer.Active() {
+	if g.replyTimer.Active() {
 		return
 	}
 	if g.sendBusy {
@@ -108,18 +108,17 @@ func (a *Agent) serveQueuedRepairs(now eventq.Time, g *group) {
 	// heard by (and decrement) every nested queue.
 	for i := len(a.chain) - 1; i >= 0; i-- {
 		z := a.chain[i]
-		n := g.pending[z]
+		n := g.lv[i].pending
 		if n <= 0 {
 			continue
 		}
 		// Shrink nested queues covered by this transmission.
 		for j := 0; j <= i; j++ {
-			inner := a.chain[j]
-			if a.net.Hierarchy().IsAncestor(z, inner) || !a.cfg.Options.Scoping {
-				g.pending[inner] = maxInt(0, g.pending[inner]-n)
+			if a.net.Hierarchy().IsAncestor(z, a.chain[j]) || !a.cfg.Options.Scoping {
+				g.lv[j].pending = maxInt(0, g.lv[j].pending-n)
 			}
 		}
-		g.pending[z] = 0
+		g.lv[i].pending = 0
 		a.sendRepairBurst(now, g, z, n, false)
 		return // pace one zone at a time; the burst end re-checks
 	}
@@ -200,19 +199,21 @@ func (a *Agent) groupData(g *group) [][]byte {
 	return g.data
 }
 
-// scheduleZLCSample arms the predicted-ZLC measurement for zone z: the
-// true ZLC is known 2.5 RTTs (to the most distant member) after the
-// group ends (§4), at which point the controller's predictor absorbs
-// it. When no NACK reported a loss, the agent's own LLC stands in for
-// the ZLC.
-func (a *Agent) scheduleZLCSample(now eventq.Time, g *group, z scoping.ZoneID) {
-	if g.zlcSampled[z] {
+// scheduleZLCSample arms the predicted-ZLC measurement for the zone at
+// chain level i: the true ZLC is known 2.5 RTTs (to the most distant
+// member) after the group ends (§4), at which point the controller's
+// predictor absorbs it. When no NACK reported a loss, the agent's own
+// LLC stands in for the ZLC.
+func (a *Agent) scheduleZLCSample(g *group, i int) {
+	lv := &g.lv[i]
+	if lv.sampled {
 		return
 	}
-	g.zlcSampled[z] = true
+	lv.sampled = true
+	z := a.chain[i]
 	wait := eventq.Duration(a.cfg.ZLCWaitRTTs * a.sess.MostDistantRTT(z))
 	a.net.Sched().After(wait, func(eventq.Time) {
-		sample := float64(g.zlc[z])
+		sample := float64(lv.zlc)
 		if sample == 0 {
 			sample = float64(g.llc)
 		}

@@ -74,7 +74,7 @@ func (f *shareFeed) deliver(idx int) {
 // wantComplete requires the group decoded to the originals.
 func (f *shareFeed) wantComplete() {
 	f.t.Helper()
-	g := f.a.groups[f.gid]
+	g := f.a.group(f.gid)
 	if g == nil || !g.complete {
 		f.t.Fatalf("group %d did not complete", f.gid)
 	}
@@ -93,7 +93,7 @@ func TestRepairIndexOutOfFieldDoesNotBlockGroup(t *testing.T) {
 	bad := f.repairPkt(254)
 	bad.Index = fec.MaxShares
 	f.a.handleRepair(1, bad)
-	if g := f.a.groups[0]; g != nil && g.held != 0 {
+	if g := f.a.group(0); g != nil && g.held != 0 {
 		t.Fatalf("share 255 stored (held = %d)", g.held)
 	}
 	for idx := 0; idx < f.a.cfg.GroupK; idx++ {
@@ -147,7 +147,7 @@ func TestWrongLengthRepairDoesNotBlockGroup(t *testing.T) {
 // TestAdmitRefusals covers the remaining ways a share can disagree with
 // the session: each is counted, creates no group and stores nothing.
 func TestAdmitRefusals(t *testing.T) {
-	f := newShareFeed(t, 83, 7)
+	f := newShareFeed(t, 83, 3)
 	k := f.a.cfg.GroupK
 	cases := map[string]func(){
 		"data for another group size": func() { p := f.dataPkt(3); p.GroupK++; f.a.handleData(1, p) },
@@ -184,7 +184,7 @@ func TestShareStoreFirstCopyWins(t *testing.T) {
 	k := f.a.cfg.GroupK
 	f.deliver(5)
 	f.deliver(k + 2)
-	g := f.a.groups[0]
+	g := f.a.group(0)
 	for _, idx := range []int{5, k + 2} {
 		first := g.shares[idx]
 		other := bytes.Repeat([]byte{0xEE}, len(first))
@@ -213,7 +213,7 @@ func TestShareStoreGrowsForHighRepair(t *testing.T) {
 	f := newShareFeed(t, 85, 0)
 	k := f.a.cfg.GroupK
 	f.deliver(40)
-	g := f.a.groups[0]
+	g := f.a.group(0)
 	high := g.shares[40]
 	if g.held != 1 || g.needed() != k-1 || high == nil {
 		t.Fatalf("after repair 40: held = %d, needed = %d", g.held, g.needed())
@@ -247,7 +247,7 @@ func TestCompletedGroupHoldsExactlyKPayloads(t *testing.T) {
 		f.deliver(idx)
 	}
 	f.wantComplete()
-	g := f.a.groups[0]
+	g := f.a.group(0)
 	if g.shares != nil {
 		t.Fatalf("completed group keeps a store of %d slots", cap(g.shares))
 	}
@@ -283,7 +283,7 @@ func TestDecodeIndependentOfArrivalOrder(t *testing.T) {
 			f.deliver(idx)
 		}
 		f.wantComplete()
-		results[run] = f.a.groups[0].data
+		results[run] = f.a.group(0).data
 	}
 	for i := range results[0] {
 		if !bytes.Equal(results[0][i], results[1][i]) {

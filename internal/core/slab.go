@@ -66,22 +66,20 @@ func (s *groupSlab) clear(base int32, lane, i int) {
 // slack is held memory too).
 func (s *groupSlab) bytes() int { return cap(s.words) * 8 }
 
-// Estimated bytes per map entry (key + value + bucket share) across the
-// small per-group maps. The census wants a stable, honest order of
-// magnitude, not malloc ground truth.
-const mapEntryBytes = 48
-
 // footprintBytes estimates the agent's total resident protocol memory:
-// the bitset arena, the group structs, their map entries and share
-// slices (capacity, like the arena), payload bytes held in share/data
-// buffers and the source's transmit store. Purely observational —
-// reading it mutates nothing.
+// the bitset arena, the group table, every block of group and per-level
+// records carved so far (opened or not — capacity, like the arena), the
+// share slices (capacity too), payload bytes held in share/data buffers
+// and the source's transmit store. Purely observational — reading it
+// mutates nothing.
 func (a *Agent) footprintBytes() int {
 	b := a.slab.bytes()
-	b += len(a.groups) * (int(unsafe.Sizeof(group{})) + mapEntryBytes)
+	b += cap(a.groups) * int(unsafe.Sizeof(a.groups[0]))
+	b += a.carved * (int(unsafe.Sizeof(group{})) + len(a.chain)*int(unsafe.Sizeof(level{})))
 	for _, g := range a.groups {
-		entries := len(g.zlc) + len(g.pending) + len(g.zlcSampled) + len(g.injected)
-		b += entries * mapEntryBytes
+		if g == nil {
+			continue
+		}
 		b += cap(g.shares) * int(unsafe.Sizeof(g.shares[0]))
 		for _, p := range g.shares {
 			b += len(p)

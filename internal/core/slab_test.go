@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"sharqfec/internal/scoping"
+)
 
 // TestGroupSlabLanes exercises the bitset arena directly: lane
 // isolation, clear semantics, growth across many groups (the arena
@@ -66,12 +70,11 @@ func TestGroupSlabWideK(t *testing.T) {
 // protocol state: an agent that has tracked groups reports strictly
 // more than a fresh one.
 func TestFootprintBytesGrows(t *testing.T) {
-	a := &Agent{groups: map[uint32]*group{}}
+	a := &Agent{cfg: Config{GroupK: 16, NumPackets: 64}, chain: []scoping.ZoneID{0}}
 	empty := a.footprintBytes()
-	g := newGroup(0, 16, &a.slab)
+	g := a.ensureGroup(0)
 	g.shares = make([][]byte, 16, 32)
 	g.shares[3] = make([]byte, 512)
-	a.groups[0] = g
 	grown := a.footprintBytes()
 	if grown <= empty+512+32*24 {
 		t.Fatalf("footprint %d after a group with a 512B share in 32 slots; empty was %d", grown, empty)

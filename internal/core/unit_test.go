@@ -51,6 +51,9 @@ func TestIPTIgnoresGapsAndIdle(t *testing.T) {
 	}
 }
 
+// rootLevel is g's state for the root zone, the last level of every chain.
+func rootLevel(a *Agent, g *group) *level { return &g.lv[len(a.chain)-1] }
+
 func TestBurstCreditClearsQueues(t *testing.T) {
 	spec := topology.Chain(3, 10e6, 0.010, 0)
 	cfg := smallCfg()
@@ -59,7 +62,7 @@ func TestBurstCreditClearsQueues(t *testing.T) {
 	a.joined = true
 	g := a.ensureGroup(0)
 	g.outstanding = 5
-	g.pending[a.root] = 5
+	rootLevel(a, g).pending = 5
 	// One repair announcing a burst through share index 20 credits the
 	// whole burst (16..20 = 5 shares) at once.
 	a.handleRepair(1.0, &packet.Repair{
@@ -69,8 +72,8 @@ func TestBurstCreditClearsQueues(t *testing.T) {
 	if g.outstanding != 0 {
 		t.Fatalf("outstanding = %d after burst announcement, want 0", g.outstanding)
 	}
-	if g.pending[a.root] != 0 {
-		t.Fatalf("pending = %d after burst announcement, want 0", g.pending[a.root])
+	if got := rootLevel(a, g).pending; got != 0 {
+		t.Fatalf("pending = %d after burst announcement, want 0", got)
 	}
 	if g.maxShare != 20 {
 		t.Fatalf("maxShare = %d, want 20", g.maxShare)
@@ -121,15 +124,15 @@ func TestNACKUpdatesZLCAndBackoff(t *testing.T) {
 	scope := a.root
 	// First NACK raises the ZLC.
 	a.handleNACK(1.0, &packet.NACK{Origin: 1, Group: 0, LLC: 4, Needed: 4, MaxSeq: 0, Zone: int16(scope)})
-	if g.zlc[scope] != 4 {
-		t.Fatalf("zlc = %d, want 4", g.zlc[scope])
+	if got := rootLevel(a, g).zlc; got != 4 {
+		t.Fatalf("zlc = %d, want 4", got)
 	}
 	// A second NACK with a lower LLC does not increase the ZLC and
 	// therefore backs the request exponent off (§4 LDP rules).
 	before := g.reqExp
 	a.handleNACK(1.1, &packet.NACK{Origin: 1, Group: 0, LLC: 2, Needed: 2, MaxSeq: 0, Zone: int16(scope)})
-	if g.zlc[scope] != 4 {
-		t.Fatalf("zlc dropped to %d", g.zlc[scope])
+	if got := rootLevel(a, g).zlc; got != 4 {
+		t.Fatalf("zlc dropped to %d", got)
 	}
 	if g.reqExp != before+1 {
 		t.Fatalf("reqExp = %d, want %d", g.reqExp, before+1)
@@ -144,15 +147,15 @@ func TestPredictedZLCFilter(t *testing.T) {
 	a := w.agents[0] // the source maintains predZLC for the root
 	a.joined = true
 	g := a.ensureGroup(0)
-	g.zlc[a.root] = 4
-	a.scheduleZLCSample(0, g, a.root)
+	rootLevel(a, g).zlc = 4
+	a.scheduleZLCSample(g, len(a.chain)-1)
 	w.net.Q.Run()
 	if math.Abs(a.PredictedZLC(a.root)-1.0) > 1e-9 { // 0.75·0 + 0.25·4
 		t.Fatalf("predZLC = %v, want 1.0", a.PredictedZLC(a.root))
 	}
 	g2 := a.ensureGroup(1)
-	g2.zlc[a.root] = 4
-	a.scheduleZLCSample(0, g2, a.root)
+	rootLevel(a, g2).zlc = 4
+	a.scheduleZLCSample(g2, len(a.chain)-1)
 	w.net.Q.Run()
 	if math.Abs(a.PredictedZLC(a.root)-1.75) > 1e-9 { // 0.75·1 + 0.25·4
 		t.Fatalf("predZLC = %v, want 1.75", a.PredictedZLC(a.root))
@@ -166,7 +169,7 @@ func TestZLCSampleUsesOwnLLCWhenNoNACKs(t *testing.T) {
 	a := w.agents[0]
 	g := a.ensureGroup(0)
 	g.llc = 2 // no NACKs heard: the agent's own LLC stands in (§4)
-	a.scheduleZLCSample(0, g, a.root)
+	a.scheduleZLCSample(g, len(a.chain)-1)
 	w.net.Q.Run()
 	if math.Abs(a.PredictedZLC(a.root)-0.5) > 1e-9 {
 		t.Fatalf("predZLC = %v, want 0.5", a.PredictedZLC(a.root))
@@ -204,7 +207,7 @@ func TestNackScopeSkipsOwnZones(t *testing.T) {
 }
 
 func TestGroupNeededClamps(t *testing.T) {
-	g := newGroup(0, 4, &groupSlab{})
+	g := &group{k: 4}
 	if g.needed() != 4 {
 		t.Fatalf("needed = %d", g.needed())
 	}
@@ -221,10 +224,10 @@ func TestRepairForUnknownGroupCreatesState(t *testing.T) {
 	a := w.agents[1]
 	a.joined = true
 	a.handleRepair(1.0, &packet.Repair{
-		Origin: 0, Group: 99, Index: 17, GroupK: 16, NewMaxSeq: 17,
+		Origin: 0, Group: 3, Index: 17, GroupK: 16, NewMaxSeq: 17,
 		Zone: int16(a.root), Payload: make([]byte, cfg.PayloadSize),
 	})
-	g := a.groups[99]
+	g := a.group(3)
 	if g == nil || g.held != 1 || g.shares[17] == nil {
 		t.Fatal("repair for unknown group not recorded")
 	}
@@ -235,11 +238,11 @@ func TestMemberOfRoot(t *testing.T) {
 	cfg := DefaultConfig()
 	w := quietWorld(t, spec, cfg, 70)
 	for _, ag := range w.agents {
-		if !ag.memberOf(ag.root) {
-			t.Fatalf("node %d not a member of the root zone", ag.Node())
+		if ag.levelOf(ag.root) != len(ag.chain)-1 {
+			t.Fatalf("node %d does not hold the root zone as its last chain level", ag.Node())
 		}
 	}
-	if w.agents[0].memberOf(scoping.ZoneID(2)) {
+	if w.agents[0].levelOf(scoping.ZoneID(2)) >= 0 {
 		t.Fatal("source claims membership of a leaf zone")
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"sharqfec/internal/eventq"
 	"sharqfec/internal/scoping"
 	"sharqfec/internal/telemetry"
@@ -23,14 +21,8 @@ func (a *Agent) EmitUnrecoveredLosses(now eventq.Time) {
 	if a.tel == nil {
 		return
 	}
-	gids := make([]uint32, 0, len(a.groups))
-	for gid := range a.groups {
-		gids = append(gids, gid)
-	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-	for _, gid := range gids {
-		g := a.groups[gid]
-		if g.complete {
+	for gid, g := range a.groups {
+		if g == nil || g.complete {
 			continue
 		}
 		base := int64(gid) * int64(a.cfg.GroupK)

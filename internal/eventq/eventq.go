@@ -179,6 +179,15 @@ func (q *Queue) Len() int { return len(q.h) }
 // Dispatched returns the number of events executed so far.
 func (q *Queue) Dispatched() uint64 { return q.dispatchN }
 
+// NextAt returns the time of the earliest pending event, or Never when
+// the queue is empty — what a wall-clock driver sleeps until.
+func (q *Queue) NextAt() Time {
+	if len(q.h) == 0 {
+		return Never
+	}
+	return q.h[0].at
+}
+
 // FreeLen returns the number of event records parked on the free list,
 // i.e. pooled capacity not currently scheduled. Together with Len it
 // bounds the queue's resident event footprint for observability.

@@ -445,3 +445,25 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 		t.Errorf("schedule + Stop: %v allocations per %d timers, want 0", got, depth)
 	}
 }
+
+// TestNextAt: the earliest pending event's time, through scheduling,
+// cancellation and dispatch, and Never once nothing is pending.
+func TestNextAt(t *testing.T) {
+	var q Queue
+	if got := q.NextAt(); got != Never {
+		t.Fatalf("empty queue: NextAt = %v, want Never", got)
+	}
+	q.At(5, func(Time) {})
+	early := q.At(2, func(Time) {})
+	if got := q.NextAt(); got != 2 {
+		t.Fatalf("NextAt = %v, want 2", got)
+	}
+	early.Stop()
+	if got := q.NextAt(); got != 5 {
+		t.Fatalf("after Stop: NextAt = %v, want 5", got)
+	}
+	q.Run()
+	if got := q.NextAt(); got != Never {
+		t.Fatalf("drained queue: NextAt = %v, want Never", got)
+	}
+}

@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"sharqfec/internal/parallel"
@@ -15,7 +16,7 @@ type shardSim struct {
 	owner []int
 	hash  []uint64
 	n     int
-	fires int
+	fires atomic.Int64 // arrive runs on every shard's worker
 }
 
 const simLookahead = 0.013
@@ -52,7 +53,7 @@ func (s *shardSim) arrive(node, hop int, now Time) {
 	h := s.hash[node]
 	h = h*0x100000001b3 ^ uint64(node) ^ uint64(hop)<<16 ^ uint64(float64(now)*1e9)
 	s.hash[node] = h
-	s.fires++
+	s.fires.Add(1)
 	if hop >= 40 {
 		return
 	}
@@ -87,7 +88,7 @@ func (s *shardSim) run(t *testing.T) uint64 {
 		}
 	})
 	s.g.Run(10)
-	if s.fires == 0 {
+	if s.fires.Load() == 0 {
 		t.Fatal("simulation dispatched nothing")
 	}
 	return s.digest()

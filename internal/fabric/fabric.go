@@ -9,6 +9,13 @@
 //
 // The protocols only ever talk to these interfaces, so they run
 // unchanged on either substrate.
+//
+// Timers are values: both substrates keep theirs in an eventq.Queue (the
+// simulation's own, or a udpmesh node's, driven by the wall clock), so
+// Scheduler.After hands back the queue's handle itself. A handle, like
+// the agent state that stores it, belongs to the goroutine that runs the
+// agent: After, Stop and Active are called only from Receive, from a
+// timer callback, or — on udpmesh — from Node.Do.
 package fabric
 
 import (
@@ -32,13 +39,11 @@ type Agent interface {
 	Receive(now eventq.Time, d Delivery)
 }
 
-// Timer is a cancellable scheduled callback.
-type Timer interface {
-	// Stop cancels the timer, reporting whether it prevented the fire.
-	Stop() bool
-	// Active reports whether the timer is still pending.
-	Active() bool
-}
+// Timer is a cancellable scheduled callback: Stop cancels it, reporting
+// whether that prevented the fire, and Active reports whether it is still
+// pending. Arming one allocates nothing, and the zero value is inert —
+// how protocol state says "not armed".
+type Timer = eventq.Timer
 
 // Scheduler provides time and timers. In the simulator, time is virtual
 // and deterministic; in the UDP mesh it is the wall clock measured from

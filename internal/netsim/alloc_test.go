@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sharqfec/internal/eventq"
+	"sharqfec/internal/fabric"
 	"sharqfec/internal/scoping"
 	"sharqfec/internal/simrand"
 	"sharqfec/internal/topology"
@@ -89,5 +90,45 @@ func TestSpanBuildAllocationIsConstant(t *testing.T) {
 	large, small := build(h.Root(), 1025), build(1, 16)
 	if small != large || small > 3 {
 		t.Errorf("span build allocates %v objects for 16 members and %v for 1,025; want the same, at most 3", small, large)
+	}
+}
+
+// TestTimerArmAndStopAllocateNothing pins what making fabric.Timer a value
+// bought: on a warm queue, arming a timer through the fabric's scheduler
+// and stopping it costs no allocation beyond the caller's own closure
+// (here built once, outside the measurement) — on either engine's view.
+func TestTimerArmAndStopAllocateNothing(t *testing.T) {
+	spec := topology.BalancedTree([]int{2}, 1e6, 0.010, 0)
+	h := scoping.MustBuild(spec.Zones)
+	var q eventq.Queue
+	c, err := NewCluster(eventq.NewShardGroup(1, 0.001), spec.Graph, h, simrand.New(3), make([]int32, spec.Graph.NumNodes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := 0
+	fn := func(eventq.Time) { fired++ }
+	for engine, n := range map[string]*Network{"New": New(&q, spec.Graph, h, simrand.New(3)), "NewCluster": c.Shard(0)} {
+		// Handles are kept the way protocol state keeps them — in a heap
+		// record that outlives the call — so a boxed handle would have to
+		// be allocated, not left on the stack.
+		held := new(struct{ kept, stopped fabric.Timer })
+		cycle := func() {
+			held.kept = n.Sched().After(2, fn)
+			held.stopped = n.Sched().After(1, fn)
+			if !held.stopped.Stop() || held.stopped.Active() {
+				t.Fatal("a pending timer did not stop")
+			}
+			n.Q.Run()
+			if held.kept.Active() {
+				t.Fatal("a fired timer is still active")
+			}
+		}
+		cycle() // grows the queue's heap and free list
+		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+			t.Errorf("%s: %v allocations per arm, stop and fire on a warm queue, want 0", engine, allocs)
+		}
+	}
+	if fired != 2*202 {
+		t.Errorf("%d timers fired, want %d: a stopped timer ran or a kept one did not", fired, 2*202)
 	}
 }

@@ -147,8 +147,7 @@ func (n *Network) Sched() fabric.Scheduler { return simScheduler{n.Q} }
 // Hierarchy implements fabric.Network.
 func (n *Network) Hierarchy() *scoping.Hierarchy { return n.H }
 
-// simScheduler adapts the event queue to the fabric.Scheduler interface
-// (the concrete *eventq.Timer satisfies fabric.Timer).
+// simScheduler adapts the event queue to the fabric.Scheduler interface.
 type simScheduler struct{ q *eventq.Queue }
 
 func (s simScheduler) Now() eventq.Time { return s.q.Now() }

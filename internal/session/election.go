@@ -16,7 +16,7 @@ import (
 // startChallengeDuty arms the periodic challenge timer for a zone this
 // node is the ZCR of.
 func (m *Manager) startChallengeDuty(zs *zoneState) {
-	if zs.duty != nil && zs.duty.Active() {
+	if zs.duty.Active() {
 		return
 	}
 	if m.net.Hierarchy().Parent(zs.id) == scoping.NoZone {
@@ -39,9 +39,7 @@ func (m *Manager) startChallengeDuty(zs *zoneState) {
 // "slightly larger" than the ZCR's challenge window so a healthy ZCR
 // always wins the race.
 func (m *Manager) resetWatchdog(zs *zoneState) {
-	if zs.watchdog != nil {
-		zs.watchdog.Stop()
-	}
+	zs.watchdog.Stop()
 	if zs.onWatchdog == nil {
 		z := zs.id
 		zs.onWatchdog = func(now eventq.Time) {
@@ -178,7 +176,7 @@ func (m *Manager) considerTakeover(zs *zoneState, dist float64) {
 	if zs.zcr != topology.NoNode && !zs.suspect && dist+m.cfg.TakeoverEpsilon >= zs.zcrDist {
 		return // not meaningfully closer (and the incumbent is alive)
 	}
-	if t := zs.takeover; t != nil && t.Active() {
+	if t := zs.takeover; t.Active() {
 		if zs.pendingDist <= dist {
 			return // an earlier, closer attempt is already pending
 		}
@@ -212,7 +210,7 @@ func (m *Manager) sendTakeover(now eventq.Time, zs *zoneState, dist float64) {
 func (m *Manager) HandleTakeover(now eventq.Time, msg *packet.ZCRTakeover) {
 	zs := m.zoneFor(scoping.ZoneID(msg.Zone))
 	// Suppress our own pending (not-closer) takeover.
-	if t := zs.takeover; t != nil && t.Active() && zs.pendingDist+m.cfg.TakeoverEpsilon >= msg.DistToParent {
+	if t := zs.takeover; t.Active() && zs.pendingDist+m.cfg.TakeoverEpsilon >= msg.DistToParent {
 		t.Stop()
 	}
 	if zs.zcr == m.node && msg.Origin != m.node && zs.haveMyDist && zs.myDist+m.cfg.TakeoverEpsilon < msg.DistToParent {

@@ -278,17 +278,17 @@ func (m *oracle) StateSize() int {
 func (m *oracle) CensusTimers() int {
 	n := 0
 	for _, t := range m.pendingTakeover {
-		if t != nil && t.Active() {
+		if t.Active() {
 			n++
 		}
 	}
 	for _, t := range m.challengeTimer {
-		if t != nil && t.Active() {
+		if t.Active() {
 			n++
 		}
 	}
 	for _, t := range m.watchdog {
-		if t != nil && t.Active() {
+		if t.Active() {
 			n++
 		}
 	}
@@ -313,14 +313,14 @@ func (m *oracle) setZCR(now eventq.Time, z scoping.ZoneID, n topology.NodeID, di
 	}
 	if n == m.node {
 		m.startChallengeDuty(z)
-	} else if t := m.challengeTimer[z]; t != nil {
-		t.Stop()
+	} else {
+		m.challengeTimer[z].Stop()
 		delete(m.challengeTimer, z)
 	}
 }
 
 func (m *oracle) startChallengeDuty(z scoping.ZoneID) {
-	if m.challengeTimer[z] != nil && m.challengeTimer[z].Active() {
+	if m.challengeTimer[z].Active() {
 		return
 	}
 	if m.net.Hierarchy().Parent(z) == scoping.NoZone {
@@ -339,9 +339,7 @@ func (m *oracle) startChallengeDuty(z scoping.ZoneID) {
 }
 
 func (m *oracle) resetWatchdog(z scoping.ZoneID) {
-	if t := m.watchdog[z]; t != nil {
-		t.Stop()
-	}
+	m.watchdog[z].Stop()
 	var window float64
 	if m.zcrOf(z) == topology.NoNode {
 		window = m.rng.Uniform(m.cfg.BootstrapLo, m.cfg.BootstrapHi)
@@ -448,7 +446,7 @@ func (m *oracle) considerTakeover(_ eventq.Time, z scoping.ZoneID, dist float64)
 	if cur != topology.NoNode && !m.suspectZCR[z] && dist+m.cfg.TakeoverEpsilon >= m.zcrDist[z] {
 		return
 	}
-	if t := m.pendingTakeover[z]; t != nil && t.Active() {
+	if t := m.pendingTakeover[z]; t.Active() {
 		if m.pendingDist[z] <= dist {
 			return
 		}
@@ -475,7 +473,7 @@ func (m *oracle) sendTakeover(now eventq.Time, z scoping.ZoneID, dist float64) {
 
 func (m *oracle) HandleTakeover(now eventq.Time, msg *packet.ZCRTakeover) {
 	z := scoping.ZoneID(msg.Zone)
-	if t := m.pendingTakeover[z]; t != nil && t.Active() && m.pendingDist[z]+m.cfg.TakeoverEpsilon >= msg.DistToParent {
+	if t := m.pendingTakeover[z]; t.Active() && m.pendingDist[z]+m.cfg.TakeoverEpsilon >= msg.DistToParent {
 		t.Stop()
 	}
 	if m.zcrOf(z) == m.node && msg.Origin != m.node {

@@ -445,7 +445,7 @@ func (m *Manager) CensusTimers() int {
 	for i := range m.zones {
 		zs := &m.zones[i]
 		for _, t := range [...]fabric.Timer{zs.takeover, zs.duty, zs.watchdog} {
-			if t != nil && t.Active() {
+			if t.Active() {
 				n++
 			}
 		}
@@ -477,8 +477,7 @@ func (m *Manager) setZCR(now eventq.Time, zs *zoneState, n topology.NodeID, dist
 	}
 	if n == m.node {
 		m.startChallengeDuty(zs)
-	} else if zs.duty != nil {
+	} else {
 		zs.duty.Stop()
-		zs.duty = nil
 	}
 }

@@ -278,9 +278,7 @@ func (a *Agent) hold(now eventq.Time, seq uint32, payload []byte) {
 	st.have = true
 	st.payload = payload
 	a.Stats.PacketsHeld++
-	if st.reqTimer != nil && st.reqTimer.Active() {
-		st.reqTimer.Stop()
-	}
+	st.reqTimer.Stop()
 	if st.lossDetected {
 		// SRM's per-packet analogue of a group decode: a previously
 		// declared loss is now held, closing its recovery span.
@@ -309,7 +307,7 @@ func (a *Agent) noteLoss(now eventq.Time, seq uint32) {
 	if st.have {
 		return
 	}
-	if st.reqTimer == nil {
+	if !st.lossDetected {
 		// First detection of this sequence number (re-arms after
 		// suppression or loss of the repair are not new losses).
 		st.lossDetected = true
@@ -322,7 +320,7 @@ func (a *Agent) noteLoss(now eventq.Time, seq uint32) {
 // armRequestTimer draws the SRM request delay 2^i·U[C1·d, (C1+C2)·d]
 // with d the one-way distance estimate to the source.
 func (a *Agent) armRequestTimer(now eventq.Time, seq uint32, st *pktState) {
-	if st.have || (st.reqTimer != nil && st.reqTimer.Active()) {
+	if st.have || st.reqTimer.Active() {
 		return
 	}
 	if st.reqExp > 8 {
@@ -376,7 +374,7 @@ func (a *Agent) handleRequest(now eventq.Time, p *packet.NACK) {
 	if !st.have {
 		// A peer asked for the same packet: exponential back-off and
 		// re-draw (SRM request suppression).
-		if st.reqTimer != nil && st.reqTimer.Active() {
+		if st.reqTimer.Active() {
 			st.reqTimer.Stop()
 			st.reqExp++
 			st.dupReq++
@@ -394,7 +392,7 @@ func (a *Agent) handleRequest(now eventq.Time, p *packet.NACK) {
 		st.dupReq++
 		return
 	}
-	if st.repTimer != nil && st.repTimer.Active() {
+	if st.repTimer.Active() {
 		st.dupReq++
 		return
 	}
@@ -434,7 +432,7 @@ func (a *Agent) handleRepair(now eventq.Time, p *packet.Repair) {
 	if st.have {
 		a.Stats.DupRepairs++
 		st.dupRep++
-		if st.repTimer != nil && st.repTimer.Active() {
+		if st.repTimer.Active() {
 			st.repTimer.Stop()
 			a.Stats.RepairsSuppressed++
 			a.emit(now, telemetry.KindRepairSuppressed, seq, 0, 0, 0)

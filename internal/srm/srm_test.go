@@ -269,7 +269,7 @@ func TestRequestBackoffDoubles(t *testing.T) {
 	a := w.agents[2]
 	st := a.state(5)
 	a.noteLoss(1.0, 5)
-	if st.reqTimer == nil || !st.reqTimer.Active() {
+	if !st.reqTimer.Active() {
 		t.Fatal("request timer not armed")
 	}
 	expBefore := st.reqExp

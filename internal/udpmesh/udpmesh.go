@@ -19,6 +19,7 @@ package udpmesh
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -57,6 +58,12 @@ type Node struct {
 	id    topology.NodeID
 	conn  *net.UDPConn
 	start time.Time
+
+	// timers holds every armed timer, by wall-clock time since start. It
+	// belongs to the executor goroutine like the agent state it serves:
+	// Sched().After and a Timer's methods may be called only from code
+	// running there (a timer callback, Receive, or Do).
+	timers eventq.Queue
 
 	work chan func()
 	done chan struct{}
@@ -100,8 +107,8 @@ func NewNode(mesh *Mesh, id topology.NodeID, conn *net.UDPConn) (*Node, error) {
 // ID returns the member's node ID.
 func (n *Node) ID() topology.NodeID { return n.id }
 
-// Close shuts the node down: the socket closes, pending work drains, and
-// late timers become no-ops.
+// Close shuts the node down: the socket closes, both goroutines exit,
+// and work or timers still pending never run.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -116,15 +123,30 @@ func (n *Node) Close() error {
 	return err
 }
 
-// executor runs posted work serially — the node's "main loop".
+// executor is the node's "main loop": it runs posted work and due timers
+// serially, sleeping until the earlier of the two. Whichever wakes it, the
+// timer queue is advanced to wall-clock time first, so a timer that was
+// due before a piece of work arrived fires before it.
 func (n *Node) executor() {
 	defer n.wg.Done()
+	wake := time.NewTimer(math.MaxInt64)
+	defer wake.Stop()
 	for {
+		var due <-chan time.Time
+		if next := n.timers.NextAt(); next != eventq.Never {
+			wake.Reset(next.Sub(n.now()).Std())
+			due = wake.C
+		}
+		var fn func()
 		select {
-		case fn := <-n.work:
-			fn()
+		case fn = <-n.work:
+		case <-due:
 		case <-n.done:
 			return
+		}
+		n.timers.RunUntil(n.now())
+		if fn != nil {
+			fn()
 		}
 	}
 }
@@ -175,7 +197,8 @@ func (n *Node) now() eventq.Time {
 	return eventq.Time(time.Since(n.start).Seconds())
 }
 
-// Sched implements fabric.Network with wall-clock timers.
+// Sched implements fabric.Network with wall-clock timers; see Node.timers
+// for where After may be called from.
 func (n *Node) Sched() fabric.Scheduler { return rtScheduler{n} }
 
 // Hierarchy implements fabric.Network.
@@ -228,51 +251,15 @@ type rtScheduler struct{ n *Node }
 
 func (s rtScheduler) Now() eventq.Time { return s.n.now() }
 
+// After arms fn for d past the wall clock's now (the queue's own clock
+// stands at the executor's last wake-up) and hands it the time it actually
+// runs at, so a busy executor's lag never enters a timestamp that is sent.
 func (s rtScheduler) After(d eventq.Duration, fn func(eventq.Time)) fabric.Timer {
 	if d < 0 {
 		d = 0
 	}
-	t := &rtTimer{}
-	t.timer = time.AfterFunc(d.Std(), func() {
-		s.n.post(func() {
-			t.mu.Lock()
-			if t.stopped {
-				t.mu.Unlock()
-				return
-			}
-			t.fired = true
-			t.mu.Unlock()
-			fn(s.n.now())
-		})
-	})
-	return t
-}
-
-// rtTimer adapts time.Timer to fabric.Timer. Stop-after-fire races are
-// resolved on the executor: a stop that lands before the posted callback
-// runs still prevents it.
-type rtTimer struct {
-	mu      sync.Mutex
-	timer   *time.Timer
-	stopped bool
-	fired   bool
-}
-
-func (t *rtTimer) Stop() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.stopped || t.fired {
-		return false
-	}
-	t.stopped = true
-	t.timer.Stop()
-	return true
-}
-
-func (t *rtTimer) Active() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return !t.stopped && !t.fired
+	n := s.n
+	return n.timers.At(n.now().Add(d), func(eventq.Time) { fn(n.now()) })
 }
 
 // NewLocalMesh builds an in-process mesh on loopback with ephemeral

@@ -2,6 +2,8 @@ package udpmesh
 
 import (
 	"bytes"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,30 +52,141 @@ type chanAgent struct{ ch chan fabric.Delivery }
 
 func (a chanAgent) Receive(_ eventq.Time, d fabric.Delivery) { a.ch <- d }
 
+// Timers belong to the node's executor, like the agent state they serve:
+// the tests arm, stop and read them inside Do, as the protocols do from
+// Receive and from timer callbacks.
 func TestTimerFiresAndStops(t *testing.T) {
 	spec := twoLevelChainSpec()
 	_, nodes := buildMesh(t, spec, 0, 1)
 	n := nodes[0]
 
 	fired := make(chan eventq.Time, 1)
-	n.Sched().After(0.01, func(now eventq.Time) { fired <- now })
+	n.Do(func() { n.Sched().After(0.01, func(now eventq.Time) { fired <- now }) })
 	select {
 	case <-fired:
 	case <-time.After(2 * time.Second):
 		t.Fatal("timer did not fire")
 	}
 
-	tm := n.Sched().After(0.05, func(eventq.Time) { fired <- 0 })
-	if !tm.Stop() {
-		t.Fatal("Stop returned false on pending timer")
-	}
-	if tm.Active() {
-		t.Fatal("stopped timer still active")
+	stopped := make(chan [2]bool, 1)
+	n.Do(func() {
+		tm := n.Sched().After(0.05, func(eventq.Time) { fired <- 0 })
+		stopped <- [2]bool{tm.Stop(), tm.Active()}
+	})
+	if got := <-stopped; got != [2]bool{true, false} {
+		t.Fatalf("Stop, Active on a pending timer = %v, want [true false]", got)
 	}
 	select {
 	case <-fired:
 		t.Fatal("stopped timer fired")
 	case <-time.After(200 * time.Millisecond):
+	}
+}
+
+// TestTimerAfterIdleGapCountsFromNow: the timer queue's clock stands at
+// the executor's last wake-up, which on an idle node can be long ago. A
+// timer must fire d after the moment it is armed, and its callback must
+// be told the time it actually ran.
+func TestTimerAfterIdleGapCountsFromNow(t *testing.T) {
+	_, nodes := buildMesh(t, twoLevelChainSpec(), 0, 1)
+	n := nodes[0]
+	time.Sleep(300 * time.Millisecond) // nothing posted, nothing armed: the executor sleeps
+	const d = 0.1
+	type firing struct{ armed, told, ran eventq.Time }
+	fired := make(chan firing, 1)
+	n.Do(func() {
+		armed := n.Sched().Now()
+		n.Sched().After(d, func(now eventq.Time) { fired <- firing{armed, now, n.Sched().Now()} })
+	})
+	select {
+	case f := <-fired:
+		if f.armed < 0.3 {
+			t.Fatalf("armed at %v, before the idle gap ended", f.armed)
+		}
+		if f.told < f.armed.Add(d) || f.told > f.ran {
+			t.Fatalf("armed at %v for %vs: callback told %v, ran at %v", f.armed, d, f.told, f.ran)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("timer did not fire")
+	}
+}
+
+// TestStopPreventsADueTimer: a timer whose time has come while the
+// executor was busy has not fired until the executor runs it, and Stop
+// from the work that kept it busy still prevents that. Timers due
+// together fire in time order.
+func TestStopPreventsADueTimer(t *testing.T) {
+	_, nodes := buildMesh(t, twoLevelChainSpec(), 0, 1)
+	n := nodes[0]
+	order := make(chan int, 3)
+	stopped := make(chan bool, 1)
+	n.Do(func() {
+		n.Sched().After(0.004, func(eventq.Time) { order <- 2 })
+		due := n.Sched().After(0.001, func(eventq.Time) { order <- 0 })
+		n.Sched().After(0.002, func(eventq.Time) { order <- 1 })
+		time.Sleep(20 * time.Millisecond) // all three are due; none can have run
+		stopped <- due.Active() && due.Stop() && !due.Stop()
+	})
+	if !<-stopped {
+		t.Fatal("a due, unfired timer was not active, or Stop did not report preventing it exactly once")
+	}
+	for _, want := range []int{1, 2} {
+		select {
+		case got := <-order:
+			if got != want {
+				t.Fatalf("timer %d fired, want %d", got, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("timer %d did not fire", want)
+		}
+	}
+	select {
+	case got := <-order:
+		t.Fatalf("timer %d fired after it was stopped", got)
+	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+// TestCloseWithTimersPendingLeaksNothing: pending timers are entries in
+// the node's queue, not runtime timers or goroutines of their own, so
+// Close — which waits for the executor and the reader — leaves nothing
+// behind, and the timers never fire.
+func TestCloseWithTimersPendingLeaksNothing(t *testing.T) {
+	before := runtime.NumGoroutine()
+	h, err := scoping.Build(twoLevelChainSpec().Zones)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, nodes, err := NewLocalMesh(h, twoLevelChainSpec().Members(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fired atomic.Int32
+	for _, n := range nodes {
+		n := n
+		armed := make(chan struct{})
+		n.Do(func() {
+			for i := 0; i < 100; i++ {
+				n.Sched().After(eventq.Duration(0.05+float64(i)), func(eventq.Time) { fired.Add(1) })
+			}
+			close(armed)
+		})
+		<-armed
+	}
+	for _, n := range nodes {
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(100 * time.Millisecond) // past the earliest timers' time
+	if got := fired.Load(); got != 0 {
+		t.Errorf("%d timers fired after Close", got)
+	}
+	for i := 0; runtime.NumGoroutine() > before && i < 50; i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before the mesh, %d after closing it", before, after)
 	}
 }
 
