@@ -24,7 +24,7 @@ import (
 var (
 	seed   = flag.Uint64("seed", 1998, "RNG seed")
 	series = flag.Bool("series", false, "print full per-0.1s series for traffic figures")
-	shards = flag.Int("shards", 0, "fig 8m: run the census sweep on the zone-sharded parallel engine with N shards (0 = sequential)")
+	shards = flag.Int("shards", 0, "fig 8m: run the census sweep on N zone shards in parallel (0 and 1 = one shard)")
 	large  = flag.Bool("large", false, "fig 8m: national 18x18x18 hierarchy swept up to ~1.05e5 receivers (E21; pair with -shards)")
 )
 

@@ -57,21 +57,15 @@ type DataConfig struct {
 	// static EWMA policy — byte-identical to a build without the seam.
 	// SRM ignores it (no FEC).
 	RateControl *RateControlConfig
-	// Shards selects the engine the one data driver runs on: 0 (the
-	// default) is the sequential engine with its pinned goldens; K > 0
-	// is the zone-sharded parallel engine, the topology partitioned by
-	// top-level zone onto K event queues that advance concurrently
-	// under conservative lookahead. The scenario, the agents and the
-	// payload check are the same code either way; what differs is the
-	// fabric's loss randomness. Sharded runs re-key it per link
-	// direction (the sequential engine's single global loss stream has
-	// no order-independent equivalent), so they form their own
-	// deterministic family: byte-identical for the same seed at ANY
-	// shard count (1, 2, 4, …), identical to the sequential engine's on
-	// a lossless topology, and different from it wherever a loss is
-	// drawn. Telemetry and TraceWriter are not yet supported sharded;
-	// rate control is (each agent owns its controller, so the adaptive
-	// policy is as shard-count-invariant as the static one).
+	// Shards is how many event queues the zone-sharded engine runs: the
+	// topology is partitioned by top-level zone onto that many queues,
+	// which advance concurrently under conservative lookahead. 0 (the
+	// default) and 1 are the same one-shard run on the caller's
+	// goroutine. Results are byte-identical for the same seed at ANY
+	// shard count: every link direction draws loss from its own stream,
+	// and each agent owns its rate controller. Telemetry and
+	// TraceWriter feed single-threaded sinks, so they are refused at
+	// Shards >= 2.
 	Shards int
 }
 
@@ -140,7 +134,7 @@ type DataResult struct {
 // validate rejects, after defaulting, what no run can honour: numbers
 // that would panic, hang or silently simulate nothing, bad telemetry
 // or rate-control tuning, and — the one place they live — the features
-// the zone-sharded engine cannot carry yet.
+// a run on several shards cannot carry yet.
 func (c *DataConfig) validate() error {
 	if err := validateRun(c.NumPackets, c.QueueLimit, c.BinWidth, c.JoinAt, c.SourceOnAt, c.Until); err != nil {
 		return err
@@ -152,11 +146,11 @@ func (c *DataConfig) validate() error {
 		return err
 	}
 	switch {
-	case c.Shards == 0:
+	case c.Shards < 2:
 	case c.Telemetry != nil:
-		return fmt.Errorf("sharqfec: telemetry is not supported with Shards > 0 (run sharded for speed or instrumented for depth, not both)")
+		return fmt.Errorf("sharqfec: telemetry is not supported with Shards >= 2 (run sharded for speed or instrumented for depth, not both)")
 	case c.TraceWriter != nil:
-		return fmt.Errorf("sharqfec: packet traces are not supported with Shards > 0")
+		return fmt.Errorf("sharqfec: packet traces are not supported with Shards >= 2")
 	}
 	return nil
 }
@@ -420,7 +414,7 @@ func sharqfecProtocol(cfg *DataConfig, opts core.Options, s *sim, tel *telemetry
 				mine[gid] = true
 				// The source wrote this group's payloads before its
 				// first packet left, so the read is causally after the
-				// write on either engine (see core.Agent.sendData).
+				// write at any shard count (see core.Agent.sendData).
 				if !cfg.SkipVerify && !payloadsMatch(data, source.SentGroup(gid)) {
 					bad[node] = true
 				}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sharqfec/internal/fabric"
+	"sharqfec/internal/fec"
 	"sharqfec/internal/packet"
 	"sharqfec/internal/scoping"
 	"sharqfec/internal/topology"
@@ -111,6 +112,27 @@ func TestAdvertisedHighWaterIsClamped(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRepairBurstEndIsClamped: a repair's announced burst end is a claim
+// about the group's share indices; past the last index that exists it
+// used to become the group's high-water mark as it stood (2³²−1 here).
+func TestRepairBurstEndIsClamped(t *testing.T) {
+	f := newShareFeed(t, 97, 0)
+	rep := f.repairPkt(f.a.cfg.GroupK)
+	rep.NewMaxSeq = math.MaxUint32
+	f.a.handleRepair(1, rep)
+	g := f.a.group(0)
+	if g == nil {
+		t.Fatal("the repair opened no group")
+	}
+	if g.maxShare != fec.MaxShares-1 || g.held != 1 {
+		t.Fatalf("high-water mark %d, %d shares held; want %d, 1", g.maxShare, g.held, fec.MaxShares-1)
+	}
+	for idx := 1; idx < f.a.cfg.GroupK; idx++ {
+		f.deliver(idx)
+	}
+	f.wantComplete()
 }
 
 // TestNACKFromForeignZoneCreatesNoState: scoped delivery never hands a

@@ -598,12 +598,18 @@ func TestPropertyRecoversOnRandomTopologies(t *testing.T) {
 	// Robustness sweep: on random trees with random per-link losses up
 	// to 25%, the full protocol must always recover every group at
 	// every receiver with verified payloads.
+	//
+	// The horizon covers the slowest trial, not a typical one. Trial 3
+	// (18 nodes, a 17-hop path, link loss up to 0.24) completes its last
+	// group at 138.3 s with per-(link, direction) loss draws, and at
+	// 49.6 s with the single loss stream they replaced; every other trial
+	// finishes by 24 s. That tail is an open question, not a tolerance.
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewPCG(uint64(trial), 17))
 		spec := topology.RandomTree(rng, 6+rng.IntN(14), 1+rng.IntN(3), 0.02, 0.25)
 		cfg := smallCfg()
 		w := newWorld(t, spec, cfg, uint64(1000+trial))
-		w.run(120)
+		w.run(160)
 		w.verifyAll(t, cfg)
 	}
 }

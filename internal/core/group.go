@@ -532,13 +532,15 @@ func (a *Agent) handleRepair(now eventq.Time, p *packet.Repair) {
 	// identifier", §4) both moves the share high-water mark and credits
 	// the entire in-flight burst against request/reply queues at once —
 	// the paper's defence against duplicate repairs from racing
-	// repairers.
+	// repairers. No burst ends past the last share index that exists, so
+	// a larger claim is clamped there, like an advertised MaxSeq past the
+	// stream's end.
 	oldMax := g.maxShare
 	if int(p.Index) > g.maxShare {
 		g.maxShare = int(p.Index)
 	}
-	if int(p.NewMaxSeq) > g.maxShare {
-		g.maxShare = int(p.NewMaxSeq)
+	if end := min(int(p.NewMaxSeq), fec.MaxShares-1); end > g.maxShare {
+		g.maxShare = end
 	}
 	credit := g.maxShare - oldMax
 	if credit < 1 {

@@ -670,8 +670,8 @@ func (a *oracleAgent) handleRepair(now eventq.Time, p *packet.Repair) {
 	if int(p.Index) > g.maxShare {
 		g.maxShare = int(p.Index)
 	}
-	if int(p.NewMaxSeq) > g.maxShare {
-		g.maxShare = int(p.NewMaxSeq)
+	if end := min(int(p.NewMaxSeq), fec.MaxShares-1); end > g.maxShare {
+		g.maxShare = end
 	}
 	credit := g.maxShare - oldMax
 	if credit < 1 {

@@ -2,10 +2,11 @@
 // a virtual clock, a specialized 4-ary-heap event queue, and cancellable
 // timers.
 //
-// All protocol and network behaviour in this repository is driven by a
-// single Queue per simulation. Events scheduled for the same instant are
-// dispatched in FIFO order (a strictly increasing sequence number breaks
-// ties), which keeps simulations fully deterministic for a given seed.
+// All protocol and network behaviour in this repository is driven by
+// one Queue per simulation shard. Events scheduled for the same instant
+// are dispatched in FIFO order (a strictly increasing sequence number
+// breaks ties), which keeps simulations fully deterministic for a given
+// seed.
 //
 // The queue is a monomorphic 4-ary heap rather than container/heap: the
 // interface-based heap boxes every operation behind dynamic dispatch and
@@ -17,9 +18,9 @@
 // so the heap shape never affects dispatch order — determinism is
 // untouched.
 //
-// For parallel runs, ShardGroup advances several queues concurrently
-// under conservative lookahead, exchanging cross-shard events at barrier
-// epochs; see shard.go.
+// ShardGroup advances one or more queues under conservative lookahead,
+// concurrently when there are several, exchanging cross-shard events at
+// barrier epochs; see shard.go.
 package eventq
 
 import (
@@ -70,11 +71,11 @@ type Handler func(now Time)
 // virtual time at which it was scheduled (bt) and the shard of the queue
 // that scheduled it (bs). Within one queue bt is non-decreasing in seq
 // and bs is constant, so the (at, bt, bs, seq) heap order below is
-// exactly the classic (at, seq) FIFO order — sequential runs are
-// untouched. Across queues the birth key is the piece of the total order
-// that survives sharding: seq counters of different shards are not
-// comparable, but (at, bt, bs) is, which is what makes the parallel
-// shard runner's merge deterministic and shard-count-invariant.
+// exactly the classic (at, seq) FIFO order. Across queues the birth
+// key is the piece of the total order that survives sharding: seq
+// counters of different shards are not comparable, but (at, bt, bs) is,
+// which is what makes the parallel shard runner's merge deterministic
+// and shard-count-invariant.
 type event struct {
 	at    Time
 	bt    Time   // birth time: Now() of the scheduling queue
@@ -128,42 +129,6 @@ type Queue struct {
 	// shard is the queue's shard ID, stamped on every scheduled event's
 	// birth key. Standalone queues are shard 0.
 	shard int32
-	// hashOn arms the dispatch digest: a running FNV-1a over the
-	// (at, bt, bs) key of every dispatched event. Per-shard digests are
-	// the diagnostic the shard runner records so a determinism breach
-	// can be localized to the first diverging shard.
-	hashOn bool
-	hash   uint64
-}
-
-// fnv1aOffset / fnv1aPrime are the standard 64-bit FNV-1a constants.
-const (
-	fnv1aOffset = 0xcbf29ce484222325
-	fnv1aPrime  = 0x100000001b3
-)
-
-// EnableDispatchHash arms the running dispatch digest (it starts at the
-// FNV-1a offset basis).
-func (q *Queue) EnableDispatchHash() {
-	q.hashOn = true
-	q.hash = fnv1aOffset
-}
-
-// DispatchHash returns the running FNV-1a digest over the (at, bt, bs)
-// keys of every event dispatched since EnableDispatchHash.
-func (q *Queue) DispatchHash() uint64 { return q.hash }
-
-// hashEvent folds one dispatched event's ordering key into the digest.
-func (q *Queue) hashEvent(ev *event) {
-	h := q.hash
-	for _, w := range [3]uint64{uint64(math.Float64bits(float64(ev.at))),
-		uint64(math.Float64bits(float64(ev.bt))), uint64(ev.bs)} {
-		for i := 0; i < 8; i++ {
-			h ^= (w >> (8 * i)) & 0xff
-			h *= fnv1aPrime
-		}
-	}
-	q.hash = h
 }
 
 // setShard assigns the queue's shard ID for event birth keys. The shard
@@ -253,9 +218,6 @@ func (q *Queue) Step() bool {
 	q.remove(0)
 	q.now = ev.at
 	q.dispatchN++
-	if q.hashOn {
-		q.hashEvent(ev)
-	}
 	fn := ev.fn
 	// Recycle before dispatch: the handler may schedule new events and
 	// reuse this entry immediately — recycle bumps gen first, so every

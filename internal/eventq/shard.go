@@ -95,7 +95,6 @@ func NewShardGroup(k int, lookahead Duration) *ShardGroup {
 	for i := range g.qs {
 		q := &Queue{}
 		q.setShard(int32(i))
-		q.EnableDispatchHash()
 		g.qs[i] = q
 		g.outbox[i] = make([][]crossEvent, k)
 	}
@@ -118,17 +117,6 @@ func (g *ShardGroup) Now() Time { return g.now }
 // Posted returns the total number of cross-shard events exchanged so
 // far — the runner's coupling diagnostic.
 func (g *ShardGroup) Posted() uint64 { return g.posted }
-
-// DispatchHashes returns each shard's running dispatch digest (FNV-1a
-// over dispatched (at, bt, bs) keys). When two runs that should agree
-// do not, the first differing shard digest localizes the divergence.
-func (g *ShardGroup) DispatchHashes() []uint64 {
-	out := make([]uint64, len(g.qs))
-	for i, q := range g.qs {
-		out[i] = q.DispatchHash()
-	}
-	return out
-}
 
 // Post schedules fn to run at time `at` on shard dst. It must be called
 // only from the goroutine currently executing shard src's epoch, with

@@ -203,22 +203,3 @@ func TestCrossTieBreak(t *testing.T) {
 		t.Fatalf("dispatch order = %v, want [1 2]", order)
 	}
 }
-
-// TestDispatchHashDiverges sanity-checks the per-shard diagnostic: two
-// different workloads must (overwhelmingly) hash differently.
-func TestDispatchHashDiverges(t *testing.T) {
-	a := newShardSim(12, 2)
-	a.run(t)
-	b := newShardSim(13, 2)
-	b.run(t)
-	ha, hb := a.g.DispatchHashes(), b.g.DispatchHashes()
-	same := true
-	for i := range ha {
-		if ha[i] != hb[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("dispatch hashes identical for different workloads")
-	}
-}

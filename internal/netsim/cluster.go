@@ -10,16 +10,13 @@
 // barrier epoch — which conservative lookahead guarantees is always
 // soon enough.
 //
-// The two constructors give two deterministic families that differ in
-// data only — which stream a link direction draws its loss from. New
-// resolves every direction to the single "netsim/loss" stream, whose
-// draws are consumed in global dispatch order: an ordering that cannot
-// exist under parallel execution. NewCluster gives every direction its
-// own "netsim/loss"-derived stream keyed (link, dir). Per-direction
-// draw order is owner-shard-local and fixed by the deterministic event
-// order, so results are byte-identical across shard counts — the
-// property the root package's shard digest matrix pins — and where no
-// draw is ever taken the two families coincide.
+// Every link direction draws its loss from its own "netsim/loss"-derived
+// stream keyed (link, dir), under either constructor. Per-direction draw
+// order is owner-shard-local and fixed by the deterministic event order,
+// so results are byte-identical across shard counts — the property the
+// root package's shard digest matrix pins. (One stream shared by every
+// direction would be consumed in global dispatch order, an ordering
+// that cannot exist under parallel execution.)
 //
 // Shared mutable state obeys a strict ownership discipline:
 //
@@ -56,7 +53,7 @@ type Cluster struct {
 
 	// lossStreams[li][dir] is the stream the direction's Bernoulli draws
 	// come from: its own, created on first use by the (unique) shard
-	// owning the upstream node, unless New pointed them all at one.
+	// owning the upstream node.
 	// lossModels overrides it per direction; it is mutated only with
 	// the fabric quiescent.
 	lossStreams [][2]*simrand.Rand

@@ -17,9 +17,8 @@
 // latency, and — for loss-eligible packets — independent Bernoulli loss
 // per link, exactly the loss model the paper assumes.
 //
-// Both constructors run the same forwarding code. They differ in one
-// piece of data: which random stream a link direction draws its loss
-// from (see Cluster).
+// Both constructors run the same forwarding code over the same data:
+// every link direction draws its loss from its own stream (see Cluster).
 package netsim
 
 import (
@@ -119,17 +118,12 @@ type Network struct {
 	faultdrops uint64
 }
 
-// New creates a network over g and h with a single view on q — the
-// sequential engine. Every link direction draws loss from the one
-// "netsim/loss" stream of src, consumed in global dispatch order: the
-// deterministic family the sequential goldens pin.
+// New creates a network over g and h with a single view on q: the
+// fabric of a one-shard cluster, without the shard group. Loss draws
+// come from the same per-(link, dir) streams NewCluster uses, so the
+// same traffic meets the same losses on either.
 func New(q *eventq.Queue, g *topology.Graph, h *scoping.Hierarchy, src *simrand.Source) *Network {
-	c := newFabric(nil, []*eventq.Queue{q}, g, h, src, make([]int32, g.NumNodes()))
-	loss := src.Stream("netsim/loss")
-	for li := range c.lossStreams {
-		c.lossStreams[li] = [2]*simrand.Rand{loss, loss}
-	}
-	return c.nets[0]
+	return newFabric(nil, []*eventq.Queue{q}, g, h, src, make([]int32, g.NumNodes())).nets[0]
 }
 
 // Attach binds an agent to a node (joining the session). Passing nil

@@ -283,7 +283,7 @@ func (w *oracleWorld) run(t *testing.T, shards int) (hops []oracleHop, dlv []ora
 // sortHops groups transmissions by packet and transmitting node and
 // keeps each group in the order it was made: one node's transmissions of
 // one packet all happen on one view, in the order it visits its
-// children — the order the sequential family's loss draws are taken in.
+// children — the order its loss draws on each direction are taken in.
 func sortHops(h []oracleHop) []oracleHop {
 	slices.SortStableFunc(h, func(a, b oracleHop) int {
 		return cmp.Or(cmp.Compare(a.seq, b.seq), cmp.Compare(a.from, b.from))

@@ -101,6 +101,9 @@ func (m *Manager) issueChallenge(now eventq.Time, zs *zoneState) {
 
 // HandleChallenge processes a ZCR challenge heard at the parent scope.
 func (m *Manager) HandleChallenge(now eventq.Time, msg *packet.ZCRChallenge) {
+	if !m.knownZone(msg.Zone) {
+		return
+	}
 	z := scoping.ZoneID(msg.Zone)
 	member := m.net.Hierarchy().Contains(z, m.node)
 	zs := m.zone(z) // non-nil for every zone we are a member of
@@ -208,6 +211,9 @@ func (m *Manager) sendTakeover(now eventq.Time, zs *zoneState, dist float64) {
 
 // HandleTakeover processes a ZCR takeover announcement.
 func (m *Manager) HandleTakeover(now eventq.Time, msg *packet.ZCRTakeover) {
+	if !m.knownZone(msg.Zone) {
+		return
+	}
 	zs := m.zoneFor(scoping.ZoneID(msg.Zone))
 	// Suppress our own pending (not-closer) takeover.
 	if t := zs.takeover; t.Active() && zs.pendingDist+m.cfg.TakeoverEpsilon >= msg.DistToParent {

@@ -150,6 +150,10 @@ type Manager struct {
 
 	// Elections counts ZCR takeovers observed, for the §6.1 experiments.
 	Elections int
+	// BadZones counts session, challenge and takeover messages refused
+	// because their Zone is not a zone of the hierarchy; they touch
+	// nothing.
+	BadZones int
 }
 
 // New creates a Manager for node. The node's zone chain comes from the
@@ -185,6 +189,19 @@ func (m *Manager) zone(z scoping.ZoneID) *zoneState {
 		}
 	}
 	return nil
+}
+
+// knownZone reports whether a message's zone field names a zone of the
+// hierarchy, counting the refusal in BadZones when it does not. Scoped
+// delivery never hands a member another hierarchy's zone, but a socket
+// can carry any 16-bit value, and zoneFor would open a record for it that
+// the hierarchy's accessors then index unchecked.
+func (m *Manager) knownZone(z int16) bool {
+	if z >= 0 && int(z) < m.net.Hierarchy().NumZones() {
+		return true
+	}
+	m.BadZones++
+	return false
 }
 
 // zoneFor is zone, creating the record on first sight of z.
@@ -324,6 +341,9 @@ func (m *Manager) sendSessionFor(now eventq.Time, zs *zoneState) {
 
 // HandleSession processes a received session message.
 func (m *Manager) HandleSession(now eventq.Time, msg *packet.Session) {
+	if !m.knownZone(msg.Zone) {
+		return
+	}
 	zs := m.zoneFor(scoping.ZoneID(msg.Zone))
 	// Record the peer for echoing in our next message at this scope.
 	h, _ := zs.heard.put(msg.Origin)

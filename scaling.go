@@ -33,11 +33,10 @@ type ScalingSweepConfig struct {
 	// small zones carry fixed session overheads the model ignores — and
 	// converges toward it as populations grow; see EXPERIMENTS.md E20.
 	Tolerance float64
-	// Shards > 0 runs each census point on the zone-sharded parallel
-	// engine with that many shards (see DataConfig.Shards). The
-	// national session runs are lossless, so sharded and sequential
-	// measurements agree exactly; sharding is what makes the 10⁵-
-	// receiver points tractable. 0 keeps the sequential engine.
+	// Shards is how many event queues each census point runs on (see
+	// DataConfig.Shards; 0 and 1 are one shard). Measurements are
+	// identical at every shard count; more shards are what make the
+	// 10⁵-receiver points tractable.
 	Shards int
 	// DesignateZCRs pre-seeds every zone's ZCR (the zone's lowest-ID
 	// member; the source for the root zone) before the session layer
@@ -175,17 +174,16 @@ func RunScalingSweep(cfg ScalingSweepConfig) (*analysis.ScalingReport, error) {
 // runSessionCensus runs the session layer alone on spec with the
 // census engine armed: link matrices bound, per-member state probes
 // registered, epoch snapshots every virtual second. The protocol runs
-// against spec.Zones while the census accounts against — and the
-// sharded engine partitions by — the topology's native zones: the
+// against spec.Zones while the census accounts against — and the shard
+// partition follows — the topology's native zones: the
 // census is passive, so a flat run can be measured against the
 // boundaries scoping would have enforced, and flattening changes
 // scoping, not physical locality. Every network view feeds the one
 // census hop tap (ObserveHop is atomic), and member starts plus epoch
 // snapshots run with the simulation quiescent, so they see a globally
-// consistent virtual time; the national sweeps are lossless, so every
-// shard count measures exactly what the sequential engine does. It
-// returns the census-measured state peak and control-traffic matrix
-// entries.
+// consistent virtual time, and every shard count measures the same
+// run. It returns the census-measured state peak and control-traffic
+// matrix entries.
 func runSessionCensus(spec *topology.Spec, native []topology.ZoneSpec, seed uint64, seconds float64, shards int, designate bool) (scalingMeasure, error) {
 	s, err := newSim(spec, seed, shards, native)
 	if err != nil {
@@ -232,7 +230,7 @@ func runSessionCensus(spec *topology.Spec, native []topology.ZoneSpec, seed uint
 // designatedZCRs returns the deployment-style ZCR assignment for every
 // zone of h: the data source for the root zone (Start(true) declares it
 // there anyway) and the lowest-ID member elsewhere. Purely a function
-// of the hierarchy, so sequential and sharded runs seed identically and
+// of the hierarchy, so runs at every shard count seed identically and
 // shard-count invariance is preserved.
 func designatedZCRs(h *scoping.Hierarchy, source topology.NodeID) map[scoping.ZoneID]topology.NodeID {
 	d := make(map[scoping.ZoneID]topology.NodeID, h.NumZones())

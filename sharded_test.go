@@ -1,33 +1,87 @@
 package sharqfec
 
-// Shard-count invariance gate for the zone-sharded parallel engine:
-// the same config and seed must yield byte-identical DataResults at
-// every shard count. The five cases mirror the sequential determinism
-// suite's coverage — plain SHARQFEC, SRM, ECSRM under Gilbert bursts,
-// a ZCR crash plan and a backbone flap plan (the chaos seeds are
-// expressed as RunData+FaultPlan here; RunChaos hard-wires telemetry,
-// which sharded runs reject) — plus adaptive rate control under burst
-// loss. The K=1 digests are pinned: a drift
-// means the sharded family's results changed, breaking comparability
-// with recorded large-N experiments.
+// The golden gate: one table of fixed-seed runs, each pinned to one
+// digest that it must reproduce byte for byte at every shard count (0
+// and 1 are the same one-shard run). The cases cover plain SHARQFEC, SRM, ECSRM under
+// Gilbert bursts, a ZCR crash plan and a backbone flap plan — both as
+// RunData + FaultPlan and through RunChaos — and adaptive rate control
+// under burst loss. A drift means simulated results changed, breaking
+// comparability with recorded experiments.
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-var shardMatrixCases = []struct {
+// dataDigest canonically encodes everything RunData reports (series
+// bins at full float64 precision, recovery totals, fault log) and
+// hashes it.
+func dataDigest(res *DataResult) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "proto=%s topo=%s rcvrs=%d\n", res.Protocol, res.Topology, res.Receivers)
+	writeSeries(&b, "avgDataRepair", res.AvgDataRepair)
+	writeSeries(&b, "avgNACKs", res.AvgNACKs)
+	writeSeries(&b, "srcDataRepair", res.SourceDataRepair)
+	writeSeries(&b, "srcNACKs", res.SourceNACKs)
+	fmt.Fprintf(&b, "nacks=%d repairs=%d injected=%d compl=%v verified=%v session=%d faultdrops=%d\n",
+		res.NACKsSent, res.RepairsSent, res.RepairsInjected, res.CompletionRate,
+		res.Verified, res.SessionPackets, res.FaultDrops)
+	for _, f := range res.FaultLog {
+		fmt.Fprintf(&b, "fault %s\n", f)
+	}
+	sum := sha256.Sum256([]byte(b.String()))
+	return hex.EncodeToString(sum[:])
+}
+
+// chaosDigest canonically encodes a ChaosResult.
+func chaosDigest(res *ChaosResult) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "proto=%s topo=%s rcvrs=%d\n", res.Protocol, res.Topology, res.Receivers)
+	fmt.Fprintf(&b, "compl=%v verified=%v localfrac=%v faultdrops=%d nacks=%d repairs=%d\n",
+		res.CompletionRate, res.Verified, res.LocalRepairFrac,
+		res.FaultDrops, res.NACKsSent, res.RepairsSent)
+	for _, r := range res.Reelections {
+		fmt.Fprintf(&b, "reelect crashed=%d zone=%d new=%d at=%v rec=%v\n",
+			r.Crashed, r.Zone, r.NewZCR, r.CrashAt, r.RecoverySeconds)
+	}
+	for _, f := range res.FaultLog {
+		fmt.Fprintf(&b, "fault %s\n", f)
+	}
+	sum := sha256.Sum256([]byte(b.String()))
+	return hex.EncodeToString(sum[:])
+}
+
+func writeSeries(b *strings.Builder, name string, s Series) {
+	fmt.Fprintf(b, "%s start=%v width=%v bins=", name, s.Start, s.BinWidth)
+	for _, v := range s.Bins {
+		fmt.Fprintf(b, "%v,", v)
+	}
+	b.WriteByte('\n')
+}
+
+// goldenSHARQFEC21 is the paper scenario's digest at seed 21, which the
+// rate-control seam test pins as well.
+const goldenSHARQFEC21 = "951f9816c99dcb0e6a9972cb0f2b2a3d631d5a36bd27777fb4fa6fe66602c4fa"
+
+// goldenCase is one pinned run: a RunData config, or a RunChaos one.
+type goldenCase struct {
 	name   string
 	cfg    DataConfig
+	chaos  *ChaosConfig // set: the case runs RunChaos and cfg is unused
 	golden string
-}{
+}
+
+var goldenCases = []goldenCase{
 	{
 		name:   "sharqfec-seed21",
 		cfg:    DataConfig{Protocol: SHARQFEC, Seed: 21},
-		golden: "951f9816c99dcb0e6a9972cb0f2b2a3d631d5a36bd27777fb4fa6fe66602c4fa",
+		golden: goldenSHARQFEC21,
 	},
 	{
 		name:   "srm-seed22",
@@ -66,45 +120,92 @@ var shardMatrixCases = []struct {
 		},
 		golden: "a51f0790d3be7f073d3aff03ee5f74390fed7970873d7655c5308613006b102b",
 	},
+	{
+		name:   "chaos-crash-seed31",
+		chaos:  &ChaosConfig{Seed: 31},
+		golden: "896fcf8496e10ea1a87b4514d73170f928151aab119f19041b1abd01e7bb9586",
+	},
+	{
+		name:   "chaos-backbone-seed11",
+		chaos:  &ChaosConfig{Seed: 11, NumPackets: 512, Faults: BackboneFlapPlan(), Until: 60},
+		golden: "27de4c7b2cda8a12acce7eced288d54d7903e3c262d6b2acf2d16c0911b827c1",
+	},
 }
 
-// TestShardCountInvarianceMatrix runs every case at 1, 2 and 4 shards
-// and requires all three digests to match the pinned golden.
+// run executes the case at the given shard count and returns its digest
+// and completion rate.
+func (tc goldenCase) run(shards int) (digest string, completion float64, err error) {
+	if tc.chaos != nil {
+		res, err := RunChaos(*tc.chaos)
+		if err != nil {
+			return "", 0, err
+		}
+		return chaosDigest(res), res.CompletionRate, nil
+	}
+	cfg := tc.cfg
+	cfg.Shards = shards
+	res, err := RunData(cfg)
+	if err != nil {
+		return "", 0, err
+	}
+	return dataDigest(res), res.CompletionRate, nil
+}
+
+// check runs the case at the given shard count and requires its digest
+// to match the pinned golden.
+func (tc goldenCase) check(t *testing.T, shards int) {
+	t.Helper()
+	got, completion, err := tc.run(shards)
+	if err != nil {
+		t.Fatalf("shards=%d: %v", shards, err)
+	}
+	if got != tc.golden {
+		t.Errorf("shards=%d digest drifted:\n got  %s\n want %s", shards, got, tc.golden)
+	}
+	if completion <= 0 {
+		t.Errorf("shards=%d: completion rate %v; the run did nothing", shards, completion)
+	}
+}
+
+// TestFixedSeedRunDigests runs every golden case as configured, at the
+// default Shards 0, RunChaos cases included.
+func TestFixedSeedRunDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run digest suite")
+	}
+	for _, tc := range goldenCases {
+		t.Run(tc.name, func(t *testing.T) { tc.check(t, 0) })
+	}
+}
+
+// TestShardCountInvarianceMatrix runs every RunData golden case at 1, 2
+// and 4 shards against the same golden. RunChaos has no shard knob: it
+// hard-wires telemetry, which runs on one shard, so its cases are
+// covered by TestFixedSeedRunDigests alone.
 func TestShardCountInvarianceMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run digest suite")
 	}
-	for _, tc := range shardMatrixCases {
+	for _, tc := range goldenCases {
+		if tc.chaos != nil {
+			continue
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			for _, k := range []int{1, 2, 4} {
-				cfg := tc.cfg
-				cfg.Shards = k
-				res, err := RunData(cfg)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", k, err)
-				}
-				if got := dataDigest(res); got != tc.golden {
-					t.Errorf("shards=%d digest drifted:\n got  %s\n want %s", k, got, tc.golden)
-				}
-				if res.CompletionRate <= 0 {
-					t.Errorf("shards=%d: completion rate %v; the run did nothing", k, res.CompletionRate)
-				}
+				tc.check(t, k)
 			}
 		})
 	}
 }
 
-// TestShardsMatchSequentialOnLosslessTopologies is the cross-engine
-// differential: the two deterministic families differ only in which
-// stream a link direction draws its Bernoulli loss from, so where no
-// such draw is ever taken the one data driver must report the same
-// DataResult — every series bin, every total — on the sequential engine
-// and at any shard count, for both protocols. The faulted input keeps
-// link loss at zero (Gilbert models own their randomness) while
-// exercising rerouting around a downed link, loss models, a crash, the
-// hierarchy swap and a late-joining restart; the adaptive input sizes
-// injection with the burst-fitting controller under Gilbert loss (SRM
-// has no FEC and ignores it).
+// TestShardsMatchSequentialOnLosslessTopologies is the small-topology
+// differential; its name predates `Shards: 0` meaning one shard. The
+// one data driver must report the same DataResult — every series bin,
+// every total — at 0, 1 and 2 shards, for both protocols. The faulted
+// input exercises rerouting around a downed link, Gilbert loss models,
+// a crash, the hierarchy swap and a late-joining restart; the adaptive
+// input sizes injection with the burst-fitting controller under Gilbert
+// loss (SRM has no FEC and ignores it).
 func TestShardsMatchSequentialOnLosslessTopologies(t *testing.T) {
 	tops := []*Topology{
 		ChainTopology(6, 0),
@@ -148,7 +249,7 @@ func TestShardsMatchSequentialOnLosslessTopologies(t *testing.T) {
 							if ref == nil {
 								ref = res
 							} else if !reflect.DeepEqual(ref, res) {
-								t.Errorf("shards=%d diverged from the sequential engine:\n seq %+v\n got %+v", k, ref, res)
+								t.Errorf("shards=%d diverged from shards=0:\n want %+v\n got  %+v", k, ref, res)
 							}
 						}
 					})
@@ -158,45 +259,115 @@ func TestShardsMatchSequentialOnLosslessTopologies(t *testing.T) {
 	}
 }
 
-// TestShardedRejectsUnsupportedConfigs pins the error surface: the
-// combinations the sharded engine cannot yet honor must fail loudly,
-// never silently fall back to sequential.
+// TestShardedRejectsUnsupportedConfigs pins the error surface:
+// telemetry and packet traces feed single-threaded sinks, so they run
+// at Shards 0 and 1 and must fail loudly from 2 up, never silently fall
+// back to fewer shards.
 func TestShardedRejectsUnsupportedConfigs(t *testing.T) {
+	small := func(shards int) DataConfig {
+		return DataConfig{Protocol: SHARQFEC, Topology: ChainTopology(4, 0.05), NumPackets: 64, Until: 12, Shards: shards}
+	}
+	telemetry := func(shards int) DataConfig {
+		cfg := small(shards)
+		cfg.Telemetry = &TelemetryConfig{}
+		return cfg
+	}
+	trace := func(shards int) DataConfig {
+		cfg := small(shards)
+		cfg.TraceWriter = &bytes.Buffer{}
+		return cfg
+	}
 	cases := []struct {
 		name string
 		cfg  DataConfig
+		ok   bool
 	}{
-		{"telemetry", DataConfig{Protocol: SHARQFEC, Shards: 2, Telemetry: &TelemetryConfig{}}},
-		{"packet-trace", DataConfig{Protocol: SHARQFEC, Shards: 2, TraceWriter: &bytes.Buffer{}}},
-		{"negative-shards", DataConfig{Protocol: SHARQFEC, Shards: -3}},
+		{"telemetry", telemetry(2), false},
+		{"packet-trace", trace(2), false},
+		{"negative-shards", small(-3), false},
+		{"telemetry-shards-0", telemetry(0), true},
+		{"telemetry-shards-1", telemetry(1), true},
+		{"packet-trace-shards-0", trace(0), true},
+		{"packet-trace-shards-1", trace(1), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := RunData(tc.cfg); err == nil {
+			_, err := RunData(tc.cfg)
+			switch {
+			case tc.ok && err != nil:
+				t.Errorf("want success, got %v", err)
+			case !tc.ok && err == nil:
 				t.Error("want an error, got success")
 			}
 		})
 	}
 }
 
-// TestShardedStaticRateControlMatchesOff mirrors the sequential seam
-// pin: static rate control must be a rename of off, sharded too.
-func TestShardedStaticRateControlMatchesOff(t *testing.T) {
-	run := func(rc *RateControlConfig) string {
+// TestTelemetryEqualAtShardsZeroAndOne: with every exporter on — event
+// trace, spans, census, SLO engine — a run at Shards 0 and one at
+// Shards 1 must write the same JSONL bytes and report the same results.
+func TestTelemetryEqualAtShardsZeroAndOne(t *testing.T) {
+	spec := parseTestSLO(t)
+	render := func(shards int) (jsonl []byte, report string) {
 		t.Helper()
-		res, err := RunData(DataConfig{Protocol: SHARQFEC, Seed: 21, Shards: 2, RateControl: rc})
+		var events, metrics bytes.Buffer
+		res, err := RunData(DataConfig{
+			Protocol: SHARQFEC, Seed: 5, NumPackets: 256, Until: 30,
+			Faults: BurstLossPlan(8), Shards: shards,
+			Telemetry: &TelemetryConfig{
+				Events: &events, MetricsInterval: 1, FlightRecorder: 64,
+				Spans: true, Census: true, SLO: spec,
+			},
+		})
 		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		tel := res.Telemetry
+		if err := tel.WriteMetricsJSON(&metrics); err != nil {
 			t.Fatal(err)
 		}
-		return dataDigest(res)
+		if tel.EventsWritten == 0 || len(tel.Spans()) == 0 || tel.CensusSummary() == nil || tel.HealthReport() == nil {
+			t.Fatalf("shards=%d: an exporter recorded nothing", shards)
+		}
+		return events.Bytes(), fmt.Sprintf("%s\n%s\n%s\n%+v\n%+v\n%v",
+			dataDigest(res), metrics.String(), tel.HealthReport(), *tel.CensusSummary(), tel.Spans(), tel.FlightRecord())
 	}
-	if off, static := run(nil), run(&RateControlConfig{Mode: RateControlStatic}); off != static {
-		t.Errorf("sharded static rate control diverged from off:\n off    %s\n static %s", off, static)
+	jsonl0, report0 := render(0)
+	jsonl1, report1 := render(1)
+	if !bytes.Equal(jsonl0, jsonl1) {
+		t.Error("JSONL event traces differ between Shards 0 and 1")
+	}
+	if report0 != report1 {
+		t.Errorf("reports differ between Shards 0 and 1:\n--- 0 ---\n%s\n--- 1 ---\n%s", report0, report1)
 	}
 }
 
-// TestShardMatrixHarvest prints the current K=1 digests for re-pinning
-// after an intentional behavior change:
+// checkStaticMatchesOff pins the rate-control seam at one shard count:
+// an explicit static controller must reproduce the built-in default
+// byte-for-byte, both equal to the sharqfec-seed21 golden — so
+// `-ratecontrol=static` is a rename of `off`, never a behavior change.
+func checkStaticMatchesOff(t *testing.T, shards int) {
+	t.Helper()
+	for _, rc := range []*RateControlConfig{nil, {Mode: RateControlStatic}} {
+		res, err := RunData(DataConfig{Protocol: SHARQFEC, Seed: 21, Shards: shards, RateControl: rc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dataDigest(res); got != goldenSHARQFEC21 {
+			t.Errorf("shards=%d rate control %+v: digest %s, want %s", shards, rc, got, goldenSHARQFEC21)
+		}
+	}
+}
+
+// TestStaticRateControlDigestMatchesOff checks the seam at the default
+// Shards 0.
+func TestStaticRateControlDigestMatchesOff(t *testing.T) { checkStaticMatchesOff(t, 0) }
+
+// TestShardedStaticRateControlMatchesOff checks the seam at two shards.
+func TestShardedStaticRateControlMatchesOff(t *testing.T) { checkStaticMatchesOff(t, 2) }
+
+// TestShardMatrixHarvest prints every golden case's current digest for
+// re-pinning after an intentional behavior change:
 //
 //	SHARD_HARVEST=1 go test -run TestShardMatrixHarvest -v
 //
@@ -205,13 +376,11 @@ func TestShardMatrixHarvest(t *testing.T) {
 	if os.Getenv("SHARD_HARVEST") == "" {
 		t.Skip("harvest helper; run with SHARD_HARVEST=1 and -v")
 	}
-	for _, tc := range shardMatrixCases {
-		cfg := tc.cfg
-		cfg.Shards = 1
-		res, err := RunData(cfg)
+	for _, tc := range goldenCases {
+		got, _, err := tc.run(1)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		fmt.Printf("HARVEST %s %s\n", tc.name, dataDigest(res))
+		fmt.Printf("HARVEST %s %s\n", tc.name, got)
 	}
 }

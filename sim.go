@@ -14,11 +14,10 @@ import (
 
 // sim is the scenario harness every Run* entry point builds on: the
 // zone hierarchy, the seeded random source and the netsim fabric under
-// one of the two engines — a single eventq.Queue with the fabric's one
-// netsim.Network view, or a ShardGroup with one view per shard and the
-// topology partitioned by top-level zone. A scenario reaches the engine
-// only through the methods below, so the same scenario code runs on
-// either.
+// one engine — an eventq.ShardGroup with one netsim.Network view per
+// shard, the topology partitioned by top-level zone. One shard is the
+// default; more run the same scenario code concurrently. A scenario
+// reaches the engine only through the methods below.
 //
 // The contract a scenario keeps: attach each agent to netFor(its node)
 // and touch it only from handlers on that node or inside at() tasks;
@@ -30,35 +29,30 @@ type sim struct {
 	src     *simrand.Source
 	members []topology.NodeID // spec.Members(): the order scenarios walk agents in
 
-	seq   eventq.Queue       // the sequential engine's queue
-	grp   *eventq.ShardGroup // nil on the sequential engine
-	nets  []*netsim.Network  // one view per shard; one network when sequential
-	owner []int32            // node → index into nets; nil when sequential
+	grp   *eventq.ShardGroup
+	nets  []*netsim.Network // one view per shard
+	owner []int32           // node → index into nets
 }
 
-// newSim builds the engine for spec: the sequential one for shards == 0,
-// otherwise the zone-sharded one with that many shards. partitionZones
-// is the zone layout the sharded partition follows — the topology's
-// native zones even when spec runs globalized, since flattening changes
-// packet scoping, not the physical locality a partition exploits, and a
-// config-independent partition means one owner map per (topology, shard
-// count) for every protocol.
+// newSim builds the engine for spec with max(shards, 1) shards: 0 and 1
+// are the same one-shard run. partitionZones is the zone layout the
+// partition follows — the topology's native zones even when spec runs
+// globalized, since flattening changes packet scoping, not the physical
+// locality a partition exploits, and a config-independent partition
+// means one owner map per (topology, shard count) for every protocol.
 func newSim(spec *topology.Spec, seed uint64, shards int, partitionZones []topology.ZoneSpec) (*sim, error) {
 	if shards < 0 {
 		return nil, fmt.Errorf("sharqfec: Shards = %d; want >= 0", shards)
 	}
+	shards = max(shards, 1)
 	h, err := scoping.Build(spec.Zones)
 	if err != nil {
 		return nil, err
 	}
 	s := &sim{spec: spec, h: h, src: simrand.New(seed), members: spec.Members()}
-	if shards == 0 {
-		s.nets = []*netsim.Network{netsim.New(&s.seq, spec.Graph, h, s.src)}
-		return s, nil
-	}
 	owner, lookahead := topology.PartitionByZone(spec.Graph, partitionZones, shards)
 	if lookahead <= 0 {
-		return nil, fmt.Errorf("sharqfec: topology %q has a zero-latency boundary link; cannot shard", spec.Name)
+		return nil, fmt.Errorf("sharqfec: topology %q has a zero-latency link; cannot shard", spec.Name)
 	}
 	s.grp = eventq.NewShardGroup(shards, lookahead)
 	cluster, err := netsim.NewCluster(s.grp, spec.Graph, h, s.src, owner)
@@ -75,47 +69,34 @@ func newSim(spec *topology.Spec, seed uint64, shards int, partitionZones []topol
 
 // netFor returns the network view node's agent attaches to and sends on.
 func (s *sim) netFor(node topology.NodeID) *netsim.Network {
-	if s.owner == nil {
-		return s.nets[0]
-	}
 	return s.nets[s.owner[node]]
 }
 
 // eachNet visits every network view, for taps, collectors, hop taps and
-// per-view settings. Sharded, each view calls its taps from its own
-// shard's goroutine: give each view its own sink, or a goroutine-safe one.
+// per-view settings. With several shards each view calls its taps from
+// its own shard's goroutine: give each view its own sink, or a
+// goroutine-safe one.
 func (s *sim) eachNet(fn func(n *netsim.Network)) {
 	for _, n := range s.nets {
 		fn(n)
 	}
 }
 
-// at schedules fn at virtual time t with the whole simulation quiescent:
-// an ordinary event on the sequential queue, a sync barrier on the
-// sharded engine. Call it before run or from inside another at task.
+// at schedules fn at virtual time t with the whole simulation quiescent
+// (a sync barrier, run before any shard dispatches events at t). Call it
+// before run or from inside another at task.
 func (s *sim) at(t eventq.Time, fn func(now eventq.Time)) {
-	if s.grp == nil {
-		s.seq.At(t, fn)
-		return
-	}
 	s.grp.Sync(t, fn)
 }
 
 // run advances the simulation through virtual time until (inclusive).
 func (s *sim) run(until eventq.Time) {
-	if s.grp == nil {
-		s.seq.RunUntil(until)
-		return
-	}
 	s.grp.Run(until)
 }
 
 // queue returns the queue telemetry and the census bind their scheduler
-// gauges to (shard 0's when sharded); after run its clock reads until.
+// gauges to (shard 0's); after run its clock reads until.
 func (s *sim) queue() *eventq.Queue {
-	if s.grp == nil {
-		return &s.seq
-	}
 	return s.grp.Queue(0)
 }
 

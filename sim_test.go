@@ -6,8 +6,7 @@ import (
 	"testing"
 )
 
-// TestPayloadsMatch covers the one payload check every driver uses on
-// both engines.
+// TestPayloadsMatch covers the one payload check every driver uses.
 func TestPayloadsMatch(t *testing.T) {
 	src := [][]byte{{1, 2, 3}, {4, 5, 6}}
 	same := [][]byte{{1, 2, 3}, {4, 5, 6}}
