@@ -7,7 +7,6 @@ import (
 	"sharqfec/internal/core"
 	"sharqfec/internal/eventq"
 	"sharqfec/internal/faults"
-	"sharqfec/internal/netsim"
 	"sharqfec/internal/scoping"
 	"sharqfec/internal/telemetry/health"
 	"sharqfec/internal/topology"
@@ -157,7 +156,10 @@ func ZonePartitionPlan(zone int, at, healAt float64) *FaultPlan {
 
 // ChaosConfig parameterizes a fault-injection experiment on the full
 // protocol. The zero value (plus a plan) runs SHARQFEC on Figure-10
-// with 512 packets, join at 1 s, source on at 6 s, until 90 s.
+// with 512 packets, join at 1 s, source on at 6 s, until 90 s, on
+// RunData's driver. Unlike RunData's, its completion rate counts live
+// receivers only: members crashed and not restarted, or departed, are
+// left out.
 type ChaosConfig struct {
 	// Protocol must be a SHARQFEC variant (SRM has no ZCRs to re-elect;
 	// compare it under faults via DataConfig.Faults instead).
@@ -225,8 +227,9 @@ type ChaosResult struct {
 	Receivers int
 
 	// CompletionRate is the fraction of (receiver, group) pairs fully
-	// recovered by live members (crashed-and-not-restarted and departed
-	// members excluded).
+	// recovered, counted over live receivers only: members crashed and
+	// not restarted, or departed, are excluded. A restarted member counts
+	// every group its predecessor or it completed, each once.
 	CompletionRate float64
 	// Verified is true when every recovered payload matched the source.
 	Verified bool
@@ -259,27 +262,9 @@ type ChaosResult struct {
 // reports recovery and localization metrics.
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	cfg.applyDefaults()
-	if err := validateRun(cfg.NumPackets, 0, defaultBinWidth, cfg.JoinAt, cfg.SourceOnAt, cfg.Until); err != nil {
-		return nil, err
-	}
-	if err := cfg.Telemetry.validate(); err != nil {
-		return nil, err
-	}
-	opts, ok := cfg.Protocol.options()
-	if !ok {
+	if _, ok := cfg.Protocol.options(); !ok {
 		return nil, fmt.Errorf("sharqfec: RunChaos needs a SHARQFEC variant, got %q", cfg.Protocol)
 	}
-
-	spec := cfg.Topology.spec
-	if !opts.Scoping {
-		spec = globalized(spec)
-	}
-	spec = cloneForFaults(spec, cfg.Faults)
-	s, err := newSim(spec, cfg.Seed, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-
 	// Chaos runs always carry telemetry: the result's traffic counters
 	// come from the metrics registry, and the flight recorder preserves
 	// the control-plane tail for anomalous endings.
@@ -294,157 +279,71 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	// always assemble them, so anomalous endings can report which zone
 	// and mechanism each stranded loss died in.
 	tcfg.Spans = true
-	tel := startTelemetry(&tcfg, s, cfg.Until)
-	s.eachNet(func(n *netsim.Network) { n.SetTelemetry(tel.bus) })
 
-	pcfg := core.DefaultConfig()
-	pcfg.Source = spec.Source
-	pcfg.NumPackets = cfg.NumPackets
-	pcfg.Options = opts
-	pcfg.Telemetry = tel.bus
-	if cfg.GroupK > 0 {
-		pcfg.GroupK = cfg.GroupK
-	}
-
-	type nodeGroup struct {
-		node  topology.NodeID
-		group uint32
-	}
-	completed := make(map[nodeGroup]bool)
-	verified := true
-	var agents []*core.Agent // by node
-	// spawned keeps every agent ever created (creation order), including
-	// crashed ones a restart replaced in agents: their stranded losses
-	// still need terminal loss_unrecovered events at session end.
-	var spawned []*core.Agent
-	wire := func(m topology.NodeID, ag *core.Agent) {
-		spawned = append(spawned, ag)
-		if m == spec.Source {
-			return
-		}
-		ag.OnComplete = func(_ eventq.Time, gid uint32, data [][]byte) {
-			completed[nodeGroup{m, gid}] = true
-			verified = verified && payloadsMatch(data, agents[spec.Source].SentGroup(gid))
-		}
-	}
-	if agents, err = coreAgents(s, pcfg, wire); err != nil {
-		return nil, err
-	}
-
-	res := &ChaosResult{
-		Protocol:  cfg.Protocol,
-		Topology:  spec.Name,
-		Receivers: len(spec.Receivers),
-	}
-	gone := make([]bool, len(agents)) // by node: crashed or departed, not restarted
-
-	eng := s.faultEngine(cfg.Faults, tel.bus)
-	eng.OnCrash = func(now eventq.Time, node topology.NodeID) {
-		ag := agents[node]
-		if ag == nil {
-			return
-		}
-		ag.Stop()
-		gone[node] = true
-		zone := s.h.LeafZone(node)
-		rec := Reelection{
+	var reelections []Reelection
+	// reelect records a crash of a session member and, for a zone member,
+	// samples on the paper's 0.1 s measurement grid until the zone's
+	// surviving members unanimously report a live replacement ZCR.
+	reelect := func(r *dataRun, now eventq.Time, node topology.NodeID) {
+		zone := r.s.h.LeafZone(node)
+		reelections = append(reelections, Reelection{
 			Crashed: int(node), Zone: int(zone), NewZCR: -1,
 			CrashAt: now.Seconds(), RecoverySeconds: -1,
-		}
-		res.Reelections = append(res.Reelections, rec)
+		})
 		if zone == scoping.NoZone {
 			return
 		}
-		idx := len(res.Reelections) - 1
-		// Sample on the paper's 0.1 s measurement grid until the zone's
-		// surviving members unanimously report a live replacement ZCR.
+		idx := len(reelections) - 1
 		var poll func(eventq.Time)
 		poll = func(pnow eventq.Time) {
-			if zcr, ok := zoneAgreement(s.h, agents, zone, node); ok {
-				r := &res.Reelections[idx]
-				r.NewZCR = int(zcr)
-				r.RecoverySeconds = pnow.Seconds() - r.CrashAt
+			if zcr, ok := zoneAgreement(r.s.h, r.coreAgent, zone, node); ok {
+				re := &reelections[idx]
+				re.NewZCR = int(zcr)
+				re.RecoverySeconds = pnow.Seconds() - re.CrashAt
 				return
 			}
 			if pnow.Seconds() < cfg.Until {
-				s.at(pnow.Add(defaultBinWidth), poll)
+				r.s.at(pnow.Add(defaultBinWidth), poll)
 			}
 		}
-		s.at(now.Add(defaultBinWidth), poll)
+		r.s.at(now.Add(defaultBinWidth), poll)
 	}
-	eng.OnRestart = func(now eventq.Time, node topology.NodeID) {
-		if node == spec.Source {
-			return
-		}
-		ag, err := core.New(node, s.netFor(node), pcfg, s.src) // re-attaches over the dead agent
-		if err != nil {
-			return
-		}
-		agents[node] = ag
-		wire(node, ag)
-		gone[node] = false
-		ag.JoinLate()
-	}
-	eng.OnLeave = func(now eventq.Time, node topology.NodeID) {
-		if ag := agents[node]; ag != nil {
-			ag.Stop()
-			gone[node] = true
-		}
-	}
-	if err := eng.Start(); err != nil {
-		return nil, err
-	}
-
-	stream(s, agents, cfg.JoinAt, cfg.SourceOnAt)
-	s.run(secondsToTime(cfg.Until))
-
-	live := 0
-	liveDone := 0
-	for _, m := range spec.Receivers {
-		if gone[m] {
-			continue
-		}
-		live++
-		for g := 0; g < pcfg.NumGroups(); g++ {
-			if completed[nodeGroup{m, uint32(g)}] {
-				liveDone++
-			}
-		}
-	}
-	if live > 0 {
-		res.CompletionRate = float64(liveDone) / float64(live*pcfg.NumGroups())
-	}
-	res.Verified = verified
-	res.FaultLog = faultLog(eng)
-
-	// Close the books before the final snapshot: every loss that never
-	// decoded gets its terminal event so no recovery span stays open.
-	for _, ag := range spawned {
-		ag.EmitUnrecoveredLosses(s.queue().Now())
-	}
-
-	// Traffic counters come straight from the registry — the hand-rolled
-	// delivery tap and per-agent tallies this replaced double-counted
-	// nothing the event stream doesn't already carry.
-	rep, err := tel.finish(cfg.Until)
+	d, r, err := runData(DataConfig{
+		Protocol: cfg.Protocol, Topology: cfg.Topology, Seed: cfg.Seed,
+		NumPackets: cfg.NumPackets, GroupK: cfg.GroupK,
+		JoinAt: cfg.JoinAt, SourceOnAt: cfg.SourceOnAt, Until: cfg.Until,
+		Faults: cfg.Faults, Telemetry: &tcfg,
+	}, reelect)
 	if err != nil {
 		return nil, err
 	}
-	res.Telemetry = rep
-	res.Health = rep.HealthReport()
-	res.LocalRepairFrac = rep.LocalRepairFrac
-	res.FaultDrops = int(rep.FaultDrops)
-	res.NACKsSent = int(rep.NACKsSent)
-	res.RepairsSent = int(rep.RepairsSent)
+
+	// Traffic counters come from the metrics registry.
+	rep := d.Telemetry
+	res := &ChaosResult{
+		Protocol:        d.Protocol,
+		Topology:        d.Topology,
+		Receivers:       d.Receivers,
+		CompletionRate:  r.completion(func(m topology.NodeID) bool { return !r.gone[m] }),
+		Verified:        d.Verified,
+		Reelections:     reelections,
+		LocalRepairFrac: rep.LocalRepairFrac,
+		FaultDrops:      int(rep.FaultDrops),
+		FaultLog:        d.FaultLog,
+		NACKsSent:       int(rep.NACKsSent),
+		RepairsSent:     int(rep.RepairsSent),
+		Health:          rep.HealthReport(),
+		Telemetry:       rep,
+	}
 	if res.CompletionRate < 1 || !res.Verified {
 		// Anomalous endings go through the same forensic path as
 		// health alerts: one more triggered snapshot, taken after the
 		// final accounting so the tail includes every terminal event.
-		tel.trigger.Fire(cfg.Until, fmt.Sprintf(
+		r.tel.trigger.Fire(cfg.Until, fmt.Sprintf(
 			"anomalous end: completion=%.4f verified=%v", res.CompletionRate, res.Verified))
-		d := tel.trigger.Dumps()
-		rep.dumps = d
-		res.FlightRecord = d[len(d)-1].Events
+		dumps := r.tel.trigger.Dumps()
+		rep.dumps = dumps
+		res.FlightRecord = dumps[len(dumps)-1].Events
 		// Lead the dump with the span ledger: how many losses closed, by
 		// which mechanism, and how many died open — the summary a post-
 		// mortem reads before the raw event tail.
@@ -456,13 +355,14 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 }
 
 // zoneAgreement reports the live replacement ZCR the zone's surviving
-// members unanimously see, if any. agents is indexed by node.
-func zoneAgreement(h *scoping.Hierarchy, agents []*core.Agent,
+// members unanimously see, if any. agent returns a node's current agent
+// (nil off-session).
+func zoneAgreement(h *scoping.Hierarchy, agent func(topology.NodeID) *core.Agent,
 	zone scoping.ZoneID, crashed topology.NodeID) (topology.NodeID, bool) {
 
 	agreed := topology.NodeID(-2)
 	for _, m := range h.Members(zone) {
-		ag := agents[m]
+		ag := agent(m)
 		if ag == nil || ag.Stopped() {
 			continue
 		}
@@ -470,7 +370,7 @@ func zoneAgreement(h *scoping.Hierarchy, agents []*core.Agent,
 		if got == topology.NoNode || got == crashed {
 			return topology.NoNode, false
 		}
-		if other := agents[got]; other != nil && other.Stopped() {
+		if other := agent(got); other != nil && other.Stopped() {
 			return topology.NoNode, false
 		}
 		if agreed == -2 {

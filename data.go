@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 
 	"sharqfec/internal/core"
 	"sharqfec/internal/eventq"
@@ -134,10 +135,28 @@ type DataResult struct {
 // validate rejects, after defaulting, what no run can honour: numbers
 // that would panic, hang or silently simulate nothing, bad telemetry
 // or rate-control tuning, and — the one place they live — the features
-// a run on several shards cannot carry yet.
+// a run on several shards cannot carry yet. Times must be finite and
+// non-negative (an infinite horizon never returns: session timers
+// re-arm forever), the bin width finite and positive, the stream
+// non-empty and the queue bound non-negative. Comparisons are written
+// so NaN fails them.
 func (c *DataConfig) validate() error {
-	if err := validateRun(c.NumPackets, c.QueueLimit, c.BinWidth, c.JoinAt, c.SourceOnAt, c.Until); err != nil {
-		return err
+	for _, t := range []struct {
+		name string
+		v    float64
+	}{{"JoinAt", c.JoinAt}, {"SourceOnAt", c.SourceOnAt}, {"Until", c.Until}} {
+		if !(isFinite64(t.v) && t.v >= 0) {
+			return fmt.Errorf("sharqfec: %s = %v; want a finite time >= 0", t.name, t.v)
+		}
+	}
+	if !(isFinite64(c.BinWidth) && c.BinWidth > 0) {
+		return fmt.Errorf("sharqfec: BinWidth = %v; want finite and > 0", c.BinWidth)
+	}
+	if c.NumPackets <= 0 {
+		return fmt.Errorf("sharqfec: NumPackets = %d; want > 0", c.NumPackets)
+	}
+	if c.QueueLimit < 0 {
+		return fmt.Errorf("sharqfec: QueueLimit = %d; want >= 0", c.QueueLimit)
 	}
 	if err := c.Telemetry.validate(); err != nil {
 		return err
@@ -151,32 +170,6 @@ func (c *DataConfig) validate() error {
 		return fmt.Errorf("sharqfec: telemetry is not supported with Shards >= 2 (run sharded for speed or instrumented for depth, not both)")
 	case c.TraceWriter != nil:
 		return fmt.Errorf("sharqfec: packet traces are not supported with Shards >= 2")
-	}
-	return nil
-}
-
-// validateRun is the number check RunData and RunChaos share. Times
-// must be finite and non-negative (an infinite horizon never returns:
-// session timers re-arm forever), the bin width finite and positive,
-// the stream non-empty and the queue bound non-negative. Comparisons
-// are written so NaN fails them.
-func validateRun(numPackets, queueLimit int, binWidth, joinAt, sourceOnAt, until float64) error {
-	for _, t := range []struct {
-		name string
-		v    float64
-	}{{"JoinAt", joinAt}, {"SourceOnAt", sourceOnAt}, {"Until", until}} {
-		if !(isFinite64(t.v) && t.v >= 0) {
-			return fmt.Errorf("sharqfec: %s = %v; want a finite time >= 0", t.name, t.v)
-		}
-	}
-	if !(isFinite64(binWidth) && binWidth > 0) {
-		return fmt.Errorf("sharqfec: BinWidth = %v; want finite and > 0", binWidth)
-	}
-	if numPackets <= 0 {
-		return fmt.Errorf("sharqfec: NumPackets = %d; want > 0", numPackets)
-	}
-	if queueLimit < 0 {
-		return fmt.Errorf("sharqfec: QueueLimit = %d; want >= 0", queueLimit)
 	}
 	return nil
 }
@@ -198,20 +191,74 @@ type dataProtocol struct {
 	// rejoin subscribes a respawned agent mid-session.
 	rejoin func(ag dataAgent)
 	// totals fills the recovery totals, completion rate and payload
-	// verdict from the node-indexed agents once the run is over.
-	totals func(res *DataResult, agents []dataAgent)
+	// verdict from the run's agents once the run is over.
+	totals func(res *DataResult)
+}
+
+// dataRun is the state of one data run, handed back with its result to
+// the entry points that fold more out of a run than DataResult carries.
+type dataRun struct {
+	s      *sim
+	tel    *telemetryRun
+	agents []dataAgent // by node; nil off-session
+	// spawned keeps every agent ever created — including those a
+	// restart replaced — in creation order, so totals and the end-of-run
+	// unrecovered-loss sweep cover crashed agents too.
+	spawned []dataAgent
+	// done[node*groups+gid] marks a (receiver, group) pair complete
+	// (SHARQFEC only; nil under SRM). It is a set, not a count: a
+	// restarted agent re-completes, as a late joiner, groups its
+	// predecessor already finished, and each pair counts once.
+	done   []bool
+	groups int
+	gone   []bool // by node: crashed or left, and not restarted
+}
+
+// coreAgent returns node's current SHARQFEC agent (nil off-session).
+func (r *dataRun) coreAgent(node topology.NodeID) *core.Agent {
+	ag, _ := r.agents[node].(*core.Agent)
+	return ag
+}
+
+// completion is the fraction of (receiver, group) pairs complete over
+// the receivers keep accepts (0 when it accepts none).
+func (r *dataRun) completion(keep func(m topology.NodeID) bool) float64 {
+	rcvrs, done := 0, 0
+	for _, m := range r.s.spec.Receivers {
+		if !keep(m) {
+			continue
+		}
+		rcvrs++
+		for _, d := range r.done[int(m)*r.groups:][:r.groups] {
+			if d {
+				done++
+			}
+		}
+	}
+	if rcvrs == 0 {
+		return 0
+	}
+	return float64(done) / float64(rcvrs*r.groups)
 }
 
 // RunData runs one data-delivery experiment and returns its traffic
 // series and totals.
 func RunData(cfg DataConfig) (*DataResult, error) {
+	res, _, err := runData(cfg, nil)
+	return res, err
+}
+
+// runData is the one data driver: the paper's session script on one
+// topology, under an optional fault plan. onCrash, when non-nil, runs
+// after the driver has stopped a crashed member's agent.
+func runData(cfg DataConfig, onCrash func(r *dataRun, now eventq.Time, node topology.NodeID)) (*DataResult, *dataRun, error) {
 	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	opts, isSHARQFEC := cfg.Protocol.options()
 	if !isSHARQFEC && cfg.Protocol != SRM {
-		return nil, fmt.Errorf("sharqfec: unknown protocol %q", cfg.Protocol)
+		return nil, nil, fmt.Errorf("sharqfec: unknown protocol %q", cfg.Protocol)
 	}
 	spec := cfg.Topology.spec
 	if !opts.Scoping { // SRM included: it has no scoping to run under
@@ -220,7 +267,7 @@ func RunData(cfg DataConfig) (*DataResult, error) {
 	spec = cloneForFaults(spec, cfg.Faults)
 	s, err := newSim(spec, cfg.Seed, cfg.Shards, cfg.Topology.spec.Zones)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	var tracer *stats.Tracer
@@ -250,62 +297,70 @@ func RunData(cfg DataConfig) (*DataResult, error) {
 		}
 	})
 
-	proto := srmProtocol(&cfg, s, tel)
-	if isSHARQFEC {
-		proto = sharqfecProtocol(&cfg, opts, s, tel)
+	r := &dataRun{
+		s: s, tel: tel,
+		agents: make([]dataAgent, spec.Graph.NumNodes()),
+		gone:   make([]bool, spec.Graph.NumNodes()),
 	}
-	agents := make([]dataAgent, spec.Graph.NumNodes()) // by node; nil off-session
-	// spawned keeps every agent ever created — including those replaced
-	// by a fault-engine restart — in creation order, so the end-of-run
-	// unrecovered-loss sweep covers crashed agents' stranded losses
-	// deterministically.
-	var spawned []dataAgent
+	proto := srmProtocol(&cfg, r)
+	if isSHARQFEC {
+		proto = sharqfecProtocol(&cfg, opts, r)
+	}
 	spawn := func(node topology.NodeID) (dataAgent, error) {
 		ag, err := proto.spawn(node)
 		if err != nil {
 			return nil, err
 		}
-		agents[node] = ag
-		spawned = append(spawned, ag)
+		r.agents[node] = ag
+		r.spawned = append(r.spawned, ag)
 		return ag, nil
 	}
 	for _, m := range s.members {
 		if _, err := spawn(m); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
 	var eng *faults.Engine
 	if !cfg.Faults.Empty() {
 		eng = s.faultEngine(cfg.Faults, tel.busOf())
-		stop := func(_ eventq.Time, node topology.NodeID) {
-			if ag := agents[node]; ag != nil {
+		stop := func(node topology.NodeID) bool {
+			ag := r.agents[node]
+			if ag != nil {
 				ag.Stop()
+				r.gone[node] = true
+			}
+			return ag != nil
+		}
+		eng.OnLeave = func(_ eventq.Time, node topology.NodeID) { stop(node) }
+		eng.OnCrash = func(now eventq.Time, node topology.NodeID) {
+			if stop(node) && onCrash != nil {
+				onCrash(r, now, node)
 			}
 		}
-		eng.OnCrash, eng.OnLeave = stop, stop
 		eng.OnRestart = func(_ eventq.Time, node topology.NodeID) {
 			if node == spec.Source {
 				return
 			}
 			if ag, err := spawn(node); err == nil {
+				r.gone[node] = false
 				proto.rejoin(ag)
 			}
 		}
 		if err := eng.Start(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
-	stream(s, agents, cfg.JoinAt, cfg.SourceOnAt)
+	stream(s, r.agents, cfg.JoinAt, cfg.SourceOnAt)
 	s.run(secondsToTime(cfg.Until))
 	if tracer != nil {
 		if err := tracer.Flush(); err != nil {
-			return nil, fmt.Errorf("sharqfec: packet trace: %w", err)
+			return nil, nil, fmt.Errorf("sharqfec: packet trace: %w", err)
 		}
 	}
 	if tel != nil {
-		for _, ag := range spawned {
+		for _, ag := range r.spawned {
 			ag.EmitUnrecoveredLosses(s.queue().Now())
 		}
 	}
@@ -317,16 +372,16 @@ func RunData(cfg DataConfig) (*DataResult, error) {
 	}
 	res.Telemetry, err = tel.finish(cfg.Until)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, c := range cols[1:] {
 		cols[0].Merge(c)
 	}
 	fillSeries(res, cols[0])
-	proto.totals(res, agents)
+	proto.totals(res)
 	res.FaultDrops = s.faultDrops()
 	res.FaultLog = faultLog(eng)
-	return res, nil
+	return res, r, nil
 }
 
 // stream schedules the paper's session script: every member joins at
@@ -346,8 +401,8 @@ func stream[A interface {
 
 // coreAgents creates one SHARQFEC agent per member, in member order,
 // each on its node's network view, and returns them indexed by node
-// (nil off-session). wire, when non-nil, sees each agent before the
-// next is built — the place to hook OnComplete.
+// (nil off-session). wire sees each agent before the next is built —
+// the place to hook OnComplete.
 func coreAgents(s *sim, pcfg core.Config, wire func(m topology.NodeID, ag *core.Agent)) ([]*core.Agent, error) {
 	agents := make([]*core.Agent, s.spec.Graph.NumNodes())
 	for _, m := range s.members {
@@ -355,9 +410,7 @@ func coreAgents(s *sim, pcfg core.Config, wire func(m topology.NodeID, ag *core.
 		if err != nil {
 			return nil, err
 		}
-		if wire != nil {
-			wire(m, ag)
-		}
+		wire(m, ag)
 		agents[m] = ag
 	}
 	return agents, nil
@@ -378,24 +431,22 @@ func payloadsMatch(got, want [][]byte) bool {
 	return true
 }
 
-func sharqfecProtocol(cfg *DataConfig, opts core.Options, s *sim, tel *telemetryRun) dataProtocol {
+func sharqfecProtocol(cfg *DataConfig, opts core.Options, r *dataRun) dataProtocol {
+	s := r.s
 	pcfg := core.DefaultConfig()
 	pcfg.Source = s.spec.Source
 	pcfg.NumPackets = cfg.NumPackets
 	pcfg.Options = opts
-	pcfg.Telemetry = tel.busOf()
+	pcfg.Telemetry = r.tel.busOf()
 	if cfg.GroupK > 0 {
 		pcfg.GroupK = cfg.GroupK
 	}
 	pcfg.NewController = cfg.RateControl.factory(pcfg)
 
-	// done[node*groups+gid] marks a (receiver, group) pair complete and
-	// bad[node] a payload mismatch; both are written only from their
-	// node's completions, so shards never share an entry. done is a set,
-	// not a count: a restarted agent re-completes, as a late joiner,
-	// groups its predecessor already finished, and each pair counts once.
-	groups := pcfg.NumGroups()
-	done := make([]bool, s.spec.Graph.NumNodes()*groups)
+	// r.done and bad[node], a payload mismatch, are written only from
+	// their node's completions, so shards never share an entry.
+	r.groups = pcfg.NumGroups()
+	r.done = make([]bool, s.spec.Graph.NumNodes()*r.groups)
 	bad := make([]bool, s.spec.Graph.NumNodes())
 	var source *core.Agent
 	return dataProtocol{
@@ -404,12 +455,12 @@ func sharqfecProtocol(cfg *DataConfig, opts core.Options, s *sim, tel *telemetry
 			if err != nil {
 				return nil, err
 			}
-			probeCensus(tel.censusOf(), ag)
+			probeCensus(r.tel.censusOf(), ag)
 			if node == s.spec.Source {
 				source = ag
 				return ag, nil
 			}
-			mine := done[int(node)*groups:][:groups]
+			mine := r.done[int(node)*r.groups:][:r.groups]
 			ag.OnComplete = func(_ eventq.Time, gid uint32, data [][]byte) {
 				mine[gid] = true
 				// The source wrote this group's payloads before its
@@ -422,22 +473,15 @@ func sharqfecProtocol(cfg *DataConfig, opts core.Options, s *sim, tel *telemetry
 			return ag, nil
 		},
 		rejoin: func(ag dataAgent) { ag.(*core.Agent).JoinLate() },
-		totals: func(res *DataResult, agents []dataAgent) {
-			completions := 0
-			res.Verified = !cfg.SkipVerify
-			for _, m := range s.members {
-				st := &agents[m].(*core.Agent).Stats
+		totals: func(res *DataResult) {
+			for _, ag := range r.spawned {
+				st := &ag.(*core.Agent).Stats
 				res.NACKsSent += st.NACKsSent
 				res.RepairsSent += st.RepairsSent
 				res.RepairsInjected += st.RepairsInjected
-				res.Verified = res.Verified && !bad[m]
 			}
-			for _, d := range done {
-				if d {
-					completions++
-				}
-			}
-			res.CompletionRate = float64(completions) / float64(len(s.spec.Receivers)*groups)
+			res.Verified = !cfg.SkipVerify && !slices.Contains(bad, true)
+			res.CompletionRate = r.completion(func(topology.NodeID) bool { return true })
 		},
 	}
 }
@@ -466,11 +510,12 @@ func probeCensus(c *census.Engine, ag *core.Agent) {
 // (the census's traffic matrices and scheduler gauges still apply) and
 // no completion hook: totals and the sampled payload check read agent
 // state after the run.
-func srmProtocol(cfg *DataConfig, s *sim, tel *telemetryRun) dataProtocol {
+func srmProtocol(cfg *DataConfig, r *dataRun) dataProtocol {
+	s := r.s
 	pcfg := srm.DefaultConfig()
 	pcfg.Source = s.spec.Source
 	pcfg.NumPackets = cfg.NumPackets
-	pcfg.Telemetry = tel.busOf()
+	pcfg.Telemetry = r.tel.busOf()
 	return dataProtocol{
 		spawn: func(node topology.NodeID) (dataAgent, error) {
 			ag, err := srm.New(node, s.netFor(node), pcfg, s.src)
@@ -480,14 +525,17 @@ func srmProtocol(cfg *DataConfig, s *sim, tel *telemetryRun) dataProtocol {
 			return ag, nil
 		},
 		rejoin: func(ag dataAgent) { ag.Join() },
-		totals: func(res *DataResult, agents []dataAgent) {
-			source := agents[s.spec.Source].(*srm.Agent)
+		totals: func(res *DataResult) {
+			for _, ag := range r.spawned {
+				st := &ag.(*srm.Agent).Stats
+				res.NACKsSent += st.RequestsSent
+				res.RepairsSent += st.RepairsSent
+			}
+			source := r.agents[s.spec.Source].(*srm.Agent)
 			held := 0
 			res.Verified = !cfg.SkipVerify
 			for _, m := range s.spec.Receivers {
-				ag := agents[m].(*srm.Agent)
-				res.NACKsSent += ag.Stats.RequestsSent
-				res.RepairsSent += ag.Stats.RepairsSent
+				ag := r.agents[m].(*srm.Agent)
 				held += ag.Held()
 				for seq := uint32(0); res.Verified && seq < uint32(cfg.NumPackets); seq += 13 {
 					if got, ok := ag.Payload(seq); ok {
@@ -496,7 +544,6 @@ func srmProtocol(cfg *DataConfig, s *sim, tel *telemetryRun) dataProtocol {
 					}
 				}
 			}
-			res.RepairsSent += source.Stats.RepairsSent
 			res.CompletionRate = float64(held) / float64(len(s.spec.Receivers)*cfg.NumPackets)
 		},
 	}

@@ -295,6 +295,9 @@ func parseEvent(fields []string) (Event, error) {
 		return ev, fmt.Errorf("bad time %q (want a finite number)", fields[0])
 	}
 	ev.At = at
+	if len(fields) < 2 {
+		return ev, fmt.Errorf("missing event keyword after time %q", fields[0])
+	}
 	args := fields[2:]
 	needArgs := func(n int) error {
 		if len(args) != n {

@@ -113,12 +113,46 @@ func TestParsePlanErrors(t *testing.T) {
 		{"1.0 gilbert-all NaN 6", "bad number"},
 		{"1.0 gilbert-all 0.08 Inf", "bad number"},
 		{"1.0 gilbert-equal-mean -Inf", "bad number"},
+		{"9 crash 8\n10\n", "line 2: missing event keyword"},
 	}
 	for _, c := range cases {
 		if _, err := ParsePlan(strings.NewReader(c.text)); err == nil || !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("ParsePlan(%q) err = %v, want substring %q", c.text, err, c.wantSub)
 		}
 	}
+}
+
+// FuzzParsePlan: parsing never panics, and every accepted plan re-parses
+// from its events' String lines to the same events.
+func FuzzParsePlan(f *testing.F) {
+	for _, seed := range []string{
+		"10",
+		"10.5 link-down 3\n12 link-up 3 # recovery",
+		"9 crash 8\n20 restart 8\n9.5 leave 17",
+		"10 partition-zone 2\n14 heal-zone 2",
+		"0 gilbert-link 3 0.08 6\n0 gilbert-all 0.08 6\n0 gilbert-equal-mean 6",
+		"-0 crash 4294967297",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		p, err := ParsePlan(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		var b strings.Builder
+		for _, ev := range p.Events {
+			b.WriteString(ev.String())
+			b.WriteByte('\n')
+		}
+		again, err := ParsePlan(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatalf("reparsing %q: %v", b.String(), err)
+		}
+		if !reflect.DeepEqual(p.Events, again.Events) {
+			t.Fatalf("String round trip:\n got %+v\nwant %+v", again.Events, p.Events)
+		}
+	})
 }
 
 func TestValidate(t *testing.T) {

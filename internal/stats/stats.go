@@ -1,11 +1,11 @@
 // Package stats collects the measurements the paper's figures plot:
 // data+repair and NACK traffic per session member, bucketed into 0.1 s
-// intervals (§6.2 measurement methodology), plus per-run totals.
+// intervals (§6.2 measurement methodology), plus an ns-style packet
+// trace.
 package stats
 
 import (
 	"fmt"
-	"strings"
 
 	"sharqfec/internal/eventq"
 	"sharqfec/internal/netsim"
@@ -41,17 +41,6 @@ func (s *Series) Add(t, v float64) {
 		s.bins = append(s.bins, 0)
 	}
 	s.bins[i] += v
-}
-
-// Len returns the number of bins.
-func (s *Series) Len() int { return len(s.bins) }
-
-// Bin returns the value of bin i (0 beyond the recorded range).
-func (s *Series) Bin(i int) float64 {
-	if i < 0 || i >= len(s.bins) {
-		return 0
-	}
-	return s.bins[i]
 }
 
 // Values returns a copy of all bins.
@@ -98,26 +87,6 @@ func (s *Series) Sum() float64 {
 	return t
 }
 
-// Max returns the largest bin value and its bin start time.
-func (s *Series) Max() (v, at float64) {
-	for i, b := range s.bins {
-		if b > v {
-			v = b
-			at = s.Start + float64(i)*s.BinWidth
-		}
-	}
-	return
-}
-
-// Table renders the series as "time value" rows, for figure output.
-func (s *Series) Table() string {
-	var b strings.Builder
-	for i, v := range s.bins {
-		fmt.Fprintf(&b, "%.1f\t%.3f\n", s.Start+float64(i)*s.BinWidth, v)
-	}
-	return b.String()
-}
-
 // Collector taps a network and aggregates the paper's measurements.
 type Collector struct {
 	source    topology.NodeID
@@ -132,9 +101,6 @@ type Collector struct {
 	// As seen at the source (Figures 20–21).
 	SourceDataRepair *Series
 	SourceNACKs      *Series
-
-	// Totals by packet type across all members.
-	Totals map[packet.Type]int
 }
 
 // NewCollector builds a collector for a session with the given source
@@ -148,7 +114,6 @@ func NewCollector(source topology.NodeID, receivers int, binWidth float64) *Coll
 		Session:          NewSeries(0, binWidth),
 		SourceDataRepair: NewSeries(0, binWidth),
 		SourceNACKs:      NewSeries(0, binWidth),
-		Totals:           map[packet.Type]int{},
 	}
 }
 
@@ -173,11 +138,9 @@ func (c *Collector) SendTap() netsim.SendTap {
 // Tap returns the netsim.Tap that feeds this collector.
 func (c *Collector) Tap() netsim.Tap {
 	return func(now eventq.Time, at topology.NodeID, d netsim.Delivery) {
-		kind := d.Pkt.Kind()
-		c.Totals[kind]++
 		t := now.Seconds()
 		atSource := at == c.source
-		switch kind {
+		switch d.Pkt.Kind() {
 		case packet.TypeData, packet.TypeRepair:
 			if atSource {
 				c.SourceDataRepair.Add(t, 1)
@@ -207,9 +170,6 @@ func (c *Collector) Merge(o *Collector) {
 	c.Session.Merge(o.Session)
 	c.SourceDataRepair.Merge(o.SourceDataRepair)
 	c.SourceNACKs.Merge(o.SourceNACKs)
-	for k, v := range o.Totals {
-		c.Totals[k] += v
-	}
 }
 
 // AvgDataRepair returns data+repair packets per receiver per bin — the
@@ -222,6 +182,3 @@ func (c *Collector) AvgDataRepair() *Series {
 func (c *Collector) AvgNACKs() *Series {
 	return c.NACKs.Scaled(1 / float64(c.receivers))
 }
-
-// Receivers returns the receiver count the averages divide by.
-func (c *Collector) Receivers() int { return c.receivers }

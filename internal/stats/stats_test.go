@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -18,33 +19,24 @@ func TestSeriesBinning(t *testing.T) {
 	s.Add(0.09, 1)
 	s.Add(0.10, 1)
 	s.Add(0.55, 2)
-	if s.Bin(0) != 2 {
-		t.Fatalf("bin 0 = %v", s.Bin(0))
-	}
-	if s.Bin(1) != 1 {
-		t.Fatalf("bin 1 = %v", s.Bin(1))
-	}
-	if s.Bin(5) != 2 {
-		t.Fatalf("bin 5 = %v", s.Bin(5))
-	}
-	if s.Len() != 6 {
-		t.Fatalf("len = %d", s.Len())
+	if got, want := s.Values(), []float64{2, 1, 0, 0, 0, 2}; !slices.Equal(got, want) {
+		t.Fatalf("bins = %v, want %v", got, want)
 	}
 }
 
 func TestSeriesIgnoresBeforeStart(t *testing.T) {
 	s := NewSeries(5, 1)
 	s.Add(4.9, 1)
-	if s.Len() != 0 {
+	if len(s.Values()) != 0 {
 		t.Fatal("pre-start sample recorded")
 	}
 	s.Add(5.0, 1)
-	if s.Bin(0) != 1 {
-		t.Fatal("at-start sample missed")
+	if got := s.Values(); !slices.Equal(got, []float64{1}) {
+		t.Fatalf("at-start sample missed: bins = %v", got)
 	}
 }
 
-func TestSeriesSumMaxScaled(t *testing.T) {
+func TestSeriesSumScaled(t *testing.T) {
 	s := NewSeries(0, 1)
 	s.Add(0.5, 3)
 	s.Add(1.5, 7)
@@ -52,23 +44,11 @@ func TestSeriesSumMaxScaled(t *testing.T) {
 	if s.Sum() != 15 {
 		t.Fatalf("sum = %v", s.Sum())
 	}
-	v, at := s.Max()
-	if v != 7 || at != 1 {
-		t.Fatalf("max = %v at %v", v, at)
+	if got, want := s.Scaled(0.5).Values(), []float64{1.5, 3.5, 2.5}; !slices.Equal(got, want) {
+		t.Fatalf("scaled bins = %v, want %v", got, want)
 	}
-	sc := s.Scaled(0.5)
-	if sc.Bin(1) != 3.5 {
-		t.Fatalf("scaled bin = %v", sc.Bin(1))
-	}
-	if s.Bin(1) != 7 {
-		t.Fatal("Scaled mutated the original")
-	}
-}
-
-func TestSeriesOutOfRangeBin(t *testing.T) {
-	s := NewSeries(0, 1)
-	if s.Bin(-1) != 0 || s.Bin(99) != 0 {
-		t.Fatal("out-of-range bins should be 0")
+	if got := s.Values(); !slices.Equal(got, []float64{3, 7, 5}) {
+		t.Fatalf("Scaled mutated the original: bins = %v", got)
 	}
 }
 
@@ -77,18 +57,8 @@ func TestSeriesValuesCopy(t *testing.T) {
 	s.Add(0, 1)
 	v := s.Values()
 	v[0] = 99
-	if s.Bin(0) != 1 {
+	if s.Values()[0] != 1 {
 		t.Fatal("Values returned a live reference")
-	}
-}
-
-func TestSeriesTable(t *testing.T) {
-	s := NewSeries(0, 0.1)
-	s.Add(0, 1)
-	s.Add(0.1, 2)
-	out := s.Table()
-	if !strings.Contains(out, "0.0\t1.000") || !strings.Contains(out, "0.1\t2.000") {
-		t.Fatalf("table output: %q", out)
 	}
 }
 
@@ -126,17 +96,11 @@ func TestCollectorRouting(t *testing.T) {
 	if c.Session.Sum() != 1 {
 		t.Fatal("session routing wrong")
 	}
-	if c.Totals[packet.TypeData] != 2 {
-		t.Fatalf("totals = %v", c.Totals)
+	if got, want := c.AvgDataRepair().Values(), []float64{0.5}; !slices.Equal(got, want) {
+		t.Fatalf("avg data+repair bins = %v, want %v", got, want)
 	}
-	if c.AvgDataRepair().Sum() != 0.5 {
-		t.Fatalf("avg = %v", c.AvgDataRepair().Sum())
-	}
-	if c.AvgNACKs().Sum() != 0.25 {
-		t.Fatalf("avg nacks = %v", c.AvgNACKs().Sum())
-	}
-	if c.Receivers() != 4 {
-		t.Fatal("Receivers accessor wrong")
+	if got, want := c.AvgNACKs().Values(), []float64{0, 0.25}; !slices.Equal(got, want) {
+		t.Fatalf("avg NACK bins = %v, want %v", got, want)
 	}
 }
 

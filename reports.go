@@ -1,10 +1,8 @@
 package sharqfec
 
 import (
-	"sharqfec/internal/core"
 	"sharqfec/internal/scoping"
 	"sharqfec/internal/telemetry"
-	"sharqfec/internal/topology"
 )
 
 // ReceiverReportResult measures the §7 extension: RTCP-style receiver
@@ -30,22 +28,14 @@ type ReceiverReportResult struct {
 // every receiver publishing its raw loss fraction, and compares the
 // source's aggregated view against ground truth.
 func RunReceiverReports(seed uint64) (*ReceiverReportResult, error) {
-	s, err := newSim(topology.Figure10(topology.Figure10Params{}), seed, 0, nil)
+	_, r, err := runData(DataConfig{Protocol: SHARQFEC, Seed: seed, NumPackets: 512, Until: 30}, nil)
 	if err != nil {
 		return nil, err
 	}
-	spec, h := s.spec, s.h
+	spec, h := r.s.spec, r.s.h
+	source := r.coreAgent(spec.Source)
 
-	pcfg := core.DefaultConfig()
-	pcfg.NumPackets = 512
-	agents, err := coreAgents(s, pcfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	stream(s, agents, 1, 6)
-	s.run(30)
-
-	worst, members := agents[spec.Source].Session().AggregatedReport(h.Root())
+	worst, members := source.Session().AggregatedReport(h.Root())
 	res := &ReceiverReportResult{
 		SourceWorstLoss: worst,
 		SourceMembers:   int(members),
@@ -58,11 +48,11 @@ func RunReceiverReports(seed uint64) (*ReceiverReportResult, error) {
 	for _, m := range spec.Receivers {
 		reg.Gauge(telemetry.Key{
 			Name: "raw_loss_fraction", Node: m, Zone: scoping.NoZone,
-		}).Set(agents[m].RawLossFraction())
+		}).Set(r.coreAgent(m).RawLossFraction())
 	}
 	if _, worst, ok := reg.MaxGauge("raw_loss_fraction"); ok {
 		res.TrueWorstLoss = worst
 	}
-	res.DirectReporters = agents[spec.Source].Session().ReportersHeard(h.Root())
+	res.DirectReporters = source.Session().ReportersHeard(h.Root())
 	return res, nil
 }

@@ -17,7 +17,8 @@ type FailoverResult struct {
 	// FailedNode is the ZCR that was killed, and Zone its zone.
 	FailedNode, Zone int
 	// NewZCR is the survivor elected in its place (as seen unanimously
-	// by the zone's surviving members; -1 if they disagree).
+	// by the zone's surviving members; -1 if they do not agree on one
+	// live node).
 	NewZCR int
 	// SurvivorCompletion is the fraction of groups completed by every
 	// member other than the failed node.
@@ -31,54 +32,25 @@ type FailoverResult struct {
 // session heals: survivors elect a replacement and still recover the
 // stream.
 func RunZCRFailover(seed uint64) (*FailoverResult, error) {
-	s, err := newSim(topology.Figure10(topology.Figure10Params{}), seed, 0, nil)
+	_, r, err := runData(DataConfig{
+		Protocol: SHARQFEC, Seed: seed, NumPackets: 512, Until: 90,
+		Faults: ZCRCrashPlan(), // node 8, the first tree child's leaf-zone ZCR, at 9 s
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	spec, h := s.spec, s.h
-
-	pcfg := core.DefaultConfig()
-	pcfg.NumPackets = 512
-
-	failed := topology.NodeID(8) // first tree child: leaf-zone ZCR
+	h := r.s.h
+	failed := topology.NodeID(8)
 	zone := h.LeafZone(failed)
-
-	completed := make([]int, spec.Graph.NumNodes()) // by node
-	agents, err := coreAgents(s, pcfg, func(m topology.NodeID, ag *core.Agent) {
-		ag.OnComplete = func(eventq.Time, uint32, [][]byte) { completed[m]++ }
-	})
-	if err != nil {
-		return nil, err
+	live := func(m topology.NodeID) bool { return !r.gone[m] }
+	res := &FailoverResult{
+		FailedNode: int(failed), Zone: int(zone), NewZCR: -1,
+		SurvivorCompletion: r.completion(live),
+		ZoneCompletion:     r.completion(func(m topology.NodeID) bool { return live(m) && h.Contains(zone, m) }),
 	}
-	stream(s, agents, 1, 6)
-	s.at(9, func(eventq.Time) { agents[failed].Stop() }) // mid-stream
-	s.run(90)
-
-	res := &FailoverResult{FailedNode: int(failed), Zone: int(zone)}
-	groups := pcfg.NumGroups()
-	survivors, zoneMembers := 0, 0
-	survDone, zoneDone := 0, 0
-	newZCR := topology.NodeID(-2)
-	for _, m := range spec.Receivers {
-		if m == failed {
-			continue
-		}
-		survivors++
-		survDone += completed[m]
-		if h.Contains(zone, m) {
-			zoneMembers++
-			zoneDone += completed[m]
-			got := agents[m].Session().ZCR(zone)
-			if newZCR == -2 {
-				newZCR = got
-			} else if got != newZCR {
-				newZCR = -1
-			}
-		}
+	if zcr, ok := zoneAgreement(h, r.coreAgent, zone, failed); ok {
+		res.NewZCR = int(zcr)
 	}
-	res.NewZCR = int(newZCR)
-	res.SurvivorCompletion = float64(survDone) / float64(survivors*groups)
-	res.ZoneCompletion = float64(zoneDone) / float64(zoneMembers*groups)
 	return res, nil
 }
 

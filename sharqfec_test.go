@@ -275,6 +275,28 @@ func TestRunReceiverReports(t *testing.T) {
 	}
 }
 
+// TestFailoverAndReportsPinned pins both runners' whole results at one
+// seed each, so a change to how they are driven shows as a drift.
+func TestFailoverAndReportsPinned(t *testing.T) {
+	fo, err := RunZCRFailover(51)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (FailoverResult{FailedNode: 8, Zone: 2, NewZCR: 11, SurvivorCompletion: 1, ZoneCompletion: 1}); *fo != want {
+		t.Errorf("RunZCRFailover(51) = %+v, want %+v", *fo, want)
+	}
+	rr, err := RunReceiverReports(53)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (ReceiverReportResult{
+		SourceWorstLoss: 0.3125, SourceMembers: 152, TrueWorstLoss: 0.287109375,
+		DirectReporters: 7, Receivers: 112,
+	}); *rr != want {
+		t.Errorf("RunReceiverReports(53) = %+v, want %+v", *rr, want)
+	}
+}
+
 func TestRunTimerSweep(t *testing.T) {
 	pts, err := RunTimerSweep(54, []float64{0.5, 2})
 	if err != nil {

@@ -120,6 +120,19 @@ func TestTelemetryConsistentWithReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := res.Telemetry
+	checkRegistryEqualsReport(t, res)
+
+	// A restarted member's predecessor sent NACKs and repairs too: the
+	// report counts every agent the run spawned, as the registry does.
+	restarted, err := RunData(DataConfig{
+		Protocol: SHARQFEC, Seed: 31, NumPackets: 512, Until: 90,
+		Faults:    NewFaultPlan().Crash(8, 3).Restart(9, 3),
+		Telemetry: &TelemetryConfig{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRegistryEqualsReport(t, restarted)
 
 	var csv bytes.Buffer
 	if err := tel.WriteMetricsCSV(&csv); err != nil {
@@ -152,10 +165,6 @@ func TestTelemetryConsistentWithReport(t *testing.T) {
 	if got := col("session_pkts"); got != itoa(res.SessionPackets) {
 		t.Errorf("CSV session_pkts %s != report %d", got, res.SessionPackets)
 	}
-	if tel.NACKsSent != int64(res.NACKsSent) || tel.RepairsSent != int64(res.RepairsSent) {
-		t.Errorf("registry totals %d/%d != report %d/%d",
-			tel.NACKsSent, tel.RepairsSent, res.NACKsSent, res.RepairsSent)
-	}
 	if tel.SuppressionRatio <= 0 || tel.SuppressionRatio >= 1 {
 		t.Errorf("implausible suppression ratio %g", tel.SuppressionRatio)
 	}
@@ -179,6 +188,16 @@ func TestTelemetryConsistentWithReport(t *testing.T) {
 	}
 	if uint64(n) != tel.EventsWritten {
 		t.Fatalf("trace has %d lines, writer reports %d", n, tel.EventsWritten)
+	}
+}
+
+// checkRegistryEqualsReport requires the metrics registry's NACK and
+// repair totals to equal the run's report.
+func checkRegistryEqualsReport(t *testing.T, res *DataResult) {
+	t.Helper()
+	if tel := res.Telemetry; tel.NACKsSent != int64(res.NACKsSent) || tel.RepairsSent != int64(res.RepairsSent) {
+		t.Errorf("registry totals %d/%d != report %d/%d",
+			tel.NACKsSent, tel.RepairsSent, res.NACKsSent, res.RepairsSent)
 	}
 }
 
