@@ -281,39 +281,40 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	tcfg.Spans = true
 
 	var reelections []Reelection
-	// reelect records a crash of a session member and, for a zone member,
-	// samples on the paper's 0.1 s measurement grid until the zone's
-	// surviving members unanimously report a live replacement ZCR.
-	reelect := func(r *dataRun, now eventq.Time, node topology.NodeID) {
-		zone := r.s.h.LeafZone(node)
-		reelections = append(reelections, Reelection{
-			Crashed: int(node), Zone: int(zone), NewZCR: -1,
-			CrashAt: now.Seconds(), RecoverySeconds: -1,
-		})
-		if zone == scoping.NoZone {
-			return
-		}
-		idx := len(reelections) - 1
-		var poll func(eventq.Time)
-		poll = func(pnow eventq.Time) {
-			if zcr, ok := zoneAgreement(r.s.h, r.coreAgent, zone, node); ok {
-				re := &reelections[idx]
-				re.NewZCR = int(zcr)
-				re.RecoverySeconds = pnow.Seconds() - re.CrashAt
-				return
-			}
-			if pnow.Seconds() < cfg.Until {
-				r.s.at(pnow.Add(defaultBinWidth), poll)
-			}
-		}
-		r.s.at(now.Add(defaultBinWidth), poll)
-	}
 	d, r, err := runData(DataConfig{
 		Protocol: cfg.Protocol, Topology: cfg.Topology, Seed: cfg.Seed,
 		NumPackets: cfg.NumPackets, GroupK: cfg.GroupK,
 		JoinAt: cfg.JoinAt, SourceOnAt: cfg.SourceOnAt, Until: cfg.Until,
 		Faults: cfg.Faults, Telemetry: &tcfg,
-	}, reelect)
+	}, func(r *dataRun) {
+		// Each crash of a session member is recorded; for a zone member,
+		// the zone is sampled on the paper's 0.1 s measurement grid until
+		// its surviving members unanimously report a live replacement ZCR.
+		r.onCrash = func(now eventq.Time, node topology.NodeID) {
+			zone := r.s.h.LeafZone(node)
+			reelections = append(reelections, Reelection{
+				Crashed: int(node), Zone: int(zone), NewZCR: -1,
+				CrashAt: now.Seconds(), RecoverySeconds: -1,
+			})
+			if zone == scoping.NoZone {
+				return
+			}
+			idx := len(reelections) - 1
+			var poll func(eventq.Time)
+			poll = func(pnow eventq.Time) {
+				if zcr, ok := zoneAgreement(r.s.h, r.coreAgent, zone, node); ok {
+					re := &reelections[idx]
+					re.NewZCR = int(zcr)
+					re.RecoverySeconds = pnow.Seconds() - re.CrashAt
+					return
+				}
+				if pnow.Seconds() < cfg.Until {
+					r.s.at(pnow.Add(defaultBinWidth), poll)
+				}
+			}
+			r.s.at(now.Add(defaultBinWidth), poll)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -179,22 +179,7 @@ func serveMetrics(addr string, h *scoping.Hierarchy, numNodes int, slo *health.S
 	// The same self-describing preamble the simulator emits: the health
 	// engine (like the span assembler) learns the zone hierarchy from
 	// zone_info / zone_member events, never from side channels.
-	for z := 0; z < h.NumZones(); z++ {
-		zone := scoping.ZoneID(z)
-		parent := int64(-1)
-		if p := h.Parent(zone); p != scoping.NoZone {
-			parent = int64(p)
-		}
-		bus.Emit(telemetry.Event{
-			Kind: telemetry.KindZoneInfo, Node: topology.NoNode, Zone: zone,
-			Group: -1, A: parent, B: int64(h.Level(zone)),
-		})
-		for _, mem := range h.Leaves(zone) {
-			bus.Emit(telemetry.Event{
-				Kind: telemetry.KindZoneMember, Node: mem, Zone: zone, Group: -1,
-			})
-		}
-	}
+	telemetry.EmitZones(bus, h)
 	expvar.Publish("sharqfec", expvar.Func(func() any { return m.Reg.Snapshot() }))
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -235,18 +220,11 @@ func registerProbe(c *census.Engine, id topology.NodeID, node *udpmesh.Node, ag 
 		return
 	}
 	c.SetProbe(id, func() census.State {
-		res := make(chan core.StateCensus, 1)
-		node.Do(func() { res <- ag.StateCensus() })
+		res := make(chan census.State, 1)
+		node.Do(func() { res <- ag.StateCensus().Census() })
 		select {
 		case st := <-res:
-			return census.State{
-				Groups:         int64(st.ActiveGroups),
-				Timers:         int64(st.PendingTimers),
-				RepairQueue:    int64(st.RepairQueue),
-				ResidentBytes:  int64(st.ResidentBytes),
-				SessionEntries: int64(st.SessionEntries),
-				MemBytes:       int64(st.MemBytes),
-			}
+			return st
 		case <-time.After(time.Second):
 			return census.State{}
 		}

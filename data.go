@@ -20,7 +20,8 @@ import (
 // The zero value (with a Protocol) reproduces the paper's scenario on
 // the Figure-10 topology: join at t=1 s, source on at t=6 s, 1024
 // thousand-byte packets at 800 kbit/s in groups of 16, measured in
-// 0.1 s bins.
+// 0.1 s bins (defaultBinWidth). Every completed group's payloads are
+// checked against the source's.
 type DataConfig struct {
 	Protocol Protocol
 	// Topology defaults to Figure10Topology().
@@ -31,13 +32,8 @@ type DataConfig struct {
 	// GroupK overrides the FEC group size (default 16, the paper's).
 	// SRM ignores it (no grouping).
 	GroupK int
-	// BinWidth defaults to the paper's 0.1 s measurement interval.
-	BinWidth float64
 	// JoinAt / SourceOnAt / Until default to 1 s / 6 s / 30 s.
 	JoinAt, SourceOnAt, Until float64
-	// Verify checks every completed group's payloads against the
-	// source (defaults true via RunData).
-	SkipVerify bool
 	// TraceWriter, when set, receives an ns-style packet-event trace
 	// ("+" transmissions, "r" deliveries) for the whole run.
 	TraceWriter io.Writer
@@ -79,9 +75,6 @@ func (c *DataConfig) applyDefaults() {
 	}
 	if c.NumPackets == 0 {
 		c.NumPackets = 1024
-	}
-	if c.BinWidth == 0 {
-		c.BinWidth = defaultBinWidth
 	}
 	if c.JoinAt == 0 {
 		c.JoinAt = 1
@@ -137,9 +130,8 @@ type DataResult struct {
 // or rate-control tuning, and — the one place they live — the features
 // a run on several shards cannot carry yet. Times must be finite and
 // non-negative (an infinite horizon never returns: session timers
-// re-arm forever), the bin width finite and positive, the stream
-// non-empty and the queue bound non-negative. Comparisons are written
-// so NaN fails them.
+// re-arm forever), the stream non-empty and the queue bound
+// non-negative. Comparisons are written so NaN fails them.
 func (c *DataConfig) validate() error {
 	for _, t := range []struct {
 		name string
@@ -148,9 +140,6 @@ func (c *DataConfig) validate() error {
 		if !(isFinite64(t.v) && t.v >= 0) {
 			return fmt.Errorf("sharqfec: %s = %v; want a finite time >= 0", t.name, t.v)
 		}
-	}
-	if !(isFinite64(c.BinWidth) && c.BinWidth > 0) {
-		return fmt.Errorf("sharqfec: BinWidth = %v; want finite and > 0", c.BinWidth)
 	}
 	if c.NumPackets <= 0 {
 		return fmt.Errorf("sharqfec: NumPackets = %d; want > 0", c.NumPackets)
@@ -195,21 +184,28 @@ type dataProtocol struct {
 	totals func(res *DataResult)
 }
 
-// dataRun is the state of one data run, handed back with its result to
-// the entry points that fold more out of a run than DataResult carries.
+// dataRun is the state of one data run. The caller's prepare hook sees
+// it before any agent exists; the entry points that fold more out of a
+// run than DataResult carries get it back with the result.
 type dataRun struct {
-	s      *sim
-	tel    *telemetryRun
-	agents []dataAgent // by node; nil off-session
+	s   *sim
+	tel *telemetryRun
+	// pcfg is the SHARQFEC agent config (zero under SRM); prepare may
+	// tune it, short of the stream's shape, before any agent is built.
+	pcfg core.Config
+	// onCrash, when set, runs after the driver has stopped a crashed
+	// member's agent.
+	onCrash func(now eventq.Time, node topology.NodeID)
+	agents  []dataAgent // by node; nil off-session
 	// spawned keeps every agent ever created — including those a
 	// restart replaced — in creation order, so totals and the end-of-run
 	// unrecovered-loss sweep cover crashed agents too.
 	spawned []dataAgent
-	// done[node*groups+gid] marks a (receiver, group) pair complete
-	// (SHARQFEC only; nil under SRM). It is a set, not a count: a
+	// done[node*groups+gid] is when a (receiver, group) pair first
+	// completed, zero while it has not (SHARQFEC only; nil under SRM). A
 	// restarted agent re-completes, as a late joiner, groups its
 	// predecessor already finished, and each pair counts once.
-	done   []bool
+	done   []eventq.Time
 	groups int
 	gone   []bool // by node: crashed or left, and not restarted
 }
@@ -218,6 +214,11 @@ type dataRun struct {
 func (r *dataRun) coreAgent(node topology.NodeID) *core.Agent {
 	ag, _ := r.agents[node].(*core.Agent)
 	return ag
+}
+
+// doneOf returns node's completion times, by group.
+func (r *dataRun) doneOf(node topology.NodeID) []eventq.Time {
+	return r.done[int(node)*r.groups:][:r.groups]
 }
 
 // completion is the fraction of (receiver, group) pairs complete over
@@ -229,8 +230,8 @@ func (r *dataRun) completion(keep func(m topology.NodeID) bool) float64 {
 			continue
 		}
 		rcvrs++
-		for _, d := range r.done[int(m)*r.groups:][:r.groups] {
-			if d {
+		for _, t := range r.doneOf(m) {
+			if t > 0 {
 				done++
 			}
 		}
@@ -249,9 +250,10 @@ func RunData(cfg DataConfig) (*DataResult, error) {
 }
 
 // runData is the one data driver: the paper's session script on one
-// topology, under an optional fault plan. onCrash, when non-nil, runs
-// after the driver has stopped a crashed member's agent.
-func runData(cfg DataConfig, onCrash func(r *dataRun, now eventq.Time, node topology.NodeID)) (*DataResult, *dataRun, error) {
+// topology, under an optional fault plan. prepare, when non-nil, runs
+// once the engine and the run state exist and before any agent is
+// built — the place to set r.onCrash, tune r.pcfg or add a tap.
+func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, error) {
 	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
@@ -283,7 +285,7 @@ func runData(cfg DataConfig, onCrash func(r *dataRun, now eventq.Time, node topo
 	var cols []*stats.Collector
 	s.eachNet(func(n *netsim.Network) {
 		n.QueueLimit = cfg.QueueLimit
-		col := stats.NewCollector(spec.Source, len(spec.Receivers), cfg.BinWidth)
+		col := stats.NewCollector(spec.Source, len(spec.Receivers), defaultBinWidth)
 		cols = append(cols, col)
 		n.AddTap(col.Tap())
 		n.AddSendTap(col.SendTap())
@@ -302,9 +304,14 @@ func runData(cfg DataConfig, onCrash func(r *dataRun, now eventq.Time, node topo
 		agents: make([]dataAgent, spec.Graph.NumNodes()),
 		gone:   make([]bool, spec.Graph.NumNodes()),
 	}
-	proto := srmProtocol(&cfg, r)
+	var proto dataProtocol
 	if isSHARQFEC {
 		proto = sharqfecProtocol(&cfg, opts, r)
+	} else {
+		proto = srmProtocol(&cfg, r)
+	}
+	if prepare != nil {
+		prepare(r)
 	}
 	spawn := func(node topology.NodeID) (dataAgent, error) {
 		ag, err := proto.spawn(node)
@@ -334,8 +341,8 @@ func runData(cfg DataConfig, onCrash func(r *dataRun, now eventq.Time, node topo
 		}
 		eng.OnLeave = func(_ eventq.Time, node topology.NodeID) { stop(node) }
 		eng.OnCrash = func(now eventq.Time, node topology.NodeID) {
-			if stop(node) && onCrash != nil {
-				onCrash(r, now, node)
+			if stop(node) && r.onCrash != nil {
+				r.onCrash(now, node)
 			}
 		}
 		eng.OnRestart = func(_ eventq.Time, node topology.NodeID) {
@@ -352,7 +359,14 @@ func runData(cfg DataConfig, onCrash func(r *dataRun, now eventq.Time, node topo
 		}
 	}
 
-	stream(s, r.agents, cfg.JoinAt, cfg.SourceOnAt)
+	// The session script: every member joins at JoinAt, in member order,
+	// and the source starts sending at SourceOnAt.
+	s.at(secondsToTime(cfg.JoinAt), func(eventq.Time) {
+		for _, m := range s.members {
+			r.agents[m].Join()
+		}
+	})
+	s.at(secondsToTime(cfg.SourceOnAt), func(eventq.Time) { r.agents[spec.Source].StartSource() })
 	s.run(secondsToTime(cfg.Until))
 	if tracer != nil {
 		if err := tracer.Flush(); err != nil {
@@ -384,38 +398,6 @@ func runData(cfg DataConfig, onCrash func(r *dataRun, now eventq.Time, node topo
 	return res, r, nil
 }
 
-// stream schedules the paper's session script: every member joins at
-// joinAt, in member order, and the source starts sending at sourceOnAt.
-// agents is indexed by node.
-func stream[A interface {
-	Join()
-	StartSource()
-}](s *sim, agents []A, joinAt, sourceOnAt float64) {
-	s.at(secondsToTime(joinAt), func(eventq.Time) {
-		for _, m := range s.members {
-			agents[m].Join()
-		}
-	})
-	s.at(secondsToTime(sourceOnAt), func(eventq.Time) { agents[s.spec.Source].StartSource() })
-}
-
-// coreAgents creates one SHARQFEC agent per member, in member order,
-// each on its node's network view, and returns them indexed by node
-// (nil off-session). wire sees each agent before the next is built —
-// the place to hook OnComplete.
-func coreAgents(s *sim, pcfg core.Config, wire func(m topology.NodeID, ag *core.Agent)) ([]*core.Agent, error) {
-	agents := make([]*core.Agent, s.spec.Graph.NumNodes())
-	for _, m := range s.members {
-		ag, err := core.New(m, s.netFor(m), pcfg, s.src)
-		if err != nil {
-			return nil, err
-		}
-		wire(m, ag)
-		agents[m] = ag
-	}
-	return agents, nil
-}
-
 // payloadsMatch is the one payload check: a completed group's payloads
 // against the source's originals. A group the source never sent, a
 // short group and any differing byte all fail.
@@ -433,25 +415,25 @@ func payloadsMatch(got, want [][]byte) bool {
 
 func sharqfecProtocol(cfg *DataConfig, opts core.Options, r *dataRun) dataProtocol {
 	s := r.s
-	pcfg := core.DefaultConfig()
-	pcfg.Source = s.spec.Source
-	pcfg.NumPackets = cfg.NumPackets
-	pcfg.Options = opts
-	pcfg.Telemetry = r.tel.busOf()
+	r.pcfg = core.DefaultConfig()
+	r.pcfg.Source = s.spec.Source
+	r.pcfg.NumPackets = cfg.NumPackets
+	r.pcfg.Options = opts
+	r.pcfg.Telemetry = r.tel.busOf()
 	if cfg.GroupK > 0 {
-		pcfg.GroupK = cfg.GroupK
+		r.pcfg.GroupK = cfg.GroupK
 	}
-	pcfg.NewController = cfg.RateControl.factory(pcfg)
+	r.pcfg.NewController = cfg.RateControl.factory(r.pcfg)
 
 	// r.done and bad[node], a payload mismatch, are written only from
 	// their node's completions, so shards never share an entry.
-	r.groups = pcfg.NumGroups()
-	r.done = make([]bool, s.spec.Graph.NumNodes()*r.groups)
+	r.groups = r.pcfg.NumGroups()
+	r.done = make([]eventq.Time, s.spec.Graph.NumNodes()*r.groups)
 	bad := make([]bool, s.spec.Graph.NumNodes())
 	var source *core.Agent
 	return dataProtocol{
 		spawn: func(node topology.NodeID) (dataAgent, error) {
-			ag, err := core.New(node, s.netFor(node), pcfg, s.src)
+			ag, err := core.New(node, s.netFor(node), r.pcfg, s.src)
 			if err != nil {
 				return nil, err
 			}
@@ -460,13 +442,15 @@ func sharqfecProtocol(cfg *DataConfig, opts core.Options, r *dataRun) dataProtoc
 				source = ag
 				return ag, nil
 			}
-			mine := r.done[int(node)*r.groups:][:r.groups]
-			ag.OnComplete = func(_ eventq.Time, gid uint32, data [][]byte) {
-				mine[gid] = true
+			mine := r.doneOf(node)
+			ag.OnComplete = func(now eventq.Time, gid uint32, data [][]byte) {
+				if mine[gid] == 0 {
+					mine[gid] = now
+				}
 				// The source wrote this group's payloads before its
 				// first packet left, so the read is causally after the
 				// write at any shard count (see core.Agent.sendData).
-				if !cfg.SkipVerify && !payloadsMatch(data, source.SentGroup(gid)) {
+				if !payloadsMatch(data, source.SentGroup(gid)) {
 					bad[node] = true
 				}
 			}
@@ -480,7 +464,7 @@ func sharqfecProtocol(cfg *DataConfig, opts core.Options, r *dataRun) dataProtoc
 				res.RepairsSent += st.RepairsSent
 				res.RepairsInjected += st.RepairsInjected
 			}
-			res.Verified = !cfg.SkipVerify && !slices.Contains(bad, true)
+			res.Verified = !slices.Contains(bad, true)
 			res.CompletionRate = r.completion(func(topology.NodeID) bool { return true })
 		},
 	}
@@ -493,17 +477,7 @@ func probeCensus(c *census.Engine, ag *core.Agent) {
 	if c == nil {
 		return
 	}
-	c.SetProbe(ag.Node(), func() census.State {
-		s := ag.StateCensus()
-		return census.State{
-			Groups:         int64(s.ActiveGroups),
-			Timers:         int64(s.PendingTimers),
-			RepairQueue:    int64(s.RepairQueue),
-			ResidentBytes:  int64(s.ResidentBytes),
-			SessionEntries: int64(s.SessionEntries),
-			MemBytes:       int64(s.MemBytes),
-		}
-	})
+	c.SetProbe(ag.Node(), func() census.State { return ag.StateCensus().Census() })
 }
 
 // srmProtocol runs the SRM baseline. Its agents expose no state probe
@@ -533,7 +507,7 @@ func srmProtocol(cfg *DataConfig, r *dataRun) dataProtocol {
 			}
 			source := r.agents[s.spec.Source].(*srm.Agent)
 			held := 0
-			res.Verified = !cfg.SkipVerify
+			res.Verified = true
 			for _, m := range s.spec.Receivers {
 				ag := r.agents[m].(*srm.Agent)
 				held += ag.Held()

@@ -21,22 +21,15 @@ func runtimeGOMAXPROCS() int { return runtime.GOMAXPROCS(0) }
 // stops an ensemble of sharded runs from oversubscribing the machine:
 // whichever pool starts second finds the budget spent and runs
 // narrower, in the limit sequentially — with identical results, since
-// work items never depend on pool width.
-func runIndexed(n int, fn func(i int)) {
-	workers := sweepParallelism()
-	if workers > n {
-		workers = n
-	}
+// work items never depend on pool width. It returns the lowest-index
+// error, so which error surfaces never depends on scheduling either.
+func runIndexed(n int, fn func(i int) error) error {
+	workers := min(sweepParallelism(), n)
 	extra := 0
 	for extra < workers-1 && parallel.TryAcquire() {
 		extra++
 	}
-	if extra == 0 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
+	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(extra)
@@ -46,18 +39,24 @@ func runIndexed(n int, fn func(i int)) {
 			if i >= n {
 				return
 			}
-			fn(i)
+			errs[i] = fn(i)
 		}
 	}
-	for w := 0; w < extra; w++ {
+	for range extra {
 		go func() {
 			defer wg.Done()
 			defer parallel.Release()
 			work()
 		}()
 	}
-	work() // the caller is the implicit worker
+	work() // the caller is always a worker
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // EnsembleResult aggregates a data experiment over several seeds. The
@@ -88,19 +87,17 @@ func RunEnsemble(cfg DataConfig, seeds []uint64) (*EnsembleResult, error) {
 		return nil, fmt.Errorf("sharqfec: ensemble needs at least one seed")
 	}
 	results := make([]*DataResult, len(seeds))
-	errs := make([]error, len(seeds))
-
 	// Bounded worker pool: goroutine count is the pool width, not the
 	// seed count, so huge ensembles don't pay len(seeds) idle stacks.
-	runIndexed(len(seeds), func(i int) {
+	err := runIndexed(len(seeds), func(i int) error {
 		c := cfg
 		c.Seed = seeds[i]
-		results[i], errs[i] = RunData(c)
+		var err error
+		results[i], err = RunData(c)
+		return err
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 
 	res := &EnsembleResult{

@@ -1,5 +1,7 @@
 package core
 
+import "sharqfec/internal/telemetry/census"
+
 // StateCensus is a point-in-time accounting of the protocol state an
 // agent holds resident, read by the telemetry census on virtual-clock
 // epochs. Collecting it only inspects state — it never arms timers,
@@ -70,4 +72,17 @@ func (a *Agent) StateCensus() StateCensus {
 	s.SessionEntries = a.sess.StateSize()
 	s.MemBytes = a.footprintBytes()
 	return s
+}
+
+// Census converts the census to the record a telemetry census probe
+// returns.
+func (s StateCensus) Census() census.State {
+	return census.State{
+		Groups:         int64(s.ActiveGroups),
+		Timers:         int64(s.PendingTimers),
+		RepairQueue:    int64(s.RepairQueue),
+		ResidentBytes:  int64(s.ResidentBytes),
+		SessionEntries: int64(s.SessionEntries),
+		MemBytes:       int64(s.MemBytes),
+	}
 }

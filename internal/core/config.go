@@ -87,9 +87,6 @@ type Config struct {
 	// completed group's payloads available for repairing peers. The
 	// source and ZCRs retain indefinitely.
 	RetainData float64
-	// CatchUpWindow bounds how many missed groups a late joiner
-	// recovers concurrently, keeping its catch-up traffic paced.
-	CatchUpWindow int
 
 	Options Options
 	Session session.Config
@@ -127,7 +124,6 @@ func DefaultConfig() Config {
 		RepairSpacing:   0.5,
 		LDPSlackPackets: 2,
 		RetainData:      5,
-		CatchUpWindow:   2,
 		Options:         Full(),
 		Session:         session.DefaultConfig(),
 	}

@@ -12,10 +12,14 @@ import (
 // as network losses: they never contribute to LLC/ZLC, keeping the loss
 // predictor honest.
 
+// catchUpWindow bounds how many missed groups a late joiner recovers
+// concurrently, keeping its catch-up traffic paced.
+const catchUpWindow = 2
+
 // JoinLate starts session management for a receiver joining mid-stream.
 // The agent watches for the stream's current position (first data packet
 // or session high-water mark), then recovers every earlier group through
-// the catch-up queue, CatchUpWindow groups at a time.
+// the catch-up queue, catchUpWindow groups at a time.
 func (a *Agent) JoinLate() {
 	if a.isSource {
 		panic("core: JoinLate on the source")
@@ -57,11 +61,7 @@ func (a *Agent) pumpCatchUp(now eventq.Time) {
 	if a.stopped {
 		return
 	}
-	window := a.cfg.CatchUpWindow
-	if window <= 0 {
-		window = 2
-	}
-	for a.catchUpActive < window && len(a.catchUpQueue) > 0 {
+	for a.catchUpActive < catchUpWindow && len(a.catchUpQueue) > 0 {
 		gid := a.catchUpQueue[0]
 		a.catchUpQueue = a.catchUpQueue[1:]
 		g := a.ensureGroup(gid)

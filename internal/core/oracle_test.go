@@ -944,11 +944,7 @@ func (a *oracleAgent) pumpCatchUp(now eventq.Time) {
 	if a.stopped {
 		return
 	}
-	window := a.cfg.CatchUpWindow
-	if window <= 0 {
-		window = 2
-	}
-	for len(a.catchUpActive) < window && len(a.catchUpQueue) > 0 {
+	for len(a.catchUpActive) < catchUpWindow && len(a.catchUpQueue) > 0 {
 		gid := a.catchUpQueue[0]
 		a.catchUpQueue = a.catchUpQueue[1:]
 		g := a.ensureGroup(gid)

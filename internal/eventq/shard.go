@@ -107,9 +107,6 @@ func (g *ShardGroup) NumShards() int { return len(g.qs) }
 // Queue returns shard i's event queue.
 func (g *ShardGroup) Queue(i int) *Queue { return g.qs[i] }
 
-// Lookahead returns the group's epoch width.
-func (g *ShardGroup) Lookahead() Duration { return g.lookahead }
-
 // Now returns the group's barrier time (every queue's clock is at or
 // past it).
 func (g *ShardGroup) Now() Time { return g.now }

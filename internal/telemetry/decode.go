@@ -38,9 +38,22 @@ type jsonEvent struct {
 	F      float64  `json:"f"`
 }
 
+// MaxID bounds the node and zone ids a trace line may carry:
+// 4,194,303, four times the 10⁶-receiver sessions the simulator
+// targets. Replay sinks size tables by these ids, so an unbounded id in
+// a hostile trace would size a table by it.
+const MaxID = 1<<22 - 1
+
+// MaxTime bounds an event's time in seconds. A billion seconds is far
+// past any run, and below it the six-decimal times EventWriter writes
+// parse back to the same text.
+const MaxTime = 1e9
+
 // ParseEventLine decodes one EventWriter JSONL line back into the Event
 // it was written from, restoring the sentinel values of omitted fields,
-// so encode → decode → encode reproduces the input bytes exactly.
+// so encode → decode → encode reproduces the input bytes exactly. It
+// refuses times outside [0, MaxTime] and node, zone and origin ids
+// outside [-1, MaxID].
 func ParseEventLine(line []byte) (Event, error) {
 	var je jsonEvent
 	if err := json.Unmarshal(line, &je); err != nil {
@@ -52,6 +65,17 @@ func ParseEventLine(line []byte) (Event, error) {
 	k, ok := kindByName[*je.Ev]
 	if !ok {
 		return Event{}, fmt.Errorf("unknown event kind %q", *je.Ev)
+	}
+	if !(*je.T >= 0 && *je.T <= MaxTime) {
+		return Event{}, fmt.Errorf("event time %g outside [0, %g]", *je.T, MaxTime)
+	}
+	for _, id := range []struct {
+		name string
+		v    *int64
+	}{{"node", je.Node}, {"zone", je.Zone}, {"origin", je.Origin}} {
+		if id.v != nil && (*id.v < -1 || *id.v > MaxID) {
+			return Event{}, fmt.Errorf("%s id %d outside [-1, %d]", id.name, *id.v, MaxID)
+		}
 	}
 	e := Event{
 		T:      *je.T,

@@ -108,11 +108,17 @@ func TestParseEventLineRestoresSentinels(t *testing.T) {
 
 func TestParseEventLineErrors(t *testing.T) {
 	for _, bad := range []string{
-		`{"ev":"nack_sent","node":3}`,        // missing t
-		`{"t":1,"node":3}`,                   // missing ev
-		`{"t":1,"ev":"nack_sent"}`,           // missing node
-		`{"t":1,"ev":"warp_drive","node":3}`, // unknown kind
-		`{"t":1,`,                            // malformed JSON
+		`{"ev":"nack_sent","node":3}`,                                 // missing t
+		`{"t":1,"node":3}`,                                            // missing ev
+		`{"t":1,"ev":"nack_sent"}`,                                    // missing node
+		`{"t":1,"ev":"warp_drive","node":3}`,                          // unknown kind
+		`{"t":1,`,                                                     // malformed JSON
+		`{"t":-1,"ev":"nack_sent","node":3}`,                          // time before the run
+		`{"t":1e12,"ev":"nack_sent","node":3}`,                        // time past MaxTime
+		`{"t":0,"ev":"zone_member","node":3000000000,"zone":0}`,       // node past MaxID
+		`{"t":0,"ev":"zone_info","node":-1,"zone":3000000000,"a":-1}`, // zone past MaxID
+		`{"t":0,"ev":"nack_sent","node":-2}`,                          // below the sentinel
+		`{"t":0,"ev":"packet_delivered","node":1,"origin":4194304,"hops":1}`,
 	} {
 		if _, err := ParseEventLine([]byte(bad)); err == nil {
 			t.Errorf("ParseEventLine(%s) accepted, want error", bad)
@@ -130,4 +136,46 @@ func TestKindByName(t *testing.T) {
 	if _, ok := KindByName("nope"); ok {
 		t.Error("KindByName accepted an unknown name")
 	}
+}
+
+// FuzzParseEventLine holds the decoder to two properties on arbitrary
+// bytes: it never panics, and an accepted line reaches a fixed point
+// after one EventWriter write and re-parse — writing the re-parsed
+// event reproduces the written bytes.
+func FuzzParseEventLine(f *testing.F) {
+	for _, seed := range []string{
+		`{"t":6.012300,"ev":"nack_sent","node":14,"zone":2,"group":3,"a":1,"b":2,"f":0.01}`,
+		`{"t":0.000000,"ev":"zone_info","node":-1,"zone":0,"a":-1}`,
+		`{"t":0.000000,"ev":"run_info","node":-1,"f":30}`,
+		`{"t":7.5,"ev":"packet_delivered","node":9,"zone":1,"origin":0,"hops":3,"a":2}`,
+		`{"t":1e9,"ev":"group_decoded","node":4194303,"group":-7,"hops":-1,"f":-0}`,
+		`{"t":1e12,"ev":"nack_sent","node":1,"zone":0}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		e, err := ParseEventLine(line)
+		if err != nil {
+			return
+		}
+		first := writeLine(t, e)
+		again, err := ParseEventLine(bytes.TrimSuffix(first, []byte("\n")))
+		if err != nil {
+			t.Fatalf("written line %q does not parse: %v", first, err)
+		}
+		if second := writeLine(t, again); !bytes.Equal(first, second) {
+			t.Fatalf("no fixed point for %q:\n  first:  %s  second: %s", line, first, second)
+		}
+	})
+}
+
+// writeLine renders one event through EventWriter.
+func writeLine(t *testing.T, e Event) []byte {
+	var buf bytes.Buffer
+	w := NewEventWriter(&buf)
+	w.Sink()(e)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

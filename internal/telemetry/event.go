@@ -268,3 +268,24 @@ func (b *Bus) Count() uint64 {
 	}
 	return b.count.Load()
 }
+
+// EmitZones emits the zone preamble: the hierarchy rendered as one
+// KindZoneInfo event per zone, each followed by a KindZoneMember event
+// per leaf member, so sinks and offline replays learn the zones from
+// the event stream alone.
+func EmitZones(b *Bus, h *scoping.Hierarchy) {
+	for z := 0; z < h.NumZones(); z++ {
+		zone := scoping.ZoneID(z)
+		parent := int64(-1)
+		if p := h.Parent(zone); p != scoping.NoZone {
+			parent = int64(p)
+		}
+		b.Emit(Event{
+			Kind: KindZoneInfo, Node: topology.NoNode, Zone: zone,
+			Group: -1, A: parent, B: int64(h.Level(zone)),
+		})
+		for _, m := range h.Leaves(zone) {
+			b.Emit(Event{Kind: KindZoneMember, Node: m, Zone: zone, Group: -1})
+		}
+	}
+}

@@ -3,6 +3,7 @@ package health
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -109,8 +110,11 @@ type Engine struct {
 	levels []int            // zone → hierarchy level, from zone_info (-1 unknown)
 	leaf   []scoping.ZoneID // node → leaf zone, from zone_member
 
-	// insts/states are [objective][zoneIdx] where zoneIdx 0 is the
-	// session aggregate and z+1 is zone z. Rows grow as zones appear.
+	// insts/states are [objective][row]; rows[i] is row i's zone index,
+	// ascending, where 0 is the session aggregate and z+1 is zone z. A
+	// row exists only for a zone that appeared, so memory follows the
+	// event stream, not its largest zone id.
+	rows   []int
 	insts  [][]instrument
 	states [][]sloState
 
@@ -127,6 +131,7 @@ func NewEngine(spec *Spec, bus *telemetry.Bus) *Engine {
 		bus:      bus,
 		nextEval: spec.interval(),
 		openLoss: make(map[lossKey]float64),
+		rows:     []int{0},
 		insts:    make([][]instrument, len(spec.Objectives)),
 		states:   make([][]sloState, len(spec.Objectives)),
 	}
@@ -163,7 +168,6 @@ func (e *Engine) handle(ev telemetry.Event) {
 			e.levels = append(e.levels, -1)
 		}
 		e.levels[z] = int(ev.B)
-		e.growZones(z)
 	case telemetry.KindZoneMember:
 		n := int(ev.Node)
 		if n < 0 {
@@ -232,15 +236,17 @@ func (e *Engine) levelOf(z scoping.ZoneID) int {
 	return e.levels[z]
 }
 
-// growZones ensures every objective has instrument/state rows for zone
-// z (index z+1).
-func (e *Engine) growZones(z int) {
-	for o := range e.insts {
-		for len(e.insts[o]) <= z+1 {
-			e.insts[o] = append(e.insts[o], newInstrument(e.spec.Objectives[o]))
-			e.states[o] = append(e.states[o], sloState{})
+// rowOf returns zone's row, inserting it in zone order on first sight.
+func (e *Engine) rowOf(zone scoping.ZoneID) int {
+	i, ok := slices.BinarySearch(e.rows, int(zone)+1)
+	if !ok {
+		e.rows = slices.Insert(e.rows, i, int(zone)+1)
+		for o := range e.insts {
+			e.insts[o] = slices.Insert(e.insts[o], i, newInstrument(e.spec.Objectives[o]))
+			e.states[o] = slices.Insert(e.states[o], i, sloState{})
 		}
 	}
+	return i
 }
 
 func (e *Engine) observeQuantile(m Metric, zone scoping.ZoneID, t, v float64) {
@@ -252,8 +258,7 @@ func (e *Engine) observeQuantile(m Metric, zone scoping.ZoneID, t, v float64) {
 		if zone < 0 {
 			continue
 		}
-		e.growZones(int(zone))
-		in = &e.insts[o][zone+1]
+		in = &e.insts[o][e.rowOf(zone)]
 		in.longSk.Observe(t, v)
 		in.fastSk.Observe(t, v)
 		in.ever++
@@ -271,8 +276,7 @@ func (e *Engine) observeRatio(m Metric, zone scoping.ZoneID, t float64, hit int6
 		if zone < 0 {
 			continue
 		}
-		e.growZones(int(zone))
-		in = &e.insts[o][zone+1]
+		in = &e.insts[o][e.rowOf(zone)]
 		in.longHit.Add(t, hit)
 		in.longTot.Add(t, 1)
 		in.fastHit.Add(t, hit)
@@ -281,26 +285,36 @@ func (e *Engine) observeRatio(m Metric, zone scoping.ZoneID, t float64, hit int6
 	}
 }
 
-// evalTo runs every pending evaluation tick ≤ t.
+// evalTo runs every pending evaluation tick ≤ t. A tick that finds
+// every window empty is judged the same at each later tick until the
+// next event, so those ticks are stepped over: an idle stretch costs one
+// tick, not one per interval, however far the next event lies.
 func (e *Engine) evalTo(t float64) {
+	iv := e.spec.interval()
 	for e.nextEval <= t {
-		e.evaluate(e.nextEval)
-		e.nextEval += e.spec.interval()
+		idle := e.evaluate(e.nextEval)
+		e.nextEval += iv
+		if skip := (math.Floor(t/iv) + 1) * iv; idle && skip > e.nextEval {
+			e.nextEval = skip
+		}
 	}
 }
 
 // evaluate judges every (objective, zone) at tick time t and emits
-// transition events.
-func (e *Engine) evaluate(t float64) {
+// transition events. It reports whether every window it judged was
+// empty.
+func (e *Engine) evaluate(t float64) (idle bool) {
+	idle = true
 	for o := range e.insts {
 		obj := e.spec.Objectives[o]
-		for zi := range e.insts[o] {
-			in := &e.insts[o][zi]
-			st := &e.states[o][zi]
+		for i, zi := range e.rows {
+			in := &e.insts[o][i]
+			st := &e.states[o][i]
 			if in.ever == 0 && !st.active {
 				continue
 			}
 			long, nLong, fast, nFast := in.measure(t, obj)
+			idle = idle && nLong == 0 && nFast == 0
 			breach := obj.breaching(long, nLong, fast, nFast)
 			switch {
 			case breach && !st.active:
@@ -318,6 +332,7 @@ func (e *Engine) evaluate(t float64) {
 			}
 		}
 	}
+	return idle
 }
 
 func (e *Engine) emit(kind telemetry.Kind, t float64, zi, obj int, n int64, v float64) {
@@ -348,8 +363,8 @@ func (e *Engine) Finish(until float64) {
 	e.evalTo(until)
 	e.evaluate(until)
 	for o := range e.states {
-		for zi := range e.states[o] {
-			st := &e.states[o][zi]
+		for i := range e.rows {
+			st := &e.states[o][i]
 			if st.active {
 				st.viols = append(st.viols, Violation{
 					Start: st.since, End: until, Witness: st.witness,
@@ -383,8 +398,8 @@ func (e *Engine) ActiveAlerts() int {
 	defer e.mu.Unlock()
 	n := 0
 	for o := range e.states {
-		for zi := range e.states[o] {
-			if e.states[o][zi].active {
+		for i := range e.rows {
+			if e.states[o][i].active {
 				n++
 			}
 		}
@@ -399,8 +414,8 @@ func (e *Engine) ActiveLines() []string {
 	defer e.mu.Unlock()
 	var out []string
 	for o := range e.states {
-		for zi := range e.states[o] {
-			st := &e.states[o][zi]
+		for i, zi := range e.rows {
+			st := &e.states[o][i]
 			if !st.active {
 				continue
 			}
@@ -454,9 +469,9 @@ func (e *Engine) Report() *Report {
 	defer e.mu.Unlock()
 	r := &Report{Interval: e.spec.interval(), End: e.end}
 	for o := range e.insts {
-		for zi := range e.insts[o] {
-			in := &e.insts[o][zi]
-			st := &e.states[o][zi]
+		for i, zi := range e.rows {
+			in := &e.insts[o][i]
+			st := &e.states[o][i]
 			if in.ever == 0 && len(st.viols) == 0 {
 				continue
 			}

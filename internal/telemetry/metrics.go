@@ -316,16 +316,6 @@ func (m *Metrics) healthEvent(name string, z scoping.ZoneID) {
 // FaultDrops returns the fault-drop total.
 func (m *Metrics) FaultDrops() int64 { return m.faultDrops.Value() }
 
-// LossesUnrecovered returns the total terminal unrecovered-loss events
-// across all zones.
-func (m *Metrics) LossesUnrecovered() int64 {
-	var t int64
-	for z := range m.zones {
-		t += m.zones[z].unrecovered.Value()
-	}
-	return t
-}
-
 // ObserveRecovery records one recovered span's end-to-end latency:
 // always into the session-wide "recovery_latency_s" histogram, and —
 // when the span has a blame zone — into that zone's histogram and its

@@ -266,22 +266,7 @@ func keyLess(a, b Key) bool {
 	return a.Pkt < b.Pkt
 }
 
-// WritePrometheus renders the registry in Prometheus text exposition
-// format, keys sorted, every metric prefixed "sharqfec_".
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	return r.writeProm(w, nil, false)
-}
-
-// WritePrometheusMeta renders the same exposition with a "# TYPE" line
-// per metric family, plus a "# HELP" line for families present in help
-// (keyed by the bare metric name, without prefix or _total suffix).
-// This is what a long-lived scrape endpoint should serve; the plain
-// WritePrometheus output stays byte-stable for existing consumers.
-func (r *Registry) WritePrometheusMeta(w io.Writer, help map[string]string) error {
-	return r.writeProm(w, help, true)
-}
-
-// meta emits the HELP/TYPE header the first time a family appears.
+// writeMeta emits the HELP/TYPE header the first time a family appears.
 func writeMeta(w io.Writer, last *string, name, exposed, typ string, help map[string]string) error {
 	if exposed == *last {
 		return nil
@@ -296,35 +281,34 @@ func writeMeta(w io.Writer, last *string, name, exposed, typ string, help map[st
 	return err
 }
 
-func (r *Registry) writeProm(w io.Writer, help map[string]string, meta bool) error {
+// WritePrometheusMeta renders the registry in Prometheus text
+// exposition format, keys sorted, every metric prefixed "sharqfec_",
+// with a "# TYPE" line per metric family, plus a "# HELP" line for
+// families present in help (keyed by the bare metric name, without
+// prefix or _total suffix).
+func (r *Registry) WritePrometheusMeta(w io.Writer, help map[string]string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	last := ""
 	for _, k := range r.sortedCounterKeys() {
-		if meta {
-			if err := writeMeta(w, &last, k.Name, "sharqfec_"+k.Name+"_total", "counter", help); err != nil {
-				return err
-			}
+		if err := writeMeta(w, &last, k.Name, "sharqfec_"+k.Name+"_total", "counter", help); err != nil {
+			return err
 		}
 		if _, err := fmt.Fprintf(w, "sharqfec_%s_total%s %d\n", k.Name, k.labels(), r.counters[k].Value()); err != nil {
 			return err
 		}
 	}
 	for _, k := range r.sortedGaugeKeys() {
-		if meta {
-			if err := writeMeta(w, &last, k.Name, "sharqfec_"+k.Name, "gauge", help); err != nil {
-				return err
-			}
+		if err := writeMeta(w, &last, k.Name, "sharqfec_"+k.Name, "gauge", help); err != nil {
+			return err
 		}
 		if _, err := fmt.Fprintf(w, "sharqfec_%s%s %g\n", k.Name, k.labels(), r.gauges[k].Value()); err != nil {
 			return err
 		}
 	}
 	for _, k := range r.sortedHistKeys() {
-		if meta {
-			if err := writeMeta(w, &last, k.Name, "sharqfec_"+k.Name, "histogram", help); err != nil {
-				return err
-			}
+		if err := writeMeta(w, &last, k.Name, "sharqfec_"+k.Name, "histogram", help); err != nil {
+			return err
 		}
 		h := r.hists[k]
 		cum := int64(0)

@@ -193,11 +193,13 @@ func TestWritePrometheus(t *testing.T) {
 	reg.Counter(Key{Name: "delivered_pkts", Node: topology.NoNode, Zone: 0,
 		Pkt: packet.TypeData}).Inc()
 	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
+	if err := reg.WritePrometheusMeta(&buf, map[string]string{"lat": "test latency"}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, want := range []string{
+		"# TYPE sharqfec_nacks_sent_total counter\n",
+		"# HELP sharqfec_lat test latency\n# TYPE sharqfec_lat histogram\n",
 		`sharqfec_nacks_sent_total{zone="1"} 7`,
 		`sharqfec_raw_loss_fraction{node="3"} 0.25`,
 		`sharqfec_lat_bucket{le="0.1"} 1`,

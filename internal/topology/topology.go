@@ -153,17 +153,6 @@ func (g *Graph) LossFrom(i int, from NodeID) float64 {
 	return l.LossBA
 }
 
-// LinkBetween returns the index of a link joining u and v, or -1 if
-// they are not adjacent. With parallel links the lowest index wins.
-func (g *Graph) LinkBetween(u, v NodeID) int {
-	for _, e := range g.adj[u] {
-		if e.peer == v {
-			return e.link
-		}
-	}
-	return -1
-}
-
 // Neighbors returns the IDs of nodes adjacent to v.
 func (g *Graph) Neighbors(v NodeID) []NodeID {
 	out := make([]NodeID, len(g.adj[v]))

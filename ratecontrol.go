@@ -90,30 +90,22 @@ func (c *RateControlConfig) budget() float64 {
 	return c.Budget
 }
 
-// factory maps the config to a core controller constructor; nil keeps
-// core's built-in static default (off and static are deliberately the
-// same decisions — static just makes the seam explicit).
+// factory maps the config to a core controller constructor; nil — for
+// off and static alike — keeps core's built-in static EWMA controller,
+// so the two modes are the same decisions by construction.
 func (c *RateControlConfig) factory(pcfg core.Config) func(topology.NodeID) core.Controller {
-	if c == nil {
+	if c == nil || c.Mode != RateControlAdaptive {
 		return nil
 	}
-	switch c.Mode {
-	case RateControlStatic:
-		return func(topology.NodeID) core.Controller {
-			return core.NewStaticController(pcfg.EWMAOld, pcfg.EWMANew)
-		}
-	case RateControlAdaptive:
-		rcfg := ratecontrol.Config{
-			Budget:     c.Budget,
-			ArqPenalty: c.ArqPenalty,
-			EWMAOld:    pcfg.EWMAOld,
-			EWMANew:    pcfg.EWMANew,
-		}
-		return func(topology.NodeID) core.Controller {
-			return ratecontrol.New(rcfg)
-		}
+	rcfg := ratecontrol.Config{
+		Budget:     c.Budget,
+		ArqPenalty: c.ArqPenalty,
+		EWMAOld:    pcfg.EWMAOld,
+		EWMANew:    pcfg.EWMANew,
 	}
-	return nil
+	return func(topology.NodeID) core.Controller {
+		return ratecontrol.New(rcfg)
+	}
 }
 
 // ControllerComparisonConfig parameterizes RunControllerComparison.

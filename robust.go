@@ -2,8 +2,8 @@ package sharqfec
 
 import (
 	"fmt"
+	"slices"
 
-	"sharqfec/internal/core"
 	"sharqfec/internal/eventq"
 	"sharqfec/internal/netsim"
 	"sharqfec/internal/packet"
@@ -74,63 +74,41 @@ type LateJoinResult struct {
 
 // RunLateJoin runs the full protocol on Figure-10 with one receiver
 // joining at joinAt seconds (0 → default 9.6, after the stream ends).
+// The joiner is crashed before the session's joins and restarted, as a
+// fresh late joiner, at joinAt.
 func RunLateJoin(seed uint64, joinAt float64) (*LateJoinResult, error) {
 	if joinAt == 0 {
 		joinAt = 9.6
 	}
-	s, err := newSim(topology.Figure10(topology.Figure10Params{}), seed, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	h := s.h
-
-	pcfg := core.DefaultConfig()
-	pcfg.NumPackets = 256
-
-	late := topology.NodeID(12)
-	var lastDone eventq.Time
-	completed := 0
-	agents, err := coreAgents(s, pcfg, func(m topology.NodeID, ag *core.Agent) {
-		if m == late {
-			ag.OnComplete = func(now eventq.Time, _ uint32, _ [][]byte) {
-				completed++
-				lastDone = now
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
+	const late = 12
 	localRepairs, globalRepairs := 0, 0
-	s.netFor(late).AddTap(func(now eventq.Time, at topology.NodeID, d netsim.Delivery) {
-		if _, ok := d.Pkt.(*packet.Repair); ok && at == late && now.Seconds() > joinAt {
-			if h.Level(d.Scope) > 0 {
-				localRepairs++
-			} else {
-				globalRepairs++
+	_, r, err := runData(DataConfig{
+		Protocol: SHARQFEC, Seed: seed, NumPackets: 256, Until: 120,
+		Faults: NewFaultPlan().Crash(0, late).Restart(joinAt, late),
+	}, func(r *dataRun) {
+		r.s.netFor(late).AddTap(func(now eventq.Time, at topology.NodeID, d netsim.Delivery) {
+			if _, ok := d.Pkt.(*packet.Repair); ok && at == late && now.Seconds() > joinAt {
+				if r.s.h.Level(d.Scope) > 0 {
+					localRepairs++
+				} else {
+					globalRepairs++
+				}
 			}
-		}
+		})
 	})
-	s.at(1, func(eventq.Time) {
-		for _, m := range s.members {
-			if m != late {
-				agents[m].Join()
-			}
-		}
-	})
-	s.at(6, func(eventq.Time) { agents[s.spec.Source].StartSource() })
-	s.at(secondsToTime(joinAt), func(eventq.Time) { agents[late].JoinLate() })
-	s.run(120)
+	if err != nil {
+		return nil, err
+	}
 
 	res := &LateJoinResult{
-		Joiner:     int(late),
+		Joiner:     late,
 		JoinAt:     joinAt,
-		Completion: float64(completed) / float64(pcfg.NumGroups()),
+		Completion: r.completion(func(m topology.NodeID) bool { return m == late }),
 	}
 	if total := localRepairs + globalRepairs; total > 0 {
 		res.LocalRepairFrac = float64(localRepairs) / float64(total)
 	}
-	if completed > 0 {
+	if lastDone := slices.Max(r.doneOf(late)); lastDone > 0 {
 		res.CatchUpSeconds = lastDone.Seconds() - joinAt
 	}
 	return res, nil

@@ -94,8 +94,7 @@ func RunScalingSweep(cfg ScalingSweepConfig) (*analysis.ScalingReport, error) {
 	}
 
 	points := make([]analysis.ScalingPoint, len(cfg.Subscribers))
-	errs := make([]error, len(cfg.Subscribers))
-	runIndexed(len(cfg.Subscribers), func(i int) {
+	err := runIndexed(len(cfg.Subscribers), func(i int) error {
 		p := topology.NationalParams{
 			Regions: cfg.Regions, Cities: cfg.Cities,
 			Suburbs: cfg.Suburbs, SubscribersPerSuburb: cfg.Subscribers[i],
@@ -108,16 +107,14 @@ func RunScalingSweep(cfg ScalingSweepConfig) (*analysis.ScalingReport, error) {
 		}
 		scoped, err := measure(top.spec)
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		var flat scalingMeasure
 		flatMeasured := p.TotalReceivers() <= cfg.FlatCutoff
 		if flatMeasured {
 			flat, err = measure(globalized(top.spec))
 			if err != nil {
-				errs[i] = err
-				return
+				return err
 			}
 		}
 
@@ -157,11 +154,10 @@ func RunScalingSweep(cfg ScalingSweepConfig) (*analysis.ScalingReport, error) {
 			pt.FlatEscapeFrac = float64(flat.escape) / float64(flat.ctrlLink)
 		}
 		points[i] = pt
+		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return &analysis.ScalingReport{
 		Topology: fmt.Sprintf("national %dx%dx%d, %d s/run, seed %d",

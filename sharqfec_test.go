@@ -1,6 +1,7 @@
 package sharqfec
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -275,8 +276,9 @@ func TestRunReceiverReports(t *testing.T) {
 	}
 }
 
-// TestFailoverAndReportsPinned pins both runners' whole results at one
-// seed each, so a change to how they are driven shows as a drift.
+// TestFailoverAndReportsPinned pins the failover, receiver-report,
+// timer-sweep and late-join runners' whole results at one seed each, so
+// a change to how they are driven shows as a drift.
 func TestFailoverAndReportsPinned(t *testing.T) {
 	fo, err := RunZCRFailover(51)
 	if err != nil {
@@ -294,6 +296,47 @@ func TestFailoverAndReportsPinned(t *testing.T) {
 		DirectReporters: 7, Receivers: 112,
 	}); *rr != want {
 		t.Errorf("RunReceiverReports(53) = %+v, want %+v", *rr, want)
+	}
+
+	pts, err := RunTimerSweep(54, []float64{0.5, 1, 2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// MeanRecovery is a float sum whose order is not part of the
+	// contract: it is pinned to 1e-12 relative, everything else exactly.
+	wantPts := []TimerSweepPoint{
+		{Multiplier: 0.5, C1: 1, C2: 1, D1: 0.5, D2: 0.5, NACKs: 337, Repairs: 1313, DupShares: 883, MeanRecovery: 0.08631510460348436, Completion: 1},
+		{Multiplier: 1, C1: 2, C2: 2, D1: 1, D2: 1, NACKs: 236, Repairs: 782, DupShares: 921, MeanRecovery: 0.22447727557890954, Completion: 1},
+		{Multiplier: 2, C1: 4, C2: 4, D1: 2, D2: 2, NACKs: 392, Repairs: 674, DupShares: 667, MeanRecovery: 0.7180093468388565, Completion: 1},
+		{Multiplier: 4, C1: 8, C2: 8, D1: 4, D2: 4, NACKs: 344, Repairs: 610, DupShares: 403, MeanRecovery: 1.3074260787808298, Completion: 1},
+	}
+	for i, want := range wantPts {
+		got := pts[i]
+		if math.Abs(got.MeanRecovery-want.MeanRecovery) > 1e-12*want.MeanRecovery {
+			t.Errorf("RunTimerSweep(54)[%d].MeanRecovery = %v, want %v", i, got.MeanRecovery, want.MeanRecovery)
+		}
+		got.MeanRecovery = want.MeanRecovery
+		if got != want {
+			t.Errorf("RunTimerSweep(54)[%d] = %+v, want %+v", i, got, want)
+		}
+	}
+
+	for _, tc := range []struct {
+		joinAt float64
+		want   LateJoinResult
+	}{
+		// 0 is the default join, after the stream ends.
+		{0, LateJoinResult{Joiner: 12, JoinAt: 9.6, Completion: 1, LocalRepairFrac: 0.9813432835820896, CatchUpSeconds: 2.5170101457214287}},
+		// Mid-stream: groups are still being sent when the joiner arrives.
+		{7.5, LateJoinResult{Joiner: 12, JoinAt: 7.5, Completion: 1, LocalRepairFrac: 0.7571428571428571, CatchUpSeconds: 1.52521597824445}},
+	} {
+		lj, err := RunLateJoin(52, tc.joinAt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *lj != tc.want {
+			t.Errorf("RunLateJoin(52, %v) = %+v, want %+v", tc.joinAt, *lj, tc.want)
+		}
 	}
 }
 

@@ -37,9 +37,6 @@ func TestRunConfigValidation(t *testing.T) {
 		cfg  DataConfig
 		want string
 	}{
-		{"binwidth-nan", DataConfig{BinWidth: nan}, "BinWidth"},
-		{"binwidth-negative", DataConfig{BinWidth: -1}, "BinWidth"},
-		{"binwidth-inf", DataConfig{BinWidth: inf}, "BinWidth"},
 		{"packets-negative", DataConfig{NumPackets: -16}, "NumPackets"},
 		{"until-nan", DataConfig{Until: nan}, "Until"},
 		{"until-negative", DataConfig{Until: -5}, "Until"},

@@ -1,10 +1,6 @@
 package sharqfec
 
-import (
-	"sharqfec/internal/core"
-	"sharqfec/internal/eventq"
-	"sharqfec/internal/topology"
-)
+import "sharqfec/internal/core"
 
 // sweepParallelism caps the worker pool RunTimerSweep (and RunEnsemble)
 // fan out to. Overridable in tests.
@@ -40,77 +36,53 @@ func RunTimerSweep(seed uint64, multipliers []float64) ([]TimerSweepPoint, error
 		multipliers = []float64{0.5, 1, 2, 4}
 	}
 	out := make([]TimerSweepPoint, len(multipliers))
-	errs := make([]error, len(multipliers))
-	runIndexed(len(multipliers), func(i int) {
-		pt, err := runTimerPoint(seed, multipliers[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		out[i] = *pt
+	err := runIndexed(len(multipliers), func(i int) (err error) {
+		out[i], err = runTimerPoint(seed, multipliers[i])
+		return err
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-func runTimerPoint(seed uint64, mult float64) (*TimerSweepPoint, error) {
-	s, err := newSim(topology.Figure10(topology.Figure10Params{}), seed, 0, nil)
+func runTimerPoint(seed uint64, mult float64) (TimerSweepPoint, error) {
+	cfg := DataConfig{Protocol: SHARQFEC, Seed: seed, NumPackets: 256, SourceOnAt: 6, Until: 60}
+	res, r, err := runData(cfg, func(r *dataRun) {
+		r.pcfg.C1 *= mult
+		r.pcfg.C2 *= mult
+		r.pcfg.D1 *= mult
+		r.pcfg.D2 *= mult
+	})
 	if err != nil {
-		return nil, err
+		return TimerSweepPoint{}, err
 	}
-
-	pcfg := core.DefaultConfig()
-	pcfg.NumPackets = 256
-	pcfg.C1 *= mult
-	pcfg.C2 *= mult
-	pcfg.D1 *= mult
-	pcfg.D2 *= mult
-
-	ipt := pcfg.InterPacket()
-	k := pcfg.GroupK
-	groupEnd := func(gid uint32) float64 {
-		return 6 + float64(int(gid+1)*k)*ipt
+	pcfg := &r.pcfg
+	pt := TimerSweepPoint{
+		Multiplier: mult,
+		C1:         pcfg.C1, C2: pcfg.C2,
+		D1: pcfg.D1, D2: pcfg.D2,
+		NACKs:      res.NACKsSent,
+		Repairs:    res.RepairsSent + res.RepairsInjected,
+		Completion: res.CompletionRate,
 	}
-
-	completions := 0
+	for _, ag := range r.spawned {
+		pt.DupShares += ag.(*core.Agent).Stats.DupShares
+	}
+	// A group's transmission window ends with its last original packet.
 	var recoverySum float64
 	var recoveries int
-	agents, err := coreAgents(s, pcfg, func(m topology.NodeID, ag *core.Agent) {
-		if m == s.spec.Source {
-			return
-		}
-		ag.OnComplete = func(now eventq.Time, gid uint32, _ [][]byte) {
-			completions++
-			if delay := now.Seconds() - groupEnd(gid); delay > 0 {
+	for _, m := range r.s.spec.Receivers {
+		for gid, t := range r.doneOf(m) {
+			groupEnd := cfg.SourceOnAt + float64((gid+1)*pcfg.GroupK)*pcfg.InterPacket()
+			if delay := t.Seconds() - groupEnd; t > 0 && delay > 0 {
 				recoverySum += delay
 				recoveries++
 			}
 		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	stream(s, agents, 1, 6)
-	s.run(60)
-
-	pt := &TimerSweepPoint{
-		Multiplier: mult,
-		C1:         pcfg.C1, C2: pcfg.C2,
-		D1: pcfg.D1, D2: pcfg.D2,
-	}
-	for _, m := range s.members {
-		st := &agents[m].Stats
-		pt.NACKs += st.NACKsSent
-		pt.Repairs += st.RepairsSent + st.RepairsInjected
-		pt.DupShares += st.DupShares
 	}
 	if recoveries > 0 {
 		pt.MeanRecovery = recoverySum / float64(recoveries)
 	}
-	pt.Completion = float64(completions) / float64(len(s.spec.Receivers)*pcfg.NumGroups())
 	return pt, nil
 }

@@ -425,22 +425,7 @@ func startTelemetry(cfg *TelemetryConfig, s *sim, until float64) *telemetryRun {
 		Kind: telemetry.KindRunInfo, Node: topology.NoNode, Zone: scoping.NoZone,
 		Group: -1, F: until,
 	})
-	for z := 0; z < h.NumZones(); z++ {
-		zone := scoping.ZoneID(z)
-		parent := int64(-1)
-		if p := h.Parent(zone); p != scoping.NoZone {
-			parent = int64(p)
-		}
-		t.bus.Emit(telemetry.Event{
-			Kind: telemetry.KindZoneInfo, Node: topology.NoNode, Zone: zone,
-			Group: -1, A: parent, B: int64(h.Level(zone)),
-		})
-		for _, m := range h.Leaves(zone) {
-			t.bus.Emit(telemetry.Event{
-				Kind: telemetry.KindZoneMember, Node: m, Zone: zone, Group: -1,
-			})
-		}
-	}
+	telemetry.EmitZones(t.bus, h)
 	iv := cfg.MetricsInterval
 	if iv <= 0 {
 		iv = 1.0
