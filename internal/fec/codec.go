@@ -85,13 +85,9 @@ func (c *Codec) Repair(data [][]byte, index int) (Share, error) {
 	return Share{Index: index, Data: out}, nil
 }
 
-// repairInto accumulates the repair share for index into out (assumed
-// zeroed, length len(data[0])).
+// repairInto sets out (length len(data[0])) to the repair share for index.
 func (c *Codec) repairInto(out []byte, data [][]byte, index int) {
-	row := c.gen.row(index)
-	for j, coeff := range row {
-		addMulSlice(out, data[j], coeff)
-	}
+	dotSlices(out, data, c.gen.row(index))
 }
 
 // Repairs produces h consecutive repair shares starting at index K. The
@@ -172,8 +168,8 @@ func (c *Codec) Reconstruct(held [][]byte) error {
 	// R = A·D + B·(held data), where A and B are the repairs' generator
 	// columns at the missing and the held positions. So
 	// D = A⁻¹·R + (A⁻¹·B)·(held data): invert the m×m block, fold it into
-	// the held-data coefficients one generator row at a time, then
-	// accumulate each missing share over its k sources.
+	// the held-data coefficients one generator row at a time, then sum
+	// each missing share over its k sources in one dotSlices pass.
 	rep := src[k-m : k]
 	var stack [2 * stackMissing * stackMissing]byte
 	scratch := stack[:]
@@ -193,6 +189,10 @@ func (c *Codec) Reconstruct(held [][]byte) error {
 		// Vandermonde generator are linearly independent.
 		return fmt.Errorf("fec: singular decode system for %d missing shares", m)
 	}
+	var srcs [MaxShares][]byte // the held data shares, then the repairs
+	for n, i := range src[:k] {
+		srcs[n] = held[i]
+	}
 	slab := make([]byte, m*size)
 	var coef [MaxShares]byte
 	for t, lost := range miss[:m] {
@@ -201,13 +201,15 @@ func (c *Codec) Reconstruct(held [][]byte) error {
 		for j, r := range rep {
 			addMulSlice(coef[:k], c.gen.row(int(r)), w[j])
 		}
+		// coef is indexed by data share; gather it into source order in
+		// place (src is ascending with src[n] >= n, so every entry is
+		// read before it is overwritten) and append the repairs' weights.
+		for n, i := range src[:k-m] {
+			coef[n] = coef[i]
+		}
+		copy(coef[k-m:k], w)
 		buf := slab[t*size : (t+1)*size : (t+1)*size]
-		for _, i := range src[:k-m] {
-			addMulSlice(buf, held[i], coef[i])
-		}
-		for j, r := range rep {
-			addMulSlice(buf, held[r], w[j])
-		}
+		dotSlices(buf, srcs[:k], coef[:k])
 		held[lost] = buf
 	}
 	return nil

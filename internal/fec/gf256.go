@@ -16,6 +16,13 @@
 // built once per k and the decode system is derived from the erasures of
 // each call, sized by how many data shares are missing rather than by k,
 // so there is no decode state to cache, lock or bound.
+//
+// The payload-sized work — each repair share, each reconstructed data
+// share — is one dot product over the group's shares, dotSlices, which
+// writes every output byte once. On amd64 it is an AVX2 split-nibble
+// kernel (dot_amd64.s); with the purego tag, on other architectures or
+// on a CPU without AVX2 it is a walk of the product table. Both are
+// byte-identical to the scalar reference kernels in gf256_ref.go.
 package fec
 
 import "encoding/binary"
@@ -29,37 +36,46 @@ const (
 )
 
 var (
-	gfExp [2 * fieldSize]byte // generator powers, doubled to skip a mod
-	gfLog [fieldSize]int
+	gfExp, gfLog = expLogTables()
 	// gfMulTable[c] is the full product row c·x for every x, the
 	// table-driven kernel Rizzo's paper identifies as the dominant-cost
 	// optimization: the inner loops index one 256-byte row (L1-resident)
 	// instead of doing two log lookups, an add, and an exp lookup with
-	// two zero branches per byte. 64 KiB total, built once at init.
-	gfMulTable [fieldSize][fieldSize]byte
+	// two zero branches per byte. 64 KiB total, built once at start-up.
+	// The tables are variable initializers rather than an init function
+	// so that tables derived from them in other files (the amd64 nibble
+	// tables) are built after them whatever the file order.
+	gfMulTable = mulTable()
 )
 
-func init() {
+// expLogTables returns the generator powers, doubled to skip a mod, and
+// their logarithms.
+func expLogTables() (exp [2 * fieldSize]byte, log [fieldSize]int) {
 	x := 1
 	for i := 0; i < fieldSize-1; i++ {
-		gfExp[i] = byte(x)
-		gfLog[x] = i
+		exp[i] = byte(x)
+		log[x] = i
 		x <<= 1
 		if x&0x100 != 0 {
 			x ^= primPoly
 		}
 	}
 	for i := fieldSize - 1; i < 2*fieldSize; i++ {
-		gfExp[i] = gfExp[i-(fieldSize-1)]
+		exp[i] = exp[i-(fieldSize-1)]
 	}
-	gfLog[0] = -1 // log of zero is undefined; flagged for debugging
+	log[0] = -1 // log of zero is undefined; flagged for debugging
+	return exp, log
+}
 
+// mulTable returns every product row c·x.
+func mulTable() (t [fieldSize][fieldSize]byte) {
 	for a := 1; a < fieldSize; a++ {
 		la := gfLog[a]
 		for b := 1; b < fieldSize; b++ {
-			gfMulTable[a][b] = gfExp[la+gfLog[b]]
+			t[a][b] = gfExp[la+gfLog[b]]
 		}
 	}
+	return t
 }
 
 // gfMul returns a*b in GF(2^8).
@@ -133,9 +149,11 @@ func mulSlice(dst, src []byte, c byte) {
 	}
 }
 
-// addMulSlice sets dst[i] ^= c*src[i] for all i — the inner loop of both
-// encoding and decoding. c==1 (the XOR-only case: systematic rows and
-// parity-like coefficients) takes an 8-byte-word path.
+// addMulSlice sets dst[i] ^= c*src[i] for all i. It is the row operation
+// of the small matrix work (generator product, decode-system inversion,
+// coefficient folding) and the portable body of dotSlicesGeneric; the
+// payload-sized work goes through dotSlices. c==1 (the XOR-only case)
+// takes an 8-byte-word path.
 func addMulSlice(dst, src []byte, c byte) {
 	if c == 0 {
 		return
@@ -172,5 +190,15 @@ func xorSlice(dst, src []byte) {
 	}
 	for i := n; i < len(src); i++ {
 		dst[i] ^= src[i]
+	}
+}
+
+// dotSlicesGeneric is the portable dotSlices: out is cleared, then each
+// source is accumulated in turn with addMulSlice. Only the first len(out)
+// bytes of each source are read; a shorter source panics.
+func dotSlicesGeneric(out []byte, srcs [][]byte, coef []byte) {
+	clear(out)
+	for j, s := range srcs {
+		addMulSlice(out, s[:len(out)], coef[j])
 	}
 }

@@ -228,3 +228,93 @@ func FuzzMulSliceMatchesRef(f *testing.F) {
 		}
 	})
 }
+
+// dotRef is dotSlices built from the scalar reference: clear, then
+// accumulate every source.
+func dotRef(out []byte, srcs [][]byte, coef []byte) {
+	clear(out)
+	for j, s := range srcs {
+		addMulSliceRef(out, s[:len(out)], coef[j])
+	}
+}
+
+// TestDotMatchesScalarReference covers the lengths the protocol codes
+// (its 983-byte share), every length around the 32-byte chunk and the
+// overlapping tail, up to 255 sources at unaligned offsets, and the 0 and
+// 1 coefficients. out starts dirty: dotSlices must overwrite all of it.
+func TestDotMatchesScalarReference(t *testing.T) {
+	r := rand.New(rand.NewPCG(31, 32))
+	backing := make([]byte, 255*1200)
+	for i := range backing {
+		backing[i] = byte(r.IntN(256))
+	}
+	lengths := []int{0, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 95, 96, 97, 983, 1024, 1100}
+	for range 40 {
+		lengths = append(lengths, r.IntN(1101))
+	}
+	for _, k := range []int{1, 2, 16, 40, 255} {
+		for _, length := range lengths {
+			srcs := make([][]byte, k)
+			coef := make([]byte, k)
+			for j := range srcs {
+				off := j*1200 + r.IntN(64)
+				srcs[j] = backing[off : off+length+r.IntN(8)] // sources may run past out
+				switch r.IntN(4) {
+				case 0:
+					coef[j] = 0
+				case 1:
+					coef[j] = 1
+				default:
+					coef[j] = byte(r.IntN(256))
+				}
+			}
+			got := make([]byte, length)
+			for i := range got {
+				got[i] = byte(r.IntN(256))
+			}
+			want := make([]byte, length)
+			dotSlices(got, srcs, coef)
+			dotRef(want, srcs, coef)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("dotSlices diverges from scalar ref: k=%d len=%d", k, length)
+			}
+		}
+	}
+}
+
+// FuzzDotMatchesRef lets the fuzzer choose the number of sources, the
+// length, each source's offset and each coefficient: data is read as a
+// header (k, length) followed by one (offset, coefficient) pair per
+// source, and the rest is the payload the sources are cut from.
+func FuzzDotMatchesRef(f *testing.F) {
+	f.Add([]byte{1, 32, 0, 2}, []byte("0123456789abcdef0123456789abcdefXYZ"))
+	f.Add([]byte{3, 33, 1, 0, 2, 1, 3, 255}, bytes.Repeat([]byte{0xA5, 0x3C, 7}, 40))
+	f.Add([]byte{16, 200, 0, 9}, bytes.Repeat([]byte{1, 2, 3, 4, 5}, 300))
+	f.Fuzz(func(t *testing.T, hdr, payload []byte) {
+		if len(hdr) < 2 {
+			return
+		}
+		k, length := int(hdr[0]), int(hdr[1])*5 // up to 1,275 bytes
+		pairs := hdr[2:]
+		srcs := make([][]byte, k)
+		coef := make([]byte, k)
+		for j := range srcs {
+			var off, c byte
+			if 2*j+1 < len(pairs) {
+				off, c = pairs[2*j], pairs[2*j+1]
+			}
+			o := int(off) % 64
+			if o+length > len(payload) {
+				return
+			}
+			srcs[j], coef[j] = payload[o:o+length], c
+		}
+		got := bytes.Repeat([]byte{0xEE}, length)
+		want := make([]byte, length)
+		dotSlices(got, srcs, coef)
+		dotRef(want, srcs, coef)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("dotSlices(k=%d, len=%d) diverges from scalar reference", k, length)
+		}
+	})
+}

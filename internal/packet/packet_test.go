@@ -310,3 +310,52 @@ func TestWireSizesReasonable(t *testing.T) {
 		t.Fatalf("session message with 10 entries is %d bytes", s.WireSize())
 	}
 }
+
+// FuzzUnmarshal feeds arbitrary datagrams to Unmarshal, the parser a UDP
+// socket feeds directly. It must never panic, and whatever it accepts
+// must re-marshal to WireSize bytes that decode and re-marshal to the
+// same bytes: one round trip reaches a fixed point. (Not the input bytes
+// themselves: a signalling NaN in a float32 field comes back quiet.)
+func FuzzUnmarshal(f *testing.F) {
+	for _, p := range []Packet{
+		&Data{Origin: 1, Seq: 2, Group: 3, Index: 1, GroupK: 16, Payload: []byte("payload")},
+		&Repair{Origin: 1, Group: 3, Index: 17, GroupK: 16, NewMaxSeq: 18, Zone: -1, Payload: []byte("parity")},
+		&NACK{Origin: 1, Group: 2, LLC: 3, Needed: 1, MaxSeq: 10, Zone: 1,
+			Ancestors: []AncestorRTT{{ZCR: 5, RTT: 0.1}}},
+		&Session{Origin: 1, Zone: 2, SentAt: 3, ZCR: 4, MaxSeq: 5, RRWorstLoss: 0.25, RRMembers: 3,
+			Entries: []SessionEntry{{Peer: 6, SinceHeard: 1, RTT: 0.1, Echo: 2}}},
+		&ZCRChallenge{Origin: 3, Zone: 2, SentAt: 1.0625},
+		&ZCRResponse{Origin: 0, Zone: 2, Challenger: 3, ProcDelay: 0.001953125},
+		&ZCRTakeover{Origin: 4, Zone: 2, DistToParent: 0.125},
+	} {
+		b, err := p.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := Unmarshal(b)
+		if err != nil {
+			return
+		}
+		once, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatalf("accepted %s does not marshal: %v", p.Kind(), err)
+		}
+		if len(once) != p.WireSize() {
+			t.Fatalf("%s: marshal length %d != WireSize %d", p.Kind(), len(once), p.WireSize())
+		}
+		q, err := Unmarshal(once)
+		if err != nil {
+			t.Fatalf("re-marshalled %s does not decode: %v", p.Kind(), err)
+		}
+		twice, err := q.MarshalBinary()
+		if err != nil {
+			t.Fatalf("decoded %s does not marshal: %v", q.Kind(), err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("%s: round trip is not a fixed point:\n%x\n%x", p.Kind(), once, twice)
+		}
+	})
+}

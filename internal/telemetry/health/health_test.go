@@ -111,23 +111,44 @@ budget_burn <= 0.5
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, bad := range []string{
-		"",                                  // no objectives
-		"bogus_metric <= 1",                 // unknown metric
-		"recovery_latency >= 1",             // wrong direction
-		"suppression_ratio <= 0.5",          // wrong direction
-		"suppression_ratio >= 1.5",          // ratio > 1
-		"recovery_latency p0 <= 1",          // bad quantile
-		"recovery_latency <= NaN",           // non-finite value
-		"recovery_latency <= 1 window=-1",   // bad window
-		"recovery_latency <= 1 fast=20",     // fast > window (default 10)
-		"recovery_latency <= 1 bogus=1",     // unknown attribute
-		"interval 0\nrecovery_latency <= 1", // bad interval
-		"interval\nrecovery_latency <= 1",   // malformed interval
-		"recovery_latency <= 1 min=0",       // bad min
+		"",                                       // no objectives
+		"bogus_metric <= 1",                      // unknown metric
+		"recovery_latency >= 1",                  // wrong direction
+		"suppression_ratio <= 0.5",               // wrong direction
+		"suppression_ratio >= 1.5",               // ratio > 1
+		"recovery_latency p0 <= 1",               // bad quantile
+		"recovery_latency <= NaN",                // non-finite value
+		"recovery_latency <= 1 window=-1",        // bad window
+		"recovery_latency <= 1 fast=20",          // fast > window (default 10)
+		"recovery_latency <= 1 bogus=1",          // unknown attribute
+		"interval 0\nrecovery_latency <= 1",      // bad interval
+		"interval\nrecovery_latency <= 1",        // malformed interval
+		"interval 1e-9\nrecovery_latency <= 1",   // below MinInterval
+		"interval 0.0009\nrecovery_latency <= 1", // below MinInterval
+		"recovery_latency <= 1 min=0",            // bad min
+		"recovery_latency p1e-322 <= 1",          // quantile underflows to 0
+		"recovery_latency <= 1 window=1e-323",    // window below MinInterval
+		"recovery_latency <= 1 fast=1e-4",        // fast window below MinInterval
 	} {
 		if _, err := ParseSpec(strings.NewReader(bad)); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
+	}
+}
+
+// TestParseSpecFloors pins MinInterval: the floor itself is accepted for
+// the interval and the windows, and a defaulted fast window (window/4)
+// is raised to it rather than falling below it.
+func TestParseSpecFloors(t *testing.T) {
+	spec, err := ParseSpec(strings.NewReader("interval 0.001\nrecovery_latency <= 1 window=0.002\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Interval != MinInterval || spec.Objectives[0].Fast != MinInterval {
+		t.Fatalf("parsed %+v, want interval and fast window at MinInterval", spec)
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("spec at the floors rejected: %v", err)
 	}
 }
 
@@ -153,6 +174,8 @@ func TestSpecValidate(t *testing.T) {
 		{"NaN interval", func(s *Spec) { s.Interval = math.NaN() }, "interval"},
 		{"Inf interval", func(s *Spec) { s.Interval = math.Inf(1) }, "interval"},
 		{"negative interval", func(s *Spec) { s.Interval = -1 }, "interval"},
+		{"interval below floor", func(s *Spec) { s.Interval = 1e-9 }, "interval"},
+		{"interval just below floor", func(s *Spec) { s.Interval = MinInterval / 2 }, "interval"},
 		{"unknown metric", func(s *Spec) { s.Objectives[0].Metric = numMetrics }, "unknown metric"},
 		{"NaN quantile", func(s *Spec) { s.Objectives[0].Quantile = math.NaN() }, "quantile"},
 		{"quantile > 1", func(s *Spec) { s.Objectives[0].Quantile = 1.5 }, "quantile"},
@@ -164,6 +187,8 @@ func TestSpecValidate(t *testing.T) {
 		}, "fraction"},
 		{"NaN window", func(s *Spec) { s.Objectives[0].Window = math.NaN() }, "window"},
 		{"zero window", func(s *Spec) { s.Objectives[0].Window = 0 }, "window"},
+		{"window below floor", func(s *Spec) { s.Objectives[0].Window = 1e-300 }, "window"},
+		{"fast below floor", func(s *Spec) { s.Objectives[0].Fast = 1e-4 }, "fast window"},
 		{"NaN fast", func(s *Spec) { s.Objectives[0].Fast = math.NaN() }, "fast window"},
 		{"fast > window", func(s *Spec) { s.Objectives[0].Fast = 20 }, "fast window"},
 		{"negative min", func(s *Spec) { s.Objectives[0].MinSamples = -1 }, "min samples"},
@@ -375,4 +400,30 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state sink allocates %.1f allocs/op, want 0", allocs)
 	}
+}
+
+// FuzzParseSpec feeds arbitrary text to ParseSpec: it must never panic,
+// every spec it accepts must pass Validate, and the spec's canonical
+// String form must parse back to an equal Spec.
+func FuzzParseSpec(f *testing.F) {
+	f.Add("# comment\ninterval 0.5\nrecovery_latency p99 <= 0.25 window=20 fast=5 min=10\n")
+	f.Add("suppression_ratio >= 0.7\nrepair_locality >= 0.1 window=3\n")
+	f.Add("budget_burn p57 <= 0.5 fast=1\ninterval 1e-3\n")
+	f.Add("recovery_latency <= 1 window=0.002\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		spec, err := ParseSpec(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("ParseSpec accepted a spec Validate refuses: %v\n%q", err, text)
+		}
+		again, err := ParseSpec(strings.NewReader(spec.String()))
+		if err != nil {
+			t.Fatalf("canonical form does not parse: %v\n%q", err, spec.String())
+		}
+		if !reflect.DeepEqual(spec, again) {
+			t.Fatalf("canonical round trip drifted:\n%+v\n%+v", spec, again)
+		}
+	})
 }

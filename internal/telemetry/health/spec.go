@@ -101,8 +101,18 @@ func (o Objective) breaching(long float64, nLong int64, fast float64, nFast int6
 	return long < o.Value && fast < o.Value
 }
 
+// MinInterval is the shortest evaluation tick a spec may set, in
+// seconds. The engine evaluates every objective in every zone once per
+// tick, so a busy run costs time in proportion to 1/Interval; without a
+// floor, "interval 1e-9" would make one simulated second take 10⁹ ticks.
+// The specs in this repository use 0.5 s and the default 1 s. It is also
+// the shortest window: a window's epochs are window/8 long, and far
+// shorter ones overflow the int64 epoch index of a run's timestamps.
+const MinInterval = 1e-3
+
 // Spec is a declarative SLO: the objectives to evaluate and the
-// evaluation tick. The zero Interval means 1 s.
+// evaluation tick. The zero Interval means 1 s; any other must be finite
+// and at least MinInterval.
 type Spec struct {
 	Objectives []Objective
 	Interval   float64
@@ -125,15 +135,16 @@ func (s *Spec) String() string {
 // Validate checks a programmatically constructed spec the way
 // ParseSpec checks the text form: finite bounds everywhere (NaN slips
 // past ordinary comparisons, so each check is written to fail on it),
-// quantiles in (0,1], ratio objectives in [0,1], positive windows with
-// fast ≤ long, and at least one objective. Specs from ParseSpec always
-// pass.
+// an interval of zero or at least MinInterval, quantiles in (0,1], ratio
+// objectives in [0,1], windows of at least MinInterval (a zero fast
+// window is allowed) with fast ≤ long, and at least one objective.
+// Specs from ParseSpec always pass.
 func (s *Spec) Validate() error {
 	if len(s.Objectives) == 0 {
 		return fmt.Errorf("health: spec declares no objectives")
 	}
-	if s.Interval != 0 && !(isFinite(s.Interval) && s.Interval > 0) {
-		return fmt.Errorf("health: interval %g must be finite and > 0", s.Interval)
+	if s.Interval != 0 && !(isFinite(s.Interval) && s.Interval >= MinInterval) {
+		return fmt.Errorf("health: interval %g must be finite and >= %g", s.Interval, MinInterval)
 	}
 	for i, o := range s.Objectives {
 		if int(o.Metric) >= int(numMetrics) {
@@ -148,11 +159,11 @@ func (s *Spec) Validate() error {
 		if !o.Metric.quantile() && o.Value > 1 {
 			return fmt.Errorf("health: objective %d (%s): %s is a fraction, objective %g > 1", i, o.Metric, o.Metric, o.Value)
 		}
-		if !(isFinite(o.Window) && o.Window > 0) {
-			return fmt.Errorf("health: objective %d (%s): window %g must be finite and > 0", i, o.Metric, o.Window)
+		if !(isFinite(o.Window) && o.Window >= MinInterval) {
+			return fmt.Errorf("health: objective %d (%s): window %g must be finite and >= %g", i, o.Metric, o.Window, MinInterval)
 		}
-		if o.Fast != 0 && !(isFinite(o.Fast) && o.Fast > 0) {
-			return fmt.Errorf("health: objective %d (%s): fast window %g must be finite and > 0", i, o.Metric, o.Fast)
+		if o.Fast != 0 && !(isFinite(o.Fast) && o.Fast >= MinInterval) {
+			return fmt.Errorf("health: objective %d (%s): fast window %g must be finite and >= %g", i, o.Metric, o.Fast, MinInterval)
 		}
 		if o.Fast > o.Window {
 			return fmt.Errorf("health: objective %d (%s): fast window %g exceeds long window %g", i, o.Metric, o.Fast, o.Window)
@@ -176,10 +187,12 @@ func (s *Spec) interval() float64 {
 //
 //	<metric> [pNN] <=|>= <value> [window=W] [fast=F] [min=N]
 //
-// plus an optional "interval <seconds>" directive and '#' comments.
+// plus an optional "interval <seconds>" directive (at least MinInterval)
+// and '#' comments.
 // Metrics: recovery_latency, budget_burn (quantile, "<="),
 // suppression_ratio, repair_locality (ratio, ">="). Defaults:
-// window=10, fast=window/4, min=1, p95 for quantile metrics.
+// window=10, fast=window/4 (but not below MinInterval), min=1, p95 for
+// quantile metrics. Windows, like the interval, are at least MinInterval.
 func ParseSpec(r io.Reader) (*Spec, error) {
 	spec := &Spec{}
 	sc := bufio.NewScanner(r)
@@ -199,8 +212,8 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 				return nil, fmt.Errorf("slo line %d: interval takes one value", lineNo)
 			}
 			iv, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil || !isFinite(iv) || iv <= 0 {
-				return nil, fmt.Errorf("slo line %d: bad interval %q", lineNo, fields[1])
+			if err != nil || !isFinite(iv) || iv < MinInterval {
+				return nil, fmt.Errorf("slo line %d: bad interval %q (want a finite number of seconds >= %g)", lineNo, fields[1], MinInterval)
 			}
 			spec.Interval = iv
 			continue
@@ -233,7 +246,8 @@ func parseObjective(fields []string) (Objective, error) {
 	rest := fields[1:]
 	if m.quantile() && len(rest) > 0 && strings.HasPrefix(rest[0], "p") {
 		pct, err := strconv.ParseFloat(rest[0][1:], 64)
-		if err != nil || !(pct > 0 && pct <= 100) {
+		// pct/100 > 0 refuses a tiny percentage whose quantile underflows.
+		if err != nil || !(pct/100 > 0 && pct <= 100) {
 			return o, fmt.Errorf("bad quantile %q (want p50..p100)", rest[0])
 		}
 		o.Quantile = pct / 100
@@ -266,8 +280,8 @@ func parseObjective(fields []string) (Objective, error) {
 		switch k {
 		case "window", "fast":
 			w, err := strconv.ParseFloat(val, 64)
-			if err != nil || !isFinite(w) || w <= 0 {
-				return o, fmt.Errorf("bad %s %q", k, val)
+			if err != nil || !isFinite(w) || w < MinInterval {
+				return o, fmt.Errorf("bad %s %q (want a finite number of seconds >= %g)", k, val, MinInterval)
 			}
 			if k == "window" {
 				o.Window = w
@@ -286,7 +300,7 @@ func parseObjective(fields []string) (Objective, error) {
 		}
 	}
 	if !fastSet {
-		o.Fast = o.Window / 4
+		o.Fast = max(o.Window/4, MinInterval)
 	}
 	if o.Fast > o.Window {
 		return o, fmt.Errorf("fast window %g exceeds long window %g", o.Fast, o.Window)
