@@ -1,5 +1,3 @@
-//go:build !purego
-
 package fec
 
 // The amd64 dotSlices is the split-nibble technique: a product c·b is

@@ -1,5 +1,3 @@
-//go:build !purego
-
 #include "textflag.h"
 
 // func cpuHasAVX2() bool

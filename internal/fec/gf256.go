@@ -20,9 +20,9 @@
 // The payload-sized work — each repair share, each reconstructed data
 // share — is one dot product over the group's shares, dotSlices, which
 // writes every output byte once. On amd64 it is an AVX2 split-nibble
-// kernel (dot_amd64.s); with the purego tag, on other architectures or
-// on a CPU without AVX2 it is a walk of the product table. Both are
-// byte-identical to the scalar reference kernels in gf256_ref.go.
+// kernel (dot_amd64.s); on other architectures or on a CPU without AVX2
+// it is a walk of the product table. Both are byte-identical to the
+// scalar reference kernels in gf256_ref.go.
 package fec
 
 import "encoding/binary"

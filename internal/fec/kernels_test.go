@@ -242,6 +242,8 @@ func dotRef(out []byte, srcs [][]byte, coef []byte) {
 // (its 983-byte share), every length around the 32-byte chunk and the
 // overlapping tail, up to 255 sources at unaligned offsets, and the 0 and
 // 1 coefficients. out starts dirty: dotSlices must overwrite all of it.
+// The portable dotSlicesGeneric is checked the same way, so the fallback
+// that non-amd64 builds use is tested on every host.
 func TestDotMatchesScalarReference(t *testing.T) {
 	r := rand.New(rand.NewPCG(31, 32))
 	backing := make([]byte, 255*1200)
@@ -272,11 +274,16 @@ func TestDotMatchesScalarReference(t *testing.T) {
 			for i := range got {
 				got[i] = byte(r.IntN(256))
 			}
+			got2 := bytes.Clone(got)
 			want := make([]byte, length)
 			dotSlices(got, srcs, coef)
+			dotSlicesGeneric(got2, srcs, coef)
 			dotRef(want, srcs, coef)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("dotSlices diverges from scalar ref: k=%d len=%d", k, length)
+			}
+			if !bytes.Equal(got2, want) {
+				t.Fatalf("dotSlicesGeneric diverges from scalar ref: k=%d len=%d", k, length)
 			}
 		}
 	}
@@ -285,7 +292,8 @@ func TestDotMatchesScalarReference(t *testing.T) {
 // FuzzDotMatchesRef lets the fuzzer choose the number of sources, the
 // length, each source's offset and each coefficient: data is read as a
 // header (k, length) followed by one (offset, coefficient) pair per
-// source, and the rest is the payload the sources are cut from.
+// source, and the rest is the payload the sources are cut from. Both
+// dotSlices and the portable dotSlicesGeneric must match the reference.
 func FuzzDotMatchesRef(f *testing.F) {
 	f.Add([]byte{1, 32, 0, 2}, []byte("0123456789abcdef0123456789abcdefXYZ"))
 	f.Add([]byte{3, 33, 1, 0, 2, 1, 3, 255}, bytes.Repeat([]byte{0xA5, 0x3C, 7}, 40))
@@ -310,11 +318,16 @@ func FuzzDotMatchesRef(f *testing.F) {
 			srcs[j], coef[j] = payload[o:o+length], c
 		}
 		got := bytes.Repeat([]byte{0xEE}, length)
+		got2 := bytes.Clone(got)
 		want := make([]byte, length)
 		dotSlices(got, srcs, coef)
+		dotSlicesGeneric(got2, srcs, coef)
 		dotRef(want, srcs, coef)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("dotSlices(k=%d, len=%d) diverges from scalar reference", k, length)
+		}
+		if !bytes.Equal(got2, want) {
+			t.Fatalf("dotSlicesGeneric(k=%d, len=%d) diverges from scalar reference", k, length)
 		}
 	})
 }
