@@ -25,10 +25,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 
 	"sharqfec/internal/analysis"
@@ -37,22 +37,36 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("sharqfec-trace: ")
-
-	listSpans := flag.Bool("spans", false, "list every recovery span, one line each")
-	perfettoPath := flag.String("perfetto", "", "write recovery spans as Chrome trace-event JSON")
-	sloPath := flag.String("slo", "", "SLO spec file: re-derive health verdicts from the trace")
-	flag.Parse()
-
-	if flag.NArg() != 1 {
-		log.Fatal("usage: sharqfec-trace [-spans] [-perfetto out.json] [-slo spec] <trace.jsonl | ->")
+	err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "sharqfec-trace:", err)
+		os.Exit(1)
 	}
-	var in io.Reader = os.Stdin
-	if name := flag.Arg(0); name != "-" {
+}
+
+// run is the whole command: it parses args, reads the trace from the
+// named file or stdin, writes the reports to stdout, and returns what
+// makes the exit status non-zero.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("sharqfec-trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	listSpans := fs.Bool("spans", false, "list every recovery span, one line each")
+	perfettoPath := fs.String("perfetto", "", "write recovery spans as Chrome trace-event JSON")
+	sloPath := fs.String("slo", "", "SLO spec file: re-derive health verdicts from the trace")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	if fs.NArg() != 1 {
+		return errors.New("usage: sharqfec-trace [-spans] [-perfetto out.json] [-slo spec] <trace.jsonl | ->")
+	}
+	in := stdin
+	if name := fs.Arg(0); name != "-" {
 		f, err := os.Open(name)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer f.Close()
 		in = f
@@ -62,76 +76,80 @@ func main() {
 	if *sloPath != "" {
 		f, err := os.Open(*sloPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		spec, err = health.ParseSpec(f)
 		f.Close()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		// The health replay needs its own pass over the trace; buffer
 		// stdin / the file once so both consumers read identical bytes.
 		raw, err = io.ReadAll(in)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		in = bytes.NewReader(raw)
 	}
 
 	asm, err := spans.Replay(in)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rep := analysis.BuildRecoveryReport(asm)
-	fmt.Print(rep.String())
+	fmt.Fprint(stdout, rep.String())
 
 	if *listSpans {
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		for _, s := range asm.Spans() {
-			fmt.Println(s.Format())
+			fmt.Fprintln(stdout, s.Format())
 		}
 	}
 	if *perfettoPath != "" {
 		f, err := os.Create(*perfettoPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		err = spans.WritePerfetto(f, asm.Spans(), asm.View())
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if spec != nil {
-		healthReplay(bytes.NewReader(raw), spec)
+		if err := healthReplay(bytes.NewReader(raw), spec, stdout); err != nil {
+			return err
+		}
 	}
 	if rep.OpenSpans > 0 {
-		log.Fatalf("span accounting broken: %d spans never saw a terminal event", rep.OpenSpans)
+		return fmt.Errorf("span accounting broken: %d spans never saw a terminal event", rep.OpenSpans)
 	}
+	return nil
 }
 
 // healthReplay re-derives the SLO verdicts from the trace, prints the
 // table, and enforces the replay-equality gate against any recorded
-// health events. Fatal on drift or a FAIL verdict.
-func healthReplay(r io.Reader, spec *health.Spec) {
+// health events. Drift or a FAIL verdict is an error.
+func healthReplay(r io.Reader, spec *health.Spec, stdout io.Writer) error {
 	eng, recorded, err := health.Replay(r, spec)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	hr := eng.Report()
-	fmt.Print(hr.String())
+	fmt.Fprint(stdout, hr.String())
 	if len(recorded) > 0 {
 		derived := eng.Emitted()
 		if !health.SameAlerts(derived, recorded) {
-			log.Fatalf("replay drift: trace recorded %d health events, replay derived %d — offline and live verdicts disagree",
+			return fmt.Errorf("replay drift: trace recorded %d health events, replay derived %d — offline and live verdicts disagree",
 				len(recorded), len(derived))
 		}
-		fmt.Printf("replay gate: %d recorded health events reproduced exactly\n", len(recorded))
+		fmt.Fprintf(stdout, "replay gate: %d recorded health events reproduced exactly\n", len(recorded))
 	}
 	if !hr.Passed() {
-		log.Fatalf("SLO FAIL: %d violations", hr.Violations())
+		return fmt.Errorf("SLO FAIL: %d violations", hr.Violations())
 	}
+	return nil
 }

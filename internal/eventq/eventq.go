@@ -1,6 +1,5 @@
 // Package eventq implements the discrete-event core of the simulator:
-// a virtual clock, a specialized 4-ary-heap event queue, and cancellable
-// timers.
+// a virtual clock, a radix-heap event queue, and cancellable timers.
 //
 // All protocol and network behaviour in this repository is driven by
 // one Queue per simulation shard. Events scheduled for the same instant
@@ -8,15 +7,17 @@
 // breaks ties), which keeps simulations fully deterministic for a given
 // seed.
 //
-// The queue is a monomorphic 4-ary heap rather than container/heap: the
-// interface-based heap boxes every operation behind dynamic dispatch and
-// forces one *event allocation per scheduled event. Here sift-up/down are
-// inlined and popped or cancelled events return to a free list, so
-// steady-state scheduling allocates nothing. Timer handles carry a
-// generation counter so a recycled event can never be stopped or queried
-// through a stale handle. The (time, birth-key, seq) ordering is total,
-// so the heap shape never affects dispatch order — determinism is
-// untouched.
+// The queue is a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, J. ACM
+// 1990). A simulator never schedules an event before Now, so its queue
+// is monotone, and a monotone queue need not keep a total order over
+// everything pending: far-future timers sit untouched in coarse buckets
+// while the near-future traffic is sorted as it comes due. Event
+// records live in fixed-size chunks and bucket entries in blocks from
+// one shared pool, both recycled, so steady-state scheduling allocates
+// nothing. Timer handles carry a generation counter so a recycled
+// record can never be stopped or queried through a stale handle. The
+// (time, birth-key, seq) ordering is total, so the queue's layout never
+// affects dispatch order — determinism is untouched.
 //
 // ShardGroup advances one or more queues under conservative lookahead,
 // concurrently when there are several, exchanging cross-shard events at
@@ -26,6 +27,8 @@ package eventq
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"time"
 )
 
@@ -63,66 +66,134 @@ const Never = Time(math.MaxFloat64)
 // simulation goroutine; it may schedule further events but must not block.
 type Handler func(now Time)
 
-// event is a single queue entry. Events are recycled through the queue's
-// free list; gen distinguishes incarnations so stale Timer handles go
-// inert instead of acting on the recycled entry.
+// timeKey maps a time at or after 0 to the radix heap's key. The IEEE-754
+// bits of a non-negative float64 order exactly like its value; clearing
+// the sign bit files -0 as 0, whose raw bits would otherwise sort last.
+func timeKey(t Time) uint64 { return math.Float64bits(float64(t)) &^ (1 << 63) }
+
+func keyTime(k uint64) Time { return Time(math.Float64frombits(k)) }
+
+// seqBits is the width of the sequence number in a record's packed
+// (birth shard, seq) word; the shard takes the 16 bits above it. 2⁴⁸
+// events is years of dispatch at today's rate.
+const seqBits = 48
+
+// MaxShards is the most shards a ShardGroup runs: the birth shard must
+// fit in the bits of the packed word above seqBits.
+const MaxShards = 1 << (64 - seqBits)
+
+// record is a single event's storage, addressed by its int32 id. Records
+// are recycled through the queue's free list; gen distinguishes
+// incarnations — it is odd while the record is scheduled and even while
+// it is free — so stale Timer handles go inert instead of acting on the
+// recycled entry.
 //
 // Besides the scheduled time, every event carries its birth key: the
 // virtual time at which it was scheduled (bt) and the shard of the queue
 // that scheduled it (bs). Within one queue bt is non-decreasing in seq
-// and bs is constant, so the (at, bt, bs, seq) heap order below is
-// exactly the classic (at, seq) FIFO order. Across queues the birth
-// key is the piece of the total order that survives sharding: seq
-// counters of different shards are not comparable, but (at, bt, bs) is,
-// which is what makes the parallel shard runner's merge deterministic
-// and shard-count-invariant.
-type event struct {
-	at    Time
-	bt    Time   // birth time: Now() of the scheduling queue
-	seq   uint64 // FIFO tie-break for identical (at, bt, bs)
-	fn    Handler
-	index int32  // heap index, -1 while on the free list
-	gen   uint32 // incremented every time the event leaves the heap
-	bs    int32  // birth shard: shard ID of the scheduling queue
+// and bs is constant, so the (at, bt, bs, seq) order below is exactly
+// the classic (at, seq) FIFO order. Across queues the birth key is the
+// piece of the total order that survives sharding: seq counters of
+// different shards are not comparable, but (at, bt, bs) is, which is
+// what makes the parallel shard runner's merge deterministic and
+// shard-count-invariant.
+type record struct {
+	key uint64 // timeKey of the scheduled time
+	bt  Time   // birth time: Now() of the scheduling queue
+	bsq uint64 // birth shard << seqBits | seq (FIFO tie-break)
+	fn  Handler
+	pos int32 // index in the front, or in the record's bucket
+	gen uint32
 }
+
+// before orders records with equal keys by (bt, bs, seq).
+func before(a, b *record) bool {
+	if a.bt != b.bt {
+		return a.bt < b.bt
+	}
+	return a.bsq < b.bsq
+}
+
+// chunkLen records make one slab chunk; chunks never move once made.
+const chunkLen = 1024
+
+// blockLen bucket entries make one block. A bucket is a chain of blocks,
+// its newest (the head) filling up first; keys sit inline, so a bucket
+// is read as contiguous runs. Blocks come from one pool shared by every
+// bucket, so at most ⌈Len/blockLen⌉ + 63 are in use: once the pool has
+// grown that far, filing records allocates nothing wherever their keys
+// land.
+const blockLen = 32
+
+type block struct {
+	key  [blockLen]uint64
+	id   [blockLen]int32
+	next int32 // next (full) block of the bucket, -1 after the last
+}
+
+// bucket is a block chain: head is the first block, holding n entries.
+type bucket struct{ head, n int32 }
 
 // Timer is a handle to a scheduled event that can be stopped or queried.
 // The zero Timer is inert: Stop and Active return false.
 type Timer struct {
 	q   *Queue
-	ev  *event
+	id  int32
 	gen uint32
 }
 
 // Stop cancels the timer. It reports whether the call prevented the
 // handler from firing (false if it already fired or was already stopped).
 func (t Timer) Stop() bool {
-	if t.ev == nil || t.ev.gen != t.gen || t.ev.index < 0 {
+	if t.q == nil {
 		return false
 	}
-	t.q.remove(int(t.ev.index))
+	r := t.q.rec(t.id)
+	if r.gen != t.gen {
+		return false
+	}
+	t.q.unlink(r)
 	// Recycling releases the handler closure: protocol agents hold Timer
 	// handles long after cancellation, and under heavy cancel/reschedule
 	// churn (the fault engine's pattern) retained closures are the only
 	// thing keeping dead per-packet state alive.
-	t.q.recycle(t.ev)
+	t.q.recycle(t.id, r)
 	return true
 }
 
 // Active reports whether the timer is still pending.
 func (t Timer) Active() bool {
-	return t.ev != nil && t.ev.gen == t.gen && t.ev.index >= 0
+	return t.q != nil && t.q.rec(t.id).gen == t.gen
 }
 
 // When returns the simulated time at which the timer will fire.
 // It is meaningful only while Active.
-func (t Timer) When() Time { return t.ev.at }
+func (t Timer) When() Time { return keyTime(t.q.rec(t.id).key) }
 
 // Queue is a discrete-event queue with a virtual clock.
 // The zero value is ready to use.
+//
+// Every pending key is at least last, the key the queue last settled
+// on. Records keyed exactly last wait in front, sorted by (bt, bs, seq)
+// from fhead on; any other record sits in bucket i = bits.Len64(key ^
+// last), the position of the highest bit in which its key differs from
+// last. When the front runs dry, the lowest non-empty bucket is
+// redistributed around its smallest key, which sends each of its
+// records to a strictly lower bucket or to the front — so a record is
+// moved at most 63 times however long it stays queued.
 type Queue struct {
-	h         []*event
-	free      []*event
+	chunks []*[chunkLen]record
+	nrec   int32 // records made: each is pending or on the free list
+	free   []int32
+
+	last    uint64
+	front   []int32
+	fhead   int
+	bkt     [64]bucket
+	full    uint64 // bit i set iff bkt[i] is non-empty
+	blocks  []*block
+	freeBlk []int32
+
 	now       Time
 	seq       uint64
 	dispatchN uint64
@@ -139,7 +210,7 @@ func (q *Queue) setShard(id int32) { q.shard = id }
 func (q *Queue) Now() Time { return q.now }
 
 // Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.h) }
+func (q *Queue) Len() int { return int(q.nrec) - len(q.free) }
 
 // Dispatched returns the number of events executed so far.
 func (q *Queue) Dispatched() uint64 { return q.dispatchN }
@@ -147,10 +218,13 @@ func (q *Queue) Dispatched() uint64 { return q.dispatchN }
 // NextAt returns the time of the earliest pending event, or Never when
 // the queue is empty — what a wall-clock driver sleeps until.
 func (q *Queue) NextAt() Time {
-	if len(q.h) == 0 {
+	if len(q.front) > 0 {
+		return keyTime(q.last)
+	}
+	if q.full == 0 {
 		return Never
 	}
-	return q.h[0].at
+	return keyTime(q.minKey(bits.TrailingZeros64(q.full), math.MaxUint64))
 }
 
 // FreeLen returns the number of event records parked on the free list,
@@ -160,6 +234,7 @@ func (q *Queue) FreeLen() int { return len(q.free) }
 
 // At schedules fn to run at absolute time at. Scheduling in the past
 // (before Now) is clamped to Now: the event runs next, preserving order.
+// A time of -0 is 0. A NaN time panics: it has no place in the order.
 func (q *Queue) At(at Time, fn Handler) Timer {
 	if at < q.now {
 		at = q.now
@@ -179,24 +254,23 @@ func (q *Queue) insertCross(at, bt Time, bs int32, fn Handler) Timer {
 }
 
 func (q *Queue) insert(at, bt Time, bs int32, fn Handler) Timer {
-	var ev *event
-	if n := len(q.free); n > 0 {
-		ev = q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-	} else {
-		ev = &event{}
+	if math.IsNaN(float64(at)) {
+		panic("eventq: event scheduled at NaN")
 	}
-	ev.at = at
-	ev.bt = bt
-	ev.bs = bs
-	ev.seq = q.seq
-	ev.fn = fn
+	id := q.alloc()
+	r := q.rec(id)
+	r.key = timeKey(at)
+	r.bt = bt
+	r.bsq = uint64(bs)<<seqBits | q.seq
 	q.seq++
-	ev.index = int32(len(q.h))
-	q.h = append(q.h, ev)
-	q.siftUp(len(q.h) - 1)
-	return Timer{q: q, ev: ev, gen: ev.gen}
+	r.fn = fn
+	r.gen++
+	if r.key == q.last {
+		q.pushFront(id, r)
+	} else {
+		q.file(r.key, id, r)
+	}
+	return Timer{q: q, id: id, gen: r.gen}
 }
 
 // After schedules fn to run d after the current simulated time.
@@ -211,19 +285,10 @@ func (q *Queue) After(d Duration, fn Handler) Timer {
 // Step dispatches the earliest pending event, advancing the clock to its
 // timestamp. It reports false when the queue is empty.
 func (q *Queue) Step() bool {
-	if len(q.h) == 0 {
+	if !q.settle(math.MaxUint64, true) {
 		return false
 	}
-	ev := q.h[0]
-	q.remove(0)
-	q.now = ev.at
-	q.dispatchN++
-	fn := ev.fn
-	// Recycle before dispatch: the handler may schedule new events and
-	// reuse this entry immediately — recycle bumps gen first, so every
-	// outstanding handle to the firing event is already inert.
-	q.recycle(ev)
-	fn(q.now)
+	q.dispatch()
 	return true
 }
 
@@ -236,14 +301,7 @@ func (q *Queue) Run() {
 // RunUntil dispatches events with timestamps <= end, then advances the
 // clock to end (if the clock has not already passed it). Events scheduled
 // after end remain queued.
-func (q *Queue) RunUntil(end Time) {
-	for len(q.h) > 0 && q.h[0].at <= end {
-		q.Step()
-	}
-	if q.now < end {
-		q.now = end
-	}
-}
+func (q *Queue) RunUntil(end Time) { q.runTo(end, true) }
 
 // runBefore dispatches events with timestamps strictly before end, then
 // advances the clock to end. The shard runner's epochs are half-open
@@ -251,107 +309,227 @@ func (q *Queue) RunUntil(end Time) {
 // epoch, after cross-shard arrivals for that boundary have been merged
 // (a cross event posted at time t lands at t+latency ≥ T+L, i.e. never
 // earlier than the boundary — but possibly exactly on it).
-func (q *Queue) runBefore(end Time) {
-	for len(q.h) > 0 && q.h[0].at < end {
-		q.Step()
+func (q *Queue) runBefore(end Time) { q.runTo(end, false) }
+
+// runTo dispatches the events due by end (inclusive or not) and moves the
+// clock to end. An end before Now (or NaN) has nothing due.
+func (q *Queue) runTo(end Time, inclusive bool) {
+	if !(end >= q.now) {
+		return
+	}
+	lim := timeKey(end)
+	for q.settle(lim, inclusive) {
+		q.dispatch()
 	}
 	if q.now < end {
 		q.now = end
 	}
 }
 
-// recycle invalidates outstanding Timer handles for ev, releases its
-// handler closure, and returns it to the free list.
-func (q *Queue) recycle(ev *event) {
-	ev.gen++
-	ev.fn = nil
-	q.free = append(q.free, ev)
-}
-
-// less orders events by (time, birth time, birth shard, seq) — a total
-// order, so dispatch order is independent of heap layout. For events
-// scheduled by this queue itself, bt is non-decreasing in seq and bs is
-// constant, so the order degenerates to the classic (time, seq) FIFO
-// order; the extra keys only separate cross-shard arrivals, whose seq
-// (assigned at merge time) would otherwise be meaningless.
-func (q *Queue) less(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.bt != b.bt {
-		return a.bt < b.bt
-	}
-	if a.bs != b.bs {
-		return a.bs < b.bs
-	}
-	return a.seq < b.seq
-}
-
-// remove deletes the event at heap index i, restoring the heap property.
-func (q *Queue) remove(i int) {
-	h := q.h
-	n := len(h) - 1
-	ev := h[i]
-	if i != n {
-		h[i] = h[n]
-		h[i].index = int32(i)
-	}
-	h[n] = nil
-	q.h = h[:n]
-	ev.index = -1
-	if i < n {
-		q.siftDown(i)
-		q.siftUp(i)
-	}
-}
-
-// siftUp moves the event at index i toward the root until its parent is
-// not later.
-func (q *Queue) siftUp(i int) {
-	h := q.h
-	ev := h[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !q.less(ev, h[p]) {
-			break
+// settle brings the earliest pending events to the front and reports
+// whether they are due: keyed below lim, or at lim when inclusive. When
+// none is due the lowest bucket is still redistributed around lim, so the
+// next call starts from there; that is sound because lim is never below
+// last, and the caller moves the clock to lim, so no later event is keyed
+// below it.
+func (q *Queue) settle(lim uint64, inclusive bool) bool {
+	if len(q.front) == 0 {
+		if q.full == 0 {
+			return false
 		}
-		h[i] = h[p]
-		h[i].index = int32(i)
-		i = p
+		b := bits.TrailingZeros64(q.full)
+		q.redistribute(b, q.minKey(b, lim))
+		if len(q.front) == 0 {
+			return false
+		}
 	}
-	h[i] = ev
-	ev.index = int32(i)
+	return q.last < lim || inclusive && q.last == lim
 }
 
-// siftDown moves the event at index i toward the leaves until no child
-// precedes it. The 4-ary layout halves tree depth versus binary, and the
-// wider node stays within one cache line of children pointers.
-func (q *Queue) siftDown(i int) {
-	h := q.h
-	n := len(h)
-	ev := h[i]
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if q.less(h[c], h[best]) {
-				best = c
+// dispatch pops the first record of the front and runs its handler.
+func (q *Queue) dispatch() {
+	id := q.front[q.fhead]
+	q.fhead++
+	if q.fhead == len(q.front) {
+		q.front = q.front[:0]
+		q.fhead = 0
+	}
+	r := q.rec(id)
+	q.now = keyTime(r.key)
+	q.dispatchN++
+	fn := r.fn
+	// Recycle before dispatch: the handler may schedule new events and
+	// reuse this record immediately — recycle bumps gen first, so every
+	// outstanding handle to the firing event is already inert.
+	q.recycle(id, r)
+	fn(q.now)
+}
+
+// redistribute empties bucket b, the lowest non-empty one, around the new
+// base key: records keyed base go to the (empty) front, sorted, and the
+// rest to the buckets their keys now select. base must lie between last
+// and the bucket's smallest key; every record of bucket b shares its bits
+// from b up with last and so with base, which leaves the higher buckets'
+// contents where they are.
+func (q *Queue) redistribute(b int, base uint64) {
+	bk := q.bkt[b]
+	q.full &^= 1 << b
+	q.last = base
+	for blk, n := bk.head, bk.n; blk >= 0; n = blockLen {
+		x := q.blocks[blk]
+		for j, k := range x.key[:n] {
+			if k == base {
+				q.front = append(q.front, x.id[j])
+			} else {
+				q.file(k, x.id[j], q.rec(x.id[j]))
 			}
 		}
-		if !q.less(h[best], ev) {
+		q.freeBlk = append(q.freeBlk, blk)
+		blk = x.next
+	}
+	if len(q.front) > 1 {
+		slices.SortFunc(q.front, func(x, y int32) int {
+			rx, ry := q.rec(x), q.rec(y)
+			if before(rx, ry) {
+				return -1
+			}
+			if before(ry, rx) {
+				return 1
+			}
+			return 0
+		})
+	}
+	for i, id := range q.front {
+		q.rec(id).pos = int32(i)
+	}
+}
+
+// minKey returns the smallest key in non-empty bucket b, or lim if that
+// is smaller.
+func (q *Queue) minKey(b int, lim uint64) uint64 {
+	m := lim
+	for blk, n := q.bkt[b].head, q.bkt[b].n; blk >= 0; n = blockLen {
+		x := q.blocks[blk]
+		for _, k := range x.key[:n] {
+			m = min(m, k)
+		}
+		blk = x.next
+	}
+	return m
+}
+
+// file adds a record keyed other than last to its bucket.
+func (q *Queue) file(key uint64, id int32, r *record) {
+	i := bits.Len64(key ^ q.last)
+	bk := &q.bkt[i]
+	if q.full&(1<<i) == 0 {
+		bk.head, bk.n = q.newBlock(-1), 0
+		q.full |= 1 << i
+	} else if bk.n == blockLen {
+		bk.head, bk.n = q.newBlock(bk.head), 0
+	}
+	x := q.blocks[bk.head]
+	x.key[bk.n] = key
+	x.id[bk.n] = id
+	r.pos = bk.head*blockLen + bk.n
+	bk.n++
+}
+
+// newBlock takes a block from the pool, or makes one, to head a chain
+// continuing at next.
+func (q *Queue) newBlock(next int32) int32 {
+	var id int32
+	if n := len(q.freeBlk); n > 0 {
+		id = q.freeBlk[n-1]
+		q.freeBlk = q.freeBlk[:n-1]
+	} else {
+		id = int32(len(q.blocks))
+		q.blocks = append(q.blocks, new(block))
+	}
+	q.blocks[id].next = next
+	return id
+}
+
+// pushFront inserts a record keyed last into the front at its (bt, bs,
+// seq) place. A queue's own events are born in order, so the place is
+// almost always the end.
+func (q *Queue) pushFront(id int32, r *record) {
+	q.front = append(q.front, id)
+	j := len(q.front) - 1
+	for ; j > q.fhead; j-- {
+		p := q.rec(q.front[j-1])
+		if !before(r, p) {
 			break
 		}
-		h[i] = h[best]
-		h[i].index = int32(i)
-		i = best
+		q.front[j] = q.front[j-1]
+		p.pos = int32(j)
 	}
-	h[i] = ev
-	ev.index = int32(i)
+	q.front[j] = id
+	r.pos = int32(j)
+}
+
+// unlink takes a pending record out of the front or its bucket.
+func (q *Queue) unlink(r *record) {
+	p := int(r.pos)
+	if r.key == q.last {
+		f := q.front
+		copy(f[p:], f[p+1:])
+		f = f[:len(f)-1]
+		for i := p; i < len(f); i++ {
+			q.rec(f[i]).pos = int32(i)
+		}
+		if q.fhead == len(f) {
+			f, q.fhead = f[:0], 0
+		}
+		q.front = f
+		return
+	}
+	// Fill the hole with the bucket's newest entry.
+	i := bits.Len64(r.key ^ q.last)
+	bk := &q.bkt[i]
+	h := q.blocks[bk.head]
+	bk.n--
+	if last := bk.head*blockLen + bk.n; int32(p) != last {
+		x := q.blocks[p/blockLen]
+		x.key[p%blockLen] = h.key[bk.n]
+		x.id[p%blockLen] = h.id[bk.n]
+		q.rec(h.id[bk.n]).pos = int32(p)
+	}
+	if bk.n == 0 {
+		q.freeBlk = append(q.freeBlk, bk.head)
+		if h.next < 0 {
+			q.full &^= 1 << i
+		} else {
+			bk.head, bk.n = h.next, blockLen
+		}
+	}
+}
+
+// rec returns the record with the given id.
+func (q *Queue) rec(id int32) *record {
+	return &q.chunks[uint32(id)/chunkLen][uint32(id)%chunkLen]
+}
+
+// alloc takes a record from the free list, or makes one, opening a new
+// chunk when the last is full.
+func (q *Queue) alloc() int32 {
+	if n := len(q.free); n > 0 {
+		id := q.free[n-1]
+		q.free = q.free[:n-1]
+		return id
+	}
+	id := q.nrec
+	if id%chunkLen == 0 {
+		q.chunks = append(q.chunks, new([chunkLen]record))
+	}
+	q.nrec++
+	return id
+}
+
+// recycle invalidates outstanding Timer handles for a record, releases
+// its handler closure, and returns it to the free list.
+func (q *Queue) recycle(id int32, r *record) {
+	r.gen++
+	r.fn = nil
+	q.free = append(q.free, id)
 }

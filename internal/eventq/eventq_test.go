@@ -362,10 +362,10 @@ func TestCancelThenFireRace(t *testing.T) {
 func TestStaleHandleCannotTouchRecycledEvent(t *testing.T) {
 	var q Queue
 	old := q.At(1, func(Time) {})
-	q.Run() // fires; the event struct returns to the free list
+	q.Run() // fires; the event record returns to the free list
 	fired := false
 	fresh := q.At(2, func(Time) { fired = true })
-	if fresh.ev != old.ev {
+	if fresh.id != old.id {
 		t.Skip("free list did not recycle the entry; nothing to test")
 	}
 	if old.Active() {
@@ -381,14 +381,14 @@ func TestStaleHandleCannotTouchRecycledEvent(t *testing.T) {
 }
 
 // TestFreeListReuse verifies steady-state scheduling recycles event
-// structs instead of allocating: schedule/fire cycles beyond the first
+// records instead of allocating: schedule/fire cycles beyond the first
 // must reuse the same entries.
 func TestFreeListReuse(t *testing.T) {
 	var q Queue
 	a := q.At(1, func(Time) {})
 	q.Run()
 	b := q.At(2, func(Time) {})
-	if a.ev != b.ev {
+	if a.id != b.id {
 		t.Fatal("fired event was not recycled for the next scheduling")
 	}
 	if a.gen == b.gen {
@@ -405,14 +405,14 @@ func TestStopReleasesClosure(t *testing.T) {
 	big := make([]byte, 1<<20)
 	tm := q.After(1, func(Time) { _ = big[0] })
 	tm.Stop()
-	// The event struct is still referenced by the handle; its fn must
-	// be gone so `big` is unreachable through the queue or the handle.
-	if tm.ev.fn != nil {
+	// The event record is still reachable through the handle; its fn
+	// must be gone so `big` is unreachable through the queue or the handle.
+	if tm.q.rec(tm.id).fn != nil {
 		t.Fatal("stopped timer still holds its handler closure")
 	}
 	fired := q.At(0.5, func(Time) {})
 	q.Run()
-	if fired.ev.fn != nil {
+	if fired.q.rec(fired.id).fn != nil {
 		t.Fatal("fired event still holds its handler closure")
 	}
 }

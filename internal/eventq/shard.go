@@ -80,8 +80,8 @@ type syncTask struct {
 // admits instantaneous cross-shard influence and cannot be run
 // conservatively.
 func NewShardGroup(k int, lookahead Duration) *ShardGroup {
-	if k < 1 {
-		panic("eventq: shard group needs at least one shard")
+	if k < 1 || k > MaxShards {
+		panic(fmt.Sprintf("eventq: shard group of %d shards: want 1 to %d", k, MaxShards))
 	}
 	if lookahead <= 0 {
 		panic("eventq: shard lookahead must be positive")

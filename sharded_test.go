@@ -17,6 +17,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"sharqfec/internal/eventq"
 )
 
 // dataDigest canonically encodes everything RunData reports (series
@@ -285,6 +287,7 @@ func TestShardedRejectsUnsupportedConfigs(t *testing.T) {
 		{"telemetry", telemetry(2), false},
 		{"packet-trace", trace(2), false},
 		{"negative-shards", small(-3), false},
+		{"too-many-shards", small(eventq.MaxShards + 1), false},
 		{"telemetry-shards-0", telemetry(0), true},
 		{"telemetry-shards-1", telemetry(1), true},
 		{"packet-trace-shards-0", trace(0), true},

@@ -41,8 +41,8 @@ type sim struct {
 // locality a partition exploits, and a config-independent partition
 // means one owner map per (topology, shard count) for every protocol.
 func newSim(spec *topology.Spec, seed uint64, shards int, partitionZones []topology.ZoneSpec) (*sim, error) {
-	if shards < 0 {
-		return nil, fmt.Errorf("sharqfec: Shards = %d; want >= 0", shards)
+	if shards < 0 || shards > eventq.MaxShards {
+		return nil, fmt.Errorf("sharqfec: Shards = %d; want 0 to %d", shards, eventq.MaxShards)
 	}
 	shards = max(shards, 1)
 	h, err := scoping.Build(spec.Zones)
