@@ -169,8 +169,8 @@ type ChaosConfig struct {
 	// NumPackets defaults to 512 (a multiple of GroupK).
 	NumPackets int
 	GroupK     int
-	// JoinAt / SourceOnAt / Until default to 1 s / 6 s / 90 s.
-	JoinAt, SourceOnAt, Until float64
+	// Until defaults to 90 s.
+	Until float64
 	// Faults defaults to ZCRCrashPlan().
 	Faults *FaultPlan
 	// Telemetry configures extra exports (JSONL trace, snapshot
@@ -190,12 +190,6 @@ func (c *ChaosConfig) applyDefaults() {
 	}
 	if c.NumPackets == 0 {
 		c.NumPackets = 512
-	}
-	if c.JoinAt == 0 {
-		c.JoinAt = 1
-	}
-	if c.SourceOnAt == 0 {
-		c.SourceOnAt = 6
 	}
 	if c.Until == 0 {
 		c.Until = 90
@@ -283,8 +277,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	var reelections []Reelection
 	d, r, err := runData(DataConfig{
 		Protocol: cfg.Protocol, Topology: cfg.Topology, Seed: cfg.Seed,
-		NumPackets: cfg.NumPackets, GroupK: cfg.GroupK,
-		JoinAt: cfg.JoinAt, SourceOnAt: cfg.SourceOnAt, Until: cfg.Until,
+		NumPackets: cfg.NumPackets, GroupK: cfg.GroupK, Until: cfg.Until,
 		Faults: cfg.Faults, Telemetry: &tcfg,
 	}, func(r *dataRun) {
 		// Each crash of a session member is recorded; for a zone member,

@@ -18,10 +18,11 @@ import (
 
 // DataConfig parameterizes a §6.2 data/repair-traffic experiment.
 // The zero value (with a Protocol) reproduces the paper's scenario on
-// the Figure-10 topology: join at t=1 s, source on at t=6 s, 1024
-// thousand-byte packets at 800 kbit/s in groups of 16, measured in
-// 0.1 s bins (defaultBinWidth). Every completed group's payloads are
-// checked against the source's.
+// the Figure-10 topology: every member joins at t=1 s (memberJoinAt),
+// the source turns on at t=6 s, 1024 thousand-byte packets at
+// 800 kbit/s in groups of 16, measured in 0.1 s bins
+// (defaultBinWidth). Every completed group's payloads are checked
+// against the source's.
 type DataConfig struct {
 	Protocol Protocol
 	// Topology defaults to Figure10Topology().
@@ -32,8 +33,10 @@ type DataConfig struct {
 	// GroupK overrides the FEC group size (default 16, the paper's).
 	// SRM ignores it (no grouping).
 	GroupK int
-	// JoinAt / SourceOnAt / Until default to 1 s / 6 s / 30 s.
-	JoinAt, SourceOnAt, Until float64
+	// SourceOnAt / Until default to 6 s / 30 s. A SourceOnAt after
+	// Until makes the run session-only: the source never sends, and
+	// what runs is the §5 session layer every member starts on joining.
+	SourceOnAt, Until float64
 	// TraceWriter, when set, receives an ns-style packet-event trace
 	// ("+" transmissions, "r" deliveries) for the whole run.
 	TraceWriter io.Writer
@@ -69,15 +72,15 @@ type DataConfig struct {
 // defaultBinWidth is the paper's 0.1 s measurement interval.
 const defaultBinWidth = 0.1
 
+// memberJoinAt is when every session member joins (§6: t = 1 s).
+const memberJoinAt = 1
+
 func (c *DataConfig) applyDefaults() {
 	if c.Topology == nil {
 		c.Topology = Figure10Topology()
 	}
 	if c.NumPackets == 0 {
 		c.NumPackets = 1024
-	}
-	if c.JoinAt == 0 {
-		c.JoinAt = 1
 	}
 	if c.SourceOnAt == 0 {
 		c.SourceOnAt = 6
@@ -131,12 +134,14 @@ type DataResult struct {
 // a run on several shards cannot carry yet. Times must be finite and
 // non-negative (an infinite horizon never returns: session timers
 // re-arm forever), the stream non-empty and the queue bound
-// non-negative. Comparisons are written so NaN fails them.
+// non-negative. Comparisons are written so NaN fails them. Until is
+// checked first, so a bad horizon is named as such even in a
+// session-only run, whose SourceOnAt is derived from it.
 func (c *DataConfig) validate() error {
 	for _, t := range []struct {
 		name string
 		v    float64
-	}{{"JoinAt", c.JoinAt}, {"SourceOnAt", c.SourceOnAt}, {"Until", c.Until}} {
+	}{{"Until", c.Until}, {"SourceOnAt", c.SourceOnAt}} {
 		if !(isFinite64(t.v) && t.v >= 0) {
 			return fmt.Errorf("sharqfec: %s = %v; want a finite time >= 0", t.name, t.v)
 		}
@@ -359,9 +364,9 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 		}
 	}
 
-	// The session script: every member joins at JoinAt, in member order,
-	// and the source starts sending at SourceOnAt.
-	s.at(secondsToTime(cfg.JoinAt), func(eventq.Time) {
+	// The session script: every member joins at memberJoinAt, in member
+	// order, and the source starts sending at SourceOnAt.
+	s.at(secondsToTime(memberJoinAt), func(eventq.Time) {
 		for _, m := range s.members {
 			r.agents[m].Join()
 		}

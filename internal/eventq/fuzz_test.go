@@ -307,7 +307,8 @@ func TestNegativeZeroIsZero(t *testing.T) {
 }
 
 // TestNaNTime: scheduling at NaN panics — NaN has no place in the order —
-// and a NaN horizon dispatches nothing and leaves the clock alone.
+// and a NaN horizon dispatches nothing and leaves the clock alone, on a
+// queue and on 1- and 2-shard groups (sync tasks included).
 func TestNaNTime(t *testing.T) {
 	var q Queue
 	nan := Time(math.NaN())
@@ -333,5 +334,16 @@ func TestNaNTime(t *testing.T) {
 	q.runBefore(nan)
 	if q.Len() != 1 || q.Now() != 0 {
 		t.Fatalf("NaN horizon: Len = %d, Now = %v; want 1, 0", q.Len(), q.Now())
+	}
+	for _, shards := range []int{1, 2} {
+		g := NewShardGroup(shards, 1)
+		fired := false
+		g.Queue(shards-1).At(1, func(Time) { fired = true })
+		g.Sync(1, func(Time) { fired = true })
+		g.Run(nan)
+		if fired || g.Now() != 0 || g.Queue(shards-1).Len() != 1 {
+			t.Fatalf("%d-shard group, NaN horizon: fired = %v, Now = %v, Len = %d; want false, 0, 1",
+				shards, fired, g.Now(), g.Queue(shards-1).Len())
+		}
 	}
 }

@@ -161,7 +161,7 @@ func (g *ShardGroup) Run(until Time) {
 			g.syncs = g.syncs[1:]
 			t.fn(g.now)
 		}
-		if g.now >= until {
+		if !(g.now < until) { // NaN-safe: a NaN horizon dispatches nothing
 			break
 		}
 		end := until

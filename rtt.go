@@ -2,33 +2,36 @@ package sharqfec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sharqfec/internal/eventq"
 	"sharqfec/internal/netsim"
 	"sharqfec/internal/packet"
-	"sharqfec/internal/session"
 	"sharqfec/internal/topology"
 )
 
 // RTTConfig parameterizes a §6.1 indirect-RTT-estimation experiment
-// (Figures 11–13): after the session stabilizes, Sender multicasts
-// Probes fake NACKs at ProbeInterval to the largest scope; every other
-// receiver estimates the RTT to the sender and the ratio to ground truth
-// is recorded.
+// (Figures 11–13): once the session has stabilized (rttStabilizeUntil),
+// Sender multicasts Probes fake NACKs, rttProbeInterval apart, to the
+// largest scope; every other receiver estimates the RTT to the sender
+// and the ratio to ground truth is recorded.
 type RTTConfig struct {
 	// Topology defaults to Figure10Topology().
 	Topology *Topology
 	// Sender defaults to receiver 3 (the paper probes 3, 25 and 36).
 	Sender int
 	Seed   uint64
-	// StabilizeUntil is when probing starts (default 12 s — elections
-	// plus a few measurement rounds).
-	StabilizeUntil float64
-	// Probes and ProbeInterval default to 10 probes, 2 s apart.
-	Probes        int
-	ProbeInterval float64
+	// Probes defaults to 10.
+	Probes int
 }
+
+const (
+	// rttStabilizeUntil is when probing starts: elections plus a few
+	// measurement rounds.
+	rttStabilizeUntil = 12
+	rttProbeInterval  = 2
+)
 
 func (c *RTTConfig) applyDefaults() {
 	if c.Topology == nil {
@@ -37,14 +40,8 @@ func (c *RTTConfig) applyDefaults() {
 	if c.Sender == 0 {
 		c.Sender = 3
 	}
-	if c.StabilizeUntil == 0 {
-		c.StabilizeUntil = 12
-	}
 	if c.Probes == 0 {
 		c.Probes = 10
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = 2
 	}
 }
 
@@ -90,81 +87,55 @@ func (r *RTTResult) MedianRatio(p int) float64 {
 	return v[len(v)/2]
 }
 
-// rttProbeAgent wraps a session manager and measures estimate ratios for
-// probe NACKs from the configured sender.
-type rttProbeAgent struct {
-	m      *session.Manager
-	node   topology.NodeID
-	sender topology.NodeID
-	net    *netsim.Network
-	sink   func(node topology.NodeID, ratio float64, ok bool)
-}
-
-func (a *rttProbeAgent) Receive(now eventq.Time, d netsim.Delivery) {
-	if n, ok := d.Pkt.(*packet.NACK); ok && n.Origin == a.sender && a.node != a.sender {
-		est, formed := a.m.EstimateRTT(n.Origin, n.Ancestors)
-		truth := 2 * a.net.OneWayDelay(a.sender, a.node).Seconds()
-		if formed && truth > 0 {
-			a.sink(a.node, est/truth, true)
-		} else {
-			a.sink(a.node, 0, false)
-		}
-		return
-	}
-	a.m.Receive(now, d.Pkt)
-}
-
-// RunRTT runs the indirect RTT estimation experiment.
+// RunRTT runs the indirect RTT estimation experiment on the session
+// layer alone. Each probe is read by a delivery tap, which sees it
+// before the member's agent does; the agent then drops it (its group is
+// past the stream's end), so every estimate reads the session state as
+// it stood before the probe arrived.
 func RunRTT(cfg RTTConfig) (*RTTResult, error) {
 	cfg.applyDefaults()
 	spec := cfg.Topology.spec
 	sender := topology.NodeID(cfg.Sender)
-	found := false
-	for _, m := range spec.Members() {
-		if m == sender {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(spec.Members(), sender) {
 		return nil, fmt.Errorf("sharqfec: probe sender %d is not a session member", cfg.Sender)
-	}
-
-	s, err := newSim(spec, cfg.Seed, 0, nil)
-	if err != nil {
-		return nil, err
 	}
 
 	res := &RTTResult{Sender: cfg.Sender, Receivers: len(spec.Members()) - 1}
 	probe := -1
-	sink := func(_ topology.NodeID, ratio float64, ok bool) {
-		if probe < 0 {
-			return
-		}
-		if ok {
-			res.Ratios[probe] = append(res.Ratios[probe], ratio)
-			res.Able[probe]++
-		}
-	}
-
-	mgrs := sessionOnly(s, func(m topology.NodeID, mgr *session.Manager) netsim.Agent {
-		return &rttProbeAgent{m: mgr, node: m, sender: sender, net: s.netFor(m), sink: sink}
-	}, nil)
-	for p := 0; p < cfg.Probes; p++ {
-		p := p
-		at := cfg.StabilizeUntil + float64(p)*cfg.ProbeInterval
-		res.Ratios = append(res.Ratios, nil)
-		res.Able = append(res.Able, 0)
-		s.at(secondsToTime(at), func(now eventq.Time) {
-			probe = p
-			root := s.h.Root()
-			s.netFor(sender).Multicast(sender, root, &packet.NACK{
-				Origin:    sender,
-				Group:     uint32(1000 + p),
-				Zone:      int16(root),
-				Ancestors: mgrs[sender].AncestorList(),
+	_, _, err := runSessionOnly(DataConfig{
+		Protocol: SHARQFEC, Topology: cfg.Topology, Seed: cfg.Seed,
+		Until: rttStabilizeUntil + float64(cfg.Probes)*rttProbeInterval + 2,
+	}, func(r *dataRun) {
+		r.s.eachNet(func(n *netsim.Network) {
+			n.AddTap(func(_ eventq.Time, node topology.NodeID, d netsim.Delivery) {
+				nk, ok := d.Pkt.(*packet.NACK)
+				if !ok || nk.Origin != sender || node == sender || probe < 0 {
+					return
+				}
+				est, formed := r.coreAgent(node).Session().EstimateRTT(nk.Origin, nk.Ancestors)
+				if truth := 2 * n.OneWayDelay(sender, node).Seconds(); formed && truth > 0 {
+					res.Ratios[probe] = append(res.Ratios[probe], est/truth)
+					res.Able[probe]++
+				}
 			})
 		})
+		for p := 0; p < cfg.Probes; p++ {
+			res.Ratios = append(res.Ratios, nil)
+			res.Able = append(res.Able, 0)
+			r.s.at(secondsToTime(rttStabilizeUntil+float64(p)*rttProbeInterval), func(eventq.Time) {
+				probe = p
+				root := r.s.h.Root()
+				r.s.netFor(sender).Multicast(sender, root, &packet.NACK{
+					Origin:    sender,
+					Group:     uint32(1000 + p),
+					Zone:      int16(root),
+					Ancestors: r.coreAgent(sender).Session().AncestorList(),
+				})
+			})
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	s.run(secondsToTime(cfg.StabilizeUntil + float64(cfg.Probes)*cfg.ProbeInterval + 2))
 	return res, nil
 }

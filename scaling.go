@@ -92,6 +92,9 @@ func RunScalingSweep(cfg ScalingSweepConfig) (*analysis.ScalingReport, error) {
 	if cfg.FlatCutoff == 0 {
 		cfg.FlatCutoff = 4096
 	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 
 	points := make([]analysis.ScalingPoint, len(cfg.Subscribers))
 	err := runIndexed(len(cfg.Subscribers), func(i int) error {
@@ -167,6 +170,30 @@ func RunScalingSweep(cfg ScalingSweepConfig) (*analysis.ScalingReport, error) {
 	}, nil
 }
 
+// validate rejects, after defaulting, what would hang, panic or
+// measure nothing: a non-finite or negative Seconds, and a negative
+// hierarchy size. Comparisons are written so NaN fails them; newSim
+// refuses a bad Shards.
+func (c *ScalingSweepConfig) validate() error {
+	if !(isFinite64(c.Seconds) && c.Seconds >= 0) {
+		return fmt.Errorf("sharqfec: Seconds = %v; want a finite time >= 0", c.Seconds)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Regions", c.Regions}, {"Cities", c.Cities}, {"Suburbs", c.Suburbs}} {
+		if f.v < 0 {
+			return fmt.Errorf("sharqfec: %s = %d; want >= 0", f.name, f.v)
+		}
+	}
+	for i, n := range c.Subscribers {
+		if n < 0 {
+			return fmt.Errorf("sharqfec: Subscribers[%d] = %d; want >= 0", i, n)
+		}
+	}
+	return nil
+}
+
 // runSessionCensus runs the session layer alone on spec with the
 // census engine armed: link matrices bound, per-member state probes
 // registered, epoch snapshots every virtual second. The protocol runs
@@ -197,7 +224,21 @@ func runSessionCensus(spec *topology.Spec, native []topology.ZoneSpec, seed uint
 	cen.BindLinks(spec.Graph)
 	cen.BindQueue(s.queue())
 	s.eachNet(func(n *netsim.Network) { n.SetHopTap(cen.ObserveHop) })
-	mgrs := sessionOnly(s, nil, designated)
+	// Bare session managers, not the data driver's agents: this runner
+	// is what the national_session benchmark measures, and the agents
+	// cost about 8 % more allocations for the same session.
+	mgrs := make([]*session.Manager, spec.Graph.NumNodes())
+	for _, m := range s.members {
+		mgr := session.New(m, s.netFor(m), session.DefaultConfig(), s.src.StreamN("session", int(m)))
+		mgrs[m] = mgr
+		s.netFor(m).Attach(m, sessionOnlyAgent{mgr})
+	}
+	s.at(secondsToTime(memberJoinAt), func(eventq.Time) {
+		for _, m := range s.members {
+			seedDesignated(mgrs[m], designated)
+			mgrs[m].Start(m == spec.Source)
+		}
+	})
 	for _, m := range s.members {
 		mgr := mgrs[m]
 		cen.SetProbe(m, func() census.State {
@@ -222,6 +263,11 @@ func runSessionCensus(spec *topology.Spec, native []topology.ZoneSpec, seed uint
 		escape: cen.BoundaryPktsAtLevel(1, census.ClassControl),
 	}, nil
 }
+
+// sessionOnlyAgent attaches a bare session manager to its node.
+type sessionOnlyAgent struct{ m *session.Manager }
+
+func (a sessionOnlyAgent) Receive(now eventq.Time, d netsim.Delivery) { a.m.Receive(now, d.Pkt) }
 
 // designatedZCRs returns the deployment-style ZCR assignment for every
 // zone of h: the data source for the root zone (Start(true) declares it

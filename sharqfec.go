@@ -15,6 +15,9 @@
 //   - Figure1Report and Figure8Report evaluate the paper's two analytic
 //     artifacts.
 //
+// The session experiments run on RunData's driver: a session-only run
+// is the protocol with a source that never starts sending.
+//
 // All simulations are deterministic for a given seed.
 package sharqfec
 

@@ -35,16 +35,25 @@ type sim struct {
 }
 
 // newSim builds the engine for spec with max(shards, 1) shards: 0 and 1
-// are the same one-shard run. partitionZones is the zone layout the
-// partition follows — the topology's native zones even when spec runs
-// globalized, since flattening changes packet scoping, not the physical
-// locality a partition exploits, and a config-independent partition
-// means one owner map per (topology, shard count) for every protocol.
+// are the same one-shard run. It refuses a link loss that is not a
+// probability, the one place every driver's topology passes through.
+// partitionZones is the zone layout the partition follows — the
+// topology's native zones even when spec runs globalized, since
+// flattening changes packet scoping, not the physical locality a
+// partition exploits, and a config-independent partition means one
+// owner map per (topology, shard count) for every protocol.
 func newSim(spec *topology.Spec, seed uint64, shards int, partitionZones []topology.ZoneSpec) (*sim, error) {
 	if shards < 0 || shards > eventq.MaxShards {
 		return nil, fmt.Errorf("sharqfec: Shards = %d; want 0 to %d", shards, eventq.MaxShards)
 	}
 	shards = max(shards, 1)
+	for i := range spec.Graph.NumLinks() {
+		// Written so NaN fails it, as in DataConfig.validate.
+		if l := spec.Graph.Link(i); !(l.LossAB >= 0 && l.LossAB <= 1 && l.LossBA >= 0 && l.LossBA <= 1) {
+			return nil, fmt.Errorf("sharqfec: link %d (%d-%d) LossAB/LossBA = %v/%v; want probabilities in [0, 1]",
+				i, l.A, l.B, l.LossAB, l.LossBA)
+		}
+	}
 	h, err := scoping.Build(spec.Zones)
 	if err != nil {
 		return nil, err

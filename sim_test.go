@@ -42,7 +42,6 @@ func TestRunConfigValidation(t *testing.T) {
 		{"until-negative", DataConfig{Until: -5}, "Until"},
 		{"until-inf", DataConfig{Until: inf}, "Until"},
 		{"until-inf-sampled", DataConfig{Until: inf, Telemetry: &TelemetryConfig{MetricsInterval: 1}}, "Until"},
-		{"joinat-nan", DataConfig{JoinAt: nan}, "JoinAt"},
 		{"sourceonat-negative", DataConfig{SourceOnAt: -1}, "SourceOnAt"},
 		{"queuelimit-negative", DataConfig{QueueLimit: -1}, "QueueLimit"},
 	}
@@ -66,8 +65,6 @@ func TestRunConfigValidation(t *testing.T) {
 		{"until-nan", ChaosConfig{Until: nan}, "Until"},
 		{"until-negative", ChaosConfig{Until: -5}, "Until"},
 		{"until-inf", ChaosConfig{Until: inf}, "Until"},
-		{"joinat-inf", ChaosConfig{JoinAt: inf}, "JoinAt"},
-		{"sourceonat-nan", ChaosConfig{SourceOnAt: nan}, "SourceOnAt"},
 	}
 	for _, tc := range chaos {
 		cfg := tc.cfg
@@ -77,4 +74,40 @@ func TestRunConfigValidation(t *testing.T) {
 			t.Errorf("RunChaos %s: result %v, error %v; want an error naming %s", tc.name, res, err, tc.want)
 		}
 	}
+	// The session-only entry points (whose horizons used to hang, or at
+	// -5 return an empty result), the scaling sweep, and link losses,
+	// which every driver meets in newSim.
+	chain := ChainTopology(3, 0)
+	lossy := func(loss float64) DataConfig { return DataConfig{Protocol: SHARQFEC, Topology: ChainTopology(4, loss)} }
+	others := []struct {
+		name string
+		err  error
+		want string
+	}{
+		{"zcr-until-nan", errOf(RunZCRElection(chain, 1, nan)), "Until"},
+		{"zcr-until-inf", errOf(RunZCRElection(chain, 1, inf)), "Until"},
+		{"zcr-until-negative", errOf(RunZCRElection(chain, 1, -5)), "Until"},
+		{"session-seconds-nan", errOf(RunSessionScaling(chain, 1, nan)), "Until"},
+		{"session-seconds-inf", errOf(RunSessionScaling(chain, 1, inf)), "Until"},
+		{"session-seconds-negative", errOf(RunSessionScaling(chain, 1, -5)), "Until"},
+		{"sweep-seconds-nan", errOf(RunScalingSweep(ScalingSweepConfig{Seconds: nan})), "Seconds"},
+		{"sweep-seconds-inf", errOf(RunScalingSweep(ScalingSweepConfig{Seconds: inf})), "Seconds"},
+		{"sweep-seconds-negative", errOf(RunScalingSweep(ScalingSweepConfig{Seconds: -5})), "Seconds"},
+		{"sweep-regions-negative", errOf(RunScalingSweep(ScalingSweepConfig{Regions: -1})), "Regions"},
+		{"sweep-cities-negative", errOf(RunScalingSweep(ScalingSweepConfig{Cities: -1})), "Cities"},
+		{"sweep-suburbs-negative", errOf(RunScalingSweep(ScalingSweepConfig{Suburbs: -1})), "Suburbs"},
+		{"sweep-subscribers-negative", errOf(RunScalingSweep(ScalingSweepConfig{Subscribers: []int{2, -1}})), "Subscribers[1]"},
+		{"loss-negative", errOf(RunData(lossy(-1))), "link 0"},
+		{"loss-nan", errOf(RunData(lossy(nan))), "link 0"},
+		{"loss-above-one", errOf(RunData(lossy(1.5))), "link 0"},
+		{"loss-above-one-session", errOf(RunZCRElection(ChainTopology(4, 1.5), 1, 0)), "link 0"},
+	}
+	for _, tc := range others {
+		if tc.err == nil || !strings.Contains(tc.err.Error(), tc.want) {
+			t.Errorf("%s: error %v; want an error naming %s", tc.name, tc.err, tc.want)
+		}
+	}
 }
+
+// errOf drops a result and keeps its error.
+func errOf[T any](_ T, err error) error { return err }

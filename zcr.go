@@ -3,8 +3,6 @@ package sharqfec
 import (
 	"sharqfec/internal/analysis"
 	"sharqfec/internal/eventq"
-	"sharqfec/internal/netsim"
-	"sharqfec/internal/packet"
 	"sharqfec/internal/scoping"
 	"sharqfec/internal/session"
 	"sharqfec/internal/topology"
@@ -33,24 +31,28 @@ type ZoneElection struct {
 	Unanimous bool
 }
 
-// RunZCRElection runs the session layer alone on a topology and checks
-// that every zone elects its closest receiver as ZCR (§5.2's guarantee:
-// "the challenge process always results in the closest receiver in the
-// zone being elected").
+// runSessionOnly runs cfg's session script with no data: a one-group
+// stream whose source turns on after the horizon, so it never sends.
+// What runs is the §5 session layer every member starts on joining,
+// read back through r.coreAgent(m).Session().
+func runSessionOnly(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, error) {
+	cfg.applyDefaults()
+	cfg.NumPackets = 16
+	cfg.SourceOnAt = cfg.Until + 1
+	return runData(cfg, prepare)
+}
+
+// RunZCRElection runs the session layer alone on a topology (default
+// Figure 10, 30 s) and checks that every zone elects its closest
+// receiver as ZCR (§5.2's guarantee: "the challenge process always
+// results in the closest receiver in the zone being elected").
 func RunZCRElection(top *Topology, seed uint64, until float64) (*ZCRResult, error) {
-	if top == nil {
-		top = Figure10Topology()
-	}
-	if until == 0 {
-		until = 30
-	}
-	s, err := newSim(top.spec, seed, 0, nil)
+	_, r, err := runSessionOnly(DataConfig{Protocol: SHARQFEC, Topology: top, Seed: seed, Until: until}, nil)
 	if err != nil {
 		return nil, err
 	}
-	spec, h := s.spec, s.h
-	mgrs := sessionOnly(s, nil, nil)
-	s.run(secondsToTime(until))
+	spec, h := r.s.spec, r.s.h
+	mgr := func(m topology.NodeID) *session.Manager { return r.coreAgent(m).Session() }
 
 	res := &ZCRResult{Topology: spec.Name, PerZone: map[int]ZoneElection{}, Correct: true}
 	tree := spec.Graph.SPFTree(spec.Source)
@@ -73,7 +75,7 @@ func RunZCRElection(top *Topology, seed uint64, until float64) (*ZCRResult, erro
 		elected := topology.NoNode
 		unanimous := true
 		for i, m := range h.Members(z) {
-			got := mgrs[m].ZCR(z)
+			got := mgr(m).ZCR(z)
 			if i == 0 {
 				elected = got
 			} else if got != elected {
@@ -89,41 +91,10 @@ func RunZCRElection(top *Topology, seed uint64, until float64) (*ZCRResult, erro
 			res.Correct = false
 		}
 	}
-	for _, m := range s.members {
-		res.Takeovers += mgrs[m].Elections
+	for _, m := range r.s.members {
+		res.Takeovers += mgr(m).Elections
 	}
 	return res, nil
-}
-
-type sessionOnlyAgent struct{ m *session.Manager }
-
-func (a sessionOnlyAgent) Receive(now eventq.Time, d netsim.Delivery) { a.m.Receive(now, d.Pkt) }
-
-// sessionOnly runs the session layer alone: one bare manager per
-// member on its node's network view, attached through wrap (nil: the
-// manager receives every packet itself), all started together at
-// t = 1 s once any designated ZCRs are seeded (nil: elect them). The
-// managers come back indexed by node.
-func sessionOnly(s *sim, wrap func(topology.NodeID, *session.Manager) netsim.Agent,
-	designated map[scoping.ZoneID]topology.NodeID) []*session.Manager {
-
-	mgrs := make([]*session.Manager, s.spec.Graph.NumNodes())
-	for _, m := range s.members {
-		mgr := session.New(m, s.netFor(m), session.DefaultConfig(), s.src.StreamN("session", int(m)))
-		mgrs[m] = mgr
-		var ag netsim.Agent = sessionOnlyAgent{mgr}
-		if wrap != nil {
-			ag = wrap(m, mgr)
-		}
-		s.netFor(m).Attach(m, ag)
-	}
-	s.at(1, func(eventq.Time) {
-		for _, m := range s.members {
-			seedDesignated(mgrs[m], designated)
-			mgrs[m].Start(m == s.spec.Source)
-		}
-	})
-	return mgrs
 }
 
 // SessionScalingResult compares scoped SHARQFEC session traffic with the
@@ -149,48 +120,29 @@ func RunSessionScaling(top *Topology, seed uint64, seconds float64) (*SessionSca
 	if seconds == 0 {
 		seconds = 10
 	}
-	run := func(spec *topology.Spec) (int, int, error) {
-		s, err := newSim(spec, seed, 0, nil)
-		if err != nil {
-			return 0, 0, err
-		}
-		deliveries := 0
-		s.eachNet(func(n *netsim.Network) {
-			n.AddTap(func(_ eventq.Time, _ topology.NodeID, d netsim.Delivery) {
-				if d.Pkt.Kind() == packet.TypeSession {
-					deliveries++
-				}
-			})
-		})
-		mgrs := sessionOnly(s, nil, nil)
-		s.run(secondsToTime(1 + seconds))
-		maxState := 0
-		for _, m := range s.members {
-			if n := mgrs[m].StateSize(); n > maxState {
-				maxState = n
-			}
-		}
-		return deliveries, maxState, nil
+	run := func(p Protocol) (*DataResult, *dataRun, error) {
+		return runSessionOnly(DataConfig{Protocol: p, Topology: top, Seed: seed, Until: 1 + seconds}, nil)
 	}
-
-	scoped, scopedState, err := run(top.spec)
+	scoped, r, err := run(SHARQFEC)
 	if err != nil {
 		return nil, err
 	}
-	flat, _, err := run(globalized(top.spec))
+	flat, _, err := run(SHARQFECNoScope)
 	if err != nil {
 		return nil, err
 	}
 	res := &SessionScalingResult{
 		Topology:         top.spec.Name,
 		Members:          len(top.spec.Members()),
-		ScopedDeliveries: scoped,
-		FlatDeliveries:   flat,
-		ScopedMaxState:   scopedState,
+		ScopedDeliveries: scoped.SessionPackets,
+		FlatDeliveries:   flat.SessionPackets,
 		FlatStatePerNode: len(top.spec.Members()) - 1,
 	}
-	if scoped > 0 {
-		res.Reduction = float64(flat) / float64(scoped)
+	for _, m := range r.s.members {
+		res.ScopedMaxState = max(res.ScopedMaxState, r.coreAgent(m).Session().StateSize())
+	}
+	if res.ScopedDeliveries > 0 {
+		res.Reduction = float64(res.FlatDeliveries) / float64(res.ScopedDeliveries)
 	}
 	return res, nil
 }
