@@ -221,7 +221,7 @@ func registerProbe(c *census.Engine, id topology.NodeID, node *udpmesh.Node, ag 
 	}
 	c.SetProbe(id, func() census.State {
 		res := make(chan census.State, 1)
-		node.Do(func() { res <- ag.StateCensus().Census() })
+		node.Do(func() { res <- ag.StateCensus() })
 		select {
 		case st := <-res:
 			return st

@@ -49,7 +49,7 @@
 //	                   group size (default 0.5)
 //	-census            arm the cost-census engine: per-class link and
 //	                   zone-boundary traffic matrices, protocol-state
-//	                   accounting and scheduler gauges; prints the
+//	                   accounting and scheduler shape; prints the
 //	                   census digest and adds the census columns to
 //	                   -metrics-out exports
 package main

@@ -482,11 +482,11 @@ func probeCensus(c *census.Engine, ag *core.Agent) {
 	if c == nil {
 		return
 	}
-	c.SetProbe(ag.Node(), func() census.State { return ag.StateCensus().Census() })
+	c.SetProbe(ag.Node(), func() census.State { return ag.StateCensus() })
 }
 
 // srmProtocol runs the SRM baseline. Its agents expose no state probe
-// (the census's traffic matrices and scheduler gauges still apply) and
+// (the census's traffic matrices and queue shape still apply) and
 // no completion hook: totals and the sampled payload check read agent
 // state after the run.
 func srmProtocol(cfg *DataConfig, r *dataRun) dataProtocol {

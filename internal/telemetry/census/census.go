@@ -3,19 +3,23 @@
 // protocol state actually live", the measured counterpart of the
 // analytic Figure-8 model in internal/analysis.
 //
-// The engine maintains three kinds of series, all backed by the shared
-// telemetry registry so every existing surface (CSV/JSON metrics,
-// Prometheus/expvar, sharqfec-top) picks them up:
+// The engine keeps three kinds of series:
 //
-//   - traffic matrices: per-link and per-zone-boundary packet/byte
-//     counts broken down by packet class (data, NACK, repair,
-//     preemptive FEC, session/ZLC control), fed by a netsim hop tap
-//     (link identity) and the zero-alloc event bus (scope identity);
+//   - traffic matrices: per-link packet/byte counts and per-zone-
+//     boundary crossings broken down by packet class (data, NACK,
+//     repair, preemptive FEC, session/ZLC control), fed by a netsim hop
+//     tap, plus per-zone preemptive share counts from the event bus;
 //   - a protocol-state census: active groups, armed timers,
 //     repair-queue depth, estimated resident bytes, and session RTT
 //     entries, read from per-node probes on virtual-clock epochs;
-//   - scheduler observability: event-queue depth, free-list occupancy
-//     and dispatch fire-rate as registry gauges.
+//   - scheduler shape: event-queue depth, free-list occupancy and
+//     dispatch fire-rate, kept in the epoch history (EpochRow.Queue).
+//
+// The per-zone boundary, share and state series are census_* families
+// of the shared telemetry registry, so every registry surface
+// (CSV/JSON metrics, Prometheus/expvar, sharqfec-top) picks them up.
+// Per-zone transport counts by packet type are not repeated here:
+// telemetry.Metrics keeps them (sent_pkts, delivered_pkts).
 //
 // The engine is strictly passive: it consumes no randomness, mutates no
 // protocol state and schedules nothing, so arming it cannot change a
@@ -81,22 +85,6 @@ func ClassOf(pkt packet.Packet) Class {
 	}
 }
 
-// classOfType classifies bus events, which carry only the wire type
-// tag: preemptive FEC is indistinguishable from reactive repair at this
-// resolution (the hop tap sees the packet and keeps them apart).
-func classOfType(t packet.Type) Class {
-	switch t {
-	case packet.TypeData:
-		return ClassData
-	case packet.TypeNACK:
-		return ClassNACK
-	case packet.TypeRepair:
-		return ClassRepair
-	default:
-		return ClassControl
-	}
-}
-
 // State is one probe's point-in-time accounting of resident protocol
 // state at a node.
 type State struct {
@@ -116,9 +104,6 @@ type Probe func() State
 // zoneCensus holds one zone's registry cells, pre-created so the ingest
 // paths never touch the registry map.
 type zoneCensus struct {
-	scopedPkts    [NumClasses]*telemetry.Counter
-	scopedBytes   [NumClasses]*telemetry.Counter
-	deliveredPkts [NumClasses]*telemetry.Counter
 	boundaryPkts  [NumClasses]*telemetry.Counter
 	boundaryBytes *telemetry.Counter
 	fecShares     *telemetry.Counter
@@ -173,16 +158,12 @@ type EpochRow struct {
 // Engine is the streaming census. Ingest (ObserveHop, Sink) is
 // lock-free; Snapshot and the read accessors serialize behind a mutex.
 type Engine struct {
-	reg   *telemetry.Registry
 	h     *scoping.Hierarchy
 	zones []zoneCensus
 	leaf  []scoping.ZoneID // node → leaf zone (NoZone for non-members)
 
 	links    []linkCensus
 	boundary [][]scoping.ZoneID // link → zones whose boundary it crosses
-
-	qDepth, qFree, qRate *telemetry.Gauge
-	qDispatched          *telemetry.Gauge
 
 	mu             sync.Mutex
 	probes         []Probe // node → probe (nil when none registered)
@@ -195,10 +176,10 @@ type Engine struct {
 
 // New creates a census engine over the registry reg for the given zone
 // hierarchy and node count. Link matrices are armed separately with
-// BindLinks (simulator runs only), the scheduler gauges with BindQueue.
+// BindLinks, the epoch history's queue shape with BindQueue (both
+// simulator runs only).
 func New(reg *telemetry.Registry, h *scoping.Hierarchy, numNodes int) *Engine {
 	e := &Engine{
-		reg:    reg,
 		h:      h,
 		zones:  make([]zoneCensus, h.NumZones()),
 		leaf:   make([]scoping.ZoneID, numNodes),
@@ -213,9 +194,6 @@ func New(reg *telemetry.Registry, h *scoping.Hierarchy, numNodes int) *Engine {
 			return telemetry.Key{Name: name, Node: topology.NoNode, Zone: scoping.ZoneID(z)}
 		}
 		for c := Class(0); c < NumClasses; c++ {
-			zc.scopedPkts[c] = reg.Counter(zk("census_scoped_pkts_" + c.String()))
-			zc.scopedBytes[c] = reg.Counter(zk("census_scoped_bytes_" + c.String()))
-			zc.deliveredPkts[c] = reg.Counter(zk("census_delivered_pkts_" + c.String()))
 			zc.boundaryPkts[c] = reg.Counter(zk("census_boundary_pkts_" + c.String()))
 		}
 		zc.boundaryBytes = reg.Counter(zk("census_boundary_bytes"))
@@ -228,13 +206,6 @@ func New(reg *telemetry.Registry, h *scoping.Hierarchy, numNodes int) *Engine {
 		zc.mem = reg.Gauge(zk("census_mem_bytes"))
 		zc.perRcvr = reg.Gauge(zk("census_bytes_per_rcvr"))
 	}
-	gk := func(name string) telemetry.Key {
-		return telemetry.Key{Name: name, Node: topology.NoNode, Zone: scoping.NoZone}
-	}
-	e.qDepth = reg.Gauge(gk("census_eventq_depth"))
-	e.qFree = reg.Gauge(gk("census_eventq_free"))
-	e.qRate = reg.Gauge(gk("census_eventq_fire_rate"))
-	e.qDispatched = reg.Gauge(gk("census_eventq_dispatched"))
 	return e
 }
 
@@ -262,8 +233,9 @@ func (e *Engine) BindLinks(g *topology.Graph) {
 	}
 }
 
-// BindQueue arms the scheduler gauges: epoch snapshots read depth,
-// free-list occupancy and the dispatch counter from q.
+// BindQueue makes epoch snapshots read depth, free-list occupancy and
+// the dispatch counter from q into EpochRow.Queue. Without it the
+// queue shape stays zero.
 func (e *Engine) BindQueue(q *eventq.Queue) {
 	e.mu.Lock()
 	e.q = q
@@ -301,33 +273,23 @@ func (e *Engine) ObserveHop(li, dir int, pkt packet.Packet) {
 	}
 }
 
-// Sink returns the engine's bus sink: scope-addressed traffic tallies
-// by class from packet_sent / packet_delivered, and preemptive share
-// counts from repair_injected. Allocation-free in steady state.
+// Sink returns the engine's bus sink: it counts preemptively injected
+// shares per scope zone from repair_injected events, for
+// Summary.FECShares. Per-zone transport tallies by packet type are not
+// kept here: telemetry.Metrics counts them from the same events.
+// Allocation-free.
 func (e *Engine) Sink() telemetry.Sink {
 	return func(ev telemetry.Event) {
-		z := int(ev.Zone)
-		if z < 0 || z >= len(e.zones) {
-			return
-		}
-		zc := &e.zones[z]
-		switch ev.Kind {
-		case telemetry.KindPacketSent:
-			cl := classOfType(packet.Type(ev.A))
-			zc.scopedPkts[cl].Inc()
-			zc.scopedBytes[cl].Add(ev.B)
-		case telemetry.KindPacketDelivered:
-			zc.deliveredPkts[classOfType(packet.Type(ev.A))].Inc()
-		case telemetry.KindRepairInjected:
-			zc.fecShares.Add(ev.A)
+		if z := int(ev.Zone); ev.Kind == telemetry.KindRepairInjected && z >= 0 && z < len(e.zones) {
+			e.zones[z].fecShares.Add(ev.A)
 		}
 	}
 }
 
 // Snapshot runs the state census at virtual time t: every registered
 // probe is read, per-zone aggregates land in the registry gauges, the
-// scheduler gauges refresh, and one EpochRow is appended to the history
-// that feeds Perfetto counter tracks and reports.
+// bound queue's shape is read, and one EpochRow is appended to the
+// history that feeds Perfetto counter tracks and reports.
 func (e *Engine) Snapshot(t float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -381,10 +343,6 @@ func (e *Engine) Snapshot(t float64) {
 		if dt := t - e.lastT; dt > 0 && len(e.epochs) > 0 {
 			qs.FireRate = float64(qs.Dispatched-e.lastDispatched) / dt
 		}
-		e.qDepth.Set(float64(qs.Depth))
-		e.qFree.Set(float64(qs.Free))
-		e.qRate.Set(qs.FireRate)
-		e.qDispatched.Set(float64(qs.Dispatched))
 		e.lastDispatched = qs.Dispatched
 	}
 	e.lastT = t
@@ -453,15 +411,6 @@ func (e *Engine) BoundaryPktsAtLevel(level int, cl Class) int64 {
 		if e.h.Level(scoping.ZoneID(z)) == level {
 			n += e.zones[z].boundaryPkts[cl].Value()
 		}
-	}
-	return n
-}
-
-// DeliveredPkts returns class-cl deliveries summed over every zone.
-func (e *Engine) DeliveredPkts(cl Class) int64 {
-	var n int64
-	for z := range e.zones {
-		n += e.zones[z].deliveredPkts[cl].Value()
 	}
 	return n
 }

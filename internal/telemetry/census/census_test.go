@@ -1,7 +1,9 @@
 package census
 
 import (
+	"bytes"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -52,14 +54,6 @@ func TestClassOf(t *testing.T) {
 		if got := ClassOf(c.pkt); got != c.want {
 			t.Errorf("ClassOf(%T) = %v, want %v", c.pkt, got, c.want)
 		}
-	}
-	// Bus events carry only the wire type, where preemptive FEC is
-	// indistinguishable from reactive repair.
-	if got := classOfType(packet.TypeRepair); got != ClassRepair {
-		t.Errorf("classOfType(repair) = %v", got)
-	}
-	if got := classOfType(packet.TypeSession); got != ClassControl {
-		t.Errorf("classOfType(session) = %v", got)
 	}
 }
 
@@ -146,15 +140,6 @@ func TestSinkClassifiesBusEvents(t *testing.T) {
 	s := e.Summarize()
 	if s.FECShares != 5 {
 		t.Fatalf("FECShares = %d, want 5", s.FECShares)
-	}
-	if got := e.DeliveredPkts(ClassRepair); got != 1 {
-		t.Fatalf("DeliveredPkts(repair) = %d, want 1", got)
-	}
-	if got := e.zones[1].scopedPkts[ClassData].Value(); got != 1 {
-		t.Fatalf("scoped data pkts = %d, want 1", got)
-	}
-	if got := e.zones[1].scopedBytes[ClassControl].Value(); got != 64 {
-		t.Fatalf("scoped ctrl bytes = %d, want 64", got)
 	}
 }
 
@@ -252,8 +237,7 @@ func TestConcurrentIngest(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				e.ObserveHop(i%nLinks, i&1, d)
-				sink(telemetry.Event{Kind: telemetry.KindPacketSent, Zone: 1,
-					A: int64(packet.TypeData), B: 64})
+				sink(telemetry.Event{Kind: telemetry.KindRepairInjected, Zone: 1, A: 1})
 			}
 		}(w)
 	}
@@ -271,8 +255,8 @@ func TestConcurrentIngest(t *testing.T) {
 	if got := e.LinkPkts(ClassData); got != 4*2000 {
 		t.Fatalf("LinkPkts(data) = %d, want %d", got, 4*2000)
 	}
-	if got := e.zones[1].scopedPkts[ClassData].Value(); got != 4*2000 {
-		t.Fatalf("scoped data pkts = %d, want %d", got, 4*2000)
+	if got := e.Summarize().FECShares; got != 4*2000 {
+		t.Fatalf("FECShares = %d, want %d", got, 4*2000)
 	}
 }
 
@@ -282,12 +266,60 @@ func TestIngestZeroAlloc(t *testing.T) {
 	e, _ := newTestEngine(t)
 	d := &packet.Data{Payload: make([]byte, 64)}
 	sink := e.Sink()
-	ev := telemetry.Event{Kind: telemetry.KindPacketSent, Zone: 1,
-		A: int64(packet.TypeData), B: 64}
+	ev := telemetry.Event{Kind: telemetry.KindRepairInjected, Zone: 1, A: 1}
 	if avg := testing.AllocsPerRun(200, func() {
 		e.ObserveHop(0, 0, d)
 		sink(ev)
 	}); avg != 0 {
 		t.Fatalf("ingest allocates %v per op, want 0", avg)
+	}
+}
+
+// TestPromHelpCoversExposition renders the registry a live node
+// exports — the Metrics bridge and the census on one registry, with the
+// lazily created health counters present — and checks the curated HELP
+// table against it both ways: every exposed family has a HELP line, and
+// every HELP entry names a family that is exposed.
+func TestPromHelpCoversExposition(t *testing.T) {
+	spec := twoLevelChain()
+	h, err := scoping.Build(spec.Zones)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := telemetry.NewMetrics(nil, h, spec.Graph.NumNodes())
+	New(m.Reg, h, spec.Graph.NumNodes())
+	sink := m.Sink()
+	sink(telemetry.Event{Kind: telemetry.KindHealthAlert, Node: topology.NoNode, Zone: 1})
+	sink(telemetry.Event{Kind: telemetry.KindHealthClear, Node: topology.NoNode, Zone: 1})
+
+	var buf bytes.Buffer
+	if err := m.Reg.WritePrometheusMeta(&buf, telemetry.PromHelp); err != nil {
+		t.Fatal(err)
+	}
+	typed, helped := map[string]bool{}, map[string]bool{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 || f[0] != "#" {
+			continue
+		}
+		switch f[1] {
+		case "TYPE":
+			typed[f[2]] = true
+		case "HELP":
+			helped[f[2]] = true
+		}
+	}
+	if len(typed) == 0 {
+		t.Fatal("exposition has no # TYPE lines")
+	}
+	for fam := range typed {
+		if !helped[fam] {
+			t.Errorf("family %s has # TYPE but no # HELP", fam)
+		}
+	}
+	for name := range telemetry.PromHelp {
+		if !typed["sharqfec_"+name] && !typed["sharqfec_"+name+"_total"] {
+			t.Errorf("PromHelp entry %q names no exposed family", name)
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"sharqfec/internal/packet"
@@ -85,14 +83,6 @@ type Metrics struct {
 	// emitting goroutine per node over a shared bus.
 	ctrlDecisions *Counter
 	ctrlMaxH      atomic.Int64
-
-	// Recovery-latency histograms, fed by the span assembler via
-	// ObserveRecovery rather than from raw events (a recovery span only
-	// exists once causally stitched). Created lazily so runs without
-	// span tracing keep their registry contents identical to before.
-	recoveryAll   *Histogram
-	recoveryZone  map[scoping.ZoneID]*Histogram
-	recoveryLevel map[int]*Histogram
 }
 
 // NewMetrics builds the bridge for hierarchy h over reg (a fresh
@@ -315,79 +305,3 @@ func (m *Metrics) healthEvent(name string, z scoping.ZoneID) {
 
 // FaultDrops returns the fault-drop total.
 func (m *Metrics) FaultDrops() int64 { return m.faultDrops.Value() }
-
-// ObserveRecovery records one recovered span's end-to-end latency:
-// always into the session-wide "recovery_latency_s" histogram, and —
-// when the span has a blame zone — into that zone's histogram and its
-// level's histogram. Not safe for concurrent use (the span assembler is
-// a single-threaded simulator sink).
-func (m *Metrics) ObserveRecovery(zone scoping.ZoneID, level int, latency float64) {
-	if m.recoveryAll == nil {
-		m.recoveryAll = m.Reg.Histogram(
-			Key{Name: "recovery_latency_s", Node: topology.NoNode, Zone: scoping.NoZone},
-			RecoveryLatencyBounds)
-		m.recoveryZone = make(map[scoping.ZoneID]*Histogram)
-		m.recoveryLevel = make(map[int]*Histogram)
-	}
-	m.recoveryAll.Observe(latency)
-	if zone == scoping.NoZone {
-		return
-	}
-	zh := m.recoveryZone[zone]
-	if zh == nil {
-		zh = m.Reg.Histogram(
-			Key{Name: "recovery_latency_s", Node: topology.NoNode, Zone: zone},
-			RecoveryLatencyBounds)
-		m.recoveryZone[zone] = zh
-	}
-	zh.Observe(latency)
-	if level < 0 {
-		return
-	}
-	lh := m.recoveryLevel[level]
-	if lh == nil {
-		lh = m.Reg.Histogram(
-			Key{Name: fmt.Sprintf("recovery_latency_l%d_s", level), Node: topology.NoNode, Zone: scoping.NoZone},
-			RecoveryLatencyBounds)
-		m.recoveryLevel[level] = lh
-	}
-	lh.Observe(latency)
-}
-
-// recoveryQuantiles maps the exported gauge suffix to its quantile.
-var recoveryQuantiles = []struct {
-	suffix string
-	q      float64
-}{{"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}}
-
-// FinishRecovery freezes p50/p95/p99 gauges next to every recovery
-// histogram so the Prometheus export carries the percentiles directly.
-// Call once at end of run; a no-op when no recoveries were observed.
-func (m *Metrics) FinishRecovery() {
-	if m.recoveryAll == nil {
-		return
-	}
-	set := func(name string, zone scoping.ZoneID, h *Histogram) {
-		for _, rq := range recoveryQuantiles {
-			k := Key{Name: name + "_" + rq.suffix + "_s", Node: topology.NoNode, Zone: zone}
-			m.Reg.Gauge(k).Set(h.Quantile(rq.q))
-		}
-	}
-	set("recovery_latency", scoping.NoZone, m.recoveryAll)
-	zones := make([]scoping.ZoneID, 0, len(m.recoveryZone))
-	for z := range m.recoveryZone {
-		zones = append(zones, z)
-	}
-	sort.Slice(zones, func(i, j int) bool { return zones[i] < zones[j] })
-	for _, z := range zones {
-		set("recovery_latency", z, m.recoveryZone[z])
-	}
-	levels := make([]int, 0, len(m.recoveryLevel))
-	for l := range m.recoveryLevel {
-		levels = append(levels, l)
-	}
-	sort.Ints(levels)
-	for _, l := range levels {
-		set(fmt.Sprintf("recovery_latency_l%d", l), scoping.NoZone, m.recoveryLevel[l])
-	}
-}

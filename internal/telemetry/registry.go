@@ -105,35 +105,6 @@ func (h *Histogram) Mean() float64 {
 	return 0
 }
 
-// Quantile estimates the q-th quantile (0 < q ≤ 1) from the bucket
-// counts, interpolating linearly within the containing bucket
-// (histogram_quantile semantics). The lowest bucket interpolates from
-// zero; ranks landing in the implicit +Inf bucket report the highest
-// finite bound. Returns 0 when the histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	n := h.n.Load()
-	if n == 0 {
-		return 0
-	}
-	rank := q * float64(n)
-	cum := float64(0)
-	for i, ub := range h.bounds {
-		in := float64(h.counts[i].Load())
-		if cum+in >= rank && in > 0 {
-			lo := float64(0)
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			return lo + (ub-lo)*(rank-cum)/in
-		}
-		cum += in
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // Registry holds instruments by Key. Lookups take a mutex; hot paths
 // should cache the returned pointers (Metrics does) so steady-state
 // updates are lock-free atomic adds.
@@ -348,64 +319,47 @@ func (r *Registry) WritePrometheusMeta(w io.Writer, help map[string]string) erro
 // exposes, keyed by bare metric name (WritePrometheusMeta adds the
 // prefix and counter suffix).
 var PromHelp = map[string]string{
-	"nacks_sent":         "NACK transmissions, by addressed scope zone",
-	"nacks_suppressed":   "NACKs cancelled by suppression, by observer leaf zone",
-	"repairs_sent":       "repair-share transmissions, by addressed scope zone",
-	"repairs_injected":   "preemptively injected repair shares, by scope zone",
-	"losses_detected":    "data packets declared lost, by observer leaf zone",
-	"groups_decoded":     "FEC groups fully reconstructed, by observer leaf zone",
-	"losses_unrecovered": "losses never recovered by session end",
-	"scope_escalations":  "NACK scope widenings, by observer leaf zone",
-	"zcr_elections":      "ZCR belief changes, by zone",
-	"delivered_pkts":     "packet deliveries, by scope zone and packet kind",
-	"delivered_bytes":    "delivered wire bytes, by scope zone and packet kind",
-	"sent_pkts":          "packet transmissions, by scope zone and packet kind",
-	"loss_drops":         "loss-model packet drops",
-	"tail_drops":         "transmit-queue overflow drops",
-	"fault_drops":        "drops on administratively-down links",
-	"fault_events":       "scripted fault activations",
-	"decode_latency_s":   "FEC decode latency: first share seen to reconstruction",
-	"rtt_sample_s":       "echo-based RTT samples",
-	"recovery_latency_s": "end-to-end loss recovery latency",
-	"pred_zlc":           "rate-control predicted zone loss count",
-	"ctrl_h":             "rate-control decided per-group repair injection",
-	"health_alerts":      "SLO objectives entering violation (health engine)",
-	"health_clears":      "SLO objectives leaving violation (health engine)",
+	"nacks_sent":           "NACK transmissions, by addressed scope zone",
+	"nacks_suppressed":     "NACKs cancelled by suppression, by observer leaf zone",
+	"repairs_sent":         "repair-share transmissions, by addressed scope zone",
+	"repairs_injected":     "preemptively injected repair shares, by scope zone",
+	"losses_detected":      "data packets declared lost, by observer leaf zone",
+	"groups_decoded":       "FEC groups fully reconstructed, by observer leaf zone",
+	"losses_unrecovered":   "losses never recovered by session end",
+	"scope_escalations":    "NACK scope widenings, by observer leaf zone",
+	"zcr_elections":        "ZCR belief changes, by zone",
+	"delivered_pkts":       "packet deliveries, by scope zone and packet kind",
+	"delivered_bytes":      "delivered wire bytes, by scope zone and packet kind",
+	"sent_pkts":            "packet transmissions, by scope zone and packet kind",
+	"loss_drops":           "loss-model packet drops",
+	"tail_drops":           "transmit-queue overflow drops",
+	"fault_drops":          "drops on administratively-down links",
+	"fault_events":         "scripted fault activations",
+	"decode_latency_s":     "FEC decode latency: first share seen to reconstruction",
+	"rtt_sample_s":         "echo-based RTT samples",
+	"pred_zlc":             "rate-control predicted zone loss count",
+	"ctrl_h":               "rate-control decided per-group repair injection",
+	"controller_decisions": "rate-control decisions, one per group completion per deciding agent",
+	"health_alerts":        "SLO objectives entering violation (health engine)",
+	"health_clears":        "SLO objectives leaving violation (health engine)",
 
-	// Cost-census families (internal/telemetry/census). The *_pkts /
-	// *_bytes counters split into per-class families with a data / nack
-	// / repair / fec / ctrl suffix.
-	"census_scoped_pkts_data":      "scope-addressed data transmissions (census)",
-	"census_scoped_pkts_nack":      "scope-addressed NACK transmissions (census)",
-	"census_scoped_pkts_repair":    "scope-addressed repair transmissions (census)",
-	"census_scoped_pkts_fec":       "scope-addressed preemptive-FEC transmissions (census)",
-	"census_scoped_pkts_ctrl":      "scope-addressed control transmissions (census)",
-	"census_scoped_bytes_data":     "scope-addressed data wire bytes (census)",
-	"census_scoped_bytes_nack":     "scope-addressed NACK wire bytes (census)",
-	"census_scoped_bytes_repair":   "scope-addressed repair wire bytes (census)",
-	"census_scoped_bytes_fec":      "scope-addressed preemptive-FEC wire bytes (census)",
-	"census_scoped_bytes_ctrl":     "scope-addressed control wire bytes (census)",
-	"census_delivered_pkts_data":   "data deliveries by scope zone (census)",
-	"census_delivered_pkts_nack":   "NACK deliveries by scope zone (census)",
-	"census_delivered_pkts_repair": "repair deliveries by scope zone (census)",
-	"census_delivered_pkts_fec":    "preemptive-FEC deliveries by scope zone (census)",
-	"census_delivered_pkts_ctrl":   "control deliveries by scope zone (census)",
-	"census_boundary_pkts_data":    "data packets crossing the zone boundary (census)",
-	"census_boundary_pkts_nack":    "NACKs crossing the zone boundary (census)",
-	"census_boundary_pkts_repair":  "repairs crossing the zone boundary (census)",
-	"census_boundary_pkts_fec":     "preemptive FEC crossing the zone boundary (census)",
-	"census_boundary_pkts_ctrl":    "control packets crossing the zone boundary (census)",
-	"census_boundary_bytes":        "wire bytes crossing the zone boundary (census)",
-	"census_fec_shares":            "preemptively injected shares, from repair_injected events (census)",
-	"census_groups":                "FEC groups resident in the zone at the last epoch (census)",
-	"census_timers":                "armed protocol timers in the zone at the last epoch (census)",
-	"census_repair_queue":          "speculative repair backlog in the zone at the last epoch (census)",
-	"census_resident_bytes":        "estimated resident protocol-state bytes in the zone (census)",
-	"census_rtt_entries":           "session RTT entries maintained in the zone (census)",
-	"census_eventq_depth":          "event-queue pending events at the last epoch (census)",
-	"census_eventq_free":           "event-queue free-list occupancy at the last epoch (census)",
-	"census_eventq_fire_rate":      "events dispatched per virtual second since the previous epoch (census)",
-	"census_eventq_dispatched":     "events dispatched since the start of the run (census)",
+	// Cost-census families (internal/telemetry/census). The boundary
+	// packet counter splits into per-class families with a data / nack /
+	// repair / fec / ctrl suffix.
+	"census_boundary_pkts_data":   "data packets crossing the zone boundary (census)",
+	"census_boundary_pkts_nack":   "NACKs crossing the zone boundary (census)",
+	"census_boundary_pkts_repair": "repairs crossing the zone boundary (census)",
+	"census_boundary_pkts_fec":    "preemptive FEC crossing the zone boundary (census)",
+	"census_boundary_pkts_ctrl":   "control packets crossing the zone boundary (census)",
+	"census_boundary_bytes":       "wire bytes crossing the zone boundary (census)",
+	"census_fec_shares":           "preemptively injected shares, from repair_injected events (census)",
+	"census_groups":               "FEC groups resident in the zone at the last epoch (census)",
+	"census_timers":               "armed protocol timers in the zone at the last epoch (census)",
+	"census_repair_queue":         "speculative repair backlog in the zone at the last epoch (census)",
+	"census_resident_bytes":       "estimated resident protocol-state bytes in the zone (census)",
+	"census_rtt_entries":          "session RTT entries maintained in the zone (census)",
+	"census_mem_bytes":            "estimated memory footprint of the zone's probed members (census)",
+	"census_bytes_per_rcvr":       "estimated memory footprint per probed member of the zone (census)",
 }
 
 // Snapshot returns every counter and gauge as an expvar-style flat map:

@@ -220,10 +220,6 @@ type groupState struct {
 // the single-threaded simulator (and offline replay), not the udpmesh
 // live runner.
 type Assembler struct {
-	// Observer, when set, is called synchronously with each span as it
-	// closes (the facade uses it to feed recovery-latency histograms).
-	Observer func(*Span)
-
 	view   *ZoneView
 	groups map[key]*groupState
 	closed []Span
@@ -291,7 +287,7 @@ func (a *Assembler) handle(e telemetry.Event) {
 			// the span resolves instantly.
 			sp := a.build(e.Node, e.Group, openSpan{seq: e.A, start: e.T}, gs, e.T, true)
 			sp.LateData = true
-			a.finish(sp)
+			a.closed = append(a.closed, sp)
 			return
 		}
 		gs.open = append(gs.open, openSpan{seq: e.A, start: e.T})
@@ -337,7 +333,7 @@ func (a *Assembler) handle(e telemetry.Event) {
 		gs.decoded = true
 		gs.decodedAt = e.T
 		for _, o := range gs.open {
-			a.finish(a.build(e.Node, e.Group, o, gs, e.T, true))
+			a.closed = append(a.closed, a.build(e.Node, e.Group, o, gs, e.T, true))
 		}
 		a.openCount -= len(gs.open)
 		gs.open = gs.open[:0]
@@ -364,7 +360,7 @@ func (a *Assembler) handle(e telemetry.Event) {
 			sp.LateData = e.B == 1
 			gs.open = append(gs.open[:i], gs.open[i+1:]...)
 			a.openCount--
-			a.finish(sp)
+			a.closed = append(a.closed, sp)
 			return
 		}
 		// No matching open span: a crashed agent's duplicate terminal
@@ -418,11 +414,4 @@ func (a *Assembler) build(n topology.NodeID, g int64, o openSpan, gs *groupState
 		}
 	}
 	return sp
-}
-
-func (a *Assembler) finish(sp Span) {
-	a.closed = append(a.closed, sp)
-	if a.Observer != nil {
-		a.Observer(&a.closed[len(a.closed)-1])
-	}
 }

@@ -222,7 +222,6 @@ func runSessionCensus(spec *topology.Spec, native []topology.ZoneSpec, seed uint
 	}
 	cen := census.New(telemetry.NewRegistry(), hAcct, spec.Graph.NumNodes())
 	cen.BindLinks(spec.Graph)
-	cen.BindQueue(s.queue())
 	s.eachNet(func(n *netsim.Network) { n.SetHopTap(cen.ObserveHop) })
 	// Bare session managers, not the data driver's agents: this runner
 	// is what the national_session benchmark measures, and the agents

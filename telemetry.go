@@ -62,17 +62,18 @@ type TelemetryConfig struct {
 	// is stitched into a span ending at the group's decode (or an
 	// explicit loss_unrecovered marker), tagged with the resolving
 	// mechanism, blame zone, requester→repairer hop distance and
-	// end-to-end latency. Adds per-zone / per-level recovery-latency
-	// histograms (with p50/p95/p99 gauges) to the metrics registry.
-	// Like the rest of the layer it is strictly passive.
+	// end-to-end latency. The spans surface through Spans,
+	// RecoveryReport (per-zone / per-level latency percentiles) and
+	// WritePerfetto. Like the rest of the layer it is strictly passive.
 	Spans bool
 	// Census arms the cost-accounting engine: per-link and
 	// per-zone-boundary traffic matrices by packet class, a per-node /
 	// per-zone protocol-state census sampled on the metrics epochs, and
-	// event-queue scheduler gauges. Results surface as extra columns in
-	// the metrics CSV/JSON, census_* registry families, Perfetto counter
-	// tracks beside the recovery spans, and the report's CensusSummary.
-	// Strictly passive, like the rest of the layer.
+	// the event queue's shape at each epoch. Results surface as extra
+	// columns in the metrics CSV/JSON, census_* registry families,
+	// Perfetto counter tracks beside the recovery spans, and the
+	// report's CensusSummary and CensusEpochs. Strictly passive, like
+	// the rest of the layer.
 	Census bool
 	// SLO, when non-nil, attaches the streaming health engine: the
 	// objectives are evaluated on the virtual clock as the run executes,
@@ -173,7 +174,7 @@ func (r *TelemetryReport) CensusSummary() *census.Summary {
 }
 
 // CensusEpochs returns the census epoch history — one row per metrics
-// snapshot with per-zone state and scheduler gauges (nil when the
+// snapshot with per-zone state and the event queue's shape (nil when the
 // census was off). Safe on a nil report.
 func (r *TelemetryReport) CensusEpochs() []census.EpochRow {
 	if r == nil {
@@ -387,11 +388,6 @@ func startTelemetry(cfg *TelemetryConfig, s *sim, until float64) *telemetryRun {
 	}
 	if cfg.Spans {
 		t.spans = spans.NewAssembler()
-		t.spans.Observer = func(s *spans.Span) {
-			if s.Recovered {
-				t.metrics.ObserveRecovery(s.BlameZone, s.BlameLevel, s.Latency())
-			}
-		}
 		t.bus.Attach(t.spans.Sink())
 	}
 	if cfg.Events != nil {
@@ -448,13 +444,6 @@ func (t *telemetryRun) finish(until float64) (*TelemetryReport, error) {
 		// emit alerts/clears that the recorder, span assembler and dump
 		// trigger should see before anything freezes.
 		t.health.Finish(until)
-	}
-	if t.spans != nil {
-		t.metrics.FinishRecovery()
-		// Observers only fire during the run; drop the closure so two
-		// identically-seeded reports stay reflect.DeepEqual-comparable
-		// (func values never compare equal).
-		t.spans.Observer = nil
 	}
 	t.snapshot(until)
 	rep := &TelemetryReport{
