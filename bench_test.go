@@ -247,7 +247,7 @@ func BenchmarkShardedFig17(b *testing.B) {
 func BenchmarkScaling100k(b *testing.B) {
 	top := NationalTopology(18, 18, 18, 18)
 	for i := 0; i < b.N; i++ {
-		m, err := runSessionCensus(top.spec, top.spec.Zones, 1998, 2, 4, true)
+		m, err := runSessionCensus(top, SHARQFEC, 1998, 2, 4, true)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -257,7 +257,8 @@ func RunData(cfg DataConfig) (*DataResult, error) {
 // runData is the one data driver: the paper's session script on one
 // topology, under an optional fault plan. prepare, when non-nil, runs
 // once the engine and the run state exist and before any agent is
-// built — the place to set r.onCrash, tune r.pcfg or add a tap.
+// built — the place to set r.onCrash, tune r.pcfg, add a tap or
+// schedule an at() task (one at memberJoinAt runs before the join).
 func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, error) {
 	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {

@@ -3,30 +3,25 @@ package sharqfec
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"sharqfec/internal/parallel"
 )
 
-// runtimeGOMAXPROCS is the default worker-pool width cap for the
-// parallel multi-run drivers (RunEnsemble, RunTimerSweep).
-func runtimeGOMAXPROCS() int { return runtime.GOMAXPROCS(0) }
-
 // runIndexed runs fn(0..n-1) across a worker pool. The caller's
-// goroutine is always one worker; every extra worker needs both room
-// under sweepParallelism() and a token from the process-wide
-// parallel budget shared with the shard runner. That sharing is what
-// stops an ensemble of sharded runs from oversubscribing the machine:
-// whichever pool starts second finds the budget spent and runs
-// narrower, in the limit sequentially — with identical results, since
-// work items never depend on pool width. It returns the lowest-index
-// error, so which error surfaces never depends on scheduling either.
+// goroutine is always one worker; every extra worker needs a work item
+// of its own (at most n − 1 extras) and a token from the process-wide
+// parallel budget shared with the shard runner, which stops at
+// GOMAXPROCS − 1. That sharing is what stops an ensemble of sharded
+// runs from oversubscribing the machine: whichever pool starts second
+// finds the budget spent and runs narrower, in the limit sequentially
+// — with identical results, since work items never depend on pool
+// width. It returns the lowest-index error, so which error surfaces
+// never depends on scheduling either.
 func runIndexed(n int, fn func(i int) error) error {
-	workers := min(sweepParallelism(), n)
 	extra := 0
-	for extra < workers-1 && parallel.TryAcquire() {
+	for extra < n-1 && parallel.TryAcquire() {
 		extra++
 	}
 	errs := make([]error, n)

@@ -40,7 +40,8 @@ type Agent struct {
 	node  topology.NodeID
 	net   fabric.Network
 	cfg   Config
-	rng   *simrand.Rand
+	src   *simrand.Source
+	rng   *simrand.Rand // the "core" stream; nil until the first draw (see rand)
 	sess  *session.Manager
 	codec *fec.Codec
 	tel   *telemetry.Bus // nil when telemetry is disabled
@@ -66,8 +67,9 @@ type Agent struct {
 	// ctrl sizes preemptive FEC injection: the predicted zone loss
 	// counts maintained by the sender (root scope) and by ZCRs (their
 	// zones) live behind it. Always non-nil; the static policy is the
-	// default.
-	ctrl Controller
+	// default, held in static so it costs no allocation of its own.
+	ctrl   Controller
+	static staticController
 
 	// sendData holds the source's original payloads, one element per
 	// group, sized once in New. An element is written exactly once,
@@ -113,7 +115,7 @@ func New(node topology.NodeID, net fabric.Network, cfg Config, src *simrand.Sour
 		node:     node,
 		net:      net,
 		cfg:      cfg,
-		rng:      src.StreamN("core", int(node)),
+		src:      src,
 		codec:    codec,
 		isSource: node == cfg.Source,
 		root:     net.Hierarchy().Root(),
@@ -127,7 +129,8 @@ func New(node topology.NodeID, net fabric.Network, cfg Config, src *simrand.Sour
 		a.ctrl = cfg.NewController(node)
 	}
 	if a.ctrl == nil {
-		a.ctrl = NewStaticController(cfg.EWMAOld, cfg.EWMANew)
+		a.static = staticController{old: cfg.EWMAOld, new: cfg.EWMANew}
+		a.ctrl = &a.static
 	}
 	cfg.Session.Telemetry = cfg.Telemetry
 	a.sess = session.New(node, net, cfg.Session, src.StreamN("session", int(node)))
@@ -141,6 +144,17 @@ func New(node topology.NodeID, net fabric.Network, cfg Config, src *simrand.Sour
 	}
 	net.Attach(node, a)
 	return a, nil
+}
+
+// rand returns the agent's "core" stream, derived on its first draw so a
+// member that never draws (a session-only run) never builds it. The
+// stream is a function of (seed, node) alone, so when it is derived
+// changes no draw.
+func (a *Agent) rand() *simrand.Rand {
+	if a.rng == nil {
+		a.rng = a.src.StreamN("core", int(a.node))
+	}
+	return a.rng
 }
 
 // Node returns the agent's node ID.
@@ -226,7 +240,7 @@ func (a *Agent) sourceSend(now eventq.Time, seq uint32) {
 		for i := range data {
 			p := block[i*sz : (i+1)*sz : (i+1)*sz]
 			for j := range p {
-				p[j] = byte(a.rng.IntN(256))
+				p[j] = byte(a.rand().IntN(256))
 			}
 			data[i] = p
 		}

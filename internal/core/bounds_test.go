@@ -14,6 +14,7 @@ import (
 	"sharqfec/internal/fec"
 	"sharqfec/internal/packet"
 	"sharqfec/internal/scoping"
+	"sharqfec/internal/simrand"
 	"sharqfec/internal/topology"
 )
 
@@ -235,4 +236,26 @@ func TestSteadyStateHandlersAllocateNothing(t *testing.T) {
 			got, len(open.groups), open.Stats.BadNACKs)
 	}
 	t.Logf("opening a group: %.2f allocations amortised over %d groups", got, len(nacks))
+}
+
+// TestNewReceiverAllocations pins what building a receiver costs, the
+// price every member of a session-only run pays. The static controller
+// lives in the agent and makes its map on the first sample, the "core"
+// stream is derived on the first draw, and a stream is one allocation;
+// before those three, New made 14 allocations per receiver.
+func TestNewReceiverAllocations(t *testing.T) {
+	const want = 7
+	spec := topology.Chain(3, 10e6, 0.010, 0)
+	w := quietWorld(t, spec, smallCfg(), 97)
+	cfg := smallCfg()
+	cfg.Source = spec.Source
+	src := simrand.New(97)
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := New(2, w.net, cfg, src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > want {
+		t.Errorf("core.New for a receiver: %v allocations, want at most %d", got, want)
+	}
 }

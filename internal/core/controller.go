@@ -56,17 +56,13 @@ type Controller interface {
 // code) cannot perturb a seeded run.
 type staticController struct {
 	old, new float64
-	pred     map[scoping.ZoneID]float64
+	pred     map[scoping.ZoneID]float64 // nil until the first sample
 }
 
 // NewStaticController returns the paper's EWMA policy with the given
 // filter weights (DefaultConfig: 0.75/0.25).
 func NewStaticController(ewmaOld, ewmaNew float64) Controller {
-	return &staticController{
-		old:  ewmaOld,
-		new:  ewmaNew,
-		pred: make(map[scoping.ZoneID]float64),
-	}
+	return &staticController{old: ewmaOld, new: ewmaNew}
 }
 
 func (c *staticController) Name() string { return "static" }
@@ -74,6 +70,9 @@ func (c *staticController) Name() string { return "static" }
 func (c *staticController) ObservePacket(lost bool) {}
 
 func (c *staticController) ObserveZLC(z scoping.ZoneID, sample float64) {
+	if c.pred == nil {
+		c.pred = make(map[scoping.ZoneID]float64)
+	}
 	c.pred[z] = c.old*c.pred[z] + c.new*sample
 }
 

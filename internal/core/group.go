@@ -366,7 +366,7 @@ func (a *Agent) armRequestTimer(now eventq.Time, g *group) {
 	factor := float64(uint(1) << uint(g.reqExp))
 	lo := factor * c1 * d
 	hi := factor * (c1 + c2) * d
-	delay := eventq.Duration(a.rng.Uniform(lo, hi))
+	delay := eventq.Duration(a.rand().Uniform(lo, hi))
 	g.reqTimer = a.net.Sched().After(delay, func(fire eventq.Time) { a.requestTimerFired(fire, g) })
 	a.emit(now, telemetry.KindNACKScheduled, a.scopeZone(g.scopeIdx), int64(g.id), int64(g.llc), int64(g.reqExp), delay.Seconds())
 }

@@ -87,7 +87,7 @@ func (a *Agent) armReplyTimer(now eventq.Time, g *group, nack *packet.NACK) {
 	if nack != nil {
 		d = a.sess.Dist(nack.Origin, nack.Ancestors)
 	}
-	delay := eventq.Duration(a.rng.Uniform(a.cfg.D1*d, (a.cfg.D1+a.cfg.D2)*d))
+	delay := eventq.Duration(a.rand().Uniform(a.cfg.D1*d, (a.cfg.D1+a.cfg.D2)*d))
 	g.replyTimer = a.net.Sched().After(delay, func(fire eventq.Time) {
 		a.serveQueuedRepairs(fire, g)
 	})

@@ -29,7 +29,7 @@ func (s *Source) Seed() uint64 { return s.seed }
 func (s *Source) Stream(name string) *Rand {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))
-	return &Rand{r: rand.New(rand.NewPCG(s.seed, h.Sum64()))}
+	return newRand(s.seed, h.Sum64())
 }
 
 // StreamN derives an independent generator identified by a name and an
@@ -43,7 +43,7 @@ func (s *Source) StreamN(name string, n int) *Rand {
 		buf[i] = byte(v >> (8 * i))
 	}
 	_, _ = h.Write(buf[:])
-	return &Rand{r: rand.New(rand.NewPCG(s.seed, h.Sum64()))}
+	return newRand(s.seed, h.Sum64())
 }
 
 // StreamN2 derives an independent generator identified by a name and two
@@ -61,12 +61,21 @@ func (s *Source) StreamN2(name string, a, b int) *Rand {
 		buf[8+i] = byte(vb >> (8 * i))
 	}
 	_, _ = h.Write(buf[:])
-	return &Rand{r: rand.New(rand.NewPCG(s.seed, h.Sum64()))}
+	return newRand(s.seed, h.Sum64())
 }
 
 // Rand is a deterministic generator with the helpers the protocols need.
+// It holds its PCG state and the rand.Rand drawing from it in one
+// allocation.
 type Rand struct {
-	r *rand.Rand
+	pcg rand.PCG
+	r   rand.Rand
+}
+
+func newRand(seed, stream uint64) *Rand {
+	x := &Rand{pcg: *rand.NewPCG(seed, stream)}
+	x.r = *rand.New(&x.pcg)
+	return x
 }
 
 // Float64 returns a uniform value in [0, 1).

@@ -167,3 +167,12 @@ func TestSeedAccessor(t *testing.T) {
 		t.Fatal("Seed accessor wrong")
 	}
 }
+
+// TestStreamNAllocatesOnce pins a derived stream at one allocation: the
+// generator and its PCG state live in one struct.
+func TestStreamNAllocatesOnce(t *testing.T) {
+	s := New(5)
+	if n := testing.AllocsPerRun(100, func() { _ = s.StreamN("node", 7) }); n != 1 {
+		t.Errorf("StreamN allocates %v times; want 1", n)
+	}
+}

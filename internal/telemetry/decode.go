@@ -1,8 +1,11 @@
 package telemetry
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"sharqfec/internal/scoping"
 	"sharqfec/internal/topology"
@@ -48,6 +51,32 @@ const MaxID = 1<<22 - 1
 // past any run, and below it the six-decimal times EventWriter writes
 // parse back to the same text.
 const MaxTime = 1e9
+
+// ReadEvents feeds every event of a JSONL trace (as EventWriter writes
+// it) to sink in order, skipping blank lines. Lines are capped at
+// 1 MiB; a line that does not parse, or the first read error, stops
+// the read with an error naming the line.
+func ReadEvents(r io.Reader, sink Sink) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 4096), 1<<20)
+	line := 0
+	for sc.Scan() {
+		line++
+		raw := bytes.TrimSpace(sc.Bytes())
+		if len(raw) == 0 {
+			continue
+		}
+		e, err := ParseEventLine(raw)
+		if err != nil {
+			return fmt.Errorf("trace line %d: %w", line, err)
+		}
+		sink(e)
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("trace line %d: %w", line, err)
+	}
+	return nil
+}
 
 // ParseEventLine decodes one EventWriter JSONL line back into the Event
 // it was written from, restoring the sentinel values of omitted fields,

@@ -1,9 +1,6 @@
 package health
 
 import (
-	"bufio"
-	"bytes"
-	"fmt"
 	"io"
 
 	"sharqfec/internal/telemetry"
@@ -25,19 +22,7 @@ func Replay(r io.Reader, spec *Spec) (*Engine, []telemetry.Event, error) {
 	var recorded []telemetry.Event
 	until := 0.0
 	haveRunInfo := false
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		e, err := telemetry.ParseEventLine(raw)
-		if err != nil {
-			return nil, nil, fmt.Errorf("trace line %d: %w", line, err)
-		}
+	err := telemetry.ReadEvents(r, func(e telemetry.Event) {
 		switch e.Kind {
 		case telemetry.KindRunInfo:
 			until = e.F
@@ -49,9 +34,9 @@ func Replay(r io.Reader, spec *Spec) (*Engine, []telemetry.Event, error) {
 			until = e.T
 		}
 		sink(e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("trace line %d: %w", line, err)
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	eng.Finish(until)
 	return eng, recorded, nil

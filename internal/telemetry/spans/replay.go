@@ -1,9 +1,6 @@
 package spans
 
 import (
-	"bufio"
-	"bytes"
-	"fmt"
 	"io"
 
 	"sharqfec/internal/telemetry"
@@ -16,24 +13,8 @@ import (
 // identical to what live assembly produced during the run.
 func Replay(r io.Reader) (*Assembler, error) {
 	a := NewAssembler()
-	sink := a.Sink()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		e, err := telemetry.ParseEventLine(raw)
-		if err != nil {
-			return nil, fmt.Errorf("trace line %d: %w", line, err)
-		}
-		sink(e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace line %d: %w", line, err)
+	if err := telemetry.ReadEvents(r, a.Sink()); err != nil {
+		return nil, err
 	}
 	return a, nil
 }

@@ -7,7 +7,6 @@ import (
 	"sharqfec/internal/eventq"
 	"sharqfec/internal/netsim"
 	"sharqfec/internal/scoping"
-	"sharqfec/internal/session"
 	"sharqfec/internal/telemetry"
 	"sharqfec/internal/telemetry/census"
 	"sharqfec/internal/topology"
@@ -65,10 +64,11 @@ type scalingMeasure struct {
 }
 
 // RunScalingSweep measures the Figure-8 scaling claims: for each
-// receiver count it runs the session layer census-armed on the scoped
-// hierarchy and on the flattened topology, then lines the measured
-// state tables, reduction ratios and control-traffic locality up
-// against the analytic model, flagging drift beyond the tolerance.
+// receiver count it runs the session layer census-armed (a session-only
+// data run, see runSessionCensus) as SHARQFEC on the scoped hierarchy
+// and as SHARQFECNoScope on the flattened topology, then lines the
+// measured state tables, reduction ratios and control-traffic locality
+// up against the analytic model, flagging drift beyond the tolerance.
 // Points run concurrently on the shared sweep worker pool.
 func RunScalingSweep(cfg ScalingSweepConfig) (*analysis.ScalingReport, error) {
 	if cfg.Regions == 0 {
@@ -105,17 +105,17 @@ func RunScalingSweep(cfg ScalingSweepConfig) (*analysis.ScalingReport, error) {
 		top := NationalTopology(cfg.Regions, cfg.Cities, cfg.Suburbs, cfg.Subscribers[i])
 		// The scoped and the flat run share the native zone geometry
 		// (see runSessionCensus) and differ only in the zones they run.
-		measure := func(spec *topology.Spec) (scalingMeasure, error) {
-			return runSessionCensus(spec, top.spec.Zones, cfg.Seed, cfg.Seconds, cfg.Shards, cfg.DesignateZCRs)
+		measure := func(proto Protocol) (scalingMeasure, error) {
+			return runSessionCensus(top, proto, cfg.Seed, cfg.Seconds, cfg.Shards, cfg.DesignateZCRs)
 		}
-		scoped, err := measure(top.spec)
+		scoped, err := measure(SHARQFEC)
 		if err != nil {
 			return err
 		}
 		var flat scalingMeasure
 		flatMeasured := p.TotalReceivers() <= cfg.FlatCutoff
 		if flatMeasured {
-			flat, err = measure(globalized(top.spec))
+			flat, err = measure(SHARQFECNoScope)
 			if err != nil {
 				return err
 			}
@@ -194,63 +194,58 @@ func (c *ScalingSweepConfig) validate() error {
 	return nil
 }
 
-// runSessionCensus runs the session layer alone on spec with the
-// census engine armed: link matrices bound, per-member state probes
-// registered, epoch snapshots every virtual second. The protocol runs
-// against spec.Zones while the census accounts against — and the shard
-// partition follows — the topology's native zones: the
-// census is passive, so a flat run can be measured against the
-// boundaries scoping would have enforced, and flattening changes
-// scoping, not physical locality. Every network view feeds the one
-// census hop tap (ObserveHop is atomic), and member starts plus epoch
-// snapshots run with the simulation quiescent, so they see a globally
-// consistent virtual time, and every shard count measures the same
-// run. It returns the census-measured state peak and control-traffic
-// matrix entries.
-func runSessionCensus(spec *topology.Spec, native []topology.ZoneSpec, seed uint64, seconds float64, shards int, designate bool) (scalingMeasure, error) {
-	s, err := newSim(spec, seed, shards, native)
+// runSessionCensus runs the session layer alone on top (a
+// runSessionOnly call: SHARQFEC for the scoped side, SHARQFECNoScope for
+// the flat one) with the census engine armed: link matrices bound,
+// per-member state probes registered, epoch snapshots every virtual
+// second. The census accounts against the topology's native zones
+// whatever zones the protocol runs — it is passive, so a flat run is
+// measured against the boundaries scoping would have enforced — and it
+// needs no event bus, so it is armed here, not through TelemetryConfig,
+// whose census counts the run's own zones and which Shards >= 2
+// refuses. The accounting hierarchy is built before the run, since
+// prepare cannot return an error. Every network view feeds the one
+// census hop tap (ObserveHop is atomic), and the probes, designated
+// ZCRs and snapshots are set in at() tasks with the simulation
+// quiescent, so every shard count measures the same run. It returns
+// the census-measured state peak and control-traffic matrix entries.
+func runSessionCensus(top *Topology, proto Protocol, seed uint64, seconds float64, shards int, designate bool) (scalingMeasure, error) {
+	hAcct, err := scoping.Build(top.spec.Zones)
 	if err != nil {
 		return scalingMeasure{}, err
 	}
-	hAcct, err := scoping.Build(native)
-	if err != nil {
-		return scalingMeasure{}, err
-	}
-	var designated map[scoping.ZoneID]topology.NodeID
-	if designate {
-		designated = designatedZCRs(s.h, spec.Source)
-	}
-	cen := census.New(telemetry.NewRegistry(), hAcct, spec.Graph.NumNodes())
-	cen.BindLinks(spec.Graph)
-	s.eachNet(func(n *netsim.Network) { n.SetHopTap(cen.ObserveHop) })
-	// Bare session managers, not the data driver's agents: this runner
-	// is what the national_session benchmark measures, and the agents
-	// cost about 8 % more allocations for the same session.
-	mgrs := make([]*session.Manager, spec.Graph.NumNodes())
-	for _, m := range s.members {
-		mgr := session.New(m, s.netFor(m), session.DefaultConfig(), s.src.StreamN("session", int(m)))
-		mgrs[m] = mgr
-		s.netFor(m).Attach(m, sessionOnlyAgent{mgr})
-	}
-	s.at(secondsToTime(memberJoinAt), func(eventq.Time) {
-		for _, m := range s.members {
-			seedDesignated(mgrs[m], designated)
-			mgrs[m].Start(m == spec.Source)
+	cen := census.New(telemetry.NewRegistry(), hAcct, top.spec.Graph.NumNodes())
+	cen.BindLinks(top.spec.Graph)
+	cfg := DataConfig{Protocol: proto, Topology: top, Seed: seed, Until: 1 + seconds, Shards: shards}
+	_, _, err = runSessionOnly(cfg, func(r *dataRun) {
+		s := r.s
+		s.eachNet(func(n *netsim.Network) { n.SetHopTap(cen.ObserveHop) })
+		var designated map[scoping.ZoneID]topology.NodeID
+		if designate {
+			designated = designatedZCRs(s.h, s.spec.Source)
 		}
-	})
-	for _, m := range s.members {
-		mgr := mgrs[m]
-		cen.SetProbe(m, func() census.State {
-			return census.State{
-				Timers:         int64(mgr.CensusTimers()),
-				SessionEntries: int64(mgr.StateSize()),
+		// Registered before the driver's join task at the same time, so
+		// every member holds the designated ZCRs of its zone chain (none
+		// when designated is nil) before any starts.
+		s.at(secondsToTime(memberJoinAt), func(eventq.Time) {
+			for _, m := range s.members {
+				ag := r.coreAgent(m)
+				mgr := ag.Session()
+				for _, z := range mgr.Chain() {
+					if d, ok := designated[z]; ok {
+						mgr.SeedZCR(z, d)
+					}
+				}
+				probeCensus(cen, ag)
 			}
 		})
+		for t := 2.0; t <= 1+seconds; t++ {
+			s.at(eventq.Time(t), func(now eventq.Time) { cen.Snapshot(float64(now)) })
+		}
+	})
+	if err != nil {
+		return scalingMeasure{}, err
 	}
-	for t := 2.0; t <= 1+seconds; t++ {
-		s.at(eventq.Time(t), func(now eventq.Time) { cen.Snapshot(float64(now)) })
-	}
-	s.run(secondsToTime(1 + seconds))
 	cen.Snapshot(1 + seconds)
 
 	return scalingMeasure{
@@ -262,11 +257,6 @@ func runSessionCensus(spec *topology.Spec, native []topology.ZoneSpec, seed uint
 		escape: cen.BoundaryPktsAtLevel(1, census.ClassControl),
 	}, nil
 }
-
-// sessionOnlyAgent attaches a bare session manager to its node.
-type sessionOnlyAgent struct{ m *session.Manager }
-
-func (a sessionOnlyAgent) Receive(now eventq.Time, d netsim.Delivery) { a.m.Receive(now, d.Pkt) }
 
 // designatedZCRs returns the deployment-style ZCR assignment for every
 // zone of h: the data source for the root zone (Start(true) declares it
@@ -291,17 +281,4 @@ func designatedZCRs(h *scoping.Hierarchy, source topology.NodeID) map[scoping.Zo
 		}
 	}
 	return d
-}
-
-// seedDesignated pre-installs the designated ZCR of every zone in the
-// manager's chain. A nil map (designation off) is a no-op.
-func seedDesignated(mgr *session.Manager, designated map[scoping.ZoneID]topology.NodeID) {
-	if designated == nil {
-		return
-	}
-	for _, z := range mgr.Chain() {
-		if d, ok := designated[z]; ok {
-			mgr.SeedZCR(z, d)
-		}
-	}
 }

@@ -52,7 +52,7 @@ func TestDesignatedCensusShardInvariance(t *testing.T) {
 	top := NationalTopology(3, 3, 3, 2)
 	measure := func(shards int, designate bool) scalingMeasure {
 		t.Helper()
-		m, err := runSessionCensus(top.spec, top.spec.Zones, 7, 5, shards, designate)
+		m, err := runSessionCensus(top, SHARQFEC, 7, 5, shards, designate)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,10 @@ const sessionPinsFile = "testdata/session_results.json"
 // sessionPinCases are the session-layer experiments of §6.1 and §5.1 as
 // sharqfec-figures runs them: ZCR election on the four topologies of
 // -fig zcr, scoped-vs-flat session traffic of -fig session, and the
-// indirect RTT estimation of Figures 11–13.
+// indirect RTT estimation of Figures 11–13; and the census-measured
+// Figure-8 sweep of -fig 8m, once with elected ZCRs on both the scoped
+// and the flat side and once with designated ZCRs on two shards, the
+// flat side left to the analytic model.
 var sessionPinCases = []struct {
 	name string
 	run  func() (any, error)
@@ -31,6 +34,15 @@ var sessionPinCases = []struct {
 	{"rtt/sender-3", func() (any, error) { return RunRTT(RTTConfig{Sender: 3, Seed: 1998, Probes: 10}) }},
 	{"rtt/sender-25", func() (any, error) { return RunRTT(RTTConfig{Sender: 25, Seed: 1998, Probes: 10}) }},
 	{"rtt/sender-36", func() (any, error) { return RunRTT(RTTConfig{Sender: 36, Seed: 1998, Probes: 10}) }},
+	{"scaling/national-2x2x2-elected", func() (any, error) {
+		return RunScalingSweep(ScalingSweepConfig{Subscribers: []int{2, 4}, Seed: 11, Seconds: 5})
+	}},
+	{"scaling/national-3x3x3x2-designated", func() (any, error) {
+		return RunScalingSweep(ScalingSweepConfig{
+			Regions: 3, Cities: 3, Suburbs: 3, Subscribers: []int{2}, Seed: 11, Seconds: 5,
+			DesignateZCRs: true, Shards: 2, FlatCutoff: 1,
+		})
+	}},
 }
 
 // TestSessionResultsPinned compares every field of the session-layer

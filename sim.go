@@ -35,8 +35,9 @@ type sim struct {
 }
 
 // newSim builds the engine for spec with max(shards, 1) shards: 0 and 1
-// are the same one-shard run. It refuses a link loss that is not a
-// probability, the one place every driver's topology passes through.
+// are the same one-shard run. Its one caller is runData, the driver
+// every run goes through, and it refuses a link loss that is not a
+// probability.
 // partitionZones is the zone layout the partition follows — the
 // topology's native zones even when spec runs globalized, since
 // flattening changes packet scoping, not the physical locality a

@@ -90,6 +90,8 @@ func TestRunConfigValidation(t *testing.T) {
 		{"session-seconds-nan", errOf(RunSessionScaling(chain, 1, nan)), "Until"},
 		{"session-seconds-inf", errOf(RunSessionScaling(chain, 1, inf)), "Until"},
 		{"session-seconds-negative", errOf(RunSessionScaling(chain, 1, -5)), "Until"},
+		{"session-seconds-minus-one", errOf(RunSessionScaling(chain, 1, -1)), "Until"},
+		{"session-seconds-minus-half", errOf(RunSessionScaling(chain, 1, -0.5)), "Until"},
 		{"sweep-seconds-nan", errOf(RunScalingSweep(ScalingSweepConfig{Seconds: nan})), "Seconds"},
 		{"sweep-seconds-inf", errOf(RunScalingSweep(ScalingSweepConfig{Seconds: inf})), "Seconds"},
 		{"sweep-seconds-negative", errOf(RunScalingSweep(ScalingSweepConfig{Seconds: -5})), "Seconds"},

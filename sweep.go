@@ -2,10 +2,6 @@ package sharqfec
 
 import "sharqfec/internal/core"
 
-// sweepParallelism caps the worker pool RunTimerSweep (and RunEnsemble)
-// fan out to. Overridable in tests.
-var sweepParallelism = runtimeGOMAXPROCS
-
 // TimerSweepPoint is one point of the §7 timer-constant exploration:
 // SHARQFEC run with the request/reply constants scaled by Multiplier.
 type TimerSweepPoint struct {

@@ -1,6 +1,8 @@
 package sharqfec
 
 import (
+	"fmt"
+
 	"sharqfec/internal/analysis"
 	"sharqfec/internal/eventq"
 	"sharqfec/internal/scoping"
@@ -111,14 +113,19 @@ type SessionScalingResult struct {
 }
 
 // RunSessionScaling measures session-message deliveries over `seconds`
-// of steady state, with the topology's zone hierarchy and with a single
-// flat zone.
+// of steady state (default 10), with the topology's zone hierarchy and
+// with a single flat zone. The run's horizon, Until, is 1 + seconds:
+// a negative or non-finite seconds is refused, since Until would then
+// fall before the join or read as its 30 s default.
 func RunSessionScaling(top *Topology, seed uint64, seconds float64) (*SessionScalingResult, error) {
 	if top == nil {
 		top = NationalTopology(2, 3, 4, 5)
 	}
 	if seconds == 0 {
 		seconds = 10
+	}
+	if !(isFinite64(seconds) && seconds >= 0) {
+		return nil, fmt.Errorf("sharqfec: seconds = %v (Until = 1 + seconds); want a finite time >= 0", seconds)
 	}
 	run := func(p Protocol) (*DataResult, *dataRun, error) {
 		return runSessionOnly(DataConfig{Protocol: p, Topology: top, Seed: seed, Until: 1 + seconds}, nil)
