@@ -166,9 +166,8 @@ type ChaosConfig struct {
 	Protocol Protocol
 	Topology *Topology
 	Seed     uint64
-	// NumPackets defaults to 512 (a multiple of GroupK).
+	// NumPackets defaults to 512 (a multiple of the group size).
 	NumPackets int
-	GroupK     int
 	// Until defaults to 90 s.
 	Until float64
 	// Faults defaults to ZCRCrashPlan().
@@ -277,7 +276,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	var reelections []Reelection
 	d, r, err := runData(DataConfig{
 		Protocol: cfg.Protocol, Topology: cfg.Topology, Seed: cfg.Seed,
-		NumPackets: cfg.NumPackets, GroupK: cfg.GroupK, Until: cfg.Until,
+		NumPackets: cfg.NumPackets, Until: cfg.Until,
 		Faults: cfg.Faults, Telemetry: &tcfg,
 	}, func(r *dataRun) {
 		// Each crash of a session member is recorded; for a zone member,

@@ -429,7 +429,7 @@ func sharqfecProtocol(cfg *DataConfig, opts core.Options, r *dataRun) dataProtoc
 	if cfg.GroupK > 0 {
 		r.pcfg.GroupK = cfg.GroupK
 	}
-	r.pcfg.NewController = cfg.RateControl.factory(r.pcfg)
+	r.pcfg.NewController = cfg.RateControl.factory()
 
 	// r.done and bad[node], a payload mismatch, are written only from
 	// their node's completions, so shards never share an entry.

@@ -25,7 +25,7 @@ func (a *Agent) scheduleTimerAdaptation(g *group) {
 	if !a.cfg.Options.AdaptiveTimers || a.isSource || g.llc == 0 {
 		return
 	}
-	wait := eventq.Duration(a.cfg.ZLCWaitRTTs * a.sess.MostDistantRTT(a.chain[len(a.chain)-1]))
+	wait := eventq.Duration(zlcWaitRTTs * a.sess.MostDistantRTT(a.chain[len(a.chain)-1]))
 	a.net.Sched().After(wait, func(eventq.Time) { a.adaptTimers(g) })
 }
 

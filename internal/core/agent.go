@@ -129,11 +129,9 @@ func New(node topology.NodeID, net fabric.Network, cfg Config, src *simrand.Sour
 		a.ctrl = cfg.NewController(node)
 	}
 	if a.ctrl == nil {
-		a.static = staticController{old: cfg.EWMAOld, new: cfg.EWMANew}
 		a.ctrl = &a.static
 	}
-	cfg.Session.Telemetry = cfg.Telemetry
-	a.sess = session.New(node, net, cfg.Session, src.StreamN("session", int(node)))
+	a.sess = session.New(node, net, session.Config{Telemetry: cfg.Telemetry}, src.StreamN("session", int(node)))
 	if cfg.Options.Scoping {
 		a.chain = net.Hierarchy().ZonesOf(node)
 	} else {
@@ -235,7 +233,7 @@ func (a *Agent) sourceSend(now eventq.Time, seq uint32) {
 		// one allocation instead of k, and the bytes and RNG draw order
 		// are identical to per-payload allocation.
 		data = make([][]byte, k)
-		sz := a.cfg.PayloadSize
+		sz := payloadSize
 		block := make([]byte, k*sz)
 		for i := range data {
 			p := block[i*sz : (i+1)*sz : (i+1)*sz]

@@ -12,7 +12,6 @@
 package core
 
 import (
-	"sharqfec/internal/session"
 	"sharqfec/internal/telemetry"
 	"sharqfec/internal/topology"
 )
@@ -46,16 +45,40 @@ func Full() Options { return Options{Scoping: true, Injection: true} }
 // stand-in for Gemmell's ECSRM with RTT-based timer windows.
 func ECSRM() Options { return Options{SenderOnly: true} }
 
-// Config carries all protocol constants. DefaultConfig reproduces the
-// values the paper states for its simulations.
+// Protocol constants the paper fixes for its simulations (§4, §6.2).
+const (
+	// payloadSize is the application payload per data packet, sized so
+	// the wire packet (17-byte data header) is the paper's 1000 bytes.
+	payloadSize = 1000 - 17
+	// EWMAOld/EWMANew weight the predicted-ZLC filter (§4: 0.75 / 0.25).
+	EWMAOld, EWMANew = 0.75, 0.25
+	// zlcWaitRTTs is how many RTTs (to the most distant zone member) a
+	// ZCR waits after a group ends before sampling the true ZLC
+	// (§4: 2.5).
+	zlcWaitRTTs = 2.5
+	// escalateAfter is how many NACK attempts are made at each scope
+	// before widening to the next-largest zone (§4: 2).
+	escalateAfter = 2
+	// repairSpacing is the interval between successive repair packets
+	// from one repairer, as a fraction of the data inter-packet
+	// interval (§4: 0.5).
+	repairSpacing = 0.5
+	// ldpSlackPackets pads the loss-detection-phase timer by this many
+	// inter-packet intervals beyond the expected last arrival.
+	ldpSlackPackets = 2.0
+	// retainData is how long (seconds) an ordinary receiver keeps a
+	// completed group's payloads available for repairing peers. The
+	// source and ZCRs retain indefinitely.
+	retainData = 5
+)
+
+// Config carries the protocol parameters a run may set. DefaultConfig
+// reproduces the values the paper states for its simulations.
 type Config struct {
 	// Source is the data sender's node ID.
 	Source topology.NodeID
 	// GroupK is the number of data packets per FEC group (paper: 16).
 	GroupK int
-	// PayloadSize is the application payload per data packet, sized so
-	// the wire packet is the paper's 1000 bytes.
-	PayloadSize int
 	// Rate is the source's constant bit rate in bits/s (paper: 800 kbit/s).
 	Rate float64
 	// NumPackets is the number of original data packets (paper: 1024).
@@ -66,30 +89,8 @@ type Config struct {
 	// D1, D2 shape the reply timer: delay ~ U[D1·d, (D1+D2)·d] with d
 	// the distance to the NACK sender (paper: 1, 1). No backoff.
 	D1, D2 float64
-	// EWMAOld/EWMANew weight the predicted-ZLC filter
-	// (paper: 0.75 / 0.25).
-	EWMAOld, EWMANew float64
-	// ZLCWaitRTTs is how many RTTs (to the most distant zone member) a
-	// ZCR waits after a group ends before sampling the true ZLC
-	// (paper: 2.5).
-	ZLCWaitRTTs float64
-	// EscalateAfter is how many NACK attempts are made at each scope
-	// before widening to the next-largest zone (paper: 2).
-	EscalateAfter int
-	// RepairSpacing is the interval between successive repair packets
-	// from one repairer, as a fraction of the data inter-packet
-	// interval (paper: 0.5).
-	RepairSpacing float64
-	// LDPSlackPackets pads the loss-detection-phase timer by this many
-	// inter-packet intervals beyond the expected last arrival.
-	LDPSlackPackets float64
-	// RetainData is how long (seconds) an ordinary receiver keeps a
-	// completed group's payloads available for repairing peers. The
-	// source and ZCRs retain indefinitely.
-	RetainData float64
 
 	Options Options
-	Session session.Config
 
 	// Telemetry, when non-nil, receives the agent's protocol events
 	// (NACK/repair lifecycle, losses, decodes, injections). nil — the
@@ -108,31 +109,22 @@ type Config struct {
 // protocol enabled.
 func DefaultConfig() Config {
 	return Config{
-		Source:          0,
-		GroupK:          16,
-		PayloadSize:     1000 - 17, // data wire header is 17 bytes
-		Rate:            800e3,
-		NumPackets:      1024,
-		C1:              2,
-		C2:              2,
-		D1:              1,
-		D2:              1,
-		EWMAOld:         0.75,
-		EWMANew:         0.25,
-		ZLCWaitRTTs:     2.5,
-		EscalateAfter:   2,
-		RepairSpacing:   0.5,
-		LDPSlackPackets: 2,
-		RetainData:      5,
-		Options:         Full(),
-		Session:         session.DefaultConfig(),
+		Source:     0,
+		GroupK:     16,
+		Rate:       800e3,
+		NumPackets: 1024,
+		C1:         2,
+		C2:         2,
+		D1:         1,
+		D2:         1,
+		Options:    Full(),
 	}
 }
 
 // InterPacket returns the source's data inter-packet interval in seconds
 // (wire size × 8 / rate) — 10 ms for the paper's parameters.
 func (c *Config) InterPacket() float64 {
-	wire := float64(c.PayloadSize + 17)
+	wire := float64(payloadSize + 17)
 	return wire * 8 / c.Rate
 }
 

@@ -36,7 +36,7 @@ type Decision struct {
 // from this stream; the static policy ignores it.
 //
 // ObserveZLC absorbs one end-of-group zone loss count measurement (the
-// §4 sample taken ZLCWaitRTTs after a group ends). Predict exposes the
+// §4 sample taken 2.5 RTTs after a group ends). Predict exposes the
 // current predicted ZLC for a zone (0 before any sample), and Decide
 // turns the prediction into a concrete injection size given the group
 // size k and the repair shares already heard for the group.
@@ -55,14 +55,7 @@ type Controller interface {
 // stream, so attaching it (or swapping it for the pre-refactor inline
 // code) cannot perturb a seeded run.
 type staticController struct {
-	old, new float64
-	pred     map[scoping.ZoneID]float64 // nil until the first sample
-}
-
-// NewStaticController returns the paper's EWMA policy with the given
-// filter weights (DefaultConfig: 0.75/0.25).
-func NewStaticController(ewmaOld, ewmaNew float64) Controller {
-	return &staticController{old: ewmaOld, new: ewmaNew}
+	pred map[scoping.ZoneID]float64 // nil until the first sample
 }
 
 func (c *staticController) Name() string { return "static" }
@@ -73,7 +66,7 @@ func (c *staticController) ObserveZLC(z scoping.ZoneID, sample float64) {
 	if c.pred == nil {
 		c.pred = make(map[scoping.ZoneID]float64)
 	}
-	c.pred[z] = c.old*c.pred[z] + c.new*sample
+	c.pred[z] = EWMAOld*c.pred[z] + EWMANew*sample
 }
 
 func (c *staticController) Predict(z scoping.ZoneID) float64 { return c.pred[z] }

@@ -165,7 +165,7 @@ func (g *group) needed() int {
 // holds that index (the first copy wins).
 func (a *Agent) admit(gid uint32, index, groupK uint8, repair bool, payload []byte) (g *group, stored bool) {
 	k, idx := a.cfg.GroupK, int(index)
-	if int(groupK) != k || len(payload) != a.cfg.PayloadSize || repair != (idx >= k) || idx >= fec.MaxShares ||
+	if int(groupK) != k || len(payload) != payloadSize || repair != (idx >= k) || idx >= fec.MaxShares ||
 		int64(gid) >= int64(a.cfg.NumGroups()) {
 		a.Stats.BadShares++
 		return nil, false
@@ -296,9 +296,9 @@ func (a *Agent) noteLoss(now eventq.Time, s uint32) {
 // armLDPTimer sets the loss-detection-phase timer: the estimated time by
 // which the group's remaining packets should arrive, plus slack.
 func (a *Agent) armLDPTimer(now eventq.Time, g *group, idxSeen int) {
-	remaining := float64(g.k-1-idxSeen) + a.cfg.LDPSlackPackets
-	if remaining < a.cfg.LDPSlackPackets {
-		remaining = a.cfg.LDPSlackPackets
+	remaining := float64(g.k-1-idxSeen) + ldpSlackPackets
+	if remaining < ldpSlackPackets {
+		remaining = ldpSlackPackets
 	}
 	d := eventq.Duration(remaining * a.ipt)
 	g.ldpTimer = a.net.Sched().After(d, func(fire eventq.Time) { a.ldpExpired(fire, g) })
@@ -372,7 +372,7 @@ func (a *Agent) armRequestTimer(now eventq.Time, g *group) {
 }
 
 // requestTimerFired sends a NACK if the group still needs repairs that
-// nobody else has requested, escalating scope after EscalateAfter
+// nobody else has requested, escalating scope after escalateAfter
 // attempts per zone (§4 RP rules).
 func (a *Agent) requestTimerFired(now eventq.Time, g *group) {
 	if a.stopped {
@@ -408,7 +408,7 @@ func (a *Agent) requestTimerFired(now eventq.Time, g *group) {
 		a.armRequestTimer(now, g)
 		return
 	}
-	if g.attempts >= a.cfg.EscalateAfter && g.scopeIdx < len(a.chain)-1 {
+	if g.attempts >= escalateAfter && g.scopeIdx < len(a.chain)-1 {
 		g.scopeIdx++
 		g.attempts = 0
 		a.Stats.ScopeEscalations++
@@ -624,8 +624,8 @@ func (a *Agent) maybeComplete(now eventq.Time, g *group) {
 	a.becomeRepairer(now, g)
 	// Ordinary receivers retire the payloads after a grace period;
 	// the source and ZCRs stay able to repair indefinitely.
-	if a.cfg.RetainData > 0 && !a.isSource {
-		a.net.Sched().After(eventq.Duration(a.cfg.RetainData), func(eventq.Time) {
+	if !a.isSource {
+		a.net.Sched().After(eventq.Duration(retainData), func(eventq.Time) {
 			if !a.anyZCRDuty() {
 				g.data = nil
 			}

@@ -102,10 +102,9 @@ func newOracleAgent(node topology.NodeID, net fabric.Network, cfg Config, src *s
 		a.ctrl = cfg.NewController(node)
 	}
 	if a.ctrl == nil {
-		a.ctrl = NewStaticController(cfg.EWMAOld, cfg.EWMANew)
+		a.ctrl = &staticController{}
 	}
-	cfg.Session.Telemetry = cfg.Telemetry
-	a.sess = session.New(node, net, cfg.Session, src.StreamN("session", int(node)))
+	a.sess = session.New(node, net, session.Config{Telemetry: cfg.Telemetry}, src.StreamN("session", int(node)))
 	if cfg.Options.Scoping {
 		a.chain = net.Hierarchy().ZonesOf(node)
 	} else {
@@ -157,7 +156,7 @@ func (a *oracleAgent) sourceSend(now eventq.Time, seq uint32) {
 	data := a.sendData[gid]
 	if data == nil {
 		data = make([][]byte, k)
-		sz := a.cfg.PayloadSize
+		sz := payloadSize
 		block := make([]byte, k*sz)
 		for i := range data {
 			p := block[i*sz : (i+1)*sz : (i+1)*sz]
@@ -364,7 +363,7 @@ func (g *oracleGroup) needed() int {
 
 func (a *oracleAgent) admit(gid uint32, index, groupK uint8, repair bool, payload []byte) (g *oracleGroup, stored bool) {
 	k, idx := a.cfg.GroupK, int(index)
-	if int(groupK) != k || len(payload) != a.cfg.PayloadSize || repair != (idx >= k) || idx >= fec.MaxShares {
+	if int(groupK) != k || len(payload) != payloadSize || repair != (idx >= k) || idx >= fec.MaxShares {
 		a.Stats.BadShares++
 		return nil, false
 	}
@@ -471,9 +470,9 @@ func (a *oracleAgent) noteLoss(now eventq.Time, s uint32) {
 }
 
 func (a *oracleAgent) armLDPTimer(now eventq.Time, g *oracleGroup, idxSeen int) {
-	remaining := float64(g.k-1-idxSeen) + a.cfg.LDPSlackPackets
-	if remaining < a.cfg.LDPSlackPackets {
-		remaining = a.cfg.LDPSlackPackets
+	remaining := float64(g.k-1-idxSeen) + ldpSlackPackets
+	if remaining < ldpSlackPackets {
+		remaining = ldpSlackPackets
 	}
 	d := eventq.Duration(remaining * a.ipt)
 	g.ldpTimer = a.net.Sched().After(d, func(fire eventq.Time) { a.ldpExpired(fire, g) })
@@ -567,7 +566,7 @@ func (a *oracleAgent) requestTimerFired(now eventq.Time, g *oracleGroup) {
 		a.armRequestTimer(now, g)
 		return
 	}
-	if g.attempts >= a.cfg.EscalateAfter && g.scopeIdx < len(a.chain)-1 {
+	if g.attempts >= escalateAfter && g.scopeIdx < len(a.chain)-1 {
 		g.scopeIdx++
 		g.attempts = 0
 		a.Stats.ScopeEscalations++
@@ -740,8 +739,8 @@ func (a *oracleAgent) maybeComplete(now eventq.Time, g *oracleGroup) {
 	}
 	a.scheduleTimerAdaptation(g)
 	a.becomeRepairer(now, g)
-	if a.cfg.RetainData > 0 && !a.isSource {
-		a.net.Sched().After(eventq.Duration(a.cfg.RetainData), func(eventq.Time) {
+	if !a.isSource {
+		a.net.Sched().After(eventq.Duration(retainData), func(eventq.Time) {
 			if !a.anyZCRDuty() {
 				g.data = nil
 			}
@@ -802,7 +801,7 @@ func (a *oracleAgent) armReplyTimer(now eventq.Time, g *oracleGroup, nack *packe
 	if g.sendBusy {
 		return
 	}
-	d := a.cfg.Session.DefaultDist
+	d := session.DefaultDist
 	if nack != nil {
 		d = a.sess.Dist(nack.Origin, nack.Ancestors)
 	}
@@ -848,7 +847,7 @@ func (a *oracleAgent) sendRepairBurst(now eventq.Time, g *oracleGroup, z scoping
 	}
 	g.maxShare = last
 	g.sendBusy = true
-	spacing := a.cfg.RepairSpacing * a.ipt
+	spacing := repairSpacing * a.ipt
 	for idx := first; idx <= last; idx++ {
 		idx := idx
 		offset := eventq.Duration(float64(idx-first) * spacing)
@@ -906,7 +905,7 @@ func (a *oracleAgent) scheduleZLCSample(now eventq.Time, g *oracleGroup, z scopi
 		return
 	}
 	g.zlcSampled[z] = true
-	wait := eventq.Duration(a.cfg.ZLCWaitRTTs * a.sess.MostDistantRTT(z))
+	wait := eventq.Duration(zlcWaitRTTs * a.sess.MostDistantRTT(z))
 	a.net.Sched().After(wait, func(eventq.Time) {
 		sample := float64(g.zlc[z])
 		if sample == 0 {
@@ -975,7 +974,7 @@ func (a *oracleAgent) scheduleTimerAdaptation(g *oracleGroup) {
 	if !a.cfg.Options.AdaptiveTimers || a.isSource || g.llc == 0 {
 		return
 	}
-	wait := eventq.Duration(a.cfg.ZLCWaitRTTs * a.sess.MostDistantRTT(a.chain[len(a.chain)-1]))
+	wait := eventq.Duration(zlcWaitRTTs * a.sess.MostDistantRTT(a.chain[len(a.chain)-1]))
 	a.net.Sched().After(wait, func(eventq.Time) { a.adaptTimers(g) })
 }
 

@@ -5,6 +5,7 @@ import (
 	"sharqfec/internal/fec"
 	"sharqfec/internal/packet"
 	"sharqfec/internal/scoping"
+	"sharqfec/internal/session"
 	"sharqfec/internal/telemetry"
 )
 
@@ -83,7 +84,7 @@ func (a *Agent) armReplyTimer(now eventq.Time, g *group, nack *packet.NACK) {
 	if g.sendBusy {
 		return // a burst is already being paced out
 	}
-	d := a.cfg.Session.DefaultDist
+	d := session.DefaultDist
 	if nack != nil {
 		d = a.sess.Dist(nack.Origin, nack.Ancestors)
 	}
@@ -125,7 +126,7 @@ func (a *Agent) serveQueuedRepairs(now eventq.Time, g *group) {
 }
 
 // sendRepairBurst transmits n fresh repair shares to zone z, spaced by
-// RepairSpacing × the inter-packet interval (§4 RP sender rule), then
+// repairSpacing × the inter-packet interval (§4 RP sender rule), then
 // re-checks the queues. preempt marks the shares as preemptive-FEC for
 // the cost census (see packet.Repair.Preemptive); it does not change
 // what is sent.
@@ -139,7 +140,7 @@ func (a *Agent) sendRepairBurst(now eventq.Time, g *group, z scoping.ZoneID, n i
 	}
 	g.maxShare = last
 	g.sendBusy = true
-	spacing := a.cfg.RepairSpacing * a.ipt
+	spacing := repairSpacing * a.ipt
 	for idx := first; idx <= last; idx++ {
 		idx := idx
 		offset := eventq.Duration(float64(idx-first) * spacing)
@@ -211,7 +212,7 @@ func (a *Agent) scheduleZLCSample(g *group, i int) {
 	}
 	lv.sampled = true
 	z := a.chain[i]
-	wait := eventq.Duration(a.cfg.ZLCWaitRTTs * a.sess.MostDistantRTT(z))
+	wait := eventq.Duration(zlcWaitRTTs * a.sess.MostDistantRTT(z))
 	a.net.Sched().After(wait, func(eventq.Time) {
 		sample := float64(lv.zlc)
 		if sample == 0 {

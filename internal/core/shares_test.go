@@ -33,7 +33,7 @@ func newShareFeed(t *testing.T, seed uint64, gid uint32) *shareFeed {
 	r := rand.New(rand.NewPCG(seed, 1998))
 	data := make([][]byte, a.cfg.GroupK)
 	for i := range data {
-		data[i] = make([]byte, a.cfg.PayloadSize)
+		data[i] = make([]byte, payloadSize)
 		for j := range data[i] {
 			data[i][j] = byte(r.IntN(256))
 		}

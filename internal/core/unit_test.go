@@ -67,7 +67,7 @@ func TestBurstCreditClearsQueues(t *testing.T) {
 	// whole burst (16..20 = 5 shares) at once.
 	a.handleRepair(1.0, &packet.Repair{
 		Origin: 0, Group: 0, Index: 16, GroupK: 16,
-		NewMaxSeq: 20, Zone: int16(a.root), Payload: make([]byte, cfg.PayloadSize),
+		NewMaxSeq: 20, Zone: int16(a.root), Payload: make([]byte, payloadSize),
 	})
 	if g.outstanding != 0 {
 		t.Fatalf("outstanding = %d after burst announcement, want 0", g.outstanding)
@@ -90,7 +90,7 @@ func TestRepairWithoutAnnouncementCreditsOne(t *testing.T) {
 	g.outstanding = 3
 	a.handleRepair(1.0, &packet.Repair{
 		Origin: 0, Group: 0, Index: 16, GroupK: 16,
-		NewMaxSeq: 16, Zone: int16(a.root), Payload: make([]byte, cfg.PayloadSize),
+		NewMaxSeq: 16, Zone: int16(a.root), Payload: make([]byte, payloadSize),
 	})
 	if g.outstanding != 2 {
 		t.Fatalf("outstanding = %d, want 2", g.outstanding)
@@ -107,7 +107,7 @@ func TestRepairResetsBackoffExponent(t *testing.T) {
 	g.reqExp = 5
 	a.handleRepair(1.0, &packet.Repair{
 		Origin: 0, Group: 0, Index: 16, GroupK: 16, NewMaxSeq: 16,
-		Zone: int16(a.root), Payload: make([]byte, cfg.PayloadSize),
+		Zone: int16(a.root), Payload: make([]byte, payloadSize),
 	})
 	if g.reqExp != 1 {
 		t.Fatalf("reqExp = %d after repair, want 1 (§4)", g.reqExp)
@@ -225,7 +225,7 @@ func TestRepairForUnknownGroupCreatesState(t *testing.T) {
 	a.joined = true
 	a.handleRepair(1.0, &packet.Repair{
 		Origin: 0, Group: 3, Index: 17, GroupK: 16, NewMaxSeq: 17,
-		Zone: int16(a.root), Payload: make([]byte, cfg.PayloadSize),
+		Zone: int16(a.root), Payload: make([]byte, payloadSize),
 	})
 	g := a.group(3)
 	if g == nil || g.held != 1 || g.shares[17] == nil {

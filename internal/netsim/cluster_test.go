@@ -118,12 +118,12 @@ func clusterRun(t *testing.T, spec *topology.Spec, k, npkts int, seed uint64) (s
 
 // TestClusterShardCountInvariance is the heart of the sharded netsim
 // contract: the same seed must yield byte-identical delivery traces at
-// every shard count, on both a power-law tree (shared zone spans, found
-// by climbing) and the Figure-10 mesh (per-source spans, from Dijkstra
-// trees).
+// every shard count, on both a lossy national tree (shared zone spans,
+// found by climbing) and the Figure-10 mesh (per-source spans, from
+// Dijkstra trees).
 func TestClusterShardCountInvariance(t *testing.T) {
 	specs := []*topology.Spec{
-		topology.PowerLawISP(topology.PowerLawParams{PoPs: 6, Subscribers: 120, Seed: 3, Loss: 0.08}),
+		topology.National(topology.NationalParams{Regions: 4, Cities: 3, Suburbs: 2, SubscribersPerSuburb: 5}, 10e6, 0.010, 0.08),
 		topology.Figure10(topology.Figure10Params{}),
 	}
 	for _, spec := range specs {
@@ -148,11 +148,12 @@ func TestClusterShardCountInvariance(t *testing.T) {
 	}
 }
 
-// losslessMesh builds a zero-loss non-tree graph: a flat fan-out with
-// lateral router↔router links added, so NumLinks > NumNodes-1 and the
-// fabric routes on per-source Dijkstra trees.
+// losslessMesh builds a zero-loss non-tree graph: a flat two-level
+// national tree (six regions of twenty cities) with lateral
+// region↔region links added, so NumLinks > NumNodes-1 and the fabric
+// routes on per-source Dijkstra trees.
 func losslessMesh() *topology.Spec {
-	spec := topology.FlatFanout(topology.FlatParams{Routers: 6, ReceiversPerRouter: 20})
+	spec := topology.National(topology.NationalParams{Regions: 6, Cities: 20}, 45e6, 0.012, 0)
 	for r := 0; r < 3; r++ {
 		a := topology.NodeID(1 + r*21)
 		b := topology.NodeID(1 + (r+3)*21)
@@ -169,7 +170,7 @@ func losslessMesh() *topology.Spec {
 // exactly — on a tree and on a mesh.
 func TestClusterMatchesSequentialWithoutLoss(t *testing.T) {
 	specs := []*topology.Spec{
-		topology.PowerLawISP(topology.PowerLawParams{PoPs: 5, Subscribers: 80, Seed: 9}),
+		topology.National(topology.NationalParams{Regions: 3, Cities: 3, Suburbs: 2, SubscribersPerSuburb: 4}, 10e6, 0.010, 0),
 		losslessMesh(),
 	}
 	for _, spec := range specs {
@@ -253,7 +254,7 @@ func TestClusterMatchesSequentialWithoutLoss(t *testing.T) {
 // subtrees never split across shards, loads balance, and the lookahead
 // is the minimum boundary-link latency.
 func TestPartitionByZone(t *testing.T) {
-	spec := topology.PowerLawISP(topology.PowerLawParams{PoPs: 8, Subscribers: 300, Seed: 5})
+	spec := topology.National(topology.NationalParams{Regions: 8, Cities: 3, Suburbs: 2, SubscribersPerSuburb: 5}, 10e6, 0.010, 0)
 	for _, k := range []int{1, 2, 3, 5} {
 		owner, lookahead := topology.PartitionByZone(spec.Graph, spec.Zones, k)
 		if lookahead <= 0 {

@@ -12,12 +12,26 @@ import (
 // the clamp keeps the Gilbert calibration pGB = p·pBG/(1-p) finite.
 const maxLossProb = 0.95
 
+// DefaultBudget is the Budget the zero Config picks: at most half a
+// group of extra repairs.
+const DefaultBudget = 0.5
+
+const (
+	// injectCost is the cost of one preemptive repair share, the unit
+	// the ARQ penalty is measured against.
+	injectCost = 1
+	// minObservations is how many packets the loss estimator must see
+	// before its burst model is trusted; below it the controller
+	// assumes independent losses at the predicted mean.
+	minObservations = 64
+)
+
 // Config tunes the adaptive controller. The zero value picks the
 // documented defaults.
 type Config struct {
 	// Budget caps injected redundancy per group as a fraction of the
 	// group size k: a decision never owes more than ceil(Budget·k)
-	// shares. Default 0.5 (at most half a group of extra repairs).
+	// shares. Default DefaultBudget.
 	Budget float64
 	// ArqPenalty is the relative cost of one loss left uncovered by
 	// preemptive redundancy (it must be repaired through a NACK round:
@@ -28,18 +42,6 @@ type Config struct {
 	// ensemble (see EXPERIMENTS.md E18); raising it buys lower tail
 	// latency with more repair traffic, up to the Budget cap.
 	ArqPenalty float64
-	// InjectCost is the cost of one preemptive repair share (the unit
-	// the penalty is measured against). Default 1.
-	InjectCost float64
-	// EWMAOld/EWMANew weight the per-zone predicted-ZLC filter — the
-	// same magnitude predictor the static policy uses, so the two
-	// policies differ only in how they turn the prediction into
-	// redundancy. Default 0.75/0.25 (the paper's).
-	EWMAOld, EWMANew float64
-	// MinObservations is how many packets the loss estimator must see
-	// before its burst model is trusted; below it the controller
-	// assumes independent losses at the predicted mean. Default 64.
-	MinObservations uint64
 	// Window is the estimator's sliding observation window in packets
 	// (0 = never forget). Default 4096.
 	Window int
@@ -47,19 +49,10 @@ type Config struct {
 
 func (cfg Config) withDefaults() Config {
 	if cfg.Budget <= 0 {
-		cfg.Budget = 0.5
+		cfg.Budget = DefaultBudget
 	}
 	if cfg.ArqPenalty <= 0 {
 		cfg.ArqPenalty = 12
-	}
-	if cfg.InjectCost <= 0 {
-		cfg.InjectCost = 1
-	}
-	if cfg.EWMAOld == 0 && cfg.EWMANew == 0 {
-		cfg.EWMAOld, cfg.EWMANew = 0.75, 0.25
-	}
-	if cfg.MinObservations == 0 {
-		cfg.MinObservations = 64
 	}
 	if cfg.Window == 0 {
 		cfg.Window = 4096
@@ -72,7 +65,7 @@ func (cfg Config) withDefaults() Config {
 // model to the agent's own reception sequence, and sizes each group's
 // redundancy h by minimizing the expected recovery cost
 //
-//	cost(h) = E[max(L(k+h) − h, 0)]·ArqPenalty + h·InjectCost
+//	cost(h) = E[max(L(k+h) − h, 0)]·ArqPenalty + h·injectCost
 //
 // over h in [0, ceil(Budget·k)], where L(n) is the loss count among n
 // transmissions of the fitted chain. The first term is the expected
@@ -118,10 +111,12 @@ func (c *Controller) Estimator() *Estimator { return c.est }
 // sequence feeds the burst-model fit.
 func (c *Controller) ObservePacket(lost bool) { c.est.Observe(lost) }
 
-// ObserveZLC implements core.Controller with the paper's EWMA filter —
-// magnitude tracking is identical to the static policy by design.
+// ObserveZLC implements core.Controller with the paper's EWMA filter and
+// core's weights — magnitude tracking is identical to the static policy
+// by design, so the two policies differ only in how they turn the
+// prediction into redundancy.
 func (c *Controller) ObserveZLC(z scoping.ZoneID, sample float64) {
-	c.pred[z] = c.cfg.EWMAOld*c.pred[z] + c.cfg.EWMANew*sample
+	c.pred[z] = core.EWMAOld*c.pred[z] + core.EWMANew*sample
 }
 
 // Predict implements core.Controller.
@@ -155,7 +150,7 @@ func (c *Controller) optimalH(pred float64, k int) int {
 	// link mix, but injection must cover the whole zone's loss (the
 	// ZLC), so only the correlation structure is taken from it.
 	pBG := 1 - p // i.i.d.: mean burst 1/(1-p)
-	if c.est.Observations() >= c.cfg.MinObservations {
+	if c.est.Observations() >= minObservations {
 		if b := c.est.MeanBurstLen(); b > 1 {
 			pBG = 1 / b
 		}
@@ -215,7 +210,7 @@ func (c *Controller) optimalH(pred float64, k int) int {
 		for l := h + 1; l <= steps; l++ {
 			short += float64(l-h) * (pg[l] + pb[l])
 		}
-		cost := short*c.cfg.ArqPenalty + float64(h)*c.cfg.InjectCost
+		cost := short*c.cfg.ArqPenalty + float64(h)*injectCost
 		if cost < bestCost {
 			bestCost, bestH = cost, h
 		}

@@ -31,7 +31,7 @@ func (m *Manager) startChallengeDuty(zs *zoneState) {
 			}
 		}
 	}
-	d := eventq.Duration(m.rng.Uniform(m.cfg.ChallengeLo, m.cfg.ChallengeHi))
+	d := eventq.Duration(m.rng.Uniform(challengeLo, challengeHi))
 	zs.duty = m.net.Sched().After(d, zs.onDuty)
 }
 
@@ -64,9 +64,9 @@ func (m *Manager) resetWatchdog(zs *zoneState) {
 	if zs.zcr == topology.NoNode {
 		// No ZCR yet: probe quickly so the initial election happens
 		// within the session-stabilization window.
-		window = m.rng.Uniform(m.cfg.BootstrapLo, m.cfg.BootstrapHi)
+		window = m.rng.Uniform(bootstrapLo, bootstrapHi)
 	} else {
-		window = m.cfg.WatchdogFactor * m.cfg.ChallengeHi * m.rng.Uniform(1.0, 1.5)
+		window = watchdogFactor * challengeHi * m.rng.Uniform(1.0, 1.5)
 	}
 	zs.watchdog = m.net.Sched().After(eventq.Duration(window), zs.onWatchdog)
 }
@@ -176,7 +176,7 @@ func (m *Manager) considerTakeover(zs *zoneState, dist float64) {
 		zs.zcrDist = dist
 		return
 	}
-	if zs.zcr != topology.NoNode && !zs.suspect && dist+m.cfg.TakeoverEpsilon >= zs.zcrDist {
+	if zs.zcr != topology.NoNode && !zs.suspect && dist+takeoverEpsilon >= zs.zcrDist {
 		return // not meaningfully closer (and the incumbent is alive)
 	}
 	if t := zs.takeover; t.Active() {
@@ -216,10 +216,10 @@ func (m *Manager) HandleTakeover(now eventq.Time, msg *packet.ZCRTakeover) {
 	}
 	zs := m.zoneFor(scoping.ZoneID(msg.Zone))
 	// Suppress our own pending (not-closer) takeover.
-	if t := zs.takeover; t.Active() && zs.pendingDist+m.cfg.TakeoverEpsilon >= msg.DistToParent {
+	if t := zs.takeover; t.Active() && zs.pendingDist+takeoverEpsilon >= msg.DistToParent {
 		t.Stop()
 	}
-	if zs.zcr == m.node && msg.Origin != m.node && zs.haveMyDist && zs.myDist+m.cfg.TakeoverEpsilon < msg.DistToParent {
+	if zs.zcr == m.node && msg.Origin != m.node && zs.haveMyDist && zs.myDist+takeoverEpsilon < msg.DistToParent {
 		// The usurper is farther than we are: reassert (§5.2).
 		m.sendTakeover(now, zs, zs.myDist)
 		return

@@ -123,13 +123,13 @@ func (m *oracle) Start(root bool) {
 }
 
 func (m *oracle) SeedZCR(z scoping.ZoneID, n topology.NodeID) {
-	m.setZCR(m.net.Sched().Now(), z, n, m.cfg.DefaultDist)
+	m.setZCR(m.net.Sched().Now(), z, n, DefaultDist)
 }
 
 func (m *oracle) scheduleSession() {
-	lo, hi := m.cfg.SteadyLo, m.cfg.SteadyHi
-	if m.msgCount < m.cfg.FastCount {
-		lo, hi = m.cfg.FastLo, m.cfg.FastHi
+	lo, hi := steadyLo, steadyHi
+	if m.msgCount < fastCount {
+		lo, hi = fastLo, fastHi
 	}
 	d := eventq.Duration(m.rng.Uniform(lo, hi))
 	m.net.Sched().After(d, func(now eventq.Time) {
@@ -253,7 +253,7 @@ func (m *oracle) observeRTT(peer topology.NodeID, sample float64) {
 		pi.have = true
 		return
 	}
-	pi.rtt = (1-m.cfg.RTTAlpha)*pi.rtt + m.cfg.RTTAlpha*sample
+	pi.rtt = (1-rttAlpha)*pi.rtt + rttAlpha*sample
 }
 
 func (m *oracle) zcrOf(z scoping.ZoneID) topology.NodeID {
@@ -326,7 +326,7 @@ func (m *oracle) startChallengeDuty(z scoping.ZoneID) {
 	if m.net.Hierarchy().Parent(z) == scoping.NoZone {
 		return
 	}
-	d := eventq.Duration(m.rng.Uniform(m.cfg.ChallengeLo, m.cfg.ChallengeHi))
+	d := eventq.Duration(m.rng.Uniform(challengeLo, challengeHi))
 	m.challengeTimer[z] = m.net.Sched().After(d, func(now eventq.Time) {
 		if m.stopped {
 			return
@@ -342,9 +342,9 @@ func (m *oracle) resetWatchdog(z scoping.ZoneID) {
 	m.watchdog[z].Stop()
 	var window float64
 	if m.zcrOf(z) == topology.NoNode {
-		window = m.rng.Uniform(m.cfg.BootstrapLo, m.cfg.BootstrapHi)
+		window = m.rng.Uniform(bootstrapLo, bootstrapHi)
 	} else {
-		window = m.cfg.WatchdogFactor * m.cfg.ChallengeHi * m.rng.Uniform(1.0, 1.5)
+		window = watchdogFactor * challengeHi * m.rng.Uniform(1.0, 1.5)
 	}
 	m.watchdog[z] = m.net.Sched().After(eventq.Duration(window), func(now eventq.Time) {
 		if m.stopped {
@@ -443,7 +443,7 @@ func (m *oracle) considerTakeover(_ eventq.Time, z scoping.ZoneID, dist float64)
 		m.zcrDist[z] = dist
 		return
 	}
-	if cur != topology.NoNode && !m.suspectZCR[z] && dist+m.cfg.TakeoverEpsilon >= m.zcrDist[z] {
+	if cur != topology.NoNode && !m.suspectZCR[z] && dist+takeoverEpsilon >= m.zcrDist[z] {
 		return
 	}
 	if t := m.pendingTakeover[z]; t.Active() {
@@ -473,11 +473,11 @@ func (m *oracle) sendTakeover(now eventq.Time, z scoping.ZoneID, dist float64) {
 
 func (m *oracle) HandleTakeover(now eventq.Time, msg *packet.ZCRTakeover) {
 	z := scoping.ZoneID(msg.Zone)
-	if t := m.pendingTakeover[z]; t.Active() && m.pendingDist[z]+m.cfg.TakeoverEpsilon >= msg.DistToParent {
+	if t := m.pendingTakeover[z]; t.Active() && m.pendingDist[z]+takeoverEpsilon >= msg.DistToParent {
 		t.Stop()
 	}
 	if m.zcrOf(z) == m.node && msg.Origin != m.node {
-		if d, ok := m.myParentDist[z]; ok && d+m.cfg.TakeoverEpsilon < msg.DistToParent {
+		if d, ok := m.myParentDist[z]; ok && d+takeoverEpsilon < msg.DistToParent {
 			m.sendTakeover(now, z, d)
 			return
 		}
@@ -636,7 +636,7 @@ func (m *oracle) MostDistantRTT(z scoping.ZoneID) float64 {
 		}
 	}
 	if max == 0 {
-		max = 2 * m.cfg.DefaultDist
+		max = 2 * DefaultDist
 	}
 	return max
 }

@@ -130,13 +130,13 @@ func (m *Manager) EstimateRTT(sender topology.NodeID, ancestors []packet.Ancesto
 }
 
 // Dist returns the one-way distance estimate to peer (RTT/2), falling
-// back to the configured default when nothing is known. Protocol timers
+// back to DefaultDist when nothing is known. Protocol timers
 // are specified in terms of one-way transit times d_{S,A}.
 func (m *Manager) Dist(peer topology.NodeID, ancestors []packet.AncestorRTT) float64 {
 	if rtt, ok := m.EstimateRTT(peer, ancestors); ok && rtt > 0 {
 		return rtt / 2
 	}
-	return m.cfg.DefaultDist
+	return DefaultDist
 }
 
 // MostDistantRTT returns the largest known RTT between this node and any
@@ -174,7 +174,7 @@ func (m *Manager) MostDistantRTT(z scoping.ZoneID) float64 {
 		}
 	}
 	if max == 0 {
-		max = 2 * m.cfg.DefaultDist
+		max = 2 * DefaultDist
 	}
 	return max
 }

@@ -19,56 +19,49 @@ import (
 	"sharqfec/internal/topology"
 )
 
-// Config carries the session-management constants. Defaults (from
-// DefaultConfig) are the values the paper's simulations used where it
-// states them, and documented calibrations where it does not.
-type Config struct {
-	// SteadyLo/SteadyHi bound the uniform stagger between session
-	// messages in steady state (paper: [0.9, 1.1] s).
-	SteadyLo, SteadyHi float64
-	// FastLo/FastHi bound the stagger for the first FastCount messages,
-	// to speed convergence (paper: [0.05, 0.25] s for three messages).
-	FastLo, FastHi float64
-	FastCount      int
-	// RTTAlpha is the weight of a new RTT sample in the EWMA merge.
-	RTTAlpha float64
-	// ChallengeLo/ChallengeHi bound the randomized interval between a
-	// ZCR's periodic challenges.
-	ChallengeLo, ChallengeHi float64
-	// WatchdogFactor scales ChallengeHi into the non-ZCR watchdog
-	// window ("slightly larger than that of their ZCR").
-	WatchdogFactor float64
-	// BootstrapLo/BootstrapHi bound the watchdog window used while a
+// The session-management constants are the values the paper's
+// simulations used where it states them, and documented calibrations
+// where it does not.
+const (
+	// steadyLo/steadyHi bound the uniform stagger between session
+	// messages in steady state (paper §5: [0.9, 1.1] s).
+	steadyLo, steadyHi = 0.9, 1.1
+	// fastLo/fastHi bound the stagger for the first fastCount messages,
+	// to speed convergence (paper §5: [0.05, 0.25] s for three
+	// messages).
+	fastLo, fastHi = 0.05, 0.25
+	fastCount      = 3
+	// rttAlpha is the weight of a new RTT sample in the EWMA merge.
+	rttAlpha = 0.25
+	// challengeLo/challengeHi bound the randomized interval between a
+	// ZCR's periodic challenges (§5.2).
+	challengeLo, challengeHi = 2.0, 3.0
+	// watchdogFactor scales challengeHi into the non-ZCR watchdog
+	// window ("slightly larger than that of their ZCR", §5.2).
+	watchdogFactor = 1.8
+	// bootstrapLo/bootstrapHi bound the watchdog window used while a
 	// zone has no known ZCR at all, so initial elections finish inside
-	// the paper's five-second session-stabilization window.
-	BootstrapLo, BootstrapHi float64
-	// TakeoverEpsilon is the distance improvement (seconds, one-way)
+	// the paper's five-second session-stabilization window (§6.1).
+	bootstrapLo, bootstrapHi = 0.4, 0.9
+	// takeoverEpsilon is the distance improvement (seconds, one-way)
 	// required before a node attempts a takeover, preventing flapping
 	// between near-equidistant candidates.
-	TakeoverEpsilon float64
-	// DefaultDist is the one-way distance assumed for peers with no
-	// estimate yet (bootstraps suppression timers).
-	DefaultDist float64
+	takeoverEpsilon = 0.002
+)
 
+// DefaultDist is the one-way distance (seconds) assumed for peers with
+// no estimate yet; it bootstraps suppression timers.
+const DefaultDist = 0.050
+
+// Config carries what a session member takes from its owner.
+type Config struct {
 	// Telemetry, when non-nil, receives RTT-sample and ZCR-election
 	// events. The owning protocol agent propagates its own bus here.
 	Telemetry *telemetry.Bus
 }
 
-// DefaultConfig returns the paper-calibrated session constants.
-func DefaultConfig() Config {
-	return Config{
-		SteadyLo: 0.9, SteadyHi: 1.1,
-		FastLo: 0.05, FastHi: 0.25,
-		FastCount:   3,
-		RTTAlpha:    0.25,
-		ChallengeLo: 2.0, ChallengeHi: 3.0,
-		WatchdogFactor: 1.8,
-		BootstrapLo:    0.4, BootstrapHi: 0.9,
-		TakeoverEpsilon: 0.002,
-		DefaultDist:     0.050,
-	}
-}
+// DefaultConfig returns a Config with telemetry off.
+func DefaultConfig() Config { return Config{} }
 
 // heardPeer is what a member remembers of one peer at one scope: the last
 // session message heard (for the entry echoed back) and the peer's latest
@@ -255,7 +248,7 @@ func (m *Manager) Start(root bool) {
 // measurement, suppression and takeovers all still operate, so a badly
 // placed designee is corrected the normal way (§5.2).
 func (m *Manager) SeedZCR(z scoping.ZoneID, n topology.NodeID) {
-	m.setZCR(m.net.Sched().Now(), m.zoneFor(z), n, m.cfg.DefaultDist)
+	m.setZCR(m.net.Sched().Now(), m.zoneFor(z), n, DefaultDist)
 }
 
 // Stop silences the manager: it ceases sending session messages,
@@ -269,9 +262,9 @@ func (m *Manager) Stopped() bool { return m.stopped }
 // scheduleSession arms the next session-message timer with the paper's
 // staggering rule.
 func (m *Manager) scheduleSession() {
-	lo, hi := m.cfg.SteadyLo, m.cfg.SteadyHi
-	if m.msgCount < m.cfg.FastCount {
-		lo, hi = m.cfg.FastLo, m.cfg.FastHi
+	lo, hi := steadyLo, steadyHi
+	if m.msgCount < fastCount {
+		lo, hi = fastLo, fastHi
 	}
 	if m.onSession == nil {
 		m.onSession = func(now eventq.Time) {
@@ -427,7 +420,7 @@ func (m *Manager) observeRTT(peer topology.NodeID, sample float64) {
 	if rtt, fresh := m.direct.put(peer); fresh {
 		*rtt = sample
 	} else {
-		*rtt = (1-m.cfg.RTTAlpha)**rtt + m.cfg.RTTAlpha*sample
+		*rtt = (1-rttAlpha)**rtt + rttAlpha*sample
 	}
 }
 

@@ -254,7 +254,7 @@ func TestDistFallback(t *testing.T) {
 	spec := topology.Chain(3, 10e6, 0.010, 0)
 	h := newHarness(t, spec, 14)
 	// Before any session traffic, Dist falls back to the default.
-	if d := h.mgrs[0].Dist(2, nil); d != DefaultConfig().DefaultDist {
+	if d := h.mgrs[0].Dist(2, nil); d != DefaultDist {
 		t.Fatalf("fallback dist = %v", d)
 	}
 }

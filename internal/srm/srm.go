@@ -26,27 +26,33 @@ import (
 	"sharqfec/internal/topology"
 )
 
-// Config carries SRM's parameters. Timer constants are initial values;
-// with Adaptive set they evolve within the documented bounds.
-type Config struct {
-	Source      topology.NodeID
-	PayloadSize int
-	Rate        float64
-	NumPackets  int
-
-	// C1, C2 shape the request timer 2^i·U[C1·d, (C1+C2)·d].
-	C1, C2 float64
-	// D1, D2 shape the reply timer U[D1·d, (D1+D2)·d].
-	D1, D2 float64
-	// Adaptive enables timer-constant adaptation.
-	Adaptive bool
-	// HoldDown is the quiet period (in units of one-way distance to the
+// SRM's constants, matching the paper's simulations (same stream as
+// SHARQFEC).
+const (
+	// payloadSize and interPacket are SHARQFEC's: 1000-byte wire
+	// packets (17-byte data header) at 800 kbit/s, one every 10 ms.
+	payloadSize = 1000 - 17
+	interPacket = float64(payloadSize+17) * 8 / 800e3
+	// initC1, initC2 are the initial request-timer constants, shaping
+	// 2^i·U[C1·d, (C1+C2)·d]; initD1, initD2 the initial reply-timer
+	// constants, shaping U[D1·d, (D1+D2)·d]. With Adaptive set they
+	// evolve within the documented bounds.
+	initC1, initC2 = 2.0, 2.0
+	initD1, initD2 = 1.0, 1.0
+	// holdDown is the quiet period (in units of one-way distance to the
 	// requester) after sending or hearing a repair during which new
 	// requests for the same packet are ignored (the SRM paper's "3·d"
 	// ignore-backoff).
-	HoldDown float64
+	holdDown = 3
+)
 
-	Session session.Config
+// Config carries SRM's run parameters.
+type Config struct {
+	Source     topology.NodeID
+	NumPackets int
+
+	// Adaptive enables timer-constant adaptation.
+	Adaptive bool
 
 	// Telemetry, when non-nil, receives request/repair lifecycle
 	// events (the SRM analogue of core's emissions).
@@ -54,24 +60,13 @@ type Config struct {
 }
 
 // DefaultConfig returns SRM defaults matching the paper's simulations
-// (same stream as SHARQFEC; adaptive timers on).
+// (adaptive timers on).
 func DefaultConfig() Config {
 	return Config{
-		Source:      0,
-		PayloadSize: 1000 - 17,
-		Rate:        800e3,
-		NumPackets:  1024,
-		C1:          2, C2: 2,
-		D1: 1, D2: 1,
-		Adaptive: true,
-		HoldDown: 3,
-		Session:  session.DefaultConfig(),
+		Source:     0,
+		NumPackets: 1024,
+		Adaptive:   true,
 	}
-}
-
-// InterPacket returns the source's data inter-packet interval in seconds.
-func (c *Config) InterPacket() float64 {
-	return float64(c.PayloadSize+17) * 8 / c.Rate
 }
 
 // Stats are per-agent counters.
@@ -149,12 +144,11 @@ func New(node topology.NodeID, net fabric.Network, cfg Config, src *simrand.Sour
 		root:     net.Hierarchy().Root(),
 		pkts:     make(map[uint32]*pktState),
 		maxSeq:   -1,
-		c1:       cfg.C1, c2: cfg.C2,
-		d1: cfg.D1, d2: cfg.D2,
+		c1:       initC1, c2: initC2,
+		d1: initD1, d2: initD2,
 		tel: cfg.Telemetry,
 	}
-	cfg.Session.Telemetry = cfg.Telemetry
-	a.sess = session.New(node, net, cfg.Session, src.StreamN("session", int(node)))
+	a.sess = session.New(node, net, session.Config{Telemetry: cfg.Telemetry}, src.StreamN("session", int(node)))
 	if a.isSource {
 		a.sendData = make(map[uint32][]byte)
 	}
@@ -184,7 +178,7 @@ func (a *Agent) StartSource() {
 	if !a.isSource {
 		panic("srm: StartSource on a receiver")
 	}
-	ipt := eventq.Duration(a.cfg.InterPacket())
+	ipt := eventq.Duration(interPacket)
 	for s := 0; s < a.cfg.NumPackets; s++ {
 		seq := uint32(s)
 		a.net.Sched().After(eventq.Duration(float64(s))*ipt, func(now eventq.Time) {
@@ -197,7 +191,7 @@ func (a *Agent) sourceSend(now eventq.Time, seq uint32) {
 	if a.stopped {
 		return
 	}
-	payload := make([]byte, a.cfg.PayloadSize)
+	payload := make([]byte, payloadSize)
 	for j := range payload {
 		payload[j] = byte(a.rng.IntN(256))
 	}
@@ -421,7 +415,7 @@ func (a *Agent) replyFired(now eventq.Time, seq uint32, st *pktState, d float64)
 	})
 	a.Stats.RepairsSent++
 	a.emit(now, telemetry.KindRepairSent, seq, 0, 0, 0)
-	st.holdTill = now.Add(eventq.Duration(a.cfg.HoldDown * d))
+	st.holdTill = now.Add(eventq.Duration(holdDown * d))
 	a.adaptAfterReply(st)
 }
 
@@ -437,7 +431,7 @@ func (a *Agent) handleRepair(now eventq.Time, p *packet.Repair) {
 			a.Stats.RepairsSuppressed++
 			a.emit(now, telemetry.KindRepairSuppressed, seq, 0, 0, 0)
 		}
-		st.holdTill = now.Add(eventq.Duration(a.cfg.HoldDown * a.sess.Dist(p.Origin, nil)))
+		st.holdTill = now.Add(eventq.Duration(holdDown * a.sess.Dist(p.Origin, nil)))
 		a.adaptAfterReply(st)
 		return
 	}
@@ -445,7 +439,7 @@ func (a *Agent) handleRepair(now eventq.Time, p *packet.Repair) {
 		a.hold(now, seq, p.Payload)
 	}
 	st.reqExp = 0 // repair arrived: reset back-off (SRM)
-	st.holdTill = now.Add(eventq.Duration(a.cfg.HoldDown * a.sess.Dist(p.Origin, nil)))
+	st.holdTill = now.Add(eventq.Duration(holdDown * a.sess.Dist(p.Origin, nil)))
 	a.adaptRequestTimers(st)
 }
 

@@ -187,7 +187,7 @@ func TestNonAdaptiveKeepsConstants(t *testing.T) {
 	w := newWorld(t, spec, cfg, 7)
 	w.run(90)
 	for _, ag := range w.agents {
-		if ag.c1 != cfg.C1 || ag.c2 != cfg.C2 || ag.d1 != cfg.D1 || ag.d2 != cfg.D2 {
+		if ag.c1 != initC1 || ag.c2 != initC2 || ag.d1 != initD1 || ag.d2 != initD2 {
 			t.Fatal("constants changed with Adaptive off")
 		}
 	}

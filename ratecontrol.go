@@ -85,7 +85,7 @@ func isFinite64(f float64) bool {
 // applied, for reports.
 func (c *RateControlConfig) budget() float64 {
 	if c == nil || c.Budget <= 0 {
-		return 0.5
+		return ratecontrol.DefaultBudget
 	}
 	return c.Budget
 }
@@ -93,16 +93,11 @@ func (c *RateControlConfig) budget() float64 {
 // factory maps the config to a core controller constructor; nil — for
 // off and static alike — keeps core's built-in static EWMA controller,
 // so the two modes are the same decisions by construction.
-func (c *RateControlConfig) factory(pcfg core.Config) func(topology.NodeID) core.Controller {
+func (c *RateControlConfig) factory() func(topology.NodeID) core.Controller {
 	if c == nil || c.Mode != RateControlAdaptive {
 		return nil
 	}
-	rcfg := ratecontrol.Config{
-		Budget:     c.Budget,
-		ArqPenalty: c.ArqPenalty,
-		EWMAOld:    pcfg.EWMAOld,
-		EWMANew:    pcfg.EWMANew,
-	}
+	rcfg := ratecontrol.Config{Budget: c.Budget, ArqPenalty: c.ArqPenalty}
 	return func(topology.NodeID) core.Controller {
 		return ratecontrol.New(rcfg)
 	}
@@ -137,6 +132,12 @@ func RunControllerComparison(cfg ControllerComparisonConfig) (*analysis.Controll
 	if err := (&RateControlConfig{Mode: RateControlAdaptive, Budget: cfg.Budget, ArqPenalty: cfg.ArqPenalty}).validate(); err != nil {
 		return nil, err
 	}
+	defaulted := cfg.Base
+	defaulted.applyDefaults()
+	groupK := defaulted.GroupK
+	if groupK == 0 {
+		groupK = core.DefaultConfig().GroupK
+	}
 	seeds := cfg.Seeds
 	if len(seeds) == 0 {
 		seeds = []uint64{cfg.Base.Seed}
@@ -145,7 +146,6 @@ func RunControllerComparison(cfg ControllerComparisonConfig) (*analysis.Controll
 		var (
 			pool                 []spans.Span
 			sent, injected, maxH int64
-			packets              int
 		)
 		for _, seed := range seeds {
 			res, err := runPolicy(cfg, mode, seed)
@@ -158,13 +158,8 @@ func RunControllerComparison(cfg ControllerComparisonConfig) (*analysis.Controll
 			if h := res.Telemetry.ControllerMaxH; h > maxH {
 				maxH = h
 			}
-			np := cfg.Base.NumPackets
-			if np == 0 {
-				np = 1024
-			}
-			packets += np
 		}
-		return analysis.SummarizePolicy(string(mode), pool, sent, injected, packets, maxH), nil
+		return analysis.SummarizePolicy(string(mode), pool, sent, injected, len(seeds)*defaulted.NumPackets, maxH), nil
 	}
 	static, err := run(RateControlStatic)
 	if err != nil {
@@ -175,10 +170,6 @@ func RunControllerComparison(cfg ControllerComparisonConfig) (*analysis.Controll
 		return nil, err
 	}
 	rc := &RateControlConfig{Mode: RateControlAdaptive, Budget: cfg.Budget}
-	groupK := cfg.Base.GroupK
-	if groupK == 0 {
-		groupK = 16
-	}
 	return &analysis.ControllerReport{
 		Static:   static,
 		Adaptive: adaptive,

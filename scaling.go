@@ -171,12 +171,21 @@ func RunScalingSweep(cfg ScalingSweepConfig) (*analysis.ScalingReport, error) {
 }
 
 // validate rejects, after defaulting, what would hang, panic or
-// measure nothing: a non-finite or negative Seconds, and a negative
-// hierarchy size. Comparisons are written so NaN fails them; newSim
-// refuses a bad Shards.
+// measure nothing: a non-finite or negative Seconds, a negative
+// hierarchy size, a Tolerance that is not a finite positive fraction
+// (NaN would pass every row, a negative one flag every row) and a
+// negative FlatCutoff (which would make every flat column analytic).
+// Comparisons are written so NaN fails them; newSim refuses a bad
+// Shards.
 func (c *ScalingSweepConfig) validate() error {
 	if !(isFinite64(c.Seconds) && c.Seconds >= 0) {
 		return fmt.Errorf("sharqfec: Seconds = %v; want a finite time >= 0", c.Seconds)
+	}
+	if !(isFinite64(c.Tolerance) && c.Tolerance > 0) {
+		return fmt.Errorf("sharqfec: Tolerance = %v; want a finite fraction > 0", c.Tolerance)
+	}
+	if c.FlatCutoff < 0 {
+		return fmt.Errorf("sharqfec: FlatCutoff = %d; want >= 0", c.FlatCutoff)
 	}
 	for _, f := range []struct {
 		name string

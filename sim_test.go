@@ -99,6 +99,9 @@ func TestRunConfigValidation(t *testing.T) {
 		{"sweep-cities-negative", errOf(RunScalingSweep(ScalingSweepConfig{Cities: -1})), "Cities"},
 		{"sweep-suburbs-negative", errOf(RunScalingSweep(ScalingSweepConfig{Suburbs: -1})), "Suburbs"},
 		{"sweep-subscribers-negative", errOf(RunScalingSweep(ScalingSweepConfig{Subscribers: []int{2, -1}})), "Subscribers[1]"},
+		{"sweep-tolerance-nan", errOf(RunScalingSweep(ScalingSweepConfig{Tolerance: nan})), "Tolerance"},
+		{"sweep-tolerance-negative", errOf(RunScalingSweep(ScalingSweepConfig{Tolerance: -0.1})), "Tolerance"},
+		{"sweep-flatcutoff-negative", errOf(RunScalingSweep(ScalingSweepConfig{FlatCutoff: -1})), "FlatCutoff"},
 		{"loss-negative", errOf(RunData(lossy(-1))), "link 0"},
 		{"loss-nan", errOf(RunData(lossy(nan))), "link 0"},
 		{"loss-above-one", errOf(RunData(lossy(1.5))), "link 0"},
