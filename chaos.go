@@ -175,8 +175,8 @@ type ChaosConfig struct {
 	// Telemetry configures extra exports (JSONL trace, snapshot
 	// interval, ring size). RunChaos keeps a bus, metrics registry,
 	// span assembler and 512-event flight recorder running even when
-	// this is nil — its result counters are registry-backed, and
-	// anomalous endings dump a span ledger with the event tail.
+	// this is nil — its repair-locality fraction is registry-backed,
+	// and anomalous endings dump a span ledger with the event tail.
 	Telemetry *TelemetryConfig
 }
 
@@ -258,8 +258,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	if _, ok := cfg.Protocol.options(); !ok {
 		return nil, fmt.Errorf("sharqfec: RunChaos needs a SHARQFEC variant, got %q", cfg.Protocol)
 	}
-	// Chaos runs always carry telemetry: the result's traffic counters
-	// come from the metrics registry, and the flight recorder preserves
+	// Chaos runs always carry telemetry: the repair-locality fraction
+	// comes from the metrics registry, and the flight recorder preserves
 	// the control-plane tail for anomalous endings.
 	tcfg := TelemetryConfig{}
 	if cfg.Telemetry != nil {
@@ -283,7 +283,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		// the zone is sampled on the paper's 0.1 s measurement grid until
 		// its surviving members unanimously report a live replacement ZCR.
 		r.onCrash = func(now eventq.Time, node topology.NodeID) {
-			zone := r.s.h.LeafZone(node)
+			zone := r.h.LeafZone(node)
 			reelections = append(reelections, Reelection{
 				Crashed: int(node), Zone: int(zone), NewZCR: -1,
 				CrashAt: now.Seconds(), RecoverySeconds: -1,
@@ -294,24 +294,23 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 			idx := len(reelections) - 1
 			var poll func(eventq.Time)
 			poll = func(pnow eventq.Time) {
-				if zcr, ok := zoneAgreement(r.s.h, r.coreAgent, zone, node); ok {
+				if zcr, ok := zoneAgreement(r.h, r.coreAgent, zone, node); ok {
 					re := &reelections[idx]
 					re.NewZCR = int(zcr)
 					re.RecoverySeconds = pnow.Seconds() - re.CrashAt
 					return
 				}
 				if pnow.Seconds() < cfg.Until {
-					r.s.at(pnow.Add(defaultBinWidth), poll)
+					r.at(pnow.Add(defaultBinWidth), poll)
 				}
 			}
-			r.s.at(now.Add(defaultBinWidth), poll)
+			r.at(now.Add(defaultBinWidth), poll)
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Traffic counters come from the metrics registry.
 	rep := d.Telemetry
 	res := &ChaosResult{
 		Protocol:        d.Protocol,
@@ -321,10 +320,10 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		Verified:        d.Verified,
 		Reelections:     reelections,
 		LocalRepairFrac: rep.LocalRepairFrac,
-		FaultDrops:      int(rep.FaultDrops),
+		FaultDrops:      d.FaultDrops,
 		FaultLog:        d.FaultLog,
-		NACKsSent:       int(rep.NACKsSent),
-		RepairsSent:     int(rep.RepairsSent),
+		NACKsSent:       d.NACKsSent,
+		RepairsSent:     d.RepairsSent,
 		Health:          rep.HealthReport(),
 		Telemetry:       rep,
 	}

@@ -29,7 +29,8 @@
 //	-metrics-out       write the per-zone metrics time series to this
 //	                   file (CSV, or a JSON array when the file name
 //	                   ends in .json)
-//	-metrics-interval  virtual seconds between snapshots (default 1)
+//	-metrics-interval  virtual seconds between snapshots (default 1;
+//	                   0 means the default, else at least 0.001)
 //	-spans             assemble causal recovery spans and print the
 //	                   per-zone recovery-latency report
 //	-perfetto          write the recovery spans as Chrome trace-event
@@ -96,7 +97,7 @@ func main() {
 	faultsPath := flag.String("faults", "", "fault-plan file to replay against the run")
 	eventsPath := flag.String("trace-events", "", "write a JSONL protocol-event trace to this file")
 	metricsPath := flag.String("metrics-out", "", "write per-zone metrics time series to this file (.json for JSON, else CSV)")
-	metricsInterval := flag.Float64("metrics-interval", 1, "virtual seconds between metrics snapshots")
+	metricsInterval := flag.Float64("metrics-interval", 1, "virtual seconds between metrics snapshots (0 = default; else >= 0.001)")
 	spansFlag := flag.Bool("spans", false, "assemble causal recovery spans and print the recovery report")
 	perfettoPath := flag.String("perfetto", "", "write recovery spans as Chrome trace-event JSON (implies -spans)")
 	flightRec := flag.Int("flight-recorder", 0, "keep a ring of the last N control-plane events")

@@ -10,8 +10,11 @@ import (
 	"sharqfec/internal/eventq"
 	"sharqfec/internal/faults"
 	"sharqfec/internal/netsim"
+	"sharqfec/internal/scoping"
+	"sharqfec/internal/simrand"
 	"sharqfec/internal/srm"
 	"sharqfec/internal/stats"
+	"sharqfec/internal/telemetry"
 	"sharqfec/internal/telemetry/census"
 	"sharqfec/internal/topology"
 )
@@ -130,7 +133,8 @@ type DataResult struct {
 
 // validate rejects, after defaulting, what no run can honour: numbers
 // that would panic, hang or silently simulate nothing, bad telemetry
-// or rate-control tuning, and — the one place they live — the features
+// or rate-control tuning, a shard count out of range, a link loss that
+// is not a probability, and — the one place they live — the features
 // a run on several shards cannot carry yet. Times must be finite and
 // non-negative (an infinite horizon never returns: session timers
 // re-arm forever), the stream non-empty and the queue bound
@@ -157,6 +161,16 @@ func (c *DataConfig) validate() error {
 	}
 	if err := c.RateControl.validate(); err != nil {
 		return err
+	}
+	if c.Shards < 0 || c.Shards > eventq.MaxShards {
+		return fmt.Errorf("sharqfec: Shards = %d; want 0 to %d", c.Shards, eventq.MaxShards)
+	}
+	g := c.Topology.spec.Graph
+	for i := range g.NumLinks() {
+		if l := g.Link(i); !(l.LossAB >= 0 && l.LossAB <= 1 && l.LossBA >= 0 && l.LossBA <= 1) {
+			return fmt.Errorf("sharqfec: link %d (%d-%d) LossAB/LossBA = %v/%v; want probabilities in [0, 1]",
+				i, l.A, l.B, l.LossAB, l.LossBA)
+		}
 	}
 	switch {
 	case c.Shards < 2:
@@ -189,12 +203,36 @@ type dataProtocol struct {
 	totals func(res *DataResult)
 }
 
-// dataRun is the state of one data run. The caller's prepare hook sees
-// it before any agent exists; the entry points that fold more out of a
-// run than DataResult carries get it back with the result.
+// dataRun is one run: the zone hierarchy, the seeded random source and
+// the netsim fabric under one engine — an eventq.ShardGroup with one
+// netsim.Network view per shard, the topology partitioned by top-level
+// zone — plus the observers wired into it and the state of its agents.
+// One shard is the default; more run the same scenario concurrently.
+// The caller's prepare hook sees the run before any agent exists; the
+// entry points that fold more out of a run than DataResult carries get
+// it back with the result.
+//
+// The contract a scenario keeps: an agent is touched only from handlers
+// on its own node or inside at() tasks; everything that acts across
+// nodes (joins, source start, faults, snapshots) goes in at(); per-node
+// tallies are folded after the run returns.
 type dataRun struct {
-	s   *sim
-	tel *telemetryRun
+	spec    *topology.Spec
+	h       *scoping.Hierarchy
+	src     *simrand.Source
+	members []topology.NodeID // spec.Members(): the order scenarios walk agents in
+
+	grp   *eventq.ShardGroup
+	nets  []*netsim.Network // one view per shard
+	owner []int32           // node → index into nets
+
+	// The observers the driver wires into every view and agent, each
+	// nil when off: the telemetry bus (tel holds its sinks) and the
+	// census engine, which TelemetryConfig.Census arms or prepare sets.
+	bus    *telemetry.Bus
+	tel    *telemetryRun
+	census *census.Engine
+
 	// pcfg is the SHARQFEC agent config (zero under SRM); prepare may
 	// tune it, short of the stream's shape, before any agent is built.
 	pcfg core.Config
@@ -215,6 +253,18 @@ type dataRun struct {
 	gone   []bool // by node: crashed or left, and not restarted
 }
 
+// netFor returns the network view node's agent attaches to and sends on.
+func (r *dataRun) netFor(node topology.NodeID) *netsim.Network {
+	return r.nets[r.owner[node]]
+}
+
+// at schedules fn at virtual time t with the whole simulation quiescent
+// (a sync barrier, run before any shard dispatches events at t). Call it
+// before the run starts or from inside another at task.
+func (r *dataRun) at(t eventq.Time, fn func(now eventq.Time)) {
+	r.grp.Sync(t, fn)
+}
+
 // coreAgent returns node's current SHARQFEC agent (nil off-session).
 func (r *dataRun) coreAgent(node topology.NodeID) *core.Agent {
 	ag, _ := r.agents[node].(*core.Agent)
@@ -230,7 +280,7 @@ func (r *dataRun) doneOf(node topology.NodeID) []eventq.Time {
 // the receivers keep accepts (0 when it accepts none).
 func (r *dataRun) completion(keep func(m topology.NodeID) bool) float64 {
 	rcvrs, done := 0, 0
-	for _, m := range r.s.spec.Receivers {
+	for _, m := range r.spec.Receivers {
 		if !keep(m) {
 			continue
 		}
@@ -255,10 +305,12 @@ func RunData(cfg DataConfig) (*DataResult, error) {
 }
 
 // runData is the one data driver: the paper's session script on one
-// topology, under an optional fault plan. prepare, when non-nil, runs
-// once the engine and the run state exist and before any agent is
-// built — the place to set r.onCrash, tune r.pcfg, add a tap or
-// schedule an at() task (one at memberJoinAt runs before the join).
+// topology, under an optional fault plan, on max(Shards, 1) shards (0
+// and 1 are the same one-shard run). prepare, when non-nil, runs once
+// the engine and the telemetry exist and before any view is wired or
+// agent built — the place to set r.onCrash or r.census, tune r.pcfg,
+// add a tap or schedule an at() task (one at memberJoinAt runs before
+// the join).
 func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, error) {
 	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {
@@ -273,42 +325,35 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 		spec = globalized(spec)
 	}
 	spec = cloneForFaults(spec, cfg.Faults)
-	s, err := newSim(spec, cfg.Seed, cfg.Shards, cfg.Topology.spec.Zones)
+	h, err := scoping.Build(spec.Zones)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	var tracer *stats.Tracer
-	if cfg.TraceWriter != nil {
-		tracer = stats.NewTracer(cfg.TraceWriter)
+	// The partition follows the topology's native zones even when spec
+	// runs globalized: flattening changes packet scoping, not the
+	// physical locality a partition exploits, and a config-independent
+	// partition means one owner map per (topology, shard count) for
+	// every protocol.
+	shards := max(cfg.Shards, 1)
+	owner, lookahead := topology.PartitionByZone(spec.Graph, cfg.Topology.spec.Zones, shards)
+	if lookahead <= 0 {
+		return nil, nil, fmt.Errorf("sharqfec: topology %q has a zero-latency link; cannot shard", spec.Name)
 	}
-	tel := startTelemetry(cfg.Telemetry, s, cfg.Until)
-	if c := tel.censusOf(); c != nil {
-		c.BindLinks(spec.Graph)
-	}
-	// One collector per network view, each fed from its own shard and
-	// merged after the run.
-	var cols []*stats.Collector
-	s.eachNet(func(n *netsim.Network) {
-		n.QueueLimit = cfg.QueueLimit
-		col := stats.NewCollector(spec.Source, len(spec.Receivers), defaultBinWidth)
-		cols = append(cols, col)
-		n.AddTap(col.Tap())
-		n.AddSendTap(col.SendTap())
-		if tracer != nil {
-			n.AddTap(tracer.Tap())
-			n.AddSendTap(tracer.SendTap())
-		}
-		n.SetTelemetry(tel.busOf())
-		if c := tel.censusOf(); c != nil {
-			n.SetHopTap(c.ObserveHop)
-		}
-	})
-
 	r := &dataRun{
-		s: s, tel: tel,
+		spec: spec, h: h, src: simrand.New(cfg.Seed), members: spec.Members(),
+		grp: eventq.NewShardGroup(shards, lookahead), owner: owner,
 		agents: make([]dataAgent, spec.Graph.NumNodes()),
 		gone:   make([]bool, spec.Graph.NumNodes()),
+	}
+	cluster, err := netsim.NewCluster(r.grp, spec.Graph, h, r.src, owner)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := range shards {
+		r.nets = append(r.nets, cluster.Shard(i))
+	}
+	if cfg.Telemetry != nil {
+		r.startTelemetry(cfg.Telemetry, cfg.Until)
 	}
 	var proto dataProtocol
 	if isSHARQFEC {
@@ -319,6 +364,33 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 	if prepare != nil {
 		prepare(r)
 	}
+
+	// Wire every view. With several shards each view calls its taps from
+	// its own shard's goroutine, so each gets its own collector, merged
+	// after the run; the census hop tap is atomic.
+	var tracer *stats.Tracer
+	if cfg.TraceWriter != nil {
+		tracer = stats.NewTracer(cfg.TraceWriter)
+	}
+	if r.census != nil {
+		r.census.BindLinks(spec.Graph)
+	}
+	cols := make([]*stats.Collector, len(r.nets))
+	for i, n := range r.nets {
+		n.QueueLimit = cfg.QueueLimit
+		cols[i] = stats.NewCollector(spec.Source, len(spec.Receivers), defaultBinWidth)
+		n.AddTap(cols[i].Tap())
+		n.AddSendTap(cols[i].SendTap())
+		if tracer != nil {
+			n.AddTap(tracer.Tap())
+			n.AddSendTap(tracer.SendTap())
+		}
+		n.SetTelemetry(r.bus)
+		if r.census != nil {
+			n.SetHopTap(r.census.ObserveHop)
+		}
+	}
+
 	spawn := func(node topology.NodeID) (dataAgent, error) {
 		ag, err := proto.spawn(node)
 		if err != nil {
@@ -328,15 +400,20 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 		r.spawned = append(r.spawned, ag)
 		return ag, nil
 	}
-	for _, m := range s.members {
+	for _, m := range r.members {
 		if _, err := spawn(m); err != nil {
 			return nil, nil, err
 		}
 	}
 
+	// A fault plan's events fire in at() tasks and mutate the whole
+	// network: every view's link, loss-model and membership mutators
+	// apply network-wide.
 	var eng *faults.Engine
 	if !cfg.Faults.Empty() {
-		eng = s.faultEngine(cfg.Faults, tel.busOf())
+		eng = faults.NewEngine(r.nets[0], r.src, &cfg.Faults.plan)
+		eng.Schedule = r.at
+		eng.Telemetry = r.bus
 		stop := func(node topology.NodeID) bool {
 			ag := r.agents[node]
 			if ag != nil {
@@ -367,21 +444,21 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 
 	// The session script: every member joins at memberJoinAt, in member
 	// order, and the source starts sending at SourceOnAt.
-	s.at(secondsToTime(memberJoinAt), func(eventq.Time) {
-		for _, m := range s.members {
+	r.at(secondsToTime(memberJoinAt), func(eventq.Time) {
+		for _, m := range r.members {
 			r.agents[m].Join()
 		}
 	})
-	s.at(secondsToTime(cfg.SourceOnAt), func(eventq.Time) { r.agents[spec.Source].StartSource() })
-	s.run(secondsToTime(cfg.Until))
+	r.at(secondsToTime(cfg.SourceOnAt), func(eventq.Time) { r.agents[spec.Source].StartSource() })
+	r.grp.Run(secondsToTime(cfg.Until))
 	if tracer != nil {
 		if err := tracer.Flush(); err != nil {
 			return nil, nil, fmt.Errorf("sharqfec: packet trace: %w", err)
 		}
 	}
-	if tel != nil {
+	if r.bus != nil {
 		for _, ag := range r.spawned {
-			ag.EmitUnrecoveredLosses(s.queue().Now())
+			ag.EmitUnrecoveredLosses(r.grp.Queue(0).Now())
 		}
 	}
 
@@ -389,8 +466,9 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 		Protocol:  cfg.Protocol,
 		Topology:  spec.Name,
 		Receivers: len(spec.Receivers),
+		FaultLog:  faultLog(eng),
 	}
-	res.Telemetry, err = tel.finish(cfg.Until)
+	res.Telemetry, err = r.finishTelemetry(cfg.Until)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -399,8 +477,9 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 	}
 	fillSeries(res, cols[0])
 	proto.totals(res)
-	res.FaultDrops = s.faultDrops()
-	res.FaultLog = faultLog(eng)
+	for _, n := range r.nets {
+		res.FaultDrops += int(n.FaultDrops())
+	}
 	return res, r, nil
 }
 
@@ -420,12 +499,11 @@ func payloadsMatch(got, want [][]byte) bool {
 }
 
 func sharqfecProtocol(cfg *DataConfig, opts core.Options, r *dataRun) dataProtocol {
-	s := r.s
 	r.pcfg = core.DefaultConfig()
-	r.pcfg.Source = s.spec.Source
+	r.pcfg.Source = r.spec.Source
 	r.pcfg.NumPackets = cfg.NumPackets
 	r.pcfg.Options = opts
-	r.pcfg.Telemetry = r.tel.busOf()
+	r.pcfg.Telemetry = r.bus
 	if cfg.GroupK > 0 {
 		r.pcfg.GroupK = cfg.GroupK
 	}
@@ -434,17 +512,21 @@ func sharqfecProtocol(cfg *DataConfig, opts core.Options, r *dataRun) dataProtoc
 	// r.done and bad[node], a payload mismatch, are written only from
 	// their node's completions, so shards never share an entry.
 	r.groups = r.pcfg.NumGroups()
-	r.done = make([]eventq.Time, s.spec.Graph.NumNodes()*r.groups)
-	bad := make([]bool, s.spec.Graph.NumNodes())
+	r.done = make([]eventq.Time, r.spec.Graph.NumNodes()*r.groups)
+	bad := make([]bool, r.spec.Graph.NumNodes())
 	var source *core.Agent
 	return dataProtocol{
 		spawn: func(node topology.NodeID) (dataAgent, error) {
-			ag, err := core.New(node, s.netFor(node), r.pcfg, s.src)
+			ag, err := core.New(node, r.netFor(node), r.pcfg, r.src)
 			if err != nil {
 				return nil, err
 			}
-			probeCensus(r.tel.censusOf(), ag)
-			if node == s.spec.Source {
+			// A restart replaces the crashed agent's probe; stopped
+			// agents report zero.
+			if r.census != nil {
+				r.census.SetProbe(node, func() census.State { return ag.StateCensus() })
+			}
+			if node == r.spec.Source {
 				source = ag
 				return ag, nil
 			}
@@ -476,29 +558,18 @@ func sharqfecProtocol(cfg *DataConfig, opts core.Options, r *dataRun) dataProtoc
 	}
 }
 
-// probeCensus registers an agent's state census with the engine (nil:
-// census off); a restart replaces the crashed agent's probe, and
-// stopped agents report zero.
-func probeCensus(c *census.Engine, ag *core.Agent) {
-	if c == nil {
-		return
-	}
-	c.SetProbe(ag.Node(), func() census.State { return ag.StateCensus() })
-}
-
 // srmProtocol runs the SRM baseline. Its agents expose no state probe
 // (the census's traffic matrices and queue shape still apply) and
 // no completion hook: totals and the sampled payload check read agent
 // state after the run.
 func srmProtocol(cfg *DataConfig, r *dataRun) dataProtocol {
-	s := r.s
 	pcfg := srm.DefaultConfig()
-	pcfg.Source = s.spec.Source
+	pcfg.Source = r.spec.Source
 	pcfg.NumPackets = cfg.NumPackets
-	pcfg.Telemetry = r.tel.busOf()
+	pcfg.Telemetry = r.bus
 	return dataProtocol{
 		spawn: func(node topology.NodeID) (dataAgent, error) {
-			ag, err := srm.New(node, s.netFor(node), pcfg, s.src)
+			ag, err := srm.New(node, r.netFor(node), pcfg, r.src)
 			if err != nil {
 				return nil, err
 			}
@@ -511,10 +582,10 @@ func srmProtocol(cfg *DataConfig, r *dataRun) dataProtocol {
 				res.NACKsSent += st.RequestsSent
 				res.RepairsSent += st.RepairsSent
 			}
-			source := r.agents[s.spec.Source].(*srm.Agent)
+			source := r.agents[r.spec.Source].(*srm.Agent)
 			held := 0
 			res.Verified = true
-			for _, m := range s.spec.Receivers {
+			for _, m := range r.spec.Receivers {
 				ag := r.agents[m].(*srm.Agent)
 				held += ag.Held()
 				for seq := uint32(0); res.Verified && seq < uint32(cfg.NumPackets); seq += 13 {
@@ -524,7 +595,7 @@ func srmProtocol(cfg *DataConfig, r *dataRun) dataProtocol {
 					}
 				}
 			}
-			res.CompletionRate = float64(held) / float64(len(s.spec.Receivers)*cfg.NumPackets)
+			res.CompletionRate = float64(held) / float64(len(r.spec.Receivers)*cfg.NumPackets)
 		},
 	}
 }

@@ -72,8 +72,6 @@ func TestRateControlRejectsNonFinite(t *testing.T) {
 		{Mode: RateControlAdaptive, Budget: math.Inf(1)},
 		{Mode: RateControlAdaptive, Budget: -0.5},
 		{Mode: RateControlAdaptive, Budget: 1.5},
-		{Mode: RateControlAdaptive, ArqPenalty: math.NaN()},
-		{Mode: RateControlAdaptive, ArqPenalty: math.Inf(-1)},
 		{Mode: "turbo"},
 	}
 	for _, rc := range bad {
@@ -89,7 +87,7 @@ func TestRateControlRejectsNonFinite(t *testing.T) {
 		t.Error("RunControllerComparison accepted NaN budget")
 	}
 	ok := DataConfig{Protocol: SHARQFEC, NumPackets: 16,
-		RateControl: &RateControlConfig{Mode: RateControlAdaptive, Budget: 0.5, ArqPenalty: 12}}
+		RateControl: &RateControlConfig{Mode: RateControlAdaptive, Budget: 0.5}}
 	if _, err := RunData(ok); err != nil {
 		t.Errorf("valid rate-control config rejected: %v", err)
 	}

@@ -50,8 +50,8 @@ func (a *Agent) adaptTimers(g *group) {
 		a.c1 -= 0.05
 		a.c2 -= 0.1
 	}
-	a.c1 = clampF(a.c1, 0.5, 8)
-	a.c2 = clampF(a.c2, 1, 16)
+	a.c1 = min(max(a.c1, 0.5), 8)
+	a.c2 = min(max(a.c2, 1), 16)
 }
 
 // timerC1C2 returns the request-timer constants currently in effect.
@@ -65,13 +65,3 @@ func (a *Agent) timerC1C2() (float64, float64) {
 // TimerConstants reports the request-timer constants in effect (equal to
 // the configured C1/C2 unless adaptation has moved them).
 func (a *Agent) TimerConstants() (c1, c2 float64) { return a.timerC1C2() }
-
-func clampF(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}

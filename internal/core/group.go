@@ -149,7 +149,7 @@ func (g *group) markLossed(i int)   { g.sl.set(g.bits, laneLossed, i) }
 
 // needed returns how many more distinct shares complete the group.
 func (g *group) needed() int {
-	return maxInt(0, g.k-g.held)
+	return max(0, g.k-g.held)
 }
 
 // admit is the one door by which a share off the wire enters a group.
@@ -563,7 +563,7 @@ func (a *Agent) handleRepair(now eventq.Time, p *packet.Repair) {
 	}
 	for i, z := range a.chain {
 		if lv := &g.lv[i]; lv.pending > 0 && a.net.Hierarchy().IsAncestor(scope, z) {
-			lv.pending = maxInt(0, lv.pending-credit)
+			lv.pending = max(0, lv.pending-credit)
 		}
 	}
 	// Cancel the reply timer only once the whole repair is covered.
@@ -631,11 +631,4 @@ func (a *Agent) maybeComplete(now eventq.Time, g *group) {
 			}
 		})
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

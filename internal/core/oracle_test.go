@@ -358,7 +358,7 @@ func (g *oracleGroup) lossed(i int) bool  { return g.sl.get(g.bits, laneLossed, 
 func (g *oracleGroup) markLossed(i int)   { g.sl.set(g.bits, laneLossed, i) }
 
 func (g *oracleGroup) needed() int {
-	return maxInt(0, g.k-g.held)
+	return max(0, g.k-g.held)
 }
 
 func (a *oracleAgent) admit(gid uint32, index, groupK uint8, repair bool, payload []byte) (g *oracleGroup, stored bool) {
@@ -828,7 +828,7 @@ func (a *oracleAgent) serveQueuedRepairs(now eventq.Time, g *oracleGroup) {
 		for j := 0; j <= i; j++ {
 			inner := a.chain[j]
 			if a.net.Hierarchy().IsAncestor(z, inner) || !a.cfg.Options.Scoping {
-				g.pending[inner] = maxInt(0, g.pending[inner]-n)
+				g.pending[inner] = max(0, g.pending[inner]-n)
 			}
 		}
 		g.pending[z] = 0
@@ -995,8 +995,8 @@ func (a *oracleAgent) adaptTimers(g *oracleGroup) {
 		a.c1 -= 0.05
 		a.c2 -= 0.1
 	}
-	a.c1 = clampF(a.c1, 0.5, 8)
-	a.c2 = clampF(a.c2, 1, 16)
+	a.c1 = min(max(a.c1, 0.5), 8)
+	a.c2 = min(max(a.c2, 1), 16)
 }
 
 func (a *oracleAgent) timerC1C2() (float64, float64) {

@@ -116,7 +116,7 @@ func (a *Agent) serveQueuedRepairs(now eventq.Time, g *group) {
 		// Shrink nested queues covered by this transmission.
 		for j := 0; j <= i; j++ {
 			if a.net.Hierarchy().IsAncestor(z, a.chain[j]) || !a.cfg.Options.Scoping {
-				g.lv[j].pending = maxInt(0, g.lv[j].pending-n)
+				g.lv[j].pending = max(0, g.lv[j].pending-n)
 			}
 		}
 		g.lv[i].pending = 0
@@ -220,11 +220,4 @@ func (a *Agent) scheduleZLCSample(g *group, i int) {
 		}
 		a.ctrl.ObserveZLC(z, sample)
 	})
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

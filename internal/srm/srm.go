@@ -460,8 +460,8 @@ func (a *Agent) adaptRequestTimers(st *pktState) {
 		a.c2 -= 0.1
 		a.c1 -= 0.05
 	}
-	a.c1 = clamp(a.c1, 0.5, 4)
-	a.c2 = clamp(a.c2, 1, 8)
+	a.c1 = min(max(a.c1, 0.5), 4)
+	a.c2 = min(max(a.c2, 1), 8)
 }
 
 // adaptAfterReply adapts the reply constants from duplicate repairs.
@@ -478,8 +478,8 @@ func (a *Agent) adaptAfterReply(st *pktState) {
 		a.d2 -= 0.1
 		a.d1 -= 0.05
 	}
-	a.d1 = clamp(a.d1, 0.5, 4)
-	a.d2 = clamp(a.d2, 1, 8)
+	a.d1 = min(max(a.d1, 0.5), 4)
+	a.d2 = min(max(a.d2, 1), 8)
 }
 
 // EmitUnrecoveredLosses posts a terminal KindLossUnrecovered event for
@@ -521,14 +521,4 @@ func (a *Agent) Payload(seq uint32) ([]byte, bool) {
 		return nil, false
 	}
 	return st.payload, true
-}
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -47,10 +47,6 @@ type RateControlConfig struct {
 	// Budget caps adaptive injection per group as a fraction of the
 	// group size (default 0.5). Ignored by off/static.
 	Budget float64
-	// ArqPenalty is the adaptive policy's cost of one uncovered loss
-	// relative to one preemptive share (default 12). Ignored by
-	// off/static.
-	ArqPenalty float64
 }
 
 // validate rejects non-finite or out-of-range tuning values before a
@@ -69,9 +65,6 @@ func (c *RateControlConfig) validate() error {
 	}
 	if c.Budget != 0 && !(isFinite64(c.Budget) && c.Budget > 0 && c.Budget <= 1) {
 		return fmt.Errorf("sharqfec: rate-control budget %g must be a finite fraction in (0,1]", c.Budget)
-	}
-	if c.ArqPenalty != 0 && !(isFinite64(c.ArqPenalty) && c.ArqPenalty > 0) {
-		return fmt.Errorf("sharqfec: rate-control ARQ penalty %g must be finite and > 0", c.ArqPenalty)
 	}
 	return nil
 }
@@ -97,7 +90,7 @@ func (c *RateControlConfig) factory() func(topology.NodeID) core.Controller {
 	if c == nil || c.Mode != RateControlAdaptive {
 		return nil
 	}
-	rcfg := ratecontrol.Config{Budget: c.Budget, ArqPenalty: c.ArqPenalty}
+	rcfg := ratecontrol.Config{Budget: c.Budget}
 	return func(topology.NodeID) core.Controller {
 		return ratecontrol.New(rcfg)
 	}
@@ -110,10 +103,8 @@ type ControllerComparisonConfig struct {
 	// overridden per policy run (span tracing is forced on; an Events
 	// writer, if set, is dropped to keep the two runs independent).
 	Base DataConfig
-	// Budget / ArqPenalty configure the adaptive policy (defaults 0.5 /
-	// 12).
-	Budget     float64
-	ArqPenalty float64
+	// Budget configures the adaptive policy (default 0.5).
+	Budget float64
 	// Seeds, when non-empty, runs each policy once per seed (overriding
 	// Base.Seed) and pools the spans and repair totals into one outcome
 	// per policy. Single runs are noisy — the per-link burst chains
@@ -129,7 +120,7 @@ type ControllerComparisonConfig struct {
 // runs are byte-identical to uncontrolled runs at the same seeds, so
 // the comparison isolates the policy change.
 func RunControllerComparison(cfg ControllerComparisonConfig) (*analysis.ControllerReport, error) {
-	if err := (&RateControlConfig{Mode: RateControlAdaptive, Budget: cfg.Budget, ArqPenalty: cfg.ArqPenalty}).validate(); err != nil {
+	if err := (&RateControlConfig{Mode: RateControlAdaptive, Budget: cfg.Budget}).validate(); err != nil {
 		return nil, err
 	}
 	defaulted := cfg.Base
@@ -183,11 +174,7 @@ func RunControllerComparison(cfg ControllerComparisonConfig) (*analysis.Controll
 func runPolicy(cfg ControllerComparisonConfig, mode RateControlMode, seed uint64) (*DataResult, error) {
 	base := cfg.Base
 	base.Seed = seed
-	base.RateControl = &RateControlConfig{
-		Mode:       mode,
-		Budget:     cfg.Budget,
-		ArqPenalty: cfg.ArqPenalty,
-	}
+	base.RateControl = &RateControlConfig{Mode: mode, Budget: cfg.Budget}
 	tcfg := TelemetryConfig{Spans: true}
 	if base.Telemetry != nil {
 		tcfg = *base.Telemetry

@@ -1,10 +1,5 @@
 package sharqfec
 
-import (
-	"sharqfec/internal/scoping"
-	"sharqfec/internal/telemetry"
-)
-
 // ReceiverReportResult measures the §7 extension: RTCP-style receiver
 // reports aggregated through the ZCR hierarchy. The source should learn
 // the session's worst reception quality from O(zones) summaries instead
@@ -32,7 +27,7 @@ func RunReceiverReports(seed uint64) (*ReceiverReportResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec, h := r.s.spec, r.s.h
+	spec, h := r.spec, r.h
 	source := r.coreAgent(spec.Source)
 
 	worst, members := source.Session().AggregatedReport(h.Root())
@@ -41,17 +36,8 @@ func RunReceiverReports(seed uint64) (*ReceiverReportResult, error) {
 		SourceMembers:   int(members),
 		Receivers:       len(spec.Receivers),
 	}
-	// Ground truth goes through the telemetry registry — one gauge per
-	// receiver — so the "actual worst" is the same query a live metrics
-	// endpoint would answer.
-	reg := telemetry.NewRegistry()
 	for _, m := range spec.Receivers {
-		reg.Gauge(telemetry.Key{
-			Name: "raw_loss_fraction", Node: m, Zone: scoping.NoZone,
-		}).Set(r.coreAgent(m).RawLossFraction())
-	}
-	if _, worst, ok := reg.MaxGauge("raw_loss_fraction"); ok {
-		res.TrueWorstLoss = worst
+		res.TrueWorstLoss = max(res.TrueWorstLoss, r.coreAgent(m).RawLossFraction())
 	}
 	res.DirectReporters = source.Session().ReportersHeard(h.Root())
 	return res, nil

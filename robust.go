@@ -39,7 +39,7 @@ func RunZCRFailover(seed uint64) (*FailoverResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := r.s.h
+	h := r.h
 	failed := topology.NodeID(8)
 	zone := h.LeafZone(failed)
 	live := func(m topology.NodeID) bool { return !r.gone[m] }
@@ -86,9 +86,9 @@ func RunLateJoin(seed uint64, joinAt float64) (*LateJoinResult, error) {
 		Protocol: SHARQFEC, Seed: seed, NumPackets: 256, Until: 120,
 		Faults: NewFaultPlan().Crash(0, late).Restart(joinAt, late),
 	}, func(r *dataRun) {
-		r.s.netFor(late).AddTap(func(now eventq.Time, at topology.NodeID, d netsim.Delivery) {
+		r.netFor(late).AddTap(func(now eventq.Time, at topology.NodeID, d netsim.Delivery) {
 			if _, ok := d.Pkt.(*packet.Repair); ok && at == late && now.Seconds() > joinAt {
-				if r.s.h.Level(d.Scope) > 0 {
+				if r.h.Level(d.Scope) > 0 {
 					localRepairs++
 				} else {
 					globalRepairs++

@@ -106,7 +106,7 @@ func RunRTT(cfg RTTConfig) (*RTTResult, error) {
 		Protocol: SHARQFEC, Topology: cfg.Topology, Seed: cfg.Seed,
 		Until: rttStabilizeUntil + float64(cfg.Probes)*rttProbeInterval + 2,
 	}, func(r *dataRun) {
-		r.s.eachNet(func(n *netsim.Network) {
+		for _, n := range r.nets {
 			n.AddTap(func(_ eventq.Time, node topology.NodeID, d netsim.Delivery) {
 				nk, ok := d.Pkt.(*packet.NACK)
 				if !ok || nk.Origin != sender || node == sender || probe < 0 {
@@ -118,14 +118,14 @@ func RunRTT(cfg RTTConfig) (*RTTResult, error) {
 					res.Able[probe]++
 				}
 			})
-		})
+		}
 		for p := 0; p < cfg.Probes; p++ {
 			res.Ratios = append(res.Ratios, nil)
 			res.Able = append(res.Able, 0)
-			r.s.at(secondsToTime(rttStabilizeUntil+float64(p)*rttProbeInterval), func(eventq.Time) {
+			r.at(secondsToTime(rttStabilizeUntil+float64(p)*rttProbeInterval), func(eventq.Time) {
 				probe = p
-				root := r.s.h.Root()
-				r.s.netFor(sender).Multicast(sender, root, &packet.NACK{
+				root := r.h.Root()
+				r.netFor(sender).Multicast(sender, root, &packet.NACK{
 					Origin:    sender,
 					Group:     uint32(1000 + p),
 					Zone:      int16(root),

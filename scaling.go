@@ -5,7 +5,6 @@ import (
 
 	"sharqfec/internal/analysis"
 	"sharqfec/internal/eventq"
-	"sharqfec/internal/netsim"
 	"sharqfec/internal/scoping"
 	"sharqfec/internal/telemetry"
 	"sharqfec/internal/telemetry/census"
@@ -175,7 +174,7 @@ func RunScalingSweep(cfg ScalingSweepConfig) (*analysis.ScalingReport, error) {
 // hierarchy size, a Tolerance that is not a finite positive fraction
 // (NaN would pass every row, a negative one flag every row) and a
 // negative FlatCutoff (which would make every flat column analytic).
-// Comparisons are written so NaN fails them; newSim refuses a bad
+// Comparisons are written so NaN fails them; runData refuses a bad
 // Shards.
 func (c *ScalingSweepConfig) validate() error {
 	if !(isFinite64(c.Seconds) && c.Seconds >= 0) {
@@ -205,56 +204,53 @@ func (c *ScalingSweepConfig) validate() error {
 
 // runSessionCensus runs the session layer alone on top (a
 // runSessionOnly call: SHARQFEC for the scoped side, SHARQFECNoScope for
-// the flat one) with the census engine armed: link matrices bound,
-// per-member state probes registered, epoch snapshots every virtual
-// second. The census accounts against the topology's native zones
-// whatever zones the protocol runs — it is passive, so a flat run is
-// measured against the boundaries scoping would have enforced — and it
-// needs no event bus, so it is armed here, not through TelemetryConfig,
-// whose census counts the run's own zones and which Shards >= 2
-// refuses. The accounting hierarchy is built before the run, since
-// prepare cannot return an error. Every network view feeds the one
-// census hop tap (ObserveHop is atomic), and the probes, designated
-// ZCRs and snapshots are set in at() tasks with the simulation
-// quiescent, so every shard count measures the same run. It returns
-// the census-measured state peak and control-traffic matrix entries.
+// the flat one) with the census engine armed, epoch snapshots every
+// virtual second. The census accounts against the topology's native
+// zones whatever zones the protocol runs — it is passive, so a flat run
+// is measured against the boundaries scoping would have enforced — and
+// it needs no event bus, so prepare puts it on the run rather than
+// through TelemetryConfig, whose census counts the run's own zones and
+// which Shards >= 2 refuses. The driver then binds its link matrices,
+// sets its hop tap on every view and registers every agent's state
+// probe, as for a TelemetryConfig census. The accounting hierarchy is
+// built before the run, since prepare cannot return an error. The
+// designated ZCRs and snapshots are set in at() tasks with the
+// simulation quiescent, so every shard count measures the same run. It
+// returns the census-measured state peak and control-traffic matrix
+// entries.
 func runSessionCensus(top *Topology, proto Protocol, seed uint64, seconds float64, shards int, designate bool) (scalingMeasure, error) {
 	hAcct, err := scoping.Build(top.spec.Zones)
 	if err != nil {
 		return scalingMeasure{}, err
 	}
-	cen := census.New(telemetry.NewRegistry(), hAcct, top.spec.Graph.NumNodes())
-	cen.BindLinks(top.spec.Graph)
 	cfg := DataConfig{Protocol: proto, Topology: top, Seed: seed, Until: 1 + seconds, Shards: shards}
-	_, _, err = runSessionOnly(cfg, func(r *dataRun) {
-		s := r.s
-		s.eachNet(func(n *netsim.Network) { n.SetHopTap(cen.ObserveHop) })
+	_, r, err := runSessionOnly(cfg, func(r *dataRun) {
+		r.census = census.New(telemetry.NewRegistry(), hAcct, r.spec.Graph.NumNodes())
 		var designated map[scoping.ZoneID]topology.NodeID
 		if designate {
-			designated = designatedZCRs(s.h, s.spec.Source)
+			designated = designatedZCRs(r.h, r.spec.Source)
 		}
 		// Registered before the driver's join task at the same time, so
 		// every member holds the designated ZCRs of its zone chain (none
 		// when designated is nil) before any starts.
-		s.at(secondsToTime(memberJoinAt), func(eventq.Time) {
-			for _, m := range s.members {
-				ag := r.coreAgent(m)
-				mgr := ag.Session()
+		r.at(secondsToTime(memberJoinAt), func(eventq.Time) {
+			for _, m := range r.members {
+				mgr := r.coreAgent(m).Session()
 				for _, z := range mgr.Chain() {
 					if d, ok := designated[z]; ok {
 						mgr.SeedZCR(z, d)
 					}
 				}
-				probeCensus(cen, ag)
 			}
 		})
 		for t := 2.0; t <= 1+seconds; t++ {
-			s.at(eventq.Time(t), func(now eventq.Time) { cen.Snapshot(float64(now)) })
+			r.at(eventq.Time(t), func(now eventq.Time) { r.census.Snapshot(float64(now)) })
 		}
 	})
 	if err != nil {
 		return scalingMeasure{}, err
 	}
+	cen := r.census
 	cen.Snapshot(1 + seconds)
 
 	return scalingMeasure{

@@ -4,7 +4,7 @@
 // together with runners that regenerate every figure and table in the
 // paper's evaluation.
 //
-// The three experiment families mirror the paper:
+// Four experiment families mirror the paper:
 //
 //   - RunData reproduces the §6.2 data/repair-traffic figures
 //     (Figures 14–21) for any protocol variant.
@@ -15,8 +15,9 @@
 //   - Figure1Report and Figure8Report evaluate the paper's two analytic
 //     artifacts.
 //
-// The session experiments run on RunData's driver: a session-only run
-// is the protocol with a source that never starts sending.
+// Every simulation runs on RunData's driver; a session experiment is a
+// session-only run, the protocol with a source that never starts
+// sending.
 //
 // All simulations are deterministic for a given seed.
 package sharqfec

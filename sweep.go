@@ -1,6 +1,10 @@
 package sharqfec
 
-import "sharqfec/internal/core"
+import (
+	"fmt"
+
+	"sharqfec/internal/core"
+)
 
 // TimerSweepPoint is one point of the §7 timer-constant exploration:
 // SHARQFEC run with the request/reply constants scaled by Multiplier.
@@ -26,10 +30,18 @@ type TimerSweepPoint struct {
 // Points run in parallel across a bounded worker pool: each point is an
 // independent simulation with its own event queue and a seed derived
 // only from (seed, multiplier position), so results are deterministic
-// and returned in multiplier order regardless of scheduling.
+// and returned in multiplier order regardless of scheduling. A
+// multiplier that is not finite and > 0 is refused before any point
+// runs: NaN panics the event queue, 0 or less zeroes every timer and
+// never returns, and +Inf silently disables recovery.
 func RunTimerSweep(seed uint64, multipliers []float64) ([]TimerSweepPoint, error) {
 	if len(multipliers) == 0 {
 		multipliers = []float64{0.5, 1, 2, 4}
+	}
+	for i, m := range multipliers {
+		if !(isFinite64(m) && m > 0) {
+			return nil, fmt.Errorf("sharqfec: timer multiplier [%d] = %v; want finite and > 0", i, m)
+		}
 	}
 	out := make([]TimerSweepPoint, len(multipliers))
 	err := runIndexed(len(multipliers), func(i int) (err error) {
@@ -68,7 +80,7 @@ func runTimerPoint(seed uint64, mult float64) (TimerSweepPoint, error) {
 	// A group's transmission window ends with its last original packet.
 	var recoverySum float64
 	var recoveries int
-	for _, m := range r.s.spec.Receivers {
+	for _, m := range r.spec.Receivers {
 		for gid, t := range r.doneOf(m) {
 			groupEnd := cfg.SourceOnAt + float64((gid+1)*pcfg.GroupK)*pcfg.InterPacket()
 			if delay := t.Seconds() - groupEnd; t > 0 && delay > 0 {

@@ -3,7 +3,6 @@ package sharqfec
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"sharqfec/internal/analysis"
 	"sharqfec/internal/eventq"
@@ -51,8 +50,10 @@ type TelemetryConfig struct {
 	// event (one object per line).
 	Events io.Writer
 	// MetricsInterval is the virtual-clock spacing of time-series
-	// snapshots in seconds (default 1.0). A final snapshot is always
-	// taken at the end of the run.
+	// snapshots in seconds: 0 means the default, 1.0; any other value
+	// must be at least health.MinInterval (1 ms), the floor SLO
+	// evaluation ticks use. A final snapshot is always taken at the end
+	// of the run.
 	MetricsInterval float64
 	// FlightRecorder, when > 0, keeps a ring of the last N
 	// control-plane events for post-mortem dumps. Values are clamped to
@@ -86,15 +87,17 @@ type TelemetryConfig struct {
 	SLO *SLOSpec
 }
 
-// validate rejects configurations that would otherwise fail silently.
-// A non-finite MetricsInterval slips past the iv <= 0 default check and
-// produces an unbounded (or empty) snapshot schedule.
+// validate rejects configurations that would otherwise fail silently
+// or flood the run. Every snapshot is registered before the run starts,
+// so a MetricsInterval other than 0 (the default) must be finite and at
+// least health.MinInterval: NaN or Inf would give an unbounded or empty
+// schedule, and a nanosecond interval billions of tasks up front.
 func (cfg *TelemetryConfig) validate() error {
 	if cfg == nil {
 		return nil
 	}
-	if iv := cfg.MetricsInterval; math.IsNaN(iv) || math.IsInf(iv, 0) {
-		return fmt.Errorf("sharqfec: TelemetryConfig.MetricsInterval must be finite, got %v", iv)
+	if iv := cfg.MetricsInterval; iv != 0 && !(isFinite64(iv) && iv >= health.MinInterval) {
+		return fmt.Errorf("sharqfec: TelemetryConfig.MetricsInterval = %v; want 0 (default 1 s) or a finite interval >= %v s", iv, health.MinInterval)
 	}
 	// SLO specs built programmatically (not through ParseSLOSpec) get
 	// the same bounds checks the parser applies — a NaN objective or
@@ -325,10 +328,8 @@ func censusCounters(epochs []census.EpochRow) []spans.CounterSample {
 	return out
 }
 
-// telemetryRun bundles the live pieces a run wires together: the bus the
-// protocol layers emit into, and the sinks consuming it.
+// telemetryRun holds the sinks consuming a run's bus (dataRun.bus).
 type telemetryRun struct {
-	bus     *telemetry.Bus
 	metrics *telemetry.Metrics
 	sampler *telemetry.Sampler
 	events  *telemetry.EventWriter
@@ -336,106 +337,87 @@ type telemetryRun struct {
 	spans   *spans.Assembler
 	health  *health.Engine
 	trigger *telemetry.DumpTrigger
-	census  *census.Engine
-}
-
-// censusOf returns the run's census engine, nil-safe: runs that did not
-// arm the census (and disabled runs) get nil.
-func (t *telemetryRun) censusOf() *census.Engine {
-	if t == nil {
-		return nil
-	}
-	return t.census
 }
 
 // snapshot takes one epoch sample: the census first (it refreshes the
 // registry gauges), then the time-series sampler, so the sampled rows
 // carry fresh census columns.
-func (t *telemetryRun) snapshot(at float64) {
-	if t.census != nil {
-		t.census.Snapshot(at)
+func (r *dataRun) snapshot(at float64) {
+	if r.census != nil {
+		r.census.Snapshot(at)
 	}
-	t.sampler.Sample(at)
+	r.tel.sampler.Sample(at)
 }
 
-// busOf returns the run's bus, nil-safe, for wiring into configs that
-// accept a possibly-nil *telemetry.Bus.
-func (t *telemetryRun) busOf() *telemetry.Bus {
-	if t == nil {
-		return nil
-	}
-	return t.bus
-}
-
-// startTelemetry builds the bus, sinks and snapshot schedule for one
-// run. A nil cfg returns nil and schedules nothing, so disabled runs
-// stay byte-identical. Snapshot events only read atomic counters, so
-// inserting them cannot perturb protocol-event ordering.
-func startTelemetry(cfg *TelemetryConfig, s *sim, until float64) *telemetryRun {
-	if cfg == nil {
-		return nil
-	}
-	h, numNodes := s.h, s.spec.Graph.NumNodes()
-	t := &telemetryRun{bus: telemetry.NewBus()}
-	t.metrics = telemetry.NewMetrics(nil, h, numNodes)
-	t.bus.Attach(t.metrics.Sink())
+// startTelemetry builds the run's bus, its sinks, the census when cfg
+// arms it, and the snapshot schedule. Runs without a TelemetryConfig
+// never call it, so they stay byte-identical. Snapshot events only
+// read atomic counters, so inserting them cannot perturb
+// protocol-event ordering.
+func (r *dataRun) startTelemetry(cfg *TelemetryConfig, until float64) {
+	h, numNodes := r.h, r.spec.Graph.NumNodes()
+	r.bus = telemetry.NewBus()
+	t := &telemetryRun{metrics: telemetry.NewMetrics(nil, h, numNodes)}
+	r.tel = t
+	r.bus.Attach(t.metrics.Sink())
 	t.sampler = telemetry.NewSampler(t.metrics)
 	if cfg.Census {
-		t.census = census.New(t.metrics.Reg, h, numNodes)
-		t.census.BindQueue(s.queue())
-		t.bus.Attach(t.census.Sink())
-		t.sampler.Census = t.census
+		r.census = census.New(t.metrics.Reg, h, numNodes)
+		r.census.BindQueue(r.grp.Queue(0))
+		r.bus.Attach(r.census.Sink())
+		t.sampler.Census = r.census
 	}
 	if cfg.Spans {
 		t.spans = spans.NewAssembler()
-		t.bus.Attach(t.spans.Sink())
+		r.bus.Attach(t.spans.Sink())
 	}
 	if cfg.Events != nil {
 		t.events = telemetry.NewEventWriter(cfg.Events)
-		t.bus.Attach(t.events.Sink())
+		r.bus.Attach(t.events.Sink())
 	}
 	if rec := clampFlightRecorder(cfg.FlightRecorder); rec > 0 {
 		t.rec = telemetry.NewRecorder(rec, telemetry.ControlPlaneOnly)
-		t.bus.Attach(t.rec.Sink())
+		r.bus.Attach(t.rec.Sink())
 	}
 	if cfg.SLO != nil {
 		// The engine attaches after the recorder so its alert emissions
 		// (which fan out reentrantly) land in the ring before the dump
 		// trigger below fires — a dump always shows the alert that
 		// caused it.
-		t.health = health.NewEngine(cfg.SLO.spec, t.bus)
-		t.bus.Attach(t.health.Sink())
+		t.health = health.NewEngine(cfg.SLO.spec, r.bus)
+		r.bus.Attach(t.health.Sink())
 	}
 	if t.rec != nil {
 		// One bus-driven forensic path for every run with a recorder:
 		// alert-triggered snapshots here, end-of-run anomaly snapshots
 		// via trigger.Fire (RunChaos).
 		t.trigger = telemetry.NewDumpTrigger(t.rec)
-		t.bus.Attach(t.trigger.Sink())
+		r.bus.Attach(t.trigger.Sink())
 	}
 	// Self-describing preamble at T = 0: the run descriptor, then the
 	// zone hierarchy rendered as events, so an exported JSONL trace
 	// replays offline with identical blame attribution and identical
 	// health verdicts (cmd/sharqfec-trace needs no topology input).
-	t.bus.Emit(telemetry.Event{
+	r.bus.Emit(telemetry.Event{
 		Kind: telemetry.KindRunInfo, Node: topology.NoNode, Zone: scoping.NoZone,
 		Group: -1, F: until,
 	})
-	telemetry.EmitZones(t.bus, h)
+	telemetry.EmitZones(r.bus, h)
 	iv := cfg.MetricsInterval
-	if iv <= 0 {
+	if iv == 0 {
 		iv = 1.0
 	}
 	for k := 1; float64(k)*iv < until; k++ {
 		at := float64(k) * iv
-		s.at(eventq.Time(at), func(eventq.Time) { t.snapshot(at) })
+		r.at(eventq.Time(at), func(eventq.Time) { r.snapshot(at) })
 	}
-	return t
 }
 
-// finish takes the final snapshot, flushes the event trace, and builds
-// the report. The returned error surfaces any JSONL write failure.
-func (t *telemetryRun) finish(until float64) (*TelemetryReport, error) {
+// finishTelemetry takes the final snapshot, flushes the event trace,
+// and builds the report (nil without telemetry). The returned error
+// surfaces any JSONL write failure.
+func (r *dataRun) finishTelemetry(until float64) (*TelemetryReport, error) {
+	t := r.tel
 	if t == nil {
 		return nil, nil
 	}
@@ -445,9 +427,9 @@ func (t *telemetryRun) finish(until float64) (*TelemetryReport, error) {
 		// trigger should see before anything freezes.
 		t.health.Finish(until)
 	}
-	t.snapshot(until)
+	r.snapshot(until)
 	rep := &TelemetryReport{
-		EventsEmitted:       t.bus.Count(),
+		EventsEmitted:       r.bus.Count(),
 		SuppressionRatio:    t.metrics.SuppressionRatio(),
 		NACKsSent:           t.metrics.NACKsSent(),
 		RepairsSent:         t.metrics.RepairsSent(),
@@ -460,10 +442,10 @@ func (t *telemetryRun) finish(until float64) (*TelemetryReport, error) {
 		rep.LocalRepairFrac = float64(local) / float64(local+global)
 	}
 	rep.asm = t.spans
-	if t.census != nil {
-		sum := t.census.Summarize()
+	if r.census != nil {
+		sum := r.census.Summarize()
 		rep.censusSum = &sum
-		rep.censusEpochs = t.census.Epochs()
+		rep.censusEpochs = r.census.Epochs()
 	}
 	if t.health != nil {
 		rep.health = t.health.Report()

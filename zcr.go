@@ -53,7 +53,7 @@ func RunZCRElection(top *Topology, seed uint64, until float64) (*ZCRResult, erro
 	if err != nil {
 		return nil, err
 	}
-	spec, h := r.s.spec, r.s.h
+	spec, h := r.spec, r.h
 	mgr := func(m topology.NodeID) *session.Manager { return r.coreAgent(m).Session() }
 
 	res := &ZCRResult{Topology: spec.Name, PerZone: map[int]ZoneElection{}, Correct: true}
@@ -93,7 +93,7 @@ func RunZCRElection(top *Topology, seed uint64, until float64) (*ZCRResult, erro
 			res.Correct = false
 		}
 	}
-	for _, m := range r.s.members {
+	for _, m := range r.members {
 		res.Takeovers += mgr(m).Elections
 	}
 	return res, nil
@@ -145,7 +145,7 @@ func RunSessionScaling(top *Topology, seed uint64, seconds float64) (*SessionSca
 		FlatDeliveries:   flat.SessionPackets,
 		FlatStatePerNode: len(top.spec.Members()) - 1,
 	}
-	for _, m := range r.s.members {
+	for _, m := range r.members {
 		res.ScopedMaxState = max(res.ScopedMaxState, r.coreAgent(m).Session().StateSize())
 	}
 	if res.ScopedDeliveries > 0 {
