@@ -62,69 +62,69 @@ func (p *FaultPlan) Events() []string {
 	return out
 }
 
+// add appends one event and returns the plan for chaining.
+func (p *FaultPlan) add(e faults.Event) *FaultPlan {
+	p.plan.Events = append(p.plan.Events, e)
+	return p
+}
+
 // LinkDown schedules a link failure at time at (seconds).
 func (p *FaultPlan) LinkDown(at float64, link int) *FaultPlan {
-	p.plan.LinkDown(at, link)
-	return p
+	return p.add(faults.Event{At: at, Kind: faults.LinkDown, Link: link})
 }
 
 // LinkUp schedules a link recovery.
 func (p *FaultPlan) LinkUp(at float64, link int) *FaultPlan {
-	p.plan.LinkUp(at, link)
-	return p
+	return p.add(faults.Event{At: at, Kind: faults.LinkUp, Link: link})
 }
 
 // Crash schedules a member failure: its agent stops sending and
 // reacting (the §3.2/§5.2 ZCR failure model).
 func (p *FaultPlan) Crash(at float64, node int) *FaultPlan {
-	p.plan.Crash(at, topology.NodeID(node))
-	return p
+	return p.add(faults.Event{At: at, Kind: faults.Crash, Node: topology.NodeID(node)})
 }
 
 // Restart schedules a crashed member's revival as a fresh late joiner.
 func (p *FaultPlan) Restart(at float64, node int) *FaultPlan {
-	p.plan.Restart(at, topology.NodeID(node))
-	return p
+	return p.add(faults.Event{At: at, Kind: faults.Restart, Node: topology.NodeID(node)})
 }
 
 // Leave schedules a member's clean departure from the session.
 func (p *FaultPlan) Leave(at float64, node int) *FaultPlan {
-	p.plan.Leave(at, topology.NodeID(node))
-	return p
+	return p.add(faults.Event{At: at, Kind: faults.Leave, Node: topology.NodeID(node)})
 }
 
 // PartitionZone schedules the isolation of a zone: every link joining
 // its members to the rest of the network goes down.
 func (p *FaultPlan) PartitionZone(at float64, zone int) *FaultPlan {
-	p.plan.PartitionZone(at, scoping.ZoneID(zone))
-	return p
+	return p.add(faults.Event{At: at, Kind: faults.PartitionZone, Zone: scoping.ZoneID(zone)})
 }
 
 // HealZone re-enables the links a matching PartitionZone disabled.
 func (p *FaultPlan) HealZone(at float64, zone int) *FaultPlan {
-	p.plan.HealZone(at, scoping.ZoneID(zone))
-	return p
+	return p.add(faults.Event{At: at, Kind: faults.HealZone, Zone: scoping.ZoneID(zone)})
 }
 
 // GilbertLink replaces one link's Bernoulli loss with a Gilbert–Elliott
-// burst process (both directions).
+// burst process (both directions). The mean loss must not exceed
+// burstLen/(1+burstLen), the most a chain of that burst length gives.
 func (p *FaultPlan) GilbertLink(at float64, link int, meanLoss, burstLen float64) *FaultPlan {
-	p.plan.GilbertLink(at, link, meanLoss, burstLen)
-	return p
+	return p.add(faults.Event{At: at, Kind: faults.GilbertLink, Link: link, MeanLoss: meanLoss, BurstLen: burstLen})
 }
 
-// GilbertAll installs the burst process on every link.
+// GilbertAll installs the burst process on every link, with the same
+// bound on the mean loss as GilbertLink.
 func (p *FaultPlan) GilbertAll(at float64, meanLoss, burstLen float64) *FaultPlan {
-	p.plan.GilbertAll(at, meanLoss, burstLen)
-	return p
+	return p.add(faults.Event{At: at, Kind: faults.GilbertAll, MeanLoss: meanLoss, BurstLen: burstLen})
 }
 
 // GilbertEqualMean installs per-link burst processes whose mean equals
 // each link direction's configured Bernoulli rate — bursty arrivals at
 // identical long-run loss, the comparison i.i.d. analyses assume away.
+// Every lossy direction's rate must be below 1 and within GilbertLink's
+// bound.
 func (p *FaultPlan) GilbertEqualMean(at float64, burstLen float64) *FaultPlan {
-	p.plan.GilbertEqualMean(at, burstLen)
-	return p
+	return p.add(faults.Event{At: at, Kind: faults.GilbertEqualMean, BurstLen: burstLen})
 }
 
 // Preset plans for the Figure-10 topology.

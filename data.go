@@ -466,7 +466,9 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 		Protocol:  cfg.Protocol,
 		Topology:  spec.Name,
 		Receivers: len(spec.Receivers),
-		FaultLog:  faultLog(eng),
+	}
+	if eng != nil {
+		res.FaultLog = eng.Log()
 	}
 	res.Telemetry, err = r.finishTelemetry(cfg.Until)
 	if err != nil {
@@ -609,18 +611,6 @@ func cloneForFaults(spec *topology.Spec, plan *FaultPlan) *topology.Spec {
 	s := *spec
 	s.Graph = spec.Graph.Clone()
 	return &s
-}
-
-// faultLog renders the timeline of faults an engine applied (nil: none).
-func faultLog(eng *faults.Engine) []string {
-	if eng == nil {
-		return nil
-	}
-	var log []string
-	for _, a := range eng.Log() {
-		log = append(log, fmt.Sprintf("%s %s", a.At, a.Desc))
-	}
-	return log
 }
 
 func fillSeries(res *DataResult, col *stats.Collector) {

@@ -115,6 +115,13 @@ func TestRunConfigValidation(t *testing.T) {
 		{"loss-nan", errOf(RunData(lossy(nan))), "link 0"},
 		{"loss-above-one", errOf(RunData(lossy(1.5))), "link 0"},
 		{"loss-above-one-session", errOf(RunZCRElection(ChainTopology(4, 1.5), 1, 0)), "link 0"},
+		// A fault plan is refused before the run, never mid-run: an
+		// equal-mean burst over a link that loses everything used to panic.
+		{"burst-over-lossless-link", errOf(RunData(DataConfig{Protocol: SHARQFEC, Topology: ChainTopology(3, 1),
+			NumPackets: 16, Until: 10, Faults: BurstLossPlan(4)})), "link 0 direction 0->1"},
+		// ...and so did restarting a member that had left.
+		{"restart-after-leave", errOf(RunData(DataConfig{Protocol: SHARQFEC, Topology: ChainTopology(4, 0),
+			NumPackets: 16, Until: 10, Faults: NewFaultPlan().Leave(1, 2).Restart(2, 2)})), "node 2 is not a session member"},
 	}
 	for _, tc := range others {
 		if tc.err == nil || !strings.Contains(tc.err.Error(), tc.want) {

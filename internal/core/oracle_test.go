@@ -1224,7 +1224,7 @@ func buildOracleWorld(t *testing.T, sc oracleScenario, seed uint64,
 		w.members[m] = ag
 	}
 	if sc.burst > 0 {
-		plan := new(faults.Plan).GilbertEqualMean(0, sc.burst)
+		plan := &faults.Plan{Events: []faults.Event{{Kind: faults.GilbertEqualMean, BurstLen: sc.burst}}}
 		if err := faults.NewEngine(net, src, plan).Start(); err != nil {
 			t.Fatal(err)
 		}

@@ -40,16 +40,10 @@ type Engine struct {
 	// shard is quiescent; nil uses the network's own event queue.
 	Schedule func(at eventq.Time, fn func(now eventq.Time))
 
-	log []Applied
+	log []string
 	// partitioned records, per zone, the links a PartitionZone event
 	// disabled, so HealZone re-enables exactly those.
 	partitioned map[scoping.ZoneID][]int
-}
-
-// Applied is one log entry: a fault that has fired.
-type Applied struct {
-	At   eventq.Time
-	Desc string
 }
 
 // NewEngine creates an engine for net. Fault randomness (the
@@ -66,6 +60,8 @@ func NewEngine(net *netsim.Network, src *simrand.Source, plan *Plan) *Engine {
 // Start validates the plan against the network and schedules every
 // event on the simulation queue. With an empty plan it schedules
 // nothing, leaving the simulation byte-identical to an engine-less run.
+// Validation is the only failure: once Start returns nil, every event
+// applies.
 func (e *Engine) Start() error {
 	if err := e.plan.Validate(e.net.G, e.net.H); err != nil {
 		return err
@@ -75,16 +71,14 @@ func (e *Engine) Start() error {
 		sched = func(at eventq.Time, fn func(now eventq.Time)) { e.net.Q.At(at, fn) }
 	}
 	for _, ev := range e.plan.Events {
-		ev := ev
-		sched(eventq.Time(ev.At), func(now eventq.Time) {
-			e.apply(now, ev)
-		})
+		sched(eventq.Time(ev.At), func(now eventq.Time) { e.apply(now, ev) })
 	}
 	return nil
 }
 
-// Log returns the faults applied so far, in firing order.
-func (e *Engine) Log() []Applied { return e.log }
+// Log returns the faults applied so far, in firing order, one
+// "<time> <keyword> <args...>" line each.
+func (e *Engine) Log() []string { return e.log }
 
 func (e *Engine) apply(now eventq.Time, ev Event) {
 	switch ev.Kind {
@@ -114,28 +108,22 @@ func (e *Engine) apply(now eventq.Time, ev Event) {
 			e.net.SetLinkUp(li, true)
 		}
 		delete(e.partitioned, ev.Zone)
-	case GilbertLink:
-		e.installGilbert(ev.Link, ev.MeanLoss, ev.MeanLoss, ev.BurstLen)
-	case GilbertAll:
-		for li := 0; li < e.net.G.NumLinks(); li++ {
-			e.installGilbert(li, ev.MeanLoss, ev.MeanLoss, ev.BurstLen)
+	case GilbertLink, GilbertAll, GilbertEqualMean:
+		first, last := 0, e.net.G.NumLinks()
+		if ev.Kind == GilbertLink {
+			first, last = ev.Link, ev.Link+1
 		}
-	case GilbertEqualMean:
-		// Per-direction mean equal to the configured Bernoulli rate:
-		// bursty arrivals, identical long-run loss.
-		for li := 0; li < e.net.G.NumLinks(); li++ {
-			l := e.net.G.Link(li)
-			e.installGilbert(li, l.LossAB, l.LossBA, ev.BurstLen)
+		for li := first; li < last; li++ {
+			e.installGilbert(li, gilbertMeans(ev, e.net.G.Link(li)), ev.BurstLen)
 		}
 	}
-	e.log = append(e.log, Applied{At: now, Desc: ev.desc()})
+	e.log = append(e.log, fmt.Sprintf("%s %s", now, ev.desc()))
 	if e.Telemetry != nil {
-		node := topology.NoNode
-		zone := scoping.NoZone
-		switch ev.Kind {
-		case Crash, Restart, Leave:
+		node, zone := topology.NoNode, scoping.NoZone
+		switch kinds[ev.Kind].subject {
+		case nodeSubject:
 			node = ev.Node
-		case PartitionZone, HealZone:
+		case zoneSubject:
 			zone = ev.Zone
 		}
 		e.Telemetry.Emit(telemetry.Event{
@@ -169,8 +157,7 @@ func (e *Engine) partition(zone scoping.ZoneID) {
 // installGilbert puts a burst process on both directions of a link, one
 // independent stream per direction. Directions whose mean is zero keep
 // the default (lossless) path so the stream is never created.
-func (e *Engine) installGilbert(link int, meanAB, meanBA, burstLen float64) {
-	means := [2]float64{meanAB, meanBA}
+func (e *Engine) installGilbert(link int, means [2]float64, burstLen float64) {
 	for dir := 0; dir < 2; dir++ {
 		if means[dir] <= 0 {
 			e.net.SetLossModel(link, dir, nil)
@@ -179,8 +166,8 @@ func (e *Engine) installGilbert(link int, meanAB, meanBA, burstLen float64) {
 		rng := e.src.StreamN2("faults/gilbert", link, dir)
 		m, err := NewBurst(rng, means[dir], burstLen)
 		if err != nil {
-			// Validate bounds MeanLoss and BurstLen, so this is
-			// unreachable for scripted events; guard anyway.
+			// Validate runs burstError on every direction this
+			// reaches, so a started plan never gets here.
 			panic(fmt.Sprintf("faults: installGilbert(%d): %v", link, err))
 		}
 		e.net.SetLossModel(link, dir, m)

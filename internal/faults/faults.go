@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -63,29 +64,60 @@ const (
 	GilbertEqualMean
 )
 
+// subject is what an event's first argument names: the Event field it
+// fills and the range Validate checks it against.
+type subject struct {
+	name  string
+	field func(*Event) *int
+	count func(*topology.Graph, *scoping.Hierarchy) int
+}
+
+var (
+	linkSubject = &subject{"link", func(e *Event) *int { return &e.Link },
+		func(g *topology.Graph, _ *scoping.Hierarchy) int { return g.NumLinks() }}
+	nodeSubject = &subject{"node", func(e *Event) *int { return (*int)(&e.Node) },
+		func(g *topology.Graph, _ *scoping.Hierarchy) int { return g.NumNodes() }}
+	zoneSubject = &subject{"zone", func(e *Event) *int { return (*int)(&e.Zone) },
+		func(_ *topology.Graph, h *scoping.Hierarchy) int { return h.NumZones() }}
+)
+
+// syntax is one kind's plan-file spelling: its keyword, the subject it
+// names (nil: none), and how many numbers follow the subject (2:
+// MeanLoss and BurstLen; 1: BurstLen alone).
+type syntax struct {
+	keyword string
+	subject *subject
+	numbers int
+}
+
+// kinds is the only description of the plan-file syntax: Kind.String,
+// Event.String, ParsePlan, Validate and the engine's telemetry read it.
+var kinds = [...]syntax{
+	LinkDown:         {"link-down", linkSubject, 0},
+	LinkUp:           {"link-up", linkSubject, 0},
+	Crash:            {"crash", nodeSubject, 0},
+	Restart:          {"restart", nodeSubject, 0},
+	Leave:            {"leave", nodeSubject, 0},
+	PartitionZone:    {"partition-zone", zoneSubject, 0},
+	HealZone:         {"heal-zone", zoneSubject, 0},
+	GilbertLink:      {"gilbert-link", linkSubject, 2},
+	GilbertAll:       {"gilbert-all", nil, 2},
+	GilbertEqualMean: {"gilbert-equal-mean", nil, 1},
+}
+
+// syntax returns the kind's row of the syntax table; ok is false for a
+// value outside it.
+func (k Kind) syntax() (syntax, bool) {
+	if k < 0 || int(k) >= len(kinds) {
+		return syntax{}, false
+	}
+	return kinds[k], true
+}
+
 // String returns the plan-file keyword for the kind.
 func (k Kind) String() string {
-	switch k {
-	case LinkDown:
-		return "link-down"
-	case LinkUp:
-		return "link-up"
-	case Crash:
-		return "crash"
-	case Restart:
-		return "restart"
-	case Leave:
-		return "leave"
-	case PartitionZone:
-		return "partition-zone"
-	case HealZone:
-		return "heal-zone"
-	case GilbertLink:
-		return "gilbert-link"
-	case GilbertAll:
-		return "gilbert-all"
-	case GilbertEqualMean:
-		return "gilbert-equal-mean"
+	if s, ok := k.syntax(); ok {
+		return s.keyword
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -104,26 +136,37 @@ type Event struct {
 	MeanLoss, BurstLen float64
 }
 
+// subjectID returns the link, node or zone the event names; nil when
+// its kind names none.
+func (e *Event) subjectID() *int {
+	if sub := kinds[e.Kind].subject; sub != nil {
+		return sub.field(e)
+	}
+	return nil
+}
+
+// numbers returns the event's numeric arguments in plan-file order.
+func (e *Event) numbers() []*float64 {
+	return []*float64{&e.MeanLoss, &e.BurstLen}[2-kinds[e.Kind].numbers:]
+}
+
 // String renders the event in plan-file syntax.
 func (e Event) String() string { return fmt.Sprintf("%g %s", e.At, e.desc()) }
 
 // desc renders the event's keyword and arguments without its time.
 func (e Event) desc() string {
-	switch e.Kind {
-	case LinkDown, LinkUp:
-		return fmt.Sprintf("%s %d", e.Kind, e.Link)
-	case Crash, Restart, Leave:
-		return fmt.Sprintf("%s %d", e.Kind, e.Node)
-	case PartitionZone, HealZone:
-		return fmt.Sprintf("%s %d", e.Kind, e.Zone)
-	case GilbertLink:
-		return fmt.Sprintf("%s %d %g %g", e.Kind, e.Link, e.MeanLoss, e.BurstLen)
-	case GilbertAll:
-		return fmt.Sprintf("%s %g %g", e.Kind, e.MeanLoss, e.BurstLen)
-	case GilbertEqualMean:
-		return fmt.Sprintf("%s %g", e.Kind, e.BurstLen)
+	row, ok := e.Kind.syntax()
+	if !ok {
+		return e.Kind.String()
 	}
-	return e.Kind.String()
+	s := row.keyword
+	if id := e.subjectID(); id != nil {
+		s += fmt.Sprintf(" %d", *id)
+	}
+	for _, v := range e.numbers() {
+		s += fmt.Sprintf(" %g", *v)
+	}
+	return s
 }
 
 // Plan is a deterministic timeline of scripted faults. The zero value
@@ -135,71 +178,9 @@ type Plan struct {
 // Empty reports whether the plan schedules no events.
 func (p *Plan) Empty() bool { return p == nil || len(p.Events) == 0 }
 
-// The builder methods below append one event each and return the plan
-// for chaining.
-
-// LinkDown schedules a link failure at time at.
-func (p *Plan) LinkDown(at float64, link int) *Plan {
-	p.Events = append(p.Events, Event{At: at, Kind: LinkDown, Link: link})
-	return p
-}
-
-// LinkUp schedules a link recovery at time at.
-func (p *Plan) LinkUp(at float64, link int) *Plan {
-	p.Events = append(p.Events, Event{At: at, Kind: LinkUp, Link: link})
-	return p
-}
-
-// Crash schedules a member failure at time at.
-func (p *Plan) Crash(at float64, node topology.NodeID) *Plan {
-	p.Events = append(p.Events, Event{At: at, Kind: Crash, Node: node})
-	return p
-}
-
-// Restart schedules a crashed member's revival at time at.
-func (p *Plan) Restart(at float64, node topology.NodeID) *Plan {
-	p.Events = append(p.Events, Event{At: at, Kind: Restart, Node: node})
-	return p
-}
-
-// Leave schedules a member's departure from the session at time at.
-func (p *Plan) Leave(at float64, node topology.NodeID) *Plan {
-	p.Events = append(p.Events, Event{At: at, Kind: Leave, Node: node})
-	return p
-}
-
-// PartitionZone schedules the isolation of a zone at time at.
-func (p *Plan) PartitionZone(at float64, zone scoping.ZoneID) *Plan {
-	p.Events = append(p.Events, Event{At: at, Kind: PartitionZone, Zone: zone})
-	return p
-}
-
-// HealZone schedules the healing of a partitioned zone at time at.
-func (p *Plan) HealZone(at float64, zone scoping.ZoneID) *Plan {
-	p.Events = append(p.Events, Event{At: at, Kind: HealZone, Zone: zone})
-	return p
-}
-
-// GilbertLink schedules a burst-loss takeover of one link at time at.
-func (p *Plan) GilbertLink(at float64, link int, meanLoss, burstLen float64) *Plan {
-	p.Events = append(p.Events, Event{At: at, Kind: GilbertLink, Link: link, MeanLoss: meanLoss, BurstLen: burstLen})
-	return p
-}
-
-// GilbertAll schedules burst loss on every link at time at.
-func (p *Plan) GilbertAll(at float64, meanLoss, burstLen float64) *Plan {
-	p.Events = append(p.Events, Event{At: at, Kind: GilbertAll, MeanLoss: meanLoss, BurstLen: burstLen})
-	return p
-}
-
-// GilbertEqualMean schedules per-link burst loss at each link's
-// configured mean rate at time at.
-func (p *Plan) GilbertEqualMean(at float64, burstLen float64) *Plan {
-	p.Events = append(p.Events, Event{At: at, Kind: GilbertEqualMean, BurstLen: burstLen})
-	return p
-}
-
-// Validate checks every event against the network it will run on.
+// Validate checks every event against the network it will run on. It
+// is the only place a plan is refused: a plan it accepts applies
+// without error at every event.
 func (p *Plan) Validate(g *topology.Graph, h *scoping.Hierarchy) error {
 	for i, e := range p.Events {
 		// Comparisons are written so NaN fails them: NaN < 0 is false,
@@ -208,41 +189,72 @@ func (p *Plan) Validate(g *topology.Graph, h *scoping.Hierarchy) error {
 		if !(e.At >= 0) || math.IsInf(e.At, 0) {
 			return fmt.Errorf("faults: event %d (%s): time must be finite and non-negative", i, e)
 		}
-		switch e.Kind {
-		case LinkDown, LinkUp:
-			if e.Link < 0 || e.Link >= g.NumLinks() {
-				return fmt.Errorf("faults: event %d (%s): link %d out of range [0,%d)", i, e, e.Link, g.NumLinks())
-			}
-		case Crash, Restart, Leave:
-			if e.Node < 0 || int(e.Node) >= g.NumNodes() {
-				return fmt.Errorf("faults: event %d (%s): node %d out of range [0,%d)", i, e, e.Node, g.NumNodes())
-			}
-			if e.Kind == Leave && h.LeafZone(e.Node) == scoping.NoZone {
-				return fmt.Errorf("faults: event %d (%s): node %d is not a session member", i, e, e.Node)
-			}
-		case PartitionZone, HealZone:
-			if e.Zone < 0 || int(e.Zone) >= h.NumZones() {
-				return fmt.Errorf("faults: event %d (%s): zone %d out of range [0,%d)", i, e, e.Zone, h.NumZones())
-			}
-		case GilbertLink:
-			if e.Link < 0 || e.Link >= g.NumLinks() {
-				return fmt.Errorf("faults: event %d (%s): link %d out of range [0,%d)", i, e, e.Link, g.NumLinks())
-			}
-			fallthrough
-		case GilbertAll:
-			if !(e.MeanLoss >= 0 && e.MeanLoss < 1) {
-				return fmt.Errorf("faults: event %d (%s): mean loss %g outside [0,1)", i, e, e.MeanLoss)
-			}
-			fallthrough
-		case GilbertEqualMean:
-			if !(e.BurstLen >= 1) || math.IsInf(e.BurstLen, 0) {
-				return fmt.Errorf("faults: event %d (%s): burst length %g must be finite and >= 1", i, e, e.BurstLen)
-			}
-		default:
+		row, ok := e.Kind.syntax()
+		if !ok {
 			return fmt.Errorf("faults: event %d: unknown kind %d", i, int(e.Kind))
+		}
+		if sub := row.subject; sub != nil {
+			if id, n := *sub.field(&e), sub.count(g, h); id < 0 || id >= n {
+				return fmt.Errorf("faults: event %d (%s): %s %d out of range [0,%d)", i, e, sub.name, id, n)
+			}
+		}
+		// A restart spawns an agent in the node's leaf zone, so the node
+		// must be a member that no earlier leave removed.
+		if (e.Kind == Leave || e.Kind == Restart) && h.LeafZone(e.Node) == scoping.NoZone ||
+			e.Kind == Restart && p.leftBefore(i) {
+			return fmt.Errorf("faults: event %d (%s): node %d is not a session member", i, e, e.Node)
+		}
+		if row.numbers == 0 {
+			continue
+		}
+		// The event's own numbers; an equal-mean event has no mean of
+		// its own, and 0 passes every mean check.
+		mean := 0.0
+		if row.numbers == 2 {
+			mean = e.MeanLoss
+		}
+		if err := burstError(mean, e.BurstLen); err != nil {
+			return fmt.Errorf("faults: event %d (%s): %w", i, e, err)
+		}
+		if e.Kind != GilbertEqualMean {
+			continue
+		}
+		for li := 0; li < g.NumLinks(); li++ {
+			l := g.Link(li)
+			for dir, m := range gilbertMeans(e, l) {
+				if m <= 0 {
+					continue
+				}
+				if err := burstError(m, e.BurstLen); err != nil {
+					ends := [2]topology.NodeID{l.A, l.B}
+					return fmt.Errorf("faults: event %d (%s): link %d direction %d->%d: %w", i, e, li, ends[dir], ends[1-dir], err)
+				}
+			}
 		}
 	}
 	return nil
+}
+
+// leftBefore reports whether a Leave of event i's node fires before
+// event i does: earlier, or at the same time and earlier in the plan.
+func (p *Plan) leftBefore(i int) bool {
+	e := p.Events[i]
+	for j, l := range p.Events {
+		if l.Kind == Leave && l.Node == e.Node && (l.At < e.At || l.At == e.At && j < i) {
+			return true
+		}
+	}
+	return false
+}
+
+// gilbertMeans returns the mean loss a Gilbert event gives each
+// direction of link l: the event's own, or for GilbertEqualMean the
+// link's configured Bernoulli rates.
+func gilbertMeans(e Event, l topology.Link) [2]float64 {
+	if e.Kind == GilbertEqualMean {
+		return [2]float64{l.LossAB, l.LossBA}
+	}
+	return [2]float64{e.MeanLoss, e.MeanLoss}
 }
 
 // ParsePlan reads the plan-file format: one event per line,
@@ -298,92 +310,32 @@ func parseEvent(fields []string) (Event, error) {
 	if len(fields) < 2 {
 		return ev, fmt.Errorf("missing event keyword after time %q", fields[0])
 	}
-	args := fields[2:]
-	needArgs := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("%s takes %d argument(s), got %d", fields[1], n, len(args))
-		}
-		return nil
-	}
-	argInt := func(i int) (int, error) {
-		v, err := strconv.Atoi(args[i])
-		if err != nil {
-			return 0, fmt.Errorf("bad integer %q: %w", args[i], err)
-		}
-		return v, nil
-	}
-	argFloat := func(i int) (float64, error) {
-		v, err := strconv.ParseFloat(args[i], 64)
-		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-			return 0, fmt.Errorf("bad number %q (want a finite number)", args[i])
-		}
-		return v, nil
-	}
-	switch fields[1] {
-	case "link-down", "link-up":
-		ev.Kind = LinkDown
-		if fields[1] == "link-up" {
-			ev.Kind = LinkUp
-		}
-		if err := needArgs(1); err != nil {
-			return ev, err
-		}
-		ev.Link, err = argInt(0)
-	case "crash", "restart", "leave":
-		switch fields[1] {
-		case "crash":
-			ev.Kind = Crash
-		case "restart":
-			ev.Kind = Restart
-		default:
-			ev.Kind = Leave
-		}
-		if err := needArgs(1); err != nil {
-			return ev, err
-		}
-		var n int
-		n, err = argInt(0)
-		ev.Node = topology.NodeID(n)
-	case "partition-zone", "heal-zone":
-		ev.Kind = PartitionZone
-		if fields[1] == "heal-zone" {
-			ev.Kind = HealZone
-		}
-		if err := needArgs(1); err != nil {
-			return ev, err
-		}
-		var z int
-		z, err = argInt(0)
-		ev.Zone = scoping.ZoneID(z)
-	case "gilbert-link":
-		ev.Kind = GilbertLink
-		if err := needArgs(3); err != nil {
-			return ev, err
-		}
-		if ev.Link, err = argInt(0); err != nil {
-			return ev, err
-		}
-		if ev.MeanLoss, err = argFloat(1); err != nil {
-			return ev, err
-		}
-		ev.BurstLen, err = argFloat(2)
-	case "gilbert-all":
-		ev.Kind = GilbertAll
-		if err := needArgs(2); err != nil {
-			return ev, err
-		}
-		if ev.MeanLoss, err = argFloat(0); err != nil {
-			return ev, err
-		}
-		ev.BurstLen, err = argFloat(1)
-	case "gilbert-equal-mean":
-		ev.Kind = GilbertEqualMean
-		if err := needArgs(1); err != nil {
-			return ev, err
-		}
-		ev.BurstLen, err = argFloat(0)
-	default:
+	k := slices.IndexFunc(kinds[:], func(s syntax) bool { return s.keyword == fields[1] })
+	if k < 0 {
 		return ev, fmt.Errorf("unknown event keyword %q", fields[1])
 	}
-	return ev, err
+	ev.Kind = Kind(k)
+	args := fields[2:]
+	id := ev.subjectID()
+	nums := ev.numbers()
+	n := len(nums)
+	if id != nil {
+		n++
+	}
+	if len(args) != n {
+		return ev, fmt.Errorf("%s takes %d argument(s), got %d", fields[1], n, len(args))
+	}
+	if id != nil {
+		if *id, err = strconv.Atoi(args[0]); err != nil {
+			return ev, fmt.Errorf("bad integer %q: %w", args[0], err)
+		}
+		args = args[1:]
+	}
+	for i, v := range nums {
+		*v, err = strconv.ParseFloat(args[i], 64)
+		if err != nil || math.IsNaN(*v) || math.IsInf(*v, 0) {
+			return ev, fmt.Errorf("bad number %q (want a finite number)", args[i])
+		}
+	}
+	return ev, nil
 }

@@ -55,6 +55,27 @@ func build(t *testing.T, spec *topology.Spec, seed uint64) (*netsim.Network, *si
 	return n, src, recs
 }
 
+// mustParse reads a plan from plan-file text.
+func mustParse(t testing.TB, text string) *Plan {
+	t.Helper()
+	p, err := ParsePlan(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// lossyChain is a four-node chain whose three links lose 0, 0.6 and 1
+// of their packets in each direction.
+func lossyChain() *topology.Spec {
+	spec := topology.Chain(4, 1e6, 0.010, 0)
+	spec.Graph = topology.New(4)
+	for i, loss := range []float64{0, 0.6, 1} {
+		spec.Graph.AddLink(topology.NodeID(i), topology.NodeID(i+1), 1e6, 0.010, loss)
+	}
+	return spec
+}
+
 func dataPkt(seq uint32) *packet.Data {
 	return &packet.Data{Origin: 0, Seq: seq, Group: 0, Index: 0, GroupK: 16, Payload: make([]byte, 1000)}
 }
@@ -77,11 +98,18 @@ func TestParsePlanRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := (&Plan{}).
-		LinkDown(10.5, 3).LinkUp(12, 3).
-		Crash(9, 8).Restart(20, 8).Leave(9.5, 17).
-		PartitionZone(10, 2).HealZone(14, 2).
-		GilbertLink(0, 3, 0.08, 6).GilbertAll(0, 0.08, 6).GilbertEqualMean(0, 6)
+	want := &Plan{Events: []Event{
+		{At: 10.5, Kind: LinkDown, Link: 3},
+		{At: 12, Kind: LinkUp, Link: 3},
+		{At: 9, Kind: Crash, Node: 8},
+		{At: 20, Kind: Restart, Node: 8},
+		{At: 9.5, Kind: Leave, Node: 17},
+		{At: 10, Kind: PartitionZone, Zone: 2},
+		{At: 14, Kind: HealZone, Zone: 2},
+		{Kind: GilbertLink, Link: 3, MeanLoss: 0.08, BurstLen: 6},
+		{Kind: GilbertAll, MeanLoss: 0.08, BurstLen: 6},
+		{Kind: GilbertEqualMean, BurstLen: 6},
+	}}
 	if !reflect.DeepEqual(p, want) {
 		t.Fatalf("parsed plan mismatch:\n got %+v\nwant %+v", p.Events, want.Events)
 	}
@@ -122,17 +150,20 @@ func TestParsePlanErrors(t *testing.T) {
 	}
 }
 
+// parseSeeds seed both plan fuzzers' corpora.
+var parseSeeds = []string{
+	"10",
+	"10.5 link-down 3\n12 link-up 3 # recovery",
+	"9 crash 8\n20 restart 8\n9.5 leave 17",
+	"10 partition-zone 2\n14 heal-zone 2",
+	"0 gilbert-link 3 0.08 6\n0 gilbert-all 0.08 6\n0 gilbert-equal-mean 6",
+	"-0 crash 4294967297",
+}
+
 // FuzzParsePlan: parsing never panics, and every accepted plan re-parses
 // from its events' String lines to the same events.
 func FuzzParsePlan(f *testing.F) {
-	for _, seed := range []string{
-		"10",
-		"10.5 link-down 3\n12 link-up 3 # recovery",
-		"9 crash 8\n20 restart 8\n9.5 leave 17",
-		"10 partition-zone 2\n14 heal-zone 2",
-		"0 gilbert-link 3 0.08 6\n0 gilbert-all 0.08 6\n0 gilbert-equal-mean 6",
-		"-0 crash 4294967297",
-	} {
+	for _, seed := range parseSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
@@ -155,36 +186,88 @@ func FuzzParsePlan(f *testing.F) {
 	})
 }
 
+// FuzzPlanApplies: a plan that validates against a network applies to
+// it. The target parses the input, validates it against lossyChain, then
+// starts an engine on a fresh network and runs the queue to the last
+// event; it fails only on a panic.
+func FuzzPlanApplies(f *testing.F) {
+	// An equal-mean burst over the loss-1 link, and a mean no burst of
+	// length 1 reaches.
+	for _, seed := range append([]string{"0 gilbert-equal-mean 4", "0 gilbert-link 1 0.8 1"}, parseSeeds...) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		p, err := ParsePlan(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		spec := lossyChain()
+		n, src, _ := build(t, spec, 1)
+		if p.Validate(n.G, n.H) != nil {
+			return
+		}
+		if err := NewEngine(n, src, p).Start(); err != nil {
+			t.Fatalf("Start refused a validated plan: %v", err)
+		}
+		n.Q.Run()
+	})
+}
+
 func TestValidate(t *testing.T) {
 	spec := topology.Chain(4, 1e6, 0.010, 0)
 	h := scoping.MustBuild(spec.Zones)
 	g := spec.Graph
 	bad := []*Plan{
-		(&Plan{}).LinkDown(1, 99),
-		(&Plan{}).LinkDown(-1, 0),
-		(&Plan{}).Crash(1, 99),
-		(&Plan{}).Leave(1, 0).Leave(1, 99),
-		(&Plan{}).PartitionZone(1, 7),
-		(&Plan{}).GilbertLink(1, 0, 1.0, 6),
-		(&Plan{}).GilbertAll(1, 0.1, 0.5),
-		(&Plan{}).GilbertEqualMean(1, 0),
+		mustParse(t, "1 link-down 99"),
+		mustParse(t, "-1 link-down 0"),
+		mustParse(t, "1 crash 99"),
+		mustParse(t, "1 leave 0\n1 leave 99"),
+		mustParse(t, "1 partition-zone 7"),
+		// A departed member is outside every zone: it cannot restart.
+		mustParse(t, "1 crash 2\n1 leave 2\n2 restart 2"),
+		mustParse(t, "1 leave 2\n1 restart 2"),
+		mustParse(t, "1 gilbert-link 0 1 6"),
+		mustParse(t, "1 gilbert-all 0.1 0.5"),
+		mustParse(t, "1 gilbert-equal-mean 0"),
+		// Means no chain of that burst length can reach (at most
+		// burstLen/(1+burstLen), here 0.5).
+		mustParse(t, "0 gilbert-link 0 0.8 1"),
+		mustParse(t, "0 gilbert-all 0.6 1"),
 		// Non-finite floats must not slip through the range checks:
 		// NaN fails every ordinary comparison, so "x < 0" style guards
-		// would wave it through.
-		(&Plan{}).LinkDown(math.NaN(), 0),
-		(&Plan{}).Crash(math.Inf(1), 1),
-		(&Plan{}).GilbertAll(1, math.NaN(), 6),
-		(&Plan{}).GilbertAll(1, 0.1, math.Inf(1)),
-		(&Plan{}).GilbertEqualMean(1, math.NaN()),
+		// would wave it through. The parser refuses them, so these are
+		// struct literals.
+		{Events: []Event{{At: math.NaN(), Kind: LinkDown}}},
+		{Events: []Event{{At: math.Inf(1), Kind: Crash, Node: 1}}},
+		{Events: []Event{{At: 1, Kind: GilbertAll, MeanLoss: math.NaN(), BurstLen: 6}}},
+		{Events: []Event{{At: 1, Kind: GilbertAll, MeanLoss: 0.1, BurstLen: math.Inf(1)}}},
+		{Events: []Event{{At: 1, Kind: GilbertEqualMean, BurstLen: math.NaN()}}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(g, h); err == nil {
 			t.Errorf("plan %d (%v) validated, want error", i, p.Events)
 		}
 	}
-	ok := (&Plan{}).LinkDown(0, 2).LinkUp(3, 2).Crash(1, 3).Leave(2, 1).GilbertEqualMean(0, 6)
+	ok := mustParse(t, "0 link-down 2\n3 link-up 2\n1 crash 3\n2 leave 1\n0 gilbert-equal-mean 6\n"+
+		"1 crash 2\n2 restart 2\n2 leave 2")
 	if err := ok.Validate(g, h); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
+	}
+
+	// An equal-mean burst takes each direction's own loss as its mean,
+	// so those must be feasible too; the error names the direction.
+	lossy := lossyChain()
+	lh := scoping.MustBuild(lossy.Zones)
+	for _, c := range []struct{ text, want string }{
+		{"0 gilbert-equal-mean 4", "link 2 direction 2->3: mean loss 1 outside [0,1)"},
+		{"0 gilbert-equal-mean 1", "link 1 direction 1->2: mean loss 0.6 above 0.5"},
+	} {
+		if err := mustParse(t, c.text).Validate(lossy.Graph, lh); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q on the lossy chain: error %v, want one containing %q", c.text, err, c.want)
+		}
+	}
+	if err := mustParse(t, "0 gilbert-link 1 0.6 4").Validate(lossy.Graph, lh); err != nil {
+		t.Errorf("feasible burst on the lossy chain rejected: %v", err)
 	}
 }
 
@@ -225,6 +308,11 @@ func TestGilbertBurstCalibration(t *testing.T) {
 	if _, err := NewBurst(nil, 0.1, 0.5); err == nil {
 		t.Error("NewBurst(burst=0.5) succeeded, want error")
 	}
+	// Above burstLen/(1+burstLen) the chain cannot reach the mean: at
+	// burst 1 a mean of 0.8 used to be built and lose only 0.5.
+	if _, err := NewBurst(nil, 0.8, 1); err == nil {
+		t.Error("NewBurst(mean=0.8, burst=1) succeeded, want error")
+	}
 }
 
 // TestLinkDownReroutes drops the direct link of a triangle and checks the
@@ -241,7 +329,7 @@ func TestLinkDownReroutes(t *testing.T) {
 		Zones:     []topology.ZoneSpec{{ID: 0, Parent: -1, Leaves: []topology.NodeID{0, 1, 2}}},
 	}
 	n, src, recs := build(t, spec, 1)
-	eng := NewEngine(n, src, (&Plan{}).LinkDown(1.0, direct))
+	eng := NewEngine(n, src, &Plan{Events: []Event{{At: 1, Kind: LinkDown, Link: direct}}})
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +360,7 @@ func TestLinkDownReroutes(t *testing.T) {
 func TestLinkDownOnChainDropsAndRecovers(t *testing.T) {
 	spec := topology.Chain(3, 1e6, 0.010, 0)
 	n, src, recs := build(t, spec, 1)
-	eng := NewEngine(n, src, (&Plan{}).LinkDown(1.0, 1).LinkUp(3.0, 1))
+	eng := NewEngine(n, src, mustParse(t, "1 link-down 1\n3 link-up 1"))
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +393,7 @@ func TestPartitionHeal(t *testing.T) {
 		{ID: 1, Parent: 0, Leaves: []topology.NodeID{2, 3}},
 	}
 	n, src, recs := build(t, spec, 1)
-	eng := NewEngine(n, src, (&Plan{}).PartitionZone(1.0, 1).HealZone(3.0, 1))
+	eng := NewEngine(n, src, mustParse(t, "1 partition-zone 1\n3 heal-zone 1"))
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +418,7 @@ func TestLeaveShrinksDeliverySet(t *testing.T) {
 	spec := topology.Chain(3, 1e6, 0.010, 0)
 	n, src, recs := build(t, spec, 1)
 	var leftAt eventq.Time
-	eng := NewEngine(n, src, (&Plan{}).Leave(1.0, 2))
+	eng := NewEngine(n, src, mustParse(t, "1 leave 2"))
 	eng.OnLeave = func(now eventq.Time, node topology.NodeID) { leftAt = now }
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
@@ -354,7 +442,7 @@ func TestCrashRestartHooks(t *testing.T) {
 	spec := topology.Chain(3, 1e6, 0.010, 0)
 	n, src, _ := build(t, spec, 1)
 	var calls []string
-	eng := NewEngine(n, src, (&Plan{}).Crash(1.0, 2).Restart(2.0, 2))
+	eng := NewEngine(n, src, mustParse(t, "1 crash 2\n2 restart 2"))
 	eng.OnCrash = func(now eventq.Time, node topology.NodeID) {
 		calls = append(calls, "crash")
 	}
@@ -377,7 +465,7 @@ func TestGilbertEqualMeanPreservesMean(t *testing.T) {
 	const loss = 0.2
 	spec := topology.Chain(2, 1e9, 0, loss)
 	n, src, _ := build(t, spec, 3)
-	eng := NewEngine(n, src, (&Plan{}).GilbertEqualMean(0, 6))
+	eng := NewEngine(n, src, mustParse(t, "0 gilbert-equal-mean 6"))
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +486,7 @@ func TestGilbertEqualMeanPreservesMean(t *testing.T) {
 func TestStartRejectsInvalidPlan(t *testing.T) {
 	spec := topology.Chain(3, 1e6, 0.010, 0)
 	n, src, _ := build(t, spec, 1)
-	eng := NewEngine(n, src, (&Plan{}).LinkDown(1, 99))
+	eng := NewEngine(n, src, mustParse(t, "1 link-down 99"))
 	if err := eng.Start(); err == nil {
 		t.Fatal("Start accepted out-of-range link, want error")
 	}
@@ -410,10 +498,10 @@ func TestStartRejectsInvalidPlan(t *testing.T) {
 // TestDeterminismWithFaults runs the same scripted scenario twice and
 // requires byte-identical delivery traces.
 func TestDeterminismWithFaults(t *testing.T) {
-	run := func() (map[topology.NodeID][]arrival, []Applied) {
+	run := func() (map[topology.NodeID][]arrival, []string) {
 		spec := topology.Chain(4, 1e6, 0.010, 0.1)
 		n, src, recs := build(t, spec, 42)
-		plan := (&Plan{}).LinkDown(2.0, 1).LinkUp(4.0, 1).GilbertLink(5.0, 2, 0.3, 4)
+		plan := mustParse(t, "2 link-down 1\n4 link-up 1\n5 gilbert-link 2 0.3 4")
 		eng := NewEngine(n, src, plan)
 		if err := eng.Start(); err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 
 	"sharqfec/internal/simrand"
 )
@@ -23,31 +24,37 @@ type GilbertElliott struct {
 	bad                bool
 }
 
-// NewGilbertElliott builds the general two-state model. The caller owns
-// the stream; use a dedicated "faults/..." stream so installing the
-// model never perturbs other draws.
-func NewGilbertElliott(rng *simrand.Rand, pGoodBad, pBadGood, lossGood, lossBad float64) *GilbertElliott {
-	return &GilbertElliott{
-		rng:      rng,
-		pGoodBad: pGoodBad, pBadGood: pBadGood,
-		lossGood: lossGood, lossBad: lossBad,
-	}
-}
-
 // NewBurst builds the classic Gilbert model (LossGood 0, LossBad 1)
 // calibrated to a stationary mean loss rate and a mean burst length in
 // packets: PBadGood = 1/burstLen and PGoodBad solves the stationary
-// equation meanLoss = PGoodBad/(PGoodBad+PBadGood).
+// equation meanLoss = PGoodBad/(PGoodBad+PBadGood). It refuses what
+// burstError refuses.
 func NewBurst(rng *simrand.Rand, meanLoss, burstLen float64) (*GilbertElliott, error) {
-	if meanLoss < 0 || meanLoss >= 1 {
-		return nil, fmt.Errorf("faults: mean loss %g outside [0,1)", meanLoss)
-	}
-	if burstLen < 1 {
-		return nil, fmt.Errorf("faults: burst length %g < 1", burstLen)
+	if err := burstError(meanLoss, burstLen); err != nil {
+		return nil, fmt.Errorf("faults: %w", err)
 	}
 	pBG := 1 / burstLen
 	pGB := meanLoss * pBG / (1 - meanLoss)
-	return NewGilbertElliott(rng, pGB, pBG, 0, 1), nil
+	return &GilbertElliott{rng: rng, pGoodBad: pGB, pBadGood: pBG, lossBad: 1}, nil
+}
+
+// burstError reports why no classic Gilbert chain has this stationary
+// mean loss and mean burst length, or nil when one does. PGoodBad =
+// meanLoss/((1−meanLoss)·burstLen) is a probability only while
+// meanLoss ≤ burstLen/(1+burstLen); above that the chain would lose
+// less than asked.
+func burstError(meanLoss, burstLen float64) error {
+	// Written so NaN fails every comparison.
+	if !(meanLoss >= 0 && meanLoss < 1) {
+		return fmt.Errorf("mean loss %g outside [0,1)", meanLoss)
+	}
+	if !(burstLen >= 1) || math.IsInf(burstLen, 0) {
+		return fmt.Errorf("burst length %g must be finite and >= 1", burstLen)
+	}
+	if most := burstLen / (1 + burstLen); meanLoss > most {
+		return fmt.Errorf("mean loss %g above %g, the most a mean burst length of %g can give", meanLoss, most, burstLen)
+	}
+	return nil
 }
 
 // Params returns the chain's transition and per-state loss

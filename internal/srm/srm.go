@@ -74,10 +74,7 @@ type Stats struct {
 	RequestsSent       int
 	RequestsSuppressed int
 	RepairsSent        int
-	RepairsSuppressed  int
 	DataReceived       int
-	DupRepairs         int
-	PacketsHeld        int
 }
 
 // pktState tracks one sequence number at one receiver.
@@ -118,8 +115,6 @@ type Agent struct {
 	aveDupReq      float64
 	aveDupRep      float64
 
-	sendData map[uint32][]byte
-
 	// OnDeliver fires for every original packet the first time it is
 	// held (received or repaired).
 	OnDeliver func(now eventq.Time, seq uint32, payload []byte)
@@ -149,9 +144,6 @@ func New(node topology.NodeID, net fabric.Network, cfg Config, src *simrand.Sour
 		tel: cfg.Telemetry,
 	}
 	a.sess = session.New(node, net, session.Config{Telemetry: cfg.Telemetry}, src.StreamN("session", int(node)))
-	if a.isSource {
-		a.sendData = make(map[uint32][]byte)
-	}
 	net.Attach(node, a)
 	return a, nil
 }
@@ -195,7 +187,6 @@ func (a *Agent) sourceSend(now eventq.Time, seq uint32) {
 	for j := range payload {
 		payload[j] = byte(a.rng.IntN(256))
 	}
-	a.sendData[seq] = payload
 	st := a.state(seq)
 	st.have = true
 	st.payload = payload
@@ -271,7 +262,6 @@ func (a *Agent) hold(now eventq.Time, seq uint32, payload []byte) {
 	}
 	st.have = true
 	st.payload = payload
-	a.Stats.PacketsHeld++
 	st.reqTimer.Stop()
 	if st.lossDetected {
 		// SRM's per-packet analogue of a group decode: a previously
@@ -424,11 +414,9 @@ func (a *Agent) handleRepair(now eventq.Time, p *packet.Repair) {
 	seq := p.Group
 	st := a.state(seq)
 	if st.have {
-		a.Stats.DupRepairs++
 		st.dupRep++
 		if st.repTimer.Active() {
 			st.repTimer.Stop()
-			a.Stats.RepairsSuppressed++
 			a.emit(now, telemetry.KindRepairSuppressed, seq, 0, 0, 0)
 		}
 		st.holdTill = now.Add(eventq.Duration(holdDown * a.sess.Dist(p.Origin, nil)))

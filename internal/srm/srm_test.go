@@ -74,7 +74,8 @@ func (w *world) verifyAll(t *testing.T, cfg Config) {
 		}
 		for seq := uint32(0); seq < uint32(cfg.NumPackets); seq += 7 {
 			got, ok := ag.Payload(seq)
-			if !ok || !bytes.Equal(got, src.sendData[seq]) {
+			want, _ := src.Payload(seq)
+			if !ok || !bytes.Equal(got, want) {
 				t.Fatalf("node %d packet %d corrupted or missing", m, seq)
 			}
 		}

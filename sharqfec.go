@@ -24,6 +24,7 @@ package sharqfec
 
 import (
 	"fmt"
+	"slices"
 
 	"sharqfec/internal/core"
 	"sharqfec/internal/eventq"
@@ -123,70 +124,70 @@ const (
 	SHARQFECAdaptive Protocol = "sharqfec-adaptive"
 )
 
+// protocolInfo is one row of the protocol vocabulary: the paper-style
+// label String prints, the aliases ParseProtocol accepts besides the
+// flag name, and the core feature flags (unused for SRM).
+type protocolInfo struct {
+	p       Protocol
+	label   string
+	aliases []string
+	opts    core.Options
+}
+
+// protocols is the one table Protocols, ParseProtocol, String and
+// options read, in Protocols order.
+var protocols = []protocolInfo{
+	{SRM, "SRM", nil, core.Options{}},
+	{SHARQFEC, "SHARQFEC", []string{"sharqfec()"}, core.Options{Scoping: true, Injection: true}},
+	{SHARQFECNoScope, "SHARQFEC(ns)", []string{"sharqfec(ns)"}, core.Options{Injection: true}},
+	{SHARQFECNoInject, "SHARQFEC(ni)", []string{"sharqfec(ni)"}, core.Options{Scoping: true}},
+	{SHARQFECNoScopeNoInject, "SHARQFEC(ns,ni)", []string{"sharqfec(ns,ni)"}, core.Options{}},
+	{ECSRM, "SHARQFEC(ns,ni,so)/ECSRM", []string{"sharqfec-ns-ni-so", "sharqfec(ns,ni,so)"}, core.Options{SenderOnly: true}},
+	{SHARQFECAdaptive, "SHARQFEC(adaptive)", []string{"sharqfec(adaptive)"},
+		core.Options{Scoping: true, Injection: true, AdaptiveTimers: true}},
+}
+
+// info returns p's row of the protocol table; ok is false for a name
+// outside it.
+func (p Protocol) info() (protocolInfo, bool) {
+	for _, in := range protocols {
+		if in.p == p {
+			return in, true
+		}
+	}
+	return protocolInfo{}, false
+}
+
 // Protocols lists every runnable protocol.
 func Protocols() []Protocol {
-	return []Protocol{SRM, SHARQFEC, SHARQFECNoScope, SHARQFECNoInject, SHARQFECNoScopeNoInject, ECSRM, SHARQFECAdaptive}
+	out := make([]Protocol, len(protocols))
+	for i, in := range protocols {
+		out[i] = in.p
+	}
+	return out
 }
 
 // ParseProtocol resolves a protocol name (accepting the paper's
 // "sharqfec(ns,ni,so)" style as well as the flag style above).
 func ParseProtocol(s string) (Protocol, error) {
-	switch s {
-	case "srm":
-		return SRM, nil
-	case "sharqfec", "sharqfec()":
-		return SHARQFEC, nil
-	case "sharqfec-ns", "sharqfec(ns)":
-		return SHARQFECNoScope, nil
-	case "sharqfec-ni", "sharqfec(ni)":
-		return SHARQFECNoInject, nil
-	case "sharqfec-ns-ni", "sharqfec(ns,ni)":
-		return SHARQFECNoScopeNoInject, nil
-	case "ecsrm", "sharqfec-ns-ni-so", "sharqfec(ns,ni,so)":
-		return ECSRM, nil
-	case "sharqfec-adaptive", "sharqfec(adaptive)":
-		return SHARQFECAdaptive, nil
+	for _, in := range protocols {
+		if s == string(in.p) || slices.Contains(in.aliases, s) {
+			return in.p, nil
+		}
 	}
 	return "", fmt.Errorf("sharqfec: unknown protocol %q", s)
 }
 
 // options maps a protocol to core feature flags; ok is false for SRM.
 func (p Protocol) options() (core.Options, bool) {
-	switch p {
-	case SHARQFEC:
-		return core.Options{Scoping: true, Injection: true}, true
-	case SHARQFECNoScope:
-		return core.Options{Injection: true}, true
-	case SHARQFECNoInject:
-		return core.Options{Scoping: true}, true
-	case SHARQFECNoScopeNoInject:
-		return core.Options{}, true
-	case ECSRM:
-		return core.Options{SenderOnly: true}, true
-	case SHARQFECAdaptive:
-		return core.Options{Scoping: true, Injection: true, AdaptiveTimers: true}, true
-	default:
-		return core.Options{}, false
-	}
+	in, ok := p.info()
+	return in.opts, ok && p != SRM
 }
 
 // String implements fmt.Stringer with the paper's annotations.
 func (p Protocol) String() string {
-	switch p {
-	case SHARQFEC:
-		return "SHARQFEC"
-	case SHARQFECNoScope:
-		return "SHARQFEC(ns)"
-	case SHARQFECNoInject:
-		return "SHARQFEC(ni)"
-	case SHARQFECNoScopeNoInject:
-		return "SHARQFEC(ns,ni)"
-	case ECSRM:
-		return "SHARQFEC(ns,ni,so)/ECSRM"
-	case SHARQFECAdaptive:
-		return "SHARQFEC(adaptive)"
-	case SRM:
-		return "SRM"
+	if in, ok := p.info(); ok {
+		return in.label
 	}
 	return string(p)
 }
