@@ -3,8 +3,9 @@
 // via the udpmesh transport.
 //
 // Every member of a session must be started with the same -topology and
-// -base-port; member n listens on 127.0.0.1:(base-port+n). For example,
-// a four-node chain on one machine:
+// -base-port; member n listens on 127.0.0.1:(base-port+n). -topology
+// takes the simulator's names, figure10 | chain:N | star:N | tree:FxF,
+// with lossless links. For example, a four-node chain on one machine:
 //
 //	sharqfec-node -topology chain:4 -node 0 -source -packets 64 &
 //	sharqfec-node -topology chain:4 -node 1 &
@@ -27,8 +28,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"sharqfec/internal/core"
@@ -46,7 +45,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sharqfec-node: ")
 
-	topoFlag := flag.String("topology", "chain:4", "chain:N or tree:FxF — must match across members")
+	topoFlag := flag.String("topology", "chain:4", "figure10 | chain:N | star:N | tree:FxF — must match across members")
 	nodeID := flag.Int("node", 0, "this member's node ID")
 	source := flag.Bool("source", false, "act as the data source")
 	basePort := flag.Int("base-port", 9000, "member n listens on 127.0.0.1:(base-port+n)")
@@ -61,7 +60,7 @@ func main() {
 	sloPath := flag.String("slo", "", "SLO spec file: evaluate streaming health objectives live (needs -metrics-addr)")
 	flag.Parse()
 
-	spec, err := parseTopology(*topoFlag)
+	spec, err := topology.Parse(*topoFlag, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -288,37 +287,4 @@ func addressPlan(spec *topology.Spec, basePort int) map[topology.NodeID]*net.UDP
 		addrs[m] = &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: basePort + int(m)}
 	}
 	return addrs
-}
-
-func parseTopology(s string) (*topology.Spec, error) {
-	switch {
-	case strings.HasPrefix(s, "chain:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(s, "chain:"))
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("bad chain size %q", s)
-		}
-		spec := topology.Chain(n, 10e6, 0.010, 0)
-		if n > 2 {
-			var rest []topology.NodeID
-			for i := 1; i < n; i++ {
-				rest = append(rest, topology.NodeID(i))
-			}
-			spec.Zones = []topology.ZoneSpec{
-				{ID: 0, Parent: -1, Leaves: []topology.NodeID{0}},
-				{ID: 1, Parent: 0, Leaves: rest},
-			}
-		}
-		return spec, nil
-	case strings.HasPrefix(s, "tree:"):
-		var fanout []int
-		for _, part := range strings.Split(strings.TrimPrefix(s, "tree:"), "x") {
-			f, err := strconv.Atoi(part)
-			if err != nil || f < 1 {
-				return nil, fmt.Errorf("bad tree fanout %q", s)
-			}
-			fanout = append(fanout, f)
-		}
-		return topology.BalancedTree(fanout, 10e6, 0.020, 0), nil
-	}
-	return nil, fmt.Errorf("unknown topology %q (chain:N or tree:FxF)", s)
 }

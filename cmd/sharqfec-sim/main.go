@@ -36,6 +36,8 @@
 //	-perfetto          write the recovery spans as Chrome trace-event
 //	                   JSON (Perfetto / chrome://tracing); implies -spans
 //	-flight-recorder   keep a ring of the last N control-plane events
+//	                   (N clamped to [16, 65536]) and print it after
+//	                   the telemetry lines
 //	-slo               SLO spec file: evaluate streaming health
 //	                   objectives during the run, print the per-zone
 //	                   verdict table, and exit 1 on any violation
@@ -63,7 +65,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
-	"strconv"
 	"strings"
 
 	"sharqfec"
@@ -100,7 +101,7 @@ func main() {
 	metricsInterval := flag.Float64("metrics-interval", 1, "virtual seconds between metrics snapshots (0 = default; else >= 0.001)")
 	spansFlag := flag.Bool("spans", false, "assemble causal recovery spans and print the recovery report")
 	perfettoPath := flag.String("perfetto", "", "write recovery spans as Chrome trace-event JSON (implies -spans)")
-	flightRec := flag.Int("flight-recorder", 0, "keep a ring of the last N control-plane events")
+	flightRec := flag.Int("flight-recorder", 0, "keep a ring of the last N control-plane events and print it after the run")
 	sloPath := flag.String("slo", "", "SLO spec file; exit 1 when any objective is violated")
 	rcFlag := flag.String("ratecontrol", "off", "rate-control policy (off | static | adaptive)")
 	rcBudget := flag.Float64("rc-budget", 0, "adaptive repair budget as a fraction of group size (0 = default 0.5)")
@@ -147,7 +148,7 @@ func main() {
 			}
 		}()
 	}
-	top, err := parseTopology(*topoFlag, *lossFlag)
+	top, err := sharqfec.ParseTopology(*topoFlag, *lossFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -278,6 +279,12 @@ func main() {
 			t.EventsEmitted, t.EventsWritten, t.NumSamples())
 		fmt.Printf("NACK suppression:      %.1f%%\n", 100*t.SuppressionRatio)
 		fmt.Printf("zone-local repairs:    %.1f%%\n", 100*t.LocalRepairFrac)
+		if fr := t.FlightRecord(); *flightRec > 0 {
+			fmt.Printf("flight recorder (last %d control-plane events):\n", len(fr))
+			for _, line := range fr {
+				fmt.Printf("  %s\n", line)
+			}
+		}
 		if wantSpans {
 			fmt.Println()
 			fmt.Print(t.RecoveryReport().String())
@@ -334,38 +341,4 @@ func writeMetrics(path string, t *sharqfec.TelemetryReport) error {
 		err = cerr
 	}
 	return err
-}
-
-// parseTopology resolves the -topology flag.
-func parseTopology(s string, loss float64) (*sharqfec.Topology, error) {
-	switch {
-	case s == "figure10":
-		return sharqfec.Figure10Topology(), nil
-	case strings.HasPrefix(s, "chain:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(s, "chain:"))
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("bad chain size in %q", s)
-		}
-		return sharqfec.ChainTopology(n, loss), nil
-	case strings.HasPrefix(s, "star:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(s, "star:"))
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("bad star size in %q", s)
-		}
-		return sharqfec.StarTopology(n, loss), nil
-	case strings.HasPrefix(s, "tree:"):
-		var fanout []int
-		for _, part := range strings.Split(strings.TrimPrefix(s, "tree:"), "x") {
-			f, err := strconv.Atoi(part)
-			if err != nil || f < 1 {
-				return nil, fmt.Errorf("bad tree fanout in %q", s)
-			}
-			fanout = append(fanout, f)
-		}
-		if len(fanout) == 0 {
-			return nil, fmt.Errorf("empty tree fanout in %q", s)
-		}
-		return sharqfec.TreeTopology(fanout, loss), nil
-	}
-	return nil, fmt.Errorf("unknown topology %q", s)
 }

@@ -18,20 +18,24 @@
 //	           replay gate). Exit status is also non-zero when the
 //	           replayed verdict is FAIL.
 //
-// A trace file of "-" reads from stdin. The exit status is non-zero
+// A trace file of "-" reads from stdin. The trace is read once, in one
+// pass that feeds the span assembler and, under -slo, the health engine
+// and the recorded-alert sink together; nothing of it is kept, so memory
+// does not grow with the trace's length. The exit status is non-zero
 // when the trace is malformed or span accounting is broken (a loss
 // without a terminal decode / loss_unrecovered event).
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"sharqfec/internal/analysis"
+	"sharqfec/internal/telemetry"
 	"sharqfec/internal/telemetry/health"
 	"sharqfec/internal/telemetry/spans"
 )
@@ -71,34 +75,34 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		defer f.Close()
 		in = f
 	}
-	var spec *health.Spec
-	var raw []byte
+	asm := spans.NewAssembler()
+	sinks := []telemetry.Sink{asm.Sink()}
+	var eng *health.Engine
+	var recorded []telemetry.Event
 	if *sloPath != "" {
 		f, err := os.Open(*sloPath)
 		if err != nil {
 			return err
 		}
-		spec, err = health.ParseSpec(f)
+		spec, err := health.ParseSpec(f)
 		f.Close()
 		if err != nil {
 			return err
 		}
-		// The health replay needs its own pass over the trace; buffer
-		// stdin / the file once so both consumers read identical bytes.
-		raw, err = io.ReadAll(in)
-		if err != nil {
-			return err
-		}
-		in = bytes.NewReader(raw)
+		eng = health.NewEngine(spec, nil)
+		sinks = append(sinks, eng.Sink(), func(e telemetry.Event) {
+			if e.Kind == telemetry.KindHealthAlert || e.Kind == telemetry.KindHealthClear {
+				recorded = append(recorded, e)
+			}
+		})
 	}
-
-	asm, err := spans.Replay(in)
+	until, err := telemetry.Replay(in, sinks...)
 	if err != nil {
 		return err
 	}
+
 	rep := analysis.BuildRecoveryReport(asm)
 	fmt.Fprint(stdout, rep.String())
-
 	if *listSpans {
 		fmt.Fprintln(stdout)
 		for _, s := range asm.Spans() {
@@ -110,7 +114,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		err = spans.WritePerfetto(f, asm.Spans(), asm.View())
+		err = spans.WritePerfetto(f, asm.Spans(), asm.View(), nil)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -118,8 +122,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	if spec != nil {
-		if err := healthReplay(bytes.NewReader(raw), spec, stdout); err != nil {
+	if eng != nil {
+		eng.Finish(until)
+		if err := healthVerdict(eng, recorded, stdout); err != nil {
 			return err
 		}
 	}
@@ -129,20 +134,16 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// healthReplay re-derives the SLO verdicts from the trace, prints the
-// table, and enforces the replay-equality gate against any recorded
-// health events. Drift or a FAIL verdict is an error.
-func healthReplay(r io.Reader, spec *health.Spec, stdout io.Writer) error {
-	eng, recorded, err := health.Replay(r, spec)
-	if err != nil {
-		return err
-	}
+// healthVerdict prints the finished engine's SLO table and enforces the
+// replay-equality gate against the health events the trace recorded.
+// Drift or a FAIL verdict is an error.
+func healthVerdict(eng *health.Engine, recorded []telemetry.Event, stdout io.Writer) error {
 	fmt.Fprintln(stdout)
 	hr := eng.Report()
 	fmt.Fprint(stdout, hr.String())
 	if len(recorded) > 0 {
 		derived := eng.Emitted()
-		if !health.SameAlerts(derived, recorded) {
+		if !slices.Equal(derived, recorded) {
 			return fmt.Errorf("replay drift: trace recorded %d health events, replay derived %d — offline and live verdicts disagree",
 				len(recorded), len(derived))
 		}

@@ -122,6 +122,9 @@ func TestRunConfigValidation(t *testing.T) {
 		// ...and so did restarting a member that had left.
 		{"restart-after-leave", errOf(RunData(DataConfig{Protocol: SHARQFEC, Topology: ChainTopology(4, 0),
 			NumPackets: 16, Until: 10, Faults: NewFaultPlan().Leave(1, 2).Restart(2, 2)})), "node 2 is not a session member"},
+		// ...and restarting a live member, which ran a second agent on it.
+		{"restart-of-live-member", errOf(RunData(DataConfig{Protocol: SHARQFEC, Topology: ChainTopology(4, 0),
+			NumPackets: 16, Until: 10, Faults: NewFaultPlan().Restart(2, 2)})), "node 2 is not down"},
 	}
 	for _, tc := range others {
 		if tc.err == nil || !strings.Contains(tc.err.Error(), tc.want) {

@@ -3,6 +3,7 @@ package sharqfec
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -119,14 +120,21 @@ func TestHealthReplayReproducesVerdicts(t *testing.T) {
 		t.Fatal("tight SLO unexpectedly passed; the replay test needs violations")
 	}
 
-	eng, recorded, err := health.Replay(bytes.NewReader(trace.Bytes()), spec.spec)
+	eng := health.NewEngine(spec.spec, nil)
+	var recorded []telemetry.Event
+	until, err := telemetry.Replay(bytes.NewReader(trace.Bytes()), eng.Sink(), func(e telemetry.Event) {
+		if e.Kind == telemetry.KindHealthAlert || e.Kind == telemetry.KindHealthClear {
+			recorded = append(recorded, e)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.Finish(until)
 	if len(recorded) == 0 {
 		t.Fatal("trace recorded no health events")
 	}
-	if derived := eng.Emitted(); !health.SameAlerts(derived, recorded) {
+	if derived := eng.Emitted(); !slices.Equal(derived, recorded) {
 		t.Fatalf("replay drift: %d recorded vs %d derived health events",
 			len(recorded), len(derived))
 	}

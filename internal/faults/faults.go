@@ -199,10 +199,16 @@ func (p *Plan) Validate(g *topology.Graph, h *scoping.Hierarchy) error {
 			}
 		}
 		// A restart spawns an agent in the node's leaf zone, so the node
-		// must be a member that no earlier leave removed.
+		// must be a member that no earlier leave removed, and one that is
+		// down: its last crash or restart before this one is a crash.
 		if (e.Kind == Leave || e.Kind == Restart) && h.LeafZone(e.Node) == scoping.NoZone ||
-			e.Kind == Restart && p.leftBefore(i) {
+			e.Kind == Restart && p.lastBefore(i, Leave) >= 0 {
 			return fmt.Errorf("faults: event %d (%s): node %d is not a session member", i, e, e.Node)
+		}
+		if e.Kind == Restart {
+			if j := p.lastBefore(i, Crash, Restart); j < 0 || p.Events[j].Kind != Crash {
+				return fmt.Errorf("faults: event %d (%s): node %d is not down", i, e, e.Node)
+			}
 		}
 		if row.numbers == 0 {
 			continue
@@ -235,16 +241,21 @@ func (p *Plan) Validate(g *topology.Graph, h *scoping.Hierarchy) error {
 	return nil
 }
 
-// leftBefore reports whether a Leave of event i's node fires before
-// event i does: earlier, or at the same time and earlier in the plan.
-func (p *Plan) leftBefore(i int) bool {
-	e := p.Events[i]
-	for j, l := range p.Events {
-		if l.Kind == Leave && l.Node == e.Node && (l.At < e.At || l.At == e.At && j < i) {
-			return true
+// lastBefore returns the index of the last event of one of kinds on
+// event i's node that fires before event i does (earlier, or at the
+// same time and earlier in the plan, the order sync tasks fire in), or
+// -1 when there is none.
+func (p *Plan) lastBefore(i int, kinds ...Kind) int {
+	e, last := p.Events[i], -1
+	for j, x := range p.Events {
+		if x.Node != e.Node || !slices.Contains(kinds, x.Kind) || !(x.At < e.At || x.At == e.At && j < i) {
+			continue
+		}
+		if last < 0 || x.At >= p.Events[last].At {
+			last = j
 		}
 	}
-	return false
+	return last
 }
 
 // gilbertMeans returns the mean loss a Gilbert event gives each

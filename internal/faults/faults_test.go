@@ -226,6 +226,11 @@ func TestValidate(t *testing.T) {
 		// A departed member is outside every zone: it cannot restart.
 		mustParse(t, "1 crash 2\n1 leave 2\n2 restart 2"),
 		mustParse(t, "1 leave 2\n1 restart 2"),
+		// A restart revives a crashed member: a live one would run two
+		// agents on one node.
+		mustParse(t, "1 restart 2"),
+		mustParse(t, "1 crash 2\n2 restart 2\n3 restart 2"),
+		mustParse(t, "1 restart 2\n1 crash 2"),
 		mustParse(t, "1 gilbert-link 0 1 6"),
 		mustParse(t, "1 gilbert-all 0.1 0.5"),
 		mustParse(t, "1 gilbert-equal-mean 0"),
@@ -249,7 +254,7 @@ func TestValidate(t *testing.T) {
 		}
 	}
 	ok := mustParse(t, "0 link-down 2\n3 link-up 2\n1 crash 3\n2 leave 1\n0 gilbert-equal-mean 6\n"+
-		"1 crash 2\n2 restart 2\n2 leave 2")
+		"1 crash 2\n2 restart 2\n2 leave 2\n3 crash 3\n3 restart 3")
 	if err := ok.Validate(g, h); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
 	}

@@ -52,14 +52,16 @@ const MaxID = 1<<22 - 1
 // parse back to the same text.
 const MaxTime = 1e9
 
-// ReadEvents feeds every event of a JSONL trace (as EventWriter writes
-// it) to sink in order, skipping blank lines. Lines are capped at
-// 1 MiB; a line that does not parse, or the first read error, stops
-// the read with an error naming the line.
-func ReadEvents(r io.Reader, sink Sink) error {
+// Replay reads a JSONL trace (as EventWriter writes it) once, feeding
+// each event to every sink in order, and returns the run's end: the
+// run_info event's time, or the last event's time when the trace has
+// none. Blank lines are skipped and lines are capped at 1 MiB; a line
+// that does not parse, or the first read error, stops the read with an
+// error naming the line.
+func Replay(r io.Reader, sinks ...Sink) (until float64, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	line := 0
+	line, haveRunInfo := 0, false
 	for sc.Scan() {
 		line++
 		raw := bytes.TrimSpace(sc.Bytes())
@@ -68,14 +70,22 @@ func ReadEvents(r io.Reader, sink Sink) error {
 		}
 		e, err := ParseEventLine(raw)
 		if err != nil {
-			return fmt.Errorf("trace line %d: %w", line, err)
+			return until, fmt.Errorf("trace line %d: %w", line, err)
 		}
-		sink(e)
+		switch {
+		case e.Kind == KindRunInfo:
+			until, haveRunInfo = e.F, true
+		case !haveRunInfo && e.T > until:
+			until = e.T
+		}
+		for _, sink := range sinks {
+			sink(e)
+		}
 	}
 	if err := sc.Err(); err != nil {
-		return fmt.Errorf("trace line %d: %w", line, err)
+		return until, fmt.Errorf("trace line %d: %w", line, err)
 	}
-	return nil
+	return until, nil
 }
 
 // ParseEventLine decodes one EventWriter JSONL line back into the Event

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"sharqfec/internal/scoping"
@@ -178,4 +180,43 @@ func writeLine(t *testing.T, e Event) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestReplay: one pass feeds every sink every event in order and
+// returns the run's end — run_info's time, else the last event's, 0 for
+// an empty trace — and a parse error names the line.
+func TestReplay(t *testing.T) {
+	for _, c := range []struct {
+		name, trace string
+		until       float64
+		events      int
+	}{
+		{"run_info", `{"t":0.000000,"ev":"run_info","node":-1,"f":30}
+{"t":2.500000,"ev":"nack_sent","node":1,"zone":0}
+{"t":40.000000,"ev":"nack_sent","node":1,"zone":0}
+`, 30, 3},
+		{"last event", `{"t":0.000000,"ev":"zone_info","node":-1,"zone":0,"a":-1}
+
+{"t":7.250000,"ev":"nack_sent","node":1,"zone":0}
+{"t":3.000000,"ev":"nack_sent","node":1,"zone":0}
+`, 7.25, 3},
+		{"empty", "", 0, 0},
+	} {
+		var a, b []Event
+		until, err := Replay(strings.NewReader(c.trace),
+			func(e Event) { a = append(a, e) }, func(e Event) { b = append(b, e) })
+		if err != nil || until != c.until {
+			t.Errorf("%s: Replay = %g, %v; want %g, nil", c.name, until, err, c.until)
+		}
+		if len(a) != c.events || !slices.Equal(a, b) {
+			t.Errorf("%s: sinks saw %d and %d events, want %d each, the same", c.name, len(a), len(b), c.events)
+		}
+	}
+	_, err := Replay(strings.NewReader(`{"t":0.000000,"ev":"run_info","node":-1,"f":30}
+
+not json
+`))
+	if err == nil || !strings.HasPrefix(err.Error(), "trace line 3:") {
+		t.Errorf("garbage: error %v, want one naming trace line 3", err)
+	}
 }

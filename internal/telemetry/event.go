@@ -289,3 +289,59 @@ func EmitZones(b *Bus, h *scoping.Hierarchy) {
 		}
 	}
 }
+
+// ZoneView decodes the preamble EmitZones writes: each zone's hierarchy
+// level and each member's leaf zone. Every sink that needs the zones
+// holds one, so a live run and an offline replay of its trace see the
+// same hierarchy. The zero value is an empty view.
+type ZoneView struct {
+	level []int            // zone → level, -1 when unknown
+	leaf  []scoping.ZoneID // node → leaf zone, NoZone when unknown
+}
+
+// Note folds a zone_info or zone_member event into the view and
+// reports whether e was one. Events naming a negative zone or node are
+// ignored.
+func (v *ZoneView) Note(e Event) bool {
+	switch e.Kind {
+	case KindZoneInfo:
+		if e.Zone >= 0 {
+			v.level = grow(v.level, int(e.Zone), -1)
+			v.level[e.Zone] = int(e.B)
+		}
+	case KindZoneMember:
+		if e.Node >= 0 {
+			v.leaf = grow(v.leaf, int(e.Node), scoping.NoZone)
+			v.leaf[e.Node] = e.Zone
+		}
+	default:
+		return false
+	}
+	return true
+}
+
+// grow extends s with fill until index i exists.
+func grow[T any](s []T, i int, fill T) []T {
+	for len(s) <= i {
+		s = append(s, fill)
+	}
+	return s
+}
+
+// Level returns the zone's hierarchy level (root = 0), or -1 when the
+// zone is unknown.
+func (v *ZoneView) Level(z scoping.ZoneID) int {
+	if z < 0 || int(z) >= len(v.level) {
+		return -1
+	}
+	return v.level[z]
+}
+
+// LeafZone returns the node's leaf zone, or scoping.NoZone when the
+// node is unknown.
+func (v *ZoneView) LeafZone(n topology.NodeID) scoping.ZoneID {
+	if n < 0 || int(n) >= len(v.leaf) {
+		return scoping.NoZone
+	}
+	return v.leaf[n]
+}

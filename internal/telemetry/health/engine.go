@@ -107,8 +107,7 @@ type Engine struct {
 
 	byMetric [numMetrics][]int
 
-	levels []int            // zone → hierarchy level, from zone_info (-1 unknown)
-	leaf   []scoping.ZoneID // node → leaf zone, from zone_member
+	view telemetry.ZoneView
 
 	// insts/states are [objective][row]; rows[i] is row i's zone index,
 	// ascending, where 0 is the session aggregate and z+1 is zone z. A
@@ -158,26 +157,10 @@ func (e *Engine) handle(ev telemetry.Event) {
 	// ingesting ev: a tick's window never sees events at or after it,
 	// which makes the tick sequence a pure function of the event stream.
 	e.evalTo(ev.T)
+	if e.view.Note(ev) {
+		return
+	}
 	switch ev.Kind {
-	case telemetry.KindZoneInfo:
-		z := int(ev.Zone)
-		if z < 0 {
-			return
-		}
-		for len(e.levels) <= z {
-			e.levels = append(e.levels, -1)
-		}
-		e.levels[z] = int(ev.B)
-	case telemetry.KindZoneMember:
-		n := int(ev.Node)
-		if n < 0 {
-			return
-		}
-		for len(e.leaf) <= n {
-			e.leaf = append(e.leaf, scoping.NoZone)
-		}
-		e.leaf[n] = ev.Zone
-
 	case telemetry.KindLossDetected:
 		k := lossKey{ev.Node, ev.Group}
 		if _, open := e.openLoss[k]; !open {
@@ -187,28 +170,28 @@ func (e *Engine) handle(ev telemetry.Event) {
 		k := lossKey{ev.Node, ev.Group}
 		if t0, open := e.openLoss[k]; open {
 			delete(e.openLoss, k)
-			e.observeQuantile(MetricRecoveryLatency, e.leafOf(ev.Node), ev.T, ev.T-t0)
+			e.observeQuantile(MetricRecoveryLatency, e.view.LeafZone(ev.Node), ev.T, ev.T-t0)
 		}
 	case telemetry.KindLossUnrecovered:
 		k := lossKey{ev.Node, ev.Group}
 		if _, open := e.openLoss[k]; open {
 			delete(e.openLoss, k)
 			// Never-recovered is worse than any latency bound: overflow.
-			e.observeQuantile(MetricRecoveryLatency, e.leafOf(ev.Node), ev.T, math.Inf(1))
+			e.observeQuantile(MetricRecoveryLatency, e.view.LeafZone(ev.Node), ev.T, math.Inf(1))
 		}
 
 	case telemetry.KindNACKSent:
-		e.observeRatio(MetricSuppressionRatio, e.leafOf(ev.Node), ev.T, 0)
+		e.observeRatio(MetricSuppressionRatio, e.view.LeafZone(ev.Node), ev.T, 0)
 	case telemetry.KindNACKSuppressed:
-		e.observeRatio(MetricSuppressionRatio, e.leafOf(ev.Node), ev.T, 1)
+		e.observeRatio(MetricSuppressionRatio, e.view.LeafZone(ev.Node), ev.T, 1)
 
 	case telemetry.KindPacketDelivered:
 		if ev.A == int64(packet.TypeRepair) {
 			hit := int64(0)
-			if e.levelOf(ev.Zone) > 0 {
+			if e.view.Level(ev.Zone) > 0 {
 				hit = 1
 			}
-			e.observeRatio(MetricRepairLocality, e.leafOf(ev.Node), ev.T, hit)
+			e.observeRatio(MetricRepairLocality, e.view.LeafZone(ev.Node), ev.T, hit)
 		}
 
 	case telemetry.KindControllerDecision:
@@ -220,20 +203,6 @@ func (e *Engine) handle(ev telemetry.Event) {
 			e.observeQuantile(MetricBudgetBurn, ev.Zone, ev.T, float64(h)/float64(ev.B))
 		}
 	}
-}
-
-func (e *Engine) leafOf(n topology.NodeID) scoping.ZoneID {
-	if n < 0 || int(n) >= len(e.leaf) {
-		return scoping.NoZone
-	}
-	return e.leaf[n]
-}
-
-func (e *Engine) levelOf(z scoping.ZoneID) int {
-	if z < 0 || int(z) >= len(e.levels) {
-		return -1
-	}
-	return e.levels[z]
 }
 
 // rowOf returns zone's row, inserting it in zone order on first sight.

@@ -3,6 +3,7 @@ package health
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -330,7 +331,7 @@ func TestEngineDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatalf("reports differ:\n%+v\n%+v", r1, r2)
 	}
-	if !SameAlerts(e1, e2) {
+	if !slices.Equal(e1, e2) {
 		t.Fatalf("event sequences differ:\n%v\n%v", e1, e2)
 	}
 }

@@ -234,25 +234,6 @@ func (m *Metrics) Sink() Sink {
 	}
 }
 
-// NACKsSent returns the total NACK transmissions across all zones.
-func (m *Metrics) NACKsSent() int64 {
-	var t int64
-	for z := range m.zones {
-		t += m.zones[z].nacksSent.Value()
-	}
-	return t
-}
-
-// RepairsSent returns the total repair transmissions across all zones
-// (injections included — they are sent repairs too).
-func (m *Metrics) RepairsSent() int64 {
-	var t int64
-	for z := range m.zones {
-		t += m.zones[z].repairsSent.Value()
-	}
-	return t
-}
-
 // RepairLocalization returns how many repair packets were delivered
 // under a non-root scope versus the root scope — the paper's repair-
 // localization measurement, counted from deliveries like the §6
@@ -302,6 +283,3 @@ func (m *Metrics) healthEvent(name string, z scoping.ZoneID) {
 		m.Reg.Counter(Key{Name: name, Node: topology.NoNode, Zone: z}).Inc()
 	}
 }
-
-// FaultDrops returns the fault-drop total.
-func (m *Metrics) FaultDrops() int64 { return m.faultDrops.Value() }

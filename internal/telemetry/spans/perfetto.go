@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"sharqfec/internal/scoping"
+	"sharqfec/internal/telemetry"
 )
 
 func itoa(n int64) string { return strconv.FormatInt(n, 10) }
@@ -45,50 +46,43 @@ type CounterSample struct {
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing: one
 // process track per leaf zone, one thread track per node, one complete
 // ("X") slice per recovery span, with mechanism/blame/hop detail in the
-// slice args. Virtual seconds map to trace microseconds.
-func WritePerfetto(w io.Writer, sps []Span, view *ZoneView) error {
-	return WritePerfettoCounters(w, sps, view, nil)
-}
-
-// WritePerfettoCounters is WritePerfetto plus counter ("C") tracks next
-// to the recovery spans — one per CounterSample name/zone pair, e.g.
-// the census engine's per-zone state and scheduler series.
-func WritePerfettoCounters(w io.Writer, sps []Span, view *ZoneView, counters []CounterSample) error {
+// slice args, and one counter ("C") track per CounterSample name/zone
+// pair (nil counters for none), e.g. the census engine's per-zone state
+// and scheduler series. Virtual seconds map to trace microseconds.
+func WritePerfetto(w io.Writer, sps []Span, view *telemetry.ZoneView, counters []CounterSample) error {
 	const usPerSec = 1e6
 	var evs []traceEvent
 
-	// Metadata: name each zone track (pid = zone + 1; pid 0 is kept for
-	// nodes outside any known zone) and each node track within it.
-	pidOf := func(z scoping.ZoneID) int64 {
-		if z == scoping.NoZone {
-			return 0
-		}
-		return int64(z) + 1
-	}
-	type track struct{ pid, tid int64 }
-	seen := map[track]bool{}
 	meta := func(pid, tid int64, kind, name string) {
 		evs = append(evs, traceEvent{
 			Name: kind, Ph: "M", Pid: pid, Tid: tid,
 			Args: map[string]any{"name": name},
 		})
 	}
-	for _, s := range sps {
-		z := view.LeafZone(s.Node)
-		tr := track{pidOf(z), int64(s.Node)}
-		if seen[tr] {
-			continue
-		}
-		seen[tr] = true
-		if !seen[track{tr.pid, -1}] {
-			seen[track{tr.pid, -1}] = true
-			zoneName := "unzoned"
+	// zoneTrack returns the zone's process track (pid = zone + 1; pid 0
+	// holds nodes outside any known zone), naming it on first use.
+	named := map[int64]bool{}
+	zoneTrack := func(z scoping.ZoneID) int64 {
+		pid := int64(z) + 1
+		if !named[pid] {
+			named[pid] = true
+			name := "unzoned"
 			if z != scoping.NoZone {
-				zoneName = "zone " + itoa(int64(z)) + " (level " + itoa(int64(view.Level(z))) + ")"
+				name = "zone " + itoa(int64(z)) + " (level " + itoa(int64(view.Level(z))) + ")"
 			}
-			meta(tr.pid, 0, "process_name", zoneName)
+			meta(pid, 0, "process_name", name)
 		}
-		meta(tr.pid, tr.tid, "thread_name", "node "+itoa(tr.tid))
+		return pid
+	}
+	// Name each node's thread track within its zone's.
+	type track struct{ pid, tid int64 }
+	seen := map[track]bool{}
+	for _, s := range sps {
+		tr := track{zoneTrack(view.LeafZone(s.Node)), int64(s.Node)}
+		if !seen[tr] {
+			seen[tr] = true
+			meta(tr.pid, tr.tid, "thread_name", "node "+itoa(tr.tid))
+		}
 	}
 
 	for _, s := range sps {
@@ -125,22 +119,14 @@ func WritePerfettoCounters(w io.Writer, sps []Span, view *ZoneView, counters []C
 			Ph:   "X",
 			Ts:   s.Start * usPerSec,
 			Dur:  &dur,
-			Pid:  pidOf(view.LeafZone(s.Node)),
+			Pid:  zoneTrack(view.LeafZone(s.Node)),
 			Tid:  int64(s.Node),
 			Args: args,
 		})
 	}
 
 	for _, c := range counters {
-		pid := pidOf(c.Zone)
-		if !seen[track{pid, -1}] {
-			seen[track{pid, -1}] = true
-			zoneName := "unzoned"
-			if c.Zone != scoping.NoZone {
-				zoneName = "zone " + itoa(int64(c.Zone)) + " (level " + itoa(int64(view.Level(c.Zone))) + ")"
-			}
-			meta(pid, 0, "process_name", zoneName)
-		}
+		pid := zoneTrack(c.Zone)
 		args := make(map[string]any, len(c.Values))
 		for k, v := range c.Values {
 			args[k] = v

@@ -118,68 +118,6 @@ func (s Span) Format() string {
 	return line
 }
 
-// ZoneView is the zone hierarchy as reconstructed from the trace
-// preamble (zone_info / zone_member events), shared by live assembly
-// and offline replay so both attribute blame identically.
-type ZoneView struct {
-	parent []scoping.ZoneID
-	level  []int
-	leaf   map[topology.NodeID]scoping.ZoneID
-}
-
-// NewZoneView returns an empty view; feed it preamble events via the
-// assembler's sink.
-func NewZoneView() *ZoneView {
-	return &ZoneView{leaf: make(map[topology.NodeID]scoping.ZoneID)}
-}
-
-func (v *ZoneView) note(e telemetry.Event) {
-	switch e.Kind {
-	case telemetry.KindZoneInfo:
-		z := int(e.Zone)
-		if z < 0 {
-			return
-		}
-		for len(v.parent) <= z {
-			v.parent = append(v.parent, scoping.NoZone)
-			v.level = append(v.level, -1)
-		}
-		v.parent[z] = scoping.ZoneID(e.A)
-		v.level[z] = int(e.B)
-	case telemetry.KindZoneMember:
-		v.leaf[e.Node] = e.Zone
-	}
-}
-
-// NumZones returns how many zones the preamble described.
-func (v *ZoneView) NumZones() int { return len(v.parent) }
-
-// Level returns the zone's hierarchy level (root = 0), or -1 when the
-// zone is unknown.
-func (v *ZoneView) Level(z scoping.ZoneID) int {
-	if z < 0 || int(z) >= len(v.level) {
-		return -1
-	}
-	return v.level[z]
-}
-
-// Parent returns the zone's parent (scoping.NoZone for the root or an
-// unknown zone).
-func (v *ZoneView) Parent(z scoping.ZoneID) scoping.ZoneID {
-	if z < 0 || int(z) >= len(v.parent) {
-		return scoping.NoZone
-	}
-	return v.parent[z]
-}
-
-// LeafZone returns the node's leaf zone (scoping.NoZone when unknown).
-func (v *ZoneView) LeafZone(n topology.NodeID) scoping.ZoneID {
-	if z, ok := v.leaf[n]; ok {
-		return z
-	}
-	return scoping.NoZone
-}
-
 // key identifies the per-receiver, per-group assembly state.
 type key struct {
 	node  topology.NodeID
@@ -220,7 +158,7 @@ type groupState struct {
 // the single-threaded simulator (and offline replay), not the udpmesh
 // live runner.
 type Assembler struct {
-	view   *ZoneView
+	view   telemetry.ZoneView
 	groups map[key]*groupState
 	closed []Span
 
@@ -230,11 +168,11 @@ type Assembler struct {
 
 // NewAssembler returns an empty assembler.
 func NewAssembler() *Assembler {
-	return &Assembler{view: NewZoneView(), groups: make(map[key]*groupState)}
+	return &Assembler{groups: make(map[key]*groupState)}
 }
 
-// View returns the zone hierarchy reconstructed from the preamble.
-func (a *Assembler) View() *ZoneView { return a.view }
+// View returns the zone hierarchy decoded from the preamble.
+func (a *Assembler) View() *telemetry.ZoneView { return &a.view }
 
 // LossEvents returns how many loss_detected events were consumed
 // (duplicates included).
@@ -268,10 +206,10 @@ func (a *Assembler) Spans() []Span {
 func (a *Assembler) Sink() telemetry.Sink { return a.handle }
 
 func (a *Assembler) handle(e telemetry.Event) {
+	if a.view.Note(e) {
+		return
+	}
 	switch e.Kind {
-	case telemetry.KindZoneInfo, telemetry.KindZoneMember:
-		a.view.note(e)
-
 	case telemetry.KindLossDetected:
 		a.lossEvents++
 		gs := a.ensure(e.Node, e.Group)

@@ -31,24 +31,17 @@ func repairDelivered(t float64, node topology.NodeID, group int64, zone scoping.
 	}
 }
 
+// TestZoneViewFromPreamble: the assembler folds the preamble into its
+// view and opens no span for it.
 func TestZoneViewFromPreamble(t *testing.T) {
 	a := NewAssembler()
 	preamble(a.Sink())
 	v := a.View()
-	if v.NumZones() != 3 {
-		t.Fatalf("NumZones = %d, want 3", v.NumZones())
+	if v.Level(2) != 2 || v.LeafZone(1) != 2 || v.LeafZone(3) != 0 {
+		t.Fatalf("view: level(2) = %d, leaf(1) = %d, leaf(3) = %d", v.Level(2), v.LeafZone(1), v.LeafZone(3))
 	}
-	if v.Level(0) != 0 || v.Level(1) != 1 || v.Level(2) != 2 {
-		t.Fatalf("levels = %d,%d,%d", v.Level(0), v.Level(1), v.Level(2))
-	}
-	if v.Parent(0) != scoping.NoZone || v.Parent(2) != 1 {
-		t.Fatalf("parents = %v,%v", v.Parent(0), v.Parent(2))
-	}
-	if v.LeafZone(1) != 2 || v.LeafZone(3) != 0 || v.LeafZone(99) != scoping.NoZone {
-		t.Fatal("leaf zones wrong")
-	}
-	if v.Level(99) != -1 || v.Level(scoping.NoZone) != -1 {
-		t.Fatal("unknown zones must report level -1")
+	if a.Open() != 0 || a.LossEvents() != 0 || len(a.Spans()) != 0 {
+		t.Fatal("the preamble opened spans")
 	}
 }
 
@@ -294,7 +287,7 @@ func TestPerfettoShape(t *testing.T) {
 	sink(telemetry.Event{T: 9.0, Kind: telemetry.KindLossUnrecovered, Node: 3, Group: 1, A: 20})
 
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, a.Spans(), a.View()); err != nil {
+	if err := WritePerfetto(&buf, a.Spans(), a.View(), nil); err != nil {
 		t.Fatal(err)
 	}
 	var tf struct {
@@ -375,8 +368,8 @@ func TestReplayMatchesLive(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := Replay(&buf)
-	if err != nil {
+	replayed := NewAssembler()
+	if _, err := telemetry.Replay(&buf, replayed.Sink()); err != nil {
 		t.Fatal(err)
 	}
 	a, b := live.Spans(), replayed.Spans()
@@ -391,7 +384,7 @@ func TestReplayMatchesLive(t *testing.T) {
 }
 
 func TestReplayRejectsGarbage(t *testing.T) {
-	if _, err := Replay(bytes.NewReader([]byte("not json\n"))); err == nil {
+	if _, err := telemetry.Replay(bytes.NewReader([]byte("not json\n")), NewAssembler().Sink()); err == nil {
 		t.Fatal("Replay accepted garbage")
 	}
 }

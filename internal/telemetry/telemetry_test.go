@@ -241,16 +241,15 @@ func TestMetricsAttribution(t *testing.T) {
 	if got := m.SuppressionRatio(); got < 0.66 || got > 0.67 {
 		t.Fatalf("suppression ratio = %g", got)
 	}
-	if m.NACKsSent() != 1 {
-		t.Fatalf("NACKsSent = %d", m.NACKsSent())
-	}
 
 	// Out-of-range zones and nodes must be ignored, not panic.
 	bus.Emit(Event{Kind: KindPacketDelivered, Zone: 99, A: 1, B: 1})
 	bus.Emit(Event{Kind: KindGroupDecoded, Node: 99})
 	bus.Emit(Event{Kind: KindFaultDrop, Node: topology.NoNode})
-	if m.FaultDrops() != 1 {
-		t.Fatalf("FaultDrops = %d", m.FaultDrops())
+	s := NewSampler(m)
+	s.Sample(1)
+	if agg, _ := s.Last(); agg.NACKsSent != 1 || agg.FaultDrops != 1 {
+		t.Fatalf("aggregate row: NACKsSent = %d, FaultDrops = %d, want 1 and 1", agg.NACKsSent, agg.FaultDrops)
 	}
 }
 
@@ -352,5 +351,42 @@ func BenchmarkEmitDisabled(b *testing.B) {
 		if bus.On() {
 			bus.Emit(Event{Kind: KindPacketDelivered})
 		}
+	}
+}
+
+// TestZoneView: the view decodes what EmitZones writes: every zone's
+// level and every member's leaf zone, with -1 and NoZone for ids the
+// preamble never named, and it ignores negative ids and other kinds.
+func TestZoneView(t *testing.T) {
+	var v ZoneView
+	bus := NewBus()
+	bus.Attach(func(e Event) {
+		if !v.Note(e) {
+			t.Errorf("Note(%v) = false on a preamble event", e.Kind)
+		}
+	})
+	EmitZones(bus, testHierarchy(t))
+	if v.Level(0) != 0 || v.Level(1) != 1 {
+		t.Errorf("levels = %d, %d; want 0, 1", v.Level(0), v.Level(1))
+	}
+	if v.LeafZone(0) != 0 || v.LeafZone(1) != 1 || v.LeafZone(2) != 1 {
+		t.Errorf("leaf zones = %d, %d, %d; want 0, 1, 1", v.LeafZone(0), v.LeafZone(1), v.LeafZone(2))
+	}
+	if v.Level(2) != -1 || v.Level(99) != -1 || v.Level(scoping.NoZone) != -1 {
+		t.Error("unknown zones must report level -1")
+	}
+	if v.LeafZone(3) != scoping.NoZone || v.LeafZone(99) != scoping.NoZone || v.LeafZone(topology.NoNode) != scoping.NoZone {
+		t.Error("unknown nodes must report NoZone")
+	}
+	// Negative ids are preamble events all the same, and change nothing.
+	if !v.Note(Event{Kind: KindZoneInfo, Zone: scoping.NoZone, B: 7}) ||
+		!v.Note(Event{Kind: KindZoneMember, Node: topology.NoNode, Zone: 1}) {
+		t.Error("Note refused a preamble event with a negative id")
+	}
+	if v.Note(Event{Kind: KindNACKSent, Node: 5, Zone: 1}) {
+		t.Error("Note took a nack_sent event")
+	}
+	if v.LeafZone(topology.NoNode) != scoping.NoZone || v.LeafZone(5) != scoping.NoZone || v.Level(scoping.NoZone) != -1 {
+		t.Error("a negative id or a non-preamble event changed the view")
 	}
 }

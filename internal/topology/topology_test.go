@@ -387,3 +387,38 @@ func TestPropertyRandomTreeValid(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestParse: the -topology grammar builds each named shape, gives the
+// chain its two-zone layout, and names the bad input in its error.
+func TestParse(t *testing.T) {
+	for _, c := range []struct {
+		s            string
+		nodes, zones int
+	}{
+		{"figure10", 113, len(Figure10(Figure10Params{}).Zones)},
+		{"chain:2", 2, 1},
+		{"chain:8", 8, 2},
+		{"star:5", 5, 1},
+		{"tree:3x2", 1 + 3 + 6, 4},
+	} {
+		s, err := Parse(c.s, 0.05)
+		if err != nil {
+			t.Fatalf("%s: %v", c.s, err)
+		}
+		if s.Graph.NumNodes() != c.nodes || len(s.Zones) != c.zones {
+			t.Errorf("%s: %d nodes, %d zones; want %d, %d", c.s, s.Graph.NumNodes(), len(s.Zones), c.nodes, c.zones)
+		}
+	}
+	for s, want := range map[string]string{
+		"chain:1":  `bad chain size in "chain:1"`,
+		"star:x":   `bad star size in "star:x"`,
+		"tree:3x0": `bad tree fanout in "tree:3x0"`,
+		"tree:":    `bad tree fanout in "tree:"`,
+		"chain":    `unknown topology "chain"`,
+		"ring:4":   `unknown topology "ring:4"`,
+	} {
+		if _, err := Parse(s, 0); err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", s, err, want)
+		}
+	}
+}

@@ -62,18 +62,7 @@ func Figure10Topology() *Topology {
 // 10 ms links) with the given per-link loss and a two-level zone layout
 // (all receivers in one child zone).
 func ChainTopology(n int, loss float64) *Topology {
-	spec := topology.Chain(n, 10e6, 0.010, loss)
-	if n > 2 {
-		var rest []topology.NodeID
-		for i := 1; i < n; i++ {
-			rest = append(rest, topology.NodeID(i))
-		}
-		spec.Zones = []topology.ZoneSpec{
-			{ID: 0, Parent: -1, Leaves: []topology.NodeID{0}},
-			{ID: 1, Parent: 0, Leaves: rest},
-		}
-	}
-	return &Topology{spec: spec}
+	return &Topology{spec: topology.ScopedChain(n, loss)}
 }
 
 // StarTopology returns a hub-and-spoke network with the source at the
@@ -86,6 +75,17 @@ func StarTopology(n int, loss float64) *Topology {
 // zone per depth-1 subtree.
 func TreeTopology(fanout []int, loss float64) *Topology {
 	return &Topology{spec: topology.BalancedTree(fanout, 10e6, 0.020, loss)}
+}
+
+// ParseTopology builds the topology a command-line flag names:
+// figure10, chain:N, star:N or tree:FxF… (fanout per level), the last
+// three with the given per-link loss.
+func ParseTopology(s string, loss float64) (*Topology, error) {
+	spec, err := topology.Parse(s, loss)
+	if err != nil {
+		return nil, err
+	}
+	return &Topology{spec: spec}, nil
 }
 
 // NationalTopology returns a (typically scaled-down) instance of the

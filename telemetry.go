@@ -147,10 +147,6 @@ type TelemetryReport struct {
 	// LocalRepairFrac is the fraction of repair deliveries under a
 	// non-root scope.
 	LocalRepairFrac float64
-	// NACKsSent / RepairsSent are registry totals across all zones.
-	NACKsSent, RepairsSent int64
-	// FaultDrops counts packets dropped on administratively-down links.
-	FaultDrops int64
 	// ControllerDecisions counts rate-control decisions (one per group
 	// completion per deciding agent); ControllerMaxH is the largest
 	// per-group repair injection any decision owed — the witness the
@@ -250,15 +246,6 @@ func (r *TelemetryReport) OpenSpans() int {
 	return r.asm.Open()
 }
 
-// SpanLossEvents returns how many loss_detected events the span
-// assembler consumed, duplicates included.
-func (r *TelemetryReport) SpanLossEvents() uint64 {
-	if r.asm == nil {
-		return 0
-	}
-	return r.asm.LossEvents()
-}
-
 // RecoveryReport aggregates the spans into per-zone / per-level
 // recovery-latency percentiles (nil when span tracing was off).
 func (r *TelemetryReport) RecoveryReport() *analysis.RecoveryReport {
@@ -276,7 +263,7 @@ func (r *TelemetryReport) WritePerfetto(w io.Writer) error {
 	if r.asm == nil {
 		return fmt.Errorf("sharqfec: span tracing was not enabled")
 	}
-	return spans.WritePerfettoCounters(w, r.asm.Spans(), r.asm.View(), censusCounters(r.censusEpochs))
+	return spans.WritePerfetto(w, r.asm.Spans(), r.asm.View(), censusCounters(r.censusEpochs))
 }
 
 // censusCounters flattens census epochs into Perfetto counter samples:
@@ -431,9 +418,6 @@ func (r *dataRun) finishTelemetry(until float64) (*TelemetryReport, error) {
 	rep := &TelemetryReport{
 		EventsEmitted:       r.bus.Count(),
 		SuppressionRatio:    t.metrics.SuppressionRatio(),
-		NACKsSent:           t.metrics.NACKsSent(),
-		RepairsSent:         t.metrics.RepairsSent(),
-		FaultDrops:          t.metrics.FaultDrops(),
 		ControllerDecisions: t.metrics.ControllerDecisions(),
 		ControllerMaxH:      t.metrics.ControllerMaxH(),
 		rows:                t.sampler.Rows(),

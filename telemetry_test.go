@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sharqfec/internal/analysis"
+	"sharqfec/internal/telemetry"
 	"sharqfec/internal/telemetry/spans"
 )
 
@@ -191,13 +192,15 @@ func TestTelemetryConsistentWithReport(t *testing.T) {
 	}
 }
 
-// checkRegistryEqualsReport requires the metrics registry's NACK and
-// repair totals to equal the run's report.
+// checkRegistryEqualsReport requires the NACK and repair totals of the
+// final aggregate metrics row, which the registry counts from events, to
+// equal the run's report, which the agents count.
 func checkRegistryEqualsReport(t *testing.T, res *DataResult) {
 	t.Helper()
-	if tel := res.Telemetry; tel.NACKsSent != int64(res.NACKsSent) || tel.RepairsSent != int64(res.RepairsSent) {
-		t.Errorf("registry totals %d/%d != report %d/%d",
-			tel.NACKsSent, tel.RepairsSent, res.NACKsSent, res.RepairsSent)
+	rows := res.Telemetry.rows
+	if agg := rows[len(rows)-1]; agg.Zone != -1 || agg.NACKsSent != int64(res.NACKsSent) || agg.RepairsSent != int64(res.RepairsSent) {
+		t.Errorf("final aggregate row (zone %d) totals %d/%d != report %d/%d",
+			agg.Zone, agg.NACKsSent, agg.RepairsSent, res.NACKsSent, res.RepairsSent)
 	}
 }
 
@@ -271,18 +274,18 @@ func TestSpanAccountingUnderChaos(t *testing.T) {
 		t.Fatalf("%d spans never saw a terminal event", tel.OpenSpans())
 	}
 	sps := tel.Spans()
-	if len(sps) == 0 || tel.SpanLossEvents() == 0 {
+	rep := tel.RecoveryReport()
+	if len(sps) == 0 || rep.LossEvents == 0 {
 		t.Fatal("chaos run assembled no spans")
 	}
 	accounted := uint64(0)
 	for _, s := range sps {
 		accounted += uint64(1 + s.DupLoss)
 	}
-	if accounted != tel.SpanLossEvents() {
+	if accounted != rep.LossEvents {
 		t.Fatalf("spans account for %d loss events, assembler consumed %d",
-			accounted, tel.SpanLossEvents())
+			accounted, rep.LossEvents)
 	}
-	rep := tel.RecoveryReport()
 	if rep.Recovered+rep.Unrecovered != rep.Spans {
 		t.Fatalf("recovered %d + unrecovered %d != %d spans",
 			rep.Recovered, rep.Unrecovered, rep.Spans)
@@ -290,8 +293,8 @@ func TestSpanAccountingUnderChaos(t *testing.T) {
 
 	// Offline replay of the JSONL trace must reproduce the identical
 	// report — byte for byte — from the trace alone.
-	replayed, err := spans.Replay(&ev)
-	if err != nil {
+	replayed := spans.NewAssembler()
+	if _, err := telemetry.Replay(&ev, replayed.Sink()); err != nil {
 		t.Fatal(err)
 	}
 	if live, offline := rep.String(), analysis.BuildRecoveryReport(replayed).String(); live != offline {
