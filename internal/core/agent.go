@@ -46,9 +46,8 @@ type Agent struct {
 	codec *fec.Codec
 	tel   *telemetry.Bus // nil when telemetry is disabled
 
-	isSource bool
-	root     scoping.ZoneID
-	chain    []scoping.ZoneID // scope chain used for NACKs (collapsed when !Scoping)
+	root  scoping.ZoneID
+	chain []scoping.ZoneID // scope chain used for NACKs (collapsed when !Scoping)
 
 	// groups is indexed by group id, nil until the group is opened, and
 	// grows on demand up to NumGroups. ensureGroup cuts records from the
@@ -61,7 +60,6 @@ type Agent struct {
 	slab     groupSlab // arena backing every group's index bitsets
 	maxSeq   int64     // highest original data seq seen; -1 before any
 	ipt      float64
-	iptInit  bool
 	lastData eventq.Time
 
 	// ctrl sizes preemptive FEC injection: the predicted zone loss
@@ -79,12 +77,24 @@ type Agent struct {
 	// read after the write, and no shared structure is mutated later.
 	sendData [][][]byte
 
-	// OnComplete, if set, fires when a group is fully reconstructed at
-	// this node.
+	// OnComplete, if set, fires when a group is complete at this node,
+	// with the group's K data shares in index order. data is valid only
+	// during the call: the shares this member did not receive are decoded
+	// into an area the agent reuses for its next completion, and the ones
+	// it did are released with the group. A callback that keeps data, or
+	// hands it to another goroutine, must copy it first.
 	OnComplete func(now eventq.Time, group uint32, data [][]byte)
+	decoded    *decoding // nil until the first OnComplete decode
 
-	joined  bool
-	stopped bool
+	// The flags share one word, since a lone bool pads out a word of its
+	// own. Size matters here: the runtime prefixes an object over 512
+	// bytes with an 8-byte header, so an agent over 568 bytes takes the
+	// 640-byte size class instead of 576, paid by every member of a
+	// 10,000-receiver session.
+	isSource bool
+	iptInit  bool // lastData holds an arrival
+	joined   bool
+	stopped  bool
 
 	// late-join state (see latejoin.go)
 	lateJoiner    bool

@@ -24,7 +24,7 @@ func (a *Agent) StateCensus() census.State {
 		for _, p := range g.shares {
 			resident += len(p)
 		}
-		for _, p := range g.data {
+		for _, p := range g.kept {
 			resident += len(p)
 		}
 		if !g.complete || resident > 0 {

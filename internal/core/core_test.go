@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"sharqfec/internal/analysis"
@@ -48,7 +49,12 @@ func newWorld(t *testing.T, spec *topology.Spec, cfg Config, seed uint64) *world
 		node := m
 		w.completed[node] = map[uint32][][]byte{}
 		ag.OnComplete = func(_ eventq.Time, gid uint32, data [][]byte) {
-			w.completed[node][gid] = data
+			// data is only valid during the call: keep a copy.
+			kept := make([][]byte, len(data))
+			for i, d := range data {
+				kept[i] = slices.Clone(d)
+			}
+			w.completed[node][gid] = kept
 		}
 		w.agents[m] = ag
 	}

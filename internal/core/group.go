@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"sharqfec/internal/eventq"
 	"sharqfec/internal/fabric"
 	"sharqfec/internal/fec"
@@ -15,13 +17,16 @@ type group struct {
 	k  int
 
 	// shares holds the payload of every distinct share held, indexed by
-	// share index (nil = not held) — the form the codec reconstructs in
-	// place — and held counts them. admit is the only writer. Completion
-	// releases the store; held keeps its final count.
+	// share index (nil = not held) — the form the codec reads — and held
+	// counts them. admit is the only writer. Completion releases the
+	// store; held keeps its final count.
 	shares [][]byte
 	held   int
-	// data holds the decoded original payloads once complete.
-	data [][]byte
+	// kept is the store once complete: the K shares the group completed
+	// from, the payloads received, by reference. Every repair the member
+	// serves is computed from them (fec.Codec.ShareFrom); nothing is
+	// decoded to keep them.
+	kept [][]byte
 	// sl/bits back the seen/counted/lossed index bitsets, packed as
 	// lanes in the agent's slab arena (see slab.go):
 	//   seen     — which original data indices arrived as data packets;
@@ -582,26 +587,18 @@ func (a *Agent) totalPending(g *group) int {
 	return t
 }
 
-// maybeComplete reconstructs the group once K distinct shares are held,
-// fires the completion callback, and turns the node into a repairer.
+// maybeComplete completes the group once K distinct shares are held:
+// it keeps those K, fires the completion callback, and turns the node
+// into a repairer.
 func (a *Agent) maybeComplete(now eventq.Time, g *group) {
 	if g.complete || g.held < g.k {
 		return
 	}
-	if err := a.codec.Reconstruct(g.shares); err != nil {
-		// Cannot happen with k distinct admitted shares; treat as still
-		// incomplete so the protocol keeps requesting.
-		return
-	}
-	// An exact-k copy: handing over shares[:k] would keep the store's
-	// spare capacity, and every repair payload in it, alive as long as
-	// the data is.
-	data := make([][]byte, g.k)
-	copy(data, g.shares)
-	g.shares = nil
+	// Completion is checked on every stored share, so the store holds
+	// exactly K: the group keeps them, by reference, and copies nothing.
+	g.kept, g.shares = g.shares, nil
 	g.complete = true
 	g.doneAt = now
-	g.data = data
 	a.Stats.GroupsCompleted++
 	lat := 0.0
 	if g.firstSeen > 0 {
@@ -612,7 +609,8 @@ func (a *Agent) maybeComplete(now eventq.Time, g *group) {
 	// The LDP timer deliberately keeps running: its expiry also samples
 	// the group's arrival quality for the receiver report.
 	if a.OnComplete != nil {
-		a.OnComplete(now, g.id, data)
+		a.OnComplete(now, g.id, a.decode(g.kept))
+		clear(a.decoded.held) // hold no payload past the callback
 	}
 	if g.catchUp {
 		// Completion happens once, and pumpCatchUp counted this group
@@ -622,13 +620,38 @@ func (a *Agent) maybeComplete(now eventq.Time, g *group) {
 	}
 	a.scheduleTimerAdaptation(g)
 	a.becomeRepairer(now, g)
-	// Ordinary receivers retire the payloads after a grace period;
-	// the source and ZCRs stay able to repair indefinitely.
+	// Ordinary receivers retire the shares after a grace period; the
+	// source and ZCRs stay able to repair indefinitely.
 	if !a.isSource {
 		a.net.Sched().After(eventq.Duration(retainData), func(eventq.Time) {
 			if !a.anyZCRDuty() {
-				g.data = nil
+				g.kept = nil
 			}
 		})
 	}
+}
+
+// decoding is the agent's one decode area: the K data shares handed to
+// OnComplete are decoded into it, so completion allocates nothing once
+// it exists. Reused by every completion, and only read during the call.
+type decoding struct {
+	held [][]byte // a copy of the kept shares, completed in place
+	buf  []byte   // room for every data share
+}
+
+// decode returns kept's K data shares — the held ones by reference, the
+// missing ones decoded into the agent's decode area with one inversion —
+// valid until the next decode.
+func (a *Agent) decode(kept [][]byte) [][]byte {
+	if a.decoded == nil {
+		a.decoded = &decoding{buf: make([]byte, a.cfg.GroupK*payloadSize)}
+	}
+	d := a.decoded
+	d.held = append(d.held[:0], kept...)
+	if err := a.codec.Reconstruct(d.held, d.buf); err != nil {
+		// Cannot happen: admit stores only distinct, in-range,
+		// equal-length shares, and kept holds K of them.
+		panic(fmt.Sprintf("core: decoding a completed group: %v", err))
+	}
+	return d.held[:a.cfg.GroupK:a.cfg.GroupK]
 }

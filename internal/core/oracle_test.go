@@ -715,7 +715,7 @@ func (a *oracleAgent) maybeComplete(now eventq.Time, g *oracleGroup) {
 	if g.complete || g.held < g.k {
 		return
 	}
-	if err := a.codec.Reconstruct(g.shares); err != nil {
+	if err := a.codec.Reconstruct(g.shares, nil); err != nil {
 		return
 	}
 	data := make([][]byte, g.k)

@@ -154,27 +154,27 @@ func (a *Agent) sendRepairBurst(now eventq.Time, g *group, z scoping.ZoneID, n i
 	})
 }
 
-// transmitRepair encodes and multicasts one repair share.
+// transmitRepair computes and multicasts one repair share.
 func (a *Agent) transmitRepair(now eventq.Time, g *group, z scoping.ZoneID, idx, burstMax int, preempt bool) {
 	if a.stopped {
 		return
 	}
-	data := a.groupData(g)
-	if data == nil {
+	held := a.heldShares(g)
+	if held == nil {
 		return
 	}
-	share, err := a.codec.Repair(data, idx)
-	if err != nil {
+	payload := make([]byte, payloadSize)
+	if err := a.codec.ShareFrom(payload, held, idx); err != nil {
 		return
 	}
 	rep := &packet.Repair{
 		Origin:     a.node,
 		Group:      g.id,
-		Index:      uint8(share.Index),
+		Index:      uint8(idx),
 		GroupK:     uint8(g.k),
 		NewMaxSeq:  uint32(burstMax),
 		Zone:       int16(z),
-		Payload:    share.Data,
+		Payload:    payload,
 		Preemptive: preempt,
 	}
 	a.net.Multicast(a.node, z, rep)
@@ -191,13 +191,14 @@ func (a *Agent) injectRepairs(now eventq.Time, g *group, z scoping.ZoneID, h int
 	a.sendRepairBurst(now, g, z, h, true)
 }
 
-// groupData returns the original payloads for a completed group (the
-// source reads its transmit buffer; receivers their decoded data).
-func (a *Agent) groupData(g *group) [][]byte {
+// heldShares returns the K shares a completed group's repairs are
+// computed from, indexed by share index: the source's transmit buffer,
+// its K data shares; a receiver's kept shares, nil once retired.
+func (a *Agent) heldShares(g *group) [][]byte {
 	if a.isSource {
 		return a.SentGroup(g.id)
 	}
-	return g.data
+	return g.kept
 }
 
 // scheduleZLCSample arms the predicted-ZLC measurement for the zone at

@@ -9,8 +9,11 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"sharqfec/internal/eventq"
 	"sharqfec/internal/fec"
+	"sharqfec/internal/netsim"
 	"sharqfec/internal/packet"
+	"sharqfec/internal/scoping"
 	"sharqfec/internal/topology"
 )
 
@@ -71,16 +74,18 @@ func (f *shareFeed) deliver(idx int) {
 	}
 }
 
-// wantComplete requires the group decoded to the originals.
+// wantComplete requires the group complete, with kept shares the codec
+// decodes to the originals.
 func (f *shareFeed) wantComplete() {
 	f.t.Helper()
 	g := f.a.group(f.gid)
 	if g == nil || !g.complete {
 		f.t.Fatalf("group %d did not complete", f.gid)
 	}
-	for i, d := range g.data {
-		if !bytes.Equal(d, f.data[i]) {
-			f.t.Fatalf("group %d: decoded share %d differs from the source", f.gid, i)
+	out := make([]byte, payloadSize)
+	for i, d := range f.data {
+		if err := f.a.codec.ShareFrom(out, g.kept, i); err != nil || !bytes.Equal(out, d) {
+			f.t.Fatalf("group %d: decoded share %d differs from the source (%v)", f.gid, i, err)
 		}
 	}
 }
@@ -235,15 +240,20 @@ func TestShareStoreGrowsForHighRepair(t *testing.T) {
 }
 
 // TestCompletedGroupHoldsExactlyKPayloads: completion releases the store
-// — repairs and spare slots included — and keeps one reference per data
-// share in a slice with no room to spare.
+// and keeps exactly the K shares the group completed from — each the
+// payload received, by reference — without copying or decoding a byte;
+// a share arriving later is not stored.
 func TestCompletedGroupHoldsExactlyKPayloads(t *testing.T) {
 	f := newShareFeed(t, 86, 0)
 	k := f.a.cfg.GroupK
+	received := map[int][]byte{}
 	for _, idx := range []int{k + 3, k, 60} {
-		f.deliver(idx)
+		p := f.repairPkt(idx)
+		received[idx] = p.Payload
+		f.a.handleRepair(1, p)
 	}
 	for idx := 3; idx < k; idx++ {
+		received[idx] = f.data[idx]
 		f.deliver(idx)
 	}
 	f.wantComplete()
@@ -251,24 +261,67 @@ func TestCompletedGroupHoldsExactlyKPayloads(t *testing.T) {
 	if g.shares != nil {
 		t.Fatalf("completed group keeps a store of %d slots", cap(g.shares))
 	}
-	if len(g.data) != k || cap(g.data) != k {
-		t.Fatalf("data has len %d cap %d, want exactly %d", len(g.data), cap(g.data), k)
-	}
-	for idx := 3; idx < k; idx++ {
-		if &g.data[idx][0] != &f.data[idx][0] {
-			t.Fatalf("held data share %d was copied, not kept by reference", idx)
-		}
-	}
 	// A share arriving late is neither stored nor a duplicate.
 	f.deliver(k + 1)
 	f.deliver(0)
 	if g.shares != nil || f.a.Stats.DupShares != 0 || g.repairsHeard != 4 {
 		t.Fatalf("late shares: store %v, DupShares = %d, repairsHeard = %d", g.shares != nil, f.a.Stats.DupShares, g.repairsHeard)
 	}
+	n := 0
+	for idx, p := range g.kept {
+		if p == nil {
+			continue
+		}
+		n++
+		if received[idx] == nil || &p[0] != &received[idx][0] {
+			t.Fatalf("kept share %d is not the payload received", idx)
+		}
+	}
+	if n != k {
+		t.Fatalf("kept %d shares, want %d", n, k)
+	}
+}
+
+// TestServedRepairMatchesEncoder: a receiver that completed from repairs,
+// without three data shares it never saw, answers a NACK with repairs
+// computed from the shares it kept; on the wire they are byte for byte
+// the encoder's shares from the source's data.
+func TestServedRepairMatchesEncoder(t *testing.T) {
+	f := newShareFeed(t, 88, 0)
+	k := f.a.cfg.GroupK
+	for _, idx := range []int{k + 5, k, 41} {
+		f.deliver(idx)
+	}
+	for idx := 3; idx < k; idx++ {
+		f.deliver(idx)
+	}
+	f.wantComplete()
+	net := f.a.net.(*netsim.Network)
+	var served []*packet.Repair
+	net.AddSendTap(func(_ eventq.Time, from topology.NodeID, _ scoping.ZoneID, pkt packet.Packet) {
+		if rep, ok := pkt.(*packet.Repair); ok && from == f.a.node {
+			served = append(served, rep)
+		}
+	})
+	f.a.handleNACK(1, &packet.NACK{Origin: 1, Group: f.gid, LLC: 3, Needed: 3, Zone: int16(f.a.root)})
+	net.Q.RunUntil(10)
+	if len(served) != 3 {
+		t.Fatalf("served %d repairs for a NACK needing 3", len(served))
+	}
+	for i, rep := range served {
+		want, err := f.a.codec.Repair(f.data, int(rep.Index))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(rep.Index) != 42+i || !bytes.Equal(rep.Payload, want.Data) {
+			t.Fatalf("served repair %d (index %d) differs from the encoder's share", i, rep.Index)
+		}
+	}
 }
 
 // TestDecodeIndependentOfArrivalOrder: the same set of shares delivered
-// in two orders decodes to byte-equal data.
+// in two orders keeps the same shares, so it decodes, and repairs, to
+// byte-equal data.
 func TestDecodeIndependentOfArrivalOrder(t *testing.T) {
 	const seed = 87
 	set := []int{17, 2, 3, 19, 5, 6, 7, 30, 9, 10, 11, 16, 13, 14, 15, 18}
@@ -283,11 +336,14 @@ func TestDecodeIndependentOfArrivalOrder(t *testing.T) {
 			f.deliver(idx)
 		}
 		f.wantComplete()
-		results[run] = f.a.group(0).data
+		results[run] = f.a.group(0).kept
+	}
+	if len(results[0]) != len(results[1]) {
+		t.Fatalf("kept %d slots in one order, %d in the other", len(results[0]), len(results[1]))
 	}
 	for i := range results[0] {
-		if !bytes.Equal(results[0][i], results[1][i]) {
-			t.Fatalf("share %d differs between arrival orders", i)
+		if (results[0][i] == nil) != (results[1][i] == nil) || !bytes.Equal(results[0][i], results[1][i]) {
+			t.Fatalf("kept share %d differs between arrival orders", i)
 		}
 	}
 }

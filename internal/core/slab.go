@@ -69,9 +69,9 @@ func (s *groupSlab) bytes() int { return cap(s.words) * 8 }
 // footprintBytes estimates the agent's total resident protocol memory:
 // the bitset arena, the group table, every block of group and per-level
 // records carved so far (opened or not — capacity, like the arena), the
-// share slices (capacity too), payload bytes held in share/data buffers
-// and the source's transmit store. Purely observational — reading it
-// mutates nothing.
+// share slices (capacity too), payload bytes held in the share store or
+// kept shares, and the source's transmit store. Purely observational —
+// reading it mutates nothing.
 func (a *Agent) footprintBytes() int {
 	b := a.slab.bytes()
 	b += cap(a.groups) * int(unsafe.Sizeof(a.groups[0]))
@@ -84,7 +84,7 @@ func (a *Agent) footprintBytes() int {
 		for _, p := range g.shares {
 			b += len(p)
 		}
-		for _, p := range g.data {
+		for _, p := range g.kept {
 			b += len(p)
 		}
 	}

@@ -10,12 +10,14 @@
 // long as their indices differ.
 //
 // A group's shares have one shape from the receiver's store to the
-// decoder: a slice indexed by share index, nil where a share is not held,
-// which Codec.Reconstruct completes in place (Decode adapts an
-// (index, payload) list to it). A Codec is immutable: the generator is
-// built once per k and the decode system is derived from the erasures of
-// each call, sized by how many data shares are missing rather than by k,
-// so there is no decode state to cache, lock or bound.
+// decoder: a slice indexed by share index, nil where a share is not held.
+// Codec.ShareFrom computes any one share, data or repair, from the K
+// lowest-indexed shares it holds, and Codec.Reconstruct completes the
+// data shares in place (Decode adapts an (index, payload) list to it). A
+// Codec is immutable: the generator is built once per k and the decode
+// system is derived from the erasures of each call, sized by how many
+// data shares are missing rather than by k, so there is no decode state
+// to cache, lock or bound.
 //
 // The payload-sized work — each repair share, each reconstructed data
 // share — is one dot product over the group's shares, dotSlices, which

