@@ -106,7 +106,7 @@ func main() {
 	rcFlag := flag.String("ratecontrol", "off", "rate-control policy (off | static | adaptive)")
 	rcBudget := flag.Float64("rc-budget", 0, "adaptive repair budget as a fraction of group size (0 = default 0.5)")
 	censusFlag := flag.Bool("census", false, "arm the cost-census engine and print its traffic/state digest")
-	shardsFlag := flag.Int("shards", 0, "run on N zone shards in parallel (0 and 1 = one shard; output is identical at every N; N >= 2 is incompatible with the telemetry and packet-trace flags)")
+	shardsFlag := flag.Int("shards", 0, "run on N zone shards in parallel (0 and 1 = one shard; output is identical at every N; N >= 2 is incompatible with -packet-trace)")
 	flag.Parse()
 
 	proto, err := sharqfec.ParseProtocol(*protoFlag)

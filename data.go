@@ -66,9 +66,10 @@ type DataConfig struct {
 	// default) and 1 are the same one-shard run on the caller's
 	// goroutine. Results are byte-identical for the same seed at ANY
 	// shard count: every link direction draws loss from its own stream,
-	// and each agent owns its rate controller. Telemetry and
-	// TraceWriter feed single-threaded sinks, so they are refused at
-	// Shards >= 2.
+	// and each agent owns its rate controller. Telemetry works at any
+	// shard count: each shard buffers its events and the barrier feeds
+	// them to the one set of sinks. Only TraceWriter, whose tracer taps
+	// the views directly, is refused at Shards >= 2.
 	Shards int
 }
 
@@ -172,11 +173,7 @@ func (c *DataConfig) validate() error {
 				i, l.A, l.B, l.LossAB, l.LossBA)
 		}
 	}
-	switch {
-	case c.Shards < 2:
-	case c.Telemetry != nil:
-		return fmt.Errorf("sharqfec: telemetry is not supported with Shards >= 2 (run sharded for speed or instrumented for depth, not both)")
-	case c.TraceWriter != nil:
+	if c.Shards >= 2 && c.TraceWriter != nil {
 		return fmt.Errorf("sharqfec: packet traces are not supported with Shards >= 2")
 	}
 	return nil
@@ -227,10 +224,14 @@ type dataRun struct {
 	owner []int32           // node → index into nets
 
 	// The observers the driver wires into every view and agent, each
-	// nil when off: the telemetry bus (tel holds its sinks) and the
-	// census engine, which TelemetryConfig.Census arms or prepare sets.
+	// nil when off: the telemetry bus (tel holds its sinks), the bus
+	// each shard's views and agents emit into (see bufferShards) and
+	// the census engine, which TelemetryConfig.Census arms or prepare
+	// sets.
 	bus    *telemetry.Bus
 	tel    *telemetryRun
+	buses  []*telemetry.Bus // by shard
+	flush  func()           // feeds buffered shard events to bus; nil at one shard
 	census *census.Engine
 
 	// pcfg is the SHARQFEC agent config (zero under SRM); prepare may
@@ -256,6 +257,12 @@ type dataRun struct {
 // netFor returns the network view node's agent attaches to and sends on.
 func (r *dataRun) netFor(node topology.NodeID) *netsim.Network {
 	return r.nets[r.owner[node]]
+}
+
+// busFor returns the bus node's agent emits into (nil without
+// telemetry).
+func (r *dataRun) busFor(node topology.NodeID) *telemetry.Bus {
+	return r.buses[r.owner[node]]
 }
 
 // at schedules fn at virtual time t with the whole simulation quiescent
@@ -342,6 +349,7 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 	r := &dataRun{
 		spec: spec, h: h, src: simrand.New(cfg.Seed), members: spec.Members(),
 		grp: eventq.NewShardGroup(shards, lookahead), owner: owner,
+		buses:  make([]*telemetry.Bus, shards),
 		agents: make([]dataAgent, spec.Graph.NumNodes()),
 		gone:   make([]bool, spec.Graph.NumNodes()),
 	}
@@ -385,7 +393,7 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 			n.AddTap(tracer.Tap())
 			n.AddSendTap(tracer.SendTap())
 		}
-		n.SetTelemetry(r.bus)
+		n.SetTelemetry(r.buses[i])
 		if r.census != nil {
 			n.SetHopTap(r.census.ObserveHop)
 		}
@@ -413,7 +421,7 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 	if !cfg.Faults.Empty() {
 		eng = faults.NewEngine(r.nets[0], r.src, &cfg.Faults.plan)
 		eng.Schedule = r.at
-		eng.Telemetry = r.bus
+		eng.Telemetry = r.buses[0]
 		stop := func(node topology.NodeID) bool {
 			ag := r.agents[node]
 			if ag != nil {
@@ -460,6 +468,9 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 		for _, ag := range r.spawned {
 			ag.EmitUnrecoveredLosses(r.grp.Queue(0).Now())
 		}
+		if r.flush != nil {
+			r.flush()
+		}
 	}
 
 	res := &DataResult{
@@ -505,7 +516,6 @@ func sharqfecProtocol(cfg *DataConfig, opts core.Options, r *dataRun) dataProtoc
 	r.pcfg.Source = r.spec.Source
 	r.pcfg.NumPackets = cfg.NumPackets
 	r.pcfg.Options = opts
-	r.pcfg.Telemetry = r.bus
 	if cfg.GroupK > 0 {
 		r.pcfg.GroupK = cfg.GroupK
 	}
@@ -519,7 +529,9 @@ func sharqfecProtocol(cfg *DataConfig, opts core.Options, r *dataRun) dataProtoc
 	var source *core.Agent
 	return dataProtocol{
 		spawn: func(node topology.NodeID) (dataAgent, error) {
-			ag, err := core.New(node, r.netFor(node), r.pcfg, r.src)
+			pcfg := r.pcfg
+			pcfg.Telemetry = r.busFor(node)
+			ag, err := core.New(node, r.netFor(node), pcfg, r.src)
 			if err != nil {
 				return nil, err
 			}
@@ -568,9 +580,10 @@ func srmProtocol(cfg *DataConfig, r *dataRun) dataProtocol {
 	pcfg := srm.DefaultConfig()
 	pcfg.Source = r.spec.Source
 	pcfg.NumPackets = cfg.NumPackets
-	pcfg.Telemetry = r.bus
 	return dataProtocol{
 		spawn: func(node topology.NodeID) (dataAgent, error) {
+			pcfg := pcfg
+			pcfg.Telemetry = r.busFor(node)
 			ag, err := srm.New(node, r.netFor(node), pcfg, r.src)
 			if err != nil {
 				return nil, err

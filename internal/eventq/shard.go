@@ -55,7 +55,8 @@ type ShardGroup struct {
 	postIdx []uint64
 	scratch []crossEvent
 
-	syncs []syncTask
+	syncs   []syncTask
+	barrier func()
 
 	cursor atomic.Int64 // next shard index to advance this epoch
 	posted uint64
@@ -107,6 +108,9 @@ func (g *ShardGroup) NumShards() int { return len(g.qs) }
 // Queue returns shard i's event queue.
 func (g *ShardGroup) Queue(i int) *Queue { return g.qs[i] }
 
+// Queues returns every shard's event queue, by shard.
+func (g *ShardGroup) Queues() []*Queue { return g.qs }
+
 // Now returns the group's barrier time (every queue's clock is at or
 // past it).
 func (g *ShardGroup) Now() Time { return g.now }
@@ -146,6 +150,12 @@ func (g *ShardGroup) Sync(at Time, fn func(now Time)) {
 	g.syncs[i] = syncTask{at: at, fn: fn}
 }
 
+// OnBarrier sets fn to run single-threaded after every epoch, after
+// every sync task and after the final pass: the point where what the
+// shards wrote in parallel can be folded on one goroutine before any
+// later sync task or epoch runs. nil clears it.
+func (g *ShardGroup) OnBarrier(fn func()) { g.barrier = fn }
+
 // Run advances every shard to time until, honoring the legacy RunUntil
 // contract: events stamped exactly `until` are dispatched, later ones
 // stay queued, and each queue's clock ends at until.
@@ -160,6 +170,7 @@ func (g *ShardGroup) Run(until Time) {
 			t := g.syncs[0]
 			g.syncs = g.syncs[1:]
 			t.fn(g.now)
+			g.atBarrier()
 		}
 		if !(g.now < until) { // NaN-safe: a NaN horizon dispatches nothing
 			break
@@ -174,11 +185,19 @@ func (g *ShardGroup) Run(until Time) {
 		g.runEpoch(workers, end, false)
 		g.mergeCross()
 		g.now = end
+		g.atBarrier()
 	}
 	// Final inclusive pass: dispatch events stamped exactly `until`.
 	// Their cross posts arrive at ≥ until+L > until and stay queued.
 	g.runEpoch(workers, until, true)
 	g.mergeCross()
+	g.atBarrier()
+}
+
+func (g *ShardGroup) atBarrier() {
+	if g.barrier != nil {
+		g.barrier()
+	}
 }
 
 // runEpoch dispatches every shard up to end (exclusive, or inclusive

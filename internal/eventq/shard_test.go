@@ -203,3 +203,37 @@ func TestCrossTieBreak(t *testing.T) {
 		t.Fatalf("dispatch order = %v, want [1 2]", order)
 	}
 }
+
+// TestBarrierHookOrdering pins the OnBarrier contract: the hook runs
+// after every epoch, after every sync task and after the final pass, so
+// what shards wrote before a sync task is folded before the task runs,
+// and a later task at the same instant sees an earlier one's writes
+// folded too.
+func TestBarrierHookOrdering(t *testing.T) {
+	g := NewShardGroup(2, 0.5)
+	var pending, folded []string
+	hooks := 0
+	g.OnBarrier(func() {
+		hooks++
+		folded = append(folded, pending...)
+		pending = pending[:0]
+	})
+	g.Queue(1).At(0.7, func(Time) { pending = append(pending, "event") })
+	g.Sync(1, func(Time) {
+		if len(folded) != 1 || folded[0] != "event" {
+			t.Errorf("first task saw folded %v, want [event]", folded)
+		}
+		pending = append(pending, "first")
+	})
+	g.Sync(1, func(Time) {
+		if len(pending) != 0 || len(folded) != 2 || folded[1] != "first" {
+			t.Errorf("second task saw pending %v, folded %v; want the first task's write folded", pending, folded)
+		}
+	})
+	g.Run(2)
+	// Epochs [0,0.5), [0.5,1), [1,1.5), [1.5,2), the final pass and the
+	// two sync tasks.
+	if hooks != 7 {
+		t.Fatalf("hook ran %d times, want 7", hooks)
+	}
+}

@@ -167,7 +167,7 @@ type Engine struct {
 
 	mu             sync.Mutex
 	probes         []Probe // node → probe (nil when none registered)
-	q              *eventq.Queue
+	queues         []*eventq.Queue
 	epochs         []EpochRow
 	lastT          float64
 	lastDispatched uint64
@@ -234,11 +234,11 @@ func (e *Engine) BindLinks(g *topology.Graph) {
 }
 
 // BindQueue makes epoch snapshots read depth, free-list occupancy and
-// the dispatch counter from q into EpochRow.Queue. Without it the
-// queue shape stays zero.
-func (e *Engine) BindQueue(q *eventq.Queue) {
+// the dispatch counter, summed over qs (one queue per shard), into
+// EpochRow.Queue. Without it the queue shape stays zero.
+func (e *Engine) BindQueue(qs ...*eventq.Queue) {
 	e.mu.Lock()
-	e.q = q
+	e.queues = qs
 	e.mu.Unlock()
 }
 
@@ -336,10 +336,12 @@ func (e *Engine) Snapshot(t float64) {
 	}
 
 	var qs QueueState
-	if e.q != nil {
-		qs.Depth = e.q.Len()
-		qs.Free = e.q.FreeLen()
-		qs.Dispatched = e.q.Dispatched()
+	if len(e.queues) > 0 {
+		for _, q := range e.queues {
+			qs.Depth += q.Len()
+			qs.Free += q.FreeLen()
+			qs.Dispatched += q.Dispatched()
+		}
 		if dt := t - e.lastT; dt > 0 && len(e.epochs) > 0 {
 			qs.FireRate = float64(qs.Dispatched-e.lastDispatched) / dt
 		}

@@ -221,6 +221,24 @@ func TestSnapshotQueueGauges(t *testing.T) {
 	}
 }
 
+// TestSnapshotSumsShardQueues: a census bound to several shard queues
+// reads their summed shape, as one queue holding every event would.
+func TestSnapshotSumsShardQueues(t *testing.T) {
+	e, _ := newTestEngine(t)
+	var a, b eventq.Queue
+	e.BindQueue(&a, &b)
+	for i := 0; i < 6; i++ {
+		a.At(eventq.Time(i), func(eventq.Time) {})
+		b.At(eventq.Time(2*i), func(eventq.Time) {})
+	}
+	a.RunUntil(3) // 4 of a's 6
+	b.RunUntil(3) // 2 of b's 6
+	e.Snapshot(3)
+	if q := e.Epochs()[0].Queue; q.Dispatched != 6 || q.Depth != 6 || q.Free != a.FreeLen()+b.FreeLen() {
+		t.Fatalf("queue shape %+v, want 6 dispatched, depth 6, free %d", q, a.FreeLen()+b.FreeLen())
+	}
+}
+
 // TestConcurrentIngest exercises the lock-free ingest paths against
 // concurrent snapshots and probe swaps — the live-node shape, where
 // the census ticker runs on its own goroutine. Run under -race in CI.

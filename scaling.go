@@ -209,8 +209,8 @@ func (c *ScalingSweepConfig) validate() error {
 // zones whatever zones the protocol runs — it is passive, so a flat run
 // is measured against the boundaries scoping would have enforced — and
 // it needs no event bus, so prepare puts it on the run rather than
-// through TelemetryConfig, whose census counts the run's own zones and
-// which Shards >= 2 refuses. The driver then binds its link matrices,
+// through TelemetryConfig, whose census counts the run's own zones. The
+// driver then binds its link matrices,
 // sets its hop tap on every view and registers every agent's state
 // probe, as for a TelemetryConfig census. The accounting hierarchy is
 // built before the run, since prepare cannot return an error. The

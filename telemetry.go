@@ -1,8 +1,10 @@
 package sharqfec
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 
 	"sharqfec/internal/analysis"
 	"sharqfec/internal/eventq"
@@ -344,13 +346,14 @@ func (r *dataRun) snapshot(at float64) {
 func (r *dataRun) startTelemetry(cfg *TelemetryConfig, until float64) {
 	h, numNodes := r.h, r.spec.Graph.NumNodes()
 	r.bus = telemetry.NewBus()
+	r.bufferShards()
 	t := &telemetryRun{metrics: telemetry.NewMetrics(nil, h, numNodes)}
 	r.tel = t
 	r.bus.Attach(t.metrics.Sink())
 	t.sampler = telemetry.NewSampler(t.metrics)
 	if cfg.Census {
 		r.census = census.New(t.metrics.Reg, h, numNodes)
-		r.census.BindQueue(r.grp.Queue(0))
+		r.census.BindQueue(r.grp.Queues()...)
 		r.bus.Attach(r.census.Sink())
 		t.sampler.Census = r.census
 	}
@@ -398,6 +401,40 @@ func (r *dataRun) startTelemetry(cfg *TelemetryConfig, until float64) {
 		at := float64(k) * iv
 		r.at(eventq.Time(at), func(eventq.Time) { r.snapshot(at) })
 	}
+}
+
+// bufferShards gives each shard the bus its views and agents emit
+// into. One shard emits straight into the run's bus. With more, shard
+// i's bus only appends to buffer i, and the group's barrier hook merges
+// the buffers in (T, shard, emission) order into the run's bus, so the
+// unchanged sinks see one stream on one goroutine, and every event
+// emitted before a sync task before that task runs. Events a sync task
+// emits are buffered too and fed after it.
+func (r *dataRun) bufferShards() {
+	if len(r.buses) == 1 {
+		r.buses[0] = r.bus
+		return
+	}
+	bufs := make([][]telemetry.Event, len(r.buses))
+	var merged []telemetry.Event
+	for i := range r.buses {
+		r.buses[i] = telemetry.NewBus()
+		r.buses[i].Attach(func(e telemetry.Event) { bufs[i] = append(bufs[i], e) })
+	}
+	r.flush = func() {
+		merged = merged[:0]
+		for i, b := range bufs {
+			merged = append(merged, b...)
+			bufs[i] = b[:0]
+		}
+		// Each buffer is in T order, so a stable sort by T over the
+		// concatenation is the (T, shard, emission) merge.
+		slices.SortStableFunc(merged, func(a, b telemetry.Event) int { return cmp.Compare(a.T, b.T) })
+		for _, e := range merged {
+			r.bus.Emit(e)
+		}
+	}
+	r.grp.OnBarrier(r.flush)
 }
 
 // finishTelemetry takes the final snapshot, flushes the event trace,
