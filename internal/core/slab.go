@@ -69,10 +69,12 @@ func (s *groupSlab) bytes() int { return cap(s.words) * 8 }
 // footprintBytes estimates the agent's total resident protocol memory:
 // the bitset arena, the group table, every block of group and per-level
 // records carved so far (opened or not — capacity, like the arena), the
-// share slices (capacity too), payload bytes held in the share store or
-// kept shares, and the source's transmit store. Purely observational —
-// reading it mutates nothing.
+// share store's and the kept shares' slices (capacity too) and the
+// payload bytes they hold, the decode area once a completion has made
+// it, and the source's transmit store. Purely observational — reading
+// it mutates nothing.
 func (a *Agent) footprintBytes() int {
+	const header = int(unsafe.Sizeof([]byte(nil)))
 	b := a.slab.bytes()
 	b += cap(a.groups) * int(unsafe.Sizeof(a.groups[0]))
 	b += a.carved * (int(unsafe.Sizeof(group{})) + len(a.chain)*int(unsafe.Sizeof(level{})))
@@ -80,13 +82,16 @@ func (a *Agent) footprintBytes() int {
 		if g == nil {
 			continue
 		}
-		b += cap(g.shares) * int(unsafe.Sizeof(g.shares[0]))
+		b += (cap(g.shares) + cap(g.kept)) * header
 		for _, p := range g.shares {
 			b += len(p)
 		}
 		for _, p := range g.kept {
 			b += len(p)
 		}
+	}
+	if d := a.decoded; d != nil {
+		b += cap(d.buf) + cap(d.held)*header
 	}
 	for _, d := range a.sendData {
 		b += int(unsafe.Sizeof(d)) // the pre-sized slot, sent or not

@@ -2,7 +2,9 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
+	"sharqfec/internal/eventq"
 	"sharqfec/internal/scoping"
 )
 
@@ -82,5 +84,29 @@ func TestFootprintBytesGrows(t *testing.T) {
 	g.shares = nil
 	if freed := a.footprintBytes(); freed != grown-512-32*24 {
 		t.Fatalf("footprint %d after releasing the store, want %d", freed, grown-512-32*24)
+	}
+}
+
+// TestFootprintCountsKeptSharesAndDecodeArea: across a completion the
+// footprint grows by exactly the completing share's payload and the
+// decode area the first completion makes (K payloads plus K slice
+// headers). The store's slots stay counted as the kept shares' slots.
+func TestFootprintCountsKeptSharesAndDecodeArea(t *testing.T) {
+	f := newShareFeed(t, 91, 0)
+	k := f.a.cfg.GroupK
+	f.a.OnComplete = func(eventq.Time, uint32, [][]byte) {}
+	for idx := 1; idx < k; idx++ {
+		f.deliver(idx)
+	}
+	slots := cap(f.a.group(0).shares)
+	before := f.a.footprintBytes()
+	f.deliver(0)
+	f.wantComplete()
+	if got := cap(f.a.group(0).kept); got != slots {
+		t.Fatalf("kept shares have %d slots, the store had %d", got, slots)
+	}
+	header := int(unsafe.Sizeof([]byte(nil)))
+	if got, want := f.a.footprintBytes()-before, payloadSize+k*payloadSize+k*header; got != want {
+		t.Fatalf("footprint grew %d bytes across the completion, want %d", got, want)
 	}
 }
