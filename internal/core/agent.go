@@ -220,10 +220,16 @@ func (a *Agent) StartSource() {
 		panic("core: StartSource on a receiver")
 	}
 	ipt := eventq.Duration(a.cfg.InterPacket())
+	// The sends share one callback: they fire in the order they are
+	// scheduled (increasing times, FIFO on ties), so a cursor names each.
+	var next uint32
+	send := func(now eventq.Time) {
+		seq := next
+		next++
+		a.sourceSend(now, seq)
+	}
 	for s := 0; s < a.cfg.NumPackets; s++ {
-		seq := uint32(s)
-		at := eventq.Duration(float64(s)) * ipt
-		a.net.Sched().After(at, func(now eventq.Time) { a.sourceSend(now, seq) })
+		a.net.Sched().After(eventq.Duration(float64(s))*ipt, send)
 	}
 }
 

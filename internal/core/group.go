@@ -14,7 +14,13 @@ import (
 // group is per-FEC-group receiver/repairer state.
 type group struct {
 	id uint32
-	k  int
+	// The flags fill the word id leaves: a lone bool pads out a word of
+	// its own, and every group a member opens pays for the layout.
+	complete bool
+	inRepair bool // repair phase entered (LDP over)
+	sendBusy bool // a repair burst is being paced out (replies wait)
+	catchUp  bool // late-join recovery group (never counts as loss)
+	k        int
 
 	// shares holds the payload of every distinct share held, indexed by
 	// share index (nil = not held) — the form the codec reads — and held
@@ -44,27 +50,30 @@ type group struct {
 
 	llc          int
 	maxShare     int // highest share index known used anywhere
-	complete     bool
-	inRepair     bool // repair phase entered (LDP over)
-	repairsHeard int  // distinct repair shares received
+	repairsHeard int // distinct repair shares received
+
+	// The group's timers, each armed through armTimer with the one
+	// callback in fire (see timerFired). A handle is zero whenever its
+	// timer is not pending: stopTimer zeroes it on Stop, timerFired
+	// before the handler runs.
+	ldpTimer   fabric.Timer // loss-detection phase end
+	reqTimer   fabric.Timer // NACK request
+	replyTimer fabric.Timer // suppressed repair reply
+	retire     fabric.Timer // retainData release of the kept shares
+	fire       eventq.Handler
 
 	// request side
-	reqTimer    fabric.Timer
 	reqExp      int // the paper's i, initially 1
 	scopeIdx    int // current NACK scope (index into the agent's chain)
 	attempts    int // NACKs sent at the current scope
 	outstanding int // repairs requested by zone peers, minus repairs heard
 
 	// reply side (repairer)
-	replyTimer fabric.Timer
-	sendBusy   bool         // a repair burst is being paced out
-	lastNACK   *packet.NACK // most recent request heard, for reply timing
+	lastNACK *packet.NACK // most recent request heard, for reply timing
 
-	ldpTimer  fabric.Timer
 	firstSeen eventq.Time
 	doneAt    eventq.Time
-	catchUp   bool // late-join recovery group (never counts as loss)
-	dupNACKs  int  // NACKs heard that failed to raise the ZLC
+	dupNACKs  int // NACKs heard that failed to raise the ZLC
 }
 
 // level is what a group tracks about one zone of the scope chain.
@@ -305,8 +314,57 @@ func (a *Agent) armLDPTimer(now eventq.Time, g *group, idxSeen int) {
 	if remaining < ldpSlackPackets {
 		remaining = ldpSlackPackets
 	}
-	d := eventq.Duration(remaining * a.ipt)
-	g.ldpTimer = a.net.Sched().After(d, func(fire eventq.Time) { a.ldpExpired(fire, g) })
+	a.armTimer(g, &g.ldpTimer, eventq.Duration(remaining*a.ipt))
+}
+
+// armTimer arms one of g's timers, t, to fire d from now. Every timer of
+// a group runs the group's one callback, made on its first arm, so no
+// later arm allocates.
+func (a *Agent) armTimer(g *group, t *fabric.Timer, d eventq.Duration) {
+	if g.fire == nil {
+		g.fire = func(now eventq.Time) { a.timerFired(now, g) }
+	}
+	*t = a.net.Sched().After(d, g.fire)
+}
+
+// timerFired is the callback of every timer of g. The queue retires an
+// event before it runs the handler, so the timer that fired is the one
+// handle that is set but no longer Active: no other is in that state,
+// since a handle is zeroed when its timer fires (here) or stops
+// (stopTimer). It zeroes that handle and runs the timer's handler.
+func (a *Agent) timerFired(now eventq.Time, g *group) {
+	switch {
+	case fired(&g.ldpTimer):
+		a.ldpExpired(now, g)
+	case fired(&g.reqTimer):
+		a.requestTimerFired(now, g)
+	case fired(&g.replyTimer):
+		a.serveQueuedRepairs(now, g)
+	case fired(&g.retire):
+		// Ordinary receivers release the kept shares retainData after
+		// completion, unless they have taken up ZCR duty since.
+		if !a.anyZCRDuty() {
+			g.kept = nil
+		}
+	}
+}
+
+// fired reports whether t is a timer that has just fired — set, but no
+// longer pending — and zeroes it if so.
+func fired(t *fabric.Timer) bool {
+	if *t == (fabric.Timer{}) || t.Active() {
+		return false
+	}
+	*t = fabric.Timer{}
+	return true
+}
+
+// stopTimer cancels one of a group's timers and zeroes its handle: a
+// stopped handle left set would read, once its queue record moved on,
+// as the timer that fired.
+func stopTimer(t *fabric.Timer) {
+	t.Stop()
+	*t = fabric.Timer{}
 }
 
 // ldpExpired ends the loss-detection phase: any unseen original packets
@@ -372,7 +430,7 @@ func (a *Agent) armRequestTimer(now eventq.Time, g *group) {
 	lo := factor * c1 * d
 	hi := factor * (c1 + c2) * d
 	delay := eventq.Duration(a.rand().Uniform(lo, hi))
-	g.reqTimer = a.net.Sched().After(delay, func(fire eventq.Time) { a.requestTimerFired(fire, g) })
+	a.armTimer(g, &g.reqTimer, delay)
 	a.emit(now, telemetry.KindNACKScheduled, a.scopeZone(g.scopeIdx), int64(g.id), int64(g.llc), int64(g.reqExp), delay.Seconds())
 }
 
@@ -484,7 +542,7 @@ func (a *Agent) handleNACK(now eventq.Time, p *packet.NACK) {
 			// Their request covers ours; suppress this round (the
 			// timer re-arms with backoff so lost repairs still get
 			// re-requested).
-			g.reqTimer.Stop()
+			stopTimer(&g.reqTimer)
 			a.Stats.NACKsSuppressed++
 			a.emit(now, telemetry.KindNACKSuppressed, scope, int64(g.id), 0, int64(g.reqExp), 0)
 			g.reqExp++
@@ -573,7 +631,7 @@ func (a *Agent) handleRepair(now eventq.Time, p *packet.Repair) {
 	}
 	// Cancel the reply timer only once the whole repair is covered.
 	if g.replyTimer.Active() && a.totalPending(g) == 0 {
-		g.replyTimer.Stop()
+		stopTimer(&g.replyTimer)
 		a.emit(now, telemetry.KindRepairSuppressed, scope, int64(g.id), 0, 0, 0)
 	}
 	a.maybeComplete(now, g)
@@ -605,7 +663,7 @@ func (a *Agent) maybeComplete(now eventq.Time, g *group) {
 		lat = now.Sub(g.firstSeen).Seconds()
 	}
 	a.emit(now, telemetry.KindGroupDecoded, scoping.NoZone, int64(g.id), int64(g.repairsHeard), int64(g.llc), lat)
-	g.reqTimer.Stop()
+	stopTimer(&g.reqTimer)
 	// The LDP timer deliberately keeps running: its expiry also samples
 	// the group's arrival quality for the receiver report.
 	if a.OnComplete != nil {
@@ -623,11 +681,7 @@ func (a *Agent) maybeComplete(now eventq.Time, g *group) {
 	// Ordinary receivers retire the shares after a grace period; the
 	// source and ZCRs stay able to repair indefinitely.
 	if !a.isSource {
-		a.net.Sched().After(eventq.Duration(retainData), func(eventq.Time) {
-			if !a.anyZCRDuty() {
-				g.kept = nil
-			}
-		})
+		a.armTimer(g, &g.retire, eventq.Duration(retainData))
 	}
 }
 

@@ -89,9 +89,7 @@ func (a *Agent) armReplyTimer(now eventq.Time, g *group, nack *packet.NACK) {
 		d = a.sess.Dist(nack.Origin, nack.Ancestors)
 	}
 	delay := eventq.Duration(a.rand().Uniform(a.cfg.D1*d, (a.cfg.D1+a.cfg.D2)*d))
-	g.replyTimer = a.net.Sched().After(delay, func(fire eventq.Time) {
-		a.serveQueuedRepairs(fire, g)
-	})
+	a.armTimer(g, &g.replyTimer, delay)
 	a.emit(now, telemetry.KindRepairScheduled, scoping.NoZone, int64(g.id), 0, 0, delay.Seconds())
 }
 
@@ -141,17 +139,36 @@ func (a *Agent) sendRepairBurst(now eventq.Time, g *group, z scoping.ZoneID, n i
 	g.maxShare = last
 	g.sendBusy = true
 	spacing := repairSpacing * a.ipt
-	for idx := first; idx <= last; idx++ {
-		idx := idx
-		offset := eventq.Duration(float64(idx-first) * spacing)
-		a.net.Sched().After(offset, func(fire eventq.Time) {
-			a.transmitRepair(fire, g, z, idx, last, preempt)
-		})
+	// One callback paces the whole burst: share first+i at i spacings,
+	// then the end-of-burst step one spacing after the last share.
+	b := &burst{a: a, g: g, z: z, next: first, last: last, preempt: preempt}
+	fire := b.fire
+	for i := 0; i <= last-first+1; i++ {
+		a.net.Sched().After(eventq.Duration(float64(i)*spacing), fire)
 	}
-	a.net.Sched().After(eventq.Duration(float64(last-first+1)*spacing), func(fire eventq.Time) {
-		g.sendBusy = false
-		a.serveQueuedRepairs(fire, g)
-	})
+}
+
+// burst is one repair burst being paced out. Its events fire in the
+// order they were scheduled (increasing times, FIFO on ties), so each
+// takes the share at the cursor, and the one after the last share ends
+// the burst. The cursor is the burst's own: bursts of one group overlap
+// when a ZCR injects into every zone it heads at once.
+type burst struct {
+	a          *Agent
+	g          *group
+	z          scoping.ZoneID
+	next, last int
+	preempt    bool
+}
+
+func (b *burst) fire(now eventq.Time) {
+	if idx := b.next; idx <= b.last {
+		b.next++
+		b.a.transmitRepair(now, b.g, b.z, idx, b.last, b.preempt)
+		return
+	}
+	b.g.sendBusy = false
+	b.a.serveQueuedRepairs(now, b.g)
 }
 
 // transmitRepair computes and multicasts one repair share.

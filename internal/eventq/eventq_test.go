@@ -2,6 +2,7 @@ package eventq
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -377,6 +378,40 @@ func TestStaleHandleCannotTouchRecycledEvent(t *testing.T) {
 	q.Run()
 	if !fired {
 		t.Fatal("recycled event did not fire")
+	}
+}
+
+// TestFiringHandleIsInactiveInItsHandler pins what lets several timers
+// share one callback and tell which of them fired: inside the handler,
+// the firing timer's handle is already inactive — even once the handler
+// has re-armed into the record it freed — while every sibling still
+// pending, a same-time one included, is Active.
+func TestFiringHandleIsInactiveInItsHandler(t *testing.T) {
+	var q Queue
+	var h [3]Timer
+	var order []int
+	fn := func(Time) {
+		// Arm first: the new event takes the record the firing one freed.
+		re := q.After(10, func(Time) {})
+		defer re.Stop()
+		var firing []int
+		for i, x := range h {
+			if x != (Timer{}) && !x.Active() {
+				firing = append(firing, i)
+			}
+		}
+		if len(firing) != 1 {
+			t.Fatalf("at %v, handles %v read as fired; want exactly one", q.Now(), firing)
+		}
+		h[firing[0]] = Timer{}
+		order = append(order, firing[0])
+	}
+	h[0] = q.At(2, fn)
+	h[1] = q.At(1, fn)
+	h[2] = q.At(1, fn)
+	q.Run()
+	if want := []int{1, 2, 0}; !slices.Equal(order, want) {
+		t.Fatalf("timers fired in order %v, want %v", order, want)
 	}
 }
 

@@ -41,8 +41,12 @@ type Agent interface {
 
 // Timer is a cancellable scheduled callback: Stop cancels it, reporting
 // whether that prevented the fire, and Active reports whether it is still
-// pending. Arming one allocates nothing, and the zero value is inert —
-// how protocol state says "not armed".
+// pending. The handle costs no allocation to arm, and the zero value is
+// inert — how protocol state says "not armed". The callback is the
+// caller's, and so is its cost: a closure made per arm is an allocation
+// per arm, which is why core builds one callback per group and re-arms
+// it. A timer's handle is already inactive when its callback runs, which
+// is how that callback tells which of several timers sharing it fired.
 type Timer = eventq.Timer
 
 // Scheduler provides time and timers. In the simulator, time is virtual

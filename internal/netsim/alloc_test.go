@@ -132,3 +132,29 @@ func TestTimerArmAndStopAllocateNothing(t *testing.T) {
 		t.Errorf("%d timers fired, want %d: a stopped timer ran or a kept one did not", fired, 2*202)
 	}
 }
+
+// TestHopPoolGrowsInBlocks pins the cost of growing the hop pool: a hop
+// the free list cannot supply is carved from a block of hopBlock, so k
+// new hops cost their k bound handlers plus ⌈k/hopBlock⌉ blocks, not a
+// struct apiece — and no two of them share storage.
+func TestHopPoolGrowsInBlocks(t *testing.T) {
+	const k = 2*hopBlock + 1
+	n := &Network{}
+	hops := make([]*hop, k)
+	grow := func() {
+		n.hopFree, n.hopBlk = nil, nil
+		for i := range hops {
+			hops[i] = n.acquireHop()
+		}
+	}
+	if allocs, want := testing.AllocsPerRun(10, grow), float64(k+3); allocs != want {
+		t.Errorf("%v allocations for %d new hops, want %v", allocs, k, want)
+	}
+	seen := make(map[*hop]bool, k)
+	for _, h := range hops {
+		if seen[h] || h.n != n || h.fn == nil {
+			t.Fatalf("hop %p: duplicate %v, view %p, handler bound %v", h, seen[h], h.n, h.fn != nil)
+		}
+		seen[h] = true
+	}
+}

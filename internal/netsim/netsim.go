@@ -103,8 +103,10 @@ type Network struct {
 	// hopFree recycles hop structs (and their pre-bound handler
 	// closures), so a same-shard hop costs no allocation in steady
 	// state. A view's queue runs its events on one goroutine, so a
-	// plain free list suffices and stays deterministic.
+	// plain free list suffices and stays deterministic. New hops are
+	// carved from hopBlk, the unused rest of a block of hopBlock.
 	hopFree []*hop
+	hopBlk  []hop
 	// scratch is the span builder's working memory. It lives on the
 	// view, never on the fabric: builders run concurrently on shard
 	// goroutines.
@@ -451,8 +453,12 @@ func (h *hop) run(now eventq.Time) {
 	n.hopFree = append(n.hopFree, h)
 }
 
-// acquireHop takes a hop from the free list (or allocates the first
-// time), with its handler closure already bound.
+// hopBlock is how many hops one allocation holds when the pool grows.
+const hopBlock = 64
+
+// acquireHop takes a hop from the free list, or carves a new one from
+// the current block, with its handler closure already bound. A block
+// never moves: queued events hold its hops' handlers.
 func (n *Network) acquireHop() *hop {
 	if l := len(n.hopFree); l > 0 {
 		h := n.hopFree[l-1]
@@ -460,7 +466,12 @@ func (n *Network) acquireHop() *hop {
 		n.hopFree = n.hopFree[:l-1]
 		return h
 	}
-	h := &hop{n: n}
+	if len(n.hopBlk) == 0 {
+		n.hopBlk = make([]hop, hopBlock)
+	}
+	h := &n.hopBlk[0]
+	n.hopBlk = n.hopBlk[1:]
+	h.n = n
 	h.fn = h.run
 	return h
 }

@@ -60,19 +60,37 @@ func (m *Manager) linkRTT(origin, peer topology.NodeID) (float64, bool) {
 
 // AncestorList builds the (ZCR, RTT) entries a node attaches to outgoing
 // NACKs: its estimate of the distance to each of the parent ZCRs that
-// will hear the message (§5 rules). Unknown levels are omitted.
+// will hear the message (§5 rules). Unknown levels are omitted, and with
+// none known the list is nil. A list is counted before it is made, so a
+// NACK's list costs one allocation of exactly its size.
 func (m *Manager) AncestorList() []packet.AncestorRTT {
-	var out []packet.AncestorRTT
+	n := 0
 	for i := range m.chain {
-		z := m.zones[i].zcr
-		if z == topology.NoNode || z == m.node {
-			continue
+		if _, ok := m.ancestor(i); ok {
+			n++
 		}
-		if rtt, ok := m.RTTToChainZCR(i); ok {
-			out = append(out, packet.AncestorRTT{ZCR: z, RTT: rtt})
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]packet.AncestorRTT, 0, n)
+	for i := range m.chain {
+		if e, ok := m.ancestor(i); ok {
+			out = append(out, e)
 		}
 	}
 	return out
+}
+
+// ancestor returns chain level i's AncestorList entry, if the level has
+// a ZCR other than this node and its distance is known.
+func (m *Manager) ancestor(i int) (packet.AncestorRTT, bool) {
+	z := m.zones[i].zcr
+	if z == topology.NoNode || z == m.node {
+		return packet.AncestorRTT{}, false
+	}
+	rtt, ok := m.RTTToChainZCR(i)
+	return packet.AncestorRTT{ZCR: z, RTT: rtt}, ok
 }
 
 // EstimateRTT estimates the RTT between this node and sender, using the

@@ -250,6 +250,28 @@ func TestAncestorListOrdering(t *testing.T) {
 	}
 }
 
+// TestAncestorListAllocatesOnce pins AncestorList's cost: one
+// allocation of exactly the list's size, and none (a nil list) before
+// any ancestor's distance is known.
+func TestAncestorListAllocatesOnce(t *testing.T) {
+	spec := topology.Figure10(topology.Figure10Params{})
+	h := newHarness(t, spec, 13)
+	if anc := h.mgrs[12].AncestorList(); anc != nil {
+		t.Fatalf("ancestor list before any session traffic = %v, want nil", anc)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { h.mgrs[12].AncestorList() }); allocs != 0 {
+		t.Errorf("%v allocations for an empty ancestor list, want 0", allocs)
+	}
+	h.startAll(30)
+	anc := h.mgrs[12].AncestorList()
+	if len(anc) < 2 || cap(anc) != len(anc) {
+		t.Fatalf("ancestor list %v has capacity %d, want its length, at least 2", anc, cap(anc))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { h.mgrs[12].AncestorList() }); allocs != 1 {
+		t.Errorf("%v allocations per ancestor list, want 1", allocs)
+	}
+}
+
 func TestDistFallback(t *testing.T) {
 	spec := topology.Chain(3, 10e6, 0.010, 0)
 	h := newHarness(t, spec, 14)

@@ -276,10 +276,37 @@ func (g *Graph) SPFTree(src NodeID) *Tree {
 		}
 	}
 
-	children := make([][]NodeID, g.n)
+	// Every child list is a window of one array: count each parent's
+	// children, turn the counts into window ends, then fill the windows
+	// back to front so each lists its children in node order. A window
+	// is capped at its end, so appending to one list cannot overwrite
+	// the next.
+	end := make([]int, g.n)
 	for v := 0; v < g.n; v++ {
 		if NodeID(v) != src && parent[v] >= 0 {
-			children[parent[v]] = append(children[parent[v]], NodeID(v))
+			end[parent[v]]++
+		}
+	}
+	total := 0
+	for p := range end {
+		total += end[p]
+		end[p] = total
+	}
+	all := make([]NodeID, total)
+	for v := g.n - 1; v >= 0; v-- {
+		if NodeID(v) != src && parent[v] >= 0 {
+			end[parent[v]]--
+			all[end[parent[v]]] = NodeID(v)
+		}
+	}
+	children := make([][]NodeID, g.n)
+	for p, lo := range end { // end[p] is now the window's start
+		hi := total
+		if p+1 < g.n {
+			hi = end[p+1]
+		}
+		if hi > lo {
+			children[p] = all[lo:hi:hi]
 		}
 	}
 	for v := range dist {

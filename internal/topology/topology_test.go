@@ -3,6 +3,8 @@ package topology
 import (
 	"math"
 	"math/rand/v2"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -67,6 +69,45 @@ func TestTreeChildrenConsistent(t *testing.T) {
 	}
 	if count != s.Graph.NumNodes()-1 {
 		t.Fatalf("tree edge count %d, want %d", count, s.Graph.NumNodes()-1)
+	}
+}
+
+// TestTreeChildrenShareOneArray checks SPFTree's child lists on random
+// graphs — some nodes unreachable, latencies drawn from few values so
+// ties occur — against the per-parent append they replaced, and that an
+// append to one list leaves its siblings' windows intact.
+func TestTreeChildrenShareOneArray(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.IntN(40)
+		g := New(n)
+		for e := rng.IntN(3 * n); e > 0; e-- {
+			a, b := NodeID(rng.IntN(n)), NodeID(rng.IntN(n))
+			if a != b {
+				g.AddLink(a, b, 1e6, eventq.Duration(1+rng.IntN(3))*0.01, 0)
+			}
+		}
+		src := NodeID(rng.IntN(n))
+		tr := g.SPFTree(src)
+		want := make([][]NodeID, n)
+		for v := 0; v < n; v++ {
+			if NodeID(v) != src && tr.Parent[v] >= 0 {
+				want[tr.Parent[v]] = append(want[tr.Parent[v]], NodeID(v))
+			}
+		}
+		if !reflect.DeepEqual(tr.Children, want) {
+			t.Fatalf("trial %d: children %v, want %v", trial, tr.Children, want)
+		}
+		for v := range tr.Children {
+			tr.Children[v] = append(tr.Children[v], -1)
+			for u := range want {
+				if u != v && !slices.Equal(tr.Children[u], want[u]) {
+					t.Fatalf("trial %d: appending to node %d's children changed node %d's: %v, want %v",
+						trial, v, u, tr.Children[u], want[u])
+				}
+			}
+			tr.Children[v] = tr.Children[v][:len(want[v])]
+		}
 	}
 }
 
