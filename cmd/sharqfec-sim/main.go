@@ -20,7 +20,8 @@
 //	           gilbert-link <link> <mean> <burst>,
 //	           gilbert-all <mean> <burst>, gilbert-equal-mean <burst>)
 //	-packet-trace      write an ns-style packet trace ("+" transmissions,
-//	                   "r" deliveries) to this file
+//	                   "r" deliveries) to this file; like -trace-events
+//	                   it arms telemetry
 //	-cpuprofile        write a pprof CPU profile of the run to this file
 //	-memprofile        write a pprof heap profile (after the run) to
 //	                   this file
@@ -55,6 +56,11 @@
 //	                   accounting and scheduler shape; prints the
 //	                   census digest and adds the census columns to
 //	                   -metrics-out exports
+//	-shards            run on N zone shards in parallel (0 and 1 are
+//	                   one shard); every report is identical at every
+//	                   N, and from N = 2 up same-time lines of the
+//	                   -trace-events and -packet-trace files interleave
+//	                   by shard (their sorted lines are identical)
 package main
 
 import (
@@ -106,7 +112,7 @@ func main() {
 	rcFlag := flag.String("ratecontrol", "off", "rate-control policy (off | static | adaptive)")
 	rcBudget := flag.Float64("rc-budget", 0, "adaptive repair budget as a fraction of group size (0 = default 0.5)")
 	censusFlag := flag.Bool("census", false, "arm the cost-census engine and print its traffic/state digest")
-	shardsFlag := flag.Int("shards", 0, "run on N zone shards in parallel (0 and 1 = one shard; output is identical at every N; N >= 2 is incompatible with -packet-trace)")
+	shardsFlag := flag.Int("shards", 0, "run on N zone shards in parallel (0 and 1 = one shard; the report is identical at every N; from N >= 2 same-time lines of the two text traces interleave by shard)")
 	flag.Parse()
 
 	proto, err := sharqfec.ParseProtocol(*protoFlag)
@@ -168,14 +174,6 @@ func main() {
 	if rcMode != sharqfec.RateControlOff {
 		cfg.RateControl = &sharqfec.RateControlConfig{Mode: rcMode, Budget: *rcBudget}
 	}
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		cfg.TraceWriter = f
-	}
 	if *faultsPath != "" {
 		f, err := os.Open(*faultsPath)
 		if err != nil {
@@ -201,8 +199,18 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	var eventsFile *os.File
-	if *eventsPath != "" || *metricsPath != "" || wantSpans || *flightRec > 0 || slo != nil || *censusFlag {
+	// The two text traces are telemetry exporters; their files are
+	// closed, and the close checked, once the run has flushed them.
+	var traceFiles []*os.File
+	createTrace := func(path string) *os.File {
+		f, err := os.Create(path)
+		if err != nil {
+			log.Fatal(err)
+		}
+		traceFiles = append(traceFiles, f)
+		return f
+	}
+	if *eventsPath != "" || *tracePath != "" || *metricsPath != "" || wantSpans || *flightRec > 0 || slo != nil || *censusFlag {
 		cfg.Telemetry = &sharqfec.TelemetryConfig{
 			MetricsInterval: *metricsInterval,
 			Spans:           wantSpans,
@@ -211,20 +219,18 @@ func main() {
 			Census:          *censusFlag,
 		}
 		if *eventsPath != "" {
-			f, err := os.Create(*eventsPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			eventsFile = f
-			cfg.Telemetry.Events = f
+			cfg.Telemetry.Events = createTrace(*eventsPath)
+		}
+		if *tracePath != "" {
+			cfg.Telemetry.PacketTrace = createTrace(*tracePath)
 		}
 	}
 	res, err := sharqfec.RunData(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if eventsFile != nil {
-		if err := eventsFile.Close(); err != nil {
+	for _, f := range traceFiles {
+		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -3,7 +3,6 @@ package sharqfec
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"slices"
 
 	"sharqfec/internal/core"
@@ -40,9 +39,6 @@ type DataConfig struct {
 	// Until makes the run session-only: the source never sends, and
 	// what runs is the §5 session layer every member starts on joining.
 	SourceOnAt, Until float64
-	// TraceWriter, when set, receives an ns-style packet-event trace
-	// ("+" transmissions, "r" deliveries) for the whole run.
-	TraceWriter io.Writer
 	// QueueLimit bounds each link direction's transmit queue (packets);
 	// overflowing packets are tail-dropped (congestion loss, the
 	// paper's stated cause of loss). 0 = unbounded.
@@ -52,8 +48,9 @@ type DataConfig struct {
 	// run byte-identical to the fault-free experiment at the same seed.
 	Faults *FaultPlan
 	// Telemetry, when non-nil, attaches the observability layer (event
-	// bus, metrics time series, optional JSONL trace). nil leaves the
-	// run byte-identical to an uninstrumented one at the same seed.
+	// bus, metrics time series, optional JSONL and packet traces). nil
+	// leaves the run byte-identical to an uninstrumented one at the same
+	// seed.
 	Telemetry *TelemetryConfig
 	// RateControl selects the preemptive-FEC sizing policy (see
 	// RateControlConfig). nil (or mode off/static) keeps the paper's
@@ -66,10 +63,9 @@ type DataConfig struct {
 	// default) and 1 are the same one-shard run on the caller's
 	// goroutine. Results are byte-identical for the same seed at ANY
 	// shard count: every link direction draws loss from its own stream,
-	// and each agent owns its rate controller. Telemetry works at any
-	// shard count: each shard buffers its events and the barrier feeds
-	// them to the one set of sinks. Only TraceWriter, whose tracer taps
-	// the views directly, is refused at Shards >= 2.
+	// and each agent owns its rate controller. Telemetry, packet trace
+	// included, works at any shard count: each shard buffers its events
+	// and the barrier feeds them to the one set of sinks.
 	Shards int
 }
 
@@ -134,14 +130,14 @@ type DataResult struct {
 
 // validate rejects, after defaulting, what no run can honour: numbers
 // that would panic, hang or silently simulate nothing, bad telemetry
-// or rate-control tuning, a shard count out of range, a link loss that
-// is not a probability, and — the one place they live — the features
-// a run on several shards cannot carry yet. Times must be finite and
-// non-negative (an infinite horizon never returns: session timers
-// re-arm forever), the stream non-empty and the queue bound
-// non-negative. Comparisons are written so NaN fails them. Until is
-// checked first, so a bad horizon is named as such even in a
-// session-only run, whose SourceOnAt is derived from it.
+// or rate-control tuning, a shard count out of range and a link loss
+// that is not a probability. Times must be finite and non-negative (an
+// infinite horizon never returns: session timers re-arm forever), the
+// stream non-empty, and the group size and queue bound non-negative (a
+// negative GroupK would run as the default). Comparisons are written
+// so NaN fails them. Until is checked first, so a bad horizon is named
+// as such even in a session-only run, whose SourceOnAt is derived from
+// it.
 func (c *DataConfig) validate() error {
 	for _, t := range []struct {
 		name string
@@ -153,6 +149,9 @@ func (c *DataConfig) validate() error {
 	}
 	if c.NumPackets <= 0 {
 		return fmt.Errorf("sharqfec: NumPackets = %d; want > 0", c.NumPackets)
+	}
+	if c.GroupK < 0 {
+		return fmt.Errorf("sharqfec: GroupK = %d; want >= 0 (0 = default 16)", c.GroupK)
 	}
 	if c.QueueLimit < 0 {
 		return fmt.Errorf("sharqfec: QueueLimit = %d; want >= 0", c.QueueLimit)
@@ -172,9 +171,6 @@ func (c *DataConfig) validate() error {
 			return fmt.Errorf("sharqfec: link %d (%d-%d) LossAB/LossBA = %v/%v; want probabilities in [0, 1]",
 				i, l.A, l.B, l.LossAB, l.LossBA)
 		}
-	}
-	if c.Shards >= 2 && c.TraceWriter != nil {
-		return fmt.Errorf("sharqfec: packet traces are not supported with Shards >= 2")
 	}
 	return nil
 }
@@ -376,10 +372,6 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 	// Wire every view. With several shards each view calls its taps from
 	// its own shard's goroutine, so each gets its own collector, merged
 	// after the run; the census hop tap is atomic.
-	var tracer *stats.Tracer
-	if cfg.TraceWriter != nil {
-		tracer = stats.NewTracer(cfg.TraceWriter)
-	}
 	if r.census != nil {
 		r.census.BindLinks(spec.Graph)
 	}
@@ -389,10 +381,6 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 		cols[i] = stats.NewCollector(spec.Source, len(spec.Receivers), defaultBinWidth)
 		n.AddTap(cols[i].Tap())
 		n.AddSendTap(cols[i].SendTap())
-		if tracer != nil {
-			n.AddTap(tracer.Tap())
-			n.AddSendTap(tracer.SendTap())
-		}
 		n.SetTelemetry(r.buses[i])
 		if r.census != nil {
 			n.SetHopTap(r.census.ObserveHop)
@@ -459,11 +447,6 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 	})
 	r.at(secondsToTime(cfg.SourceOnAt), func(eventq.Time) { r.agents[spec.Source].StartSource() })
 	r.grp.Run(secondsToTime(cfg.Until))
-	if tracer != nil {
-		if err := tracer.Flush(); err != nil {
-			return nil, nil, fmt.Errorf("sharqfec: packet trace: %w", err)
-		}
-	}
 	if r.bus != nil {
 		for _, ag := range r.spawned {
 			ag.EmitUnrecoveredLosses(r.grp.Queue(0).Now())

@@ -44,6 +44,7 @@ func TestRunConfigValidation(t *testing.T) {
 		{"until-inf-sampled", DataConfig{Until: inf, Telemetry: &TelemetryConfig{MetricsInterval: 1}}, "Until"},
 		{"sourceonat-negative", DataConfig{SourceOnAt: -1}, "SourceOnAt"},
 		{"queuelimit-negative", DataConfig{QueueLimit: -1}, "QueueLimit"},
+		{"groupk-negative", DataConfig{GroupK: -4}, "GroupK"},
 		{"metrics-interval-nanosecond", DataConfig{Telemetry: &TelemetryConfig{MetricsInterval: 1e-9}}, "MetricsInterval"},
 		{"metrics-interval-below-floor", DataConfig{Telemetry: &TelemetryConfig{MetricsInterval: 5e-4}}, "MetricsInterval"},
 		{"metrics-interval-negative", DataConfig{Telemetry: &TelemetryConfig{MetricsInterval: -1}}, "MetricsInterval"},

@@ -197,6 +197,11 @@ type Queue struct {
 	now       Time
 	seq       uint64
 	dispatchN uint64
+	// Clock, when set, gives the time each handler is told it runs at,
+	// in place of its event's own time; the queue's clock (Now) still
+	// moves to the event's time. A queue driven by the wall clock sets
+	// it, so a handler run late learns when it actually ran.
+	Clock func() Time
 	// shard is the queue's shard ID, stamped on every scheduled event's
 	// birth key. Standalone queues are shard 0.
 	shard int32
@@ -362,6 +367,10 @@ func (q *Queue) dispatch() {
 	// reuse this record immediately — recycle bumps gen first, so every
 	// outstanding handle to the firing event is already inert.
 	q.recycle(id, r)
+	if q.Clock != nil {
+		fn(q.Clock())
+		return
+	}
 	fn(q.now)
 }
 

@@ -61,6 +61,18 @@ func TestClockAdvancesToEventTime(t *testing.T) {
 	}
 }
 
+// TestClockTellsHandlersTheTime: with Clock set, a handler is told the
+// clock's time, not its event's, while Now still moves to the event.
+func TestClockTellsHandlersTheTime(t *testing.T) {
+	q := Queue{Clock: func() Time { return 9.25 }}
+	var told, now Time
+	q.At(7.5, func(at Time) { told, now = at, q.Now() })
+	q.Run()
+	if told != 9.25 || now != 7.5 {
+		t.Fatalf("handler told %v with Now %v, want 9.25 and 7.5", told, now)
+	}
+}
+
 func TestAfterRelative(t *testing.T) {
 	var q Queue
 	var second Time

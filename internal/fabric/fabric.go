@@ -12,7 +12,8 @@
 //
 // Timers are values: both substrates keep theirs in an eventq.Queue (the
 // simulation's own, or a udpmesh node's, driven by the wall clock), so
-// Scheduler.After hands back the queue's handle itself. A handle, like
+// Scheduler.After queues the caller's callback as it is and hands back
+// the queue's handle itself: an arm allocates nothing on either. A handle, like
 // the agent state that stores it, belongs to the goroutine that runs the
 // agent: After, Stop and Active are called only from Receive, from a
 // timer callback, or — on udpmesh — from Node.Do.

@@ -271,10 +271,9 @@ func (n *Network) MulticastE(from topology.NodeID, zone scoping.ZoneID, pkt pack
 		tap(now, from, zone, pkt)
 	}
 	if n.tel.On() {
-		_, group := pktCorrelation(pkt)
 		n.tel.Emit(telemetry.Event{
 			T: now.Seconds(), Kind: telemetry.KindPacketSent, Node: from, Zone: zone,
-			Group: group, A: int64(pkt.Kind()), B: int64(pkt.WireSize()),
+			Group: pktGroup(pkt), A: int64(pkt.Kind()), B: int64(pkt.WireSize()),
 		})
 	}
 	sp, at := n.fanout(from, zone)
@@ -382,11 +381,10 @@ func (n *Network) deliver(now eventq.Time, at topology.NodeID, hops int32, d Del
 		tap(now, at, d)
 	}
 	if n.tel.On() {
-		origin, group := pktCorrelation(d.Pkt)
 		n.tel.Emit(telemetry.Event{
 			T: now.Seconds(), Kind: telemetry.KindPacketDelivered, Node: at, Zone: d.Scope,
-			Group: group, A: int64(d.Pkt.Kind()), B: int64(d.Pkt.WireSize()),
-			Origin: origin, Hops: int64(hops),
+			Group: pktGroup(d.Pkt), A: int64(d.Pkt.Kind()), B: int64(d.Pkt.WireSize()),
+			Origin: d.From, Hops: int64(hops),
 		})
 	}
 	if a := n.agents[at]; a != nil {
@@ -403,27 +401,26 @@ func (n *Network) emitDrop(t eventq.Time, kind telemetry.Kind, v topology.NodeID
 	if !n.tel.On() {
 		return
 	}
-	_, group := pktCorrelation(pkt)
 	n.tel.Emit(telemetry.Event{
 		T: t.Seconds(), Kind: kind, Node: v, Zone: zone,
-		Group: group, A: int64(pkt.Kind()), B: int64(pkt.WireSize()),
+		Group: pktGroup(pkt), A: int64(pkt.Kind()), B: int64(pkt.WireSize()),
 	})
 }
 
-// pktCorrelation extracts the span-correlation fields from a packet:
-// the originating node and the FEC group it concerns (SRM mirrors the
-// sequence number into Group). Session packets — and anything else
-// without a group — return (NoNode, -1), the Event sentinels.
-func pktCorrelation(pkt packet.Packet) (origin topology.NodeID, group int64) {
+// pktGroup is the span-correlation field of a packet: the FEC group it
+// concerns (SRM mirrors the sequence number into Group). Session
+// packets — and anything else without a group — return -1, the Event
+// sentinel.
+func pktGroup(pkt packet.Packet) int64 {
 	switch p := pkt.(type) {
 	case *packet.Data:
-		return p.Origin, int64(p.Group)
+		return int64(p.Group)
 	case *packet.Repair:
-		return p.Origin, int64(p.Group)
+		return int64(p.Group)
 	case *packet.NACK:
-		return p.Origin, int64(p.Group)
+		return int64(p.Group)
 	}
-	return topology.NoNode, -1
+	return -1
 }
 
 // hop is a packet in flight toward span node at over the edge from span

@@ -9,6 +9,7 @@ import (
 	"sharqfec/internal/packet"
 	"sharqfec/internal/scoping"
 	"sharqfec/internal/simrand"
+	"sharqfec/internal/telemetry"
 	"sharqfec/internal/topology"
 )
 
@@ -243,6 +244,33 @@ func TestTapObservesDeliveries(t *testing.T) {
 	n.Q.Run()
 	if tapped != 2 {
 		t.Fatalf("tap saw %d deliveries, want 2", tapped)
+	}
+}
+
+// TestDeliveredEventNamesSender: a packet_delivered event names the node
+// that multicast the packet even when the packet carries no group, as
+// a session message does, so a packet trace can print its sender.
+func TestDeliveredEventNamesSender(t *testing.T) {
+	spec := topology.Chain(4, 1e6, 0.01, 0)
+	n, _ := build(t, spec, 1)
+	bus := telemetry.NewBus()
+	var got []telemetry.Event
+	bus.Attach(func(e telemetry.Event) {
+		if e.Kind == telemetry.KindPacketDelivered {
+			got = append(got, e)
+		}
+	})
+	n.SetTelemetry(bus)
+	n.Multicast(1, 0, &packet.Session{Origin: 1, Zone: 0, ZCR: 1})
+	n.Q.Run()
+	if len(got) != 3 {
+		t.Fatalf("%d deliveries, want 3", len(got))
+	}
+	for _, e := range got {
+		if e.Origin != 1 || e.Group != -1 || e.Hops < 1 || e.A != int64(packet.TypeSession) {
+			t.Errorf("delivery at n%d: origin %d group %d hops %d type %d; want origin 1, group -1, hops >= 1, a session packet",
+				e.Node, e.Origin, e.Group, e.Hops, e.A)
+		}
 	}
 }
 

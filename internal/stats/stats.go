@@ -1,7 +1,7 @@
 // Package stats collects the measurements the paper's figures plot:
 // data+repair and NACK traffic per session member, bucketed into 0.1 s
-// intervals (§6.2 measurement methodology), plus an ns-style packet
-// trace.
+// intervals (§6.2 measurement methodology). The ns-style packet trace
+// is a telemetry exporter (telemetry.NewPacketTraceWriter).
 package stats
 
 import (

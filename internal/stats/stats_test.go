@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"slices"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -123,21 +122,5 @@ func TestPropertySeriesSum(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTracerFormat(t *testing.T) {
-	var buf strings.Builder
-	tr := NewTracer(&buf)
-	tr.SendTap()(eventq.Time(6.0), 0, 0, &packet.Data{Payload: make([]byte, 983)})
-	tr.Tap()(eventq.Time(6.0311), 14, netsim.Delivery{From: 0, Scope: 0, Pkt: &packet.Data{Payload: make([]byte, 983)}})
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"+ 6.0000 n0 z0 DATA 1000", "r 6.0311 n14 from=n0 z0 DATA 1000"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("trace missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -194,11 +194,11 @@ type Event struct {
 	F     float64
 
 	// Origin and Hops correlate transport events with the packet they
-	// carry: on KindPacketDelivered, Origin is the packet's original
-	// sender (topology.NoNode for uncorrelated kinds such as session
-	// packets) and Hops the routing-tree distance the packet travelled
-	// to reach Node. Hops == 0 is the sentinel for "no correlation";
-	// Origin is meaningless then (deliveries always cross ≥ 1 link).
+	// carry: on KindPacketDelivered, Origin is the node that multicast
+	// the packet, whatever its kind, and Hops the routing-tree distance
+	// the packet travelled to reach Node. Hops == 0 is the sentinel for
+	// "no correlation"; Origin is meaningless then (deliveries always
+	// cross ≥ 1 link).
 	Origin topology.NodeID
 	Hops   int64
 }

@@ -5,28 +5,45 @@ import (
 	"io"
 	"strconv"
 
+	"sharqfec/internal/packet"
 	"sharqfec/internal/scoping"
 )
 
-// EventWriter is a JSONL sink: one JSON object per event, assembled
-// with strconv.Append* into a reusable buffer so steady-state writing
-// does not allocate. Errors are sticky: the first write failure stops
-// all output and is reported by Err and Flush (the same surfacing
-// contract stats.Tracer follows).
-//
-// Line shape (fields with sentinel values are omitted):
+// EventWriter is a text sink: one line per event, assembled with
+// strconv.Append* into a reusable buffer so steady-state writing does
+// not allocate. It has two renderers. NewEventWriter writes JSONL, one
+// JSON object per event (fields with sentinel values are omitted):
 //
 //	{"t":6.0123,"ev":"nack_sent","node":14,"zone":2,"group":3,"a":1,"b":2,"f":0.01}
+//
+// NewPacketTraceWriter writes the ns-style packet trace: a line such
+// as "+ 6.0000 n0 z0 DATA 1000" per packet_sent, one such as
+// "r 6.0311 n14 from=n0 z0 DATA 1000" per packet_delivered (time, node,
+// sender, scope, packet type and size), and nothing for any other kind.
+//
+// Errors are sticky: the first write failure stops all output and is
+// reported by Err and Flush, so a full-disk or closed-pipe trace cannot
+// silently truncate.
 type EventWriter struct {
-	w   *bufio.Writer
-	buf []byte
-	n   uint64
-	err error
+	w *bufio.Writer
+	// render appends e's line to an empty b, or nothing for a kind it
+	// skips.
+	render func(b []byte, e Event) []byte
+	buf    []byte
+	n      uint64
+	err    error
 }
 
-// NewEventWriter wraps w; call Flush when the run completes.
-func NewEventWriter(w io.Writer) *EventWriter {
-	return &EventWriter{w: bufio.NewWriter(w), buf: make([]byte, 0, 160)}
+// NewEventWriter returns the JSONL writer over w; call Flush when the
+// run completes.
+func NewEventWriter(w io.Writer) *EventWriter { return newWriter(w, appendJSON) }
+
+// NewPacketTraceWriter returns the packet-trace writer over w; call
+// Flush when the run completes.
+func NewPacketTraceWriter(w io.Writer) *EventWriter { return newWriter(w, appendPacketLine) }
+
+func newWriter(w io.Writer, render func([]byte, Event) []byte) *EventWriter {
+	return &EventWriter{w: bufio.NewWriter(w), render: render, buf: make([]byte, 0, 160)}
 }
 
 // Sink returns the writing sink for Bus.Attach.
@@ -36,7 +53,19 @@ func (ew *EventWriter) write(e Event) {
 	if ew.err != nil {
 		return
 	}
-	b := ew.buf[:0]
+	b := ew.render(ew.buf[:0], e)
+	ew.buf = b
+	if len(b) == 0 {
+		return
+	}
+	if _, err := ew.w.Write(b); err != nil {
+		ew.err = err
+		return
+	}
+	ew.n++
+}
+
+func appendJSON(b []byte, e Event) []byte {
 	b = append(b, `{"t":`...)
 	// The shortest form that parses back to the same float64: a replay
 	// reads exactly the times the live run used, so latencies it derives
@@ -72,13 +101,34 @@ func (ew *EventWriter) write(e Event) {
 		b = append(b, `,"f":`...)
 		b = strconv.AppendFloat(b, e.F, 'g', -1, 64)
 	}
-	b = append(b, "}\n"...)
-	ew.buf = b
-	if _, err := ew.w.Write(b); err != nil {
-		ew.err = err
-		return
+	return append(b, "}\n"...)
+}
+
+// appendPacketLine renders a packet_sent or packet_delivered event as
+// a packet-trace line; A holds the packet type and B its wire size.
+func appendPacketLine(b []byte, e Event) []byte {
+	switch e.Kind {
+	case KindPacketSent:
+		b = append(b, "+ "...)
+	case KindPacketDelivered:
+		b = append(b, "r "...)
+	default:
+		return b
 	}
-	ew.n++
+	b = strconv.AppendFloat(b, e.T, 'f', 4, 64) // as %.4f
+	b = append(b, " n"...)
+	b = strconv.AppendInt(b, int64(e.Node), 10)
+	if e.Kind == KindPacketDelivered {
+		b = append(b, " from=n"...)
+		b = strconv.AppendInt(b, int64(e.Origin), 10)
+	}
+	b = append(b, " z"...)
+	b = strconv.AppendInt(b, int64(e.Zone), 10)
+	b = append(b, ' ')
+	b = append(b, packet.Type(e.A).String()...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, e.B, 10)
+	return append(b, '\n')
 }
 
 // Count returns the number of lines written successfully.

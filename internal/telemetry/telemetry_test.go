@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -147,6 +148,67 @@ func TestEventWriterLineShape(t *testing.T) {
 	// Sentinel fields must be omitted.
 	if strings.Contains(lines[1], "zone") || strings.Contains(lines[1], "group") {
 		t.Fatalf("sentinels not omitted: %s", lines[1])
+	}
+}
+
+// TestPacketTraceWriterFormat: the packet-trace renderer writes "+" for
+// packet_sent and "r" (with the sender) for packet_delivered, as %.4f
+// times and packet-type names, and skips every other kind.
+func TestPacketTraceWriterFormat(t *testing.T) {
+	var buf bytes.Buffer
+	ew := NewPacketTraceWriter(&buf)
+	sink := ew.Sink()
+	data := int64(packet.TypeData)
+	sink(Event{T: 6, Kind: KindPacketSent, Node: 0, Zone: 0, Group: 0, A: data, B: 1000})
+	sink(Event{T: 6.03114, Kind: KindNACKSent, Node: 14, Zone: 2, Group: 0})
+	sink(Event{T: 6.03114, Kind: KindPacketLost, Node: 14, Zone: 0, Group: 0, A: data, B: 1000})
+	sink(Event{T: 6.03114, Kind: KindPacketDelivered, Node: 14, Zone: 0, Group: 0, A: data, B: 1000, Origin: 0, Hops: 3})
+	sink(Event{T: 7.5, Kind: KindPacketDelivered, Node: 3, Zone: 1, Group: -1, A: int64(packet.TypeSession), B: 64, Origin: 9, Hops: 1})
+	if err := ew.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := "+ 6.0000 n0 z0 DATA 1000\n" +
+		"r 6.0311 n14 from=n0 z0 DATA 1000\n" +
+		"r 7.5000 n3 from=n9 z1 SESSION 64\n"
+	if got := buf.String(); got != want || ew.Count() != 3 {
+		t.Fatalf("trace (%d lines counted):\n%swant:\n%s", ew.Count(), got, want)
+	}
+}
+
+// TestEventWritersAllocateNothing: both renderers write a line without
+// allocating once the writer exists.
+func TestEventWritersAllocateNothing(t *testing.T) {
+	e := Event{T: 6.0311, Kind: KindPacketDelivered, Node: 14, Zone: 0, Group: 3,
+		A: int64(packet.TypeRepair), B: 1000, Origin: 2, Hops: 3}
+	for name, ew := range map[string]*EventWriter{
+		"jsonl":  NewEventWriter(io.Discard),
+		"packet": NewPacketTraceWriter(io.Discard),
+	} {
+		sink := ew.Sink()
+		if allocs := testing.AllocsPerRun(1000, func() { sink(e) }); allocs != 0 {
+			t.Errorf("%s writer allocates %.1f per line", name, allocs)
+		}
+	}
+}
+
+// TestPacketTraceWriterSurfacesWriteErrors: write failures must be
+// visible through Err and Flush, and must stop further output instead
+// of silently truncating the trace.
+func TestPacketTraceWriterSurfacesWriteErrors(t *testing.T) {
+	ew := NewPacketTraceWriter(&failAfter{n: 0})
+	if err := ew.Err(); err != nil {
+		t.Fatalf("error before any write: %v", err)
+	}
+	// One line stays inside bufio; Flush hits the writer.
+	ew.Sink()(Event{Kind: KindPacketSent, A: int64(packet.TypeNACK), B: 40})
+	if err := ew.Flush(); err == nil {
+		t.Fatal("Flush swallowed the write error")
+	}
+	if ew.Err() == nil {
+		t.Fatal("Err nil after failed flush")
+	}
+	if err := ew.Flush(); err == nil {
+		t.Fatal("second Flush forgot the sticky error")
 	}
 }
 

@@ -59,10 +59,11 @@ type Node struct {
 	conn  *net.UDPConn
 	start time.Time
 
-	// timers holds every armed timer, by wall-clock time since start. It
-	// belongs to the executor goroutine like the agent state it serves:
-	// Sched().After and a Timer's methods may be called only from code
-	// running there (a timer callback, Receive, or Do).
+	// timers holds every armed timer, by wall-clock time since start,
+	// and tells each callback the wall-clock time it runs at (its
+	// Clock). It belongs to the executor goroutine like the agent state
+	// it serves: Sched().After and a Timer's methods may be called only
+	// from code running there (a timer callback, Receive, or Do).
 	timers eventq.Queue
 
 	work chan func()
@@ -98,6 +99,7 @@ func NewNode(mesh *Mesh, id topology.NodeID, conn *net.UDPConn) (*Node, error) {
 		done:    make(chan struct{}),
 		lossRNG: simrand.New(mesh.Seed).StreamN("udpmesh/loss", int(id)),
 	}
+	n.timers.Clock = n.now
 	n.wg.Add(2)
 	go n.executor()
 	go n.reader()
@@ -252,14 +254,12 @@ type rtScheduler struct{ n *Node }
 func (s rtScheduler) Now() eventq.Time { return s.n.now() }
 
 // After arms fn for d past the wall clock's now (the queue's own clock
-// stands at the executor's last wake-up) and hands it the time it actually
-// runs at, so a busy executor's lag never enters a timestamp that is sent.
+// stands at the executor's last wake-up); the queue's Clock hands fn the
+// time it actually runs at, so a busy executor's lag never enters a
+// timestamp that is sent. Arming allocates nothing: fn is queued as it
+// is.
 func (s rtScheduler) After(d eventq.Duration, fn func(eventq.Time)) fabric.Timer {
-	if d < 0 {
-		d = 0
-	}
-	n := s.n
-	return n.timers.At(n.now().Add(d), func(eventq.Time) { fn(n.now()) })
+	return s.n.timers.At(s.n.now().Add(max(d, 0)), fn)
 }
 
 // NewLocalMesh builds an in-process mesh on loopback with ephemeral

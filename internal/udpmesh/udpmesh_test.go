@@ -112,6 +112,25 @@ func TestTimerAfterIdleGapCountsFromNow(t *testing.T) {
 	}
 }
 
+// TestTimerArmAndStopAllocateNothing: on the UDP substrate, as on the
+// simulator's, arming a timer and stopping it allocates nothing — the
+// callback is queued as it is and the queue's Clock tells it the
+// wall-clock time — so core's one callback per group costs no
+// allocation per arm here either.
+func TestTimerArmAndStopAllocateNothing(t *testing.T) {
+	_, nodes := buildMesh(t, twoLevelChainSpec(), 0, 1)
+	n := nodes[0]
+	allocs := make(chan float64, 1)
+	n.Do(func() {
+		s := n.Sched()
+		fn := func(eventq.Time) {}
+		allocs <- testing.AllocsPerRun(1000, func() { s.After(1, fn).Stop() })
+	})
+	if got := <-allocs; got != 0 {
+		t.Fatalf("After + Stop allocates %.1f per arm, want 0", got)
+	}
+}
+
 // TestStopPreventsADueTimer: a timer whose time has come while the
 // executor was busy has not fired until the executor runs it, and Stop
 // from the work that kept it busy still prevents that. Timers due

@@ -263,10 +263,9 @@ func TestShardsMatchSequentialOnLosslessTopologies(t *testing.T) {
 	}
 }
 
-// TestShardedRejectsUnsupportedConfigs pins the error surface: packet
-// traces tap the views directly, so they run at Shards 0 and 1 and must
-// fail loudly from 2 up, never silently fall back to fewer shards;
-// telemetry runs at every shard count.
+// TestShardedRejectsUnsupportedConfigs pins the error surface: a shard
+// count out of range fails loudly, never silently falling back to fewer
+// shards; telemetry, packet trace included, runs at every shard count.
 func TestShardedRejectsUnsupportedConfigs(t *testing.T) {
 	small := func(shards int) DataConfig {
 		return DataConfig{Protocol: SHARQFEC, Topology: ChainTopology(4, 0.05), NumPackets: 64, Until: 12, Shards: shards}
@@ -278,7 +277,7 @@ func TestShardedRejectsUnsupportedConfigs(t *testing.T) {
 	}
 	trace := func(shards int) DataConfig {
 		cfg := small(shards)
-		cfg.TraceWriter = &bytes.Buffer{}
+		cfg.Telemetry = &TelemetryConfig{PacketTrace: &bytes.Buffer{}}
 		return cfg
 	}
 	cases := []struct {
@@ -286,7 +285,6 @@ func TestShardedRejectsUnsupportedConfigs(t *testing.T) {
 		cfg  DataConfig
 		ok   bool
 	}{
-		{"packet-trace", trace(2), false},
 		{"negative-shards", small(-3), false},
 		{"too-many-shards", small(eventq.MaxShards + 1), false},
 		{"telemetry-shards-0", telemetry(0), true},
@@ -294,6 +292,7 @@ func TestShardedRejectsUnsupportedConfigs(t *testing.T) {
 		{"telemetry-shards-2", telemetry(2), true},
 		{"packet-trace-shards-0", trace(0), true},
 		{"packet-trace-shards-1", trace(1), true},
+		{"packet-trace-shards-2", trace(2), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -309,27 +308,27 @@ func TestShardedRejectsUnsupportedConfigs(t *testing.T) {
 }
 
 // TestTelemetryEqualAtEveryShardCount: with every exporter on — event
-// trace, spans, census, SLO engine, flight recorder — a run at Shards 0
-// and one at Shards 1 must write the same JSONL bytes and report the
-// same results. At 2 and 4 shards the sinks are fed from per-shard
-// buffers merged at the barrier, so two things may differ and nothing
-// else: the byte order of the JSONL, where events stamped with the same
-// T on different shards interleave by shard (the sorted lines are
-// equal), and the census free-list gauge, which sums one free list per
-// shard queue.
+// trace, packet trace, spans, census, SLO engine, flight recorder — a
+// run at Shards 0 and one at Shards 1 must write the same JSONL and
+// packet-trace bytes and report the same results. At 2 and 4 shards the
+// sinks are fed from per-shard buffers merged at the barrier, so two
+// things may differ and nothing else: the byte order of the two text
+// traces, where events stamped with the same T on different shards
+// interleave by shard (the sorted lines are equal), and the census
+// free-list gauge, which sums one free list per shard queue.
 func TestTelemetryEqualAtEveryShardCount(t *testing.T) {
 	spec := parseTestSLO(t)
-	// render returns the run's JSONL, its full report, and the report
-	// with the census free-list gauge zeroed.
-	render := func(shards int) (jsonl []byte, report, reportNoFree string) {
+	// render returns the run's JSONL and packet trace, its full report,
+	// and the report with the census free-list gauge zeroed.
+	render := func(shards int) (jsonl, trace []byte, report, reportNoFree string) {
 		t.Helper()
-		var events, metrics bytes.Buffer
+		var events, packets, metrics bytes.Buffer
 		res, err := RunData(DataConfig{
 			Protocol: SHARQFEC, Seed: 5, NumPackets: 256, Until: 30,
 			Faults: BurstLossPlan(8), Shards: shards,
 			Telemetry: &TelemetryConfig{
-				Events: &events, MetricsInterval: 1, FlightRecorder: 64,
-				Spans: true, Census: true, SLO: spec,
+				Events: &events, PacketTrace: &packets, MetricsInterval: 1,
+				FlightRecorder: 64, Spans: true, Census: true, SLO: spec,
 			},
 		})
 		if err != nil {
@@ -339,7 +338,7 @@ func TestTelemetryEqualAtEveryShardCount(t *testing.T) {
 		if err := tel.WriteMetricsJSON(&metrics); err != nil {
 			t.Fatal(err)
 		}
-		if tel.EventsWritten == 0 || len(tel.Spans()) == 0 || tel.CensusSummary() == nil || tel.HealthReport() == nil {
+		if tel.EventsWritten == 0 || packets.Len() == 0 || len(tel.Spans()) == 0 || tel.CensusSummary() == nil || tel.HealthReport() == nil {
 			t.Fatalf("shards=%d: an exporter recorded nothing", shards)
 		}
 		format := func(sum census.Summary, epochs []census.EpochRow) string {
@@ -354,23 +353,28 @@ func TestTelemetryEqualAtEveryShardCount(t *testing.T) {
 		for i := range epochs {
 			epochs[i].Queue.Free = 0
 		}
-		return events.Bytes(), report, format(sum, epochs)
+		return events.Bytes(), packets.Bytes(), report, format(sum, epochs)
 	}
 	sortedLines := func(b []byte) []string {
 		lines := strings.Split(string(b), "\n")
 		slices.Sort(lines)
 		return lines
 	}
-	jsonl0, report0, noFree0 := render(0)
-	if jsonl1, report1, _ := render(1); !bytes.Equal(jsonl0, jsonl1) {
+	jsonl0, trace0, report0, noFree0 := render(0)
+	if jsonl1, trace1, report1, _ := render(1); !bytes.Equal(jsonl0, jsonl1) {
 		t.Error("JSONL event traces differ between Shards 0 and 1")
+	} else if !bytes.Equal(trace0, trace1) {
+		t.Error("packet traces differ between Shards 0 and 1")
 	} else if report0 != report1 {
 		t.Errorf("reports differ between Shards 0 and 1:\n--- 0 ---\n%s\n--- 1 ---\n%s", report0, report1)
 	}
 	for _, k := range []int{2, 4} {
-		jsonl, _, noFree := render(k)
+		jsonl, trace, _, noFree := render(k)
 		if !slices.Equal(sortedLines(jsonl0), sortedLines(jsonl)) {
 			t.Errorf("JSONL event traces hold different lines at Shards 0 and %d", k)
+		}
+		if !slices.Equal(sortedLines(trace0), sortedLines(trace)) {
+			t.Errorf("packet traces hold different lines at Shards 0 and %d", k)
 		}
 		if noFree0 != noFree {
 			t.Errorf("reports differ between Shards 0 and %d beyond the free-list gauge:\n--- 0 ---\n%s\n--- %d ---\n%s", k, noFree0, k, noFree)

@@ -436,11 +436,11 @@ func TestEnsembleParallelMatchesSerial(t *testing.T) {
 func TestRunDataTrace(t *testing.T) {
 	var buf strings.Builder
 	_, err := RunData(DataConfig{
-		Protocol:    SHARQFEC,
-		Topology:    ChainTopology(3, 0),
-		NumPackets:  16,
-		Until:       30,
-		TraceWriter: &buf,
+		Protocol:   SHARQFEC,
+		Topology:   ChainTopology(3, 0),
+		NumPackets: 16,
+		Until:      30,
+		Telemetry:  &TelemetryConfig{PacketTrace: &buf},
 	})
 	if err != nil {
 		t.Fatal(err)

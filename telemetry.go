@@ -45,12 +45,16 @@ func (s *SLOSpec) String() string { return s.spec.String() }
 // *TelemetryConfig disables telemetry entirely: no bus is created, no
 // snapshot events are scheduled, and the run is byte-identical to one
 // on a build without the layer. A non-nil config always builds the
-// metrics registry and per-zone time series; the trace and flight
-// recorder are opt-in on top.
+// metrics registry and per-zone time series; the two text traces and
+// the flight recorder are opt-in on top.
 type TelemetryConfig struct {
 	// Events, when non-nil, receives a JSONL trace of every protocol
 	// event (one object per line).
 	Events io.Writer
+	// PacketTrace, when non-nil, receives an ns-style packet trace of
+	// the whole run: one "+" line per transmission and one "r" line per
+	// delivery (see telemetry.NewPacketTraceWriter).
+	PacketTrace io.Writer
 	// MetricsInterval is the virtual-clock spacing of time-series
 	// snapshots in seconds: 0 means the default, 1.0; any other value
 	// must be at least health.MinInterval (1 ms), the floor SLO
@@ -322,6 +326,7 @@ type telemetryRun struct {
 	metrics *telemetry.Metrics
 	sampler *telemetry.Sampler
 	events  *telemetry.EventWriter
+	packets *telemetry.EventWriter
 	rec     *telemetry.Recorder
 	spans   *spans.Assembler
 	health  *health.Engine
@@ -364,6 +369,10 @@ func (r *dataRun) startTelemetry(cfg *TelemetryConfig, until float64) {
 	if cfg.Events != nil {
 		t.events = telemetry.NewEventWriter(cfg.Events)
 		r.bus.Attach(t.events.Sink())
+	}
+	if cfg.PacketTrace != nil {
+		t.packets = telemetry.NewPacketTraceWriter(cfg.PacketTrace)
+		r.bus.Attach(t.packets.Sink())
 	}
 	if rec := clampFlightRecorder(cfg.FlightRecorder); rec > 0 {
 		t.rec = telemetry.NewRecorder(rec, telemetry.ControlPlaneOnly)
@@ -437,9 +446,9 @@ func (r *dataRun) bufferShards() {
 	r.grp.OnBarrier(r.flush)
 }
 
-// finishTelemetry takes the final snapshot, flushes the event trace,
-// and builds the report (nil without telemetry). The returned error
-// surfaces any JSONL write failure.
+// finishTelemetry takes the final snapshot, flushes the two text
+// traces, and builds the report (nil without telemetry). The returned
+// error surfaces the first JSONL or packet-trace write failure.
 func (r *dataRun) finishTelemetry(until float64) (*TelemetryReport, error) {
 	t := r.tel
 	if t == nil {
@@ -480,11 +489,17 @@ func (r *dataRun) finishTelemetry(until float64) (*TelemetryReport, error) {
 		// trigger holds the recorder (whose filter is a func).
 		rep.dumps = t.trigger.Dumps()
 	}
+	var err error
 	if t.events != nil {
 		rep.EventsWritten = t.events.Count()
-		if err := t.events.Flush(); err != nil {
-			return rep, fmt.Errorf("sharqfec: telemetry event trace: %w", err)
+		if ferr := t.events.Flush(); ferr != nil {
+			err = fmt.Errorf("sharqfec: telemetry event trace: %w", ferr)
 		}
 	}
-	return rep, nil
+	if t.packets != nil {
+		if ferr := t.packets.Flush(); ferr != nil && err == nil {
+			err = fmt.Errorf("sharqfec: packet trace: %w", ferr)
+		}
+	}
+	return rep, err
 }

@@ -60,53 +60,47 @@ func TestTelemetryDeterminism(t *testing.T) {
 }
 
 // TestTelemetryPassive: attaching the full observability stack must not
-// change the protocol run — packet traces and report totals stay
-// byte-identical to a telemetry-free run at the same seed.
+// change the protocol run. A packet trace rides the telemetry bus, so
+// the trace of a minimal telemetry run (the packet trace alone) must
+// equal the trace of a full-stack run, and both runs' results must
+// equal those of a run with telemetry off at the same seed.
 func TestTelemetryPassive(t *testing.T) {
-	var traceOff, traceOn, ev bytes.Buffer
 	off := telemetryRunConfig(nil)
 	off.Telemetry = nil
-	off.TraceWriter = &traceOff
 	resOff, err := RunData(off)
 	if err != nil {
 		t.Fatal(err)
-	}
-	on := telemetryRunConfig(&ev)
-	on.TraceWriter = &traceOn
-	resOn, err := RunData(on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(traceOff.Bytes(), traceOn.Bytes()) {
-		t.Error("telemetry perturbed the packet trace")
-	}
-	if resOff.NACKsSent != resOn.NACKsSent || resOff.RepairsSent != resOn.RepairsSent ||
-		resOff.CompletionRate != resOn.CompletionRate {
-		t.Errorf("telemetry perturbed totals: off %d/%d/%g on %d/%d/%g",
-			resOff.NACKsSent, resOff.RepairsSent, resOff.CompletionRate,
-			resOn.NACKsSent, resOn.RepairsSent, resOn.CompletionRate)
 	}
 	if resOff.Telemetry != nil {
 		t.Error("telemetry report present on a disabled run")
 	}
 
-	// Span assembly rides the same bus and must be just as passive.
-	var traceSpans bytes.Buffer
-	withSpans := telemetryRunConfig(nil)
-	withSpans.Telemetry.Events = nil // nil *bytes.Buffer must not become a typed-nil writer
-	withSpans.Telemetry.Spans = true
-	withSpans.TraceWriter = &traceSpans
-	resSpans, err := RunData(withSpans)
+	var traceMin, traceFull, ev bytes.Buffer
+	minimal := telemetryRunConfig(nil)
+	minimal.Telemetry = &TelemetryConfig{PacketTrace: &traceMin}
+	resMin, err := RunData(minimal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(traceOff.Bytes(), traceSpans.Bytes()) {
-		t.Error("span tracing perturbed the packet trace")
+	full := telemetryRunConfig(&ev)
+	full.Telemetry.PacketTrace = &traceFull
+	full.Telemetry.Spans = true
+	full.Telemetry.Census = true
+	full.Telemetry.SLO = parseTestSLO(t)
+	resFull, err := RunData(full)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if resOff.NACKsSent != resSpans.NACKsSent || resOff.CompletionRate != resSpans.CompletionRate {
-		t.Error("span tracing perturbed totals")
+	if traceMin.Len() == 0 || !bytes.Equal(traceMin.Bytes(), traceFull.Bytes()) {
+		t.Errorf("the full stack perturbed the packet trace (%d vs %d bytes)", traceMin.Len(), traceFull.Len())
 	}
-	if len(resSpans.Telemetry.Spans()) == 0 {
+	want := dataDigest(resOff)
+	for name, res := range map[string]*DataResult{"minimal": resMin, "full": resFull} {
+		if got := dataDigest(res); got != want {
+			t.Errorf("%s telemetry perturbed the results: digest %s, want %s", name, got, want)
+		}
+	}
+	if len(resFull.Telemetry.Spans()) == 0 {
 		t.Error("spans enabled but none assembled")
 	}
 }
