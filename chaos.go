@@ -333,9 +333,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		// final accounting so the tail includes every terminal event.
 		r.tel.trigger.Fire(cfg.Until, fmt.Sprintf(
 			"anomalous end: completion=%.4f verified=%v", res.CompletionRate, res.Verified))
-		dumps := r.tel.trigger.Dumps()
-		rep.dumps = dumps
-		res.FlightRecord = dumps[len(dumps)-1].Events
+		rep.dumps = r.tel.trigger.Snapshots()
+		res.FlightRecord = rep.dumps[len(rep.dumps)-1].Render().Events
 		// Lead the dump with the span ledger: how many losses closed, by
 		// which mechanism, and how many died open — the summary a post-
 		// mortem reads before the raw event tail.

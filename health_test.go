@@ -214,6 +214,31 @@ func TestDumpTriggerOnRunData(t *testing.T) {
 	}
 }
 
+// TestTriggeredDumpsNilWhenNothingFired: TriggeredDumps is nil both
+// without a recorder and with one armed but no alert to fire it, while
+// the armed recorder's own flight record is there.
+func TestTriggeredDumpsNilWhenNothingFired(t *testing.T) {
+	for _, rec := range []int{0, 64} {
+		res, err := RunData(DataConfig{
+			Protocol:   SHARQFEC,
+			Topology:   ChainTopology(4, 0.08),
+			Seed:       1,
+			NumPackets: 64,
+			Until:      30,
+			Telemetry:  &TelemetryConfig{FlightRecorder: rec},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := res.Telemetry.TriggeredDumps(); d != nil {
+			t.Errorf("recorder %d: TriggeredDumps = %v, want nil", rec, d)
+		}
+		if fr := res.Telemetry.FlightRecord(); (rec > 0) != (len(fr) > 0) {
+			t.Errorf("recorder %d: flight record holds %d lines", rec, len(fr))
+		}
+	}
+}
+
 // TestHealthEventsRoundTrip pushes the engine's real emissions through
 // the JSONL writer and ParseEventLine: every health event must survive
 // byte-exactly, which is what the offline replay gate stands on.

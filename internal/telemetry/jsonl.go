@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bufio"
 	"io"
+	"math"
 	"strconv"
 
 	"sharqfec/internal/packet"
@@ -32,11 +33,23 @@ type EventWriter struct {
 	buf    []byte
 	n      uint64
 	err    error
+
+	// tBits and tText are the last JSONL time and its rendering: most
+	// lines share the previous line's T, so it is rendered once.
+	tBits uint64
+	tText []byte
 }
 
 // NewEventWriter returns the JSONL writer over w; call Flush when the
 // run completes.
-func NewEventWriter(w io.Writer) *EventWriter { return newWriter(w, appendJSON) }
+func NewEventWriter(w io.Writer) *EventWriter {
+	ew := newWriter(w, nil)
+	// tBits 0 is +0, whose rendering is "0"; 32 bytes hold any
+	// shortest-form float64, so the text never regrows.
+	ew.tText = append(make([]byte, 0, 32), '0')
+	ew.render = ew.appendJSON
+	return ew
+}
 
 // NewPacketTraceWriter returns the packet-trace writer over w; call
 // Flush when the run completes.
@@ -65,12 +78,17 @@ func (ew *EventWriter) write(e Event) {
 	ew.n++
 }
 
-func appendJSON(b []byte, e Event) []byte {
+func (ew *EventWriter) appendJSON(b []byte, e Event) []byte {
 	b = append(b, `{"t":`...)
 	// The shortest form that parses back to the same float64: a replay
 	// reads exactly the times the live run used, so latencies it derives
-	// match the live ones to the last bit.
-	b = strconv.AppendFloat(b, e.T, 'g', -1, 64)
+	// match the live ones to the last bit. Equal bits, not ==: -0 and 0
+	// render differently.
+	if bits := math.Float64bits(e.T); bits != ew.tBits {
+		ew.tBits = bits
+		ew.tText = strconv.AppendFloat(ew.tText[:0], e.T, 'g', -1, 64)
+	}
+	b = append(b, ew.tText...)
 	b = append(b, `,"ev":"`...)
 	b = append(b, e.Kind.String()...)
 	b = append(b, `","node":`...)

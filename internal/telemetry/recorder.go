@@ -52,7 +52,8 @@ func (r *Recorder) Sink() Sink {
 // Len returns how many events the ring currently holds.
 func (r *Recorder) Len() int { return r.n }
 
-// Events returns the recorded events oldest-first (a copy).
+// Events returns the recorded events oldest-first, in one freshly
+// allocated slice (non-nil even when the ring is empty).
 func (r *Recorder) Events() []Event {
 	out := make([]Event, 0, r.n)
 	start := r.next - r.n
@@ -65,9 +66,13 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// Dump renders the ring oldest-first with Event.Format.
-func (r *Recorder) Dump() []string {
-	evs := r.Events()
+// FormatEvents renders evs with Event.Format, one line per event: the
+// text form of a flight record, made only when it is read. It returns
+// nil for nil evs.
+func FormatEvents(evs []Event) []string {
+	if evs == nil {
+		return nil
+	}
 	out := make([]string, len(evs))
 	for i, e := range evs {
 		out[i] = e.Format()

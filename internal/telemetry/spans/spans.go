@@ -136,7 +136,10 @@ type openSpan struct {
 // NACK/repair events carry the group, not the individual sequence, so
 // tallies are shared by every span of the group.
 type groupState struct {
-	open []openSpan
+	// open starts on openBuf, so a group with few losses holds them
+	// without a slice of its own.
+	open    []openSpan
+	openBuf [4]openSpan
 
 	nacksSent   int
 	nacksSupp   int
@@ -160,11 +163,22 @@ type groupState struct {
 type Assembler struct {
 	view   telemetry.ZoneView
 	groups map[key]*groupState
-	closed []Span
+	// spare is the unused tail of the block group states are cut from.
+	spare []groupState
+	// closed holds the closed spans in blocks of spanBlock, filled in
+	// order, so a full block is never copied.
+	closed  [][]Span
+	nclosed int
 
 	lossEvents uint64
 	openCount  int
 }
+
+// Group states and closed spans are allocated this many at a time.
+const (
+	groupBlock = 64
+	spanBlock  = 256
+)
 
 // NewAssembler returns an empty assembler.
 func NewAssembler() *Assembler {
@@ -184,8 +198,10 @@ func (a *Assembler) Open() int { return a.openCount }
 // Spans returns every closed span in canonical order (start time, then
 // node, group, seq) — a fresh copy, safe to retain.
 func (a *Assembler) Spans() []Span {
-	out := make([]Span, len(a.closed))
-	copy(out, a.closed)
+	out := make([]Span, 0, a.nclosed)
+	for _, b := range a.closed {
+		out = append(out, b...)
+	}
 	sort.Slice(out, func(i, j int) bool {
 		x, y := out[i], out[j]
 		if x.Start != y.Start {
@@ -225,7 +241,7 @@ func (a *Assembler) handle(e telemetry.Event) {
 			// the span resolves instantly.
 			sp := a.build(e.Node, e.Group, openSpan{seq: e.A, start: e.T}, gs, e.T, true)
 			sp.LateData = true
-			a.closed = append(a.closed, sp)
+			a.close(sp)
 			return
 		}
 		gs.open = append(gs.open, openSpan{seq: e.A, start: e.T})
@@ -271,7 +287,7 @@ func (a *Assembler) handle(e telemetry.Event) {
 		gs.decoded = true
 		gs.decodedAt = e.T
 		for _, o := range gs.open {
-			a.closed = append(a.closed, a.build(e.Node, e.Group, o, gs, e.T, true))
+			a.close(a.build(e.Node, e.Group, o, gs, e.T, true))
 		}
 		a.openCount -= len(gs.open)
 		gs.open = gs.open[:0]
@@ -298,7 +314,7 @@ func (a *Assembler) handle(e telemetry.Event) {
 			sp.LateData = e.B == 1
 			gs.open = append(gs.open[:i], gs.open[i+1:]...)
 			a.openCount--
-			a.closed = append(a.closed, sp)
+			a.close(sp)
 			return
 		}
 		// No matching open span: a crashed agent's duplicate terminal
@@ -310,10 +326,28 @@ func (a *Assembler) ensure(n topology.NodeID, g int64) *groupState {
 	k := key{n, g}
 	gs := a.groups[k]
 	if gs == nil {
-		gs = &groupState{blame: scoping.NoZone, blameLevel: -1, repairer: topology.NoNode}
+		if len(a.spare) == 0 {
+			a.spare = make([]groupState, groupBlock)
+		}
+		gs = &a.spare[0]
+		a.spare = a.spare[1:]
+		*gs = groupState{blame: scoping.NoZone, blameLevel: -1, repairer: topology.NoNode}
+		gs.open = gs.openBuf[:0]
 		a.groups[k] = gs
 	}
 	return gs
+}
+
+// close files a closed span in the last block, starting a new block
+// when that one is full.
+func (a *Assembler) close(sp Span) {
+	n := len(a.closed)
+	if n == 0 || len(a.closed[n-1]) == spanBlock {
+		a.closed = append(a.closed, make([]Span, 0, spanBlock))
+		n++
+	}
+	a.closed[n-1] = append(a.closed[n-1], sp)
+	a.nclosed++
 }
 
 // build assembles the Span for one open loss from its group's state.

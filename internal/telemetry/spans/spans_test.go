@@ -272,6 +272,25 @@ func TestSinkSteadyStateAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("steady-state sink allocates %.1f per 4 events, want 0", n)
 	}
+
+	// A loss → decode cycle on a fresh group: four losses open and four
+	// spans close with no allocation of their own. Only the group's map
+	// entry and, now and then, a new block of group states or spans
+	// allocate, under one per cycle on average, which AllocsPerRun's
+	// whole-number average reads as 0.
+	g := int64(100)
+	if n := testing.AllocsPerRun(1000, func() {
+		g++
+		for seq := int64(0); seq < 4; seq++ {
+			sink(telemetry.Event{T: 3, Kind: telemetry.KindLossDetected, Node: 2, Group: g, A: g*16 + seq})
+		}
+		sink(telemetry.Event{T: 3.5, Kind: telemetry.KindGroupDecoded, Node: 2, Group: g})
+	}); n != 0 {
+		t.Fatalf("a 4-loss cycle on a fresh group allocates %.0f times, want 0 amortized", n)
+	}
+	if a.Open() != 1 || len(a.Spans()) != 4*1001 {
+		t.Fatalf("open %d, closed %d after the cycles", a.Open(), len(a.Spans()))
+	}
 }
 
 // TestPerfettoShape: the exporter emits valid Chrome trace-event JSON

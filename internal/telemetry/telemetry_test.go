@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -83,8 +86,8 @@ func TestRecorderRingAndFilter(t *testing.T) {
 			t.Fatalf("ring order %v", evs)
 		}
 	}
-	if len(r.Dump()) != 3 {
-		t.Fatalf("dump lines = %d", len(r.Dump()))
+	if lines := FormatEvents(evs); len(lines) != 3 {
+		t.Fatalf("dump lines = %d", len(lines))
 	}
 }
 
@@ -188,6 +191,79 @@ func TestEventWritersAllocateNothing(t *testing.T) {
 		if allocs := testing.AllocsPerRun(1000, func() { sink(e) }); allocs != 0 {
 			t.Errorf("%s writer allocates %.1f per line", name, allocs)
 		}
+	}
+}
+
+// TestEventWriterTimeReuse: the JSONL writer renders a time only when
+// its bits change, and every line equals the one a fresh
+// AppendFloat(T, 'g', -1, 64) gives, across signed zeros, repeats,
+// subnormals, large exponents, infinity and alternation.
+func TestEventWriterTimeReuse(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	sub := math.SmallestNonzeroFloat64
+	for name, ts := range map[string][]float64{
+		"zero-first":    {0, 0, negZero, negZero, 0},
+		"negzero-first": {negZero, 0, negZero},
+		"repeats":       {1.5, 1.5, 1.5, 6.0311, 6.0311, 1.5},
+		"subnormal":     {sub, sub, 2 * sub, sub, 0},
+		"large":         {1e21, 1e21, 1e20, 1e21, 123456789012345678},
+		"inf":           {math.Inf(1), math.Inf(1), 7, math.Inf(1)},
+		"alternating":   {2, 3, 2, 3, 2, 3, 0.1, 0.2, 0.1},
+	} {
+		var buf bytes.Buffer
+		ew := NewEventWriter(&buf)
+		sink := ew.Sink()
+		var want strings.Builder
+		for _, ts := range ts {
+			sink(Event{T: ts, Kind: KindNACKSent, Node: 1, Zone: scoping.NoZone, Group: -1})
+			want.WriteString(`{"t":` + strconv.FormatFloat(ts, 'g', -1, 64) + `,"ev":"nack_sent","node":1}` + "\n")
+		}
+		if err := ew.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.String(); got != want.String() {
+			t.Errorf("%s:\n%swant:\n%s", name, got, want.String())
+		}
+	}
+}
+
+// TestDumpKeepsEventsRendersOnRead: a dump on a full 512-event ring
+// copies the ring (one allocation, plus the amortized list growth) and
+// renders nothing; reading it gives Event.Format over the ring, oldest
+// first.
+func TestDumpKeepsEventsRendersOnRead(t *testing.T) {
+	rec := NewRecorder(512, nil)
+	sink := rec.Sink()
+	for i := 0; i < 700; i++ {
+		sink(Event{T: float64(i) / 8, Kind: KindNACKSent, Node: topology.NodeID(i % 7),
+			Zone: scoping.ZoneID(i % 3), Group: int64(i), A: int64(i % 5), F: 0.25})
+	}
+	d := NewDumpTrigger(rec)
+	if got := d.Snapshots(); got != nil {
+		t.Fatalf("snapshots before any fire = %v, want nil", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.Fire(99, "anomaly") }); n > 2 {
+		t.Fatalf("a dump of a full ring allocates %.1f times, want <= 2", n)
+	}
+	evs := rec.Events()
+	if len(evs) != 512 || evs[0].Group != 700-512 {
+		t.Fatalf("ring holds %d events starting at group %d", len(evs), evs[0].Group)
+	}
+	want := make([]string, len(evs))
+	for i, e := range evs {
+		want[i] = e.Format()
+	}
+	dumps := RenderDumps(d.Snapshots())
+	if len(dumps) != 101 {
+		t.Fatalf("%d dumps, want 101", len(dumps))
+	}
+	for _, dump := range dumps {
+		if dump.T != 99 || dump.Reason != "anomaly" || !slices.Equal(dump.Events, want) {
+			t.Fatalf("dump at %v (%q) renders %d lines, not the ring's %d", dump.T, dump.Reason, len(dump.Events), len(want))
+		}
+	}
+	if RenderDumps(nil) != nil || FormatEvents(nil) != nil {
+		t.Fatal("rendering nothing is not nil")
 	}
 }
 

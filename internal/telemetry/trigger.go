@@ -1,13 +1,41 @@
 package telemetry
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// TriggeredDump is one flight-recorder snapshot with the reason that
-// forced it.
+// TriggeredDump is one flight-recorder snapshot rendered as text, with
+// the reason that forced it.
 type TriggeredDump struct {
 	T      float64
 	Reason string
 	Events []string
+}
+
+// Snapshot is one flight-recorder snapshot as taken: a copy of the
+// ring's events, rendered only when Render is called.
+type Snapshot struct {
+	T      float64
+	Reason string
+	Events []Event
+}
+
+// Render formats the snapshot's events with Event.Format.
+func (s Snapshot) Render() TriggeredDump {
+	return TriggeredDump{T: s.T, Reason: s.Reason, Events: FormatEvents(s.Events)}
+}
+
+// RenderDumps renders every snapshot in order (nil for none).
+func RenderDumps(snaps []Snapshot) []TriggeredDump {
+	if len(snaps) == 0 {
+		return nil
+	}
+	out := make([]TriggeredDump, len(snaps))
+	for i, s := range snaps {
+		out[i] = s.Render()
+	}
+	return out
 }
 
 // MaxAutoDumps caps how many alert-triggered snapshots a run keeps:
@@ -23,7 +51,7 @@ const MaxAutoDumps = 16
 type DumpTrigger struct {
 	rec   *Recorder
 	auto  int
-	dumps []TriggeredDump
+	snaps []Snapshot
 }
 
 // NewDumpTrigger watches rec.
@@ -45,13 +73,15 @@ func (d *DumpTrigger) Sink() Sink {
 // end of run).
 func (d *DumpTrigger) Fire(t float64, reason string) { d.fire(t, reason) }
 
+// fire copies the ring's events: one allocation per snapshot, and no
+// text until someone reads it.
 func (d *DumpTrigger) fire(t float64, reason string) {
-	d.dumps = append(d.dumps, TriggeredDump{T: t, Reason: reason, Events: d.rec.Dump()})
+	d.snaps = append(d.snaps, Snapshot{T: t, Reason: reason, Events: d.rec.Events()})
 }
 
-// Dumps returns every snapshot taken so far, oldest first (a copy).
-func (d *DumpTrigger) Dumps() []TriggeredDump {
-	out := make([]TriggeredDump, len(d.dumps))
-	copy(out, d.dumps)
-	return out
+// Snapshots returns every snapshot taken so far, oldest first (a copy
+// of the list, nil when nothing fired). The snapshots' event slices are
+// shared and must not be modified.
+func (d *DumpTrigger) Snapshots() []Snapshot {
+	return slices.Clone(d.snaps)
 }

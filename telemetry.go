@@ -161,10 +161,10 @@ type TelemetryReport struct {
 	ControllerMaxH      int64
 
 	rows         []telemetry.ZoneSample
-	flight       []string
+	flight       []telemetry.Event
 	asm          *spans.Assembler
 	health       *health.Report
-	dumps        []telemetry.TriggeredDump
+	dumps        []telemetry.Snapshot
 	censusSum    *census.Summary
 	censusEpochs []census.EpochRow
 }
@@ -197,14 +197,14 @@ func (r *TelemetryReport) HealthReport() *health.Report {
 	return r.health
 }
 
-// TriggeredDumps returns every alert- or anomaly-triggered flight
+// TriggeredDumps renders every alert- or anomaly-triggered flight
 // recorder snapshot, oldest first (nil when no recorder was configured
 // or nothing fired). Safe on a nil report.
 func (r *TelemetryReport) TriggeredDumps() []telemetry.TriggeredDump {
 	if r == nil {
 		return nil
 	}
-	return r.dumps
+	return telemetry.RenderDumps(r.dumps)
 }
 
 // NumSamples returns how many time-series snapshots were taken.
@@ -229,9 +229,9 @@ func (r *TelemetryReport) WriteMetricsJSON(w io.Writer) error {
 	return telemetry.WriteJSON(w, r.rows)
 }
 
-// FlightRecord returns the recorded control-plane tail (nil when the
-// flight recorder was off).
-func (r *TelemetryReport) FlightRecord() []string { return r.flight }
+// FlightRecord renders the recorded control-plane tail, one
+// Event.Format line per event (nil when the flight recorder was off).
+func (r *TelemetryReport) FlightRecord() []string { return telemetry.FormatEvents(r.flight) }
 
 // Spans returns every closed recovery span in canonical order (nil
 // unless TelemetryConfig.Spans was set).
@@ -481,13 +481,13 @@ func (r *dataRun) finishTelemetry(until float64) (*TelemetryReport, error) {
 		rep.health = t.health.Report()
 	}
 	if t.rec != nil {
-		rep.flight = t.rec.Dump()
+		rep.flight = t.rec.Events()
 	}
 	if t.trigger != nil {
-		// Snapshot, not the trigger itself: the report must stay free of
-		// func values for reflect.DeepEqual comparability, and the
-		// trigger holds the recorder (whose filter is a func).
-		rep.dumps = t.trigger.Dumps()
+		// The snapshots, not the trigger itself: the report must stay
+		// free of func values for reflect.DeepEqual comparability, and
+		// the trigger holds the recorder (whose filter is a func).
+		rep.dumps = t.trigger.Snapshots()
 	}
 	var err error
 	if t.events != nil {
