@@ -204,19 +204,25 @@ func TestCrossTieBreak(t *testing.T) {
 	}
 }
 
-// TestBarrierHookOrdering pins the OnBarrier contract: the hook runs
-// after every epoch, after every sync task and after the final pass, so
-// what shards wrote before a sync task is folded before the task runs,
-// and a later task at the same instant sees an earlier one's writes
-// folded too.
+// TestBarrierHookOrdering pins the OnBarrier contract: the hooks run
+// after every epoch, after every sync task and after the final pass, in
+// the order they were added, so what shards wrote before a sync task is
+// folded before the task runs, and a later task at the same instant
+// sees an earlier one's writes folded too.
 func TestBarrierHookOrdering(t *testing.T) {
 	g := NewShardGroup(2, 0.5)
 	var pending, folded []string
-	hooks := 0
+	hooks, seconds := 0, 0
 	g.OnBarrier(func() {
 		hooks++
 		folded = append(folded, pending...)
 		pending = pending[:0]
+	})
+	g.OnBarrier(func() {
+		seconds++
+		if seconds != hooks {
+			t.Errorf("second hook's run %d came after %d of the first's; want registration order", seconds, hooks)
+		}
 	})
 	g.Queue(1).At(0.7, func(Time) { pending = append(pending, "event") })
 	g.Sync(1, func(Time) {
@@ -233,7 +239,74 @@ func TestBarrierHookOrdering(t *testing.T) {
 	g.Run(2)
 	// Epochs [0,0.5), [0.5,1), [1,1.5), [1.5,2), the final pass and the
 	// two sync tasks.
-	if hooks != 7 {
-		t.Fatalf("hook ran %d times, want 7", hooks)
+	if hooks != 7 || seconds != 7 {
+		t.Fatalf("hooks ran %d and %d times, want 7 each", hooks, seconds)
+	}
+}
+
+// TestCrossPostAndMergeAllocateNothingWhenWarm pins the cost of a cross
+// event: once the outboxes and the merge buffer have grown, posting and
+// the barrier merge allocate nothing. The group runs with no worker to
+// win, since a worker costs a goroutine per Run.
+func TestCrossPostAndMergeAllocateNothingWhenWarm(t *testing.T) {
+	defer parallel.SetLimit(0)()
+	const lookahead, posts = 0.5, 8
+	g := NewShardGroup(2, lookahead)
+	fired := 0
+	land := func(Time) { fired++ }
+	var ticks [2]Handler
+	for i := range ticks {
+		ticks[i] = func(now Time) {
+			for p := range posts {
+				// Equal arrivals from both shards, so the merge sorts.
+				g.Post(i, 1-i, now.Add(lookahead+Duration(p%3)), land)
+			}
+		}
+	}
+	segment := func() {
+		now := g.Now()
+		for i, tick := range ticks {
+			g.Queue(i).At(now, tick)
+		}
+		g.Run(now.Add(4))
+	}
+	segment()
+	if allocs := testing.AllocsPerRun(100, segment); allocs != 0 {
+		t.Errorf("%v allocations per warm segment of %d cross posts, want 0", allocs, 2*posts)
+	}
+	if want := 102 * 2 * posts; fired != want || g.Posted() != uint64(want) {
+		t.Errorf("%d cross events fired and %d merged, want %d", fired, g.Posted(), want)
+	}
+}
+
+// TestShardStatsCounts pins the engine counters on a run whose counts
+// are known: per shard, the events its queue dispatched, the cross
+// events it posted and the epochs it ran; and wall times that split
+// each shard's epochs into busy and waiting.
+func TestShardStatsCounts(t *testing.T) {
+	g := NewShardGroup(2, 0.5)
+	nop := func(Time) {}
+	for _, at := range []Time{0.1, 0.6, 1.1} {
+		g.Queue(0).At(at, func(now Time) { g.Post(0, 1, now.Add(0.5), nop) })
+	}
+	g.Queue(1).At(0.2, nop)
+	g.Run(2)
+	// Epochs [0,0.5), [0.5,1), [1,1.5), [1.5,2) and the final pass.
+	want := []ShardStats{{Events: 3, CrossPosts: 3, Epochs: 5}, {Events: 4, CrossPosts: 0, Epochs: 5}}
+	st := g.Stats()
+	for i, s := range st {
+		if s.Events != want[i].Events || s.CrossPosts != want[i].CrossPosts || s.Epochs != want[i].Epochs {
+			t.Errorf("shard %d: %d events, %d cross posts, %d epochs; want %d, %d, %d", i,
+				s.Events, s.CrossPosts, s.Epochs, want[i].Events, want[i].CrossPosts, want[i].Epochs)
+		}
+		if s.Busy <= 0 || s.Wait < 0 || s.StallFraction() < 0 || s.StallFraction() >= 1 {
+			t.Errorf("shard %d: busy %v, wait %v, stall fraction %v", i, s.Busy, s.Wait, s.StallFraction())
+		}
+	}
+	if st[0].Busy+st[0].Wait != st[1].Busy+st[1].Wait {
+		t.Errorf("shards' epochs span %v and %v of wall time; want the same", st[0].Busy+st[0].Wait, st[1].Busy+st[1].Wait)
+	}
+	if (ShardStats{}).StallFraction() != 0 {
+		t.Error("stall fraction of an idle shard is not 0")
 	}
 }

@@ -1,10 +1,12 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"sharqfec/internal/eventq"
 	"sharqfec/internal/fabric"
+	"sharqfec/internal/parallel"
 	"sharqfec/internal/scoping"
 	"sharqfec/internal/simrand"
 	"sharqfec/internal/topology"
@@ -17,10 +19,15 @@ func (sink) Receive(eventq.Time, Delivery) {}
 
 // TestMulticastAllocatesNothingWhenWarm pins the steady-state claim
 // beside the code: once the span is cached and the hop pool has grown,
-// a multicast and all its same-shard hops allocate nothing — on a New
-// view and on a cluster view, over a shared zone span (tree) and over a
-// per-source span (mesh).
+// a multicast and all its hops allocate nothing — on a New view and on
+// clusters of one and two shards, over a shared zone span (tree) and
+// over a per-source span (mesh). At two shards the root-zone multicast
+// crosses the shard boundary, so the count covers cross-shard posts,
+// the barrier merge and the hops' return home. Clusters run through
+// ShardGroup.Run with no worker to win: a worker costs a goroutine per
+// Run, which is not the path measured here.
 func TestMulticastAllocatesNothingWhenWarm(t *testing.T) {
+	defer parallel.SetLimit(0)()
 	specs := map[string]*topology.Spec{
 		"tree": topology.BalancedTree([]int{3, 3}, 1e6, 0.010, 0.05),
 		"mesh": topology.Figure10(topology.Figure10Params{}),
@@ -31,33 +38,107 @@ func TestMulticastAllocatesNothingWhenWarm(t *testing.T) {
 			t.Fatal(err)
 		}
 		var q eventq.Queue
-		c, err := NewCluster(eventq.NewShardGroup(1, 0.001), spec.Graph, h, simrand.New(3), make([]int32, spec.Graph.NumNodes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		views := map[string]*Network{
-			"New":        New(&q, spec.Graph, h, simrand.New(3)),
-			"NewCluster": c.Shard(0),
-		}
-		for engine, n := range views {
-			for _, m := range spec.Members() {
-				n.Attach(m, sink{})
+		engines := map[string][]*Network{"New": {New(&q, spec.Graph, h, simrand.New(3))}}
+		for _, k := range []int{1, 2} {
+			owner, lookahead := topology.PartitionByZone(spec.Graph, spec.Zones, k)
+			c, err := NewCluster(eventq.NewShardGroup(k, lookahead), spec.Graph, h, simrand.New(3), owner)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if shared := n.cluster.intactTree(); shared != (name == "tree") {
+			engines[fmt.Sprintf("NewCluster/%d", k)] = c.nets
+		}
+		for engine, views := range engines {
+			c := views[0].cluster
+			for _, m := range spec.Members() {
+				c.nets[c.owner[m]].Attach(m, sink{})
+			}
+			if shared := c.intactTree(); shared != (name == "tree") {
 				t.Fatalf("%s: shared spans = %v", name, shared)
 			}
+			n := c.nets[c.owner[spec.Source]]
 			pkt := dataPkt(512)
 			send := func() {
 				n.Multicast(spec.Source, h.Root(), pkt)
 				n.Q.Run()
 			}
+			if grp := c.group; grp != nil {
+				multicast := func(eventq.Time) { n.Multicast(spec.Source, h.Root(), pkt) }
+				send = func() {
+					now := grp.Now()
+					n.Q.At(now, multicast)
+					grp.Run(now.Add(1))
+				}
+			}
 			send()
 			if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
 				t.Errorf("%s on %s: %v allocations per warm multicast, want 0", name, engine, allocs)
 			}
-			if _, delivered, dropped := n.Stats(); delivered == 0 || dropped == 0 {
-				t.Errorf("%s on %s: %d delivered, %d lost; the run exercised too little", name, engine, delivered, dropped)
+			if sent, _, dropped := c.Stats(); sent != 202 || dropped == 0 {
+				t.Errorf("%s on %s: %d sent, %d lost; the run exercised too little", name, engine, sent, dropped)
 			}
+			for i, v := range views {
+				if _, delivered, _ := v.Stats(); delivered == 0 {
+					t.Errorf("%s on %s: shard %d took no delivery", name, engine, i)
+				}
+			}
+		}
+	}
+}
+
+// TestCrossShardHopsGoHome pins the hop pool's bound under one-way
+// cross-shard traffic: a hop that lands on the other shard is returned
+// to its sender's pool at the barrier, so 1,000 multicasts from one
+// shard into the other create no more hops on either view than their
+// first 10 did. Hops left on the view they landed on would drain the
+// sender's pool and grow new ones on every multicast.
+func TestCrossShardHopsGoHome(t *testing.T) {
+	spec := topology.BalancedTree([]int{3, 3}, 1e6, 0.010, 0)
+	h := scoping.MustBuild(spec.Zones)
+	owner, lookahead := topology.PartitionByZone(spec.Graph, spec.Zones, 2)
+	grp := eventq.NewShardGroup(2, lookahead)
+	c, err := NewCluster(grp, spec.Graph, h, simrand.New(3), owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range spec.Members() {
+		c.NetFor(m).Attach(m, sink{})
+	}
+	n := c.NetFor(spec.Source)
+	pkt := dataPkt(512)
+	multicast := func(eventq.Time) { n.Multicast(spec.Source, h.Root(), pkt) }
+	send := func(times int) {
+		for range times {
+			now := grp.Now()
+			n.Q.At(now, multicast)
+			grp.Run(now.Add(1))
+		}
+	}
+	// created counts the hops each view has made: at rest every hop is
+	// idle in some view's free list or parked list.
+	created := func() map[*Network]int {
+		m := map[*Network]int{}
+		for _, v := range c.nets {
+			for _, hp := range v.hopFree {
+				m[hp.n]++
+			}
+			for _, hp := range v.parked {
+				m[hp.n]++
+			}
+		}
+		return m
+	}
+	send(10)
+	if grp.Posted() == 0 {
+		t.Fatal("no hop crossed the shard boundary")
+	}
+	first := created()
+	send(990)
+	for i, v := range c.nets {
+		if got := created()[v]; got > first[v] {
+			t.Errorf("shard %d: %d hops after 1,000 multicasts, %d after the first 10", i, got, first[v])
+		}
+		if len(v.parked) != 0 {
+			t.Errorf("shard %d: %d hops still parked after the run", i, len(v.parked))
 		}
 	}
 }

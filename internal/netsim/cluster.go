@@ -91,7 +91,22 @@ func NewCluster(group *eventq.ShardGroup, g *topology.Graph, h *scoping.Hierarch
 	for i := range qs {
 		qs[i] = group.Queue(i)
 	}
-	return newFabric(group, qs, g, h, src, owner), nil
+	c := newFabric(group, qs, g, h, src, owner)
+	group.OnBarrier(c.returnHops)
+	return c, nil
+}
+
+// returnHops sends every hop that landed on a view other than its own
+// back to its home pool. It runs at the group's barrier, on one
+// goroutine with every shard idle, so it may touch every view's pool.
+func (c *Cluster) returnHops() {
+	for _, n := range c.nets {
+		for i, h := range n.parked {
+			h.n.hopFree = append(h.n.hopFree, h)
+			n.parked[i] = nil
+		}
+		n.parked = n.parked[:0]
+	}
 }
 
 // newFabric builds the shared state and one view per queue.

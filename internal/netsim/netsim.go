@@ -101,12 +101,15 @@ type Network struct {
 	shard   int32
 
 	// hopFree recycles hop structs (and their pre-bound handler
-	// closures), so a same-shard hop costs no allocation in steady
-	// state. A view's queue runs its events on one goroutine, so a
-	// plain free list suffices and stays deterministic. New hops are
-	// carved from hopBlk, the unused rest of a block of hopBlock.
+	// closures), so a hop costs no allocation in steady state. A view's
+	// queue runs its events on one goroutine, so a plain free list
+	// suffices and stays deterministic. New hops are carved from hopBlk,
+	// the unused rest of a block of hopBlock. parked holds the hops of
+	// other views that landed here; the barrier sends them home
+	// (Cluster.returnHops), since another goroutine owns their pool.
 	hopFree []*hop
 	hopBlk  []hop
+	parked  []*hop
 	// scratch is the span builder's working memory. It lives on the
 	// view, never on the fabric: builders run concurrently on shard
 	// goroutines.
@@ -305,20 +308,17 @@ func (n *Network) flood(now eventq.Time, sp *span, at, from, hops int32,
 		if !ok {
 			continue // the whole subtree beyond the link misses the packet
 		}
-		if dst := c.owner[v]; dst != n.shard {
-			// Leaving the shard: the arrival is at least one
-			// boundary-link latency away, i.e. at or past the next
-			// barrier — the lookahead contract Post asserts.
-			dn := c.nets[dst]
-			c.group.Post(int(n.shard), int(dst), arrive, func(now eventq.Time) {
-				dn.flood(now, sp, to, at, hops+1, src, zone, pkt)
-			})
+		h := n.acquireHop()
+		h.sp, h.at, h.from, h.hops, h.shard = sp, to, at, hops+1, c.owner[v]
+		h.src, h.zone, h.pkt = src, zone, pkt
+		if h.shard == n.shard {
+			n.Q.At(arrive, h.fn)
 			continue
 		}
-		h := n.acquireHop()
-		h.sp, h.at, h.from, h.hops = sp, to, at, hops+1
-		h.src, h.zone, h.pkt = src, zone, pkt
-		n.Q.At(arrive, h.fn)
+		// Leaving the shard: the arrival is at least one boundary-link
+		// latency away, i.e. at or past the next barrier — the
+		// lookahead contract Post asserts.
+		c.group.Post(int(n.shard), int(h.shard), arrive, h.fn)
 	}
 }
 
@@ -424,15 +424,16 @@ func pktGroup(pkt packet.Packet) int64 {
 }
 
 // hop is a packet in flight toward span node at over the edge from span
-// node from: what flood needs on arrival, pooled on the view so the
-// per-hop handler closure and its captures are recycled instead of
-// reallocated. The agent taking delivery lives on this view's shard
-// (hops that change shard go through the barrier instead).
+// node from: what flood needs on arrival, pooled on the sending view n
+// so the per-hop handler closure and its captures are recycled instead
+// of reallocated. A hop that changes shard lands on the destination
+// shard's view, which parks it until the barrier returns it to n's pool.
 type hop struct {
 	n        *Network
 	sp       *span
 	at, from int32
 	hops     int32 // links crossed from src, the one in flight included
+	shard    int32 // the shard whose view runs the arrival
 	src      topology.NodeID
 	zone     scoping.ZoneID
 	pkt      packet.Packet
@@ -441,13 +442,20 @@ type hop struct {
 	fn eventq.Handler
 }
 
-// run lands the hop's packet, then returns the hop to the pool —
-// cleared, so recycled entries never pin packets or fan-outs.
+// run lands the hop's packet, then recycles the hop — cleared, so
+// recycled entries never pin packets or fan-outs.
 func (h *hop) run(now eventq.Time) {
-	n := h.n
-	n.flood(now, h.sp, h.at, h.from, h.hops, h.src, h.zone, h.pkt)
+	on := h.n
+	if h.shard != on.shard {
+		on = on.cluster.nets[h.shard]
+	}
+	on.flood(now, h.sp, h.at, h.from, h.hops, h.src, h.zone, h.pkt)
 	h.sp, h.pkt = nil, nil
-	n.hopFree = append(n.hopFree, h)
+	if on == h.n {
+		on.hopFree = append(on.hopFree, h)
+	} else {
+		on.parked = append(on.parked, h)
+	}
 }
 
 // hopBlock is how many hops one allocation holds when the pool grows.
