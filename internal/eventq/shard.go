@@ -1,11 +1,11 @@
 package eventq
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"sharqfec/internal/parallel"
 )
@@ -62,37 +62,14 @@ type ShardGroup struct {
 
 	cursor atomic.Int64 // next shard index to advance this epoch
 	posted uint64
-
-	// Engine counters (Stats). busy[i] is written only by the goroutine
-	// advancing shard i in the running epoch; epochs and wall only at
-	// the barrier. Wall times are offsets from base (clock), one
-	// monotonic clock read each where time.Now takes two; a shard's end
-	// stamp is the next one's start on the same goroutine.
 	epochs uint64
-	wall   time.Duration // summed wall time of every epoch
-	busy   []time.Duration
-	base   time.Time
 }
 
-// ShardStats is one shard's engine counters. Busy and Wait are wall
-// times: they differ from run to run and must stay out of anything
-// pinned or digested.
+// ShardStats is one shard's engine counters. Both are counts of
+// simulated work, so they repeat exactly from run to run.
 type ShardStats struct {
 	Events     uint64 // events the shard's queue dispatched
 	CrossPosts uint64 // events it posted to other shards
-	Epochs     uint64 // epochs it advanced through, the final pass included
-	// Busy is the wall time the shard spent dispatching; Wait is the
-	// rest of its epochs' wall time, spent waiting for a worker to take
-	// it or for the other shards to reach the barrier.
-	Busy, Wait time.Duration
-}
-
-// StallFraction returns Wait / (Busy + Wait), or 0 before any epoch.
-func (s ShardStats) StallFraction() float64 {
-	if s.Busy+s.Wait <= 0 {
-		return 0
-	}
-	return float64(s.Wait) / float64(s.Busy+s.Wait)
 }
 
 // crossEvent is one scheduled hand-off between shards: fn runs at `at`
@@ -125,8 +102,6 @@ func NewShardGroup(k int, lookahead Duration) *ShardGroup {
 		lookahead: lookahead,
 		outbox:    make([][][]crossEvent, k),
 		postIdx:   make([]uint64, k),
-		busy:      make([]time.Duration, k),
-		base:      time.Now(),
 	}
 	for i := range g.qs {
 		q := &Queue{}
@@ -154,15 +129,16 @@ func (g *ShardGroup) Now() Time { return g.now }
 // far — the runner's coupling diagnostic.
 func (g *ShardGroup) Posted() uint64 { return g.posted }
 
+// Epochs returns the number of epochs the group has run, final passes
+// included.
+func (g *ShardGroup) Epochs() uint64 { return g.epochs }
+
 // Stats returns every shard's engine counters, by shard. Call it
 // between runs or from a barrier hook, never from shard event handlers.
 func (g *ShardGroup) Stats() []ShardStats {
 	st := make([]ShardStats, len(g.qs))
 	for i, q := range g.qs {
-		st[i] = ShardStats{
-			Events: q.Dispatched(), CrossPosts: g.postIdx[i], Epochs: g.epochs,
-			Busy: g.busy[i], Wait: g.wall - g.busy[i],
-		}
+		st[i] = ShardStats{Events: q.Dispatched(), CrossPosts: g.postIdx[i]}
 	}
 	return st
 }
@@ -252,56 +228,42 @@ func (g *ShardGroup) atBarrier() {
 // runEpoch dispatches every shard up to end (exclusive, or inclusive
 // for the final pass), spreading shards across the group's workers.
 func (g *ShardGroup) runEpoch(workers []chan struct{}, end Time, inclusive bool) {
-	start := g.clock()
 	g.end = end
 	g.inclusive = inclusive
-	stop := start
-	if len(workers) == 0 {
-		for i := range g.qs {
-			stop = g.advance(i, stop)
-		}
-	} else {
-		g.cursor.Store(0)
-		for _, w := range workers {
-			w <- struct{}{}
-		}
-		g.drain(start)
-		for _, w := range workers {
-			<-w
-		}
-		stop = g.clock()
-	}
 	g.epochs++
-	g.wall += stop - start
+	if len(workers) == 0 {
+		for _, q := range g.qs {
+			g.advance(q, end, inclusive)
+		}
+		return
+	}
+	g.cursor.Store(0)
+	for _, w := range workers {
+		w <- struct{}{}
+	}
+	g.drain()
+	for _, w := range workers {
+		<-w
+	}
 }
 
-// drain advances shards of the running epoch until none is left; from
-// is the wall time the calling goroutine took up the epoch.
-func (g *ShardGroup) drain(from time.Duration) {
+func (g *ShardGroup) drain() {
 	for {
 		i := int(g.cursor.Add(1)) - 1
 		if i >= len(g.qs) {
 			return
 		}
-		from = g.advance(i, from)
+		g.advance(g.qs[i], g.end, g.inclusive)
 	}
 }
 
-// advance dispatches shard i's events of the running epoch, starting at
-// wall time from, and returns the wall time it finished.
-func (g *ShardGroup) advance(i int, from time.Duration) time.Duration {
-	if g.inclusive {
-		g.qs[i].RunUntil(g.end)
+func (g *ShardGroup) advance(q *Queue, end Time, inclusive bool) {
+	if inclusive {
+		q.RunUntil(end)
 	} else {
-		g.qs[i].runBefore(g.end)
+		q.runBefore(end)
 	}
-	to := g.clock()
-	g.busy[i] += to - from
-	return to
 }
-
-// clock is the wall time since the group was made.
-func (g *ShardGroup) clock() time.Duration { return time.Since(g.base) }
 
 // mergeCross drains every outbox into the destination queues in the
 // deterministic merge order (arrival, birth time, birth shard, posting
@@ -321,15 +283,7 @@ func (g *ShardGroup) mergeCross() {
 		if len(buf) == 0 {
 			continue
 		}
-		// Posts leave a shard in (birth time, index) order and mostly
-		// arrive in it too, so a lone outbox is often merge-ordered
-		// already: checking costs one pass, sorting several.
-		for i := 1; i < len(buf); i++ {
-			if crossLess(&buf[i], &buf[i-1]) {
-				slices.SortFunc(buf, compareCross)
-				break
-			}
-		}
+		slices.SortFunc(buf, compareCross)
 		q := g.qs[dst]
 		for i := range buf {
 			q.insertCross(buf[i].at, buf[i].bt, buf[i].bs, buf[i].fn)
@@ -340,30 +294,11 @@ func (g *ShardGroup) mergeCross() {
 	}
 }
 
-// crossLess reports whether a merges before b: by arrival, birth time,
-// birth shard, then posting index. The key is unique per event, so
-// every sort by it yields one order.
-func crossLess(a, b *crossEvent) bool {
-	switch {
-	case a.at != b.at:
-		return a.at < b.at
-	case a.bt != b.bt:
-		return a.bt < b.bt
-	case a.bs != b.bs:
-		return a.bs < b.bs
-	}
-	return a.idx < b.idx
-}
-
-// compareCross is crossLess as a three-way comparison, for slices.SortFunc.
+// compareCross orders cross events for the merge: by arrival, birth
+// time, birth shard, then posting index. The key is unique per event,
+// so every sort by it yields one order.
 func compareCross(a, b crossEvent) int {
-	switch {
-	case crossLess(&a, &b):
-		return -1
-	case crossLess(&b, &a):
-		return 1
-	}
-	return 0
+	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.bt, b.bt), cmp.Compare(a.bs, b.bs), cmp.Compare(a.idx, b.idx))
 }
 
 // startWorkers claims extra workers from the process-wide budget (at
@@ -377,7 +312,7 @@ func (g *ShardGroup) startWorkers() []chan struct{} {
 		go func() {
 			defer parallel.Release()
 			for range w {
-				g.drain(g.clock())
+				g.drain()
 				w <- struct{}{}
 			}
 		}()

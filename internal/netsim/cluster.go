@@ -92,7 +92,9 @@ func NewCluster(group *eventq.ShardGroup, g *topology.Graph, h *scoping.Hierarch
 		qs[i] = group.Queue(i)
 	}
 	c := newFabric(group, qs, g, h, src, owner)
-	group.OnBarrier(c.returnHops)
+	if len(qs) > 1 {
+		group.OnBarrier(c.returnHops)
+	}
 	return c, nil
 }
 

@@ -443,19 +443,20 @@ type hop struct {
 }
 
 // run lands the hop's packet, then recycles the hop — cleared, so
-// recycled entries never pin packets or fan-outs.
+// recycled entries never pin packets or fan-outs. A hop that changed
+// shard lands on that shard's view, which parks it for the barrier.
 func (h *hop) run(now eventq.Time) {
-	on := h.n
-	if h.shard != on.shard {
-		on = on.cluster.nets[h.shard]
+	n := h.n
+	if h.shard == n.shard {
+		n.flood(now, h.sp, h.at, h.from, h.hops, h.src, h.zone, h.pkt)
+		h.sp, h.pkt = nil, nil
+		n.hopFree = append(n.hopFree, h)
+		return
 	}
+	on := n.cluster.nets[h.shard]
 	on.flood(now, h.sp, h.at, h.from, h.hops, h.src, h.zone, h.pkt)
 	h.sp, h.pkt = nil, nil
-	if on == h.n {
-		on.hopFree = append(on.hopFree, h)
-	} else {
-		on.parked = append(on.parked, h)
-	}
+	on.parked = append(on.parked, h)
 }
 
 // hopBlock is how many hops one allocation holds when the pool grows.
