@@ -296,9 +296,20 @@ func (g *ShardGroup) mergeCross() {
 
 // compareCross orders cross events for the merge: by arrival, birth
 // time, birth shard, then posting index. The key is unique per event,
-// so every sort by it yields one order.
+// so every sort by it yields one order. It compares only the first
+// field that differs: the posts of one epoch mostly tie on arrival and
+// birth time, and cmp.Or, which compares every field, doubled the cost
+// of sorting 256 of them.
 func compareCross(a, b crossEvent) int {
-	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.bt, b.bt), cmp.Compare(a.bs, b.bs), cmp.Compare(a.idx, b.idx))
+	switch {
+	case a.at != b.at:
+		return cmp.Compare(a.at, b.at)
+	case a.bt != b.bt:
+		return cmp.Compare(a.bt, b.bt)
+	case a.bs != b.bs:
+		return cmp.Compare(a.bs, b.bs)
+	}
+	return cmp.Compare(a.idx, b.idx)
 }
 
 // startWorkers claims extra workers from the process-wide budget (at
