@@ -159,12 +159,21 @@ func New(node topology.NodeID, net fabric.Network, cfg Config, rng *simrand.Rand
 	}
 	m.zones = make([]zoneState, len(m.chain))
 	m.links = make([]zcrLinks, 0, len(m.chain))
+	// A zone's scope carries its own leaves and one ZCR per child zone.
+	// Every chain zone's heard table is a share of one backing sized for
+	// them all; the three-index slice caps each share, so a table that
+	// outgrows it reallocates alone and never writes into the next
+	// zone's rows.
+	scope := func(z scoping.ZoneID) int { return len(h.Leaves(z)) + len(h.Children(z)) }
+	n := 0
+	for _, z := range m.chain {
+		n += scope(z)
+	}
+	back := make(table[heardPeer], n)
 	for i, z := range m.chain {
+		c := scope(z)
 		m.zones[i] = newZoneState(z)
-		// A zone's scope carries its own leaves and one ZCR per child
-		// zone; sizing for them up front makes a settled session's
-		// tables one allocation each.
-		m.zones[i].heard = make(table[heardPeer], 0, len(h.Leaves(z))+len(h.Children(z)))
+		m.zones[i].heard, back = back[:0:c], back[c:]
 	}
 	m.direct = make(table[float64], 0, cap(m.zones[0].heard))
 	return m
@@ -376,7 +385,7 @@ func (m *Manager) HandleSession(now eventq.Time, msg *packet.Session) {
 	// peers — the reduced state table of Figure 5.
 	for i := range m.chain {
 		if m.zones[i].zcr == msg.Origin {
-			links := m.linksFor(msg.Origin, len(msg.Entries))
+			links := m.linksFor(msg.Origin, i, len(msg.Entries))
 			for j := range msg.Entries {
 				if e := &msg.Entries[j]; e.RTT > 0 {
 					rtt, _ := links.put(e.Peer)
@@ -398,12 +407,20 @@ func (m *Manager) linksOf(origin topology.NodeID) *table[float64] {
 	return nil
 }
 
-// linksFor is linksOf, creating the table, sized for size rows, on
-// origin's first announcement.
-func (m *Manager) linksFor(origin topology.NodeID, size int) *table[float64] {
+// linksFor is linksOf, creating the table on the first announcement of
+// origin, the ZCR of chain zone i. That ZCR announces into zone i and
+// zone i's parent, so the table is sized for both zones' heard tables
+// (or for the announcement's entries, if more) and settles without
+// regrowing.
+func (m *Manager) linksFor(origin topology.NodeID, i, entries int) *table[float64] {
 	if l := m.linksOf(origin); l != nil {
 		return l
 	}
+	size := cap(m.zones[i].heard)
+	if i+1 < len(m.chain) {
+		size += cap(m.zones[i+1].heard)
+	}
+	size = max(size, entries)
 	m.links = append(m.links, zcrLinks{origin: origin, rtt: make(table[float64], 0, size)})
 	return &m.links[len(m.links)-1].rtt
 }

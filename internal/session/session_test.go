@@ -6,8 +6,10 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"sharqfec/internal/eventq"
 	"sharqfec/internal/fabric"
@@ -838,5 +840,142 @@ func TestSteadyStateAllocations(t *testing.T) {
 		if got := testing.AllocsPerRun(200, c.fn); got > c.max {
 			t.Errorf("%s: %v allocs per run, want ≤ %v", c.name, got, c.max)
 		}
+	}
+}
+
+// TestSessionTablesSettleWithoutRegrowth: every session table is made at
+// its final size from the hierarchy. A member whose leaf ZCR's
+// announcements grow from one entry to the full scope of the two zones
+// that ZCR announces into keeps the link table made at first sight, and
+// every chain zone keeps the heard table New made while the zone's scope
+// speaks. New itself costs five allocations whatever the chain's depth.
+func TestSessionTablesSettleWithoutRegrowth(t *testing.T) {
+	deep := scoping.MustBuild([]topology.ZoneSpec{
+		{ID: 0, Parent: -1, Leaves: []topology.NodeID{0}},
+		{ID: 1, Parent: 0, Leaves: []topology.NodeID{1}},
+		{ID: 2, Parent: 1, Leaves: []topology.NodeID{2}},
+		{ID: 3, Parent: 2, Leaves: []topology.NodeID{3, 4}},
+	})
+	if n := len(deep.ZonesOf(3)); n != 4 {
+		t.Fatalf("set-up: chain of %d zones, want 4", n)
+	}
+	dnet := &stubNet{h: deep}
+	rng := simrand.New(7).StreamN("session", 3)
+	if got := testing.AllocsPerRun(100, func() { New(3, dnet, DefaultConfig(), rng) }); got > 5 {
+		t.Errorf("New on a 4-zone chain: %v allocs, want ≤ 5", got)
+	}
+
+	h := modelZones()
+	net := &stubNet{h: h}
+	net.q.RunUntil(10)
+	m := New(3, net, DefaultConfig(), simrand.New(7).StreamN("session", 3))
+	const zcr = 4
+	m.SeedZCR(m.chain[0], zcr)
+	heard := make([]*row[heardPeer], len(m.chain))
+	for i := range m.chain {
+		heard[i] = unsafe.SliceData(m.zones[i].heard)
+	}
+	now := net.q.Now()
+
+	// Each chain zone hears its scope: its own leaves and one ZCR per
+	// child zone.
+	for _, z := range m.chain {
+		speakers := slices.Clone(h.Leaves(z))
+		for _, c := range h.Children(z) {
+			speakers = append(speakers, h.Leaves(c)[0])
+		}
+		for _, p := range speakers {
+			if p != m.node {
+				m.HandleSession(now, &packet.Session{Origin: p, Zone: int16(z), SentAt: now.Seconds(), ZCR: topology.NoNode})
+			}
+		}
+	}
+
+	full := cap(m.zones[0].heard) + cap(m.zones[1].heard)
+	var peers []topology.NodeID
+	for n := topology.NodeID(0); len(peers) < full; n++ {
+		if n != zcr {
+			peers = append(peers, n)
+		}
+	}
+	var links *row[float64]
+	for k := 1; k <= full; k++ {
+		msg := &packet.Session{Origin: zcr, Zone: int16(m.chain[k%2]), SentAt: now.Seconds(), ZCR: zcr}
+		for _, p := range peers[:k] {
+			msg.Entries = append(msg.Entries, packet.SessionEntry{Peer: p, RTT: 0.01 * float64(p+1)})
+		}
+		m.HandleSession(now, msg)
+		l := m.linksOf(zcr)
+		if l == nil {
+			t.Fatalf("announcement %d: no link table for ZCR %d", k, zcr)
+		}
+		if k == 1 {
+			links = unsafe.SliceData(*l)
+		} else if unsafe.SliceData(*l) != links {
+			t.Fatalf("announcement of %d entries regrew the link table (cap now %d)", k, cap(*l))
+		}
+		for i := range m.chain {
+			if unsafe.SliceData(m.zones[i].heard) != heard[i] {
+				t.Fatalf("announcement %d: zone %d's heard table regrew", k, m.chain[i])
+			}
+		}
+	}
+	if l := m.linksOf(zcr); len(*l) != full {
+		t.Fatalf("link table holds %d rows, want %d", len(*l), full)
+	}
+}
+
+// TestHeardSharesStayIsolated: the chain zones' heard tables are shares
+// of one backing. A zone that hears more distinct origins than its scope
+// holds — as a stream of arbitrary origins can make it — must reallocate
+// alone and leave the neighbouring zones' rows and lengths untouched.
+func TestHeardSharesStayIsolated(t *testing.T) {
+	h := modelZones()
+	net := &stubNet{h: h}
+	net.q.RunUntil(10)
+	m := New(3, net, DefaultConfig(), simrand.New(7).StreamN("session", 3))
+	hear := func(z scoping.ZoneID, origins ...topology.NodeID) {
+		for _, o := range origins {
+			m.HandleSession(net.q.Now(), &packet.Session{
+				Origin: o, Zone: int16(z), SentAt: 9.5 + float64(o), ZCR: topology.NoNode,
+				RRWorstLoss: 0.1 * float64(o), RRMembers: uint32(o + 1),
+			})
+		}
+	}
+	rowBytes := func(t table[heardPeer]) []byte {
+		return bytes.Clone(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(t))), len(t)*int(unsafe.Sizeof(row[heardPeer]{}))))
+	}
+	// Fill the two upper zones' shares to capacity.
+	hear(m.chain[1], 1, 4, 5)
+	hear(m.chain[2], 0, 1, 2)
+	type snap struct {
+		data *row[heardPeer]
+		n    int
+		rows []byte
+	}
+	var before []snap
+	for i := 1; i < len(m.chain); i++ {
+		hz := m.zones[i].heard
+		if z := m.chain[i]; len(hz) != len(h.Leaves(z))+len(h.Children(z)) {
+			t.Fatalf("set-up: zone %d's scope is not full (%d rows)", z, len(hz))
+		}
+		before = append(before, snap{unsafe.SliceData(hz), len(hz), rowBytes(hz)})
+	}
+
+	leaf := &m.zones[0]
+	share := unsafe.SliceData(leaf.heard)
+	origins := []topology.NodeID{0, 1, 2, 4, 5, 6, 7, 8}
+	if len(origins) <= len(h.Members(m.chain[0])) {
+		t.Fatalf("set-up: %d origins do not outnumber the leaf zone's members", len(origins))
+	}
+	hear(m.chain[0], origins...)
+	for i, b := range before {
+		hz := m.zones[i+1].heard
+		if unsafe.SliceData(hz) != b.data || len(hz) != b.n || !bytes.Equal(rowBytes(hz), b.rows) {
+			t.Fatalf("zone %d's rows changed when the leaf zone outgrew its share", m.chain[i+1])
+		}
+	}
+	if len(leaf.heard) != len(origins) || unsafe.SliceData(leaf.heard) == share {
+		t.Fatalf("leaf zone holds %d rows in its first share; want %d rows, reallocated", len(leaf.heard), len(origins))
 	}
 }
