@@ -45,9 +45,10 @@ type Agent interface {
 // pending. The handle costs no allocation to arm, and the zero value is
 // inert — how protocol state says "not armed". The callback is the
 // caller's, and so is its cost: a closure made per arm is an allocation
-// per arm, which is why core builds one callback per group and re-arms
-// it. A timer's handle is already inactive when its callback runs, which
-// is how that callback tells which of several timers sharing it fired.
+// per arm, which is why core builds one callback per group, and session
+// one per Manager, and every timer re-arms it. A timer's handle is
+// already inactive when its callback runs, which is how that callback
+// tells which of several timers sharing it fired.
 type Timer = eventq.Timer
 
 // Scheduler provides time and timers. In the simulator, time is virtual

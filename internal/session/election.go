@@ -2,6 +2,7 @@ package session
 
 import (
 	"sharqfec/internal/eventq"
+	"sharqfec/internal/fabric"
 	"sharqfec/internal/packet"
 	"sharqfec/internal/scoping"
 	"sharqfec/internal/topology"
@@ -22,17 +23,15 @@ func (m *Manager) startChallengeDuty(zs *zoneState) {
 	if m.net.Hierarchy().Parent(zs.id) == scoping.NoZone {
 		return // the root zone has no parent to probe
 	}
-	if zs.onDuty == nil {
-		z := zs.id
-		zs.onDuty = func(now eventq.Time) {
-			if zs := m.zone(z); !m.stopped && zs.zcr == m.node {
-				m.issueChallenge(now, zs)
-				m.startChallengeDuty(zs)
-			}
-		}
+	m.arm(&zs.duty, eventq.Duration(m.rng.Uniform(challengeLo, challengeHi)))
+}
+
+// dutyFired runs a zone's periodic challenge while this node is its ZCR.
+func (m *Manager) dutyFired(now eventq.Time, zs *zoneState) {
+	if !m.stopped && zs.zcr == m.node {
+		m.issueChallenge(now, zs)
+		m.startChallengeDuty(zs)
 	}
-	d := eventq.Duration(m.rng.Uniform(challengeLo, challengeHi))
-	zs.duty = m.net.Sched().After(d, zs.onDuty)
 }
 
 // resetWatchdog re-arms the non-ZCR watchdog for a zone. Its window is
@@ -40,26 +39,6 @@ func (m *Manager) startChallengeDuty(zs *zoneState) {
 // always wins the race.
 func (m *Manager) resetWatchdog(zs *zoneState) {
 	zs.watchdog.Stop()
-	if zs.onWatchdog == nil {
-		z := zs.id
-		zs.onWatchdog = func(now eventq.Time) {
-			if m.stopped {
-				return
-			}
-			zs := m.zone(z)
-			if zs.zcr != m.node {
-				// The incumbent has been silent for a whole watchdog
-				// window: challenge, and treat its advertised distance as
-				// stale so a takeover is not suppressed by a dead node
-				// (a live incumbent simply reasserts, §5.2).
-				if zs.zcr != topology.NoNode {
-					zs.suspect = true
-				}
-				m.issueChallenge(now, zs)
-			}
-			m.resetWatchdog(zs)
-		}
-	}
 	var window float64
 	if zs.zcr == topology.NoNode {
 		// No ZCR yet: probe quickly so the initial election happens
@@ -68,7 +47,26 @@ func (m *Manager) resetWatchdog(zs *zoneState) {
 	} else {
 		window = watchdogFactor * challengeHi * m.rng.Uniform(1.0, 1.5)
 	}
-	zs.watchdog = m.net.Sched().After(eventq.Duration(window), zs.onWatchdog)
+	m.arm(&zs.watchdog, eventq.Duration(window))
+}
+
+// watchdogFired runs when a zone's watchdog window passes with no word
+// from its ZCR.
+func (m *Manager) watchdogFired(now eventq.Time, zs *zoneState) {
+	if m.stopped {
+		return
+	}
+	if zs.zcr != m.node {
+		// The incumbent has been silent for a whole watchdog window:
+		// challenge, and treat its advertised distance as stale so a
+		// takeover is not suppressed by a dead node (a live incumbent
+		// simply reasserts, §5.2).
+		if zs.zcr != topology.NoNode {
+			zs.suspect = true
+		}
+		m.issueChallenge(now, zs)
+	}
+	m.resetWatchdog(zs)
 }
 
 // issueChallenge multicasts a ZCR challenge for a zone to the parent
@@ -188,14 +186,8 @@ func (m *Manager) considerTakeover(zs *zoneState, dist float64) {
 	// Suppression: closer candidates fire earlier, so the closest
 	// receiver in the zone wins the election.
 	delay := eventq.Duration(0.001 + dist*m.rng.Uniform(1.0, 1.3))
-	zs.pendingDist = dist
-	z := zs.id
-	zs.takeover = m.net.Sched().After(delay, func(fireAt eventq.Time) {
-		if m.stopped {
-			return
-		}
-		m.sendTakeover(fireAt, m.zone(z), dist)
-	})
+	zs.pendingDist = dist // what the takeover announces when it fires
+	m.arm(&zs.takeover, delay)
 }
 
 // sendTakeover announces this node as a zone's new ZCR to both the child
@@ -218,6 +210,7 @@ func (m *Manager) HandleTakeover(now eventq.Time, msg *packet.ZCRTakeover) {
 	// Suppress our own pending (not-closer) takeover.
 	if t := zs.takeover; t.Active() && zs.pendingDist+takeoverEpsilon >= msg.DistToParent {
 		t.Stop()
+		zs.takeover = fabric.Timer{}
 	}
 	if zs.zcr == m.node && msg.Origin != m.node && zs.haveMyDist && zs.myDist+takeoverEpsilon < msg.DistToParent {
 		// The usurper is farther than we are: reassert (§5.2).

@@ -10,6 +10,8 @@
 package session
 
 import (
+	"slices"
+
 	"sharqfec/internal/eventq"
 	"sharqfec/internal/fabric"
 	"sharqfec/internal/packet"
@@ -95,10 +97,8 @@ type zoneState struct {
 	pendingDist float64 // distance the pending takeover was armed with
 	challenge   challengeInfo
 
+	// The zone's timers, armed through Manager.arm (see timerFired).
 	takeover, duty, watchdog fabric.Timer
-	// The duty and watchdog callbacks are built on first arming and
-	// handed to every re-arm, so steady state allocates no closure.
-	onDuty, onWatchdog func(eventq.Time)
 }
 
 // zcrLinks is one ZCR's announced RTTs to its peers — a row of the
@@ -121,17 +121,23 @@ type Manager struct {
 	// zones holds one record per chain level, in chain order, then the
 	// sibling zones whose elections were overheard at parent scope.
 	// Appending may move the records: zoneFor is called once, on entry
-	// to a handler, and timer callbacks capture a zone's ID, not its
-	// address.
+	// to a handler, and timerFired finds a zone by its handles, not by
+	// a captured address.
 	zones []zoneState
 
 	direct table[float64] // direct RTT estimate per peer
 	links  []zcrLinks     // one per ZCR that announced its table to us
 
-	msgCount  int
-	started   bool
-	stopped   bool
-	onSession func(eventq.Time) // the session-message timer's callback, built once
+	msgCount int
+	started  bool
+	stopped  bool
+	// session is the session-message timer. It and every zone's timers
+	// run the one callback in fire, made on the first arm, so no re-arm
+	// allocates. A handle is zero whenever its timer is not pending:
+	// timerFired zeroes it before the handler runs, and each Stop that
+	// is not followed by a re-arm zeroes it too.
+	session fabric.Timer
+	fire    eventq.Handler
 
 	// receiver-report aggregation (reports.go)
 	rrLocal float64
@@ -275,16 +281,55 @@ func (m *Manager) scheduleSession() {
 	if m.msgCount < fastCount {
 		lo, hi = fastLo, fastHi
 	}
-	if m.onSession == nil {
-		m.onSession = func(now eventq.Time) {
-			if m.stopped {
-				return
-			}
+	m.arm(&m.session, eventq.Duration(m.rng.Uniform(lo, hi)))
+}
+
+// arm arms t, one of the Manager's timers, to fire d from now.
+func (m *Manager) arm(t *fabric.Timer, d eventq.Duration) {
+	if m.fire == nil {
+		m.fire = m.timerFired
+	}
+	*t = m.net.Sched().After(d, m.fire)
+}
+
+// timerFired is the callback of every timer of the Manager. The queue
+// retires an event before it runs the handler, so the timer that fired
+// is the one handle that is set but no longer Active: no other is in
+// that state, since a handle is zeroed when its timer fires (here) or
+// stops for good. It zeroes that handle and runs the timer's handler.
+func (m *Manager) timerFired(now eventq.Time) {
+	if fired(&m.session) {
+		if !m.stopped {
 			m.sendSessionMessages(now)
 			m.scheduleSession()
 		}
+		return
 	}
-	m.net.Sched().After(eventq.Duration(m.rng.Uniform(lo, hi)), m.onSession)
+	for i := range m.zones {
+		switch zs := &m.zones[i]; {
+		case fired(&zs.watchdog):
+			m.watchdogFired(now, zs)
+		case fired(&zs.duty):
+			m.dutyFired(now, zs)
+		case fired(&zs.takeover):
+			if !m.stopped {
+				m.sendTakeover(now, zs, zs.pendingDist)
+			}
+		default:
+			continue
+		}
+		return
+	}
+}
+
+// fired reports whether t is a timer that has just fired — set, but no
+// longer pending — and zeroes it if so.
+func fired(t *fabric.Timer) bool {
+	if *t == (fabric.Timer{}) || t.Active() {
+		return false
+	}
+	*t = fabric.Timer{}
+	return true
 }
 
 // sendSessionMessages emits this node's periodic messages: one scoped to
@@ -315,21 +360,20 @@ func (m *Manager) sendSessionMessages(now eventq.Time) {
 // sendSessionFor builds and multicasts the session message for a zone,
 // with one entry per peer heard there in ascending NodeID order.
 func (m *Manager) sendSessionFor(now eventq.Time, zs *zoneState) {
-	msg := &packet.Session{
-		Origin: m.node,
-		Zone:   int16(zs.id),
-		SentAt: now.Seconds(),
-		ZCR:    zs.zcr,
-		MaxSeq: m.MaxSeq,
+	msg := carveSession(len(zs.heard))
+	*msg = packet.Session{
+		Origin:  m.node,
+		Zone:    int16(zs.id),
+		SentAt:  now.Seconds(),
+		ZCR:     zs.zcr,
+		MaxSeq:  m.MaxSeq,
+		Entries: msg.Entries,
 	}
 	msg.RRWorstLoss, msg.RRMembers = m.reportFor(zs.id)
 	if zs.zcr == m.node {
 		msg.ZCRParentDist = zs.myDist
 	} else {
 		msg.ZCRParentDist = zs.zcrDist
-	}
-	if len(zs.heard) > 0 {
-		msg.Entries = make([]packet.SessionEntry, len(zs.heard))
 	}
 	for i := range zs.heard {
 		h, e := &zs.heard[i], &msg.Entries[i]
@@ -506,8 +550,27 @@ func (m *Manager) setZCR(now eventq.Time, zs *zoneState, n topology.NodeID, dist
 		})
 	}
 	if n == m.node {
+		m.sizeDirect()
 		m.startChallengeDuty(zs)
 	} else {
 		zs.duty.Stop()
+		zs.duty = fabric.Timer{}
+	}
+}
+
+// sizeDirect makes room in direct, at most once per duty taken, for a
+// peer of every zone this member samples RTTs in: the leaf zone, and the
+// two zones it announces into as the ZCR of chain zone i — zone i and
+// its parent, the rule linksFor sizes a link table by. New sized direct
+// for the leaf zone alone.
+func (m *Manager) sizeDirect() {
+	n := 0
+	for i := range m.chain {
+		if i == 0 || m.zones[i].zcr == m.node || m.zones[i-1].zcr == m.node {
+			n += cap(m.zones[i].heard)
+		}
+	}
+	if n > cap(m.direct) {
+		m.direct = slices.Grow(m.direct, n-len(m.direct))
 	}
 }

@@ -812,10 +812,15 @@ func TestSessionEntriesDeterministic(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go in race-detector builds.
+var raceEnabled bool
+
 // TestSteadyStateAllocations pins the per-message path: once a peer is
-// known, hearing it again allocates nothing; re-arming a watchdog costs
-// at most the timer handle (no closure); building a session message
-// costs the message and its entry slice.
+// known, hearing it again allocates nothing; re-arming a watchdog
+// allocates nothing (every timer re-arms the Manager's one callback);
+// building a session message allocates nothing (the message and its
+// entries are carved from a pooled arena's blocks, one block per 256
+// messages or 2,048 entries).
 func TestSteadyStateAllocations(t *testing.T) {
 	net := &stubNet{h: modelZones()}
 	net.q.RunUntil(10) // a clock past zero, so echoes carry valid timestamps
@@ -826,21 +831,48 @@ func TestSteadyStateAllocations(t *testing.T) {
 	if leaf.zcr != 4 || m.StateSize() != 3+2 {
 		t.Fatalf("set-up: leaf ZCR %d, state %d; want ZCR 4 and 3 direct + 2 link entries", leaf.zcr, m.StateSize())
 	}
+	// Under the race detector sync.Pool drops a quarter of its Puts, and
+	// the next message takes a new arena and new blocks.
+	sendMax := 0.0
+	if raceEnabled {
+		sendMax = 1
+	}
 	for _, c := range []struct {
 		name string
 		max  float64
 		fn   func()
 	}{
 		{"HandleSession from a known peer", 0, func() { hearPeers(m, []topology.NodeID{1, 0}, 4) }},
-		{"HandleSession from the zone's ZCR (watchdog re-arm, link table refresh)", 1, func() { hearPeers(m, []topology.NodeID{4}, 4) }},
-		{"watchdog re-arm", 1, func() { m.resetWatchdog(leaf) }},
-		{"sendSessionFor", 2, func() { net.sent = net.sent[:0]; m.sendSessionFor(net.q.Now(), leaf) }},
+		{"HandleSession from the zone's ZCR (watchdog re-arm, link table refresh)", 0, func() { hearPeers(m, []topology.NodeID{4}, 4) }},
+		{"watchdog re-arm", 0, func() { m.resetWatchdog(leaf) }},
+		{"sendSessionFor", sendMax, func() { net.sent = net.sent[:0]; m.sendSessionFor(net.q.Now(), leaf) }},
 	} {
-		c.fn() // warm: closures built, queue free list filled
+		c.fn() // warm: callback built, queue free list filled
 		if got := testing.AllocsPerRun(200, c.fn); got > c.max {
 			t.Errorf("%s: %v allocs per run, want ≤ %v", c.name, got, c.max)
 		}
 	}
+}
+
+// deepZones is a four-zone chain, Z0 {0} — Z1 {1} — Z2 {2} — Z3 {3,4}:
+// node 3's chain has three zones below the root.
+func deepZones() *scoping.Hierarchy {
+	return scoping.MustBuild([]topology.ZoneSpec{
+		{ID: 0, Parent: -1, Leaves: []topology.NodeID{0}},
+		{ID: 1, Parent: 0, Leaves: []topology.NodeID{1}},
+		{ID: 2, Parent: 1, Leaves: []topology.NodeID{2}},
+		{ID: 3, Parent: 2, Leaves: []topology.NodeID{3, 4}},
+	})
+}
+
+// scopeSpeakers lists who speaks at zone z's scope: its own leaves and
+// one ZCR (the first leaf) per child zone.
+func scopeSpeakers(h *scoping.Hierarchy, z scoping.ZoneID) []topology.NodeID {
+	speakers := slices.Clone(h.Leaves(z))
+	for _, c := range h.Children(z) {
+		speakers = append(speakers, h.Leaves(c)[0])
+	}
+	return speakers
 }
 
 // TestSessionTablesSettleWithoutRegrowth: every session table is made at
@@ -848,14 +880,12 @@ func TestSteadyStateAllocations(t *testing.T) {
 // announcements grow from one entry to the full scope of the two zones
 // that ZCR announces into keeps the link table made at first sight, and
 // every chain zone keeps the heard table New made while the zone's scope
-// speaks. New itself costs five allocations whatever the chain's depth.
+// speaks. A member that takes ZCR duty grows its direct RTT table once,
+// when it takes the duty, and not again as echoes arrive from both zones
+// it then speaks in. New itself costs five allocations whatever the
+// chain's depth.
 func TestSessionTablesSettleWithoutRegrowth(t *testing.T) {
-	deep := scoping.MustBuild([]topology.ZoneSpec{
-		{ID: 0, Parent: -1, Leaves: []topology.NodeID{0}},
-		{ID: 1, Parent: 0, Leaves: []topology.NodeID{1}},
-		{ID: 2, Parent: 1, Leaves: []topology.NodeID{2}},
-		{ID: 3, Parent: 2, Leaves: []topology.NodeID{3, 4}},
-	})
+	deep := deepZones()
 	if n := len(deep.ZonesOf(3)); n != 4 {
 		t.Fatalf("set-up: chain of %d zones, want 4", n)
 	}
@@ -877,14 +907,9 @@ func TestSessionTablesSettleWithoutRegrowth(t *testing.T) {
 	}
 	now := net.q.Now()
 
-	// Each chain zone hears its scope: its own leaves and one ZCR per
-	// child zone.
+	// Each chain zone hears its scope.
 	for _, z := range m.chain {
-		speakers := slices.Clone(h.Leaves(z))
-		for _, c := range h.Children(z) {
-			speakers = append(speakers, h.Leaves(c)[0])
-		}
-		for _, p := range speakers {
+		for _, p := range scopeSpeakers(h, z) {
 			if p != m.node {
 				m.HandleSession(now, &packet.Session{Origin: p, Zone: int16(z), SentAt: now.Seconds(), ZCR: topology.NoNode})
 			}
@@ -922,6 +947,31 @@ func TestSessionTablesSettleWithoutRegrowth(t *testing.T) {
 	}
 	if l := m.linksOf(zcr); len(*l) != full {
 		t.Fatalf("link table holds %d rows, want %d", len(*l), full)
+	}
+
+	// A ZCR of the leaf zone announces into it and its parent, and every
+	// peer there echoes it.
+	z := New(3, net, DefaultConfig(), simrand.New(7).StreamN("session", 3))
+	z.SeedZCR(z.chain[0], z.node)
+	direct := unsafe.SliceData(z.direct)
+	var sampled []topology.NodeID
+	for _, scope := range z.chain[:2] {
+		for _, p := range scopeSpeakers(h, scope) {
+			if p == z.node {
+				continue
+			}
+			sampled = append(sampled, p)
+			z.HandleSession(now, &packet.Session{
+				Origin: p, Zone: int16(scope), SentAt: now.Seconds(), ZCR: topology.NoNode,
+				Entries: []packet.SessionEntry{{Peer: z.node, Echo: now.Seconds() - 0.02}},
+			})
+			if unsafe.SliceData(z.direct) != direct {
+				t.Fatalf("the echo of peer %d at zone %d regrew the ZCR's direct table (cap now %d)", p, scope, cap(z.direct))
+			}
+		}
+	}
+	if len(z.direct) != len(sampled) {
+		t.Fatalf("direct table holds %d peers, want %d (%v)", len(z.direct), len(sampled), sampled)
 	}
 }
 
