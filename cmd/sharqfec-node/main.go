@@ -220,7 +220,7 @@ func registerProbe(c *census.Engine, id topology.NodeID, node *udpmesh.Node, ag 
 	if c == nil {
 		return
 	}
-	c.SetProbe(id, func() census.State {
+	c.SetProbe(id, census.ProbeFunc(func() census.State {
 		res := make(chan census.State, 1)
 		node.Do(func() { res <- ag.StateCensus() })
 		select {
@@ -229,7 +229,7 @@ func registerProbe(c *census.Engine, id topology.NodeID, node *udpmesh.Node, ag 
 		case <-time.After(time.Second):
 			return census.State{}
 		}
-	})
+	}))
 }
 
 // runDemo hosts every member in-process on ephemeral ports and checks

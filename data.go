@@ -521,7 +521,7 @@ func sharqfecProtocol(cfg *DataConfig, opts core.Options, r *dataRun) dataProtoc
 			// A restart replaces the crashed agent's probe; stopped
 			// agents report zero.
 			if r.census != nil {
-				r.census.SetProbe(node, func() census.State { return ag.StateCensus() })
+				r.census.SetProbe(node, ag)
 			}
 			if node == r.spec.Source {
 				source = ag

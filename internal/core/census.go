@@ -10,7 +10,7 @@ import "sharqfec/internal/telemetry/census"
 //
 // The fields are those census.State documents; MemBytes is
 // footprintBytes, the estimate behind the census bytes-per-receiver
-// gauge.
+// gauge. An Agent is its own census.Probe.
 func (a *Agent) StateCensus() census.State {
 	var s census.State
 	if a.stopped {

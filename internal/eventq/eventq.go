@@ -19,6 +19,13 @@
 // (time, birth-key, seq) ordering is total, so the queue's layout never
 // affects dispatch order — determinism is untouched.
 //
+// What a record runs is an Event: anything with a Fire method. A
+// Handler (a plain func) is one; a pooled struct that implements Fire
+// itself is another, and queueing a pointer to it costs no closure —
+// storing a func or a pointer in an interface does not allocate. At,
+// After and ShardGroup.Post take Handlers and are thin wrappers over
+// AtEvent and ShardGroup.PostEvent, the one record path.
+//
 // ShardGroup advances one or more queues under conservative lookahead,
 // concurrently when there are several, exchanging cross-shard events at
 // barrier epochs; see shard.go.
@@ -62,9 +69,21 @@ func (d Duration) Seconds() float64 { return float64(d) }
 // Never is a sentinel time later than any event a simulation schedules.
 const Never = Time(math.MaxFloat64)
 
-// Handler is the callback invoked when an event fires. It runs on the
-// simulation goroutine; it may schedule further events but must not block.
+// Event is what the queue runs when a scheduled time comes due. Fire
+// runs on the simulation goroutine; it may schedule further events but
+// must not block.
+type Event interface {
+	Fire(now Time)
+}
+
+// Handler is a plain callback Event: Fire calls it. Code that needs
+// per-event state binds it in a closure; a pooled object that already
+// holds that state implements Event itself instead and is queued with
+// AtEvent or PostEvent, which allocates no closure.
 type Handler func(now Time)
+
+// Fire runs the handler.
+func (h Handler) Fire(now Time) { h(now) }
 
 // timeKey maps a time at or after 0 to the radix heap's key. The IEEE-754
 // bits of a non-negative float64 order exactly like its value; clearing
@@ -101,7 +120,7 @@ type record struct {
 	key uint64 // timeKey of the scheduled time
 	bt  Time   // birth time: Now() of the scheduling queue
 	bsq uint64 // birth shard << seqBits | seq (FIFO tie-break)
-	fn  Handler
+	ev  Event
 	pos int32 // index in the front, or in the record's bucket
 	gen uint32
 }
@@ -153,10 +172,10 @@ func (t Timer) Stop() bool {
 		return false
 	}
 	t.q.unlink(r)
-	// Recycling releases the handler closure: protocol agents hold Timer
-	// handles long after cancellation, and under heavy cancel/reschedule
-	// churn (the fault engine's pattern) retained closures are the only
-	// thing keeping dead per-packet state alive.
+	// Recycling releases the event: protocol agents hold Timer handles
+	// long after cancellation, and under heavy cancel/reschedule churn
+	// (the fault engine's pattern) retained closures are the only thing
+	// keeping dead per-packet state alive.
 	t.q.recycle(t.id, r)
 	return true
 }
@@ -237,28 +256,29 @@ func (q *Queue) NextAt() Time {
 // bounds the queue's resident event footprint for observability.
 func (q *Queue) FreeLen() int { return len(q.free) }
 
-// At schedules fn to run at absolute time at. Scheduling in the past
-// (before Now) is clamped to Now: the event runs next, preserving order.
-// A time of -0 is 0. A NaN time panics: it has no place in the order.
-func (q *Queue) At(at Time, fn Handler) Timer {
-	if at < q.now {
-		at = q.now
-	}
-	return q.insert(at, q.now, q.shard, fn)
+// At schedules fn to run at absolute time at; see AtEvent.
+func (q *Queue) At(at Time, fn Handler) Timer { return q.AtEvent(at, fn) }
+
+// AtEvent schedules ev to fire at absolute time at. Scheduling in the
+// past (before Now) is clamped to Now: the event runs next, preserving
+// order. A time of -0 is 0. A NaN time panics: it has no place in the
+// order. Events and Handlers share one FIFO order at equal times.
+func (q *Queue) AtEvent(at Time, ev Event) Timer {
+	return q.insertCross(at, q.now, q.shard, ev)
 }
 
-// insertCross schedules fn with an explicit birth key, preserving the
+// insertCross schedules ev with an explicit birth key, preserving the
 // (bt, bs) of the event's true origin. The shard runner uses it at
 // barrier epochs to land cross-shard deliveries in the destination
 // queue under the same total order a single queue would have used.
-func (q *Queue) insertCross(at, bt Time, bs int32, fn Handler) Timer {
+func (q *Queue) insertCross(at, bt Time, bs int32, ev Event) Timer {
 	if at < q.now {
 		at = q.now
 	}
-	return q.insert(at, bt, bs, fn)
+	return q.insert(at, bt, bs, ev)
 }
 
-func (q *Queue) insert(at, bt Time, bs int32, fn Handler) Timer {
+func (q *Queue) insert(at, bt Time, bs int32, ev Event) Timer {
 	if math.IsNaN(float64(at)) {
 		panic("eventq: event scheduled at NaN")
 	}
@@ -268,7 +288,7 @@ func (q *Queue) insert(at, bt Time, bs int32, fn Handler) Timer {
 	r.bt = bt
 	r.bsq = uint64(bs)<<seqBits | q.seq
 	q.seq++
-	r.fn = fn
+	r.ev = ev
 	r.gen++
 	if r.key == q.last {
 		q.pushFront(id, r)
@@ -284,7 +304,7 @@ func (q *Queue) After(d Duration, fn Handler) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return q.At(q.now.Add(d), fn)
+	return q.AtEvent(q.now.Add(d), fn)
 }
 
 // Step dispatches the earliest pending event, advancing the clock to its
@@ -351,7 +371,7 @@ func (q *Queue) settle(lim uint64, inclusive bool) bool {
 	return q.last < lim || inclusive && q.last == lim
 }
 
-// dispatch pops the first record of the front and runs its handler.
+// dispatch pops the first record of the front and fires its event.
 func (q *Queue) dispatch() {
 	id := q.front[q.fhead]
 	q.fhead++
@@ -362,16 +382,16 @@ func (q *Queue) dispatch() {
 	r := q.rec(id)
 	q.now = keyTime(r.key)
 	q.dispatchN++
-	fn := r.fn
-	// Recycle before dispatch: the handler may schedule new events and
+	ev := r.ev
+	// Recycle before dispatch: the event may schedule new events and
 	// reuse this record immediately — recycle bumps gen first, so every
 	// outstanding handle to the firing event is already inert.
 	q.recycle(id, r)
 	if q.Clock != nil {
-		fn(q.Clock())
+		ev.Fire(q.Clock())
 		return
 	}
-	fn(q.now)
+	ev.Fire(q.now)
 }
 
 // redistribute empties bucket b, the lowest non-empty one, around the new
@@ -536,9 +556,9 @@ func (q *Queue) alloc() int32 {
 }
 
 // recycle invalidates outstanding Timer handles for a record, releases
-// its handler closure, and returns it to the free list.
+// its event, and returns it to the free list.
 func (q *Queue) recycle(id int32, r *record) {
 	r.gen++
-	r.fn = nil
+	r.ev = nil
 	q.free = append(q.free, id)
 }

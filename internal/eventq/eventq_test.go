@@ -452,14 +452,14 @@ func TestStopReleasesClosure(t *testing.T) {
 	big := make([]byte, 1<<20)
 	tm := q.After(1, func(Time) { _ = big[0] })
 	tm.Stop()
-	// The event record is still reachable through the handle; its fn
+	// The event record is still reachable through the handle; its event
 	// must be gone so `big` is unreachable through the queue or the handle.
-	if tm.q.rec(tm.id).fn != nil {
+	if tm.q.rec(tm.id).ev != nil {
 		t.Fatal("stopped timer still holds its handler closure")
 	}
 	fired := q.At(0.5, func(Time) {})
 	q.Run()
-	if fired.q.rec(fired.id).fn != nil {
+	if fired.q.rec(fired.id).ev != nil {
 		t.Fatal("fired event still holds its handler closure")
 	}
 }

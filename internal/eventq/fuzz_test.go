@@ -11,8 +11,8 @@ import (
 // refQueue, a brute-force reference. Every event gets the next handle
 // number, in scheduling order, on either side.
 type orderModel interface {
-	at(at Time, fn Handler)
-	cross(at, bt Time, bs int32, fn Handler)
+	at(at Time, ev Event)
+	cross(at, bt Time, bs int32, ev Event)
 	stop(h int) bool
 	active(h int) bool
 	when(h int) Time
@@ -29,9 +29,16 @@ type queueModel struct {
 	hs []Timer
 }
 
-func (m *queueModel) at(at Time, fn Handler) { m.hs = append(m.hs, m.q.At(at, fn)) }
-func (m *queueModel) cross(at, bt Time, bs int32, fn Handler) {
-	m.hs = append(m.hs, m.q.insertCross(at, bt, bs, fn))
+// at schedules a Handler through At and anything else through AtEvent.
+func (m *queueModel) at(at Time, ev Event) {
+	if fn, ok := ev.(Handler); ok {
+		m.hs = append(m.hs, m.q.At(at, fn))
+		return
+	}
+	m.hs = append(m.hs, m.q.AtEvent(at, ev))
+}
+func (m *queueModel) cross(at, bt Time, bs int32, ev Event) {
+	m.hs = append(m.hs, m.q.insertCross(at, bt, bs, ev))
 }
 func (m *queueModel) stop(h int) bool    { return m.hs[h].Stop() }
 func (m *queueModel) active(h int) bool  { return m.hs[h].Active() }
@@ -57,7 +64,7 @@ type refEvent struct {
 	at, bt Time
 	bs     int32
 	seq    uint64
-	fn     Handler
+	ev     Event
 	live   bool
 }
 
@@ -74,15 +81,15 @@ func refLess(a, b *refEvent) bool {
 	return a.seq < b.seq
 }
 
-func (r *refQueue) at(at Time, fn Handler) { r.cross(at, r.clock, 0, fn) }
-func (r *refQueue) cross(at, bt Time, bs int32, fn Handler) {
+func (r *refQueue) at(at Time, ev Event) { r.cross(at, r.clock, 0, ev) }
+func (r *refQueue) cross(at, bt Time, bs int32, ev Event) {
 	if at < r.clock {
 		at = r.clock
 	}
 	if at == 0 {
 		at = 0
 	}
-	e := &refEvent{at: at, bt: bt, bs: bs, seq: r.seq, fn: fn, live: true}
+	e := &refEvent{at: at, bt: bt, bs: bs, seq: r.seq, ev: ev, live: true}
 	r.seq++
 	r.evs = append(r.evs, e)
 	i, _ := slices.BinarySearchFunc(r.pending, e, func(a, b *refEvent) int {
@@ -112,7 +119,7 @@ func (r *refQueue) step() bool {
 	r.pending = r.pending[1:]
 	e.live = false
 	r.clock = e.at
-	e.fn(r.clock)
+	e.ev.Fire(r.clock)
 	return true
 }
 func (r *refQueue) runUntil(end Time) {
@@ -153,20 +160,35 @@ func (d *orderRunner) logf(format string, args ...any) {
 	d.log = append(d.log, fmt.Sprintf(format, args...))
 }
 
-// handler is event h's callback. Some events schedule a follow-up when
-// they fire (with delay 0 it ties with the firing instant), and some
-// stop an earlier event, which may be pending at that same instant.
-func (d *orderRunner) handler(h int) Handler {
-	return func(now Time) {
-		d.logf("fire %d at %x", h, math.Float64bits(float64(now)))
-		switch h % 4 {
-		case 1:
-			d.sched(now + Time(h%3)/4)
-		case 2:
-			d.logf("stop %d from %d: %v", h/2, h, d.m.stop(h/2))
-		}
+// handler is event h's callback: a Handler, or for every third event a
+// pointer Event, so pooled-object events and closures share the runs.
+// Some events schedule a follow-up when they fire (with delay 0 it ties
+// with the firing instant), and some stop an earlier event, which may
+// be pending at that same instant.
+func (d *orderRunner) handler(h int) Event {
+	if h%3 == 2 {
+		return &orderEvent{d, h}
+	}
+	return Handler(func(now Time) { d.fire(h, now) })
+}
+
+func (d *orderRunner) fire(h int, now Time) {
+	d.logf("fire %d at %x", h, math.Float64bits(float64(now)))
+	switch h % 4 {
+	case 1:
+		d.sched(now + Time(h%3)/4)
+	case 2:
+		d.logf("stop %d from %d: %v", h/2, h, d.m.stop(h/2))
 	}
 }
+
+// orderEvent is a pointer Event standing for event h.
+type orderEvent struct {
+	d *orderRunner
+	h int
+}
+
+func (e *orderEvent) Fire(now Time) { e.d.fire(e.h, now) }
 
 func (d *orderRunner) sched(at Time) {
 	h := d.n
@@ -247,7 +269,8 @@ func (d *orderRunner) run(data []byte) {
 }
 
 // FuzzQueueOrder checks the radix heap against refQueue on random mixes
-// of At, After-like offsets below Now, cross-shard inserts with older
+// of At and AtEvent (every third event is a pointer Event), After-like
+// offsets below Now, cross-shard inserts with older
 // birth keys, Stop through live, fired and stale handles, NextAt, and
 // RunUntil/runBefore on and off event boundaries, with -0, +Inf and
 // Never times and handlers that schedule and stop events as they fire.
@@ -315,7 +338,7 @@ func TestNaNTime(t *testing.T) {
 	for name, schedule := range map[string]func(){
 		"At":          func() { q.At(nan, func(Time) {}) },
 		"After":       func() { q.After(Duration(nan), func(Time) {}) },
-		"insertCross": func() { q.insertCross(nan, 0, 1, func(Time) {}) },
+		"insertCross": func() { q.insertCross(nan, 0, 1, Handler(func(Time) {})) },
 	} {
 		func() {
 			defer func() {

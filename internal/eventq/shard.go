@@ -21,12 +21,12 @@ import (
 //     T+L, because crossing a shard boundary costs at least L of
 //     propagation delay.
 //   - A shard that needs to affect another shard posts a cross event
-//     (Post) into a per-sender outbox. At the epoch barrier all
-//     outboxes are drained single-threaded into the destination
-//     queues, merge-ordered by (arrival time, birth time, birth shard,
-//     posting index) — the same total order a single queue would have
-//     produced, minus per-queue sequence numbers, which do not survive
-//     sharding. That makes the dispatch order — and therefore every
+//     (PostEvent, or Post for a Handler) into a per-sender outbox. At
+//     the epoch barrier all outboxes are drained single-threaded into
+//     the destination queues, merge-ordered by (arrival time, birth
+//     time, birth shard, posting index) — the same total order a single
+//     queue would have produced, minus per-queue sequence numbers,
+//     which do not survive sharding. That makes the dispatch order — and therefore every
 //     simulation result — independent of the shard count.
 //   - Global work that must observe or mutate several shards at once
 //     (joining all agents, starting the source, fault application,
@@ -72,13 +72,14 @@ type ShardStats struct {
 	CrossPosts uint64 // events it posted to other shards
 }
 
-// crossEvent is one scheduled hand-off between shards: fn runs at `at`
-// on the destination queue, ordered by the full (at, bt, bs, idx) key.
+// crossEvent is one scheduled hand-off between shards: ev fires at
+// `at` on the destination queue, ordered by the full (at, bt, bs, idx)
+// key.
 type crossEvent struct {
 	at, bt Time
 	bs     int32
 	idx    uint64
-	fn     Handler
+	ev     Event
 }
 
 type syncTask struct {
@@ -143,12 +144,15 @@ func (g *ShardGroup) Stats() []ShardStats {
 	return st
 }
 
-// Post schedules fn to run at time `at` on shard dst. It must be called
-// only from the goroutine currently executing shard src's epoch, with
-// dst != src, and the arrival must respect the lookahead contract
+// Post schedules fn to run at time `at` on shard dst; see PostEvent.
+func (g *ShardGroup) Post(src, dst int, at Time, fn Handler) { g.PostEvent(src, dst, at, fn) }
+
+// PostEvent schedules ev to fire at time `at` on shard dst. It must be
+// called only from the goroutine currently executing shard src's epoch,
+// with dst != src, and the arrival must respect the lookahead contract
 // (at ≥ the current epoch boundary); violations panic, because they
 // mean the caller's partition or lookahead computation is wrong.
-func (g *ShardGroup) Post(src, dst int, at Time, fn Handler) {
+func (g *ShardGroup) PostEvent(src, dst int, at Time, ev Event) {
 	if src == dst {
 		panic("eventq: Post to own shard — schedule directly instead")
 	}
@@ -157,7 +161,7 @@ func (g *ShardGroup) Post(src, dst int, at Time, fn Handler) {
 	}
 	q := g.qs[src]
 	g.outbox[src][dst] = append(g.outbox[src][dst], crossEvent{
-		at: at, bt: q.Now(), bs: int32(src), idx: g.postIdx[src], fn: fn,
+		at: at, bt: q.Now(), bs: int32(src), idx: g.postIdx[src], ev: ev,
 	})
 	g.postIdx[src]++
 }
@@ -286,8 +290,8 @@ func (g *ShardGroup) mergeCross() {
 		slices.SortFunc(buf, compareCross)
 		q := g.qs[dst]
 		for i := range buf {
-			q.insertCross(buf[i].at, buf[i].bt, buf[i].bs, buf[i].fn)
-			buf[i].fn = nil
+			q.insertCross(buf[i].at, buf[i].bt, buf[i].bs, buf[i].ev)
+			buf[i].ev = nil
 		}
 		g.posted += uint64(len(buf))
 		g.scratch = buf[:0]

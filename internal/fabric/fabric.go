@@ -49,6 +49,13 @@ type Agent interface {
 // one per Manager, and every timer re-arms it. A timer's handle is
 // already inactive when its callback runs, which is how that callback
 // tells which of several timers sharing it fired.
+//
+// That one closure per group or Manager is still one allocation each:
+// the queue could fire the group or Manager itself as an eventq.Event,
+// as netsim does its hops, but Scheduler.After takes a func, and the
+// benchmark harness's stub scheduler (bench/probes.go) implements
+// Scheduler with that signature, so After keeps it until the harness
+// changes too.
 type Timer = eventq.Timer
 
 // Scheduler provides time and timers. In the simulator, time is virtual

@@ -215,9 +215,10 @@ func TestTimerArmAndStopAllocateNothing(t *testing.T) {
 }
 
 // TestHopPoolGrowsInBlocks pins the cost of growing the hop pool: a hop
-// the free list cannot supply is carved from a block of hopBlock, so k
-// new hops cost their k bound handlers plus ⌈k/hopBlock⌉ blocks, not a
-// struct apiece — and no two of them share storage.
+// the free list cannot supply is carved from a block of hopBlock, and a
+// hop is its own queued event, so k new hops cost ⌈k/hopBlock⌉ blocks
+// and nothing else — no struct or bound handler apiece — and no two of
+// them share storage.
 func TestHopPoolGrowsInBlocks(t *testing.T) {
 	const k = 2*hopBlock + 1
 	n := &Network{}
@@ -228,13 +229,13 @@ func TestHopPoolGrowsInBlocks(t *testing.T) {
 			hops[i] = n.acquireHop()
 		}
 	}
-	if allocs, want := testing.AllocsPerRun(10, grow), float64(k+3); allocs != want {
+	if allocs, want := testing.AllocsPerRun(10, grow), float64(3); allocs != want {
 		t.Errorf("%v allocations for %d new hops, want %v", allocs, k, want)
 	}
 	seen := make(map[*hop]bool, k)
 	for _, h := range hops {
-		if seen[h] || h.n != n || h.fn == nil {
-			t.Fatalf("hop %p: duplicate %v, view %p, handler bound %v", h, seen[h], h.n, h.fn != nil)
+		if seen[h] || h.n != n {
+			t.Fatalf("hop %p: duplicate %v, view %p", h, seen[h], h.n)
 		}
 		seen[h] = true
 	}

@@ -100,13 +100,14 @@ type Network struct {
 	cluster *Cluster
 	shard   int32
 
-	// hopFree recycles hop structs (and their pre-bound handler
-	// closures), so a hop costs no allocation in steady state. A view's
-	// queue runs its events on one goroutine, so a plain free list
-	// suffices and stays deterministic. New hops are carved from hopBlk,
-	// the unused rest of a block of hopBlock. parked holds the hops of
-	// other views that landed here; the barrier sends them home
-	// (Cluster.returnHops), since another goroutine owns their pool.
+	// hopFree recycles hop structs, so a hop costs no allocation in
+	// steady state: a hop is itself the eventq.Event its arrival runs,
+	// so queueing it binds no closure. A view's queue runs its events on
+	// one goroutine, so a plain free list suffices and stays
+	// deterministic. New hops are carved from hopBlk, the unused rest of
+	// a block of hopBlock. parked holds the hops of other views that
+	// landed here; the barrier sends them home (Cluster.returnHops),
+	// since another goroutine owns their pool.
 	hopFree []*hop
 	hopBlk  []hop
 	parked  []*hop
@@ -312,13 +313,13 @@ func (n *Network) flood(now eventq.Time, sp *span, at, from, hops int32,
 		h.sp, h.at, h.from, h.hops, h.shard = sp, to, at, hops+1, c.owner[v]
 		h.src, h.zone, h.pkt = src, zone, pkt
 		if h.shard == n.shard {
-			n.Q.At(arrive, h.fn)
+			n.Q.AtEvent(arrive, h)
 			continue
 		}
 		// Leaving the shard: the arrival is at least one boundary-link
 		// latency away, i.e. at or past the next barrier — the
-		// lookahead contract Post asserts.
-		c.group.Post(int(n.shard), int(h.shard), arrive, h.fn)
+		// lookahead contract PostEvent asserts.
+		c.group.PostEvent(int(n.shard), int(h.shard), arrive, h)
 	}
 }
 
@@ -424,10 +425,11 @@ func pktGroup(pkt packet.Packet) int64 {
 }
 
 // hop is a packet in flight toward span node at over the edge from span
-// node from: what flood needs on arrival, pooled on the sending view n
-// so the per-hop handler closure and its captures are recycled instead
-// of reallocated. A hop that changes shard lands on the destination
-// shard's view, which parks it until the barrier returns it to n's pool.
+// node from: what flood needs on arrival, pooled on the sending view n.
+// It is the eventq.Event of its own arrival, so flood queues (or posts)
+// the pointer itself and no per-hop closure is ever made. A hop that
+// changes shard lands on the destination shard's view, which parks it
+// until the barrier returns it to n's pool.
 type hop struct {
 	n        *Network
 	sp       *span
@@ -437,15 +439,12 @@ type hop struct {
 	src      topology.NodeID
 	zone     scoping.ZoneID
 	pkt      packet.Packet
-	// fn is the handler bound once to this struct; reusing it across
-	// recycles keeps steady-state hops allocation-free.
-	fn eventq.Handler
 }
 
-// run lands the hop's packet, then recycles the hop — cleared, so
+// Fire lands the hop's packet, then recycles the hop — cleared, so
 // recycled entries never pin packets or fan-outs. A hop that changed
 // shard lands on that shard's view, which parks it for the barrier.
-func (h *hop) run(now eventq.Time) {
+func (h *hop) Fire(now eventq.Time) {
 	n := h.n
 	if h.shard == n.shard {
 		n.flood(now, h.sp, h.at, h.from, h.hops, h.src, h.zone, h.pkt)
@@ -463,8 +462,8 @@ func (h *hop) run(now eventq.Time) {
 const hopBlock = 64
 
 // acquireHop takes a hop from the free list, or carves a new one from
-// the current block, with its handler closure already bound. A block
-// never moves: queued events hold its hops' handlers.
+// the current block. A block never moves: queued events hold pointers
+// to its hops.
 func (n *Network) acquireHop() *hop {
 	if l := len(n.hopFree); l > 0 {
 		h := n.hopFree[l-1]
@@ -478,6 +477,5 @@ func (n *Network) acquireHop() *hop {
 	h := &n.hopBlk[0]
 	n.hopBlk = n.hopBlk[1:]
 	h.n = n
-	h.fn = h.run
 	return h
 }

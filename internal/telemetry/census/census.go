@@ -98,8 +98,18 @@ type State struct {
 
 // Probe reads one node's State. Probes run synchronously inside epoch
 // snapshots on the simulator goroutine (or the census ticker on a live
-// node), so they must not block.
-type Probe func() State
+// node), so they must not block. A protocol agent that reports its own
+// State (core's *Agent) is registered as its probe directly, with no
+// closure per node; ProbeFunc adapts anything else.
+type Probe interface {
+	StateCensus() State
+}
+
+// ProbeFunc is a Probe that calls a function.
+type ProbeFunc func() State
+
+// StateCensus calls f.
+func (f ProbeFunc) StateCensus() State { return f() }
 
 // zoneCensus holds one zone's registry cells, pre-created so the ingest
 // paths never touch the registry map.
@@ -302,7 +312,7 @@ func (e *Engine) Snapshot(t float64) {
 		if probe == nil {
 			continue
 		}
-		st := probe()
+		st := probe.StateCensus()
 		if st.SessionEntries > e.peakSession {
 			e.peakSession = st.SessionEntries
 		}

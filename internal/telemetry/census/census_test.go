@@ -146,12 +146,12 @@ func TestSinkClassifiesBusEvents(t *testing.T) {
 func TestSnapshotAggregatesProbesByZone(t *testing.T) {
 	e, _ := newTestEngine(t)
 	// Node 0 lives only in the root; node 2 in root and child zone.
-	e.SetProbe(0, func() State {
+	e.SetProbe(0, ProbeFunc(func() State {
 		return State{Groups: 1, Timers: 2, SessionEntries: 3}
-	})
-	e.SetProbe(2, func() State {
+	}))
+	e.SetProbe(2, ProbeFunc(func() State {
 		return State{Groups: 10, Timers: 20, RepairQueue: 1, ResidentBytes: 4096, SessionEntries: 30, MemBytes: 6000}
-	})
+	}))
 	e.Snapshot(1)
 
 	groups, timers, repairQ, resident, rtt := e.ZoneCensus(0)
@@ -186,6 +186,27 @@ func TestSnapshotAggregatesProbesByZone(t *testing.T) {
 	}
 	if n := len(e.Epochs()); n != 2 {
 		t.Fatalf("epoch history has %d rows, want 2", n)
+	}
+}
+
+// stateAgent is a protocol agent that reports its own State, as core's
+// *Agent does.
+type stateAgent struct{ st State }
+
+func (a *stateAgent) StateCensus() State { return a.st }
+
+// TestSetProbeOfAnAgentAllocatesNothing: an agent that reports its own
+// State is its probe, so registering it (as the data driver does for
+// every node it spawns) costs no closure, and the snapshot reads it.
+func TestSetProbeOfAnAgentAllocatesNothing(t *testing.T) {
+	e, _ := newTestEngine(t)
+	ag := &stateAgent{State{Groups: 4, SessionEntries: 7}}
+	if allocs := testing.AllocsPerRun(100, func() { e.SetProbe(2, ag) }); allocs != 0 {
+		t.Errorf("SetProbe(node, agent): %v allocations, want 0", allocs)
+	}
+	e.Snapshot(1)
+	if groups, _, _, _, rtt := e.ZoneCensus(1); groups != 4 || rtt != 7 {
+		t.Fatalf("child census = (groups %d, rtt %d), want (4, 7)", groups, rtt)
 	}
 }
 
@@ -263,7 +284,7 @@ func TestConcurrentIngest(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			e.SetProbe(2, func() State { return State{SessionEntries: int64(i)} })
+			e.SetProbe(2, ProbeFunc(func() State { return State{SessionEntries: int64(i)} }))
 			e.Snapshot(float64(i))
 			e.Summarize()
 		}

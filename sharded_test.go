@@ -202,6 +202,43 @@ func TestShardCountInvarianceMatrix(t *testing.T) {
 	}
 }
 
+// TestGoldenRunsCloseEverySpan arms recovery-span tracing on every
+// RunData golden case at 1 and 2 shards. Spans are passive, so the
+// digest must still be the pinned golden; and every loss must end in a
+// decode or an explicit loss_unrecovered, so no span may stay open.
+func TestGoldenRunsCloseEverySpan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run digest suite")
+	}
+	for _, tc := range goldenCases {
+		if tc.chaos != nil {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			for _, k := range []int{1, 2} {
+				cfg := tc.cfg
+				cfg.Shards = k
+				cfg.Telemetry = &TelemetryConfig{Spans: true}
+				res, err := RunData(cfg)
+				if err != nil {
+					t.Fatalf("shards=%d: %v", k, err)
+				}
+				if got := dataDigest(res); got != tc.golden {
+					t.Errorf("shards=%d: tracing spans moved the digest:\n got  %s\n want %s", k, got, tc.golden)
+				}
+				n := len(res.Telemetry.Spans())
+				if n == 0 {
+					t.Errorf("shards=%d: no recovery span recorded; the check saw nothing", k)
+				}
+				if open := res.Telemetry.OpenSpans(); open != 0 {
+					t.Errorf("shards=%d: %d of %d recovery spans never saw a terminal event", k, open, n)
+				}
+				t.Logf("shards=%d: %d spans, none open", k, n)
+			}
+		})
+	}
+}
+
 // TestShardsMatchSequentialOnLosslessTopologies is the small-topology
 // differential; its name predates `Shards: 0` meaning one shard. The
 // one data driver must report the same DataResult — every series bin,
