@@ -520,7 +520,8 @@ func BenchmarkChaosGilbertVsBernoulli(b *testing.B) {
 // metrics only, and with the full stack (metrics + JSONL event trace
 // to io.Discard). Compare ns/op and allocs/op across the sub-
 // benchmarks; "off" also bounds the cost of the dormant emission
-// sites left in the protocol hot paths.
+// sites left in the protocol hot paths, and includes the network
+// views' packet events, which feed the 0.1 s series in every run.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	run := func(b *testing.B, tcfg *TelemetryConfig) {
 		b.ReportAllocs()

@@ -219,15 +219,17 @@ type dataRun struct {
 	nets  []*netsim.Network // one view per shard
 	owner []int32           // node → index into nets
 
-	// The observers the driver wires into every view and agent, each
-	// nil when off: the telemetry bus (tel holds its sinks), the bus
-	// each shard's views and agents emit into (see bufferShards) and
-	// the census engine, which TelemetryConfig.Census arms or prepare
-	// sets.
+	// The observers the driver wires into every view and agent. buses
+	// holds each shard's bus, never nil: the shard's view emits its
+	// packet events there in every run, its agents only with telemetry
+	// (see busFor). bus is the telemetry bus (tel holds its sinks; the
+	// shard buses feed it, see bufferShards) and census the census
+	// engine, which TelemetryConfig.Census arms or prepare sets; each
+	// is nil when off.
+	buses  []*telemetry.Bus // by shard
 	bus    *telemetry.Bus
 	tel    *telemetryRun
-	buses  []*telemetry.Bus // by shard
-	flush  func()           // feeds buffered shard events to bus; nil at one shard
+	flush  func() // feeds buffered shard events to bus; nil at one shard
 	census *census.Engine
 
 	// pcfg is the SHARQFEC agent config (zero under SRM); prepare may
@@ -255,10 +257,13 @@ func (r *dataRun) netFor(node topology.NodeID) *netsim.Network {
 	return r.nets[r.owner[node]]
 }
 
-// busFor returns the bus node's agent emits into (nil without
-// telemetry).
-func (r *dataRun) busFor(node topology.NodeID) *telemetry.Bus {
-	return r.buses[r.owner[node]]
+// busFor returns the bus shard i's agents, and on shard 0 the fault
+// engine, emit into: the shard's, or nil without telemetry.
+func (r *dataRun) busFor(i int32) *telemetry.Bus {
+	if r.bus == nil {
+		return nil
+	}
+	return r.buses[i]
 }
 
 // at schedules fn at virtual time t with the whole simulation quiescent
@@ -312,8 +317,8 @@ func RunData(cfg DataConfig) (*DataResult, error) {
 // and 1 are the same one-shard run). prepare, when non-nil, runs once
 // the engine and the telemetry exist and before any view is wired or
 // agent built — the place to set r.onCrash or r.census, tune r.pcfg,
-// add a tap or schedule an at() task (one at memberJoinAt runs before
-// the join).
+// attach a sink to a view's bus (r.buses) or schedule an at() task
+// (one at memberJoinAt runs before the join).
 func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, error) {
 	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {
@@ -356,6 +361,15 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 	for i := range shards {
 		r.nets = append(r.nets, cluster.Shard(i))
 	}
+	// Every view emits into its shard's bus, telemetry or not, and the
+	// shard's collector counts from it on the shard's goroutine; the
+	// collectors are merged after the run.
+	cols := make([]*stats.Collector, shards)
+	for i := range r.buses {
+		cols[i] = stats.NewCollector(spec.Source, len(spec.Receivers), defaultBinWidth)
+		r.buses[i] = telemetry.NewBus()
+		r.buses[i].Attach(cols[i].Sink())
+	}
 	if cfg.Telemetry != nil {
 		r.startTelemetry(cfg.Telemetry, cfg.Until)
 	}
@@ -369,18 +383,12 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 		prepare(r)
 	}
 
-	// Wire every view. With several shards each view calls its taps from
-	// its own shard's goroutine, so each gets its own collector, merged
-	// after the run; the census hop tap is atomic.
+	// Wire every view; the census hop tap is atomic.
 	if r.census != nil {
 		r.census.BindLinks(spec.Graph)
 	}
-	cols := make([]*stats.Collector, len(r.nets))
 	for i, n := range r.nets {
 		n.QueueLimit = cfg.QueueLimit
-		cols[i] = stats.NewCollector(spec.Source, len(spec.Receivers), defaultBinWidth)
-		n.AddTap(cols[i].Tap())
-		n.AddSendTap(cols[i].SendTap())
 		n.SetTelemetry(r.buses[i])
 		if r.census != nil {
 			n.SetHopTap(r.census.ObserveHop)
@@ -409,7 +417,7 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 	if !cfg.Faults.Empty() {
 		eng = faults.NewEngine(r.nets[0], r.src, &cfg.Faults.plan)
 		eng.Schedule = r.at
-		eng.Telemetry = r.buses[0]
+		eng.Telemetry = r.busFor(0)
 		stop := func(node topology.NodeID) bool {
 			ag := r.agents[node]
 			if ag != nil {
@@ -513,7 +521,7 @@ func sharqfecProtocol(cfg *DataConfig, opts core.Options, r *dataRun) dataProtoc
 	return dataProtocol{
 		spawn: func(node topology.NodeID) (dataAgent, error) {
 			pcfg := r.pcfg
-			pcfg.Telemetry = r.busFor(node)
+			pcfg.Telemetry = r.busFor(r.owner[node])
 			ag, err := core.New(node, r.netFor(node), pcfg, r.src)
 			if err != nil {
 				return nil, err
@@ -566,7 +574,7 @@ func srmProtocol(cfg *DataConfig, r *dataRun) dataProtocol {
 	return dataProtocol{
 		spawn: func(node topology.NodeID) (dataAgent, error) {
 			pcfg := pcfg
-			pcfg.Telemetry = r.busFor(node)
+			pcfg.Telemetry = r.busFor(r.owner[node])
 			ag, err := srm.New(node, r.netFor(node), pcfg, r.src)
 			if err != nil {
 				return nil, err

@@ -13,6 +13,7 @@ import (
 	"sharqfec/internal/packet"
 	"sharqfec/internal/scoping"
 	"sharqfec/internal/simrand"
+	"sharqfec/internal/telemetry"
 	"sharqfec/internal/topology"
 )
 
@@ -59,6 +60,18 @@ func newWorld(t *testing.T, spec *topology.Spec, cfg Config, seed uint64) *world
 		w.agents[m] = ag
 	}
 	return w
+}
+
+// watch gives the world's network a bus whose one sink passes fn every
+// event of the given kind.
+func (w *world) watch(kind telemetry.Kind, fn func(telemetry.Event)) {
+	bus := telemetry.NewBus()
+	bus.Attach(func(e telemetry.Event) {
+		if e.Kind == kind {
+			fn(e)
+		}
+	})
+	w.net.SetTelemetry(bus)
 }
 
 // run joins everyone at t=1, starts the source at t=6 (the paper's
@@ -365,8 +378,8 @@ func TestStoppedAgentSendsNothing(t *testing.T) {
 	w := newWorld(t, spec, cfg, 34)
 	w.net.Q.At(2, func(eventq.Time) { w.agents[2].Stop() })
 	var from2 int
-	w.net.AddSendTap(func(_ eventq.Time, from topology.NodeID, _ scoping.ZoneID, _ packet.Packet) {
-		if from == 2 && w.net.Q.Now() > 2 {
+	w.watch(telemetry.KindPacketSent, func(e telemetry.Event) {
+		if e.Node == 2 && e.T > 2 {
 			from2++
 		}
 	})
@@ -426,9 +439,9 @@ func TestLateJoinLocalized(t *testing.T) {
 	w := newWorld(t, spec, cfg, 36)
 	late := topology.NodeID(12)
 	repairScopeLevel := map[int]int{}
-	w.net.AddTap(func(_ eventq.Time, at topology.NodeID, d netsim.Delivery) {
-		if _, ok := d.Pkt.(*packet.Repair); ok && at == late && w.net.Q.Now() > 9.6 {
-			repairScopeLevel[w.net.H.Level(d.Scope)]++
+	w.watch(telemetry.KindPacketDelivered, func(e telemetry.Event) {
+		if e.A == int64(packet.TypeRepair) && e.Node == late && e.T > 9.6 {
+			repairScopeLevel[w.net.H.Level(e.Zone)]++
 		}
 	})
 	w.net.Q.At(1, func(eventq.Time) {

@@ -10,10 +10,10 @@ import (
 	"testing"
 
 	"sharqfec/internal/eventq"
+	"sharqfec/internal/fabric"
 	"sharqfec/internal/fec"
 	"sharqfec/internal/netsim"
 	"sharqfec/internal/packet"
-	"sharqfec/internal/scoping"
 	"sharqfec/internal/topology"
 )
 
@@ -282,6 +282,19 @@ func TestCompletedGroupHoldsExactlyKPayloads(t *testing.T) {
 	}
 }
 
+// repairRecorder stands in for a member's agent and keeps every repair
+// that node from multicast, in arrival order.
+type repairRecorder struct {
+	from topology.NodeID
+	got  []*packet.Repair
+}
+
+func (r *repairRecorder) Receive(_ eventq.Time, d fabric.Delivery) {
+	if rep, ok := d.Pkt.(*packet.Repair); ok && d.From == r.from {
+		r.got = append(r.got, rep)
+	}
+}
+
 // TestServedRepairMatchesEncoder: a receiver that completed from repairs,
 // without three data shares it never saw, answers a NACK with repairs
 // computed from the shares it kept; on the wire they are byte for byte
@@ -297,14 +310,13 @@ func TestServedRepairMatchesEncoder(t *testing.T) {
 	}
 	f.wantComplete()
 	net := f.a.net.(*netsim.Network)
-	var served []*packet.Repair
-	net.AddSendTap(func(_ eventq.Time, from topology.NodeID, _ scoping.ZoneID, pkt packet.Packet) {
-		if rep, ok := pkt.(*packet.Repair); ok && from == f.a.node {
-			served = append(served, rep)
-		}
-	})
+	// The repairs go to the whole root zone; node 0's agent gives way to
+	// a recorder of what arrives from the server.
+	rec := &repairRecorder{from: f.a.node}
+	net.Attach(0, rec)
 	f.a.handleNACK(1, &packet.NACK{Origin: 1, Group: f.gid, LLC: 3, Needed: 3, Zone: int16(f.a.root)})
 	net.Q.RunUntil(10)
+	served := rec.got
 	if len(served) != 3 {
 		t.Fatalf("served %d repairs for a NACK needing 3", len(served))
 	}

@@ -6,8 +6,8 @@
 // a scoping.Hierarchy and holds everything packets share: link
 // occupancy, loss streams and models, and the cached routes and
 // fan-outs. A Network is a view of that fabric over one eventq.Queue —
-// the agents attached to the nodes that queue runs, its taps, counters
-// and hop pool. New builds a fabric with a single view over the
+// the agents attached to the nodes that queue runs, its telemetry bus,
+// counters and hop pool. New builds a fabric with a single view over the
 // caller's queue; NewCluster builds one view per shard of an
 // eventq.ShardGroup. Protocol agents attach to nodes and exchange
 // packets by multicasting to a scope zone: the packet travels the
@@ -15,7 +15,10 @@
 // members of the zone (administrative scoping), experiencing per-link
 // store-and-forward transmission delay, FIFO queueing, propagation
 // latency, and — for loss-eligible packets — independent Bernoulli loss
-// per link, exactly the loss model the paper assumes.
+// per link, exactly the loss model the paper assumes. A view reports
+// every transmission, delivery and drop as an event on its telemetry
+// bus, and every per-link transmission to its HopTap; these are the
+// only ways to observe a packet.
 //
 // Both constructors run the same forwarding code over the same data:
 // every link direction draws its loss from its own stream (see Cluster).
@@ -42,14 +45,6 @@ type Delivery = fabric.Delivery
 // simulation goroutine and must not block; it may send packets and set
 // timers.
 type Agent = fabric.Agent
-
-// Tap observes every delivery to a session member, for measurement.
-type Tap func(now eventq.Time, at topology.NodeID, d Delivery)
-
-// SendTap observes every multicast transmission at its sender, for
-// measurements that include a node's own output (e.g. traffic visible at
-// the source, Figures 20–21).
-type SendTap func(now eventq.Time, from topology.NodeID, zone scoping.ZoneID, pkt packet.Packet)
 
 // ErrUnknownNode is wrapped by MulticastE when the sender is not a node
 // of the simulated graph.
@@ -78,11 +73,10 @@ type Network struct {
 	G *topology.Graph
 	H *scoping.Hierarchy
 
-	agents   []Agent
-	taps     []Tap
-	sendTaps []SendTap
+	agents []Agent
 	// tel, when non-nil, receives a transport event per transmission,
-	// delivery and drop. nil (the default) keeps every path untouched.
+	// delivery and drop: every packet measurement reads it. nil (the
+	// default) keeps every path untouched.
 	tel *telemetry.Bus
 	// hopTap, when non-nil, observes every per-link transmission during
 	// multicast fan-out (after queueing, before the loss draw): packets
@@ -157,14 +151,10 @@ func (s simScheduler) After(d eventq.Duration, fn func(eventq.Time)) fabric.Time
 
 var _ fabric.Network = (*Network)(nil)
 
-// AddTap registers a delivery observer.
-func (n *Network) AddTap(t Tap) { n.taps = append(n.taps, t) }
-
-// AddSendTap registers a transmission observer.
-func (n *Network) AddSendTap(t SendTap) { n.sendTaps = append(n.sendTaps, t) }
-
 // SetTelemetry attaches (or, with nil, detaches) a telemetry bus that
-// receives packet_sent / packet_delivered / drop events.
+// receives packet_sent / packet_delivered / drop events. A delivery's
+// event is emitted before the member's agent receives the packet, so a
+// sink reads the agent's state as it stood before the arrival.
 func (n *Network) SetTelemetry(b *telemetry.Bus) { n.tel = b }
 
 // HopTap observes one per-link transmission: link index li, direction
@@ -271,9 +261,6 @@ func (n *Network) MulticastE(from topology.NodeID, zone scoping.ZoneID, pkt pack
 	}
 	n.sent++
 	now := n.Q.Now()
-	for _, tap := range n.sendTaps {
-		tap(now, from, zone, pkt)
-	}
 	if n.tel.On() {
 		n.tel.Emit(telemetry.Event{
 			T: now.Seconds(), Kind: telemetry.KindPacketSent, Node: from, Zone: zone,
@@ -373,14 +360,12 @@ func (n *Network) transmit(t eventq.Time, ed *spanEdge, to topology.NodeID,
 	return txDone.Add(link.Latency), true
 }
 
-// deliver hands an arrived packet to the member node's taps and agent.
+// deliver reports an arrived packet on the bus, then hands it to the
+// member node's agent.
 // hops is the number of links it crossed on the fan-out it actually
 // travelled (which may predate a re-route).
 func (n *Network) deliver(now eventq.Time, at topology.NodeID, hops int32, d Delivery) {
 	n.delivered++
-	for _, tap := range n.taps {
-		tap(now, at, d)
-	}
 	if n.tel.On() {
 		n.tel.Emit(telemetry.Event{
 			T: now.Seconds(), Kind: telemetry.KindPacketDelivered, Node: at, Zone: d.Scope,

@@ -2,7 +2,9 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"sharqfec/internal/eventq"
@@ -235,15 +237,50 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestTapObservesDeliveries(t *testing.T) {
+// watch gives n a bus of its own whose one sink passes fn every event
+// of the given kind.
+func watch(n *Network, kind telemetry.Kind, fn func(telemetry.Event)) {
+	bus := telemetry.NewBus()
+	bus.Attach(func(e telemetry.Event) {
+		if e.Kind == kind {
+			fn(e)
+		}
+	})
+	n.SetTelemetry(bus)
+}
+
+func TestSinkObservesDeliveries(t *testing.T) {
 	spec := topology.Chain(3, 1e6, 0.01, 0)
 	n, _ := build(t, spec, 1)
-	var tapped int
-	n.AddTap(func(now eventq.Time, at topology.NodeID, d Delivery) { tapped++ })
+	var seen int
+	watch(n, telemetry.KindPacketDelivered, func(telemetry.Event) { seen++ })
 	n.Multicast(0, 0, &packet.NACK{Origin: 0})
 	n.Q.Run()
-	if tapped != 2 {
-		t.Fatalf("tap saw %d deliveries, want 2", tapped)
+	if seen != 2 {
+		t.Fatalf("sink saw %d deliveries, want 2", seen)
+	}
+}
+
+// TestSinkSeesDeliveryBeforeAgent: a view's sink sees each
+// packet_delivered before the member's agent receives that packet, so
+// a sink can read the agent's state as it stood before the arrival
+// (RunRTT's probes do).
+func TestSinkSeesDeliveryBeforeAgent(t *testing.T) {
+	spec := topology.Chain(4, 1e6, 0.01, 0)
+	n, recs := build(t, spec, 1)
+	var order []string
+	watch(n, telemetry.KindPacketDelivered, func(e telemetry.Event) {
+		order = append(order, fmt.Sprintf("sink n%d (agent holds %d)", e.Node, len(recs[e.Node].got)))
+	})
+	n.Multicast(0, 0, &packet.NACK{Origin: 0})
+	n.Multicast(3, 0, &packet.NACK{Origin: 3})
+	n.Q.Run()
+	want := []string{
+		"sink n1 (agent holds 0)", "sink n2 (agent holds 0)", "sink n2 (agent holds 1)",
+		"sink n1 (agent holds 1)", "sink n3 (agent holds 0)", "sink n0 (agent holds 0)",
+	}
+	if !slices.Equal(order, want) {
+		t.Fatalf("deliveries seen as\n %q\nwant\n %q", order, want)
 	}
 }
 
@@ -275,8 +312,9 @@ func TestDeliveredEventNamesSender(t *testing.T) {
 }
 
 func TestUnattachedMemberStillCounted(t *testing.T) {
-	// A member with no agent still counts as delivered (tap fires), so
-	// joining late is modelled by attaching late.
+	// A member with no agent still counts as delivered (its
+	// packet_delivered is emitted), so joining late is modelled by
+	// attaching late.
 	spec := topology.Chain(3, 1e6, 0.01, 0)
 	h, err := scoping.Build(spec.Zones)
 	if err != nil {
@@ -284,12 +322,12 @@ func TestUnattachedMemberStillCounted(t *testing.T) {
 	}
 	var q eventq.Queue
 	n := New(&q, spec.Graph, h, simrand.New(1))
-	var tapped int
-	n.AddTap(func(eventq.Time, topology.NodeID, Delivery) { tapped++ })
+	var seen int
+	watch(n, telemetry.KindPacketDelivered, func(telemetry.Event) { seen++ })
 	n.Multicast(0, 0, &packet.NACK{Origin: 0})
 	q.Run()
-	if tapped != 2 {
-		t.Fatalf("tap saw %d, want 2", tapped)
+	if seen != 2 {
+		t.Fatalf("sink saw %d, want 2", seen)
 	}
 }
 
@@ -386,18 +424,16 @@ func TestQueueLimitSparesLightTraffic(t *testing.T) {
 	}
 }
 
-func TestSendTapObservesTransmissions(t *testing.T) {
+func TestSinkObservesTransmissions(t *testing.T) {
 	spec := topology.Chain(3, 1e6, 0.01, 0)
 	n, _ := build(t, spec, 1)
 	var sends []topology.NodeID
-	n.AddSendTap(func(_ eventq.Time, from topology.NodeID, _ scoping.ZoneID, _ packet.Packet) {
-		sends = append(sends, from)
-	})
+	watch(n, telemetry.KindPacketSent, func(e telemetry.Event) { sends = append(sends, e.Node) })
 	n.Multicast(0, 0, &packet.NACK{Origin: 0})
 	n.Multicast(2, 0, &packet.NACK{Origin: 2})
 	n.Q.Run()
 	if len(sends) != 2 || sends[0] != 0 || sends[1] != 2 {
-		t.Fatalf("send tap saw %v", sends)
+		t.Fatalf("sink saw sends from %v", sends)
 	}
 }
 

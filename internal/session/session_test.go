@@ -17,6 +17,7 @@ import (
 	"sharqfec/internal/packet"
 	"sharqfec/internal/scoping"
 	"sharqfec/internal/simrand"
+	"sharqfec/internal/telemetry"
 	"sharqfec/internal/topology"
 )
 
@@ -48,6 +49,18 @@ func newHarness(t *testing.T, spec *topology.Spec, seed uint64) *harness {
 		n.Attach(member, &sessAgent{m: m})
 	}
 	return hs
+}
+
+// watch gives the harness network a bus whose one sink passes fn every
+// event of the given kind.
+func (h *harness) watch(kind telemetry.Kind, fn func(telemetry.Event)) {
+	bus := telemetry.NewBus()
+	bus.Attach(func(e telemetry.Event) {
+		if e.Kind == kind {
+			fn(e)
+		}
+	})
+	h.net.SetTelemetry(bus)
 }
 
 // startAll starts every manager at t=1 s (the paper's join time) and runs
@@ -219,8 +232,8 @@ func TestSessionTrafficScoped(t *testing.T) {
 	spec := topology.Figure10(topology.Figure10Params{})
 	h := newHarness(t, spec, 12)
 	deliveries := 0
-	h.net.AddTap(func(_ eventq.Time, _ topology.NodeID, d netsim.Delivery) {
-		if d.Pkt.Kind() == packet.TypeSession {
+	h.watch(telemetry.KindPacketDelivered, func(e telemetry.Event) {
+		if e.A == int64(packet.TypeSession) {
 			deliveries++
 		}
 	})
@@ -374,14 +387,14 @@ func TestStoppedManagerStaysSilent(t *testing.T) {
 	if !h.mgrs[3].Stopped() {
 		t.Fatal("Stopped() false after Stop")
 	}
-	var heardFrom3 bool
-	h.net.AddTap(func(_ eventq.Time, _ topology.NodeID, d netsim.Delivery) {
-		if s, ok := d.Pkt.(*packet.Session); ok && s.Origin == 3 {
-			heardFrom3 = true
+	var sentBy3 bool
+	h.watch(telemetry.KindPacketSent, func(e telemetry.Event) {
+		if e.A == int64(packet.TypeSession) && e.Node == 3 {
+			sentBy3 = true
 		}
 	})
 	h.net.Q.RunUntil(20)
-	if heardFrom3 {
+	if sentBy3 {
 		t.Fatal("stopped manager kept sending session messages")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sharqfec/internal/packet"
 	"sharqfec/internal/scoping"
 	"sharqfec/internal/simrand"
+	"sharqfec/internal/telemetry"
 	"sharqfec/internal/topology"
 )
 
@@ -287,11 +288,13 @@ func TestSessionTrafficIsGlobal(t *testing.T) {
 	cfg := smallCfg()
 	w := newWorld(t, spec, cfg, 22)
 	sessions := 0
-	w.net.AddTap(func(_ eventq.Time, _ topology.NodeID, d netsim.Delivery) {
-		if d.Pkt.Kind() == packet.TypeSession {
+	bus := telemetry.NewBus()
+	bus.Attach(func(e telemetry.Event) {
+		if e.Kind == telemetry.KindPacketDelivered && e.A == int64(packet.TypeSession) {
 			sessions++
 		}
 	})
+	w.net.SetTelemetry(bus)
 	w.run(11) // 10 steady seconds, no data
 	n := float64(len(spec.Members()))
 	expect := n * (n - 1) * 10

@@ -1,16 +1,18 @@
 // Package stats collects the measurements the paper's figures plot:
 // data+repair and NACK traffic per session member, bucketed into 0.1 s
-// intervals (§6.2 measurement methodology). The ns-style packet trace
-// is a telemetry exporter (telemetry.NewPacketTraceWriter).
+// intervals (§6.2 measurement methodology). A Collector is a
+// telemetry.Sink on a network view's bus, counting its packet_sent and
+// packet_delivered events. The ns-style packet trace is a telemetry
+// exporter (telemetry.NewPacketTraceWriter).
 package stats
 
 import (
 	"fmt"
 
 	"sharqfec/internal/eventq"
-	"sharqfec/internal/netsim"
+	"sharqfec/internal/fabric"
 	"sharqfec/internal/packet"
-	"sharqfec/internal/scoping"
+	"sharqfec/internal/telemetry"
 	"sharqfec/internal/topology"
 )
 
@@ -87,7 +89,7 @@ func (s *Series) Sum() float64 {
 	return t
 }
 
-// Collector taps a network and aggregates the paper's measurements.
+// Collector counts a network's packets into the paper's measurements.
 type Collector struct {
 	source    topology.NodeID
 	receivers int
@@ -117,45 +119,50 @@ func NewCollector(source topology.NodeID, receivers int, binWidth float64) *Coll
 	}
 }
 
-// SendTap returns a netsim.SendTap that counts the source's own
-// transmissions into the source-visible series: "traffic seen by the
-// source" (Figures 20–21) includes the original transmissions.
-func (c *Collector) SendTap() netsim.SendTap {
-	return func(now eventq.Time, from topology.NodeID, _ scoping.ZoneID, pkt packet.Packet) {
-		if from != c.source {
-			return
-		}
-		t := now.Seconds()
-		switch pkt.Kind() {
-		case packet.TypeData, packet.TypeRepair:
-			c.SourceDataRepair.Add(t, 1)
-		case packet.TypeNACK:
-			c.SourceNACKs.Add(t, 1)
+// Sink returns the telemetry.Sink that feeds this collector from a
+// view's bus: every packet_delivered, and the source's own data, repair
+// and NACK packet_sent events, since "traffic seen by the source"
+// (Figures 20–21) includes the original transmissions.
+func (c *Collector) Sink() telemetry.Sink {
+	return func(e telemetry.Event) {
+		switch k := packet.Type(e.A); e.Kind {
+		case telemetry.KindPacketDelivered:
+			c.count(e.T, e.Node, k)
+		case telemetry.KindPacketSent:
+			if e.Node == c.source && k != packet.TypeSession {
+				c.count(e.T, e.Node, k)
+			}
 		}
 	}
 }
 
-// Tap returns the netsim.Tap that feeds this collector.
-func (c *Collector) Tap() netsim.Tap {
-	return func(now eventq.Time, at topology.NodeID, d netsim.Delivery) {
-		t := now.Seconds()
-		atSource := at == c.source
-		switch d.Pkt.Kind() {
-		case packet.TypeData, packet.TypeRepair:
-			if atSource {
-				c.SourceDataRepair.Add(t, 1)
-			} else {
-				c.DataRepair.Add(t, 1)
-			}
-		case packet.TypeNACK:
-			if atSource {
-				c.SourceNACKs.Add(t, 1)
-			} else {
-				c.NACKs.Add(t, 1)
-			}
-		case packet.TypeSession:
-			c.Session.Add(t, 1)
+// Tap returns a delivery observer that counts a delivery as Sink counts
+// its packet_delivered event, for a caller with deliveries but no bus
+// (the benchmark's stats.tap_ns probe).
+func (c *Collector) Tap() func(now eventq.Time, at topology.NodeID, d fabric.Delivery) {
+	return func(now eventq.Time, at topology.NodeID, d fabric.Delivery) {
+		c.count(now.Seconds(), at, d.Pkt.Kind())
+	}
+}
+
+// count adds one kind-k packet seen at node at, time t, to its series.
+func (c *Collector) count(t float64, at topology.NodeID, k packet.Type) {
+	atSource := at == c.source
+	switch k {
+	case packet.TypeData, packet.TypeRepair:
+		if atSource {
+			c.SourceDataRepair.Add(t, 1)
+		} else {
+			c.DataRepair.Add(t, 1)
 		}
+	case packet.TypeNACK:
+		if atSource {
+			c.SourceNACKs.Add(t, 1)
+		} else {
+			c.NACKs.Add(t, 1)
+		}
+	case packet.TypeSession:
+		c.Session.Add(t, 1)
 	}
 }
 

@@ -7,8 +7,10 @@ import (
 	"testing/quick"
 
 	"sharqfec/internal/eventq"
-	"sharqfec/internal/netsim"
+	"sharqfec/internal/fabric"
 	"sharqfec/internal/packet"
+	"sharqfec/internal/scoping"
+	"sharqfec/internal/telemetry"
 	"sharqfec/internal/topology"
 )
 
@@ -74,7 +76,7 @@ func TestCollectorRouting(t *testing.T) {
 	c := NewCollector(0, 4, 0.1)
 	tap := c.Tap()
 	mk := func(at int, pkt packet.Packet, when float64) {
-		tap(eventq.Time(when), topology.NodeID(at), netsim.Delivery{Pkt: pkt})
+		tap(eventq.Time(when), topology.NodeID(at), fabric.Delivery{Pkt: pkt})
 	}
 	mk(1, &packet.Data{}, 0.05)
 	mk(2, &packet.Repair{}, 0.05)
@@ -100,6 +102,58 @@ func TestCollectorRouting(t *testing.T) {
 	}
 	if got, want := c.AvgNACKs().Values(), []float64{0, 0.25}; !slices.Equal(got, want) {
 		t.Fatalf("avg NACK bins = %v, want %v", got, want)
+	}
+}
+
+// TestSinkMatchesTap: the bus sink and the Tap adapter fill identical
+// series from the same deliveries, and the sink adds the source's own
+// data, repair and NACK transmissions, but no other node's and no
+// session message, to the source-visible series.
+func TestSinkMatchesTap(t *testing.T) {
+	pkts := []packet.Packet{&packet.Data{}, &packet.Repair{}, &packet.NACK{}, &packet.Session{}, &packet.ZCRChallenge{}}
+	viaTap, viaSink := NewCollector(0, 4, 0.1), NewCollector(0, 4, 0.1)
+	tap, sink := viaTap.Tap(), viaSink.Sink()
+	for i := range 200 {
+		now, at, pkt := eventq.Time(0.013*float64(i)), topology.NodeID(i%3), pkts[i%len(pkts)]
+		tap(now, at, fabric.Delivery{From: 1, Scope: 0, Pkt: pkt})
+		sink(telemetry.Event{
+			T: now.Seconds(), Kind: telemetry.KindPacketDelivered, Node: at, Zone: 0,
+			Group: -1, A: int64(pkt.Kind()), B: int64(pkt.WireSize()), Origin: 1, Hops: 1,
+		})
+	}
+	for _, s := range []struct {
+		name     string
+		tap, bus *Series
+	}{
+		{"DataRepair", viaTap.DataRepair, viaSink.DataRepair},
+		{"NACKs", viaTap.NACKs, viaSink.NACKs},
+		{"Session", viaTap.Session, viaSink.Session},
+		{"SourceDataRepair", viaTap.SourceDataRepair, viaSink.SourceDataRepair},
+		{"SourceNACKs", viaTap.SourceNACKs, viaSink.SourceNACKs},
+	} {
+		if s.bus.Sum() == 0 || !slices.Equal(s.tap.Values(), s.bus.Values()) {
+			t.Errorf("%s: sink bins %v, tap bins %v", s.name, s.bus.Values(), s.tap.Values())
+		}
+	}
+
+	sent := func(from topology.NodeID, pkt packet.Packet) {
+		sink(telemetry.Event{
+			T: 0.05, Kind: telemetry.KindPacketSent, Node: from, Zone: scoping.ZoneID(0),
+			Group: -1, A: int64(pkt.Kind()), B: int64(pkt.WireSize()),
+		})
+	}
+	c := NewCollector(0, 4, 0.1)
+	sink = c.Sink()
+	for _, pkt := range pkts {
+		sent(0, pkt)
+		sent(2, pkt)
+	}
+	if c.SourceDataRepair.Sum() != 2 || c.SourceNACKs.Sum() != 1 {
+		t.Errorf("source sends: data+repair %v, NACKs %v; want 2 and 1",
+			c.SourceDataRepair.Sum(), c.SourceNACKs.Sum())
+	}
+	if c.DataRepair.Sum()+c.NACKs.Sum()+c.Session.Sum() != 0 {
+		t.Error("a transmission was counted as a delivery")
 	}
 }
 

@@ -15,6 +15,7 @@ package telemetry
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"sharqfec/internal/scoping"
 	"sharqfec/internal/topology"
@@ -233,11 +234,16 @@ type Sink func(Event)
 // Emit returns immediately and On reports false, so instrumented code
 // holds a possibly-nil *Bus and pays only a nil check when telemetry is
 // off.
+//
+// A Bus fills one 64-byte cache line of its own. Buses built back to
+// back for two shard goroutines would otherwise share a line, and every
+// Emit's count update would bounce it between the two cores.
 type Bus struct {
-	sinks []Sink
 	// count is atomic: udpmesh drives one emitting goroutine per node
 	// over a shared bus.
 	count atomic.Uint64
+	sinks []Sink
+	_     [64 - 8 - unsafe.Sizeof([]Sink(nil))]byte
 }
 
 // NewBus returns an empty (but enabled) bus.

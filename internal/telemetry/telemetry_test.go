@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"sharqfec/internal/packet"
 	"sharqfec/internal/scoping"
@@ -59,6 +60,14 @@ func TestBusFanout(t *testing.T) {
 	}
 	if b.Count() != 1 {
 		t.Fatalf("count = %d, want 1", b.Count())
+	}
+}
+
+// TestBusFillsACacheLine: a Bus is exactly one 64-byte line, so two
+// shards' buses never share the line their Emit counts write.
+func TestBusFillsACacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(Bus{}); got != 64 {
+		t.Fatalf("sizeof(Bus) = %d, want 64", got)
 	}
 }
 

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"slices"
 
-	"sharqfec/internal/eventq"
-	"sharqfec/internal/netsim"
 	"sharqfec/internal/packet"
+	"sharqfec/internal/telemetry"
 	"sharqfec/internal/topology"
 )
 
@@ -86,9 +85,10 @@ func RunLateJoin(seed uint64, joinAt float64) (*LateJoinResult, error) {
 		Protocol: SHARQFEC, Seed: seed, NumPackets: 256, Until: 120,
 		Faults: NewFaultPlan().Crash(0, late).Restart(joinAt, late),
 	}, func(r *dataRun) {
-		r.netFor(late).AddTap(func(now eventq.Time, at topology.NodeID, d netsim.Delivery) {
-			if _, ok := d.Pkt.(*packet.Repair); ok && at == late && now.Seconds() > joinAt {
-				if r.h.Level(d.Scope) > 0 {
+		r.buses[r.owner[late]].Attach(func(e telemetry.Event) {
+			if e.Kind == telemetry.KindPacketDelivered && e.Node == late &&
+				e.A == int64(packet.TypeRepair) && e.T > joinAt {
+				if r.h.Level(e.Zone) > 0 {
 					localRepairs++
 				} else {
 					globalRepairs++

@@ -6,8 +6,8 @@ import (
 	"sort"
 
 	"sharqfec/internal/eventq"
-	"sharqfec/internal/netsim"
 	"sharqfec/internal/packet"
+	"sharqfec/internal/telemetry"
 	"sharqfec/internal/topology"
 )
 
@@ -31,6 +31,9 @@ const (
 	// measurement rounds.
 	rttStabilizeUntil = 12
 	rttProbeInterval  = 2
+	// rttProbeGroup is probe 0's NACK group, far past the stream's
+	// end; probe p names group rttProbeGroup + p.
+	rttProbeGroup = 1000
 )
 
 func (c *RTTConfig) applyDefaults() {
@@ -88,10 +91,12 @@ func (r *RTTResult) MedianRatio(p int) float64 {
 }
 
 // RunRTT runs the indirect RTT estimation experiment on the session
-// layer alone. Each probe is read by a delivery tap, which sees it
-// before the member's agent does; the agent then drops it (its group is
-// past the stream's end), so every estimate reads the session state as
-// it stood before the probe arrived.
+// layer alone. Each probe is read by a sink on the view's bus, which
+// sees its packet_delivered event before the member's agent sees the
+// packet; the agent then drops it (its group is past the stream's end),
+// so every estimate reads the session state as it stood before the
+// probe arrived. The event does not carry the probe's ancestor list, so
+// each probe's list is kept, by probe, when it is sent.
 func RunRTT(cfg RTTConfig) (*RTTResult, error) {
 	cfg.applyDefaults()
 	spec := cfg.Topology.spec
@@ -100,36 +105,38 @@ func RunRTT(cfg RTTConfig) (*RTTResult, error) {
 		return nil, fmt.Errorf("sharqfec: probe sender %d is not a session member", cfg.Sender)
 	}
 
-	res := &RTTResult{Sender: cfg.Sender, Receivers: len(spec.Members()) - 1}
-	probe := -1
+	res := &RTTResult{
+		Sender: cfg.Sender, Receivers: len(spec.Members()) - 1,
+		Ratios: make([][]float64, cfg.Probes), Able: make([]int, cfg.Probes),
+	}
+	ancestors := make([][]packet.AncestorRTT, cfg.Probes)
 	_, _, err := runSessionOnly(DataConfig{
 		Protocol: SHARQFEC, Topology: cfg.Topology, Seed: cfg.Seed,
 		Until: rttStabilizeUntil + float64(cfg.Probes)*rttProbeInterval + 2,
 	}, func(r *dataRun) {
-		for _, n := range r.nets {
-			n.AddTap(func(_ eventq.Time, node topology.NodeID, d netsim.Delivery) {
-				nk, ok := d.Pkt.(*packet.NACK)
-				if !ok || nk.Origin != sender || node == sender || probe < 0 {
+		for _, b := range r.buses {
+			b.Attach(func(e telemetry.Event) {
+				p := int(e.Group - rttProbeGroup)
+				if e.Kind != telemetry.KindPacketDelivered || e.A != int64(packet.TypeNACK) ||
+					e.Origin != sender || e.Node == sender || p < 0 || p >= cfg.Probes {
 					return
 				}
-				est, formed := r.coreAgent(node).Session().EstimateRTT(nk.Origin, nk.Ancestors)
-				if truth := 2 * n.OneWayDelay(sender, node).Seconds(); formed && truth > 0 {
-					res.Ratios[probe] = append(res.Ratios[probe], est/truth)
-					res.Able[probe]++
+				est, formed := r.coreAgent(e.Node).Session().EstimateRTT(sender, ancestors[p])
+				if truth := 2 * r.netFor(e.Node).OneWayDelay(sender, e.Node).Seconds(); formed && truth > 0 {
+					res.Ratios[p] = append(res.Ratios[p], est/truth)
+					res.Able[p]++
 				}
 			})
 		}
-		for p := 0; p < cfg.Probes; p++ {
-			res.Ratios = append(res.Ratios, nil)
-			res.Able = append(res.Able, 0)
+		for p := range cfg.Probes {
 			r.at(secondsToTime(rttStabilizeUntil+float64(p)*rttProbeInterval), func(eventq.Time) {
-				probe = p
 				root := r.h.Root()
+				ancestors[p] = r.coreAgent(sender).Session().AncestorList()
 				r.netFor(sender).Multicast(sender, root, &packet.NACK{
 					Origin:    sender,
-					Group:     uint32(1000 + p),
+					Group:     uint32(rttProbeGroup + p),
 					Zone:      int16(root),
-					Ancestors: r.coreAgent(sender).Session().AncestorList(),
+					Ancestors: ancestors[p],
 				})
 			})
 		}

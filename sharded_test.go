@@ -20,7 +20,10 @@ import (
 	"testing"
 
 	"sharqfec/internal/eventq"
+	"sharqfec/internal/scoping"
+	"sharqfec/internal/telemetry"
 	"sharqfec/internal/telemetry/census"
+	"sharqfec/internal/topology"
 )
 
 // dataDigest canonically encodes everything RunData reports (series
@@ -183,9 +186,9 @@ func TestFixedSeedRunDigests(t *testing.T) {
 }
 
 // TestShardCountInvarianceMatrix runs every RunData golden case at 1, 2
-// and 4 shards against the same golden. RunChaos has no shard knob: it
-// hard-wires telemetry, which runs on one shard, so its cases are
-// covered by TestFixedSeedRunDigests alone.
+// and 4 shards against the same golden. ChaosConfig has no Shards
+// field, so RunChaos always runs one shard and its cases are covered by
+// TestFixedSeedRunDigests alone.
 func TestShardCountInvarianceMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run digest suite")
@@ -203,9 +206,15 @@ func TestShardCountInvarianceMatrix(t *testing.T) {
 }
 
 // TestGoldenRunsCloseEverySpan arms recovery-span tracing on every
-// RunData golden case at 1 and 2 shards. Spans are passive, so the
-// digest must still be the pinned golden; and every loss must end in a
-// decode or an explicit loss_unrecovered, so no span may stay open.
+// RunData golden case at 1 and 2 shards and checks three invariants of
+// the run. Spans and sinks are passive, so the digest must still be
+// the pinned golden. Then:
+//   - every loss ends in a decode or an explicit loss_unrecovered, so
+//     no span may stay open;
+//   - a sink on each view's bus finds every packet_delivered inside its
+//     scope zone;
+//   - under a SHARQFEC variant, at the end of the run every zone's live
+//     members agree on one live ZCR, and it is a member of the zone.
 func TestGoldenRunsCloseEverySpan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run digest suite")
@@ -219,7 +228,23 @@ func TestGoldenRunsCloseEverySpan(t *testing.T) {
 				cfg := tc.cfg
 				cfg.Shards = k
 				cfg.Telemetry = &TelemetryConfig{Spans: true}
-				res, err := RunData(cfg)
+				// Each sink counts on its own shard's goroutine.
+				var delivered, outside []int
+				res, r, err := runData(cfg, func(r *dataRun) {
+					delivered = make([]int, len(r.buses))
+					outside = make([]int, len(r.buses))
+					for i, b := range r.buses {
+						b.Attach(func(e telemetry.Event) {
+							if e.Kind != telemetry.KindPacketDelivered {
+								return
+							}
+							delivered[i]++
+							if !r.h.Contains(e.Zone, e.Node) {
+								outside[i]++
+							}
+						})
+					}
+				})
 				if err != nil {
 					t.Fatalf("shards=%d: %v", k, err)
 				}
@@ -233,10 +258,37 @@ func TestGoldenRunsCloseEverySpan(t *testing.T) {
 				if open := res.Telemetry.OpenSpans(); open != 0 {
 					t.Errorf("shards=%d: %d of %d recovery spans never saw a terminal event", k, open, n)
 				}
-				t.Logf("shards=%d: %d spans, none open", k, n)
+				d, o := sum(delivered), sum(outside)
+				if d == 0 {
+					t.Errorf("shards=%d: no delivery seen; the scope check saw nothing", k)
+				}
+				if o != 0 {
+					t.Errorf("shards=%d: %d of %d deliveries landed outside their scope zone", k, o, d)
+				}
+				agreed := 0
+				if tc.cfg.Protocol != SRM {
+					for z := range r.h.NumZones() {
+						zone := scoping.ZoneID(z)
+						zcr, ok := zoneAgreement(r.h, r.coreAgent, zone, topology.NoNode)
+						if !ok || !r.h.Contains(zone, zcr) {
+							t.Errorf("shards=%d: zone %d ends without one agreed live ZCR of its own (agreed %v on n%d)", k, z, ok, zcr)
+							continue
+						}
+						agreed++
+					}
+				}
+				t.Logf("shards=%d: %d spans, none open; %d deliveries, all in scope; %d zones agree on their ZCR", k, n, d, agreed)
 			}
 		})
 	}
+}
+
+func sum(v []int) int {
+	s := 0
+	for _, x := range v {
+		s += x
+	}
+	return s
 }
 
 // TestShardsMatchSequentialOnLosslessTopologies is the small-topology

@@ -350,7 +350,6 @@ func (r *dataRun) snapshot(at float64) {
 // protocol-event ordering.
 func (r *dataRun) startTelemetry(cfg *TelemetryConfig, until float64) {
 	h, numNodes := r.h, r.spec.Graph.NumNodes()
-	r.bus = telemetry.NewBus()
 	r.bufferShards()
 	t := &telemetryRun{metrics: telemetry.NewMetrics(nil, h, numNodes)}
 	r.tel = t
@@ -412,23 +411,24 @@ func (r *dataRun) startTelemetry(cfg *TelemetryConfig, until float64) {
 	}
 }
 
-// bufferShards gives each shard the bus its views and agents emit
-// into. One shard emits straight into the run's bus. With more, shard
-// i's bus only appends to buffer i, and the group's barrier hook merges
-// the buffers in (T, shard, emission) order into the run's bus, so the
-// unchanged sinks see one stream on one goroutine, and every event
-// emitted before a sync task before that task runs. Events a sync task
-// emits are buffered too and fed after it.
+// bufferShards builds the run's bus over the shard buses, which each
+// shard's view and agents emit into. One shard's bus is the run's bus.
+// With more, shard i's bus also appends to buffer i, and the group's
+// barrier hook merges the buffers in (T, shard, emission) order into
+// the run's bus, so the unchanged sinks see one stream on one
+// goroutine, and every event emitted before a sync task before that
+// task runs. Events a sync task emits are buffered too and fed after
+// it.
 func (r *dataRun) bufferShards() {
 	if len(r.buses) == 1 {
-		r.buses[0] = r.bus
+		r.bus = r.buses[0]
 		return
 	}
+	r.bus = telemetry.NewBus()
 	bufs := make([][]telemetry.Event, len(r.buses))
 	var merged []telemetry.Event
-	for i := range r.buses {
-		r.buses[i] = telemetry.NewBus()
-		r.buses[i].Attach(func(e telemetry.Event) { bufs[i] = append(bufs[i], e) })
+	for i, b := range r.buses {
+		b.Attach(func(e telemetry.Event) { bufs[i] = append(bufs[i], e) })
 	}
 	r.flush = func() {
 		merged = merged[:0]
