@@ -493,6 +493,56 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestFrontsKeepBirthOrder: ties filed in birth order reach the front
+// in that order, across a chain of blocks and through a second
+// redistribution, so no front is sorted. A Stop inside the chain, whose
+// hole the bucket's newest entry fills, and a cross insert with an
+// earlier birth key each break the order once: exactly one front is
+// sorted, and dispatch still matches refQueue. FuzzQueueOrder's
+// fallbackSeeds reach the same sort.
+func TestFrontsKeepBirthOrder(t *testing.T) {
+	const ties = 3*blockLen + 5 // per instant: a chain of four blocks
+	for _, tc := range []struct {
+		name       string
+		breakOrder func(m orderModel, ev Event)
+		sorts      uint64
+	}{
+		{"birth order", func(orderModel, Event) {}, 0},
+		{"stop", func(m orderModel, _ Event) { m.stop(blockLen + 3) }, 1},
+		{"earlier cross", func(m orderModel, ev Event) { m.cross(2, 0.25, 1, ev) }, 1},
+	} {
+		// Instants 1, 2 and 3 interleaved, born at 0.5: the 1s fill one
+		// bucket, the 2s and 3s another, and the 3s reach the front
+		// through a second redistribution.
+		run := func(m orderModel) []int {
+			var log []int
+			m.runUntil(0.5)
+			for h := range 3 * ties {
+				m.at(Time(1+h%3), &tagEvent{h, &log})
+			}
+			tc.breakOrder(m, &tagEvent{-1, &log})
+			for m.step() {
+			}
+			return log
+		}
+		qm := &queueModel{}
+		got, want := run(qm), run(&refQueue{})
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: dispatch order %v, reference %v", tc.name, got, want)
+		}
+		if qm.q.fronts != 3 || qm.q.frontSorts != tc.sorts {
+			t.Errorf("%s: %d fronts, %d sorted; want 3, %d", tc.name, qm.q.fronts, qm.q.frontSorts, tc.sorts)
+		}
+	}
+	for i, seed := range fallbackSeeds {
+		m := &queueModel{}
+		(&orderRunner{m: m}).run(seed)
+		if m.q.frontSorts == 0 {
+			t.Errorf("fallback seed %d sorts no front", i)
+		}
+	}
+}
+
 // TestNextAt: the earliest pending event's time, through scheduling,
 // cancellation and dispatch, and Never once nothing is pending.
 func TestNextAt(t *testing.T) {

@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -268,6 +269,19 @@ func (d *orderRunner) run(data []byte) {
 	d.logf("drained len %d now %x", d.m.len(), math.Float64bits(float64(d.m.now())))
 }
 
+// fallbackSeeds are FuzzQueueOrder inputs that each break a bucket's
+// birth order once, so a front needs the fallback sort: 40 ties at
+// t = 2 (a chain of two blocks), then a Stop of one of them, or a cross
+// insert at t = 2 born before them.
+var fallbackSeeds = [][]byte{
+	append(tiesAt(8, 40), 4, 5, 0, 0),
+	append(tiesAt(8, 40), 3, 8, 1, 1),
+}
+
+// tiesAt returns n operations that each schedule an event at
+// gridTime(a).
+func tiesAt(a byte, n int) []byte { return bytes.Repeat([]byte{0, a, 0, 0}, n) }
+
 // FuzzQueueOrder checks the radix heap against refQueue on random mixes
 // of At and AtEvent (every third event is a pointer Event), After-like
 // offsets below Now, cross-shard inserts with older
@@ -287,6 +301,9 @@ func FuzzQueueOrder(f *testing.F) {
 		seed = append(seed, byte(i*7%12), byte(i*37), byte(i*11), byte(i*5))
 	}
 	f.Add(seed)
+	for _, seed := range fallbackSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 2048 {
 			return

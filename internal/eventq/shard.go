@@ -65,11 +65,13 @@ type ShardGroup struct {
 	epochs uint64
 }
 
-// ShardStats is one shard's engine counters. Both are counts of
+// ShardStats is one shard's engine counters. All are counts of
 // simulated work, so they repeat exactly from run to run.
 type ShardStats struct {
 	Events     uint64 // events the shard's queue dispatched
 	CrossPosts uint64 // events it posted to other shards
+	Fronts     uint64 // fronts of more than one tied record its queue settled
+	FrontSorts uint64 // those of them that were out of birth order and sorted
 }
 
 // crossEvent is one scheduled hand-off between shards: ev fires at
@@ -139,7 +141,10 @@ func (g *ShardGroup) Epochs() uint64 { return g.epochs }
 func (g *ShardGroup) Stats() []ShardStats {
 	st := make([]ShardStats, len(g.qs))
 	for i, q := range g.qs {
-		st[i] = ShardStats{Events: q.Dispatched(), CrossPosts: g.postIdx[i]}
+		st[i] = ShardStats{
+			Events: q.Dispatched(), CrossPosts: g.postIdx[i],
+			Fronts: q.fronts, FrontSorts: q.frontSorts,
+		}
 	}
 	return st
 }

@@ -281,17 +281,29 @@ func TestCrossPostAndMergeAllocateNothingWhenWarm(t *testing.T) {
 }
 
 // TestShardStatsCounts pins the engine counters on a run whose counts
-// are known: per shard, the events its queue dispatched and the cross
-// events it posted; for the group, the epochs it ran.
+// are known: per shard, the events its queue dispatched, the cross
+// events it posted, and the tied fronts it settled and sorted; for the
+// group, the epochs it ran. Shard 1 settles two fronts of ties. The
+// one at 1.6 is in birth order. The one at 1.1 is not: shard 0's post
+// born at 0.6 is merged at the 1.0 barrier, after shard 1's own event
+// born at 0.7, so that front is sorted.
 func TestShardStatsCounts(t *testing.T) {
 	g := NewShardGroup(2, 0.5)
 	nop := func(Time) {}
 	for _, at := range []Time{0.1, 0.6, 1.1} {
 		g.Queue(0).At(at, func(now Time) { g.Post(0, 1, now.Add(0.5), nop) })
 	}
-	g.Queue(1).At(0.2, nop)
+	q1 := g.Queue(1)
+	q1.At(0.2, func(Time) {
+		q1.At(1.1, nop)
+		q1.At(1.6, nop)
+	})
+	q1.At(0.7, func(Time) { q1.At(1.1, nop) })
 	g.Run(2)
-	want := []ShardStats{{Events: 3, CrossPosts: 3}, {Events: 4, CrossPosts: 0}}
+	want := []ShardStats{
+		{Events: 3, CrossPosts: 3},
+		{Events: 8, CrossPosts: 0, Fronts: 2, FrontSorts: 1},
+	}
 	if st := g.Stats(); !slices.Equal(st, want) {
 		t.Errorf("stats %+v, want %+v", st, want)
 	}

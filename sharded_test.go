@@ -206,8 +206,10 @@ func TestShardCountInvarianceMatrix(t *testing.T) {
 }
 
 // TestGoldenRunsCloseEverySpan arms recovery-span tracing on every
-// RunData golden case at 1 and 2 shards and checks three invariants of
-// the run. Spans and sinks are passive, so the digest must still be
+// RunData golden case at 1, 2 and 4 shards and checks three invariants
+// of the run. Four shards post the most cross-shard arrivals, which are
+// one of the two ways a queue's tied front leaves birth order and is
+// sorted. Spans and sinks are passive, so the digest must still be
 // the pinned golden. Then:
 //   - every loss ends in a decode or an explicit loss_unrecovered, so
 //     no span may stay open;
@@ -224,7 +226,7 @@ func TestGoldenRunsCloseEverySpan(t *testing.T) {
 			continue
 		}
 		t.Run(tc.name, func(t *testing.T) {
-			for _, k := range []int{1, 2} {
+			for _, k := range []int{1, 2, 4} {
 				cfg := tc.cfg
 				cfg.Shards = k
 				cfg.Telemetry = &TelemetryConfig{Spans: true}
