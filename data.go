@@ -220,12 +220,12 @@ type dataRun struct {
 	owner []int32           // node → index into nets
 
 	// The observers the driver wires into every view and agent. buses
-	// holds each shard's bus, never nil: the shard's view emits its
-	// packet events there in every run, its agents only with telemetry
-	// (see busFor). bus is the telemetry bus (tel holds its sinks; the
-	// shard buses feed it, see bufferShards) and census the census
-	// engine, which TelemetryConfig.Census arms or prepare sets; each
-	// is nil when off.
+	// holds each shard's bus, never nil: the shard's view, its agents
+	// and, on shard 0, the fault engine emit there in every run, each
+	// event only when a sink on the bus reads its kind. bus is the
+	// telemetry bus (tel holds its sinks; the shard buses feed it, see
+	// bufferShards) and census the census engine, which
+	// TelemetryConfig.Census arms or prepare sets; each is nil when off.
 	buses  []*telemetry.Bus // by shard
 	bus    *telemetry.Bus
 	tel    *telemetryRun
@@ -255,15 +255,6 @@ type dataRun struct {
 // netFor returns the network view node's agent attaches to and sends on.
 func (r *dataRun) netFor(node topology.NodeID) *netsim.Network {
 	return r.nets[r.owner[node]]
-}
-
-// busFor returns the bus shard i's agents, and on shard 0 the fault
-// engine, emit into: the shard's, or nil without telemetry.
-func (r *dataRun) busFor(i int32) *telemetry.Bus {
-	if r.bus == nil {
-		return nil
-	}
-	return r.buses[i]
 }
 
 // at schedules fn at virtual time t with the whole simulation quiescent
@@ -362,13 +353,13 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 		r.nets = append(r.nets, cluster.Shard(i))
 	}
 	// Every view emits into its shard's bus, telemetry or not, and the
-	// shard's collector counts from it on the shard's goroutine; the
-	// collectors are merged after the run.
+	// shard's collector counts its sends and deliveries on the shard's
+	// goroutine; the collectors are merged after the run.
 	cols := make([]*stats.Collector, shards)
 	for i := range r.buses {
 		cols[i] = stats.NewCollector(spec.Source, len(spec.Receivers), defaultBinWidth)
 		r.buses[i] = telemetry.NewBus()
-		r.buses[i].Attach(cols[i].Sink())
+		r.buses[i].AttachKinds(cols[i].Sink(), telemetry.KindPacketDelivered, telemetry.KindPacketSent)
 	}
 	if cfg.Telemetry != nil {
 		r.startTelemetry(cfg.Telemetry, cfg.Until)
@@ -417,7 +408,7 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 	if !cfg.Faults.Empty() {
 		eng = faults.NewEngine(r.nets[0], r.src, &cfg.Faults.plan)
 		eng.Schedule = r.at
-		eng.Telemetry = r.busFor(0)
+		eng.Telemetry = r.buses[0]
 		stop := func(node topology.NodeID) bool {
 			ag := r.agents[node]
 			if ag != nil {
@@ -455,13 +446,11 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 	})
 	r.at(secondsToTime(cfg.SourceOnAt), func(eventq.Time) { r.agents[spec.Source].StartSource() })
 	r.grp.Run(secondsToTime(cfg.Until))
-	if r.bus != nil {
-		for _, ag := range r.spawned {
-			ag.EmitUnrecoveredLosses(r.grp.Queue(0).Now())
-		}
-		if r.flush != nil {
-			r.flush()
-		}
+	for _, ag := range r.spawned {
+		ag.EmitUnrecoveredLosses(r.grp.Queue(0).Now())
+	}
+	if r.flush != nil {
+		r.flush()
 	}
 
 	res := &DataResult{
@@ -521,7 +510,7 @@ func sharqfecProtocol(cfg *DataConfig, opts core.Options, r *dataRun) dataProtoc
 	return dataProtocol{
 		spawn: func(node topology.NodeID) (dataAgent, error) {
 			pcfg := r.pcfg
-			pcfg.Telemetry = r.busFor(r.owner[node])
+			pcfg.Telemetry = r.buses[r.owner[node]]
 			ag, err := core.New(node, r.netFor(node), pcfg, r.src)
 			if err != nil {
 				return nil, err
@@ -574,7 +563,7 @@ func srmProtocol(cfg *DataConfig, r *dataRun) dataProtocol {
 	return dataProtocol{
 		spawn: func(node topology.NodeID) (dataAgent, error) {
 			pcfg := pcfg
-			pcfg.Telemetry = r.busFor(r.owner[node])
+			pcfg.Telemetry = r.buses[r.owner[node]]
 			ag, err := srm.New(node, r.netFor(node), pcfg, r.src)
 			if err != nil {
 				return nil, err

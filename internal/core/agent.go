@@ -377,13 +377,13 @@ func (a *Agent) canRepair() bool {
 	return a.isSource || !a.cfg.Options.SenderOnly
 }
 
-// emit posts a protocol event when telemetry is attached. Events carry
-// no protocol state and consume no randomness, so instrumented and
-// plain runs are byte-identical per seed.
+// emit posts a protocol event when a sink on the agent's bus reads its
+// kind. Events carry no protocol state and consume no randomness, so
+// instrumented and plain runs are byte-identical per seed.
 func (a *Agent) emit(now eventq.Time, kind telemetry.Kind, zone scoping.ZoneID,
 	group, av, bv int64, f float64) {
 
-	if a.tel == nil {
+	if !a.tel.Wants(kind) {
 		return
 	}
 	a.tel.Emit(telemetry.Event{

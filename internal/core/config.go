@@ -92,9 +92,10 @@ type Config struct {
 
 	Options Options
 
-	// Telemetry, when non-nil, receives the agent's protocol events
-	// (NACK/repair lifecycle, losses, decodes, injections). nil — the
-	// default — keeps every emission site a single nil check.
+	// Telemetry receives the agent's protocol events (NACK/repair
+	// lifecycle, losses, decodes, injections) that its sinks read. Every
+	// emission site asks Bus.Wants first, so a kind no sink reads, or a
+	// nil bus, costs one mask test.
 	Telemetry *telemetry.Bus
 
 	// NewController, when non-nil, builds the per-agent rate controller

@@ -13,12 +13,12 @@ import (
 // per agent when the run ends (crashed agents included — their stranded
 // losses are exactly the interesting ones). Emission order is
 // deterministic: ascending group id, ascending sequence. A no-op when
-// telemetry is disabled.
+// no sink reads the kind.
 //
 // B = 1 marks a loss whose original did arrive late while the group
 // still fell short of k shares — data in hand, group never verified.
 func (a *Agent) EmitUnrecoveredLosses(now eventq.Time) {
-	if a.tel == nil {
+	if !a.tel.Wants(telemetry.KindLossUnrecovered) {
 		return
 	}
 	for gid, g := range a.groups {

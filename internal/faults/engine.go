@@ -30,8 +30,8 @@ type Engine struct {
 	OnRestart func(now eventq.Time, node topology.NodeID)
 	OnLeave   func(now eventq.Time, node topology.NodeID)
 
-	// Telemetry, when non-nil, receives a fault-transition event for
-	// every plan event as it fires.
+	// Telemetry receives a fault-transition event for every plan event
+	// as it fires, when a sink reads the kind; nil reads none.
 	Telemetry *telemetry.Bus
 
 	// Schedule, when non-nil, overrides how plan events are placed on
@@ -118,7 +118,7 @@ func (e *Engine) apply(now eventq.Time, ev Event) {
 		}
 	}
 	e.log = append(e.log, fmt.Sprintf("%s %s", now, ev.desc()))
-	if e.Telemetry != nil {
+	if e.Telemetry.Wants(telemetry.KindFault) {
 		node, zone := topology.NoNode, scoping.NoZone
 		switch kinds[ev.Kind].subject {
 		case nodeSubject:

@@ -74,9 +74,9 @@ type Network struct {
 	H *scoping.Hierarchy
 
 	agents []Agent
-	// tel, when non-nil, receives a transport event per transmission,
-	// delivery and drop: every packet measurement reads it. nil (the
-	// default) keeps every path untouched.
+	// tel receives a transport event per transmission, delivery and
+	// drop whose kind a sink reads: every packet measurement reads it.
+	// nil (the default) reads none.
 	tel *telemetry.Bus
 	// hopTap, when non-nil, observes every per-link transmission during
 	// multicast fan-out (after queueing, before the loss draw): packets
@@ -261,7 +261,7 @@ func (n *Network) MulticastE(from topology.NodeID, zone scoping.ZoneID, pkt pack
 	}
 	n.sent++
 	now := n.Q.Now()
-	if n.tel.On() {
+	if n.tel.Wants(telemetry.KindPacketSent) {
 		n.tel.Emit(telemetry.Event{
 			T: now.Seconds(), Kind: telemetry.KindPacketSent, Node: from, Zone: zone,
 			Group: pktGroup(pkt), A: int64(pkt.Kind()), B: int64(pkt.WireSize()),
@@ -366,7 +366,7 @@ func (n *Network) transmit(t eventq.Time, ed *spanEdge, to topology.NodeID,
 // travelled (which may predate a re-route).
 func (n *Network) deliver(now eventq.Time, at topology.NodeID, hops int32, d Delivery) {
 	n.delivered++
-	if n.tel.On() {
+	if n.tel.Wants(telemetry.KindPacketDelivered) {
 		n.tel.Emit(telemetry.Event{
 			T: now.Seconds(), Kind: telemetry.KindPacketDelivered, Node: at, Zone: d.Scope,
 			Group: pktGroup(d.Pkt), A: int64(d.Pkt.Kind()), B: int64(d.Pkt.WireSize()),
@@ -384,7 +384,7 @@ func (n *Network) deliver(now eventq.Time, at topology.NodeID, hops int32, d Del
 func (n *Network) emitDrop(t eventq.Time, kind telemetry.Kind, v topology.NodeID,
 	zone scoping.ZoneID, pkt packet.Packet) {
 
-	if !n.tel.On() {
+	if !n.tel.Wants(kind) {
 		return
 	}
 	n.tel.Emit(telemetry.Event{

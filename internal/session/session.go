@@ -57,8 +57,9 @@ const DefaultDist = 0.050
 
 // Config carries what a session member takes from its owner.
 type Config struct {
-	// Telemetry, when non-nil, receives RTT-sample and ZCR-election
-	// events. The owning protocol agent propagates its own bus here.
+	// Telemetry receives the RTT-sample and ZCR-election events its
+	// sinks read; nil reads none. The owning protocol agent propagates
+	// its own bus here.
 	Telemetry *telemetry.Bus
 }
 
@@ -471,7 +472,7 @@ func (m *Manager) linksFor(origin topology.NodeID, i, entries int) *table[float6
 
 // observeRTT merges a new RTT sample for peer with the EWMA filter.
 func (m *Manager) observeRTT(peer topology.NodeID, sample float64) {
-	if m.cfg.Telemetry != nil {
+	if m.cfg.Telemetry.Wants(telemetry.KindRTTSample) {
 		m.cfg.Telemetry.Emit(telemetry.Event{
 			T: m.net.Sched().Now().Seconds(), Kind: telemetry.KindRTTSample,
 			Node: m.node, Zone: scoping.NoZone, Group: -1,
@@ -542,7 +543,7 @@ func (m *Manager) setZCR(now eventq.Time, zs *zoneState, n topology.NodeID, dist
 	if prev != topology.NoNode && prev != n {
 		m.Elections++
 	}
-	if m.cfg.Telemetry != nil && prev != n {
+	if prev != n && m.cfg.Telemetry.Wants(telemetry.KindZCRElected) {
 		m.cfg.Telemetry.Emit(telemetry.Event{
 			T: now.Seconds(), Kind: telemetry.KindZCRElected,
 			Node: m.node, Zone: zs.id, Group: -1,

@@ -54,8 +54,8 @@ type Config struct {
 	// Adaptive enables timer-constant adaptation.
 	Adaptive bool
 
-	// Telemetry, when non-nil, receives request/repair lifecycle
-	// events (the SRM analogue of core's emissions).
+	// Telemetry receives the request/repair lifecycle events its sinks
+	// read (the SRM analogue of core's emissions); nil reads none.
 	Telemetry *telemetry.Bus
 }
 
@@ -102,7 +102,7 @@ type Agent struct {
 	cfg  Config
 	rng  *simrand.Rand
 	sess *session.Manager
-	tel  *telemetry.Bus // nil when telemetry is disabled
+	tel  *telemetry.Bus
 
 	isSource bool
 	root     scoping.ZoneID
@@ -274,9 +274,10 @@ func (a *Agent) hold(now eventq.Time, seq uint32, payload []byte) {
 	}
 }
 
-// emit posts a protocol event when telemetry is attached.
+// emit posts a protocol event when a sink on the agent's bus reads its
+// kind.
 func (a *Agent) emit(now eventq.Time, kind telemetry.Kind, seq uint32, av, bv int64, f float64) {
-	if a.tel == nil {
+	if !a.tel.Wants(kind) {
 		return
 	}
 	a.tel.Emit(telemetry.Event{
@@ -473,9 +474,9 @@ func (a *Agent) adaptAfterReply(st *pktState) {
 // EmitUnrecoveredLosses posts a terminal KindLossUnrecovered event for
 // every detected loss still missing when the run ends — the SRM mirror
 // of core.Agent.EmitUnrecoveredLosses. Deterministic order (ascending
-// sequence); a no-op when telemetry is disabled.
+// sequence); a no-op when no sink reads the kind.
 func (a *Agent) EmitUnrecoveredLosses(now eventq.Time) {
-	if a.tel == nil {
+	if !a.tel.Wants(telemetry.KindLossUnrecovered) {
 		return
 	}
 	seqs := make([]uint32, 0, len(a.pkts))

@@ -6,10 +6,10 @@
 //
 // The layer is strictly passive: emitting an event consumes no
 // randomness and mutates no protocol state, so attaching it cannot
-// perturb a seeded run, and a nil *Bus makes every emission site a
-// no-op with zero allocations (Event is a flat value struct and Emit
-// has a nil-receiver guard), keeping instrumented hot paths free when
-// telemetry is disabled.
+// perturb a seeded run. Every emitter holds a bus in every run, and
+// every emission site asks Bus.Wants(kind) before it builds an Event:
+// a kind no sink reads costs one mask test and no allocation (Event is
+// a flat value struct).
 package telemetry
 
 import (
@@ -230,10 +230,11 @@ func (e Event) Format() string {
 // goroutine and must not call back into the protocol.
 type Sink func(Event)
 
-// Bus fans events out to its sinks. A nil *Bus is the disabled state:
-// Emit returns immediately and On reports false, so instrumented code
-// holds a possibly-nil *Bus and pays only a nil check when telemetry is
-// off.
+// Bus fans events out to its sinks. It also keeps a mask of the kinds
+// its sinks read, so an emission site asks Wants(kind) and builds the
+// event only when some sink reads it. A sink may still be handed a
+// kind another sink asked for, and ignores it. Wants and Emit are safe
+// on a nil *Bus, which reads nothing.
 //
 // A Bus fills one 64-byte cache line of its own. Buses built back to
 // back for two shard goroutines would otherwise share a line, and every
@@ -243,18 +244,32 @@ type Bus struct {
 	// over a shared bus.
 	count atomic.Uint64
 	sinks []Sink
-	_     [64 - 8 - unsafe.Sizeof([]Sink(nil))]byte
+	kinds uint64 // bit k set: some sink reads Kind k
+	_     [64 - 8 - unsafe.Sizeof([]Sink(nil)) - 8]byte
 }
 
-// NewBus returns an empty (but enabled) bus.
+// NewBus returns a bus with no sinks.
 func NewBus() *Bus { return &Bus{} }
 
-// Attach registers a sink. Not safe concurrently with Emit.
-func (b *Bus) Attach(s Sink) { b.sinks = append(b.sinks, s) }
+// Attach registers a sink that reads every kind. Not safe concurrently
+// with Emit.
+func (b *Bus) Attach(s Sink) {
+	b.sinks = append(b.sinks, s)
+	b.kinds = ^uint64(0)
+}
 
-// On reports whether emitting is worthwhile (non-nil bus with at least
-// one sink). Hot paths may use it to skip assembling event fields.
-func (b *Bus) On() bool { return b != nil && len(b.sinks) > 0 }
+// AttachKinds registers a sink that reads only the listed kinds. Not
+// safe concurrently with Emit.
+func (b *Bus) AttachKinds(s Sink, kinds ...Kind) {
+	b.sinks = append(b.sinks, s)
+	for _, k := range kinds {
+		b.kinds |= 1 << k
+	}
+}
+
+// Wants reports whether some sink reads kind k: the one guard at every
+// emission site.
+func (b *Bus) Wants(k Kind) bool { return b != nil && b.kinds&(1<<k) != 0 }
 
 // Emit delivers e to every sink. Safe on a nil receiver (no-op).
 func (b *Bus) Emit(e Event) {

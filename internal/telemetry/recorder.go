@@ -1,44 +1,34 @@
 package telemetry
 
-// Recorder is a fixed-capacity ring buffer of the most recent events —
-// the flight recorder RunChaos dumps when a run ends anomalously. The
-// buffer is allocated once up front; recording never allocates.
+// Recorder is a fixed-capacity ring buffer of the most recent
+// control-plane events — the flight recorder RunChaos dumps when a run
+// ends anomalously. It skips per-packet transport events and the static
+// trace preamble, so the ring holds control-plane history rather than
+// the last few milliseconds of data deliveries; health alerts and
+// clears pass, so a dump triggered by an alert shows the alert itself
+// in the tail. The buffer is allocated once up front; recording never
+// allocates.
 type Recorder struct {
-	buf    []Event
-	next   int
-	n      int
-	filter func(Kind) bool
+	buf  []Event
+	next int
+	n    int
 }
 
-// NewRecorder returns a recorder keeping the last capacity events.
-// A non-nil filter restricts recording to kinds it accepts (the usual
-// configuration skips the per-packet transport events so the ring holds
-// control-plane history rather than the last few milliseconds of data
-// deliveries).
-func NewRecorder(capacity int, filter func(Kind) bool) *Recorder {
+// NewRecorder returns a recorder keeping the last capacity
+// control-plane events.
+func NewRecorder(capacity int) *Recorder {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Recorder{buf: make([]Event, capacity), filter: filter}
-}
-
-// ControlPlaneOnly is the standard flight-recorder filter: everything
-// except per-packet transport events and the static trace preamble.
-// Health alerts and clears pass — a dump triggered by an alert should
-// show the alert itself in the tail.
-func ControlPlaneOnly(k Kind) bool {
-	switch k {
-	case KindPacketSent, KindPacketDelivered, KindPacketLost,
-		KindZoneInfo, KindZoneMember, KindRunInfo:
-		return false
-	}
-	return true
+	return &Recorder{buf: make([]Event, capacity)}
 }
 
 // Sink returns the recording sink for Bus.Attach.
 func (r *Recorder) Sink() Sink {
 	return func(e Event) {
-		if r.filter != nil && !r.filter(e.Kind) {
+		switch e.Kind {
+		case KindPacketSent, KindPacketDelivered, KindPacketLost,
+			KindZoneInfo, KindZoneMember, KindRunInfo:
 			return
 		}
 		r.buf[r.next] = e

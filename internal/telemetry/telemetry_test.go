@@ -33,16 +33,57 @@ func testHierarchy(t *testing.T) *scoping.Hierarchy {
 
 func TestNilBusIsDisabled(t *testing.T) {
 	var b *Bus
-	if b.On() {
-		t.Fatal("nil bus reports On")
+	if b.Wants(KindNACKSent) {
+		t.Fatal("nil bus wants nack_sent")
 	}
 	b.Emit(Event{Kind: KindNACKSent}) // must not panic
 	if b.Count() != 0 {
 		t.Fatalf("nil bus count = %d", b.Count())
 	}
 	empty := NewBus()
-	if empty.On() {
-		t.Fatal("sink-less bus reports On")
+	if empty.Wants(KindNACKSent) {
+		t.Fatal("sink-less bus wants nack_sent")
+	}
+}
+
+// TestBusWantsTheKindsItsSinksRead: a nil or empty bus wants nothing,
+// AttachKinds adds the kinds it lists to what the bus wants, and Attach
+// wants every kind.
+func TestBusWantsTheKindsItsSinksRead(t *testing.T) {
+	wanted := func(b *Bus) []Kind {
+		var ks []Kind
+		for k := Kind(0); k < numKinds; k++ {
+			if b.Wants(k) {
+				ks = append(ks, k)
+			}
+		}
+		return ks
+	}
+	var nilBus *Bus
+	if got := wanted(nilBus); got != nil {
+		t.Errorf("nil bus wants %v", got)
+	}
+	b := NewBus()
+	if got := wanted(b); got != nil {
+		t.Errorf("empty bus wants %v", got)
+	}
+	var seen []Kind
+	b.AttachKinds(func(e Event) { seen = append(seen, e.Kind) }, KindPacketDelivered)
+	if got := wanted(b); !slices.Equal(got, []Kind{KindPacketDelivered}) {
+		t.Errorf("after AttachKinds(packet_delivered), bus wants %v", got)
+	}
+	b.AttachKinds(func(Event) {}, KindNACKSent, KindFault)
+	if got, want := wanted(b), []Kind{KindNACKSent, KindFault, KindPacketDelivered}; !slices.Equal(got, want) {
+		t.Errorf("after a second AttachKinds, bus wants %v, want %v", got, want)
+	}
+	// A sink is handed every emitted event, whoever asked for its kind.
+	b.Emit(Event{Kind: KindNACKSent})
+	if !slices.Equal(seen, []Kind{KindNACKSent}) {
+		t.Errorf("first sink saw %v", seen)
+	}
+	b.Attach(func(Event) {})
+	if got := wanted(b); len(got) != int(numKinds) {
+		t.Errorf("after Attach, bus wants %d of %d kinds: %v", len(got), numKinds, got)
 	}
 }
 
@@ -51,8 +92,8 @@ func TestBusFanout(t *testing.T) {
 	var got []Kind
 	b.Attach(func(e Event) { got = append(got, e.Kind) })
 	b.Attach(func(e Event) { got = append(got, e.Kind) })
-	if !b.On() {
-		t.Fatal("bus with sinks reports off")
+	if !b.Wants(KindRepairSent) {
+		t.Fatal("bus with sinks does not want repair_sent")
 	}
 	b.Emit(Event{Kind: KindRepairSent})
 	if len(got) != 2 || got[0] != KindRepairSent || got[1] != KindRepairSent {
@@ -80,7 +121,7 @@ func TestKindNamesComplete(t *testing.T) {
 }
 
 func TestRecorderRingAndFilter(t *testing.T) {
-	r := NewRecorder(3, ControlPlaneOnly)
+	r := NewRecorder(3)
 	sink := r.Sink()
 	for i := 0; i < 5; i++ {
 		sink(Event{Kind: KindNACKSent, Group: int64(i)})
@@ -241,7 +282,7 @@ func TestEventWriterTimeReuse(t *testing.T) {
 // renders nothing; reading it gives Event.Format over the ring, oldest
 // first.
 func TestDumpKeepsEventsRendersOnRead(t *testing.T) {
-	rec := NewRecorder(512, nil)
+	rec := NewRecorder(512)
 	sink := rec.Sink()
 	for i := 0; i < 700; i++ {
 		sink(Event{T: float64(i) / 8, Kind: KindNACKSent, Node: topology.NodeID(i % 7),
@@ -464,7 +505,7 @@ func TestEmitNoAlloc(t *testing.T) {
 	}
 	var off *Bus
 	allocs = testing.AllocsPerRun(1000, func() {
-		if off.On() {
+		if off.Wants(KindPacketDelivered) {
 			off.Emit(Event{Kind: KindPacketDelivered})
 		}
 	})
@@ -495,7 +536,7 @@ func BenchmarkEmitDisabled(b *testing.B) {
 	var bus *Bus
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if bus.On() {
+		if bus.Wants(KindPacketDelivered) {
 			bus.Emit(Event{Kind: KindPacketDelivered})
 		}
 	}

@@ -85,7 +85,7 @@ func RunLateJoin(seed uint64, joinAt float64) (*LateJoinResult, error) {
 		Protocol: SHARQFEC, Seed: seed, NumPackets: 256, Until: 120,
 		Faults: NewFaultPlan().Crash(0, late).Restart(joinAt, late),
 	}, func(r *dataRun) {
-		r.buses[r.owner[late]].Attach(func(e telemetry.Event) {
+		r.buses[r.owner[late]].AttachKinds(func(e telemetry.Event) {
 			if e.Kind == telemetry.KindPacketDelivered && e.Node == late &&
 				e.A == int64(packet.TypeRepair) && e.T > joinAt {
 				if r.h.Level(e.Zone) > 0 {
@@ -94,7 +94,7 @@ func RunLateJoin(seed uint64, joinAt float64) (*LateJoinResult, error) {
 					globalRepairs++
 				}
 			}
-		})
+		}, telemetry.KindPacketDelivered)
 	})
 	if err != nil {
 		return nil, err

@@ -115,7 +115,7 @@ func RunRTT(cfg RTTConfig) (*RTTResult, error) {
 		Until: rttStabilizeUntil + float64(cfg.Probes)*rttProbeInterval + 2,
 	}, func(r *dataRun) {
 		for _, b := range r.buses {
-			b.Attach(func(e telemetry.Event) {
+			b.AttachKinds(func(e telemetry.Event) {
 				p := int(e.Group - rttProbeGroup)
 				if e.Kind != telemetry.KindPacketDelivered || e.A != int64(packet.TypeNACK) ||
 					e.Origin != sender || e.Node == sender || p < 0 || p >= cfg.Probes {
@@ -126,7 +126,7 @@ func RunRTT(cfg RTTConfig) (*RTTResult, error) {
 					res.Ratios[p] = append(res.Ratios[p], est/truth)
 					res.Able[p]++
 				}
-			})
+			}, telemetry.KindPacketDelivered)
 		}
 		for p := range cfg.Probes {
 			r.at(secondsToTime(rttStabilizeUntil+float64(p)*rttProbeInterval), func(eventq.Time) {

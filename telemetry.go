@@ -42,9 +42,9 @@ func ParseSLOSpec(r io.Reader) (*SLOSpec, error) {
 func (s *SLOSpec) String() string { return s.spec.String() }
 
 // TelemetryConfig turns on the observability layer for a run. A nil
-// *TelemetryConfig disables telemetry entirely: no bus is created, no
-// snapshot events are scheduled, and the run is byte-identical to one
-// on a build without the layer. A non-nil config always builds the
+// *TelemetryConfig disables telemetry entirely: no telemetry sink is
+// attached, no snapshot events are scheduled, and the run is
+// byte-identical to one on a build without the layer. A non-nil config always builds the
 // metrics registry and per-zone time series; the two text traces and
 // the flight recorder are opt-in on top.
 type TelemetryConfig struct {
@@ -374,7 +374,7 @@ func (r *dataRun) startTelemetry(cfg *TelemetryConfig, until float64) {
 		r.bus.Attach(t.packets.Sink())
 	}
 	if rec := clampFlightRecorder(cfg.FlightRecorder); rec > 0 {
-		t.rec = telemetry.NewRecorder(rec, telemetry.ControlPlaneOnly)
+		t.rec = telemetry.NewRecorder(rec)
 		r.bus.Attach(t.rec.Sink())
 	}
 	if cfg.SLO != nil {
@@ -485,8 +485,7 @@ func (r *dataRun) finishTelemetry(until float64) (*TelemetryReport, error) {
 	}
 	if t.trigger != nil {
 		// The snapshots, not the trigger itself: the report must stay
-		// free of func values for reflect.DeepEqual comparability, and
-		// the trigger holds the recorder (whose filter is a func).
+		// free of the live recorder for reflect.DeepEqual comparability.
 		rep.dumps = t.trigger.Snapshots()
 	}
 	var err error
