@@ -204,13 +204,16 @@ func BenchmarkFig21SourceNACKs(b *testing.B) {
 
 func BenchmarkSessionScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RunSessionScaling(NationalTopology(3, 3, 3, 5), 29, 10)
+		rep, err := RunScalingSweep(ScalingSweepConfig{
+			Regions: 3, Cities: 3, Suburbs: 3, Subscribers: []int{5}, Seed: 29, Seconds: 10,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.Reduction, "trafficReduction_x")
-		b.ReportMetric(float64(res.ScopedMaxState), "scopedMaxState")
-		b.ReportMetric(float64(res.FlatStatePerNode), "flatState")
+		p := rep.Points[0]
+		b.ReportMetric(float64(p.FlatDeliveries)/float64(p.ScopedDeliveries), "trafficReduction_x")
+		b.ReportMetric(float64(p.ScopedStateMeasured), "scopedMaxState")
+		b.ReportMetric(float64(p.FlatStateAnalytic), "flatState")
 	}
 }
 
@@ -272,17 +275,6 @@ func BenchmarkTimerSweep(b *testing.B) {
 }
 
 // --- Extensions: robustness and §7 future-work features ---
-
-func BenchmarkZCRFailover(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := RunZCRFailover(31)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*res.SurvivorCompletion, "survivorCompl_%")
-		b.ReportMetric(100*res.ZoneCompletion, "zoneCompl_%")
-	}
-}
 
 func BenchmarkLateJoin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -461,6 +453,7 @@ func BenchmarkChaosZCRCrash(b *testing.B) {
 		b.ReportMetric(100*res.LocalRepairFrac, "localRepairs_%")
 		if len(res.Reelections) > 0 {
 			b.ReportMetric(res.Reelections[0].RecoverySeconds, "reelection_s")
+			b.ReportMetric(100*res.Reelections[0].ZoneCompletion, "zoneCompl_%")
 		}
 	}
 }

@@ -130,7 +130,8 @@ func (p *FaultPlan) GilbertEqualMean(at float64, burstLen float64) *FaultPlan {
 // Preset plans for the Figure-10 topology.
 
 // ZCRCrashPlan crashes node 8 — the first leaf-zone ZCR — at t=9 s,
-// mid-stream: the scenario of RunZCRFailover, as a scriptable plan.
+// mid-stream: ChaosConfig's default scenario, the §3.2/§5.2 ZCR-failure
+// experiment (sharqfec-figures -fig failover).
 func ZCRCrashPlan() *FaultPlan {
 	return NewFaultPlan().Crash(9, 8)
 }
@@ -210,6 +211,9 @@ type Reelection struct {
 	// zone took to agree on a live replacement ZCR afterwards, sampled
 	// on the 0.1 s measurement grid (-1 if it never recovered).
 	CrashAt, RecoverySeconds float64
+	// ZoneCompletion is the completion rate of Zone's live members at
+	// the end of the run (0 when Zone is -1).
+	ZoneCompletion float64
 }
 
 // ChaosResult reports a fault-injection run: delivery despite the
@@ -309,6 +313,14 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	for i := range reelections {
+		re := &reelections[i]
+		if zone := scoping.ZoneID(re.Zone); zone != scoping.NoZone {
+			re.ZoneCompletion = r.completion(func(m topology.NodeID) bool {
+				return !r.gone[m] && r.h.Contains(zone, m)
+			})
+		}
 	}
 
 	rep := d.Telemetry

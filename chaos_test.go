@@ -34,6 +34,9 @@ func TestRunChaosZCRCrash(t *testing.T) {
 	if res.CompletionRate != 1 {
 		t.Errorf("survivor completion = %v, want 1 despite the crash", res.CompletionRate)
 	}
+	if re.ZoneCompletion != 1 {
+		t.Errorf("zone completion = %v, want 1 after the zone lost its ZCR", re.ZoneCompletion)
+	}
 	if !res.Verified {
 		t.Error("recovered payloads did not match the source")
 	}

@@ -259,11 +259,15 @@ func figSweep() error {
 
 func figFailover() error {
 	header("§3.2/§5.2 — ZCR failure robustness (extension)")
-	res, err := sharqfec.RunZCRFailover(*seed)
+	// ChaosConfig's defaults are this experiment: ZCRCrashPlan on
+	// Figure 10, 512 packets, until 90 s.
+	res, err := sharqfec.RunChaos(sharqfec.ChaosConfig{Seed: *seed})
 	if err != nil {
 		return err
 	}
-	fmt.Println(res)
+	re := res.Reelections[0]
+	fmt.Printf("failed ZCR %d (zone %d): new ZCR %d, survivor completion %.2f%%, zone completion %.2f%%\n",
+		re.Crashed, re.Zone, re.NewZCR, 100*res.CompletionRate, 100*re.ZoneCompletion)
 	return nil
 }
 
@@ -298,13 +302,17 @@ func figCascade() error {
 
 func figSession() error {
 	header("§5.1 — scoped vs flat session traffic (measured, scaled national hierarchy)")
-	res, err := sharqfec.RunSessionScaling(sharqfec.NationalTopology(3, 3, 3, 5), *seed, 10)
+	rep, err := sharqfec.RunScalingSweep(sharqfec.ScalingSweepConfig{
+		Regions: 3, Cities: 3, Suburbs: 3, Subscribers: []int{5}, Seed: *seed, Seconds: 10,
+	})
 	if err != nil {
 		return err
 	}
+	p := rep.Points[0]
+	// Members counts the source too; flat state is one entry per peer.
 	fmt.Printf("members=%d  scoped=%d deliveries  flat=%d deliveries  reduction=%.1fx\n",
-		res.Members, res.ScopedDeliveries, res.FlatDeliveries, res.Reduction)
+		p.Receivers+1, p.ScopedDeliveries, p.FlatDeliveries, float64(p.FlatDeliveries)/float64(p.ScopedDeliveries))
 	fmt.Printf("state: scoped max %d peers/node vs flat %d peers/node\n",
-		res.ScopedMaxState, res.FlatStatePerNode)
+		p.ScopedStateMeasured, p.FlatStateAnalytic)
 	return nil
 }

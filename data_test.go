@@ -79,7 +79,8 @@ func TestRunConfigValidation(t *testing.T) {
 		}
 	}
 	// The session-only entry points (whose horizons used to hang, or at
-	// -5 return an empty result), the scaling sweep, the timer sweep's
+	// -5 return an empty result), the scaling sweep, the RTT probe count
+	// (-1 used to panic), the late-join time, the timer sweep's
 	// multipliers (NaN used to panic, 0 and -1 hang, +Inf return a
 	// run without recovery), and link losses, which every run meets in
 	// the data driver.
@@ -93,14 +94,11 @@ func TestRunConfigValidation(t *testing.T) {
 		{"zcr-until-nan", errOf(RunZCRElection(chain, 1, nan)), "Until"},
 		{"zcr-until-inf", errOf(RunZCRElection(chain, 1, inf)), "Until"},
 		{"zcr-until-negative", errOf(RunZCRElection(chain, 1, -5)), "Until"},
-		{"session-seconds-nan", errOf(RunSessionScaling(chain, 1, nan)), "Until"},
-		{"session-seconds-inf", errOf(RunSessionScaling(chain, 1, inf)), "Until"},
-		{"session-seconds-negative", errOf(RunSessionScaling(chain, 1, -5)), "Until"},
-		{"session-seconds-minus-one", errOf(RunSessionScaling(chain, 1, -1)), "Until"},
-		{"session-seconds-minus-half", errOf(RunSessionScaling(chain, 1, -0.5)), "Until"},
 		{"sweep-seconds-nan", errOf(RunScalingSweep(ScalingSweepConfig{Seconds: nan})), "Seconds"},
 		{"sweep-seconds-inf", errOf(RunScalingSweep(ScalingSweepConfig{Seconds: inf})), "Seconds"},
 		{"sweep-seconds-negative", errOf(RunScalingSweep(ScalingSweepConfig{Seconds: -5})), "Seconds"},
+		{"sweep-seconds-minus-one", errOf(RunScalingSweep(ScalingSweepConfig{Seconds: -1})), "Seconds"},
+		{"sweep-seconds-minus-half", errOf(RunScalingSweep(ScalingSweepConfig{Seconds: -0.5})), "Seconds"},
 		{"sweep-regions-negative", errOf(RunScalingSweep(ScalingSweepConfig{Regions: -1})), "Regions"},
 		{"sweep-cities-negative", errOf(RunScalingSweep(ScalingSweepConfig{Cities: -1})), "Cities"},
 		{"sweep-suburbs-negative", errOf(RunScalingSweep(ScalingSweepConfig{Suburbs: -1})), "Suburbs"},
@@ -108,6 +106,11 @@ func TestRunConfigValidation(t *testing.T) {
 		{"sweep-tolerance-nan", errOf(RunScalingSweep(ScalingSweepConfig{Tolerance: nan})), "Tolerance"},
 		{"sweep-tolerance-negative", errOf(RunScalingSweep(ScalingSweepConfig{Tolerance: -0.1})), "Tolerance"},
 		{"sweep-flatcutoff-negative", errOf(RunScalingSweep(ScalingSweepConfig{FlatCutoff: -1})), "FlatCutoff"},
+		{"rtt-probes-negative", errOf(RunRTT(RTTConfig{Probes: -1})), "Probes"},
+		// A join at or after the run's horizon never fires and used to
+		// read as a joiner that failed to catch up.
+		{"latejoin-at-horizon", errOf(RunLateJoin(1, 120)), "joinAt"},
+		{"latejoin-past-horizon", errOf(RunLateJoin(1, 200)), "joinAt"},
 		{"timer-multiplier-nan", errOf(RunTimerSweep(1, []float64{nan})), "multiplier"},
 		{"timer-multiplier-inf", errOf(RunTimerSweep(1, []float64{inf})), "multiplier"},
 		{"timer-multiplier-zero", errOf(RunTimerSweep(1, []float64{0})), "multiplier"},

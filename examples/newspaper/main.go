@@ -26,17 +26,20 @@ func main() {
 
 	fmt.Println()
 	fmt.Println("measured: session traffic on a scaled-down hierarchy")
-	top := sharqfec.NationalTopology(3, 4, 3, 6)
-	res, err := sharqfec.RunSessionScaling(top, 11, 10)
+	rep, err := sharqfec.RunScalingSweep(sharqfec.ScalingSweepConfig{
+		Regions: 3, Cities: 4, Suburbs: 3, Subscribers: []int{6}, Seed: 11, Seconds: 10,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  members:               %d\n", res.Members)
-	fmt.Printf("  scoped session pkts:   %d over 10 s\n", res.ScopedDeliveries)
-	fmt.Printf("  flat session pkts:     %d over 10 s\n", res.FlatDeliveries)
-	fmt.Printf("  traffic reduction:     %.1fx\n", res.Reduction)
+	// The point's receivers exclude the source, which is a member too.
+	p := rep.Points[0]
+	fmt.Printf("  members:               %d\n", p.Receivers+1)
+	fmt.Printf("  scoped session pkts:   %d over 10 s\n", p.ScopedDeliveries)
+	fmt.Printf("  flat session pkts:     %d over 10 s\n", p.FlatDeliveries)
+	fmt.Printf("  traffic reduction:     %.1fx\n", float64(p.FlatDeliveries)/float64(p.ScopedDeliveries))
 	fmt.Printf("  state per node:        %d (scoped, worst case) vs %d (flat)\n",
-		res.ScopedMaxState, res.FlatStatePerNode)
+		p.ScopedStateMeasured, p.FlatStateAnalytic)
 	fmt.Println()
 	fmt.Println("the reduction grows with hierarchy depth and fanout: at the paper's")
 	fmt.Println("scale each suburb subscriber tracks 630 peers instead of 10,000,210")

@@ -17,11 +17,15 @@ func main() {
 	log.SetFlags(0)
 
 	fmt.Println("1. ZCR failure: kill a zone's representative mid-stream")
-	fo, err := sharqfec.RunZCRFailover(100)
+	// ChaosConfig's default fault plan is this scenario: ZCRCrashPlan
+	// kills the first leaf zone's ZCR at 9 s.
+	fo, err := sharqfec.RunChaos(sharqfec.ChaosConfig{Seed: 100})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("   %s\n", fo)
+	re := fo.Reelections[0]
+	fmt.Printf("   failed ZCR %d (zone %d): new ZCR %d, survivor completion %.2f%%, zone completion %.2f%%\n",
+		re.Crashed, re.Zone, re.NewZCR, 100*fo.CompletionRate, 100*re.ZoneCompletion)
 	fmt.Println("   survivors re-elect and scope escalation covers the gap")
 	fmt.Println()
 

@@ -35,6 +35,11 @@ type ScalingPoint struct {
 	FlatMsgs     int64
 	MsgReduction float64
 
+	// Session messages delivered to members over each run (E13's
+	// traffic measure; 0 on the flat side of a FlatAnalytic point).
+	ScopedDeliveries int
+	FlatDeliveries   int
+
 	// Locality: the fraction of control link-crossings that cross a
 	// region (level-1) boundary of the scoped zone geometry — both runs
 	// account against the same geometry, so the flat fraction shows the

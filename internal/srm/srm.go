@@ -35,8 +35,8 @@ const (
 	interPacket = float64(payloadSize+17) * 8 / 800e3
 	// initC1, initC2 are the initial request-timer constants, shaping
 	// 2^i·U[C1·d, (C1+C2)·d]; initD1, initD2 the initial reply-timer
-	// constants, shaping U[D1·d, (D1+D2)·d]. With Adaptive set they
-	// evolve within the documented bounds.
+	// constants, shaping U[D1·d, (D1+D2)·d]. They adapt from there,
+	// within the documented bounds.
 	initC1, initC2 = 2.0, 2.0
 	initD1, initD2 = 1.0, 1.0
 	// holdDown is the quiet period (in units of one-way distance to the
@@ -51,21 +51,16 @@ type Config struct {
 	Source     topology.NodeID
 	NumPackets int
 
-	// Adaptive enables timer-constant adaptation.
-	Adaptive bool
-
 	// Telemetry receives the request/repair lifecycle events its sinks
 	// read (the SRM analogue of core's emissions); nil reads none.
 	Telemetry *telemetry.Bus
 }
 
-// DefaultConfig returns SRM defaults matching the paper's simulations
-// (adaptive timers on).
+// DefaultConfig returns SRM defaults matching the paper's simulations.
 func DefaultConfig() Config {
 	return Config{
 		Source:     0,
 		NumPackets: 1024,
-		Adaptive:   true,
 	}
 }
 
@@ -437,9 +432,6 @@ func (a *Agent) handleRepair(now eventq.Time, p *packet.Repair) {
 // clean rounds shrink it toward faster recovery. Constants stay within
 // documented bounds.
 func (a *Agent) adaptRequestTimers(st *pktState) {
-	if !a.cfg.Adaptive {
-		return
-	}
 	a.aveDupReq = 0.75*a.aveDupReq + 0.25*float64(st.dupReq)
 	st.dupReq = 0
 	if a.aveDupReq > 1 {
@@ -455,9 +447,6 @@ func (a *Agent) adaptRequestTimers(st *pktState) {
 
 // adaptAfterReply adapts the reply constants from duplicate repairs.
 func (a *Agent) adaptAfterReply(st *pktState) {
-	if !a.cfg.Adaptive {
-		return
-	}
 	a.aveDupRep = 0.75*a.aveDupRep + 0.25*float64(st.dupRep)
 	st.dupRep = 0
 	if a.aveDupRep > 1 {

@@ -182,19 +182,6 @@ func TestAdaptiveConstantsStayBounded(t *testing.T) {
 	}
 }
 
-func TestNonAdaptiveKeepsConstants(t *testing.T) {
-	spec := topology.Chain(3, 10e6, 0.010, 0.15)
-	cfg := smallCfg()
-	cfg.Adaptive = false
-	w := newWorld(t, spec, cfg, 7)
-	w.run(90)
-	for _, ag := range w.agents {
-		if ag.c1 != initC1 || ag.c2 != initC2 || ag.d1 != initD1 || ag.d2 != initD2 {
-			t.Fatal("constants changed with Adaptive off")
-		}
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	spec := topology.Chain(2, 10e6, 0.010, 0)
 	h, _ := scoping.Build(globalZone(spec))

@@ -99,6 +99,9 @@ func (r *RTTResult) MedianRatio(p int) float64 {
 // each probe's list is kept, by probe, when it is sent.
 func RunRTT(cfg RTTConfig) (*RTTResult, error) {
 	cfg.applyDefaults()
+	if cfg.Probes < 0 {
+		return nil, fmt.Errorf("sharqfec: Probes = %d; want >= 0 (0 = default 10)", cfg.Probes)
+	}
 	spec := cfg.Topology.spec
 	sender := topology.NodeID(cfg.Sender)
 	if !slices.Contains(spec.Members(), sender) {

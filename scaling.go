@@ -57,9 +57,10 @@ type ScalingSweepConfig struct {
 
 // scalingMeasure is what one census-armed session-only run yields.
 type scalingMeasure struct {
-	peakState int64 // largest per-node session RTT table observed
-	ctrlLink  int64 // session-message link crossings
-	escape    int64 // crossings of region (level-1) zone boundaries
+	peakState  int64 // largest per-node session RTT table observed
+	ctrlLink   int64 // session-message link crossings
+	escape     int64 // crossings of region (level-1) zone boundaries
+	deliveries int   // session messages delivered to members
 }
 
 // RunScalingSweep measures the Figure-8 scaling claims: for each
@@ -132,6 +133,8 @@ func RunScalingSweep(cfg ScalingSweepConfig) (*analysis.ScalingReport, error) {
 			FlatStateAnalytic:   p.TotalReceivers(),
 			ScopedMsgs:          scoped.ctrlLink,
 			FlatMsgs:            flat.ctrlLink,
+			ScopedDeliveries:    scoped.deliveries,
+			FlatDeliveries:      flat.deliveries,
 			FlatAnalytic:        !flatMeasured,
 		}
 		if scoped.peakState > 0 {
@@ -217,14 +220,14 @@ func (c *ScalingSweepConfig) validate() error {
 // designated ZCRs and snapshots are set in at() tasks with the
 // simulation quiescent, so every shard count measures the same run. It
 // returns the census-measured state peak and control-traffic matrix
-// entries.
+// entries, and the run's session-message deliveries.
 func runSessionCensus(top *Topology, proto Protocol, seed uint64, seconds float64, shards int, designate bool) (scalingMeasure, error) {
 	hAcct, err := scoping.Build(top.spec.Zones)
 	if err != nil {
 		return scalingMeasure{}, err
 	}
 	cfg := DataConfig{Protocol: proto, Topology: top, Seed: seed, Until: 1 + seconds, Shards: shards}
-	_, r, err := runSessionOnly(cfg, func(r *dataRun) {
+	d, r, err := runSessionOnly(cfg, func(r *dataRun) {
 		r.census = census.New(telemetry.NewRegistry(), hAcct, r.spec.Graph.NumNodes())
 		var designated map[scoping.ZoneID]topology.NodeID
 		if designate {
@@ -259,7 +262,8 @@ func runSessionCensus(top *Topology, proto Protocol, seed uint64, seconds float6
 		// Level 1 is the region tier of the accounting hierarchy:
 		// traffic crossing it has escaped the region scoping should
 		// have confined it to.
-		escape: cen.BoundaryPktsAtLevel(1, census.ClassControl),
+		escape:     cen.BoundaryPktsAtLevel(1, census.ClassControl),
+		deliveries: d.SessionPackets,
 	}, nil
 }
 

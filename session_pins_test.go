@@ -15,11 +15,12 @@ const sessionPinsFile = "testdata/session_results.json"
 
 // sessionPinCases are the session-layer experiments of §6.1 and §5.1 as
 // sharqfec-figures runs them: ZCR election on the four topologies of
-// -fig zcr, scoped-vs-flat session traffic of -fig session, and the
-// indirect RTT estimation of Figures 11–13; and the census-measured
-// Figure-8 sweep of -fig 8m, once with elected ZCRs on both the scoped
-// and the flat side and once with designated ZCRs on two shards, the
-// flat side left to the analytic model.
+// -fig zcr, scoped-vs-flat session traffic of -fig session (a
+// one-point scaling sweep), and the indirect RTT estimation of Figures
+// 11–13; and the census-measured Figure-8 sweep of -fig 8m, once with
+// elected ZCRs on both the scoped and the flat side and once with
+// designated ZCRs on two shards, the flat side left to the analytic
+// model.
 var sessionPinCases = []struct {
 	name string
 	run  func() (any, error)
@@ -29,7 +30,7 @@ var sessionPinCases = []struct {
 	{"zcr/tree-3x2", func() (any, error) { return RunZCRElection(TreeTopology([]int{3, 2}, 0), 1998, 30) }},
 	{"zcr/figure10", func() (any, error) { return RunZCRElection(Figure10Topology(), 1998, 30) }},
 	{"session/national-3x3x3x5", func() (any, error) {
-		return RunSessionScaling(NationalTopology(3, 3, 3, 5), 1998, 10)
+		return RunScalingSweep(ScalingSweepConfig{Regions: 3, Cities: 3, Suburbs: 3, Subscribers: []int{5}, Seed: 1998, Seconds: 10})
 	}},
 	{"rtt/sender-3", func() (any, error) { return RunRTT(RTTConfig{Sender: 3, Seed: 1998, Probes: 10}) }},
 	{"rtt/sender-25", func() (any, error) { return RunRTT(RTTConfig{Sender: 25, Seed: 1998, Probes: 10}) }},

@@ -10,8 +10,11 @@
 //     (Figures 14–21) for any protocol variant.
 //   - RunRTT reproduces the §6.1 indirect RTT-estimation accuracy
 //     figures (Figures 11–13).
-//   - RunZCRElection and RunSessionScaling exercise the §5 session
-//     machinery (ZCR elections; scoped-vs-flat session traffic).
+//   - RunZCRElection and RunScalingSweep exercise the §5 session
+//     machinery (ZCR elections; scoped-vs-flat session traffic and
+//     state, the measured Figure 8).
+//   - RunChaos runs the protocol under a scripted fault plan; its
+//     default, ZCRCrashPlan, is the §3.2/§5.2 ZCR-failure experiment.
 //   - Figure1Report and Figure8Report evaluate the paper's two analytic
 //     artifacts.
 //

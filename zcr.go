@@ -1,8 +1,6 @@
 package sharqfec
 
 import (
-	"fmt"
-
 	"sharqfec/internal/analysis"
 	"sharqfec/internal/eventq"
 	"sharqfec/internal/scoping"
@@ -95,61 +93,6 @@ func RunZCRElection(top *Topology, seed uint64, until float64) (*ZCRResult, erro
 	}
 	for _, m := range r.members {
 		res.Takeovers += mgr(m).Elections
-	}
-	return res, nil
-}
-
-// SessionScalingResult compares scoped SHARQFEC session traffic with the
-// flat all-pairs equivalent on the same topology (experiment E13; the
-// measured counterpart of Figure 8).
-type SessionScalingResult struct {
-	Topology         string
-	Members          int
-	ScopedDeliveries int
-	FlatDeliveries   int
-	Reduction        float64 // flat ÷ scoped
-	ScopedMaxState   int     // worst-case peers tracked by one member
-	FlatStatePerNode int
-}
-
-// RunSessionScaling measures session-message deliveries over `seconds`
-// of steady state (default 10), with the topology's zone hierarchy and
-// with a single flat zone. The run's horizon, Until, is 1 + seconds:
-// a negative or non-finite seconds is refused, since Until would then
-// fall before the join or read as its 30 s default.
-func RunSessionScaling(top *Topology, seed uint64, seconds float64) (*SessionScalingResult, error) {
-	if top == nil {
-		top = NationalTopology(2, 3, 4, 5)
-	}
-	if seconds == 0 {
-		seconds = 10
-	}
-	if !(isFinite64(seconds) && seconds >= 0) {
-		return nil, fmt.Errorf("sharqfec: seconds = %v (Until = 1 + seconds); want a finite time >= 0", seconds)
-	}
-	run := func(p Protocol) (*DataResult, *dataRun, error) {
-		return runSessionOnly(DataConfig{Protocol: p, Topology: top, Seed: seed, Until: 1 + seconds}, nil)
-	}
-	scoped, r, err := run(SHARQFEC)
-	if err != nil {
-		return nil, err
-	}
-	flat, _, err := run(SHARQFECNoScope)
-	if err != nil {
-		return nil, err
-	}
-	res := &SessionScalingResult{
-		Topology:         top.spec.Name,
-		Members:          len(top.spec.Members()),
-		ScopedDeliveries: scoped.SessionPackets,
-		FlatDeliveries:   flat.SessionPackets,
-		FlatStatePerNode: len(top.spec.Members()) - 1,
-	}
-	for _, m := range r.members {
-		res.ScopedMaxState = max(res.ScopedMaxState, r.coreAgent(m).Session().StateSize())
-	}
-	if res.ScopedDeliveries > 0 {
-		res.Reduction = float64(res.FlatDeliveries) / float64(res.ScopedDeliveries)
 	}
 	return res, nil
 }
