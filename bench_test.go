@@ -79,7 +79,7 @@ func BenchmarkZCRElection(b *testing.B) {
 
 func benchRTT(b *testing.B, sender int) {
 	for i := 0; i < b.N; i++ {
-		res, err := RunRTT(RTTConfig{Sender: sender, Seed: 11, Probes: 8})
+		res, err := RunRTT(RTTConfig{Sender: sender, Seed: 11})
 		if err != nil {
 			b.Fatal(err)
 		}

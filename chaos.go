@@ -259,7 +259,7 @@ type ChaosResult struct {
 // reports recovery and localization metrics.
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	cfg.applyDefaults()
-	if _, ok := cfg.Protocol.options(); !ok {
+	if _, ok := cfg.Protocol.info(); !ok || cfg.Protocol == SRM {
 		return nil, fmt.Errorf("sharqfec: RunChaos needs a SHARQFEC variant, got %q", cfg.Protocol)
 	}
 	// Chaos runs always carry telemetry: the repair-locality fraction

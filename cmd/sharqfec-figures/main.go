@@ -126,7 +126,7 @@ func fig8Measured() error {
 
 func figRTT(figNo, sender int) error {
 	header(fmt.Sprintf("Figure %d — estimated/actual RTT ratio, NACKs from receiver %d", figNo, sender))
-	res, err := sharqfec.RunRTT(sharqfec.RTTConfig{Sender: sender, Seed: *seed, Probes: 10})
+	res, err := sharqfec.RunRTT(sharqfec.RTTConfig{Sender: sender, Seed: *seed})
 	if err != nil {
 		return err
 	}

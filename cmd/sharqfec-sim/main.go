@@ -45,10 +45,10 @@
 //	                   ("<metric> [pNN] <=|>= <value> [window=W]
 //	                   [fast=F] [min=N]" per line, '#' comments,
 //	                   optional "interval <seconds>")
-//	-ratecontrol       preemptive-FEC sizing policy: off | static |
-//	                   adaptive (default off; static is byte-identical
-//	                   to off per seed, adaptive sizes redundancy from
-//	                   an online Gilbert–Elliott burst-loss fit)
+//	-ratecontrol       preemptive-FEC sizing policy: static | adaptive
+//	                   (default static, the paper's EWMA predictor;
+//	                   adaptive sizes redundancy from an online
+//	                   Gilbert–Elliott burst-loss fit)
 //	-rc-budget         adaptive repair budget as a fraction of the
 //	                   group size (default 0.5)
 //	-census            arm the cost-census engine: per-class link and
@@ -109,7 +109,7 @@ func main() {
 	perfettoPath := flag.String("perfetto", "", "write recovery spans as Chrome trace-event JSON (implies -spans)")
 	flightRec := flag.Int("flight-recorder", 0, "keep a ring of the last N control-plane events and print it after the run")
 	sloPath := flag.String("slo", "", "SLO spec file; exit 1 when any objective is violated")
-	rcFlag := flag.String("ratecontrol", "off", "rate-control policy (off | static | adaptive)")
+	rcFlag := flag.String("ratecontrol", "static", "rate-control policy (static | adaptive)")
 	rcBudget := flag.Float64("rc-budget", 0, "adaptive repair budget as a fraction of group size (0 = default 0.5)")
 	censusFlag := flag.Bool("census", false, "arm the cost-census engine and print its traffic/state digest")
 	shardsFlag := flag.Int("shards", 0, "run on N zone shards in parallel (0 and 1 = one shard; the report is identical at every N; from N >= 2 same-time lines of the two text traces interleave by shard)")
@@ -171,9 +171,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if rcMode != sharqfec.RateControlOff {
-		cfg.RateControl = &sharqfec.RateControlConfig{Mode: rcMode, Budget: *rcBudget}
-	}
+	cfg.RateControl = &sharqfec.RateControlConfig{Mode: rcMode, Budget: *rcBudget}
 	if *faultsPath != "" {
 		f, err := os.Open(*faultsPath)
 		if err != nil {
@@ -259,7 +257,7 @@ func main() {
 	fmt.Printf("payloads verified: %v\n", res.Verified)
 	fmt.Printf("NACKs sent:       %d\n", res.NACKsSent)
 	fmt.Printf("repairs sent:     %d (preemptively injected: %d)\n", res.RepairsSent, res.RepairsInjected)
-	if rcMode != sharqfec.RateControlOff {
+	if rcMode == sharqfec.RateControlAdaptive {
 		fmt.Printf("rate control:     %s", rcMode)
 		if t := res.Telemetry; t != nil {
 			fmt.Printf(" (%d decisions, max h %d)", t.ControllerDecisions, t.ControllerMaxH)

@@ -53,7 +53,7 @@ type DataConfig struct {
 	// seed.
 	Telemetry *TelemetryConfig
 	// RateControl selects the preemptive-FEC sizing policy (see
-	// RateControlConfig). nil (or mode off/static) keeps the paper's
+	// RateControlConfig). nil (or mode static) keeps the paper's
 	// static EWMA policy — byte-identical to a build without the seam.
 	// SRM ignores it (no FEC).
 	RateControl *RateControlConfig
@@ -315,12 +315,12 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
-	opts, isSHARQFEC := cfg.Protocol.options()
-	if !isSHARQFEC && cfg.Protocol != SRM {
+	in, known := cfg.Protocol.info()
+	if !known {
 		return nil, nil, fmt.Errorf("sharqfec: unknown protocol %q", cfg.Protocol)
 	}
 	spec := cfg.Topology.spec
-	if !opts.Scoping { // SRM included: it has no scoping to run under
+	if in.flat {
 		spec = globalized(spec)
 	}
 	spec = cloneForFaults(spec, cfg.Faults)
@@ -365,10 +365,10 @@ func runData(cfg DataConfig, prepare func(r *dataRun)) (*DataResult, *dataRun, e
 		r.startTelemetry(cfg.Telemetry, cfg.Until)
 	}
 	var proto dataProtocol
-	if isSHARQFEC {
-		proto = sharqfecProtocol(&cfg, opts, r)
-	} else {
+	if cfg.Protocol == SRM {
 		proto = srmProtocol(&cfg, r)
+	} else {
+		proto = sharqfecProtocol(&cfg, in.opts, r)
 	}
 	if prepare != nil {
 		prepare(r)

@@ -106,7 +106,6 @@ func TestRunConfigValidation(t *testing.T) {
 		{"sweep-tolerance-nan", errOf(RunScalingSweep(ScalingSweepConfig{Tolerance: nan})), "Tolerance"},
 		{"sweep-tolerance-negative", errOf(RunScalingSweep(ScalingSweepConfig{Tolerance: -0.1})), "Tolerance"},
 		{"sweep-flatcutoff-negative", errOf(RunScalingSweep(ScalingSweepConfig{FlatCutoff: -1})), "FlatCutoff"},
-		{"rtt-probes-negative", errOf(RunRTT(RTTConfig{Probes: -1})), "Probes"},
 		// A join at or after the run's horizon never fires and used to
 		// read as a joiner that failed to catch up.
 		{"latejoin-at-horizon", errOf(RunLateJoin(1, 120)), "joinAt"},

@@ -13,7 +13,7 @@ import (
 // recovery-latency percentiles over its recovery spans plus the repair
 // spending that bought them.
 type PolicyOutcome struct {
-	// Policy names the controller ("static", "adaptive", "off").
+	// Policy names the controller ("static" or "adaptive").
 	Policy string
 
 	// Spans / Recovered / Unrecovered count the run's recovery spans.

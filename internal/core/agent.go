@@ -47,7 +47,7 @@ type Agent struct {
 	tel   *telemetry.Bus // nil when telemetry is disabled
 
 	root  scoping.ZoneID
-	chain []scoping.ZoneID // scope chain used for NACKs (collapsed when !Scoping)
+	chain []scoping.ZoneID // scope chain used for NACKs: the node's zones, leaf to root
 
 	// groups is indexed by group id, nil until the group is opened, and
 	// grows on demand up to NumGroups. ensureGroup cuts records from the
@@ -136,17 +136,13 @@ func New(node topology.NodeID, net fabric.Network, cfg Config, src *simrand.Sour
 		tel:      cfg.Telemetry,
 	}
 	if cfg.NewController != nil {
-		a.ctrl = cfg.NewController(node)
+		a.ctrl = cfg.NewController()
 	}
 	if a.ctrl == nil {
 		a.ctrl = &a.static
 	}
 	a.sess = session.New(node, net, session.Config{Telemetry: cfg.Telemetry}, src.StreamN("session", int(node)))
-	if cfg.Options.Scoping {
-		a.chain = net.Hierarchy().ZonesOf(node)
-	} else {
-		a.chain = []scoping.ZoneID{a.root}
-	}
+	a.chain = net.Hierarchy().ZonesOf(node)
 	if a.isSource {
 		a.sendData = make([][][]byte, cfg.NumGroups())
 	}
@@ -351,9 +347,6 @@ func (a *Agent) scopeZone(idx int) scoping.ZoneID { return a.chain[idx] }
 // (ultimately the source) to hear the ZCR's loss count so its ZLC
 // predictor covers the zone's inbound losses.
 func (a *Agent) nackScope() int {
-	if !a.cfg.Options.Scoping {
-		return 0
-	}
 	if a.net.Hierarchy().Contains(a.chain[0], a.cfg.Source) {
 		return len(a.chain) - 1
 	}
@@ -407,12 +400,8 @@ func (a *Agent) decide(now eventq.Time, g *group, z scoping.ZoneID, repairsHeard
 func (a *Agent) PredictedZLC(z scoping.ZoneID) float64 { return a.ctrl.Predict(z) }
 
 // isZCR reports whether this agent is currently the ZCR of zone z (the
-// source acts as the root's ZCR; the role is disabled entirely without
-// scoping, where the source is the only injector).
+// source acts as the root's ZCR).
 func (a *Agent) isZCR(z scoping.ZoneID) bool {
-	if !a.cfg.Options.Scoping {
-		return a.isSource && z == a.root
-	}
 	if z == a.root {
 		return a.isSource
 	}

@@ -170,9 +170,9 @@ func TestNACKFromForeignZoneCreatesNoState(t *testing.T) {
 			t.Fatalf("level %d holds %+v, want zlc %d pending %d", i, g.lv[i], 2+i, 1+i)
 		}
 	}
-	// Without scoping the root is the only zone there is.
-	cfg.Options.Scoping = false
-	flat := quietWorld(t, miniFigure10(0), cfg, 94).agents[4]
+	// On the one-zone hierarchy the unscoped variants run on, the root
+	// is the only zone there is.
+	flat := quietWorld(t, oneZone(miniFigure10(0)), cfg, 94).agents[4]
 	flat.joined = true
 	flat.handleNACK(1, &packet.NACK{Origin: 7, Group: 1, LLC: 2, Needed: 2, Zone: int16(a.chain[0])})
 	flat.handleNACK(1, &packet.NACK{Origin: 7, Group: 1, LLC: 2, Needed: 2, Zone: int16(flat.root)})

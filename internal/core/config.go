@@ -6,9 +6,12 @@
 // and scope escalation for unserved repairs.
 //
 // The feature flags in Options turn individual mechanisms off to produce
-// the ablated protocols the paper evaluates: SHARQFEC(ns), SHARQFEC(ni),
-// SHARQFEC(so) and their combinations — SHARQFEC(ns,ni,so) being the
-// ECSRM-like baseline of Figures 14–15.
+// the ablated protocols the paper evaluates: SHARQFEC(ni), SHARQFEC(so)
+// and their combinations. An agent always scopes by the hierarchy its
+// network carries; the unscoped "ns" variants — SHARQFEC(ns,ni,so) being
+// the ECSRM-like baseline of Figures 14–15 — run on a one-zone hierarchy,
+// where every NACK and repair uses the global scope and only the source
+// heads a zone.
 package core
 
 import (
@@ -16,12 +19,9 @@ import (
 	"sharqfec/internal/topology"
 )
 
-// Options are the ablation switches of §6.2.
+// Options are the ablation switches of §6.2. Scoping is not one of
+// them: it is the hierarchy the agent's network carries.
 type Options struct {
-	// Scoping enables the administrative zone hierarchy. When false
-	// ("ns"), every NACK and repair uses the global scope and only the
-	// source injects preemptive FEC.
-	Scoping bool
 	// Injection enables preemptive FEC: the sender appends predicted
 	// redundancy to each group, and ZCRs inject predicted repairs into
 	// their zones without waiting for NACKs. When false ("ni"), all
@@ -38,12 +38,7 @@ type Options struct {
 }
 
 // Full returns the options for the complete protocol.
-func Full() Options { return Options{Scoping: true, Injection: true} }
-
-// ECSRM returns the SHARQFEC(ns,ni,so) ablation: hybrid ARQ/FEC with no
-// scoping, no preemptive injection, sender-only repairs — the paper's
-// stand-in for Gemmell's ECSRM with RTT-based timer windows.
-func ECSRM() Options { return Options{SenderOnly: true} }
+func Full() Options { return Options{Injection: true} }
 
 // Protocol constants the paper fixes for its simulations (§4, §6.2).
 const (
@@ -99,11 +94,10 @@ type Config struct {
 	Telemetry *telemetry.Bus
 
 	// NewController, when non-nil, builds the per-agent rate controller
-	// sizing preemptive FEC injection (one controller per agent; the
-	// node identifies it on reports). nil — the default — uses the
-	// paper's static EWMA predictor, so the zero value stays
-	// byte-identical to the pre-Controller protocol per seed.
-	NewController func(node topology.NodeID) Controller
+	// sizing preemptive FEC injection (one controller per agent). nil —
+	// the default — uses the paper's static EWMA predictor, so the zero
+	// value stays byte-identical to the pre-Controller protocol per seed.
+	NewController func() Controller
 }
 
 // DefaultConfig returns the paper's §6.2 parameters with the full

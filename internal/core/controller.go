@@ -45,8 +45,6 @@ type Controller interface {
 	ObserveZLC(z scoping.ZoneID, sample float64)
 	Predict(z scoping.ZoneID) float64
 	Decide(z scoping.ZoneID, k, repairsHeard int) Decision
-	// Name identifies the policy ("static", "adaptive") on reports.
-	Name() string
 }
 
 // staticController is the paper's §4 predictor: per-zone EWMA over ZLC
@@ -57,8 +55,6 @@ type Controller interface {
 type staticController struct {
 	pred map[scoping.ZoneID]float64 // nil until the first sample
 }
-
-func (c *staticController) Name() string { return "static" }
 
 func (c *staticController) ObservePacket(lost bool) {}
 

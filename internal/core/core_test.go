@@ -62,6 +62,14 @@ func newWorld(t *testing.T, spec *topology.Spec, cfg Config, seed uint64) *world
 	return w
 }
 
+// oneZone returns a copy of spec on the one-zone hierarchy the unscoped
+// ("ns") variants run on: every member in the root zone.
+func oneZone(spec *topology.Spec) *topology.Spec {
+	flat := *spec
+	flat.Zones = []topology.ZoneSpec{{ID: 0, Parent: -1, Leaves: spec.Members()}}
+	return &flat
+}
+
 // watch gives the world's network a bus whose one sink passes fn every
 // event of the given kind.
 func (w *world) watch(kind telemetry.Kind, fn func(telemetry.Event)) {
@@ -156,7 +164,7 @@ func TestLossyChainRecovers(t *testing.T) {
 func TestECSRMVariantRecovers(t *testing.T) {
 	spec := topology.Chain(4, 10e6, 0.010, 0.10)
 	cfg := smallCfg()
-	cfg.Options = ECSRM()
+	cfg.Options = Options{SenderOnly: true}
 	w := newWorld(t, spec, cfg, 3)
 	w.run(60)
 	w.verifyAll(t, cfg)
@@ -169,9 +177,9 @@ func TestECSRMVariantRecovers(t *testing.T) {
 }
 
 func TestNoScopingVariantRecovers(t *testing.T) {
-	spec := topology.BalancedTree([]int{2, 2}, 10e6, 0.010, 0.08)
+	spec := oneZone(topology.BalancedTree([]int{2, 2}, 10e6, 0.010, 0.08))
 	cfg := smallCfg()
-	cfg.Options = Options{Scoping: false, Injection: true, SenderOnly: false}
+	cfg.Options = Options{Injection: true}
 	w := newWorld(t, spec, cfg, 4)
 	w.run(60)
 	w.verifyAll(t, cfg)
@@ -202,7 +210,7 @@ func TestInjectionReducesNACKs(t *testing.T) {
 		spec := topology.Figure10(topology.Figure10Params{})
 		cfg := DefaultConfig()
 		cfg.NumPackets = 256
-		cfg.Options = Options{Scoping: true, Injection: injection}
+		cfg.Options = Options{Injection: injection}
 		w := newWorld(t, spec, cfg, 6)
 		w.run(120)
 		nacks, _, _ := totalStats(w)
@@ -504,7 +512,7 @@ func TestAdaptiveTimersReduceDuplicateNACKs(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.NumPackets = 512
-		cfg.Options = Options{Scoping: true, Injection: false, AdaptiveTimers: adaptive}
+		cfg.Options = Options{AdaptiveTimers: adaptive}
 		w := newWorld(t, spec, cfg, 80)
 		w.run(120)
 		w.verifyAll(t, cfg)

@@ -99,17 +99,13 @@ func newOracleAgent(node topology.NodeID, net fabric.Network, cfg Config, src *s
 		tel:           cfg.Telemetry,
 	}
 	if cfg.NewController != nil {
-		a.ctrl = cfg.NewController(node)
+		a.ctrl = cfg.NewController()
 	}
 	if a.ctrl == nil {
 		a.ctrl = &staticController{}
 	}
 	a.sess = session.New(node, net, session.Config{Telemetry: cfg.Telemetry}, src.StreamN("session", int(node)))
-	if cfg.Options.Scoping {
-		a.chain = net.Hierarchy().ZonesOf(node)
-	} else {
-		a.chain = []scoping.ZoneID{a.root}
-	}
+	a.chain = net.Hierarchy().ZonesOf(node)
 	if a.isSource {
 		a.sendData = make([][][]byte, cfg.NumGroups())
 	}
@@ -247,9 +243,6 @@ func (a *oracleAgent) scopeZone(idx int) scoping.ZoneID {
 }
 
 func (a *oracleAgent) nackScope() int {
-	if !a.cfg.Options.Scoping {
-		return 0
-	}
 	if a.net.Hierarchy().Contains(a.chain[0], a.cfg.Source) {
 		return len(a.chain) - 1
 	}
@@ -288,9 +281,6 @@ func (a *oracleAgent) decide(now eventq.Time, g *oracleGroup, z scoping.ZoneID, 
 }
 
 func (a *oracleAgent) isZCR(z scoping.ZoneID) bool {
-	if !a.cfg.Options.Scoping {
-		return a.isSource && z == a.root
-	}
 	if z == a.root {
 		return a.isSource
 	}
@@ -752,7 +742,7 @@ func (a *oracleAgent) becomeRepairer(now eventq.Time, g *oracleGroup) {
 	if !a.canRepair() {
 		return
 	}
-	if a.cfg.Options.Scoping && a.cfg.Options.Injection {
+	if a.cfg.Options.Injection {
 		for _, z := range a.chain {
 			if z == a.root || !a.isZCR(z) || g.injected[z] {
 				continue
@@ -765,11 +755,9 @@ func (a *oracleAgent) becomeRepairer(now eventq.Time, g *oracleGroup) {
 			}
 		}
 	}
-	if a.cfg.Options.Scoping {
-		for _, z := range a.chain {
-			if a.isZCR(z) && z != a.root {
-				a.scheduleZLCSample(now, g, z)
-			}
+	for _, z := range a.chain {
+		if a.isZCR(z) && z != a.root {
+			a.scheduleZLCSample(now, g, z)
 		}
 	}
 	if a.anyZCRDuty() {
@@ -782,9 +770,6 @@ func (a *oracleAgent) becomeRepairer(now eventq.Time, g *oracleGroup) {
 func (a *oracleAgent) anyZCRDuty() bool {
 	if a.isSource {
 		return true
-	}
-	if !a.cfg.Options.Scoping {
-		return false
 	}
 	for _, z := range a.chain {
 		if a.isZCR(z) {
@@ -827,7 +812,7 @@ func (a *oracleAgent) serveQueuedRepairs(now eventq.Time, g *oracleGroup) {
 		}
 		for j := 0; j <= i; j++ {
 			inner := a.chain[j]
-			if a.net.Hierarchy().IsAncestor(z, inner) || !a.cfg.Options.Scoping {
+			if a.net.Hierarchy().IsAncestor(z, inner) {
 				g.pending[inner] = max(0, g.pending[inner]-n)
 			}
 		}
@@ -1181,6 +1166,7 @@ type oracleWorld struct {
 	q       eventq.Queue
 	members []oracleMember // indexed by node: every node of miniFigure10 is a member
 	events  []telemetry.Event
+	zones   int // zones in the session's hierarchy
 }
 
 type oracleScenario struct {
@@ -1188,6 +1174,7 @@ type oracleScenario struct {
 	loss     float64
 	burst    float64 // mean burst length of a Gilbert plan over every link; 0 for none
 	opts     Options
+	flat     bool            // run on the one-zone hierarchy, as the "ns" variants do
 	lateJoin topology.NodeID // joins at 7 s, a second into the stream; 0 for nobody
 	until    float64
 	// wantUnrecovered requires the run to end with losses still open, so
@@ -1200,11 +1187,14 @@ func buildOracleWorld(t *testing.T, sc oracleScenario, seed uint64,
 
 	t.Helper()
 	spec := miniFigure10(sc.loss)
+	if sc.flat {
+		spec = oneZone(spec)
+	}
 	h, err := scoping.Build(spec.Zones)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &oracleWorld{}
+	w := &oracleWorld{zones: h.NumZones()}
 	src := simrand.New(seed)
 	net := netsim.New(&w.q, spec.Graph, h, src)
 	bus := telemetry.NewBus()
@@ -1249,9 +1239,9 @@ func TestAgentMatchesMapOracle(t *testing.T) {
 		{name: "bernoulli", loss: 0.06, opts: Full(), until: 30},
 		{name: "bernoulli-cut-short", loss: 0.10, opts: Full(), until: 7.6, wantUnrecovered: true},
 		{name: "burst", loss: 0.06, burst: 4, opts: Full(), until: 30},
-		{name: "no-scoping", loss: 0.06, opts: Options{Injection: true}, until: 30},
-		{name: "no-injection-adaptive-timers", loss: 0.06, opts: Options{Scoping: true, AdaptiveTimers: true}, until: 30},
-		{name: "sender-only", loss: 0.06, opts: ECSRM(), until: 30},
+		{name: "no-scoping", loss: 0.06, opts: Options{Injection: true}, flat: true, until: 30},
+		{name: "no-injection-adaptive-timers", loss: 0.06, opts: Options{AdaptiveTimers: true}, until: 30},
+		{name: "sender-only", loss: 0.06, opts: Options{SenderOnly: true}, flat: true, until: 30},
 		{name: "late-join", loss: 0.04, opts: Full(), lateJoin: 11, until: 30},
 	}
 	for _, sc := range scenarios {
@@ -1302,7 +1292,7 @@ func TestAgentMatchesMapOracle(t *testing.T) {
 					zcrs++
 				}
 			}
-			if sc.opts.Scoping && (zcrs == 0 || zcrs == len(live.members)-1) {
+			if live.zones > 1 && (zcrs == 0 || zcrs == len(live.members)-1) {
 				t.Errorf("%d of %d receivers head a zone: want both ZCRs and ordinary members compared", zcrs, len(live.members)-1)
 			}
 			if len(live.events) != len(model.events) {

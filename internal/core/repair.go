@@ -20,7 +20,7 @@ func (a *Agent) becomeRepairer(now eventq.Time, g *group) {
 	if !a.canRepair() {
 		return
 	}
-	if a.cfg.Options.Scoping && a.cfg.Options.Injection {
+	if a.cfg.Options.Injection {
 		for i, z := range a.chain {
 			if z == a.root || !a.isZCR(z) || g.lv[i].injected {
 				continue
@@ -38,11 +38,9 @@ func (a *Agent) becomeRepairer(now eventq.Time, g *group) {
 			}
 		}
 	}
-	if a.cfg.Options.Scoping {
-		for i, z := range a.chain {
-			if a.isZCR(z) && z != a.root {
-				a.scheduleZLCSample(g, i)
-			}
+	for i, z := range a.chain {
+		if a.isZCR(z) && z != a.root {
+			a.scheduleZLCSample(g, i)
 		}
 	}
 	// ZCRs "generate and transmit the first of any additional queued
@@ -61,9 +59,6 @@ func (a *Agent) becomeRepairer(now eventq.Time, g *group) {
 func (a *Agent) anyZCRDuty() bool {
 	if a.isSource {
 		return true
-	}
-	if !a.cfg.Options.Scoping {
-		return false
 	}
 	for _, z := range a.chain {
 		if a.isZCR(z) {
@@ -113,7 +108,7 @@ func (a *Agent) serveQueuedRepairs(now eventq.Time, g *group) {
 		}
 		// Shrink nested queues covered by this transmission.
 		for j := 0; j <= i; j++ {
-			if a.net.Hierarchy().IsAncestor(z, a.chain[j]) || !a.cfg.Options.Scoping {
+			if a.net.Hierarchy().IsAncestor(z, a.chain[j]) {
 				g.lv[j].pending = max(0, g.lv[j].pending-n)
 			}
 		}

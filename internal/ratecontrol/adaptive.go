@@ -100,9 +100,6 @@ func New(cfg Config) *Controller {
 	}
 }
 
-// Name implements core.Controller.
-func (c *Controller) Name() string { return "adaptive" }
-
 // Estimator exposes the controller's loss-model fit (for reports and
 // tests).
 func (c *Controller) Estimator() *Estimator { return c.est }

@@ -8,21 +8,16 @@ import (
 	"sharqfec/internal/core"
 	"sharqfec/internal/ratecontrol"
 	"sharqfec/internal/telemetry/spans"
-	"sharqfec/internal/topology"
 )
 
 // RateControlMode selects how preemptive FEC injection is sized.
 type RateControlMode string
 
 const (
-	// RateControlOff leaves the paper's behavior untouched (the static
-	// EWMA predictor, attached implicitly). Identical to
-	// RateControlStatic per seed; it exists so "no rate-control
-	// plumbing requested" is expressible.
-	RateControlOff RateControlMode = "off"
-	// RateControlStatic explicitly attaches the static EWMA policy —
-	// byte-identical to off per seed, which the fixed-seed digest tests
-	// pin.
+	// RateControlStatic is the paper's static EWMA policy, core's
+	// built-in controller. It is also what the empty mode and a nil
+	// *RateControlConfig mean: the same decisions by construction, which
+	// the fixed-seed digest tests pin.
 	RateControlStatic RateControlMode = "static"
 	// RateControlAdaptive attaches the burst-aware optimizer
 	// (internal/ratecontrol): per-zone redundancy sized by expected
@@ -34,18 +29,18 @@ const (
 // ParseRateControlMode resolves a -ratecontrol flag value.
 func ParseRateControlMode(s string) (RateControlMode, error) {
 	switch RateControlMode(s) {
-	case RateControlOff, RateControlStatic, RateControlAdaptive:
+	case RateControlStatic, RateControlAdaptive:
 		return RateControlMode(s), nil
 	}
-	return "", fmt.Errorf("sharqfec: unknown rate-control mode %q (off|static|adaptive)", s)
+	return "", fmt.Errorf("sharqfec: unknown rate-control mode %q (static|adaptive)", s)
 }
 
 // RateControlConfig selects and tunes the rate-control policy for a
-// data run. The zero value (and a nil *RateControlConfig) means off.
+// data run. The zero value (and a nil *RateControlConfig) means static.
 type RateControlConfig struct {
 	Mode RateControlMode
 	// Budget caps adaptive injection per group as a fraction of the
-	// group size (default 0.5). Ignored by off/static.
+	// group size (default 0.5). Ignored by static.
 	Budget float64
 }
 
@@ -59,9 +54,9 @@ func (c *RateControlConfig) validate() error {
 		return nil
 	}
 	switch c.Mode {
-	case "", RateControlOff, RateControlStatic, RateControlAdaptive:
+	case "", RateControlStatic, RateControlAdaptive:
 	default:
-		return fmt.Errorf("sharqfec: unknown rate-control mode %q (off|static|adaptive)", c.Mode)
+		return fmt.Errorf("sharqfec: unknown rate-control mode %q (static|adaptive)", c.Mode)
 	}
 	if c.Budget != 0 && !(isFinite64(c.Budget) && c.Budget > 0 && c.Budget <= 1) {
 		return fmt.Errorf("sharqfec: rate-control budget %g must be a finite fraction in (0,1]", c.Budget)
@@ -84,16 +79,14 @@ func (c *RateControlConfig) budget() float64 {
 }
 
 // factory maps the config to a core controller constructor; nil — for
-// off and static alike — keeps core's built-in static EWMA controller,
-// so the two modes are the same decisions by construction.
-func (c *RateControlConfig) factory() func(topology.NodeID) core.Controller {
+// static, however spelled — keeps core's built-in static EWMA
+// controller.
+func (c *RateControlConfig) factory() func() core.Controller {
 	if c == nil || c.Mode != RateControlAdaptive {
 		return nil
 	}
 	rcfg := ratecontrol.Config{Budget: c.Budget}
-	return func(topology.NodeID) core.Controller {
-		return ratecontrol.New(rcfg)
-	}
+	return func() core.Controller { return ratecontrol.New(rcfg) }
 }
 
 // ControllerComparisonConfig parameterizes RunControllerComparison.

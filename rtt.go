@@ -13,7 +13,7 @@ import (
 
 // RTTConfig parameterizes a §6.1 indirect-RTT-estimation experiment
 // (Figures 11–13): once the session has stabilized (rttStabilizeUntil),
-// Sender multicasts Probes fake NACKs, rttProbeInterval apart, to the
+// Sender multicasts rttProbes fake NACKs, rttProbeInterval apart, to the
 // largest scope; every other receiver estimates the RTT to the sender
 // and the ratio to ground truth is recorded.
 type RTTConfig struct {
@@ -22,14 +22,13 @@ type RTTConfig struct {
 	// Sender defaults to receiver 3 (the paper probes 3, 25 and 36).
 	Sender int
 	Seed   uint64
-	// Probes defaults to 10.
-	Probes int
 }
 
 const (
 	// rttStabilizeUntil is when probing starts: elections plus a few
 	// measurement rounds.
 	rttStabilizeUntil = 12
+	rttProbes         = 10
 	rttProbeInterval  = 2
 	// rttProbeGroup is probe 0's NACK group, far past the stream's
 	// end; probe p names group rttProbeGroup + p.
@@ -42,9 +41,6 @@ func (c *RTTConfig) applyDefaults() {
 	}
 	if c.Sender == 0 {
 		c.Sender = 3
-	}
-	if c.Probes == 0 {
-		c.Probes = 10
 	}
 }
 
@@ -99,9 +95,6 @@ func (r *RTTResult) MedianRatio(p int) float64 {
 // each probe's list is kept, by probe, when it is sent.
 func RunRTT(cfg RTTConfig) (*RTTResult, error) {
 	cfg.applyDefaults()
-	if cfg.Probes < 0 {
-		return nil, fmt.Errorf("sharqfec: Probes = %d; want >= 0 (0 = default 10)", cfg.Probes)
-	}
 	spec := cfg.Topology.spec
 	sender := topology.NodeID(cfg.Sender)
 	if !slices.Contains(spec.Members(), sender) {
@@ -110,18 +103,18 @@ func RunRTT(cfg RTTConfig) (*RTTResult, error) {
 
 	res := &RTTResult{
 		Sender: cfg.Sender, Receivers: len(spec.Members()) - 1,
-		Ratios: make([][]float64, cfg.Probes), Able: make([]int, cfg.Probes),
+		Ratios: make([][]float64, rttProbes), Able: make([]int, rttProbes),
 	}
-	ancestors := make([][]packet.AncestorRTT, cfg.Probes)
+	ancestors := make([][]packet.AncestorRTT, rttProbes)
 	_, _, err := runSessionOnly(DataConfig{
 		Protocol: SHARQFEC, Topology: cfg.Topology, Seed: cfg.Seed,
-		Until: rttStabilizeUntil + float64(cfg.Probes)*rttProbeInterval + 2,
+		Until: rttStabilizeUntil + rttProbes*rttProbeInterval + 2,
 	}, func(r *dataRun) {
 		for _, b := range r.buses {
 			b.AttachKinds(func(e telemetry.Event) {
 				p := int(e.Group - rttProbeGroup)
 				if e.Kind != telemetry.KindPacketDelivered || e.A != int64(packet.TypeNACK) ||
-					e.Origin != sender || e.Node == sender || p < 0 || p >= cfg.Probes {
+					e.Origin != sender || e.Node == sender || p < 0 || p >= rttProbes {
 					return
 				}
 				est, formed := r.coreAgent(e.Node).Session().EstimateRTT(sender, ancestors[p])
@@ -131,7 +124,7 @@ func RunRTT(cfg RTTConfig) (*RTTResult, error) {
 				}
 			}, telemetry.KindPacketDelivered)
 		}
-		for p := range cfg.Probes {
+		for p := range rttProbes {
 			r.at(secondsToTime(rttStabilizeUntil+float64(p)*rttProbeInterval), func(eventq.Time) {
 				root := r.h.Root()
 				ancestors[p] = r.coreAgent(sender).Session().AncestorList()

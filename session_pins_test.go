@@ -32,9 +32,9 @@ var sessionPinCases = []struct {
 	{"session/national-3x3x3x5", func() (any, error) {
 		return RunScalingSweep(ScalingSweepConfig{Regions: 3, Cities: 3, Suburbs: 3, Subscribers: []int{5}, Seed: 1998, Seconds: 10})
 	}},
-	{"rtt/sender-3", func() (any, error) { return RunRTT(RTTConfig{Sender: 3, Seed: 1998, Probes: 10}) }},
-	{"rtt/sender-25", func() (any, error) { return RunRTT(RTTConfig{Sender: 25, Seed: 1998, Probes: 10}) }},
-	{"rtt/sender-36", func() (any, error) { return RunRTT(RTTConfig{Sender: 36, Seed: 1998, Probes: 10}) }},
+	{"rtt/sender-3", func() (any, error) { return RunRTT(RTTConfig{Sender: 3, Seed: 1998}) }},
+	{"rtt/sender-25", func() (any, error) { return RunRTT(RTTConfig{Sender: 25, Seed: 1998}) }},
+	{"rtt/sender-36", func() (any, error) { return RunRTT(RTTConfig{Sender: 36, Seed: 1998}) }},
 	{"scaling/national-2x2x2-elected", func() (any, error) {
 		return RunScalingSweep(ScalingSweepConfig{Subscribers: []int{2, 4}, Seed: 11, Seconds: 5})
 	}},

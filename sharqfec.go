@@ -129,25 +129,31 @@ const (
 
 // protocolInfo is one row of the protocol vocabulary: the paper-style
 // label String prints, the aliases ParseProtocol accepts besides the
-// flag name, and the core feature flags (unused for SRM).
+// flag name, whether the protocol runs unscoped, and the core feature
+// flags (unused for SRM).
 type protocolInfo struct {
 	p       Protocol
 	label   string
 	aliases []string
-	opts    core.Options
+	// flat runs the protocol on the one-zone hierarchy (globalized):
+	// the "ns" variants, and SRM, which has no scoping to run under.
+	flat bool
+	opts core.Options
 }
 
-// protocols is the one table Protocols, ParseProtocol, String and
-// options read, in Protocols order.
+// protocols is the one table Protocols, ParseProtocol, String, RunChaos
+// and runData read, in Protocols order: the one place a variant is
+// spelled.
 var protocols = []protocolInfo{
-	{SRM, "SRM", nil, core.Options{}},
-	{SHARQFEC, "SHARQFEC", []string{"sharqfec()"}, core.Options{Scoping: true, Injection: true}},
-	{SHARQFECNoScope, "SHARQFEC(ns)", []string{"sharqfec(ns)"}, core.Options{Injection: true}},
-	{SHARQFECNoInject, "SHARQFEC(ni)", []string{"sharqfec(ni)"}, core.Options{Scoping: true}},
-	{SHARQFECNoScopeNoInject, "SHARQFEC(ns,ni)", []string{"sharqfec(ns,ni)"}, core.Options{}},
-	{ECSRM, "SHARQFEC(ns,ni,so)/ECSRM", []string{"sharqfec-ns-ni-so", "sharqfec(ns,ni,so)"}, core.Options{SenderOnly: true}},
-	{SHARQFECAdaptive, "SHARQFEC(adaptive)", []string{"sharqfec(adaptive)"},
-		core.Options{Scoping: true, Injection: true, AdaptiveTimers: true}},
+	{SRM, "SRM", nil, true, core.Options{}},
+	{SHARQFEC, "SHARQFEC", []string{"sharqfec()"}, false, core.Options{Injection: true}},
+	{SHARQFECNoScope, "SHARQFEC(ns)", []string{"sharqfec(ns)"}, true, core.Options{Injection: true}},
+	{SHARQFECNoInject, "SHARQFEC(ni)", []string{"sharqfec(ni)"}, false, core.Options{}},
+	{SHARQFECNoScopeNoInject, "SHARQFEC(ns,ni)", []string{"sharqfec(ns,ni)"}, true, core.Options{}},
+	{ECSRM, "SHARQFEC(ns,ni,so)/ECSRM", []string{"sharqfec-ns-ni-so", "sharqfec(ns,ni,so)"}, true,
+		core.Options{SenderOnly: true}},
+	{SHARQFECAdaptive, "SHARQFEC(adaptive)", []string{"sharqfec(adaptive)"}, false,
+		core.Options{Injection: true, AdaptiveTimers: true}},
 }
 
 // info returns p's row of the protocol table; ok is false for a name
@@ -179,12 +185,6 @@ func ParseProtocol(s string) (Protocol, error) {
 		}
 	}
 	return "", fmt.Errorf("sharqfec: unknown protocol %q", s)
-}
-
-// options maps a protocol to core feature flags; ok is false for SRM.
-func (p Protocol) options() (core.Options, bool) {
-	in, ok := p.info()
-	return in.opts, ok && p != SRM
 }
 
 // String implements fmt.Stringer with the paper's annotations.

@@ -143,12 +143,11 @@ func TestRunRTTSmall(t *testing.T) {
 		Topology: Figure10Topology(),
 		Sender:   3,
 		Seed:     3,
-		Probes:   4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Ratios) != 4 {
+	if len(res.Ratios) != 10 {
 		t.Fatalf("probes = %d", len(res.Ratios))
 	}
 	if res.Able[len(res.Able)-1] < res.Receivers/2 {
