@@ -524,6 +524,11 @@ func sharqfecProtocol(cfg *DataConfig, opts core.Options, r *dataRun) dataProtoc
 				source = ag
 				return ag, nil
 			}
+			// In a session-only run the source never sends, so no group
+			// completes and no receiver needs a hook.
+			if cfg.SourceOnAt > cfg.Until {
+				return ag, nil
+			}
 			mine := r.doneOf(node)
 			ag.OnComplete = func(now eventq.Time, gid uint32, data [][]byte) {
 				if mine[gid] == 0 {

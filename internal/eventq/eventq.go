@@ -233,8 +233,10 @@ type Queue struct {
 	seq       uint64
 	dispatchN uint64
 	// fronts counts redistributions that left more than one record in
-	// the front; frontSorts, those of them that needed the sort.
-	fronts, frontSorts uint64
+	// the front; frontSorts, those of them that needed the sort. filed
+	// counts the records file placed in a bucket: inserts not keyed to
+	// the front, plus every re-file of a redistribution.
+	fronts, frontSorts, filed uint64
 	// Clock, when set, gives the time each handler is told it runs at,
 	// in place of its event's own time; the queue's clock (Now) still
 	// moves to the event's time. A queue driven by the wall clock sets
@@ -515,6 +517,7 @@ func (q *Queue) file(key uint64, id int32, r *record) {
 	x.id[bk.n] = id
 	r.pos = bk.tail*blockLen + bk.n
 	bk.n++
+	q.filed++
 }
 
 // newBlock takes a block from the pool, or makes one, to be the tail of

@@ -72,6 +72,7 @@ type ShardStats struct {
 	CrossPosts uint64 // events it posted to other shards
 	Fronts     uint64 // fronts of more than one tied record its queue settled
 	FrontSorts uint64 // those of them that were out of birth order and sorted
+	Filed      uint64 // records its queue filed in a bucket: inserts plus re-files
 }
 
 // crossEvent is one scheduled hand-off between shards: ev fires at
@@ -143,7 +144,7 @@ func (g *ShardGroup) Stats() []ShardStats {
 	for i, q := range g.qs {
 		st[i] = ShardStats{
 			Events: q.Dispatched(), CrossPosts: g.postIdx[i],
-			Fronts: q.fronts, FrontSorts: q.frontSorts,
+			Fronts: q.fronts, FrontSorts: q.frontSorts, Filed: q.filed,
 		}
 	}
 	return st

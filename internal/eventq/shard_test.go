@@ -286,7 +286,9 @@ func TestCrossPostAndMergeAllocateNothingWhenWarm(t *testing.T) {
 // group, the epochs it ran. Shard 1 settles two fronts of ties. The
 // one at 1.6 is in birth order. The one at 1.1 is not: shard 0's post
 // born at 0.6 is merged at the 1.0 barrier, after shard 1's own event
-// born at 0.7, so that front is sorted.
+// born at 0.7, so that front is sorted. Every insert of either shard is
+// filed in a bucket, none keyed to the front; shard 0 re-files five
+// records as its fronts are settled and shard 1 eight.
 func TestShardStatsCounts(t *testing.T) {
 	g := NewShardGroup(2, 0.5)
 	nop := func(Time) {}
@@ -301,8 +303,8 @@ func TestShardStatsCounts(t *testing.T) {
 	q1.At(0.7, func(Time) { q1.At(1.1, nop) })
 	g.Run(2)
 	want := []ShardStats{
-		{Events: 3, CrossPosts: 3},
-		{Events: 8, CrossPosts: 0, Fronts: 2, FrontSorts: 1},
+		{Events: 3, CrossPosts: 3, Filed: 3 + 5},
+		{Events: 8, CrossPosts: 0, Fronts: 2, FrontSorts: 1, Filed: 8 + 8},
 	}
 	if st := g.Stats(); !slices.Equal(st, want) {
 		t.Errorf("stats %+v, want %+v", st, want)

@@ -53,10 +53,23 @@ func Build(specs []topology.ZoneSpec) (*Hierarchy, error) {
 		}
 		index[s.ID] = ZoneID(i)
 	}
+	// Leaves and child lists are capped shares of one backing each, so
+	// Build's allocations do not grow with the zone count, and appending
+	// to one zone's slice never writes into a neighbour's. A zone with
+	// none keeps a nil slice.
+	nLeaves := 0
+	for _, s := range specs {
+		nLeaves += len(s.Leaves)
+	}
+	leaves := make([]topology.NodeID, nLeaves)
+	nChildren := make([]int, len(specs))
 	for i, s := range specs {
 		z := &h.zones[i]
 		z.id = ZoneID(i)
-		z.leaves = append([]topology.NodeID(nil), s.Leaves...)
+		if n := len(s.Leaves); n > 0 {
+			z.leaves, leaves = leaves[:n:n], leaves[n:]
+			copy(z.leaves, s.Leaves)
+		}
 		if s.Parent == -1 {
 			if h.root != NoZone {
 				return nil, fmt.Errorf("scoping: multiple root zones")
@@ -70,9 +83,16 @@ func Build(specs []topology.ZoneSpec) (*Hierarchy, error) {
 			return nil, fmt.Errorf("scoping: zone %d has unknown parent %d", s.ID, s.Parent)
 		}
 		z.parent = p
+		nChildren[p]++
 	}
 	if h.root == NoZone {
 		return nil, fmt.Errorf("scoping: no root zone")
+	}
+	children := make([]ZoneID, len(specs)-1)
+	for i := range h.zones {
+		if c := nChildren[i]; c > 0 {
+			h.zones[i].children, children = children[:0:c], children[c:]
+		}
 	}
 	for i := range h.zones {
 		if p := h.zones[i].parent; p != NoZone {
@@ -81,7 +101,7 @@ func Build(specs []topology.ZoneSpec) (*Hierarchy, error) {
 	}
 	// Levels + cycle detection via BFS from root.
 	seen := make([]bool, len(h.zones))
-	queue := []ZoneID{h.root}
+	queue := append(make([]ZoneID, 0, len(h.zones)), h.root)
 	seen[h.root] = true
 	for len(queue) > 0 {
 		z := queue[0]
@@ -137,7 +157,22 @@ func Build(specs []topology.ZoneSpec) (*Hierarchy, error) {
 			h.leafZone[n] = ZoneID(i)
 		}
 	}
-	// Ascending node order leaves every member set sorted.
+	// A zone's members are the leaves of every zone whose chain holds
+	// it; ascending node order leaves every member set sorted.
+	nMembers := make([]int, len(h.zones))
+	total = 0
+	for i := range h.zones {
+		for _, cur := range h.zones[i].chain {
+			nMembers[cur] += len(h.zones[i].leaves)
+		}
+		total += len(h.zones[i].leaves) * len(h.zones[i].chain)
+	}
+	members := make([]topology.NodeID, total)
+	for i := range h.zones {
+		if c := nMembers[i]; c > 0 {
+			h.zones[i].members, members = members[:0:c], members[c:]
+		}
+	}
 	for n, z := range h.leafZone {
 		if z == NoZone {
 			continue

@@ -2,6 +2,8 @@ package scoping
 
 import (
 	"math/rand/v2"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -396,5 +398,61 @@ func TestPropertyPrecomputedTablesMatchParentWalk(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildAllocationsDoNotGrowWithZones: Build carves every zone's
+// leaves, children and members from backings sized once, so a national
+// hierarchy of 1,111 zones costs the same allocations as one of 15, give
+// or take the few the zone-ID index and the input sizes add.
+func TestBuildAllocationsDoNotGrowWithZones(t *testing.T) {
+	allocs := func(fan, subs int) float64 {
+		specs := topology.National(topology.NationalParams{Regions: fan, Cities: fan, Suburbs: fan, SubscribersPerSuburb: subs}, 10e6, 0.01, 0).Zones
+		return testing.AllocsPerRun(5, func() { MustBuild(specs) })
+	}
+	small, large := allocs(2, 2), allocs(10, 10)
+	if large > small+8 {
+		t.Fatalf("Build: %v allocs on 15 zones, %v on 1,111; want within 8", small, large)
+	}
+}
+
+// TestCarvedSlicesStayIsolated: a zone's Children, Members and Leaves
+// are capped shares of one backing each, so appending to one of them
+// reallocates it and leaves every other zone's slice as it was; a zone
+// with none of them keeps a nil slice.
+func TestCarvedSlicesStayIsolated(t *testing.T) {
+	h, err := Build([]topology.ZoneSpec{
+		{ID: 0, Parent: -1, Leaves: []topology.NodeID{0}},
+		{ID: 1, Parent: 0, Leaves: []topology.NodeID{1, 2}},
+		{ID: 2, Parent: 0},
+		{ID: 3, Parent: 1, Leaves: []topology.NodeID{3, 4}},
+		{ID: 4, Parent: 1, Leaves: []topology.NodeID{5}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Leaves(2) != nil || h.Members(2) != nil || h.Children(2) != nil || h.Children(3) != nil {
+		t.Fatalf("empty zone 2 / leaf zone 3: leaves %#v, members %#v, children %#v and %#v; want nil",
+			h.Leaves(2), h.Members(2), h.Children(2), h.Children(3))
+	}
+	type view struct {
+		leaves, members []topology.NodeID
+		children        []ZoneID
+	}
+	snap := func() []view {
+		var v []view
+		for z := ZoneID(0); int(z) < h.NumZones(); z++ {
+			v = append(v, view{slices.Clone(h.Leaves(z)), slices.Clone(h.Members(z)), slices.Clone(h.Children(z))})
+		}
+		return v
+	}
+	want := snap()
+	for z := ZoneID(0); int(z) < h.NumZones(); z++ {
+		_ = append(h.Leaves(z), 99)
+		_ = append(h.Members(z), 99)
+		_ = append(h.Children(z), 99)
+	}
+	if got := snap(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("appending to one zone's slices changed the hierarchy:\n got %v\nwant %v", got, want)
 	}
 }

@@ -100,6 +100,11 @@ type zoneState struct {
 
 	// The zone's timers, armed through Manager.arm (see timerFired).
 	takeover, duty, watchdog fabric.Timer
+
+	// links is, in a chain zone's record, the link table of the first
+	// ZCR heard announcing at this zone: a share New carves, unclaimed
+	// (origin NoNode) until then.
+	links zcrLinks
 }
 
 // zcrLinks is one ZCR's announced RTTs to its peers — a row of the
@@ -127,7 +132,9 @@ type Manager struct {
 	zones []zoneState
 
 	direct table[float64] // direct RTT estimate per peer
-	links  []zcrLinks     // one per ZCR that announced its table to us
+	// links holds the link tables of ZCRs whose chain zone's share was
+	// already claimed by an earlier ZCR, as after a takeover.
+	links []zcrLinks
 
 	msgCount int
 	started  bool
@@ -165,12 +172,13 @@ func New(node topology.NodeID, net fabric.Network, cfg Config, rng *simrand.Rand
 		panic("session: node is not a member of any zone")
 	}
 	m.zones = make([]zoneState, len(m.chain))
-	m.links = make([]zcrLinks, 0, len(m.chain))
 	// A zone's scope carries its own leaves and one ZCR per child zone.
 	// Every chain zone's heard table is a share of one backing sized for
-	// them all; the three-index slice caps each share, so a table that
-	// outgrows it reallocates alone and never writes into the next
-	// zone's rows.
+	// them all. A second backing holds direct, sized for the leaf zone,
+	// and each chain zone's link share, sized for the two zones its ZCR
+	// announces into: the zone and its parent. The three-index slice caps
+	// each share, so a table that outgrows it reallocates alone and
+	// never writes into the next one's rows.
 	scope := func(z scoping.ZoneID) int { return len(h.Leaves(z)) + len(h.Children(z)) }
 	n := 0
 	for _, z := range m.chain {
@@ -182,12 +190,36 @@ func New(node topology.NodeID, net fabric.Network, cfg Config, rng *simrand.Rand
 		m.zones[i] = newZoneState(z)
 		m.zones[i].heard, back = back[:0:c], back[c:]
 	}
-	m.direct = make(table[float64], 0, cap(m.zones[0].heard))
+	leaf := cap(m.zones[0].heard)
+	n = leaf
+	for i := range m.chain {
+		n += m.linkScope(i)
+	}
+	rtts := make(table[float64], n)
+	m.direct, rtts = rtts[:0:leaf], rtts[leaf:]
+	for i := range m.chain {
+		c := m.linkScope(i)
+		m.zones[i].links.rtt, rtts = rtts[:0:c], rtts[c:]
+	}
 	return m
 }
 
+// linkScope is the size of a link table announced by the ZCR of chain
+// zone i, which announces into zone i and zone i's parent.
+func (m *Manager) linkScope(i int) int {
+	n := cap(m.zones[i].heard)
+	if i+1 < len(m.chain) {
+		n += cap(m.zones[i+1].heard)
+	}
+	return n
+}
+
 func newZoneState(z scoping.ZoneID) zoneState {
-	return zoneState{id: z, zcr: topology.NoNode, challenge: challengeInfo{challenger: topology.NoNode}}
+	return zoneState{
+		id: z, zcr: topology.NoNode,
+		challenge: challengeInfo{challenger: topology.NoNode},
+		links:     zcrLinks{origin: topology.NoNode},
+	}
 }
 
 // zone returns z's record, or nil if this member tracks nothing about z.
@@ -444,6 +476,14 @@ func (m *Manager) HandleSession(now eventq.Time, msg *packet.Session) {
 
 // linksOf returns the link table origin announced, or nil.
 func (m *Manager) linksOf(origin topology.NodeID) *table[float64] {
+	// An unclaimed share's origin is NoNode, which is not a claim.
+	if origin != topology.NoNode {
+		for i := range m.chain {
+			if l := &m.zones[i].links; l.origin == origin {
+				return &l.rtt
+			}
+		}
+	}
 	for i := range m.links {
 		if m.links[i].origin == origin {
 			return &m.links[i].rtt
@@ -453,19 +493,20 @@ func (m *Manager) linksOf(origin topology.NodeID) *table[float64] {
 }
 
 // linksFor is linksOf, creating the table on the first announcement of
-// origin, the ZCR of chain zone i. That ZCR announces into zone i and
-// zone i's parent, so the table is sized for both zones' heard tables
-// (or for the announcement's entries, if more) and settles without
-// regrowing.
+// origin, the ZCR of chain zone i. The first such ZCR claims zone i's
+// share, which settles without regrowing; a later one, after a
+// takeover, gets a table of the same size (or of the announcement's
+// entries, if more). So does a NoNode origin, which a socket can carry
+// and which cannot mark a share claimed.
 func (m *Manager) linksFor(origin topology.NodeID, i, entries int) *table[float64] {
 	if l := m.linksOf(origin); l != nil {
 		return l
 	}
-	size := cap(m.zones[i].heard)
-	if i+1 < len(m.chain) {
-		size += cap(m.zones[i+1].heard)
+	if l := &m.zones[i].links; l.origin == topology.NoNode && origin != topology.NoNode {
+		l.origin = origin
+		return &l.rtt
 	}
-	size = max(size, entries)
+	size := max(m.linkScope(i), entries)
 	m.links = append(m.links, zcrLinks{origin: origin, rtt: make(table[float64], 0, size)})
 	return &m.links[len(m.links)-1].rtt
 }
@@ -506,6 +547,9 @@ func (m *Manager) IsZCR(z scoping.ZoneID) bool { return m.zcrOf(z) == m.node }
 // maintained per receiver" quantity of Figure 8.
 func (m *Manager) StateSize() int {
 	n := len(m.direct)
+	for i := range m.chain {
+		n += len(m.zones[i].links.rtt)
+	}
 	for i := range m.links {
 		n += len(m.links[i].rtt)
 	}
@@ -562,7 +606,7 @@ func (m *Manager) setZCR(now eventq.Time, zs *zoneState, n topology.NodeID, dist
 // sizeDirect makes room in direct, at most once per duty taken, for a
 // peer of every zone this member samples RTTs in: the leaf zone, and the
 // two zones it announces into as the ZCR of chain zone i — zone i and
-// its parent, the rule linksFor sizes a link table by. New sized direct
+// its parent, the rule linkScope sizes a link table by. New sized direct
 // for the leaf zone alone.
 func (m *Manager) sizeDirect() {
 	n := 0

@@ -895,8 +895,9 @@ func scopeSpeakers(h *scoping.Hierarchy, z scoping.ZoneID) []topology.NodeID {
 // every chain zone keeps the heard table New made while the zone's scope
 // speaks. A member that takes ZCR duty grows its direct RTT table once,
 // when it takes the duty, and not again as echoes arrive from both zones
-// it then speaks in. New itself costs five allocations whatever the
-// chain's depth.
+// it then speaks in. New itself costs four allocations whatever the
+// chain's depth, and a member hearing the first announcement of every
+// chain ZCR files each in its zone's share, allocating nothing.
 func TestSessionTablesSettleWithoutRegrowth(t *testing.T) {
 	deep := deepZones()
 	if n := len(deep.ZonesOf(3)); n != 4 {
@@ -904,8 +905,48 @@ func TestSessionTablesSettleWithoutRegrowth(t *testing.T) {
 	}
 	dnet := &stubNet{h: deep}
 	rng := simrand.New(7).StreamN("session", 3)
-	if got := testing.AllocsPerRun(100, func() { New(3, dnet, DefaultConfig(), rng) }); got > 5 {
-		t.Errorf("New on a 4-zone chain: %v allocs, want ≤ 5", got)
+	if got := testing.AllocsPerRun(100, func() { New(3, dnet, DefaultConfig(), rng) }); got > 4 {
+		t.Errorf("New on a 4-zone chain: %v allocs, want ≤ 4", got)
+	}
+	// Node 3's chain ZCRs are 2, 1 and 0, the lowest members of Z2, Z1
+	// and Z0; node 4 stands in for Z3's. Each announces the peers of the
+	// zone it speaks for. Start arms the members' timers first, so the
+	// watchdog each announcement resets re-arms without allocating.
+	const runs = 20
+	members := make([]*Manager, runs+1)
+	for i := range members {
+		m := New(3, dnet, DefaultConfig(), rng)
+		for j, z := range m.chain {
+			m.SeedZCR(z, []topology.NodeID{4, 2, 1, 0}[j])
+		}
+		m.Start(false)
+		members[i] = m
+	}
+	var firsts []*packet.Session
+	for j, z := range members[0].chain {
+		zcr := members[0].zones[j].zcr
+		msg := &packet.Session{Origin: zcr, Zone: int16(z), SentAt: dnet.q.Now().Seconds(), ZCR: zcr}
+		for _, p := range scopeSpeakers(deep, z) {
+			if p != zcr {
+				msg.Entries = append(msg.Entries, packet.SessionEntry{Peer: p, RTT: 0.01 * float64(p+1)})
+			}
+		}
+		firsts = append(firsts, msg)
+	}
+	next := 0
+	if got := testing.AllocsPerRun(runs, func() {
+		m := members[next]
+		next++
+		for _, msg := range firsts {
+			m.HandleSession(dnet.q.Now(), msg)
+		}
+	}); got != 0 {
+		t.Errorf("first announcements of every chain ZCR: %v allocs, want 0", got)
+	}
+	for j := range members[0].chain {
+		if l := members[runs].linksOf(members[0].zones[j].zcr); l == nil || len(*l) == 0 {
+			t.Fatalf("chain zone %d: ZCR's announcement not recorded", j)
+		}
 	}
 
 	h := modelZones()
@@ -1040,5 +1081,129 @@ func TestHeardSharesStayIsolated(t *testing.T) {
 	}
 	if len(leaf.heard) != len(origins) || unsafe.SliceData(leaf.heard) == share {
 		t.Fatalf("leaf zone holds %d rows in its first share; want %d rows, reallocated", len(leaf.heard), len(origins))
+	}
+}
+
+// TestLinkSharesStayIsolated: direct and the chain zones' link tables
+// are shares of one float backing. A link table pushed past its share,
+// and direct grown by sizeDirect past its own, must reallocate alone and
+// leave the neighbouring shares' rows and lengths untouched. A second
+// origin at one scope, after a takeover, gets a table of its own; both
+// are found by origin and both count in StateSize.
+func TestLinkSharesStayIsolated(t *testing.T) {
+	h := modelZones()
+	net := &stubNet{h: h}
+	net.q.RunUntil(10)
+	m := New(3, net, DefaultConfig(), simrand.New(7).StreamN("session", 3))
+	zcrs := []topology.NodeID{4, 1, 0} // of Z3, Z1 and Z0
+	for j, z := range m.chain {
+		m.SeedZCR(z, zcrs[j])
+	}
+	announce := func(origin topology.NodeID, z scoping.ZoneID, peers int) {
+		msg := &packet.Session{Origin: origin, Zone: int16(z), SentAt: net.q.Now().Seconds(), ZCR: origin}
+		for p := topology.NodeID(100); len(msg.Entries) < peers; p++ {
+			msg.Entries = append(msg.Entries, packet.SessionEntry{Peer: p, RTT: 0.001 * float64(p)})
+		}
+		m.HandleSession(net.q.Now(), msg)
+	}
+	rowBytes := func(t table[float64]) []byte {
+		return bytes.Clone(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(t))), len(t)*int(unsafe.Sizeof(row[float64]{}))))
+	}
+	type snap struct {
+		data *row[float64]
+		n    int
+		rows []byte
+	}
+	take := func(t table[float64]) snap { return snap{unsafe.SliceData(t), len(t), rowBytes(t)} }
+	same := func(t table[float64], s snap) bool {
+		return unsafe.SliceData(t) == s.data && len(t) == s.n && bytes.Equal(rowBytes(t), s.rows)
+	}
+
+	// Fill every share to capacity, and direct with echoes from the
+	// leaf zone.
+	for j, z := range m.chain {
+		announce(zcrs[j], z, m.linkScope(j))
+		if l := m.linksOf(zcrs[j]); l == nil || unsafe.SliceData(*l) != unsafe.SliceData(m.zones[j].links.rtt) || len(*l) != m.linkScope(j) {
+			t.Fatalf("set-up: ZCR %d's table is not zone %d's full share", zcrs[j], z)
+		}
+	}
+	for p := topology.NodeID(200); len(m.direct) < cap(m.zones[0].heard); p++ {
+		m.observeRTT(p, 0.02)
+	}
+	direct := take(m.direct)
+	before := make([]snap, len(m.chain))
+	for j := range m.chain {
+		before[j] = take(m.zones[j].links.rtt)
+	}
+
+	// Push the middle zone's link table past its share.
+	mid := &m.zones[1].links
+	announce(zcrs[1], m.chain[1], m.linkScope(1)+3)
+	for _, j := range []int{0, 2} {
+		if !same(m.zones[j].links.rtt, before[j]) {
+			t.Fatalf("zone %d's link rows changed when zone %d's table outgrew its share", m.chain[j], m.chain[1])
+		}
+	}
+	if !same(m.direct, direct) {
+		t.Fatal("direct changed when a link table outgrew its share")
+	}
+	if len(mid.rtt) != m.linkScope(1)+3 || unsafe.SliceData(mid.rtt) == before[1].data {
+		t.Fatalf("middle link table holds %d rows in its first share; want %d rows, reallocated", len(mid.rtt), m.linkScope(1)+3)
+	}
+
+	// Taking the leaf zone's duty makes sizeDirect grow direct; the
+	// echoes that then arrive land in the new array.
+	m.SeedZCR(m.chain[0], m.node)
+	for p := topology.NodeID(300); p < 310; p++ {
+		m.observeRTT(p, 0.02)
+	}
+	if unsafe.SliceData(m.direct) == direct.data {
+		t.Fatal("direct was not reallocated past its share")
+	}
+	if !same(m.zones[0].links.rtt, before[0]) {
+		t.Fatal("the leaf zone's link rows changed when direct outgrew its share")
+	}
+
+	// A takeover at Z1 brings a second origin at that scope.
+	const taker = 5
+	m.HandleSession(net.q.Now(), &packet.Session{Origin: taker, Zone: int16(m.chain[1]), SentAt: net.q.Now().Seconds(), ZCR: taker, ZCRParentDist: 0.001})
+	if m.zones[1].zcr != taker {
+		t.Fatalf("set-up: zone %d's ZCR is %d after the takeover, want %d", m.chain[1], m.zones[1].zcr, taker)
+	}
+	announce(taker, m.chain[1], 2)
+	old, fresh := m.linksOf(zcrs[1]), m.linksOf(taker)
+	if old == nil || fresh == nil || unsafe.SliceData(*old) == unsafe.SliceData(*fresh) {
+		t.Fatalf("after the takeover: tables of %d and %d are %v and %v, want two distinct tables", zcrs[1], taker, old, fresh)
+	}
+	if len(*fresh) != 2 || len(*old) != m.linkScope(1)+3 {
+		t.Fatalf("tables hold %d and %d rows, want %d and 2", len(*old), len(*fresh), m.linkScope(1)+3)
+	}
+	want := len(m.direct)
+	for _, z := range zcrs {
+		want += len(*m.linksOf(z))
+	}
+	if got := m.StateSize(); got != want+len(*fresh) {
+		t.Fatalf("StateSize %d, want %d", got, want+len(*fresh))
+	}
+
+	// A socket can carry a NoNode origin, which matches a chain zone
+	// whose ZCR is not known yet. Its table must not be the zone's
+	// share, or the ZCR that claims the share later would inherit its
+	// rows.
+	u := New(3, net, DefaultConfig(), simrand.New(7).StreamN("session", 3))
+	u.HandleSession(net.q.Now(), &packet.Session{
+		Origin: topology.NoNode, Zone: int16(u.chain[0]), SentAt: net.q.Now().Seconds(), ZCR: topology.NoNode,
+		Entries: []packet.SessionEntry{{Peer: 7, RTT: 0.01}},
+	})
+	u.SeedZCR(u.chain[0], zcrs[0])
+	u.HandleSession(net.q.Now(), &packet.Session{
+		Origin: zcrs[0], Zone: int16(u.chain[0]), SentAt: net.q.Now().Seconds(), ZCR: zcrs[0],
+		Entries: []packet.SessionEntry{{Peer: 8, RTT: 0.02}},
+	})
+	if l := u.linksOf(zcrs[0]); l == nil || len(*l) != 1 || (*l)[0].id != 8 {
+		t.Fatalf("ZCR %d's table after a NoNode origin's: %v, want only peer 8", zcrs[0], l)
+	}
+	if n := u.StateSize(); n != 2 {
+		t.Fatalf("StateSize %d after a NoNode origin's table and the ZCR's, want 2", n)
 	}
 }

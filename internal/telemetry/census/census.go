@@ -58,6 +58,15 @@ const (
 
 var classNames = [NumClasses]string{"data", "nack", "repair", "fec", "ctrl"}
 
+// boundaryPktsNames holds the per-class boundary counter families, made
+// once rather than once per zone.
+var boundaryPktsNames = func() (names [NumClasses]string) {
+	for c := range names {
+		names[c] = "census_boundary_pkts_" + classNames[c]
+	}
+	return names
+}()
+
 // String returns the short name used in metric families and reports.
 func (c Class) String() string {
 	if int(c) < len(classNames) {
@@ -204,7 +213,7 @@ func New(reg *telemetry.Registry, h *scoping.Hierarchy, numNodes int) *Engine {
 			return telemetry.Key{Name: name, Node: topology.NoNode, Zone: scoping.ZoneID(z)}
 		}
 		for c := Class(0); c < NumClasses; c++ {
-			zc.boundaryPkts[c] = reg.Counter(zk("census_boundary_pkts_" + c.String()))
+			zc.boundaryPkts[c] = reg.Counter(zk(boundaryPktsNames[c]))
 		}
 		zc.boundaryBytes = reg.Counter(zk("census_boundary_bytes"))
 		zc.fecShares = reg.Counter(zk("census_fec_shares"))
@@ -226,20 +235,31 @@ func New(reg *telemetry.Registry, h *scoping.Hierarchy, numNodes int) *Engine {
 func (e *Engine) BindLinks(g *topology.Graph) {
 	e.links = make([]linkCensus, g.NumLinks())
 	e.boundary = make([][]scoping.ZoneID, g.NumLinks())
-	for li := 0; li < g.NumLinks(); li++ {
-		l := g.Link(li)
-		// Both endpoints' zone chains end in their common ancestors;
-		// what precedes that shared tail holds exactly one endpoint.
-		a, b := e.h.ZonesOf(l.A), e.h.ZonesOf(l.B)
+	// Both endpoints' zone chains end in their common ancestors; what
+	// precedes that shared tail holds exactly one endpoint. Every link's
+	// set is a capped share of one backing, sized in a first pass.
+	crossed := func(l topology.Link) (a, b []scoping.ZoneID) {
+		a, b = e.h.ZonesOf(l.A), e.h.ZonesOf(l.B)
 		for len(a) > 0 && len(b) > 0 && a[len(a)-1] == b[len(b)-1] {
 			a, b = a[:len(a)-1], b[:len(b)-1]
 		}
-		if len(a)+len(b) == 0 {
+		return a, b
+	}
+	n := 0
+	for li := 0; li < g.NumLinks(); li++ {
+		a, b := crossed(g.Link(li))
+		n += len(a) + len(b)
+	}
+	back := make([]scoping.ZoneID, n)
+	for li := 0; li < g.NumLinks(); li++ {
+		a, b := crossed(g.Link(li))
+		c := len(a) + len(b)
+		if c == 0 {
 			continue
 		}
-		crossed := append(append(make([]scoping.ZoneID, 0, len(a)+len(b)), a...), b...)
-		slices.Sort(crossed)
-		e.boundary[li] = crossed
+		set := append(append(back[:0:c], a...), b...)
+		slices.Sort(set)
+		e.boundary[li], back = set, back[c:]
 	}
 }
 

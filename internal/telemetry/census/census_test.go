@@ -362,3 +362,24 @@ func TestPromHelpCoversExposition(t *testing.T) {
 		}
 	}
 }
+
+// TestSetUpAllocationsDoNotGrowWithZones: New's per-zone names are made
+// once and BindLinks carves every link's boundary set from one backing,
+// so the engine's own set-up costs the same allocations on a national
+// hierarchy of 1,111 zones and 10,110 links as on one of 15 zones and 22
+// links. The registry already holds the zones' cells here; cutting them
+// is the registry's cost (TestRegistryCellsComeFromBlocks).
+func TestSetUpAllocationsDoNotGrowWithZones(t *testing.T) {
+	allocs := func(fan int) float64 {
+		spec := topology.National(topology.NationalParams{Regions: fan, Cities: fan, Suburbs: fan, SubscribersPerSuburb: fan}, 10e6, 0.01, 0)
+		h := scoping.MustBuild(spec.Zones)
+		reg := telemetry.NewRegistry()
+		New(reg, h, spec.Graph.NumNodes())
+		return testing.AllocsPerRun(3, func() {
+			New(reg, h, spec.Graph.NumNodes()).BindLinks(spec.Graph)
+		})
+	}
+	if small, large := allocs(2), allocs(10); large > small {
+		t.Fatalf("New+BindLinks: %v allocs at 15 zones, %v at 1,111", small, large)
+	}
+}

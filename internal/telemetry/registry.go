@@ -113,7 +113,17 @@ type Registry struct {
 	counters map[Key]*Counter
 	gauges   map[Key]*Gauge
 	hists    map[Key]*Histogram
+
+	// The unused cells of the newest counter and gauge blocks. A new
+	// instrument is cut from them, so a registry of many instruments
+	// allocates once per cellBlock of them; a block never moves, so a
+	// returned pointer stays valid.
+	counterCells []Counter
+	gaugeCells   []Gauge
 }
+
+// cellBlock is the number of counters (or gauges) in one block.
+const cellBlock = 64
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -130,7 +140,10 @@ func (r *Registry) Counter(k Key) *Counter {
 	defer r.mu.Unlock()
 	c := r.counters[k]
 	if c == nil {
-		c = &Counter{}
+		if len(r.counterCells) == 0 {
+			r.counterCells = make([]Counter, cellBlock)
+		}
+		c, r.counterCells = &r.counterCells[0], r.counterCells[1:]
 		r.counters[k] = c
 	}
 	return c
@@ -142,7 +155,10 @@ func (r *Registry) Gauge(k Key) *Gauge {
 	defer r.mu.Unlock()
 	g := r.gauges[k]
 	if g == nil {
-		g = &Gauge{}
+		if len(r.gaugeCells) == 0 {
+			r.gaugeCells = make([]Gauge, cellBlock)
+		}
+		g, r.gaugeCells = &r.gaugeCells[0], r.gaugeCells[1:]
 		r.gauges[k] = g
 	}
 	return g

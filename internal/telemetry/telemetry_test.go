@@ -578,3 +578,33 @@ func TestZoneView(t *testing.T) {
 		t.Error("a negative id or a non-preamble event changed the view")
 	}
 }
+
+// TestRegistryCellsComeFromBlocks: counters and gauges are cut in
+// order from blocks of cellBlock cells, so neighbouring instruments sit
+// side by side, a lookup returns the cell first handed out, and each
+// cell keeps its own value.
+func TestRegistryCellsComeFromBlocks(t *testing.T) {
+	r := NewRegistry()
+	const n = 3 * cellBlock
+	key := func(i int) Key {
+		return Key{Name: "cells", Node: topology.NodeID(i), Zone: scoping.NoZone, Pkt: packet.TypeInvalid}
+	}
+	cs, gs := make([]*Counter, n), make([]*Gauge, n)
+	for i := range n {
+		cs[i], gs[i] = r.Counter(key(i)), r.Gauge(key(i))
+		cs[i].Add(int64(i))
+		gs[i].Set(float64(i))
+	}
+	for i := range n {
+		if r.Counter(key(i)) != cs[i] || r.Gauge(key(i)) != gs[i] {
+			t.Fatalf("cell %d moved", i)
+		}
+		if cs[i].Value() != int64(i) || gs[i].Value() != float64(i) {
+			t.Fatalf("cell %d reads %d and %g, want %d", i, cs[i].Value(), gs[i].Value(), i)
+		}
+		if i%cellBlock != 0 && (uintptr(unsafe.Pointer(cs[i]))-uintptr(unsafe.Pointer(cs[i-1])) != unsafe.Sizeof(Counter{}) ||
+			uintptr(unsafe.Pointer(gs[i]))-uintptr(unsafe.Pointer(gs[i-1])) != unsafe.Sizeof(Gauge{})) {
+			t.Fatalf("cell %d is not its predecessor's neighbour in a block", i)
+		}
+	}
+}

@@ -247,34 +247,60 @@ func (p NationalParams) TotalReceivers() int {
 // session-scaling experiments. For the paper-scale analytic table use
 // internal/analysis, which does not materialize the graph.
 func National(p NationalParams, bandwidth float64, latency eventq.Duration, loss float64) *Spec {
-	total := 1 + p.Regions + p.Regions*p.Cities + p.Regions*p.Cities*p.Suburbs*p.SubscribersPerSuburb
+	cities := p.Regions * p.Cities
+	suburbs := cities * p.Suburbs
+	total := 1 + p.Regions + cities + suburbs*p.SubscribersPerSuburb
 	g := New(total)
-	spec := &Spec{Graph: g, Source: 0, Name: fmt.Sprintf("national-%d", total)}
-	spec.Zones = append(spec.Zones, ZoneSpec{ID: 0, Parent: -1, Leaves: []NodeID{0}})
+	// The builder knows every count up front: a link per non-source
+	// node, each node's degree, each zone's leaves. The links, the
+	// adjacency, the zones, the receivers and the leaves are sized from
+	// them, and AddLink's appends fill each in place, in the order (and
+	// so at the link and edge indices) plain appends would.
+	g.links = make([]Link, 0, total-1)
+	edges := make([]edge, 2*(total-1))
+	leaves := make([]NodeID, total)
+	reserve := func(v NodeID, degree int) { g.adj[v], edges = edges[:0:degree], edges[degree:] }
+	take := func(n int) (l []NodeID) {
+		l, leaves = leaves[:0:n], leaves[n:]
+		return l
+	}
+	spec := &Spec{
+		Graph: g, Source: 0, Name: fmt.Sprintf("national-%d", total),
+		Receivers: make([]NodeID, 0, total-1),
+		Zones:     make([]ZoneSpec, 0, 1+p.Regions+cities+suburbs),
+	}
+	reserve(0, p.Regions)
+	spec.Zones = append(spec.Zones, ZoneSpec{ID: 0, Parent: -1, Leaves: append(take(1), 0)})
 	next := NodeID(1)
 	zoneID := 1
 	for r := 0; r < p.Regions; r++ {
 		region := next
 		next++
+		reserve(region, 1+p.Cities)
 		g.AddLink(0, region, bandwidth, latency, loss)
 		spec.Receivers = append(spec.Receivers, region)
 		regionZone := zoneID
-		spec.Zones = append(spec.Zones, ZoneSpec{ID: regionZone, Parent: 0, Leaves: []NodeID{region}})
+		spec.Zones = append(spec.Zones, ZoneSpec{ID: regionZone, Parent: 0, Leaves: append(take(1), region)})
 		zoneID++
 		for c := 0; c < p.Cities; c++ {
 			city := next
 			next++
+			reserve(city, 1+p.Suburbs*p.SubscribersPerSuburb)
 			g.AddLink(region, city, bandwidth, latency, loss)
 			spec.Receivers = append(spec.Receivers, city)
 			cityZone := zoneID
-			spec.Zones = append(spec.Zones, ZoneSpec{ID: cityZone, Parent: regionZone, Leaves: []NodeID{city}})
+			spec.Zones = append(spec.Zones, ZoneSpec{ID: cityZone, Parent: regionZone, Leaves: append(take(1), city)})
 			zoneID++
 			for s := 0; s < p.Suburbs; s++ {
 				suburbZone := ZoneSpec{ID: zoneID, Parent: cityZone}
 				zoneID++
+				if p.SubscribersPerSuburb > 0 {
+					suburbZone.Leaves = take(p.SubscribersPerSuburb)
+				}
 				for k := 0; k < p.SubscribersPerSuburb; k++ {
 					sub := next
 					next++
+					reserve(sub, 1)
 					g.AddLink(city, sub, bandwidth, latency, loss)
 					spec.Receivers = append(spec.Receivers, sub)
 					suburbZone.Leaves = append(suburbZone.Leaves, sub)

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -297,6 +298,67 @@ func TestNationalCounts(t *testing.T) {
 	wantZones := 1 + 2 + 6 + 12
 	if len(s.Zones) != wantZones {
 		t.Fatalf("national zones = %d, want %d", len(s.Zones), wantZones)
+	}
+}
+
+// appendedNational builds the national hierarchy with plain appends
+// and no sizing: the reference National's sized build must equal.
+func appendedNational(p NationalParams, bandwidth float64, latency eventq.Duration, loss float64) *Spec {
+	total := 1 + p.Regions + p.Regions*p.Cities + p.Regions*p.Cities*p.Suburbs*p.SubscribersPerSuburb
+	g := New(total)
+	spec := &Spec{Graph: g, Source: 0, Name: fmt.Sprintf("national-%d", total)}
+	spec.Zones = append(spec.Zones, ZoneSpec{ID: 0, Parent: -1, Leaves: []NodeID{0}})
+	next, zoneID := NodeID(1), 1
+	for r := 0; r < p.Regions; r++ {
+		region, regionZone := next, zoneID
+		next++
+		zoneID++
+		g.AddLink(0, region, bandwidth, latency, loss)
+		spec.Receivers = append(spec.Receivers, region)
+		spec.Zones = append(spec.Zones, ZoneSpec{ID: regionZone, Parent: 0, Leaves: []NodeID{region}})
+		for c := 0; c < p.Cities; c++ {
+			city, cityZone := next, zoneID
+			next++
+			zoneID++
+			g.AddLink(region, city, bandwidth, latency, loss)
+			spec.Receivers = append(spec.Receivers, city)
+			spec.Zones = append(spec.Zones, ZoneSpec{ID: cityZone, Parent: regionZone, Leaves: []NodeID{city}})
+			for s := 0; s < p.Suburbs; s++ {
+				suburb := ZoneSpec{ID: zoneID, Parent: cityZone}
+				zoneID++
+				for k := 0; k < p.SubscribersPerSuburb; k++ {
+					g.AddLink(city, next, bandwidth, latency, loss)
+					spec.Receivers = append(spec.Receivers, next)
+					suburb.Leaves = append(suburb.Leaves, next)
+					next++
+				}
+				spec.Zones = append(spec.Zones, suburb)
+			}
+		}
+	}
+	return spec
+}
+
+// TestNationalMatchesAppendedBuild: National sizes its links, adjacency,
+// zones, receivers and leaves from the hierarchy's counts; link for
+// link and edge for edge, it builds what plain appends build.
+func TestNationalMatchesAppendedBuild(t *testing.T) {
+	for _, p := range []NationalParams{
+		{Regions: 2, Cities: 3, Suburbs: 2, SubscribersPerSuburb: 4},
+		{Regions: 3, Cities: 2, Suburbs: 4, SubscribersPerSuburb: 0},
+		{Regions: 1, Cities: 1, Suburbs: 1, SubscribersPerSuburb: 1},
+		{Regions: 4, Cities: 5, Suburbs: 3, SubscribersPerSuburb: 7},
+	} {
+		got, want := National(p, 10e6, 0.01, 0.02), appendedNational(p, 10e6, 0.01, 0.02)
+		if !reflect.DeepEqual(got.Graph.links, want.Graph.links) {
+			t.Errorf("%+v: links differ", p)
+		}
+		if !reflect.DeepEqual(got.Graph.adj, want.Graph.adj) {
+			t.Errorf("%+v: adjacency differs", p)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: specs differ:\n got %+v\nwant %+v", p, got, want)
+		}
 	}
 }
 
