@@ -84,7 +84,8 @@ type Agent struct {
 	// it did are released with the group. A callback that keeps data, or
 	// hands it to another goroutine, must copy it first.
 	OnComplete func(now eventq.Time, group uint32, data [][]byte)
-	decoded    *decoding // nil until the first OnComplete decode
+	decoded    *decoding  // nil until the first OnComplete decode
+	free       *freeLists // nil until the data path first needs one
 
 	// The flags share one word, since a lone bool pads out a word of its
 	// own. Size matters here: the runtime prefixes an object over 512
@@ -256,7 +257,8 @@ func (a *Agent) sourceSend(now eventq.Time, seq uint32) {
 		}
 		a.sendData[gid] = data
 	}
-	pkt := &packet.Data{
+	pkt := packet.CarveData()
+	*pkt = packet.Data{
 		Origin:  a.node,
 		Seq:     seq,
 		Group:   gid,

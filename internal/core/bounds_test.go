@@ -181,6 +181,9 @@ func TestNACKFromForeignZoneCreatesNoState(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go in race-detector builds.
+var raceEnabled bool
+
 // TestSteadyStateHandlersAllocateNothing pins the data path's state
 // against allocation: a request or a duplicate repair for a group already
 // open touches its records and nothing else, and opening a group costs
@@ -236,6 +239,71 @@ func TestSteadyStateHandlersAllocateNothing(t *testing.T) {
 			got, len(open.groups), open.Stats.BadNACKs)
 	}
 	t.Logf("opening a group: %.2f allocations amortised over %d groups", got, len(nacks))
+
+	// The send side, counted the same way over 1,000 groups: a NACK with
+	// its ancestor list, a ZLC sample, and a 4-repair burst. The sender
+	// is a receiver of a scoped chain that knows the ZCRs of both its
+	// zones, so its NACKs carry ancestors. Every group has its timer
+	// callback already (made on a group's first arm: see armTimer), and
+	// the queue is run past each send, so the burst cursors and ZLC
+	// samples come back to the sender's free lists.
+	sw := quietWorld(t, topology.ScopedChain(4, 0), cfg, 98)
+	q := sw.net.Q
+	q.RunUntil(10)
+	s := sw.agents[2]
+	s.joined = true
+	s.sess.SeedZCR(s.chain[0], 1)
+	s.sess.SeedZCR(s.root, 0)
+	now := q.Now().Seconds()
+	s.sess.HandleSession(q.Now(), &packet.Session{Origin: 1, Zone: int16(s.chain[0]), SentAt: now, ZCR: 1,
+		Entries: []packet.SessionEntry{{Peer: s.node, Echo: now - 0.02}, {Peer: 0, RTT: 0.03}}})
+	if anc := s.sess.AncestorList(); len(anc) == 0 {
+		t.Fatal("set-up: the sender's NACKs carry no ancestors")
+	}
+	s.sess.Stop() // its tables stay; its timers end, so the queue runs dry
+	kept := newShareFeed(t, 98, 0).data
+	groups := make([]*group, cfg.NumGroups())
+	for gid := range groups {
+		g := s.ensureGroup(uint32(gid))
+		s.armTimer(g, &g.ldpTimer, 1000)
+		stopTimer(&g.ldpTimer)
+		groups[gid] = g
+	}
+	for _, c := range []struct {
+		name string
+		own  float64 // allocations the send makes by design
+		fn   func(g *group)
+	}{
+		{"a NACK", 0, func(g *group) {
+			g.inRepair = true
+			s.requestTimerFired(q.Now(), g)
+			stopTimer(&g.reqTimer)
+		}},
+		{"a ZLC sample", 0, func(g *group) { s.scheduleZLCSample(g, 0) }},
+		{"a 4-repair burst", 1, func(g *group) {
+			g.complete, g.kept = true, kept
+			s.sendRepairBurst(q.Now(), g, s.chain[0], 4, false)
+		}},
+	} {
+		runtime.ReadMemStats(&before)
+		for _, g := range groups {
+			c.fn(g)
+			q.RunUntil(q.Now() + 60)
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.Mallocs-before.Mallocs)/float64(len(groups)) - c.own
+		// Under the race detector sync.Pool drops a quarter of its Puts,
+		// and a packet may take a new arena and new blocks: the counts
+		// are logged, not held to the bound.
+		if got > 0.1 && !raceEnabled {
+			t.Errorf("%s: %.2f allocations amortised over %d groups beyond its own %v, want at most 0.1",
+				c.name, got, len(groups), c.own)
+		}
+		t.Logf("%s: %.2f allocations amortised over %d groups beyond its own %v", c.name, got, len(groups), c.own)
+	}
+	if sent := s.Stats.NACKsSent; sent != len(groups) || s.Stats.RepairsSent != 4*len(groups) {
+		t.Fatalf("sent %d NACKs and %d repairs, want %d and %d", sent, s.Stats.RepairsSent, len(groups), 4*len(groups))
+	}
 }
 
 // TestNewReceiverAllocations pins what building a receiver costs, the

@@ -12,6 +12,15 @@
 // the ECSRM-like baseline of Figures 14–15 — run on a one-zone hierarchy,
 // where every NACK and repair uses the global scope and only the source
 // heads a zone.
+//
+// On the data path a member allocates little per packet. What it sends —
+// data packets, repairs, NACKs and their ancestor lists — is carved from
+// the packet arena (packet.CarveData and its siblings) and handed out
+// once, and a repair burst cuts its payloads from one buffer. What it
+// reuses is only its own (slab.go): share-slot arrays, which an ordinary
+// receiver hands back when it retires a group, and the burst cursors and
+// ZLC samples its timers run. A group's timer callback is still made
+// once per group (armTimer).
 package core
 
 import (

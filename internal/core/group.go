@@ -189,10 +189,7 @@ func (a *Agent) admit(gid uint32, index, groupK uint8, repair bool, payload []by
 		return g, false
 	}
 	if g.shares == nil {
-		// Room for k repairs: their indices are handed out consecutively
-		// from k, so only a group that has been sent more repairs than it
-		// has data shares outgrows this.
-		g.shares = make([][]byte, k, 2*k)
+		g.shares = a.slotArray()
 	}
 	if idx >= len(g.shares) {
 		g.shares = append(g.shares, make([][]byte, idx+1-len(g.shares))...)
@@ -344,6 +341,7 @@ func (a *Agent) timerFired(now eventq.Time, g *group) {
 		// Ordinary receivers release the kept shares retainData after
 		// completion, unless they have taken up ZCR duty since.
 		if !a.anyZCRDuty() {
+			a.releaseSlots(g.kept)
 			g.kept = nil
 		}
 	}
@@ -482,7 +480,8 @@ func (a *Agent) requestTimerFired(now eventq.Time, g *group) {
 	if llc > 255 {
 		llc = 255
 	}
-	nack := &packet.NACK{
+	nack := packet.CarveNACK()
+	*nack = packet.NACK{
 		Origin:    a.node,
 		Group:     g.id,
 		LLC:       uint8(llc),

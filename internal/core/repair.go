@@ -136,10 +136,10 @@ func (a *Agent) sendRepairBurst(now eventq.Time, g *group, z scoping.ZoneID, n i
 	spacing := repairSpacing * a.ipt
 	// One callback paces the whole burst: share first+i at i spacings,
 	// then the end-of-burst step one spacing after the last share.
-	b := &burst{a: a, g: g, z: z, next: first, last: last, preempt: preempt}
-	fire := b.fire
+	b := a.newBurst()
+	b.g, b.z, b.next, b.last, b.preempt = g, z, first, last, preempt
 	for i := 0; i <= last-first+1; i++ {
-		a.net.Sched().After(eventq.Duration(float64(i)*spacing), fire)
+		a.net.Sched().After(eventq.Duration(float64(i)*spacing), b.fire)
 	}
 }
 
@@ -147,51 +147,81 @@ func (a *Agent) sendRepairBurst(now eventq.Time, g *group, z scoping.ZoneID, n i
 // order they were scheduled (increasing times, FIFO on ties), so each
 // takes the share at the cursor, and the one after the last share ends
 // the burst. The cursor is the burst's own: bursts of one group overlap
-// when a ZCR injects into every zone it heads at once.
+// when a ZCR injects into every zone it heads at once. A burst is the
+// agent's: its last event hands it back to the agent's free list, and
+// fire, made when the struct is, serves every burst it paces.
 type burst struct {
 	a          *Agent
 	g          *group
 	z          scoping.ZoneID
 	next, last int
 	preempt    bool
+	// payloads is the burst's one payload buffer, made on its first
+	// share and cut a share at a time: each payload is handed out once,
+	// and the buffer lives as long as the longest-held of them.
+	payloads []byte
+	fire     eventq.Handler
 }
 
-func (b *burst) fire(now eventq.Time) {
+// newBurst returns an idle burst from the agent's free list, or a new
+// one with its callback made.
+func (a *Agent) newBurst() *burst {
+	f := a.freeList()
+	if n := len(f.bursts); n > 0 {
+		b := f.bursts[n-1]
+		f.bursts = f.bursts[:n-1]
+		return b
+	}
+	b := &burst{a: a}
+	b.fire = b.step
+	return b
+}
+
+func (b *burst) step(now eventq.Time) {
 	if idx := b.next; idx <= b.last {
 		b.next++
-		b.a.transmitRepair(now, b.g, b.z, idx, b.last, b.preempt)
+		b.a.transmitRepair(now, b, idx)
 		return
 	}
-	b.g.sendBusy = false
-	b.a.serveQueuedRepairs(now, b.g)
+	a, g := b.a, b.g
+	b.g, b.payloads = nil, nil
+	a.free.bursts = append(a.free.bursts, b)
+	g.sendBusy = false
+	a.serveQueuedRepairs(now, g)
 }
 
-// transmitRepair computes and multicasts one repair share.
-func (a *Agent) transmitRepair(now eventq.Time, g *group, z scoping.ZoneID, idx, burstMax int, preempt bool) {
+// transmitRepair computes and multicasts share idx of burst b.
+func (a *Agent) transmitRepair(now eventq.Time, b *burst, idx int) {
 	if a.stopped {
 		return
 	}
+	g := b.g
 	held := a.heldShares(g)
 	if held == nil {
 		return
 	}
-	payload := make([]byte, payloadSize)
+	if len(b.payloads) < payloadSize {
+		b.payloads = make([]byte, (b.last-idx+1)*payloadSize)
+	}
+	payload := b.payloads[:payloadSize:payloadSize]
 	if err := a.codec.ShareFrom(payload, held, idx); err != nil {
 		return
 	}
-	rep := &packet.Repair{
+	b.payloads = b.payloads[payloadSize:]
+	rep := packet.CarveRepair()
+	*rep = packet.Repair{
 		Origin:     a.node,
 		Group:      g.id,
 		Index:      uint8(idx),
 		GroupK:     uint8(g.k),
-		NewMaxSeq:  uint32(burstMax),
-		Zone:       int16(z),
+		NewMaxSeq:  uint32(b.last),
+		Zone:       int16(b.z),
 		Payload:    payload,
-		Preemptive: preempt,
+		Preemptive: b.preempt,
 	}
-	a.net.Multicast(a.node, z, rep)
+	a.net.Multicast(a.node, b.z, rep)
 	a.Stats.RepairsSent++
-	a.emit(now, telemetry.KindRepairSent, z, int64(g.id), int64(burstMax), int64(idx), 0)
+	a.emit(now, telemetry.KindRepairSent, b.z, int64(g.id), int64(b.last), int64(idx), 0)
 }
 
 // injectRepairs preemptively sends h repair shares into zone z (ZCR
@@ -224,13 +254,36 @@ func (a *Agent) scheduleZLCSample(g *group, i int) {
 		return
 	}
 	lv.sampled = true
-	z := a.chain[i]
-	wait := eventq.Duration(zlcWaitRTTs * a.sess.MostDistantRTT(z))
-	a.net.Sched().After(wait, func(eventq.Time) {
-		sample := float64(lv.zlc)
-		if sample == 0 {
-			sample = float64(g.llc)
-		}
-		a.ctrl.ObserveZLC(z, sample)
-	})
+	wait := eventq.Duration(zlcWaitRTTs * a.sess.MostDistantRTT(a.chain[i]))
+	f := a.freeList()
+	var s *zlcSample
+	if n := len(f.samples); n > 0 {
+		s, f.samples = f.samples[n-1], f.samples[:n-1]
+	} else {
+		s = &zlcSample{a: a}
+		s.fire = s.take
+	}
+	s.g, s.i = g, i
+	a.net.Sched().After(wait, s.fire)
+}
+
+// zlcSample is one armed ZLC measurement: group g's zone at chain level
+// i. Like a burst it is the agent's, made with its callback and handed
+// back to the free list when it fires.
+type zlcSample struct {
+	a    *Agent
+	g    *group
+	i    int
+	fire eventq.Handler
+}
+
+func (s *zlcSample) take(eventq.Time) {
+	a, g, i := s.a, s.g, s.i
+	s.g = nil
+	a.free.samples = append(a.free.samples, s)
+	sample := float64(g.lv[i].zlc)
+	if sample == 0 {
+		sample = float64(g.llc)
+	}
+	a.ctrl.ObserveZLC(a.chain[i], sample)
 }

@@ -40,7 +40,7 @@ func TestGroupTimerRunsOnlyTheOneThatFired(t *testing.T) {
 				complete := fire >= 2
 				if complete {
 					g.complete = true
-					g.kept = make([][]byte, g.k)
+					g.kept = a.slotArray()
 					rootLevel(a, g).pending = 1
 				} else {
 					g.inRepair = true

@@ -61,8 +61,9 @@ func (m *Manager) linkRTT(origin, peer topology.NodeID) (float64, bool) {
 // AncestorList builds the (ZCR, RTT) entries a node attaches to outgoing
 // NACKs: its estimate of the distance to each of the parent ZCRs that
 // will hear the message (§5 rules). Unknown levels are omitted, and with
-// none known the list is nil. A list is counted before it is made, so a
-// NACK's list costs one allocation of exactly its size.
+// none known the list is nil. A list is counted before it is carved, at
+// exactly its size, from the packet arena (packet.CarveAncestors): it is
+// the sender's to hand out once, and never written again.
 func (m *Manager) AncestorList() []packet.AncestorRTT {
 	n := 0
 	for i := range m.chain {
@@ -70,10 +71,7 @@ func (m *Manager) AncestorList() []packet.AncestorRTT {
 			n++
 		}
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]packet.AncestorRTT, 0, n)
+	out := packet.CarveAncestors(n)[:0]
 	for i := range m.chain {
 		if e, ok := m.ancestor(i); ok {
 			out = append(out, e)

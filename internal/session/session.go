@@ -245,13 +245,35 @@ func (m *Manager) knownZone(z int16) bool {
 	return false
 }
 
-// zoneFor is zone, creating the record on first sight of z.
+// zoneFor is zone, creating the record on first sight of z. The first
+// record past the chain grows the records once, making room for every
+// sibling zone the member can overhear.
 func (m *Manager) zoneFor(z scoping.ZoneID) *zoneState {
 	if zs := m.zone(z); zs != nil {
 		return zs
 	}
+	if len(m.zones) == len(m.chain) {
+		grown := make([]zoneState, len(m.zones), len(m.zones)+m.siblings())
+		copy(grown, m.zones)
+		m.zones = grown
+	}
 	m.zones = append(m.zones, newZoneState(z))
 	return &m.zones[len(m.zones)-1]
+}
+
+// siblings counts the zones outside the chain whose elections a member
+// overhears: a takeover is heard at its zone's parent scope, so the
+// children of every chain zone, less the chain zone below it.
+func (m *Manager) siblings() int {
+	h := m.net.Hierarchy()
+	n := 0
+	for i, z := range m.chain {
+		n += len(h.Children(z))
+		if i > 0 {
+			n--
+		}
+	}
+	return n
 }
 
 // Node returns the owning node's ID.
@@ -393,7 +415,7 @@ func (m *Manager) sendSessionMessages(now eventq.Time) {
 // sendSessionFor builds and multicasts the session message for a zone,
 // with one entry per peer heard there in ascending NodeID order.
 func (m *Manager) sendSessionFor(now eventq.Time, zs *zoneState) {
-	msg := carveSession(len(zs.heard))
+	msg := packet.CarveSession(len(zs.heard))
 	*msg = packet.Session{
 		Origin:  m.node,
 		Zone:    int16(zs.id),

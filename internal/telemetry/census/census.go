@@ -207,6 +207,8 @@ func New(reg *telemetry.Registry, h *scoping.Hierarchy, numNodes int) *Engine {
 	for n := 0; n < numNodes; n++ {
 		e.leaf[n] = h.LeafZone(topology.NodeID(n))
 	}
+	// Every zone registers NumClasses+2 counters and 7 gauges.
+	reg.Reserve(len(e.zones)*(int(NumClasses)+2), len(e.zones)*7)
 	for z := range e.zones {
 		zc := &e.zones[z]
 		zk := func(name string) telemetry.Key {

@@ -2,6 +2,7 @@ package census
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -382,4 +383,20 @@ func TestSetUpAllocationsDoNotGrowWithZones(t *testing.T) {
 	if small, large := allocs(2), allocs(10); large > small {
 		t.Fatalf("New+BindLinks: %v allocs at 15 zones, %v at 1,111", small, large)
 	}
+
+	// On a fresh registry, as every pass of a scaling sweep makes, New
+	// sizes the registry's maps once for the instruments it registers:
+	// beyond a registry so sized and the cell blocks it cuts, New costs a
+	// constant.
+	spec := topology.National(topology.NationalParams{Regions: 10, Cities: 10, Suburbs: 10, SubscribersPerSuburb: 10}, 10e6, 0.01, 0)
+	h := scoping.MustBuild(spec.Zones)
+	perZone := int(NumClasses) + 2 // counters a zone registers, and as many gauges
+	fresh := testing.AllocsPerRun(3, func() { New(telemetry.NewRegistry(), h, spec.Graph.NumNodes()) })
+	sized := testing.AllocsPerRun(3, func() { telemetry.NewRegistry().Reserve(perZone*h.NumZones(), perZone*h.NumZones()) })
+	cells := 2 * math.Ceil(float64(perZone*h.NumZones())/64) // 64 cells to a block
+	if extra := fresh - sized - cells; extra > 8 {
+		t.Errorf("New on a fresh registry at %d zones: %v allocs, %v beyond a sized registry (%v) and the %v cell blocks, want at most 8",
+			h.NumZones(), fresh, extra, sized, cells)
+	}
+	t.Logf("New on a fresh registry at %d zones: %v allocs: a sized registry %v, cell blocks %v", h.NumZones(), fresh, sized, cells)
 }

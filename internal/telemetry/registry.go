@@ -134,6 +134,21 @@ func NewRegistry() *Registry {
 	}
 }
 
+// Reserve sizes the counter and gauge maps for that many instruments,
+// so a caller that knows how many it will register grows neither map one
+// key at a time. Only an empty map is sized: a map cannot grow in place,
+// and copying one already in use would cost what the reservation saves.
+func (r *Registry) Reserve(counters, gauges int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.counters) == 0 {
+		r.counters = make(map[Key]*Counter, counters)
+	}
+	if len(r.gauges) == 0 {
+		r.gauges = make(map[Key]*Gauge, gauges)
+	}
+}
+
 // Counter returns (creating if needed) the counter for k.
 func (r *Registry) Counter(k Key) *Counter {
 	r.mu.Lock()
